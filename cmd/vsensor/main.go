@@ -98,8 +98,7 @@ var (
 	connectAddr = flag.String("connect", "", "deliver records over TCP to an external 'vsensor serve' analysis service at this address (the run then has no in-process server)")
 	runIDFlag   = flag.String("run-id", "", "run identifier for the networked session (needs -connect; default 'local')")
 
-	reconnect        = flag.Bool("reconnect", false, "self-heal the networked session: auto-redial with jittered backoff on connection failures and resume the run at the server's durable LSN (needs -connect)")
-	dialRetryBudget  = flag.Duration("dial-retry-budget", 0, "total retry budget per dial — and per outage with -reconnect (0 = default 10s; needs -connect)")
+	dialRetryBudget  = flag.Duration("dial-retry-budget", 0, "retry budget of the self-healing -connect session: for the first dial (vSE1 retry-after refusals only; network errors fail fast) and per later outage (0 = default 10s; needs -connect)")
 	dialRetryBackoff = flag.Duration("dial-retry-backoff", 0, "first dial-retry backoff, doubling with jitter per attempt when the server sends no retry-after hint (0 = default 5ms; needs -connect)")
 )
 
@@ -151,14 +150,13 @@ func applyTransport(opts *vsensor.Options) {
 		fatal(fmt.Errorf("dial-retry knobs must be >= 0 (dial-retry-budget %s, dial-retry-backoff %s)",
 			*dialRetryBudget, *dialRetryBackoff))
 	}
-	if (*reconnect || *dialRetryBudget != 0 || *dialRetryBackoff != 0) && *connectAddr == "" {
-		fatal(fmt.Errorf("-reconnect/-dial-retry-budget/-dial-retry-backoff need -connect (there is no networked dial to shape)"))
-	}
-	retry := netsrv.RetryPolicy{MaxElapsed: *dialRetryBudget, BackoffBase: *dialRetryBackoff}
-	if *reconnect {
-		opts.Reconnect = &netsrv.ReconnectConfig{Retry: retry}
-	} else if *dialRetryBudget != 0 || *dialRetryBackoff != 0 {
-		opts.DialRetry = &retry
+	if *dialRetryBudget != 0 || *dialRetryBackoff != 0 {
+		if *connectAddr == "" {
+			fatal(fmt.Errorf("-dial-retry-budget/-dial-retry-backoff need -connect (there is no networked dial to shape)"))
+		}
+		opts.Reconnect = &netsrv.ReconnectConfig{
+			Retry: netsrv.RetryPolicy{MaxElapsed: *dialRetryBudget, BackoffBase: *dialRetryBackoff},
+		}
 	}
 	transportTuned := *retryMax != 0 || *retryTimeout != 0 || *retryBackoff != 0 || *bufferCap != 0 || *lease != 0
 	if *faults != "" {
@@ -224,48 +222,44 @@ func printLineage(rep *vsensor.Report) {
 		st.SampledFrames, st.SampleEvery, st.Seed, st.Spans, st.FlightCap)
 }
 
-// printCoverage reports delivery coverage after a transport-routed run,
+// printCoverage reports delivery coverage for a run with a local server,
 // plus durability, liveness, and report-cache summaries when those layers
 // were on. Everything reads through the server's versioned snapshot — the
 // same render /status and /outliers serve.
 func printCoverage(rep *vsensor.Report) {
 	snap := rep.Snapshot()
-	if rep.Link == nil && snap == nil {
-		return
+	if snap == nil {
+		return // Connect mode: coverage lives on the remote service
 	}
-	if rep.Link != nil && snap != nil {
-		cov := snap.Coverage
-		fmt.Printf("transport: plan [%s], coverage %.1f%% (%d/%d records, %d dup frames, %d checksum rejects)\n",
-			rep.Link.Plan(), cov.Fraction()*100, cov.IngestedRecords, cov.ExpectedRecords,
-			cov.DupFrames, cov.ChecksumErrors)
-		if ds := snap.Durability; ds.Enabled {
-			fmt.Printf("durability: gen %d, lsn %d, %d WAL entries (%d bytes, %d syncs), %d snapshots, %d recoveries\n",
-				ds.Generation, ds.LSN, ds.WALEntries, ds.WALBytes, ds.Syncs, ds.Snapshots, ds.Recoveries)
-			if ds.FlushEvery > 1 {
-				fmt.Printf("group commit: %d outcomes/group, %d group commits, %d outcomes coalesced (coalesce=%v)\n",
-					ds.FlushEvery, ds.GroupCommits, ds.CoalescedEntries, ds.Coalesce)
-			}
-			if ds.Recoveries > 0 {
-				lr := ds.LastRecovery
-				fmt.Printf("last recovery: snapshot gen %d + %d WAL entries replayed (%d frames, %d records, %d bytes truncated)\n",
-					lr.SnapshotGen, lr.WALEntriesReplayed, lr.FramesReplayed, lr.RecordsRecovered, lr.TruncatedBytes)
-			}
+	cov := snap.Coverage
+	fmt.Printf("transport: plan [%s], coverage %.1f%% (%d/%d records, %d dup frames, %d checksum rejects)\n",
+		rep.Link.Plan(), cov.Fraction()*100, cov.IngestedRecords, cov.ExpectedRecords,
+		cov.DupFrames, cov.ChecksumErrors)
+	if ds := snap.Durability; ds.Enabled {
+		fmt.Printf("durability: gen %d, lsn %d, %d WAL entries (%d bytes, %d syncs), %d snapshots, %d recoveries\n",
+			ds.Generation, ds.LSN, ds.WALEntries, ds.WALBytes, ds.Syncs, ds.Snapshots, ds.Recoveries)
+		if ds.FlushEvery > 1 {
+			fmt.Printf("group commit: %d outcomes/group, %d group commits, %d outcomes coalesced (coalesce=%v)\n",
+				ds.FlushEvery, ds.GroupCommits, ds.CoalescedEntries, ds.Coalesce)
 		}
-		if rep.Server.Heartbeats() > 0 {
-			ls := snap.Liveness
-			fmt.Printf("liveness: %d alive, %d suspect, %d dead\n", ls.Alive, ls.Suspect, ls.Dead)
-			out := snap.Report
-			if out.Degraded {
-				fmt.Printf("DEGRADED verdict: dead ranks %v excluded from watermark, confidence %.1f%% (coverage %.1f%% x liveness %.1f%%)\n",
-					out.DeadRanks, out.Confidence*100, out.Coverage.Fraction()*100, out.LivenessConfidence*100)
-			}
+		if ds.Recoveries > 0 {
+			lr := ds.LastRecovery
+			fmt.Printf("last recovery: snapshot gen %d + %d WAL entries replayed (%d frames, %d records, %d bytes truncated)\n",
+				lr.SnapshotGen, lr.WALEntriesReplayed, lr.FramesReplayed, lr.RecordsRecovered, lr.TruncatedBytes)
 		}
 	}
-	if rep.Server != nil {
-		st := rep.Server.SnapshotStats()
-		fmt.Printf("report cache: gen %d, %d reads, %d rebuilds (hit rate %.1f%%)\n",
-			st.Gen, st.Reads, st.Builds, st.HitRate()*100)
+	if rep.Server.Heartbeats() > 0 {
+		ls := snap.Liveness
+		fmt.Printf("liveness: %d alive, %d suspect, %d dead\n", ls.Alive, ls.Suspect, ls.Dead)
+		out := snap.Report
+		if out.Degraded {
+			fmt.Printf("DEGRADED verdict: dead ranks %v excluded from watermark, confidence %.1f%% (coverage %.1f%% x liveness %.1f%%)\n",
+				out.DeadRanks, out.Confidence*100, out.Coverage.Fraction()*100, out.LivenessConfidence*100)
+		}
 	}
+	st := rep.Server.SnapshotStats()
+	fmt.Printf("report cache: gen %d, %d reads, %d rebuilds (hit rate %.1f%%)\n",
+		st.Gen, st.Reads, st.Builds, st.HitRate()*100)
 }
 
 // setupObs builds the observability bundle when -http or -trace-json is
@@ -720,14 +714,9 @@ func doRun(src string, acfg analysis.Config, icfg instrument.Config) {
 		if rid == "" {
 			rid = "local"
 		}
-		if rep.Resilient != nil {
-			st := rep.Resilient.Stats()
-			fmt.Printf("sensors: %s, records delivered to %s (run %q, durable lsn %d, %d reconnects over %d dial attempts)\n",
-				rep.Instrumented.TypeSummary(), *connectAddr, rid, st.LSN, st.Reconnects, st.DialAttempts)
-		} else {
-			fmt.Printf("sensors: %s, records delivered to %s (run %q, session lsn %d)\n",
-				rep.Instrumented.TypeSummary(), *connectAddr, rid, rep.Session.Ack().LSN)
-		}
+		st := rep.Resilient.Stats()
+		fmt.Printf("sensors: %s, records delivered to %s (run %q, durable lsn %d, %d reconnects over %d dial attempts)\n",
+			rep.Instrumented.TypeSummary(), *connectAddr, rid, st.LSN, st.Reconnects, st.DialAttempts)
 	}
 	printCoverage(rep)
 	printLineage(rep)

@@ -53,7 +53,8 @@ func TestFlagParsing(t *testing.T) {
 		name       string
 		args       []string
 		wantCode   int
-		wantStderr string // substring that must appear on stderr
+		wantStderr string        // substring that must appear on stderr
+		maxWall    time.Duration // when set, the command must exit within it
 	}{
 		{
 			name:       "no arguments",
@@ -188,16 +189,20 @@ func TestFlagParsing(t *testing.T) {
 			wantStderr: "a -connect run has none",
 		},
 		{
+			// The self-healing session's first dial fails fast on a network
+			// error; only an accepted session retries them under the budget.
 			name:       "connect to unreachable service",
 			args:       []string{"run", "-connect", "127.0.0.1:1", tiny},
 			wantCode:   1,
 			wantStderr: "refused",
+			maxWall:    2 * time.Second,
 		},
 		{
+			// -reconnect is gone: a -connect session always self-heals.
 			name:       "reconnect without connect",
 			args:       []string{"run", "-reconnect", tiny},
-			wantCode:   1,
-			wantStderr: "need -connect",
+			wantCode:   2,
+			wantStderr: "flag provided but not defined: -reconnect",
 		},
 		{
 			name:       "dial-retry budget without connect",
@@ -252,7 +257,11 @@ func TestFlagParsing(t *testing.T) {
 		tt := tt
 		t.Run(tt.name, func(t *testing.T) {
 			t.Parallel()
+			start := time.Now()
 			_, stderr, code := runCLI(t, tt.args...)
+			if d := time.Since(start); tt.maxWall > 0 && d > tt.maxWall {
+				t.Errorf("took %v, want under %v", d, tt.maxWall)
+			}
 			if code != tt.wantCode {
 				t.Errorf("exit code = %d, want %d (stderr: %q)", code, tt.wantCode, stderr)
 			}
@@ -412,6 +421,11 @@ func TestServeConnectEndToEnd(t *testing.T) {
 		if !strings.Contains(stdout, "records delivered to "+addr) ||
 			!strings.Contains(stdout, `run "`+rid+`"`) {
 			t.Errorf("run %s stdout missing remote-delivery summary:\n%s", rid, stdout)
+		}
+		// One network client: the summary is always the self-healing
+		// session's ledger.
+		if !strings.Contains(stdout, "durable lsn ") || !strings.Contains(stdout, " reconnects over ") {
+			t.Errorf("run %s connect summary missing durable lsn/reconnects:\n%s", rid, stdout)
 		}
 		if strings.Contains(stdout, "server data:") {
 			t.Errorf("run %s printed a local-server summary in connect mode:\n%s", rid, stdout)

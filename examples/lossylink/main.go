@@ -1,7 +1,7 @@
 // Command lossylink demonstrates the fault-tolerant record transport: the
-// same bad-node workload is run twice, once with the direct in-process
-// record path and once with the monitoring data itself crossing a lossy
-// link — 20% frame drops, duplicates, reordering, bit corruption, an
+// same bad-node workload is run twice over the one record path, once with
+// the link fault-free and once with the monitoring data itself crossing a
+// lossy link — 20% frame drops, duplicates, reordering, bit corruption, an
 // injected delivery delay, and one analysis-server crash-restart mid-run.
 // Sequence-numbered, checksummed frames with bounded retry on the client
 // and dedup on the server deliver every record exactly once; retry stalls
@@ -70,7 +70,7 @@ func main() {
 	clean := run(nil, nil)
 	cleanNodes := outliersByNode(clean)
 	cn, cc := dominant(cleanNodes)
-	fmt.Printf("direct record path:   %.3f ms, %d records, top outlier node %d (%d flags)\n",
+	fmt.Printf("fault-free link:      %.3f ms, %d records, top outlier node %d (%d flags)\n",
 		clean.TotalSeconds()*1e3, len(clean.Server.Records()), cn, cc)
 
 	plan := &transport.FaultPlan{

@@ -310,3 +310,49 @@ func TestCombinedInjections(t *testing.T) {
 		t.Errorf("network window missing from findings: %+v", findings)
 	}
 }
+
+// Profile and Trace are wired into the one machine the run builds, so a
+// run with both has one record sink and one event collector per rank: the
+// record path is the plain run's bit for bit (a second, orphaned sink per
+// rank would leave records unflushed), and each baseline sees exactly the
+// events it sees alone.
+func TestProfileTraceRunIsOnePipeline(t *testing.T) {
+	run := func(profile, trace bool) *vsensor.Report {
+		t.Helper()
+		rep, err := vsensor.Run(facadeSrc, vsensor.Options{
+			Ranks: 4, CollectRecords: true, Profile: profile, Trace: trace,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	plain, both := run(false, false), run(true, true)
+	if both.Profiler == nil || both.Tracer == nil {
+		t.Fatal("Profile+Trace run is missing a baseline")
+	}
+	if both.Result.TotalNs != plain.Result.TotalNs {
+		t.Errorf("TotalNs %d, plain run %d", both.Result.TotalNs, plain.Result.TotalNs)
+	}
+	sameRecords(t, both.Server.Records(), plain.Server.Records())
+	if cov := both.Coverage(); !cov.Complete() || cov != plain.Coverage() {
+		t.Errorf("coverage %+v, plain run %+v", cov, plain.Coverage())
+	}
+	if a, b := both.Link.Attempts(), plain.Link.Attempts(); a != b {
+		t.Errorf("link attempts %d, plain run %d", a, b)
+	}
+	if a, b := len(both.Records), len(plain.Records); a != b || a == 0 {
+		t.Errorf("collected %d raw records, plain run %d", a, b)
+	}
+	for rank, d := range both.Detectors {
+		if d == nil {
+			t.Errorf("rank %d has no detector", rank)
+		}
+	}
+	if a, b := len(both.TraceEvents()), len(run(false, true).TraceEvents()); a != b || a == 0 {
+		t.Errorf("traced %d events, Trace-only run %d", a, b)
+	}
+	if a, b := both.Profiler.MeanMPISeconds(), run(true, false).Profiler.MeanMPISeconds(); a != b || a == 0 {
+		t.Errorf("profiled %g MPI seconds, Profile-only run %g", a, b)
+	}
+}

@@ -13,10 +13,8 @@ import (
 // workload (4 frames/rank × 8 records, total rank count held constant as
 // it spreads over more tenants) delivered either straight into in-process
 // servers or through vSS1 sessions over real loopback TCP with pipelined
-// frame/ack envelopes. scripts/check.sh gates the multi-tenant TCP number
-// at ranks=4096 against the in-process single-tenant one (within
-// NET_MAX_SLOWDOWN×), so the session layer cannot quietly become the
-// bottleneck the sharded server was built to avoid.
+// frame/ack envelopes. A developer tool: the gated numbers for this path
+// are benchmark/'s ingest-tcp-durable workload.
 
 const (
 	netBenchFramesPerRank = 4

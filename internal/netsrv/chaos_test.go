@@ -202,6 +202,33 @@ func buildSchedule(rng *rand.Rand, frames [][]byte, plan schedulePlan) [][]byte 
 	return schedule
 }
 
+// referenceVerdicts feeds the schedule to the undisturbed reference and
+// records which entries it accepted — the per-entry outcome every
+// disturbed delivery of the same entry must reproduce.
+func referenceVerdicts(ref *server.Server, schedule [][]byte) []bool {
+	accepted := make([]bool, len(schedule))
+	for i, f := range schedule {
+		accepted[i] = ref.Receive(f) == nil
+	}
+	return accepted
+}
+
+// verdictMismatch reports a delivery the conformance drivers must not
+// swallow: an outage (the item was not delivered at all, so a later
+// record-count mismatch would have no cause attached) or an accept/reject
+// outcome the reference did not produce. resumeProven marks a delivery a
+// ResilientSession proved by the resume LSN: its ack died with the wire,
+// so nil ("journaled exactly once") is all the session can say about it.
+func verdictMismatch(got error, refAccepted, resumeProven bool) bool {
+	if errors.Is(got, server.ErrServerDown) {
+		return true
+	}
+	if got == nil && resumeProven {
+		return false
+	}
+	return (got == nil) != refAccepted
+}
+
 // TestSocketKillRecoverConformance is TestKillRecoverConformance with the
 // delivery schedule crossing loopback TCP: a durable tenant behind the
 // service, fed through a session, crashing and recovering mid-stream, must
@@ -244,9 +271,7 @@ func TestSocketKillRecoverConformance(t *testing.T) {
 
 			// Reference: in-process, in order, no crashes, no network.
 			ref := server.NewSharded(shards)
-			for _, f := range schedule {
-				_ = ref.Receive(f)
-			}
+			accepted := referenceVerdicts(ref, schedule)
 
 			// The durable tenant is built by the service's factory hook; the
 			// test keeps the pointer so it can crash it mid-stream.
@@ -290,6 +315,9 @@ func TestSocketKillRecoverConformance(t *testing.T) {
 			// handshake concurrently with crashes).
 			done := make(chan struct{})
 			var wg sync.WaitGroup
+			var stopOnce sync.Once
+			stop := func() { stopOnce.Do(func() { close(done); wg.Wait() }) }
+			defer stop() // a failed delivery must not leave the pollers spinning
 			wg.Add(2)
 			go func() {
 				defer wg.Done()
@@ -320,10 +348,15 @@ func TestSocketKillRecoverConformance(t *testing.T) {
 				}
 			}()
 
+			deliver := func(i int) {
+				if err := sess.Receive(schedule[i]); verdictMismatch(err, accepted[i], false) {
+					t.Fatalf("seed %d item %d: delivery = %v, reference accepted = %v", trial, i, err, accepted[i])
+				}
+			}
 			i := 0
 			for _, cp := range crashes {
 				for i < cp && i < len(schedule) {
-					_ = sess.Receive(schedule[i]) // corrupt frames error; that's their job
+					deliver(i)
 					i++
 				}
 				if err := dur.Crash(); err != nil {
@@ -346,10 +379,9 @@ func TestSocketKillRecoverConformance(t *testing.T) {
 				i = int(rs.LSN)
 			}
 			for ; i < len(schedule); i++ {
-				_ = sess.Receive(schedule[i])
+				deliver(i)
 			}
-			close(done)
-			wg.Wait()
+			stop()
 
 			gotRecs, refRecs := dur.Records(), ref.Records()
 			if len(gotRecs) != len(refRecs) {

@@ -165,9 +165,7 @@ func TestProxyKillRecoverConformance(t *testing.T) {
 
 			// Reference: in-process, in order, no faults of any kind.
 			ref := server.NewSharded(shards)
-			for _, f := range schedule {
-				_ = ref.Receive(f)
-			}
+			accepted := referenceVerdicts(ref, schedule)
 
 			var dur *server.Server
 			svc, err := Listen("127.0.0.1:0", Config{
@@ -224,6 +222,9 @@ func TestProxyKillRecoverConformance(t *testing.T) {
 			// while crashes and wire faults land.
 			done := make(chan struct{})
 			var wg sync.WaitGroup
+			var stopOnce sync.Once
+			stop := func() { stopOnce.Do(func() { close(done); wg.Wait() }) }
+			defer stop() // a failed delivery must not leave the pollers spinning
 			wg.Add(2)
 			go func() {
 				defer wg.Done()
@@ -260,10 +261,18 @@ func TestProxyKillRecoverConformance(t *testing.T) {
 			// the same dense-LSN re-drive contract as the in-process
 			// kill-recover suite, except here the ResilientSession is also
 			// absorbing proxy-induced connection deaths underneath us.
+			deliver := func(i int) {
+				resumed := rs.Stats().Resumed
+				err := rs.Receive(schedule[i])
+				if verdictMismatch(err, accepted[i], rs.Stats().Resumed > resumed) {
+					t.Fatalf("seed %d item %d: delivery = %v, reference accepted = %v\nsession: %+v\nproxy:   %+v",
+						trial, i, err, accepted[i], rs.Stats(), px.Stats())
+				}
+			}
 			i := 0
 			for _, cp := range crashes {
 				for i < cp && i < len(schedule) {
-					_ = rs.Receive(schedule[i]) // corrupt frames reject; that's their job
+					deliver(i)
 					i++
 				}
 				if err := dur.Crash(); err != nil {
@@ -283,10 +292,9 @@ func TestProxyKillRecoverConformance(t *testing.T) {
 				i = int(recov.LSN)
 			}
 			for ; i < len(schedule); i++ {
-				_ = rs.Receive(schedule[i])
+				deliver(i)
 			}
-			close(done)
-			wg.Wait()
+			stop()
 
 			gotRecs, refRecs := dur.Records(), ref.Records()
 			if len(gotRecs) != len(refRecs) {

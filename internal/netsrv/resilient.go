@@ -10,13 +10,12 @@ import (
 	"vsensor/internal/server"
 )
 
-// RetryPolicy shapes dial retries: how long to keep trying, how fast the
-// net-error backoff grows, and whether plain network errors are retried
-// at all (vSE1 refusals with a retry-after hint always are, when the code
-// is transient).
+// RetryPolicy shapes a ResilientSession's dial retries: how long to keep
+// trying and how fast the backoff grows when the server sends no
+// retry-after hint.
 type RetryPolicy struct {
-	// MaxElapsed is the total retry budget for one dial (or, inside
-	// ResilientSession, one outage). Default 10s.
+	// MaxElapsed is the total retry budget for the first dial and for each
+	// later outage. Default 10s.
 	MaxElapsed time.Duration
 
 	// BackoffBase is the first sleep after a retryable failure with no
@@ -24,12 +23,6 @@ type RetryPolicy struct {
 	// 5ms / 500ms.
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
-
-	// NetErrors retries dial/handshake network errors too, not just
-	// explicit vSE1 refusals. DialRetry defaults to false (an unreachable
-	// address should fail fast); ResilientSession forces it on (an
-	// outage IS a network error).
-	NetErrors bool
 
 	// Seed drives the backoff jitter deterministically.
 	Seed int64
@@ -50,29 +43,31 @@ func (p *RetryPolicy) fillDefaults() {
 	}
 }
 
-// RetryStats accounts one DialRetry call (or accumulates across a
-// ResilientSession's lifetime).
-type RetryStats struct {
+// retryStats accounts one dialer.dial call.
+type retryStats struct {
 	Attempts  int64 // dial attempts, including the successful one
 	Refusals  int64 // vSE1 refusals honored (slept on the server's hint)
 	BackoffNs int64 // total time slept between attempts
 }
 
-// retryableRefusal reports whether a vSE1 code describes a transient
-// condition worth honoring the retry-after hint for. Bad hellos and the
-// run cap are permanent from one client's point of view.
-func retryableRefusal(code uint16) bool {
+// retryableRefusal reports whether a vSE1 code is worth retrying. Busy,
+// session-cap and shutdown are transient by definition. A bad hello is
+// permanent — unless the service has already accepted this very hello
+// once, in which case the refusal can only be wire damage. The run cap is
+// permanent from one client's point of view.
+func retryableRefusal(code uint16, accepted bool) bool {
 	switch code {
 	case RefuseBusy, RefuseRunSessions, RefuseShutdown:
 		return true
+	case RefuseBadHello:
+		return accepted
 	}
 	return false
 }
 
-// dialer is the shared retry engine behind DialRetry and
-// ResilientSession.redial: dial, classify the failure, sleep the server's
-// hint (refusals) or a jittered exponential backoff (net errors), repeat
-// until the deadline.
+// dialer is ResilientSession's retry engine: dial, classify the failure,
+// sleep the server's hint (refusals) or a jittered exponential backoff
+// (net errors), repeat until the deadline.
 type dialer struct {
 	addr string
 	cfg  DialConfig
@@ -81,11 +76,15 @@ type dialer struct {
 }
 
 func newDialer(addr string, cfg DialConfig, p RetryPolicy) *dialer {
-	p.fillDefaults()
 	return &dialer{addr: addr, cfg: cfg, p: p, rng: rand.New(rand.NewSource(p.Seed ^ 0x72656469616c))}
 }
 
-func (d *dialer) dial(h Hello, deadline time.Time, st *RetryStats) (*Session, error) {
+// dial has two regimes. Before the service has ever accepted this hello
+// only transient refusals are retried: an unreachable address or a
+// malformed hello is a configuration error and fails fast. Once it has,
+// the address and the hello are known good, so a network error is an
+// outage and is retried under the budget too.
+func (d *dialer) dial(h Hello, deadline time.Time, accepted bool, st *retryStats) (*Session, error) {
 	backoff := d.p.BackoffBase
 	for {
 		st.Attempts++
@@ -97,7 +96,7 @@ func (d *dialer) dial(h Hello, deadline time.Time, st *RetryStats) (*Session, er
 		var wait time.Duration
 		switch {
 		case errors.As(err, &ref):
-			if !retryableRefusal(ref.Code) {
+			if !retryableRefusal(ref.Code, accepted) {
 				return nil, err
 			}
 			st.Refusals++
@@ -105,7 +104,7 @@ func (d *dialer) dial(h Hello, deadline time.Time, st *RetryStats) (*Session, er
 			if wait <= 0 {
 				wait = backoff
 			}
-		case d.p.NetErrors:
+		case accepted:
 			wait = backoff
 		default:
 			return nil, err
@@ -124,19 +123,6 @@ func (d *dialer) dial(h Hello, deadline time.Time, st *RetryStats) (*Session, er
 	}
 }
 
-// DialRetry is Dial with a refusal-honoring retry loop: a vSE1 busy /
-// session-cap / shutdown refusal sleeps the server's retry-after hint and
-// tries again within the policy budget, instead of surfacing the first
-// refusal to the caller. Network errors fail fast unless p.NetErrors is
-// set. The stats are returned even on failure.
-func DialRetry(addr string, h Hello, cfg DialConfig, p RetryPolicy) (*Session, RetryStats, error) {
-	var st RetryStats
-	p.fillDefaults()
-	d := newDialer(addr, cfg, p)
-	s, err := d.dial(h, time.Now().Add(p.MaxElapsed), &st)
-	return s, st, err
-}
-
 // ReconnectConfig shapes a ResilientSession.
 type ReconnectConfig struct {
 	// Addr and Hello are what every (re)dial presents; the hello's
@@ -148,11 +134,11 @@ type ReconnectConfig struct {
 	// Dial tunes each underlying connection (timeouts, window).
 	Dial DialConfig
 
-	// Retry is the per-outage budget: once a live connection breaks, the
+	// Retry is the budget of the first dial (transient vSE1 refusals only)
+	// and of each later outage: once a live connection breaks, the
 	// session redials under this policy, and only when the budget is
 	// exhausted does the failure surface (as server.ErrServerDown, so
-	// transport.Link parks frames instead of dropping them). NetErrors
-	// is forced on.
+	// transport.Link parks frames instead of dropping them).
 	Retry RetryPolicy
 }
 
@@ -210,13 +196,13 @@ type ResilientSession struct {
 	backoffNs  *obs.Histogram
 }
 
-// DialResilient dials the first connection eagerly (so configuration
-// errors and permanent refusals surface immediately) and returns the
+// DialResilient dials the first connection eagerly — network errors and
+// permanent refusals surface immediately, a momentarily full service's
+// retry-after hints are honored within the budget — and returns the
 // self-healing session.
 func DialResilient(cfg ReconnectConfig) (*ResilientSession, error) {
 	cfg.Dial.fillDefaults()
 	cfg.Retry.fillDefaults()
-	cfg.Retry.NetErrors = true
 	r := &ResilientSession{cfg: cfg, d: newDialer(cfg.Addr, cfg.Dial, cfg.Retry)}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -303,8 +289,8 @@ func (r *ResilientSession) onAck(status byte) {
 func (r *ResilientSession) redialLocked(deadline time.Time) error {
 	h := r.cfg.Hello
 	h.ResumeLSN = r.lsn
-	var st RetryStats
-	s, err := r.d.dial(h, deadline, &st)
+	var st retryStats
+	s, err := r.d.dial(h, deadline, r.ever, &st)
 	r.stats.DialAttempts += st.Attempts
 	r.stats.Refusals += st.Refusals
 	r.stats.BackoffNs += st.BackoffNs

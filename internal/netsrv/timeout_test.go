@@ -209,8 +209,9 @@ func TestStalledReaderReaped(t *testing.T) {
 }
 
 // TestDialRetryHonorsRetryAfter occupies the single per-run session slot,
-// frees it mid-budget, and expects DialRetry to absorb the vSE1 refusals
-// (sleeping per their RetryAfterMs hint) and land the session.
+// frees it mid-budget, and expects the resilient session's first dial to
+// absorb the vSE1 refusals (sleeping per their RetryAfterMs hint) and land
+// the session.
 func TestDialRetryHonorsRetryAfter(t *testing.T) {
 	svc, err := Listen("127.0.0.1:0", Config{MaxRunSessions: 1, RetryAfterMs: 20})
 	if err != nil {
@@ -227,27 +228,114 @@ func TestDialRetryHonorsRetryAfter(t *testing.T) {
 		s1.Close()
 	}()
 
-	s2, st, err := DialRetry(svc.Addr().String(), Hello{RunID: "slot", Rank: 1}, DialConfig{},
-		RetryPolicy{MaxElapsed: 5 * time.Second, Seed: 7})
+	s2, err := DialResilient(ReconnectConfig{
+		Addr: svc.Addr().String(), Hello: Hello{RunID: "slot", Rank: 1},
+		Retry: RetryPolicy{MaxElapsed: 5 * time.Second, Seed: 7},
+	})
 	if err != nil {
-		t.Fatalf("DialRetry never landed: %v (stats %+v)", err, st)
+		t.Fatalf("first dial never landed: %v", err)
 	}
 	defer s2.Close()
+	st := s2.Stats()
 	if st.Refusals == 0 {
-		t.Fatalf("slot was held 150ms but DialRetry saw no refusals: %+v", st)
+		t.Fatalf("slot was held 150ms but the first dial saw no refusals: %+v", st)
 	}
-	if st.Attempts < 2 {
-		t.Fatalf("expected at least one retry, got %+v", st)
+	if st.DialAttempts < 2 || st.Reconnects != 0 {
+		t.Fatalf("expected retries of the first dial and no reconnect, got %+v", st)
 	}
 
 	// Exhausted budget surfaces the last refusal, typed; s2 still holds
 	// the slot, so every attempt inside the budget is refused.
-	_, _, err = DialRetry(svc.Addr().String(), Hello{RunID: "slot", Rank: 3}, DialConfig{},
-		RetryPolicy{MaxElapsed: 120 * time.Millisecond, Seed: 7})
+	_, err = DialResilient(ReconnectConfig{
+		Addr: svc.Addr().String(), Hello: Hello{RunID: "slot", Rank: 3},
+		Retry: RetryPolicy{MaxElapsed: 120 * time.Millisecond, Seed: 7},
+	})
 	var ref *Refuse
 	if !errors.As(err, &ref) || ref.Code != RefuseRunSessions {
 		t.Fatalf("exhausted budget returned %v, want *Refuse{RefuseRunSessions}", err)
 	}
+}
+
+// stubService answers one connection per script step, in order: read the
+// hello, then 'a' = accept and drop the connection, 'b' = refuse as a bad
+// hello, 's' = accept and ack every envelope until the peer hangs up. It
+// stands in for a service behind a wire that kills connections and flips
+// hello bits, with none of the real proxy's timing.
+func stubService(t *testing.T, script string) (addr string, wait func()) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		defer ln.Close()
+		for _, step := range script {
+			c, err := ln.Accept()
+			if err != nil {
+				t.Errorf("stub accept: %v", err)
+				return
+			}
+			r, w := bufio.NewReader(c), bufio.NewWriter(c)
+			if _, _, err := readEnvelope(r, nil, helloHeaderSize+MaxRunIDLen); err != nil {
+				t.Errorf("stub hello read: %v", err)
+			}
+			reply := AppendSessionAck(nil, SessionAck{Version: ProtocolVersion})
+			if step == 'b' {
+				reply = AppendRefuse(nil, Refuse{Version: ProtocolVersion, Code: RefuseBadHello, RetryAfterMs: 1})
+			}
+			_ = writeEnvelope(w, reply)
+			_ = w.Flush()
+			for step == 's' {
+				if _, _, err := readEnvelope(r, nil, MaxEnvelopeBytes); err != nil {
+					break
+				}
+				_ = writeEnvelope(w, []byte{frameAckOK})
+				_ = w.Flush()
+			}
+			c.Close()
+		}
+	}()
+	return ln.Addr().String(), func() { <-done }
+}
+
+// TestResilientRetriesBadHelloAfterAccept is the deterministic form of the
+// TestProxyKillRecoverConformance flake: the live connection dies, and the
+// wire flips a bit in the redial's hello so the service refuses it as
+// malformed. The service has already accepted this very hello, so the
+// refusal is an outage to retry under the budget — Receive must deliver,
+// not surface ErrServerDown after one attempt. The very first dial has no
+// such proof and keeps failing fast.
+func TestResilientRetriesBadHelloAfterAccept(t *testing.T) {
+	retry := RetryPolicy{MaxElapsed: 5 * time.Second, BackoffBase: time.Millisecond, Seed: 1}
+	dial := DialConfig{Timeout: time.Second, OpTimeout: time.Second}
+
+	addr, wait := stubService(t, "abs")
+	rs, err := DialResilient(ReconnectConfig{Addr: addr, Hello: Hello{RunID: "flip"}, Dial: dial, Retry: retry})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rs.Receive(server.AppendHeartbeat(nil, 0, 1_000_000, 5_000_000)); err != nil {
+		t.Fatalf("Receive across a refused redial = %v, want nil", err)
+	}
+	if st := rs.Stats(); st.Outages != 0 || st.Reconnects != 1 || st.Refusals != 1 || st.DialAttempts != 3 {
+		t.Fatalf("stats = %+v, want 0 outages, 1 reconnect, 1 refusal, 3 dial attempts", st)
+	}
+	rs.Close()
+	wait()
+
+	addr, wait = stubService(t, "b")
+	start := time.Now()
+	_, err = DialResilient(ReconnectConfig{Addr: addr, Hello: Hello{RunID: "flip"}, Dial: dial, Retry: retry})
+	var ref *Refuse
+	if !errors.As(err, &ref) || ref.Code != RefuseBadHello {
+		t.Fatalf("first dial refused as bad hello returned %v, want *Refuse{RefuseBadHello}", err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("first-dial bad hello took %v of a 5s budget, want fail-fast", d)
+	}
+	wait()
 }
 
 // TestSessionPoisonAndIdempotentClose covers the leak-proofing contract:

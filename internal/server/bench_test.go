@@ -12,9 +12,7 @@ import (
 // The benchmarks model the production streaming shape: many ranks deliver
 // sequenced frames concurrently while an operator dashboard polls
 // InterProcessReport on a fixed cadence. One benchmark op is one complete
-// streaming session (ingest everything + all polls), so ns/op is directly
-// comparable between the sharded incremental engine and the pre-shard
-// single-lock design embedded below as singleLockServer.
+// streaming session (ingest everything + all polls).
 
 const (
 	benchFramesPerRank = 4 // one slice per frame
@@ -22,61 +20,6 @@ const (
 	benchPolls         = 64
 	benchWorkers       = 8
 )
-
-// benchIngester is the surface both engines share for the session driver.
-type benchIngester interface {
-	Receive(frame []byte) error
-	Outliers(threshold float64) []Outlier
-}
-
-// singleLockServer replicates the seed design this PR replaced: one global
-// mutex guarding a flat append log plus per-rank dedup state, with outlier
-// analysis done as a full post-hoc scan of the log on every query.
-type singleLockServer struct {
-	mu      sync.Mutex
-	seen    map[int]map[uint64]bool
-	records []detect.SliceRecord
-}
-
-func newSingleLock() *singleLockServer {
-	return &singleLockServer{seen: make(map[int]map[uint64]bool)}
-}
-
-func (s *singleLockServer) Receive(frame []byte) error {
-	h, err := ParseFrame(frame)
-	if err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	f := s.seen[h.Rank]
-	if f == nil {
-		f = make(map[uint64]bool)
-		s.seen[h.Rank] = f
-	}
-	if f[h.Seq] {
-		return nil
-	}
-	f[h.Seq] = true
-	s.records = appendDecoded(s.records, frame, int(h.Count))
-	return nil
-}
-
-func (s *singleLockServer) Outliers(threshold float64) []Outlier {
-	s.mu.Lock()
-	snap := make([]detect.SliceRecord, len(s.records))
-	copy(snap, s.records)
-	s.mu.Unlock()
-	return batchOutliers(snap, threshold)
-}
-
-// shardedIngester adapts *Server to the benchmark surface.
-type shardedIngester struct{ s *Server }
-
-func (a shardedIngester) Receive(frame []byte) error { return a.s.Receive(frame) }
-func (a shardedIngester) Outliers(threshold float64) []Outlier {
-	return a.s.InterProcessOutliers(threshold)
-}
 
 // buildBenchFrames pre-encodes the whole session: frames[rank][slice] holds
 // benchSensors records for that rank at that slice. Values are arranged so
@@ -121,7 +64,7 @@ func buildBenchFramesTraced(ranks int, lin *obs.Lineage) [][][]byte {
 // own a partition of the ranks and deliver frames slice-by-slice (so the
 // watermark advances the way a real run's does), polling outliers on a
 // cadence that totals benchPolls polls per session.
-func runStreamingSession(b *testing.B, ing benchIngester, frames [][][]byte) {
+func runStreamingSession(b *testing.B, srv *Server, frames [][][]byte) {
 	ranks := len(frames)
 	totalFrames := ranks * benchFramesPerRank
 	pollEvery := totalFrames / benchPolls
@@ -136,20 +79,20 @@ func runStreamingSession(b *testing.B, ing benchIngester, frames [][][]byte) {
 			delivered := 0
 			for sl := 0; sl < benchFramesPerRank; sl++ {
 				for rank := w; rank < ranks; rank += benchWorkers {
-					if err := ing.Receive(frames[rank][sl]); err != nil {
+					if err := srv.Receive(frames[rank][sl]); err != nil {
 						b.Error(err)
 						return
 					}
 					delivered++
 					if delivered%pollEvery == 0 {
-						ing.Outliers(0.9)
+						srv.InterProcessOutliers(0.9)
 					}
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
-	if got := ing.Outliers(0.9); len(got) == 0 {
+	if got := srv.InterProcessOutliers(0.9); len(got) == 0 {
 		b.Fatal("session produced no outliers; workload is miswired")
 	}
 }
@@ -157,8 +100,7 @@ func runStreamingSession(b *testing.B, ing benchIngester, frames [][][]byte) {
 func benchSizes() []int { return []int{64, 512, 4096} }
 
 // BenchmarkIngestParallel is the sharded incremental engine under the
-// streaming workload. Compare against BenchmarkIngestSingleLock at the same
-// rank count; BENCH_server.json records both so the speedup is auditable.
+// streaming workload.
 func BenchmarkIngestParallel(b *testing.B) {
 	for _, ranks := range benchSizes() {
 		b.Run(fmt.Sprintf("ranks=%d", ranks), func(b *testing.B) {
@@ -167,7 +109,7 @@ func BenchmarkIngestParallel(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				runStreamingSession(b, shardedIngester{NewSharded(DefaultShards)}, frames)
+				runStreamingSession(b, NewSharded(DefaultShards), frames)
 			}
 			b.ReportMetric(float64(records)*float64(b.N)/b.Elapsed().Seconds(), "records/s")
 		})
@@ -179,8 +121,7 @@ func BenchmarkIngestParallel(b *testing.B) {
 // enables record-lineage tracing and stamps frames at the production
 // sampling rate (1 in obs.DefaultSampleEvery), so the on/off delta is the
 // cost of lineage itself — the trace peek on every frame plus span
-// recording on the sampled ones. scripts/check.sh gates the delta at 5%
-// for ranks=4096.
+// recording on the sampled ones.
 func BenchmarkIngestLineage(b *testing.B) {
 	for _, ranks := range []int{64, 4096} {
 		for _, on := range []bool{false, true} {
@@ -205,7 +146,7 @@ func BenchmarkIngestLineage(b *testing.B) {
 						o.EnableLineage(obs.LineageConfig{})
 					}
 					s.SetObs(o)
-					runStreamingSession(b, shardedIngester{s}, frames)
+					runStreamingSession(b, s, frames)
 				}
 				b.ReportMetric(float64(records)*float64(b.N)/b.Elapsed().Seconds(), "records/s")
 			})
@@ -213,43 +154,22 @@ func BenchmarkIngestLineage(b *testing.B) {
 	}
 }
 
-// BenchmarkIngestSingleLock is the recorded baseline: the seed's
-// one-mutex, scan-everything design under the identical workload.
-func BenchmarkIngestSingleLock(b *testing.B) {
-	for _, ranks := range benchSizes() {
-		b.Run(fmt.Sprintf("ranks=%d", ranks), func(b *testing.B) {
-			frames := buildBenchFrames(ranks)
-			records := ranks * benchFramesPerRank * benchSensors
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				runStreamingSession(b, newSingleLock(), frames)
-			}
-			b.ReportMetric(float64(records)*float64(b.N)/b.Elapsed().Seconds(), "records/s")
-		})
-	}
-}
-
-// TestStreamingSessionEnginesAgree pins that the two benchmark engines
-// compute the same final answer, so the benchmark comparison is apples to
-// apples.
+// TestStreamingSessionEnginesAgree pins that the benchmark workload means
+// what it says: the sharded engine's incremental verdict over the session
+// equals a batch recompute over the flat record log.
 func TestStreamingSessionEnginesAgree(t *testing.T) {
 	frames := buildBenchFrames(64)
-	sharded := shardedIngester{NewSharded(DefaultShards)}
-	single := newSingleLock()
+	srv := NewSharded(DefaultShards)
 	for sl := 0; sl < benchFramesPerRank; sl++ {
 		for rank := 0; rank < len(frames); rank++ {
-			if err := sharded.Receive(frames[rank][sl]); err != nil {
-				t.Fatal(err)
-			}
-			if err := single.Receive(frames[rank][sl]); err != nil {
+			if err := srv.Receive(frames[rank][sl]); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	a, bb := sharded.Outliers(0.9), single.Outliers(0.9)
+	a, bb := srv.InterProcessOutliers(0.9), batchOutliers(srv.Records(), 0.9)
 	if len(a) == 0 || len(a) != len(bb) {
-		t.Fatalf("engines disagree: sharded %d outliers, single-lock %d", len(a), len(bb))
+		t.Fatalf("engines disagree: incremental %d outliers, batch %d", len(a), len(bb))
 	}
 	for i := range a {
 		if a[i] != bb[i] {

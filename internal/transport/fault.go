@@ -1,9 +1,9 @@
-// Package transport is a simulated, fault-injectable link between the
-// per-rank detection clients and the analysis server (paper §5.4). The
-// in-process server.Client assumes a perfect function call; on a real
-// machine the record path crosses a lossy network whose frames are late,
-// lost, duplicated, reordered, or corrupted, and whose receiver stalls and
-// restarts. This package gives the reproduction that production shape:
+// Package transport is the record path between the per-rank detection
+// clients and the analysis server (paper §5.4): every instrumented run
+// delivers detect → Conn → Link → Medium. On a real machine that path
+// crosses a lossy network whose frames are late, lost, duplicated,
+// reordered, or corrupted, and whose receiver stalls and restarts; the
+// zero FaultPlan is the perfect network, not a different code path:
 //
 //   - A Link wraps the server behind a seeded FaultPlan that drops,
 //     duplicates, reorders, delays, and bit-corrupts frames, and rejects

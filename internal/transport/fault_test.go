@@ -1,8 +1,11 @@
 package transport
 
 import (
+	"runtime"
 	"strings"
 	"testing"
+
+	"vsensor/internal/server"
 )
 
 func TestFaultPlanZero(t *testing.T) {
@@ -104,5 +107,43 @@ func TestParsePlanDeadRank(t *testing.T) {
 	}
 	if p.DeadRank != 0 || p.DeadAfterFrames != 4 {
 		t.Fatalf("parsed %+v", p)
+	}
+}
+
+// NewConn pays for a fault stream only when the plan can roll dice: every
+// instrumented run goes through a Link, and a rand source is ~5 KB per
+// rank that a dice-free plan never reads. A faulty plan must keep the
+// exact (Seed, rank) schedule it always had — the numbers pinned below
+// were recorded before the stream became lazy.
+func TestNewConnFaultStreamIsLazyAndStable(t *testing.T) {
+	quiet := NewLink(server.New(), FaultPlan{})
+	const conns = 100
+	keep := make([]*Conn, conns)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range keep {
+		keep[i] = quiet.NewConn(i, Config{})
+	}
+	runtime.ReadMemStats(&after)
+	if perConn := (after.TotalAlloc - before.TotalAlloc) / conns; perConn >= 1024 {
+		t.Errorf("NewConn under FaultPlan{} allocates %d B per conn, want < 1 KiB", perConn)
+	}
+
+	srv := server.New()
+	lossy := NewLink(srv, FaultPlan{Seed: 11, Drop: 0.2, Dup: 0.1, Reorder: 0.1, Corrupt: 0.15, DelayNs: 500})
+	conn := lossy.NewConn(3, Config{BatchSize: 4})
+	for i := 0; i < 200; i++ {
+		if err := conn.OnSlice(rec(3, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := conn.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, cov := conn.Stats(), srv.Coverage()
+	got := [5]int64{st.Retries, st.WaitNs, lossy.Attempts(), cov.DupFrames, cov.ChecksumErrors}
+	want := [5]int64{18, 1457100, 58, 3, 8}
+	if got != want || !cov.Complete() {
+		t.Errorf("fault schedule moved: {retries, waitNs, attempts, dupFrames, checksumErrors} = %v, want %v (coverage %+v)", got, want, cov)
 	}
 }

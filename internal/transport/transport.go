@@ -279,7 +279,7 @@ type Conn struct {
 	rank  int
 	cfg   Config
 	clock vm.Clock
-	rng   *rand.Rand
+	rng   *rand.Rand // fault dice; nil when the plan never rolls them
 
 	buf []detect.SliceRecord
 	enc []byte // reusable wire buffer
@@ -314,13 +314,14 @@ type Conn struct {
 // (plan.Seed, rank), so each rank's fault schedule is deterministic and
 // independent of goroutine interleaving.
 func (l *Link) NewConn(rank int, cfg Config) *Conn {
-	seed := int64(uint64(l.plan.Seed)*0x9e3779b97f4a7c15 + uint64(rank)*0x100000001b3 + 0x632be5)
-	return &Conn{
-		link: l,
-		rank: rank,
-		cfg:  cfg.withDefaults(),
-		rng:  rand.New(rand.NewSource(seed)),
+	c := &Conn{link: l, rank: rank, cfg: cfg.withDefaults()}
+	// A plan with no per-attempt fault never reads the stream (attempt
+	// guards every use), and a rand source is ~5 KB per rank.
+	if p := &l.plan; p.Drop > 0 || p.Dup > 0 || p.Reorder > 0 || p.Corrupt > 0 || p.DelayNs > 0 {
+		seed := int64(uint64(p.Seed)*0x9e3779b97f4a7c15 + uint64(rank)*0x100000001b3 + 0x632be5)
+		c.rng = rand.New(rand.NewSource(seed))
 	}
+	return c
 }
 
 // BindClock attaches the rank's virtual clock (vm.ClockBinder); retry

@@ -16,8 +16,7 @@ import (
 // to zero as b.N grows. This is what makes "0 allocs/op on the
 // variable-access path" a measurable acceptance criterion — any per-access
 // or per-block allocation in the interpreter shows up as a nonzero
-// allocs/op here. Results are written to BENCH_vm.json by scripts/check.sh
-// for PR-over-PR regression diffing.
+// allocs/op here.
 
 func benchProg(b *testing.B, src string) *ir.Program {
 	b.Helper()

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	vsensor "vsensor"
 	"vsensor/internal/detect"
@@ -40,6 +41,21 @@ func sortedRecords(recs []detect.SliceRecord) []detect.SliceRecord {
 	return out
 }
 
+// sameRecords fails unless the two record logs are bit-identical, entry by
+// entry. Networked logs arrive in socket order; pass them through
+// sortedRecords first.
+func sameRecords(t *testing.T, got, want []detect.SliceRecord) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%d records, want %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("record %d differs:\n got: %+v\nwant: %+v", i, got[i], want[i])
+		}
+	}
+}
+
 // Listen mode is the same pipeline with the record path squeezed through
 // the real wire protocol on loopback TCP: the run must see the identical
 // record set, coverage, and data volume as the plain in-process run.
@@ -54,22 +70,14 @@ func TestListenModeMatchesInProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if networked.Service == nil || networked.Session == nil || networked.Link == nil {
-		t.Fatalf("Listen run missing net plumbing: service=%v session=%v link=%v",
-			networked.Service, networked.Session, networked.Link)
+	if networked.Service == nil || networked.Resilient == nil || networked.Link == nil {
+		t.Fatalf("Listen run missing net plumbing: service=%v resilient=%v link=%v",
+			networked.Service, networked.Resilient, networked.Link)
 	}
 	if networked.Service.Tenant("listen-mode") != networked.Server {
 		t.Fatal("service tenant is not the run's server")
 	}
-	got, want := sortedRecords(networked.Server.Records()), sortedRecords(direct.Server.Records())
-	if len(got) != len(want) {
-		t.Fatalf("networked run has %d records, direct %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("record %d differs:\n got: %+v\nwant: %+v", i, got[i], want[i])
-		}
-	}
+	sameRecords(t, sortedRecords(networked.Server.Records()), sortedRecords(direct.Server.Records()))
 	if g, w := networked.Coverage(), direct.Coverage(); g.IngestedRecords != w.IngestedRecords || !g.Complete() {
 		t.Fatalf("coverage differs: got %+v want %+v", g, w)
 	}
@@ -104,8 +112,11 @@ func TestConnectModeDeliversToRemoteService(t *testing.T) {
 	if rep.Server != nil {
 		t.Fatal("Connect run should have no local server")
 	}
-	if rep.Session == nil || rep.Link == nil {
-		t.Fatal("Connect run missing session/link")
+	if rep.Resilient == nil || rep.Link == nil {
+		t.Fatal("Connect run missing resilient session/link")
+	}
+	if st := rep.Resilient.Stats(); st.DialAttempts != 1 || st.Reconnects != 0 || st.Outages != 0 {
+		t.Fatalf("healthy-wire resilient stats off: %+v", st)
 	}
 	if rep.DataVolume() != 0 || rep.Snapshot() != nil {
 		t.Fatal("local read surface should be empty in Connect mode")
@@ -114,24 +125,17 @@ func TestConnectModeDeliversToRemoteService(t *testing.T) {
 	if ten == nil {
 		t.Fatalf("remote tenant missing (runs: %v)", svc.RunIDs())
 	}
-	got, want := sortedRecords(ten.Records()), sortedRecords(direct.Server.Records())
-	if len(got) != len(want) {
-		t.Fatalf("remote tenant has %d records, direct run %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("record %d differs:\n got: %+v\nwant: %+v", i, got[i], want[i])
-		}
-	}
+	sameRecords(t, sortedRecords(ten.Records()), sortedRecords(direct.Server.Records()))
 	if !ten.Coverage().Complete() {
 		t.Fatalf("remote coverage incomplete: %+v", ten.Coverage())
 	}
 }
 
-// Options.Reconnect routes the record path through the self-healing
-// session. On a healthy loopback wire it must be invisible — identical
-// records and coverage, zero reconnects or outages — while the resume
-// bookkeeping shows up in Report.Resilient and the /status net block.
+// Options.Reconnect tunes the self-healing session every networked run
+// uses. On a healthy loopback wire the session must be invisible —
+// identical records and coverage, zero reconnects or outages — while the
+// resume bookkeeping shows up in Report.Resilient and the /status net
+// block.
 func TestReconnectModeMatchesInProcess(t *testing.T) {
 	direct, err := vsensor.Run(netTestSrc, vsensor.Options{Ranks: 4, Seed: 7})
 	if err != nil {
@@ -145,19 +149,10 @@ func TestReconnectModeMatchesInProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if networked.Resilient == nil || networked.Session != nil || networked.Link == nil {
-		t.Fatalf("Reconnect run plumbing wrong: resilient=%v session=%v link=%v",
-			networked.Resilient, networked.Session, networked.Link)
+	if networked.Resilient == nil || networked.Link == nil {
+		t.Fatalf("Reconnect run plumbing wrong: resilient=%v link=%v", networked.Resilient, networked.Link)
 	}
-	got, want := sortedRecords(networked.Server.Records()), sortedRecords(direct.Server.Records())
-	if len(got) != len(want) {
-		t.Fatalf("resilient run has %d records, direct %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("record %d differs:\n got: %+v\nwant: %+v", i, got[i], want[i])
-		}
-	}
+	sameRecords(t, sortedRecords(networked.Server.Records()), sortedRecords(direct.Server.Records()))
 	if !networked.Coverage().Complete() {
 		t.Fatalf("resilient coverage incomplete: %+v", networked.Coverage())
 	}
@@ -207,8 +202,8 @@ func TestReconnectConnectModeDelivers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Server != nil || rep.Session != nil {
-		t.Fatal("Connect+Reconnect run should have neither local server nor plain session")
+	if rep.Server != nil {
+		t.Fatal("Connect+Reconnect run should have no local server")
 	}
 	if rep.Resilient == nil || rep.Link == nil {
 		t.Fatal("Connect+Reconnect run missing resilient session/link")
@@ -217,15 +212,7 @@ func TestReconnectConnectModeDelivers(t *testing.T) {
 	if ten == nil {
 		t.Fatalf("remote tenant missing (runs: %v)", svc.RunIDs())
 	}
-	got, want := sortedRecords(ten.Records()), sortedRecords(direct.Server.Records())
-	if len(got) != len(want) {
-		t.Fatalf("remote tenant has %d records, direct run %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("record %d differs:\n got: %+v\nwant: %+v", i, got[i], want[i])
-		}
-	}
+	sameRecords(t, sortedRecords(ten.Records()), sortedRecords(direct.Server.Records()))
 	if !ten.Coverage().Complete() {
 		t.Fatalf("remote coverage incomplete: %+v", ten.Coverage())
 	}
@@ -296,15 +283,16 @@ func TestNetworkedOptionValidation(t *testing.T) {
 	}); err == nil || !strings.Contains(err.Error(), "Reconnect") {
 		t.Errorf("Reconnect without network error = %v", err)
 	}
-	if _, err := vsensor.Run(netTestSrc, vsensor.Options{
-		Ranks: 2, DialRetry: &netsrv.RetryPolicy{},
-	}); err == nil || !strings.Contains(err.Error(), "DialRetry") {
-		t.Errorf("DialRetry without Connect error = %v", err)
-	}
-	// A refused/unreachable dial is an error, not a hang.
+	// A refused/unreachable first dial is an error, not a hang: the
+	// self-healing session only retries network errors once the service
+	// has accepted it.
+	start := time.Now()
 	if _, err := vsensor.Run(netTestSrc, vsensor.Options{
 		Ranks: 2, Connect: "127.0.0.1:1",
 	}); err == nil {
 		t.Error("unreachable Connect address did not error")
+	}
+	if d := time.Since(start); d > 2*time.Second {
+		t.Errorf("unreachable Connect address took %v to fail, want fail-fast", d)
 	}
 }

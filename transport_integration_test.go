@@ -74,23 +74,46 @@ func TestPipelineOverLossyTransport(t *testing.T) {
 	}
 }
 
-// The default path (no Faults, no Transport) must not create a link — it is
-// the bit-identical direct delivery that TestEngineInvariance pins.
-func TestDefaultPathHasNoLink(t *testing.T) {
-	rep, err := vsensor.Run(lossySrc, vsensor.Options{Ranks: 4})
+// There is one record path: a run with no Faults and no Transport still
+// delivers over the link — the zero plan with default tuning — so it is
+// indistinguishable from one that passes the empty config explicitly.
+func TestDefaultPathIsTheZeroPlanLink(t *testing.T) {
+	def, err := vsensor.Run(lossySrc, vsensor.Options{Ranks: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Link != nil {
-		t.Error("direct path created a transport link")
+	explicit, err := vsensor.Run(lossySrc, vsensor.Options{Ranks: 4, Transport: &transport.Config{}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if cov := rep.Coverage(); !cov.Complete() {
-		t.Errorf("direct path coverage = %+v", cov)
+	for name, rep := range map[string]*vsensor.Report{"Options{}": def, "Transport: &Config{}": explicit} {
+		if rep.Link == nil {
+			t.Fatalf("%s: instrumented run has no link", name)
+		}
+		if !rep.Link.Plan().Zero() {
+			t.Errorf("%s: plan = %v, want zero", name, rep.Link.Plan())
+		}
+		if cov := rep.Coverage(); !cov.Complete() || cov.ExpectedRecords == 0 {
+			t.Errorf("%s: coverage = %+v, want complete and non-empty", name, cov)
+		}
+	}
+	if def.Result.TotalNs != explicit.Result.TotalNs {
+		t.Errorf("TotalNs %d vs %d", def.Result.TotalNs, explicit.Result.TotalNs)
+	}
+	sameRecords(t, def.Server.Records(), explicit.Server.Records())
+	if a, b := def.Link.Attempts(), explicit.Link.Attempts(); a != b || a == 0 {
+		t.Errorf("link attempts %d vs %d, want equal and non-zero", a, b)
+	}
+	if a, b := def.Coverage(), explicit.Coverage(); a != b {
+		t.Errorf("coverage %+v vs %+v", a, b)
+	}
+	if a, b := def.DataVolume(), explicit.DataVolume(); a != b {
+		t.Errorf("data volume %d vs %d", a, b)
 	}
 }
 
-// An explicit Transport config without faults routes through the link too
-// (production-shaped path over a perfect network).
+// A tuned Transport config without faults rides the same link over a
+// perfect network.
 func TestTransportConfigWithoutFaults(t *testing.T) {
 	rep, err := vsensor.Run(lossySrc, vsensor.Options{
 		Ranks: 4, Transport: &transport.Config{BatchSize: 4, MaxRetries: 2},

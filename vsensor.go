@@ -76,15 +76,15 @@ type Options struct {
 	// more concurrently ingesting ranks.
 	ServerShards int
 
-	// Transport tunes the reliable record link to the analysis server
-	// (retry, backoff, retransmit buffer). Nil with Faults nil keeps the
-	// direct in-process delivery path.
+	// Transport tunes the reliable record link every instrumented run
+	// delivers over (retry, backoff, retransmit buffer). Nil uses the
+	// defaults.
 	Transport *transport.Config
 
 	// Faults injects transport faults (drop/dup/reorder/delay/corrupt and
-	// server crash-restart) on the record link. Setting it routes every
-	// rank's records through internal/transport; retry and backoff delays
-	// are charged to the ranks' virtual clocks.
+	// server crash-restart) on the record link; retry and backoff delays
+	// are charged to the ranks' virtual clocks. Nil is the perfect
+	// network: the same link with nothing injected.
 	Faults *transport.FaultPlan
 
 	// RunID names this run on a networked session (Listen or Connect
@@ -109,22 +109,16 @@ type Options struct {
 	// Mutually exclusive with Listen.
 	Connect string
 
-	// Reconnect enables the self-healing network session (requires Listen
-	// or Connect): the record path runs over a netsrv.ResilientSession
-	// that auto-redials on connection loss with jittered exponential
-	// backoff, honors vSE1 retry-after hints, and resumes delivery at the
-	// durable LSN from the session ack. Only the Dial and Retry fields are
-	// consulted — Addr and Hello are filled from Listen/Connect and RunID.
-	// Report.Resilient exposes the session and its reconnect ledger.
+	// Reconnect tunes the self-healing session a Listen or Connect run
+	// delivers over (netsrv.ResilientSession, exposed as
+	// Report.Resilient): its first dial fails fast on network errors and
+	// honors vSE1 retry-after hints within the retry budget; after that it
+	// auto-redials on connection loss with jittered exponential backoff
+	// and resumes delivery at the durable LSN from the session ack. Only
+	// the Dial and Retry fields are consulted — Addr and Hello are filled
+	// from Listen/Connect and RunID. Nil uses the defaults; setting it
+	// without Listen or Connect is an error.
 	Reconnect *netsrv.ReconnectConfig
-
-	// DialRetry shapes the initial Connect-mode dial when Reconnect is
-	// nil: transient vSE1 refusals (busy, session cap, shutdown) sleep the
-	// server's retry-after hint and try again within the policy budget
-	// instead of failing the run on the first refusal. Nil uses the
-	// default policy (10s budget, fail-fast on network errors). Requires
-	// Connect.
-	DialRetry *netsrv.RetryPolicy
 
 	// Durability attaches the analysis server's WAL + snapshot layer
 	// (internal/storage-backed). With it, the Faults crash window becomes a
@@ -191,10 +185,9 @@ type Report struct {
 	Analysis     *analysis.Result
 	Instrumented *instrument.Instrumented // nil for uninstrumented runs
 	Result       *vm.Result
-	Server       *server.Server   // nil in Connect mode: the run's server lives on the remote service
-	Link         *transport.Link  // non-nil when the run used the fault-injectable transport
-	Session      *netsrv.Session          // non-nil in Listen/Connect mode without Reconnect: the run's TCP session
-	Resilient    *netsrv.ResilientSession // non-nil when Options.Reconnect routed the run through the self-healing session
+	Server       *server.Server           // nil in Connect mode: the run's server lives on the remote service
+	Link         *transport.Link          // the record link; nil only for uninstrumented runs
+	Resilient    *netsrv.ResilientSession // non-nil in Listen/Connect mode: the self-healing session the link delivers over
 	Service      *netsrv.Service          // non-nil in Listen mode: the in-process listener the run fed
 	Detectors    []*detect.Detector
 	Records      []vm.Record // raw sensor records if collected
@@ -277,7 +270,6 @@ func RunProgram(prog *ir.Program, opt Options) (*Report, error) {
 	rep.Analysis = analysis.AnalyzeWith(prog, opt.Analysis)
 	sp.End()
 
-	var mach *vm.Machine
 	vcfg := vm.Config{
 		Ranks:        opt.Ranks,
 		Cluster:      opt.Cluster,
@@ -286,10 +278,31 @@ func RunProgram(prog *ir.Program, opt Options) (*Report, error) {
 		Stdout:       opt.Stdout,
 		Seed:         opt.Seed,
 		MaxSteps:     opt.MaxSteps,
+		Obs:          o,
+	}
+	if opt.Profile {
+		rep.Profiler = profiler.New()
+	}
+	if opt.Trace {
+		rep.Tracer = tracer.New()
+	}
+	if opt.Profile || opt.Trace {
+		vcfg.EventFactory = func(rank int) vm.EventSink {
+			var sinks []vm.EventSink
+			if rep.Profiler != nil {
+				sinks = append(sinks, rep.Profiler.Collector(rank))
+			}
+			if rep.Tracer != nil {
+				sinks = append(sinks, rep.Tracer.Collector(rank))
+			}
+			if len(sinks) == 1 {
+				return sinks[0]
+			}
+			return multiEventSink(sinks)
+		}
 	}
 
-	vcfg.Obs = o
-
+	var mach *vm.Machine
 	var collectors []*recordCollector
 	var mu sync.Mutex
 	if !opt.Uninstrumented {
@@ -305,30 +318,25 @@ func RunProgram(prog *ir.Program, opt Options) (*Report, error) {
 		if opt.Reconnect != nil && opt.Listen == "" && opt.Connect == "" {
 			return nil, fmt.Errorf("vsensor: Options.Reconnect needs a networked session (set Listen or Connect)")
 		}
-		if opt.DialRetry != nil && opt.Connect == "" {
-			return nil, fmt.Errorf("vsensor: Options.DialRetry shapes the Connect-mode dial (set Connect, or use Reconnect)")
-		}
-		runID := opt.RunID
-		if runID == "" {
-			runID = "local"
-		}
-		if opt.Connect == "" {
+		opt.Detect.Obs = o
+		vcfg.ProbeCostNs = opt.ProbeCostNs
+
+		// The one record path: detect → Conn → Link → Medium. The medium is
+		// the run's own server, or — once a socket is involved — the
+		// self-healing session to the service that hosts the tenant: an
+		// in-process one in Listen mode (the run's server is its tenant), an
+		// external `vsensor serve` in Connect mode.
+		var medium transport.Medium
+		addr := opt.Connect
+		if addr == "" {
 			rep.Server = server.NewSharded(opt.ServerShards)
 			if opt.Durability != nil {
 				rep.Server.AttachDurability(*opt.Durability)
 			}
 			rep.Server.SetObs(o)
+			medium = rep.Server
 		}
-		opt.Detect.Obs = o
-		vcfg.ProbeCostNs = opt.ProbeCostNs
-
-		// The networked record path: in Listen mode the run hosts its own
-		// netsrv service and its server becomes the tenant; in Connect mode
-		// the tenant lives on an external `vsensor serve`. Either way the
-		// session is the delivery Medium, so every frame crosses the real
-		// wire protocol.
-		switch {
-		case opt.Listen != "":
+		if opt.Listen != "" {
 			svc, err := netsrv.Listen(opt.Listen, netsrv.Config{
 				Shards:    opt.ServerShards,
 				NewServer: func(string) *server.Server { return rep.Server },
@@ -336,86 +344,49 @@ func RunProgram(prog *ir.Program, opt Options) (*Report, error) {
 			if err != nil {
 				return nil, err
 			}
-			if o != nil {
-				svc.SetObs(o)
-			}
-			if opt.Reconnect != nil {
-				rs, err := dialResilient(opt, svc.Addr().String(), runID, o)
-				if err != nil {
-					svc.Close()
-					return nil, err
-				}
-				rep.Service, rep.Resilient = svc, rs
-				break
-			}
-			sess, err := netsrv.Dial(svc.Addr().String(), netsrv.Hello{RunID: runID}, netsrv.DialConfig{})
-			if err != nil {
-				svc.Close()
-				return nil, err
-			}
-			rep.Service, rep.Session = svc, sess
-		case opt.Connect != "":
-			if opt.Reconnect != nil {
-				rs, err := dialResilient(opt, opt.Connect, runID, o)
-				if err != nil {
-					return nil, err
-				}
-				rep.Resilient = rs
-				break
-			}
-			// Without the full self-healing wrapper, the initial dial still
-			// honors vSE1 retry-after hints on transient refusals (busy,
-			// session cap, shutdown) within a bounded budget, instead of
-			// exiting on the first refusal from a momentarily full service.
-			policy := netsrv.RetryPolicy{Seed: opt.Seed}
-			if opt.DialRetry != nil {
-				policy = *opt.DialRetry
-			}
-			sess, _, err := netsrv.DialRetry(opt.Connect, netsrv.Hello{RunID: runID}, netsrv.DialConfig{}, policy)
-			if err != nil {
-				return nil, err
-			}
-			rep.Session = sess
+			defer svc.Close()
+			svc.SetObs(o)
+			rep.Service = svc
+			addr = svc.Addr().String()
 		}
-		defer func() {
-			if rep.Session != nil {
-				_ = rep.Session.Close()
+		if addr != "" {
+			rc := netsrv.ReconnectConfig{}
+			if opt.Reconnect != nil {
+				rc = *opt.Reconnect
 			}
-			if rep.Resilient != nil {
-				_ = rep.Resilient.Close()
+			rc.Addr = addr
+			rc.Hello = netsrv.Hello{RunID: opt.RunID}
+			if rc.Hello.RunID == "" {
+				rc.Hello.RunID = "local"
 			}
-			if rep.Service != nil {
-				_ = rep.Service.Close()
+			if rc.Retry.Seed == 0 {
+				// Backoff jitter stays reproducible with everything else.
+				rc.Retry.Seed = opt.Seed
 			}
-		}()
+			rs, err := netsrv.DialResilient(rc)
+			if err != nil {
+				return nil, err
+			}
+			defer rs.Close()
+			rs.SetObs(o)
+			rep.Resilient = rs
+			medium = rs
+		}
 
-		// The record path: direct in-process delivery by default, or the
-		// fault-injectable transport link when Options.Faults/Transport
-		// ask for the production-shaped path. A networked session always
-		// routes through the link — it is the Medium the link delivers on.
-		if opt.Faults != nil || opt.Transport != nil || rep.Session != nil || rep.Resilient != nil {
-			plan := transport.FaultPlan{}
-			if opt.Faults != nil {
-				plan = *opt.Faults
-			}
-			switch {
-			case rep.Resilient != nil:
-				rep.Link = transport.NewLinkOver(rep.Resilient, plan)
-			case rep.Session != nil:
-				rep.Link = transport.NewLinkOver(rep.Session, plan)
-			default:
-				rep.Link = transport.NewLink(rep.Server, plan)
-			}
-			rep.Link.SetObs(o)
-			if opt.Durability != nil && rep.Server != nil {
-				// A durable server makes the crash window stateful: entering
-				// it wipes the server, leaving it runs WAL recovery.
-				srv := rep.Server
-				rep.Link.SetCrashHooks(
-					func() { _ = srv.Crash() },
-					func() { _, _ = srv.Recover() },
-				)
-			}
+		plan := transport.FaultPlan{}
+		if opt.Faults != nil {
+			plan = *opt.Faults
+		}
+		rep.Link = transport.NewLinkOver(medium, plan)
+		rep.Link.SetObs(o)
+		if opt.Durability != nil {
+			// A durable server makes the crash window stateful: entering
+			// it wipes the server, leaving it runs WAL recovery.
+			srv := rep.Server
+			rep.Link.SetCrashHooks(
+				func() { _ = srv.Crash() },
+				func() { _, _ = srv.Recover() },
+			)
 		}
 		tcfg := transport.Config{}
 		if opt.Transport != nil {
@@ -430,18 +401,13 @@ func RunProgram(prog *ir.Program, opt Options) (*Report, error) {
 			meta[i] = detect.Sensor{ID: s.ID, Type: s.Type, ProcessFixed: s.ProcessFixed, Name: s.Name}
 		}
 		rep.Detectors = make([]*detect.Detector, opt.Ranks)
-		emitters := make([]detect.Emitter, opt.Ranks)
+		conns := make([]*transport.Conn, opt.Ranks)
 		vcfg.SinkFactory = func(rank int) vm.Sink {
-			var emitter detect.Emitter
-			if rep.Link != nil {
-				emitter = rep.Link.NewConn(rank, tcfg)
-			} else {
-				emitter = rep.Server.NewClient(rank, opt.BatchSize)
-			}
-			d := detect.New(rank, meta, opt.Detect, emitter)
+			conn := rep.Link.NewConn(rank, tcfg)
+			d := detect.New(rank, meta, opt.Detect, conn)
 			mu.Lock()
 			rep.Detectors[rank] = d
-			emitters[rank] = emitter
+			conns[rank] = conn
 			mu.Unlock()
 			if !opt.CollectRecords {
 				return d
@@ -452,18 +418,17 @@ func RunProgram(prog *ir.Program, opt Options) (*Report, error) {
 			mu.Unlock()
 			return rc
 		}
+		// Registered after the session and service closers above, so it
+		// runs first: the ranks flush into a medium that is still open.
 		defer func() {
 			for _, d := range rep.Detectors {
 				if d != nil {
 					d.Finish()
 				}
 			}
-			for _, e := range emitters {
-				switch em := e.(type) {
-				case *transport.Conn:
-					_ = em.Close() // loss is visible in Server.Coverage
-				case *server.Client:
-					_ = em.Flush()
+			for _, c := range conns {
+				if c != nil {
+					_ = c.Close() // loss is visible in Server.Coverage
 				}
 			}
 		}()
@@ -472,72 +437,48 @@ func RunProgram(prog *ir.Program, opt Options) (*Report, error) {
 		mach = vm.New(prog, vcfg)
 	}
 
-	if opt.Profile || opt.Trace {
-		if opt.Profile {
-			rep.Profiler = profiler.New()
-		}
-		if opt.Trace {
-			rep.Tracer = tracer.New()
-		}
-		vcfg.EventFactory = func(rank int) vm.EventSink {
-			var sinks []vm.EventSink
-			if rep.Profiler != nil {
-				sinks = append(sinks, rep.Profiler.Collector(rank))
-			}
-			if rep.Tracer != nil {
-				sinks = append(sinks, rep.Tracer.Collector(rank))
-			}
-			if len(sinks) == 1 {
-				return sinks[0]
-			}
-			return multiEventSink(sinks)
-		}
-		// Recreate the machine with the event factory wired in.
-		if rep.Instrumented != nil {
-			mach = vm.NewInstrumented(rep.Instrumented, vcfg)
-		} else {
-			mach = vm.New(prog, vcfg)
-		}
-	}
-
 	if o != nil {
 		// Wire the live introspection providers to this run so /status and
 		// /records polls observe the job while it executes (paper §2:
 		// on-line reporting without waiting for the program to finish).
-		srv := rep.Server
+		// The providers outlive the run (an -http-hold endpoint keeps
+		// polling them), so they capture the handles they read, not opt
+		// and rep wholesale.
+		srv, svc, rs, remote := rep.Server, rep.Service, rep.Resilient, opt.Connect
+		ranks, uninstrumented, batch, probeCost := opt.Ranks, opt.Uninstrumented, opt.BatchSize, opt.ProbeCostNs
 		sensorCount := 0
 		if rep.Instrumented != nil {
 			sensorCount = len(rep.Instrumented.Sensors)
 		}
-		ranks := opt.Ranks
-		uninstrumented := opt.Uninstrumented
-		batch := opt.BatchSize
-		probeCost := opt.ProbeCostNs
+		runStatus := func(st map[string]any) {
+			st["ranks"] = ranks
+			st["uninstrumented"] = uninstrumented
+			st["batch_size"] = batch
+			st["probe_cost_ns"] = probeCost
+			st["sensors"] = sensorCount
+			if srv != nil {
+				st["server_shards"] = srv.Shards()
+			}
+			if svc != nil {
+				st["listen"] = svc.Addr().String()
+				st["net"] = svc.StatusMap()
+			}
+			if remote != "" {
+				st["remote"] = remote
+			}
+			if rs != nil {
+				st["reconnect"] = rs.Stats()
+			}
+			if lin := o.Lineage(); lin != nil {
+				st["lineage"] = lin.Stats()
+			}
+		}
 		if srv != nil {
 			// With a server the whole read surface — /status, /records,
 			// /outliers, and the CLI's Report.Snapshot — serves from the
 			// server's versioned report cache: one render per state change,
 			// shared by every poller, revalidated by ETag.
-			netSvc := rep.Service
-			netRS := rep.Resilient
-			wrap := newSnapshotWrapper(srv, func(st map[string]any) {
-				st["ranks"] = ranks
-				st["uninstrumented"] = uninstrumented
-				st["batch_size"] = batch
-				st["probe_cost_ns"] = probeCost
-				st["sensors"] = sensorCount
-				st["server_shards"] = srv.Shards()
-				if netSvc != nil {
-					st["listen"] = netSvc.Addr().String()
-					st["net"] = netSvc.StatusMap()
-				}
-				if netRS != nil {
-					st["reconnect"] = netRS.Stats()
-				}
-				if lin := o.Lineage(); lin != nil {
-					st["lineage"] = lin.Stats()
-				}
-			})
+			wrap := newSnapshotWrapper(srv, runStatus)
 			o.SetReport(
 				func() *obs.ReportSnapshot { return wrap(srv.Snapshot()) },
 				func(afterGen uint64, timeout time.Duration) *obs.ReportSnapshot {
@@ -549,25 +490,9 @@ func RunProgram(prog *ir.Program, opt Options) (*Report, error) {
 				return recs, next
 			})
 		} else {
-			remote := opt.Connect
-			netRS := rep.Resilient
 			o.SetStatus(func() any {
-				st := map[string]any{
-					"ranks":          ranks,
-					"uninstrumented": uninstrumented,
-					"batch_size":     batch,
-					"probe_cost_ns":  probeCost,
-					"sensors":        sensorCount,
-				}
-				if remote != "" {
-					st["remote"] = remote
-				}
-				if netRS != nil {
-					st["reconnect"] = netRS.Stats()
-				}
-				if lin := o.Lineage(); lin != nil {
-					st["lineage"] = lin.Stats()
-				}
+				st := make(map[string]any)
+				runStatus(st)
 				return st
 			})
 		}
@@ -588,27 +513,6 @@ func RunProgram(prog *ir.Program, opt Options) (*Report, error) {
 	}
 	fsp.End()
 	return rep, nil
-}
-
-// dialResilient builds the self-healing session from Options.Reconnect:
-// the facade owns the address and run identity, so only the Dial/Retry
-// knobs of the caller's config are consulted. The retry seed defaults to
-// the run seed, keeping backoff jitter reproducible with everything else.
-func dialResilient(opt Options, addr, runID string, o *obs.Obs) (*netsrv.ResilientSession, error) {
-	rc := *opt.Reconnect
-	rc.Addr = addr
-	rc.Hello = netsrv.Hello{RunID: runID}
-	if rc.Retry.Seed == 0 {
-		rc.Retry.Seed = opt.Seed
-	}
-	rs, err := netsrv.DialResilient(rc)
-	if err != nil {
-		return nil, err
-	}
-	if o != nil {
-		rs.SetObs(o)
-	}
-	return rs, nil
 }
 
 // recordCollector tees raw records into a slice before the detector.
@@ -688,9 +592,9 @@ func (r *Report) DataVolume() int64 {
 }
 
 // Coverage returns the analysis server's delivery coverage: how completely
-// its record log reflects what the ranks sent. On the direct in-process
-// path it is always complete; under a faulty transport it quantifies what
-// was lost to backpressure.
+// its record log reflects what the ranks sent. Over a fault-free link it
+// is always complete; under a faulty one it quantifies what was lost to
+// backpressure.
 func (r *Report) Coverage() server.Coverage {
 	if r.Server == nil {
 		return server.Coverage{}
