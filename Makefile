@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build test race vet cover fuzz chaos chaos-recover chaos-net chaos-proxy bench check clean
+.PHONY: build test race vet fmt-check cover fuzz chaos chaos-recover chaos-net chaos-proxy bench check clean
 
 build:
 	$(GO) build ./...
@@ -14,6 +14,10 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# gofmt gate: any file gofmt would rewrite is listed and fails the target.
+fmt-check:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 # Coverage gate: full suite with -coverprofile, per-package delta table
 # against scripts/coverage_baseline.txt, hard failure if the total drops
@@ -70,7 +74,7 @@ chaos-proxy:
 bench:
 	sh benchmark/run.sh
 
-# The full gate: build + vet + race tests + race chaos + race conformance +
+# The full gate: build + vet + gofmt + race tests + race chaos + race conformance +
 # socket/proxy stress (-count 50) + coverage gate + bench smoke + fuzz smoke.
 check:
 	scripts/check.sh

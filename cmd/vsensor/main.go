@@ -90,9 +90,7 @@ var (
 
 	wal           = flag.Bool("wal", false, "make the analysis server durable: WAL + snapshots; crashafter faults wipe and recover it")
 	snapshotEvery = flag.Int("snapshot-every", 0, "frames between automatic server checkpoints; needs -wal (0 = default 256, negative disables)")
-	syncEvery     = flag.Int("sync-every", 0, "WAL entries between disk syncs; needs -wal (0 = default 1: sync per delivery outcome)")
-	flushEvery    = flag.Int("flush-every", 0, "delivery outcomes per WAL commit group, one write+sync each; needs -wal (0 = default 1: per-op)")
-	coalesce      = flag.Bool("coalesce", false, "collapse runs of heartbeat/duplicate/reject outcomes into count-delta WAL entries; needs -wal, implies group commit")
+	flushEvery    = flag.Int("flush-every", 0, "delivery outcomes per WAL commit group, one write+sync each; needs -wal (0 = default 1: every outcome is its own commit, ack implies durable)")
 	lease         = flag.Duration("lease", 0, "rank liveness lease; ranks heartbeat every lease/2, go suspect after 1 lease of silence, dead after 3")
 
 	connectAddr = flag.String("connect", "", "deliver records over TCP to an external 'vsensor serve' analysis service at this address (the run then has no in-process server)")
@@ -120,14 +118,11 @@ func applyTransport(opts *vsensor.Options) {
 	if *snapshotEvery != 0 && !*wal {
 		fatal(fmt.Errorf("-snapshot-every %d needs -wal (there is no journal to checkpoint)", *snapshotEvery))
 	}
-	if *syncEvery < 0 {
-		fatal(fmt.Errorf("bad -sync-every %d: sync cadence cannot be negative", *syncEvery))
-	}
 	if *flushEvery < 0 {
 		fatal(fmt.Errorf("bad -flush-every %d: commit-group size cannot be negative", *flushEvery))
 	}
-	if (*syncEvery != 0 || *flushEvery != 0 || *coalesce) && !*wal {
-		fatal(fmt.Errorf("-sync-every/-flush-every/-coalesce need -wal (there is no journal to tune)"))
+	if *flushEvery != 0 && !*wal {
+		fatal(fmt.Errorf("-flush-every %d needs -wal (there is no journal to tune)", *flushEvery))
 	}
 	if *lease < 0 {
 		fatal(fmt.Errorf("bad -lease %s: lease cannot be negative", *lease))
@@ -178,9 +173,7 @@ func applyTransport(opts *vsensor.Options) {
 	if *wal {
 		opts.Durability = &server.DurabilityConfig{
 			SnapshotEvery: *snapshotEvery,
-			SyncEvery:     *syncEvery,
 			FlushEvery:    *flushEvery,
-			Coalesce:      *coalesce,
 		}
 	}
 	applyLineage(opts)
@@ -239,8 +232,8 @@ func printCoverage(rep *vsensor.Report) {
 		fmt.Printf("durability: gen %d, lsn %d, %d WAL entries (%d bytes, %d syncs), %d snapshots, %d recoveries\n",
 			ds.Generation, ds.LSN, ds.WALEntries, ds.WALBytes, ds.Syncs, ds.Snapshots, ds.Recoveries)
 		if ds.FlushEvery > 1 {
-			fmt.Printf("group commit: %d outcomes/group, %d group commits, %d outcomes coalesced (coalesce=%v)\n",
-				ds.FlushEvery, ds.GroupCommits, ds.CoalescedEntries, ds.Coalesce)
+			fmt.Printf("group commit: %d outcomes/group, %d group commits, %d outcomes coalesced\n",
+				ds.FlushEvery, ds.GroupCommits, ds.CoalescedEntries)
 		}
 		if ds.Recoveries > 0 {
 			lr := ds.LastRecovery

@@ -141,34 +141,29 @@ func TestFlagParsing(t *testing.T) {
 			wantStderr: "lease cannot be negative",
 		},
 		{
-			name:       "negative sync-every",
-			args:       []string{"run", "-wal", "-sync-every", "-1", tiny},
-			wantCode:   1,
-			wantStderr: "sync cadence cannot be negative",
-		},
-		{
 			name:       "negative flush-every",
 			args:       []string{"run", "-wal", "-flush-every", "-8", tiny},
 			wantCode:   1,
 			wantStderr: "commit-group size cannot be negative",
 		},
 		{
-			name:       "sync-every without wal",
-			args:       []string{"run", "-sync-every", "4", tiny},
-			wantCode:   1,
-			wantStderr: "need -wal",
-		},
-		{
 			name:       "flush-every without wal",
-			args:       []string{"run", "-flush-every", "64", tiny},
+			args:       []string{"run", "-flush-every", "16", tiny},
 			wantCode:   1,
-			wantStderr: "need -wal",
+			wantStderr: "needs -wal",
 		},
 		{
-			name:       "coalesce without wal",
-			args:       []string{"run", "-coalesce", tiny},
-			wantCode:   1,
-			wantStderr: "need -wal",
+			// One commit path: -flush-every is the only commit knob left.
+			name:       "removed flag sync-every",
+			args:       []string{"run", "-wal", "-sync-every", "4", tiny},
+			wantCode:   2,
+			wantStderr: "flag provided but not defined: -sync-every",
+		},
+		{
+			name:       "removed flag coalesce",
+			args:       []string{"run", "-wal", "-coalesce", tiny},
+			wantCode:   2,
+			wantStderr: "flag provided but not defined: -coalesce",
 		},
 		{
 			name:       "deadrank without deadafter",
@@ -351,16 +346,16 @@ func TestRunDurableEndToEnd(t *testing.T) {
 	}
 }
 
-// TestRunGroupCommitEndToEnd drives a -wal run with group commit and
-// outcome coalescing through the CLI, including a mid-run crash, and
-// checks that the tuned journal still recovers and reports its effective
-// configuration in the durability summary.
+// TestRunGroupCommitEndToEnd drives a -wal run with a 16-outcome commit
+// group through the CLI, including a mid-run crash, and checks that the
+// tuned journal still recovers and reports its effective configuration in
+// the durability summary.
 func TestRunGroupCommitEndToEnd(t *testing.T) {
 	stdout, stderr, code := runCLI(t,
 		"run", "-q", "-ranks", "8", "-server-shards", "2",
 		"-slice", "20us", "-batch", "4",
 		"-faults", "drop=0.1,seed=11,crashafter=20,crashdown=8",
-		"-wal", "-snapshot-every", "32", "-flush-every", "16", "-coalesce", "-lease", "50us",
+		"-wal", "-snapshot-every", "32", "-flush-every", "16", "-lease", "50us",
 		filepath.Join("testdata", "tiny.mc"))
 	if code != 0 {
 		t.Fatalf("exit code = %d\nstdout: %s\nstderr: %s", code, stdout, stderr)

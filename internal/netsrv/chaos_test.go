@@ -281,9 +281,7 @@ func TestSocketKillRecoverConformance(t *testing.T) {
 				NewServer: func(runID string) *server.Server {
 					dur = server.NewSharded(shards)
 					dur.AttachDurability(server.DurabilityConfig{
-						SyncEvery:     []int{0, 1, 4, 16}[rng.Intn(4)],
 						FlushEvery:    []int{0, 0, 2, 8}[rng.Intn(4)],
-						Coalesce:      rng.Intn(2) == 0,
 						SnapshotEvery: []int{0, -1, 3, 8}[rng.Intn(4)],
 						Disk: storage.NewDisk(storage.Faults{
 							Seed:      0xBAD + int64(trial),

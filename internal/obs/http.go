@@ -26,7 +26,8 @@ const (
 //	                generation (?timeout_ms= bounds the park)
 //	GET /outliers — the current outlier report (report provider only), with
 //	                the same ETag/304/?wait=1 semantics as /status
-//	GET /records  — incremental slice records; ?cursor=N resumes, response
+//	GET /records  — incremental slice records (report provider only; an
+//	                empty window without one); ?cursor=N resumes, response
 //	                carries the next cursor so each record is seen once and
 //	                the window base so a cursor invalidated by recovery is
 //	                detectable; ?wait=1 parks a caught-up cursor
@@ -87,12 +88,7 @@ func (o *Obs) Handler() http.Handler {
 			o.serveRecords(w, r, cur, wait, cursor)
 			return
 		}
-		recs, next, ok := o.recordsSince(cursor)
-		if !ok {
-			writeJSON(w, map[string]any{"cursor": cursor, "records": []any{}})
-			return
-		}
-		writeJSON(w, map[string]any{"cursor": next, "records": recs})
+		writeJSON(w, map[string]any{"cursor": cursor, "records": []any{}})
 	})
 	mux.HandleFunc("/debug/flight", func(w http.ResponseWriter, r *http.Request) {
 		lin := o.Lineage()

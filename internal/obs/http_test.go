@@ -87,18 +87,9 @@ func TestStatusEndpoint(t *testing.T) {
 
 func TestRecordsEndpointCursorSemantics(t *testing.T) {
 	o := New()
-	// Backing store: an append-only list, like Server.RecordsSince.
-	store := []int{}
-	o.SetRecords(func(cursor int) (any, int) {
-		if cursor < 0 {
-			cursor = 0
-		}
-		if cursor > len(store) {
-			cursor = len(store)
-		}
-		out := append([]int{}, store[cursor:]...)
-		return out, len(store)
-	})
+	// Backing store: an append-only log published as report snapshots.
+	h := &reportHarness{}
+	h.wire(o)
 	srv := httptest.NewServer(o.Handler())
 	defer srv.Close()
 
@@ -119,7 +110,8 @@ func TestRecordsEndpointCursorSemantics(t *testing.T) {
 		return r
 	}
 
-	store = append(store, 1, 2, 3)
+	store := []int{1, 2, 3}
+	h.advance(1, store, 0)
 	r1 := poll(0)
 	if len(r1.Records) != 3 || r1.Cursor != 3 {
 		t.Fatalf("first poll = %+v", r1)
@@ -130,6 +122,7 @@ func TestRecordsEndpointCursorSemantics(t *testing.T) {
 		t.Fatalf("empty delta = %+v", r2)
 	}
 	store = append(store, 4, 5)
+	h.advance(2, store, 0)
 	r3 := poll(r2.Cursor)
 	if len(r3.Records) != 2 || r3.Records[0] != 4 || r3.Cursor != 5 {
 		t.Fatalf("delta = %+v", r3)
@@ -145,7 +138,7 @@ func TestRecordsEndpointCursorSemantics(t *testing.T) {
 	if code != http.StatusBadRequest {
 		t.Errorf("bad cursor status = %d", code)
 	}
-	// No records fn → empty but valid.
+	// No report provider → empty but valid.
 	o2 := New()
 	srv2 := httptest.NewServer(o2.Handler())
 	defer srv2.Close()

@@ -81,10 +81,10 @@ const DefaultSampleEvery = 256
 // is the "lineage off" value — every method is a nil-receiver no-op, so
 // instrumentation sites pay one predicted branch when tracing is disabled.
 type Lineage struct {
-	every uint64
-	seed  uint64
-	ring  *FlightRecorder
-	stage [numStages]*Histogram
+	every  uint64
+	seed   uint64
+	ring   *FlightRecorder
+	stage  [numStages]*Histogram
 	frames *Counter // sampled frames stamped onto the wire
 }
 

@@ -17,13 +17,12 @@ type Obs struct {
 	start  time.Time
 	lin    atomic.Pointer[Lineage] // nil until EnableLineage
 
-	mu        sync.Mutex
-	statusFn  func() any
-	recordsFn func(cursor int) (any, int)
+	mu       sync.Mutex
+	statusFn func() any
 
 	// Versioned-snapshot providers (report.go); when reportFn is set it
-	// takes precedence over statusFn/recordsFn and enables ETag/304 and
-	// long-poll semantics on the HTTP surface.
+	// takes precedence over statusFn and enables ETag/304 and long-poll
+	// semantics on the HTTP surface.
 	reportFn     func() *ReportSnapshot
 	reportWaitFn func(afterGen uint64, timeout time.Duration) *ReportSnapshot
 }
@@ -134,18 +133,6 @@ func (o *Obs) SetStatus(fn func() any) {
 	o.mu.Unlock()
 }
 
-// SetRecords installs the function backing /records?cursor=N. It must
-// return the records after the cursor plus the new cursor (the facade wires
-// it to Server.RecordsSince).
-func (o *Obs) SetRecords(fn func(cursor int) (any, int)) {
-	if o == nil {
-		return
-	}
-	o.mu.Lock()
-	o.recordsFn = fn
-	o.mu.Unlock()
-}
-
 func (o *Obs) statusSnapshot() (any, bool) {
 	o.mu.Lock()
 	fn := o.statusFn
@@ -154,17 +141,6 @@ func (o *Obs) statusSnapshot() (any, bool) {
 		return nil, false
 	}
 	return fn(), true
-}
-
-func (o *Obs) recordsSince(cursor int) (any, int, bool) {
-	o.mu.Lock()
-	fn := o.recordsFn
-	o.mu.Unlock()
-	if fn == nil {
-		return nil, cursor, false
-	}
-	recs, next := fn(cursor)
-	return recs, next, true
 }
 
 // UptimeSeconds returns seconds since New.
@@ -200,7 +176,11 @@ func describeStandard(r *Registry) {
 	r.Describe("server_records_ingested", "Records actually decoded into the server log; expected-ingested is the coverage gap.")
 	r.Describe("server_wal_entries_total", "Entries appended to the analysis server's write-ahead log.")
 	r.Describe("server_wal_bytes_total", "Bytes appended to the write-ahead log (framing included).")
-	r.Describe("server_wal_syncs_total", "WAL fsyncs issued (group commit flushes).")
+	r.Describe("server_wal_syncs_total", "WAL fsyncs issued, one per commit group.")
+	r.Describe("wal_group_commits_total", "WAL commit groups flushed: one device write plus one sync each.")
+	r.Describe("wal_coalesced_entries_total", "Delivery outcomes absorbed into an open coalesced run instead of journaling their own entry.")
+	r.Describe("wal_flush_bytes", "Size distribution of flushed commit groups.")
+	r.Describe("wal_sync_wait_ns", "Time each commit group's fsync stalled ingest; outlier buckets carry exemplar trace IDs.")
 	r.Describe("server_snapshots_total", "Checkpoints taken: snapshot written, WAL segment rotated.")
 	r.Describe("server_snapshot_bytes", "Size of the most recent snapshot.")
 	r.Describe("server_recoveries_total", "Crash recoveries completed (snapshot load + WAL replay).")

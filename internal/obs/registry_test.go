@@ -282,5 +282,4 @@ func TestNilSafety(t *testing.T) {
 	o.Span(0, "x").Arg("k", "v").End()
 	o.NameThread(0, "x")
 	o.SetStatus(nil)
-	o.SetRecords(nil)
 }

@@ -74,7 +74,7 @@ func (sn *ReportSnapshot) OutliersBody() ([]byte, error) {
 // /records, and /outliers: cur returns the current snapshot (nil before the
 // run starts) and wait blocks until the generation exceeds afterGen or the
 // timeout elapses (nil disables ?wait=1). When set, these take precedence
-// over the legacy SetStatus/SetRecords providers.
+// over the SetStatus provider.
 func (o *Obs) SetReport(cur func() *ReportSnapshot, wait func(afterGen uint64, timeout time.Duration) *ReportSnapshot) {
 	if o == nil {
 		return

@@ -87,10 +87,7 @@ func applyPlan(rng *rand.Rand, frames [][]byte, plan conformancePlan) [][]byte {
 			schedule = append(schedule, f)
 		}
 		if rng.Float64() < plan.corrupt {
-			bad := append([]byte(nil), f...)
-			bit := rng.Intn(len(bad) * 8)
-			bad[bit/8] ^= 1 << (bit % 8)
-			schedule = append(schedule, bad)
+			schedule = append(schedule, corruptCopy(rng, f))
 		}
 	}
 	if plan.shuffle {
@@ -99,6 +96,14 @@ func applyPlan(rng *rand.Rand, frames [][]byte, plan conformancePlan) [][]byte {
 		})
 	}
 	return schedule
+}
+
+// corruptCopy returns f with one seeded bit flipped.
+func corruptCopy(rng *rand.Rand, f []byte) []byte {
+	bad := append([]byte(nil), f...)
+	bit := rng.Intn(len(bad) * 8)
+	bad[bit/8] ^= 1 << (bit % 8)
+	return bad
 }
 
 func outliersEqual(t *testing.T, trial int, got, want []Outlier) {

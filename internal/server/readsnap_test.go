@@ -212,9 +212,10 @@ func TestSnapshotRecordsWindow(t *testing.T) {
 // must answer with truncated=true plus the base cursor to restart from.
 func TestRecordsWindowAfterRecoveryTruncation(t *testing.T) {
 	s := NewSharded(4)
-	// A huge SyncEvery means nothing is synced: the crash loses the whole
-	// WAL tail and recovery comes back with an empty (shorter) log.
-	s.AttachDurability(DurabilityConfig{Disk: storage.NewDisk(storage.Faults{}), SyncEvery: 1 << 20})
+	// A commit group that never fills means nothing reaches the device: the
+	// crash loses the whole staged tail and recovery comes back with an empty
+	// (shorter) log.
+	s.AttachDurability(DurabilityConfig{Disk: storage.NewDisk(storage.Faults{}), FlushEvery: 1 << 20, FlushBytes: 1 << 30})
 	h, _ := wireReadReport(s)
 	feedFrames(t, s, 3, 6)
 	pre := s.Snapshot()

@@ -91,7 +91,6 @@ func (s *Server) Crash() error {
 	// crash hold references to it.
 	s.an.reset()
 	d.mu.Lock()
-	d.sinceSync = 0
 	d.frames = 0
 	d.snapDue = false
 	// Staged-but-unflushed group-commit entries die with the process: they
@@ -223,7 +222,6 @@ func (s *Server) Recover() (RecoveryStats, error) {
 	d.mu.Lock()
 	d.gen = maxGen
 	d.lsn = rs.LSN
-	d.sinceSync = 0
 	d.frames = 0
 	d.snapDue = false
 	d.recoveries++

@@ -26,21 +26,50 @@ import (
 // run of outcomes and carries the last one's LSN — so the recovered LSN IS
 // the count of delivery-schedule items whose effects survived.
 // Redelivering schedule[LSN:] replays the lost suffix through the
-// identical state machine, for the per-op, group-commit, and coalescing
-// encoders alike.
+// identical state machine, whatever the commit-group size.
 
 // durableTrial is one randomized kill-and-recover scenario's tuning.
 type durableTrial struct {
-	syncEvery  int
-	flushEvery int  // > 1 selects the group-commit encoder
-	coalesce   bool // collapse chatter runs into count-delta entries
+	flushEvery int // outcomes per commit group; <= 1 is ack-implies-durable
 	snapEvery  int
 	faults     storage.Faults
 	crashes    []int // schedule indices at which the server crashes
 }
 
+// chattySchedule expands a delivery schedule with the steady-state chatter
+// real links produce in runs — back-to-back retransmits of one frame, bursts
+// of corrupt copies, same-rank heartbeat bursts — so commit groups larger
+// than one journal coalesced (*N) entries and recovery has to replay them.
+func chattySchedule(rng *rand.Rand, schedule [][]byte, ranks int) [][]byte {
+	out := make([][]byte, 0, 2*len(schedule))
+	for i, f := range schedule {
+		out = append(out, f)
+		switch rng.Intn(6) {
+		case 0: // retransmit storm: 1-3 immediate copies, each a dup outcome
+			for n := 1 + rng.Intn(3); n > 0; n-- {
+				out = append(out, f)
+			}
+		case 1: // a run of 2-4 corrupt copies
+			for n := 2 + rng.Intn(3); n > 0; n-- {
+				out = append(out, corruptCopy(rng, f))
+			}
+		case 2: // a burst of 2-5 heartbeats from one rank
+			rank := rng.Intn(ranks)
+			for n, now := 2+rng.Intn(4), int64(i)*1_000_000; n > 0; n-- {
+				out = append(out, AppendHeartbeat(nil, rank, now, 5_000_000))
+				now += int64(rng.Intn(3)) * 100_000
+			}
+		}
+	}
+	return out
+}
+
 func TestKillRecoverConformance(t *testing.T) {
 	const trials = 120
+	// How many trials ran to completion, recovered past a torn tail, and
+	// replayed a coalesced entry: the floors below keep the grid from
+	// silently ceasing to exercise either path.
+	var ran, sawTruncation, sawCoalescedReplay int
 	for trial := 0; trial < trials; trial++ {
 		trial := trial
 		t.Run(fmt.Sprintf("seed=%d", trial), func(t *testing.T) {
@@ -57,9 +86,7 @@ func TestKillRecoverConformance(t *testing.T) {
 				shuffle: rng.Intn(2) == 0,
 			}
 			trialCfg := durableTrial{
-				syncEvery:  []int{0, 1, 4, 16}[rng.Intn(4)],
 				flushEvery: []int{0, 0, 2, 8, 32}[rng.Intn(5)],
-				coalesce:   rng.Intn(2) == 0,
 				snapEvery:  []int{0, -1, 3, 8, 32}[rng.Intn(5)],
 				faults: storage.Faults{
 					Seed:      0xBAD + int64(trial),
@@ -70,18 +97,9 @@ func TestKillRecoverConformance(t *testing.T) {
 			}
 
 			frames := buildConformanceFrames(rng, ranks, sensors, slices)
-			schedule := applyPlan(rng, frames, plan)
-			// Mix heartbeats into the schedule so walKindHeartbeat replay is
-			// exercised; both engines see the same ones, so liveness state
-			// must match too.
-			withHB := make([][]byte, 0, len(schedule)+ranks)
-			for i, f := range schedule {
-				withHB = append(withHB, f)
-				if i%7 == 3 {
-					withHB = append(withHB, AppendHeartbeat(nil, i%ranks, int64(i)*1_000_000, 5_000_000))
-				}
-			}
-			schedule = withHB
+			// Both engines see the same chatter, heartbeats included, so
+			// liveness state must match too.
+			schedule := chattySchedule(rng, applyPlan(rng, frames, plan), ranks)
 
 			nCrashes := 1 + rng.Intn(3)
 			for i := 0; i < nCrashes; i++ {
@@ -99,9 +117,7 @@ func TestKillRecoverConformance(t *testing.T) {
 			// recovering at the chosen points.
 			dur := NewSharded(shards)
 			dur.AttachDurability(DurabilityConfig{
-				SyncEvery:     trialCfg.syncEvery,
 				FlushEvery:    trialCfg.flushEvery,
-				Coalesce:      trialCfg.coalesce,
 				SnapshotEvery: trialCfg.snapEvery,
 				Disk:          storage.NewDisk(trialCfg.faults),
 			})
@@ -128,6 +144,7 @@ func TestKillRecoverConformance(t *testing.T) {
 				}
 			}()
 
+			truncated, coalescedReplay := false, false
 			i := 0
 			for _, cp := range trialCfg.crashes {
 				for i < cp && i < len(schedule) {
@@ -155,6 +172,9 @@ func TestKillRecoverConformance(t *testing.T) {
 				if rs.LSN > uint64(i) {
 					t.Fatalf("recovered LSN %d exceeds %d delivered items", rs.LSN, i)
 				}
+				truncated = truncated || rs.TruncatedBytes > 0
+				// Only an *N entry covers more outcomes than it has entries.
+				coalescedReplay = coalescedReplay || rs.OutcomesReplayed > int64(rs.WALEntriesReplayed)
 				// The recovered state reflects schedule[:LSN]; the lost
 				// suffix is re-sent — exactly what real clients do.
 				i = int(rs.LSN)
@@ -189,7 +209,26 @@ func TestKillRecoverConformance(t *testing.T) {
 			if ds := dur.DurabilityStats(); !ds.Enabled || ds.Recoveries != int64(nCrashes) {
 				t.Fatalf("durability stats = %+v, want %d recoveries", ds, nCrashes)
 			}
+			ran++
+			if truncated {
+				sawTruncation++
+			}
+			if coalescedReplay {
+				sawCoalescedReplay++
+			}
 		})
+	}
+	if ran != trials {
+		return // a -run filter or a failed trial: the floors describe the whole grid
+	}
+	t.Logf("%d trials: %d recovered past a torn tail, %d replayed a coalesced entry", trials, sawTruncation, sawCoalescedReplay)
+	if sawTruncation < 15 {
+		t.Errorf("only %d of %d trials recovered with TruncatedBytes > 0, want >= 15", sawTruncation, trials)
+	}
+	// Half of the 39 the chatty schedule measures; the pre-chatty schedule
+	// (isolated heartbeats, far-apart duplicates) measured 0.
+	if sawCoalescedReplay < 19 {
+		t.Errorf("only %d of %d trials replayed a coalesced (*N) entry, want >= 19", sawCoalescedReplay, trials)
 	}
 }
 
@@ -231,46 +270,6 @@ func TestRecoverAckImpliesDurable(t *testing.T) {
 	}
 	if cov := s.Coverage(); cov != wantCov {
 		t.Fatalf("coverage after recovery %+v, want %+v", cov, wantCov)
-	}
-}
-
-// Group commit (SyncEvery > 1) deliberately weakens ack-implies-durable:
-// a crash can lose the acknowledged-but-unsynced tail, and the recovered
-// LSN tells clients exactly how much to re-send.
-func TestRecoverGroupCommitLosesTail(t *testing.T) {
-	s := NewSharded(2)
-	s.AttachDurability(DurabilityConfig{
-		SyncEvery:     64,
-		SnapshotEvery: -1, // no checkpoints: the tail stays unsynced
-		Disk:          storage.NewDisk(storage.Faults{}),
-	})
-	recs := []detect.SliceRecord{{Sensor: 1, Rank: 0, SliceNs: 0, Count: 1, AvgNs: 10}}
-	for seq := uint64(1); seq <= 10; seq++ {
-		f := AppendFrame(nil, FrameHeader{Rank: 0, Seq: seq, CumRecords: seq}, recs)
-		if err := s.Receive(f); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Crash(); err != nil {
-		t.Fatal(err)
-	}
-	rs, err := s.Recover()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rs.LSN != 0 {
-		t.Fatalf("nothing was synced, yet recovered LSN = %d", rs.LSN)
-	}
-	if got := len(s.Records()); got != 0 {
-		t.Fatalf("recovered %d records from an unsynced log", got)
-	}
-	// The server keeps working after a cold-start recovery.
-	f := AppendFrame(nil, FrameHeader{Rank: 0, Seq: 1, CumRecords: 1}, recs)
-	if err := s.Receive(f); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(s.Records()); got != 1 {
-		t.Fatalf("post-recovery ingest yielded %d records", got)
 	}
 }
 

@@ -350,7 +350,6 @@ func (s *Server) checkpointLocked() error {
 	d.gen = newGen
 	d.frames = 0
 	d.snapDue = false
-	d.sinceSync = 0
 	for _, name := range d.disk.List() {
 		if g, ok := walGen(name); ok && g < oldGen {
 			if err := d.disk.Remove(name); err != nil {

@@ -71,34 +71,19 @@ const maxCoalesced = 1 << 30
 
 // DurabilityConfig tunes the WAL + snapshot layer.
 type DurabilityConfig struct {
-	// SyncEvery is how many WAL entries may accumulate before an fsync;
-	// <= 1 syncs every entry (ack implies durable — the default, and the
-	// mode under which transport-level exactly-once survives real crashes).
-	// Larger values model group commit: acknowledged-but-unsynced tail
-	// entries can be lost at a crash and must be re-sent by clients. Only
-	// meaningful for the per-op encoder (FlushEvery <= 1): the group
-	// encoder syncs once per commit group instead.
-	SyncEvery int
-
-	// FlushEvery enables group commit: up to FlushEvery delivery outcomes
-	// accumulate in a staging buffer and hit the device as one write + one
-	// sync. <= 1 keeps the per-op encoder (every outcome is its own write,
-	// synced per SyncEvery). Staged-but-unflushed outcomes are lost at a
-	// crash — the same ack contract as SyncEvery > 1 — and clients re-send
-	// from the recovered LSN.
+	// FlushEvery is how many delivery outcomes make one commit group: the
+	// group's entries accumulate in a staging buffer and hit the device as
+	// one write + one sync. <= 1 (the default) is a group of one: every
+	// outcome is written and synced before its ack, so ack implies durable
+	// — the mode under which transport-level exactly-once survives real
+	// crashes. Larger values relax that: staged-but-unflushed outcomes are
+	// acked, lost at a crash, and re-sent by clients from the recovered LSN.
 	FlushEvery int
 
 	// FlushBytes caps the staging buffer in bytes: a commit group flushes
 	// when it covers FlushEvery outcomes *or* FlushBytes staged bytes,
-	// whichever comes first. 0 selects DefaultFlushBytes. Ignored by the
-	// per-op encoder.
+	// whichever comes first. 0 selects DefaultFlushBytes.
 	FlushBytes int
-
-	// Coalesce collapses runs of heartbeat/dup/checksum/reject outcomes
-	// into count-delta entries (walKind*N), so steady-state chatter costs
-	// O(1) journal bytes per run instead of O(n). Implies group commit:
-	// when FlushEvery <= 1 it is raised to DefaultFlushEvery.
-	Coalesce bool
 
 	// SnapshotEvery is how many frames are ingested between automatic
 	// checkpoints (snapshot + WAL segment rotation). 0 selects
@@ -113,27 +98,12 @@ type DurabilityConfig struct {
 // DefaultSnapshotEvery is the automatic checkpoint cadence in frames.
 const DefaultSnapshotEvery = 256
 
-// DefaultFlushEvery is the group-commit window in outcomes when Coalesce
-// is set without an explicit FlushEvery.
+// DefaultFlushEvery is the commit-group size callers that want group commit
+// without picking a number use; the zero DurabilityConfig is a group of one.
 const DefaultFlushEvery = 64
 
 // DefaultFlushBytes is the group-commit staging cap in bytes.
 const DefaultFlushBytes = 1 << 16
-
-// walEncoder is the pluggable commit policy behind the append path. All
-// methods are called with d.mu held. frame/dup/badFrame/heartbeat each
-// record exactly one delivery outcome (advancing the LSN by one); flush
-// forces any staged entries onto the device; reset drops staged state
-// after a crash; staged reports what has been acked but not yet written.
-type walEncoder interface {
-	frame(ticket uint64, encoded []byte, trace uint64, rank int) error
-	dup(rank int) error
-	badFrame(checksum bool) error
-	heartbeat(rank int, nowNs, leaseNs int64) error
-	flush() error
-	reset()
-	staged() (entries int, bytes int64)
-}
 
 // durability is the server's WAL/snapshot state. All fields except stateMu
 // are guarded by mu; stateMu serializes ingest (read side) against crash,
@@ -147,14 +117,13 @@ type durability struct {
 	mu   sync.Mutex
 	disk *storage.Disk
 	cfg  DurabilityConfig
-	enc  walEncoder
+	enc  groupEncoder // the one commit path; its methods run with mu held
 
-	gen       uint64 // current WAL segment generation == checkpoint count
-	lsn       uint64 // last assigned log sequence number
-	sinceSync int    // entries appended since the last fsync (per-op encoder)
-	frames    int    // frames appended since the last checkpoint
-	snapDue   bool   // set when frames crosses SnapshotEvery; cleared by Checkpoint
-	buf       []byte // reusable entry encode buffer
+	gen     uint64 // current WAL segment generation == checkpoint count
+	lsn     uint64 // last assigned log sequence number
+	frames  int    // frames appended since the last checkpoint
+	snapDue bool   // set when frames crosses SnapshotEvery; cleared by Checkpoint
+	buf     []byte // reusable entry encode buffer
 
 	// Lifetime counters (survive Crash; they describe the device, not the
 	// server state).
@@ -195,55 +164,6 @@ func snapName(gen uint64) string {
 	return "snap.b"
 }
 
-// appendEntry frames one payload and appends it to the live segment,
-// syncing per the configured cadence. Caller holds d.mu. trace/rank carry
-// the entry's lineage context (trace 0 for unsampled or non-frame entries):
-// a sampled frame records a wal_append span over the two device appends and,
-// when this entry triggers the group-commit fsync, a wal_sync span over it —
-// so a lineage shows whether the record's frame paid the sync or rode an
-// earlier one. Used by the per-op encoder.
-func (d *durability) appendEntry(payload []byte, trace uint64, rank int) error {
-	traced := d.lin != nil && trace != 0
-	var t0 int64
-	if traced {
-		t0 = nowUnixNs()
-	}
-	var hdr [walEntryHeader]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload))
-	seg := walSegmentName(d.gen)
-	if err := d.disk.Append(seg, hdr[:]); err != nil {
-		return err
-	}
-	if err := d.disk.Append(seg, payload); err != nil {
-		return err
-	}
-	d.entries++
-	d.bytes += int64(walEntryHeader + len(payload))
-	d.obsEntries.Inc()
-	d.obsBytes.Add(int64(walEntryHeader + len(payload)))
-	if traced {
-		d.lin.Record(trace, obs.StageWALAppend, rank, 0, t0, nowUnixNs()-t0, int64(len(payload)))
-	}
-	d.sinceSync++
-	if d.cfg.SyncEvery <= 1 || d.sinceSync >= d.cfg.SyncEvery {
-		var s0 int64
-		if traced {
-			s0 = nowUnixNs()
-		}
-		if err := d.disk.Sync(seg); err != nil {
-			return err
-		}
-		d.sinceSync = 0
-		d.syncs++
-		d.obsSyncs.Inc()
-		if traced {
-			d.lin.Record(trace, obs.StageWALSync, rank, 0, s0, nowUnixNs()-s0, 0)
-		}
-	}
-	return nil
-}
-
 // entryAt serializes the common payload prefix (kind + an explicit LSN)
 // into d.buf. Caller holds d.mu.
 func (d *durability) entryAt(kind byte, lsn uint64) []byte {
@@ -258,6 +178,249 @@ func (d *durability) entryAt(kind byte, lsn uint64) []byte {
 func (d *durability) entryHead(kind byte) []byte {
 	d.lsn++
 	return d.entryAt(kind, d.lsn)
+}
+
+// groupEncoder is the commit path: encoded entries accumulate in a staging
+// buffer and hit the device as ONE write + ONE sync when the group covers
+// cfg.FlushEvery outcomes or cfg.FlushBytes bytes. With the default group of
+// one that is one write + one sync per outcome, before the ack. Inside a
+// group, runs of heartbeat/dup/checksum/reject outcomes collapse into a
+// single count-delta entry (walKind*N) materialized when the run closes, so
+// steady-state chatter costs O(1) journal bytes; a group of one closes every
+// run at length one, which encodes as the plain kind. Staged outcomes are
+// acked before they are written: a crash loses the staged tail and clients
+// re-send from the recovered LSN. All methods run with d.mu held and share
+// the LSN counter and the reusable encode buffer on durability.
+type groupEncoder struct {
+	d *durability
+
+	buf      []byte // framed entries staged for the next commit group
+	entries  int    // finalized entries in buf
+	outcomes int    // outcomes covered by the group, open run included
+
+	// The one open coalescible run, held as scalars and materialized into
+	// buf when it closes. openKind is the *base* kind (walKindDup /
+	// walKindChecksum / walKindReject / walKindHeartbeat); 0 = no open run.
+	openKind  byte
+	openRank  int
+	openCount uint32
+	openNow   int64 // heartbeat fold: max virtual now seen in the run
+	openLease int64 // lease carried by the run's max-now heartbeat
+
+	// syncTrace is the lineage trace of the newest sampled frame staged in
+	// this group; its wal_sync span covers the group's single fsync.
+	syncTrace uint64
+	syncRank  int
+}
+
+// stage frames one encoded payload into the staging buffer (no device
+// write). Caller holds d.mu.
+func (e *groupEncoder) stage(payload []byte) {
+	var hdr [walEntryHeader]byte
+	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload))
+	e.buf = append(e.buf, hdr[:]...)
+	e.buf = append(e.buf, payload...)
+	e.entries++
+}
+
+// closeOpen materializes the open coalesced run, if any, into the staging
+// buffer. A run of one encodes as its plain kind, so a journal holds N kinds
+// only where a run actually formed. At close time d.lsn is exactly the LSN
+// of the run's last outcome.
+func (e *groupEncoder) closeOpen() {
+	if e.openKind == 0 {
+		return
+	}
+	d := e.d
+	var b []byte
+	switch e.openKind {
+	case walKindDup:
+		if e.openCount == 1 {
+			b = d.entryAt(walKindDup, d.lsn)
+			b = binary.LittleEndian.AppendUint32(b, uint32(e.openRank))
+		} else {
+			b = d.entryAt(walKindDupN, d.lsn)
+			b = binary.LittleEndian.AppendUint32(b, uint32(e.openRank))
+			b = binary.LittleEndian.AppendUint32(b, e.openCount)
+		}
+	case walKindChecksum, walKindReject:
+		if e.openCount == 1 {
+			b = d.entryAt(e.openKind, d.lsn)
+		} else {
+			kind := byte(walKindRejectN)
+			if e.openKind == walKindChecksum {
+				kind = walKindChecksumN
+			}
+			b = d.entryAt(kind, d.lsn)
+			b = binary.LittleEndian.AppendUint32(b, e.openCount)
+		}
+	case walKindHeartbeat:
+		if e.openCount == 1 {
+			b = d.entryAt(walKindHeartbeat, d.lsn)
+			b = binary.LittleEndian.AppendUint32(b, uint32(e.openRank))
+			b = binary.LittleEndian.AppendUint64(b, uint64(e.openNow))
+			b = binary.LittleEndian.AppendUint64(b, uint64(e.openLease))
+		} else {
+			b = d.entryAt(walKindHeartbeatN, d.lsn)
+			b = binary.LittleEndian.AppendUint32(b, uint32(e.openRank))
+			b = binary.LittleEndian.AppendUint64(b, uint64(e.openNow))
+			b = binary.LittleEndian.AppendUint64(b, uint64(e.openLease))
+			b = binary.LittleEndian.AppendUint32(b, e.openCount)
+		}
+	}
+	d.buf = b
+	e.stage(b)
+	e.openKind = 0
+	e.openCount = 0
+}
+
+// chatter records one coalescible outcome of base kind: it extends the open
+// run when that run has the same kind and rank (dup and heartbeat runs are
+// per-rank; checksum/reject runs are global and pass rank 0), otherwise it
+// closes the open run and starts a fresh one covering this outcome.
+func (e *groupEncoder) chatter(kind byte, rank int) (extended bool) {
+	d := e.d
+	extended = e.openKind == kind && e.openRank == rank
+	if extended {
+		e.openCount++
+		d.coalesced++
+		d.obsCoalesced.Inc()
+	} else {
+		e.closeOpen()
+		e.openKind, e.openRank, e.openCount = kind, rank, 1
+	}
+	d.lsn++
+	e.outcomes++
+	return extended
+}
+
+func (e *groupEncoder) frame(ticket uint64, encoded []byte, trace uint64, rank int) error {
+	d := e.d
+	e.closeOpen()
+	traced := d.lin != nil && trace != 0
+	var t0 int64
+	if traced {
+		t0 = nowUnixNs()
+	}
+	b := d.entryHead(walKindFrame)
+	b = binary.LittleEndian.AppendUint64(b, ticket)
+	b = append(b, encoded...)
+	d.buf = b
+	e.stage(b)
+	e.outcomes++
+	if traced {
+		d.lin.Record(trace, obs.StageWALAppend, rank, 0, t0, nowUnixNs()-t0, int64(len(b)))
+		e.syncTrace, e.syncRank = trace, rank
+	}
+	return e.maybeFlush()
+}
+
+func (e *groupEncoder) dup(rank int) error {
+	e.chatter(walKindDup, rank)
+	return e.maybeFlush()
+}
+
+func (e *groupEncoder) badFrame(checksum bool) error {
+	kind := byte(walKindReject)
+	if checksum {
+		kind = walKindChecksum
+	}
+	e.chatter(kind, 0)
+	return e.maybeFlush()
+}
+
+func (e *groupEncoder) heartbeat(rank int, nowNs, leaseNs int64) error {
+	// Fold with the same rule receiveHeartbeat applies (liveness.go): the
+	// newest virtual now wins and carries its lease, so replaying the folded
+	// pair once equals replaying the run in order.
+	if !e.chatter(walKindHeartbeat, rank) || nowNs >= e.openNow {
+		e.openNow, e.openLease = nowNs, leaseNs
+	}
+	return e.maybeFlush()
+}
+
+// stagedBytes is the staging buffer plus a conservative estimate for the
+// open run's eventual entry (header + kind/lsn prefix + largest body).
+func (e *groupEncoder) stagedBytes() int64 {
+	n := int64(len(e.buf))
+	if e.openKind != 0 {
+		n += walEntryHeader + 9 + 24
+	}
+	return n
+}
+
+func (e *groupEncoder) maybeFlush() error {
+	if e.outcomes >= e.d.cfg.FlushEvery || e.stagedBytes() >= int64(e.d.cfg.FlushBytes) {
+		return e.flush()
+	}
+	return nil
+}
+
+// flush commits the staged group: one device write, one sync. Caller holds
+// d.mu. On error the group stays staged so a later flush can retry.
+func (e *groupEncoder) flush() error {
+	d := e.d
+	e.closeOpen()
+	if len(e.buf) == 0 {
+		e.outcomes = 0
+		return nil
+	}
+	seg := walSegmentName(d.gen)
+	if err := d.disk.Append(seg, e.buf); err != nil {
+		return err
+	}
+	trace := e.syncTrace
+	timed := d.obsSyncWait != nil || (d.lin != nil && trace != 0)
+	var t0 int64
+	if timed {
+		t0 = nowUnixNs()
+	}
+	if err := d.disk.Sync(seg); err != nil {
+		return err
+	}
+	var wait int64
+	if timed {
+		wait = nowUnixNs() - t0
+	}
+	d.entries += int64(e.entries)
+	d.bytes += int64(len(e.buf))
+	d.syncs++
+	d.groupCommits++
+	d.obsEntries.Add(int64(e.entries))
+	d.obsBytes.Add(int64(len(e.buf)))
+	d.obsSyncs.Inc()
+	d.obsGroupCommits.Inc()
+	d.obsFlushBytes.ObserveInt(int64(len(e.buf)))
+	d.obsSyncWait.ObserveExemplar(float64(wait), trace)
+	if d.lin != nil && trace != 0 {
+		d.lin.Record(trace, obs.StageWALSync, e.syncRank, 0, t0, wait, int64(len(e.buf)))
+	}
+	e.buf = e.buf[:0]
+	e.entries = 0
+	e.outcomes = 0
+	e.syncTrace, e.syncRank = 0, 0
+	return nil
+}
+
+// reset drops staged state after a crash: the staged tail was acked but
+// never written, which is exactly the loss the group-commit ack contract
+// permits.
+func (e *groupEncoder) reset() {
+	e.buf = e.buf[:0]
+	e.entries = 0
+	e.outcomes = 0
+	e.openKind = 0
+	e.openCount = 0
+	e.syncTrace, e.syncRank = 0, 0
+}
+
+func (e *groupEncoder) staged() (int, int64) {
+	n := e.entries
+	if e.openKind != 0 {
+		n++
+	}
+	return n, e.stagedBytes()
 }
 
 // logFrame appends a frame entry (arrival ticket + raw frame bytes) and
@@ -314,7 +477,7 @@ type walEntry struct {
 }
 
 // outcomeSpan reports how many delivery outcomes e covers: 1 for the
-// legacy per-outcome kinds, the count field for coalesced kinds. ok is
+// single-outcome kinds, the count field for coalesced kinds. ok is
 // false when the body is too short to hold the count or the count is
 // outside [1, maxCoalesced] — replay treats that like corruption.
 func (e walEntry) outcomeSpan() (span uint64, ok bool) {
@@ -383,7 +546,7 @@ type DurabilityStats struct {
 	WALEntries       int64
 	WALBytes         int64
 	Syncs            int64
-	GroupCommits     int64 // commit groups flushed (group encoder only)
+	GroupCommits     int64 // commit groups flushed (== Syncs)
 	CoalescedEntries int64 // outcomes absorbed into an open coalesced run
 	StagedEntries    int   // entries acked but not yet written to the device
 	StagedBytes      int64
@@ -392,10 +555,8 @@ type DurabilityStats struct {
 	DiskBytes        int64 // total bytes on the backing device
 	LastRecovery     RecoveryStats
 	SnapshotEvery    int
-	SyncEvery        int
-	FlushEvery       int  // 1 = per-op encoder
-	FlushBytes       int  // 0 = per-op encoder
-	Coalesce         bool
+	FlushEvery       int // 1 = every outcome is its own commit
+	FlushBytes       int
 }
 
 // DurabilityStats returns the durability layer's state; the zero value when
@@ -410,14 +571,6 @@ func (s *Server) DurabilityStats() DurabilityStats {
 	every := d.cfg.SnapshotEvery
 	if every == 0 {
 		every = DefaultSnapshotEvery
-	}
-	sync := d.cfg.SyncEvery
-	if sync <= 1 {
-		sync = 1
-	}
-	flushEvery := d.cfg.FlushEvery
-	if flushEvery <= 1 {
-		flushEvery = 1
 	}
 	stagedEntries, stagedBytes := d.enc.staged()
 	return DurabilityStats{
@@ -436,10 +589,8 @@ func (s *Server) DurabilityStats() DurabilityStats {
 		DiskBytes:        d.disk.Size(),
 		LastRecovery:     d.lastRec,
 		SnapshotEvery:    every,
-		SyncEvery:        sync,
-		FlushEvery:       flushEvery,
+		FlushEvery:       d.cfg.FlushEvery,
 		FlushBytes:       d.cfg.FlushBytes,
-		Coalesce:         d.cfg.Coalesce,
 	}
 }
 
@@ -455,9 +606,7 @@ func (s *Server) Disk() *storage.Disk {
 // AttachDurability enables the WAL + snapshot layer over disk (a fresh
 // fault-free disk when cfg.Disk is nil). Must be called before any frame is
 // ingested; attaching twice or after ingest panics — durability is a
-// construction-time decision. FlushEvery > 1 (or Coalesce, which implies
-// it) selects the group-commit encoder; otherwise every outcome is its own
-// journal write, synced per SyncEvery.
+// construction-time decision.
 func (s *Server) AttachDurability(cfg DurabilityConfig) {
 	if s.dur != nil {
 		panic("server: durability already attached")
@@ -465,28 +614,17 @@ func (s *Server) AttachDurability(cfg DurabilityConfig) {
 	if s.ticket.Load() != 0 {
 		panic("server: AttachDurability after ingest started")
 	}
-	disk := cfg.Disk
-	if disk == nil {
-		disk = storage.NewDisk(storage.Faults{})
+	if cfg.Disk == nil {
+		cfg.Disk = storage.NewDisk(storage.Faults{})
 	}
-	if cfg.Coalesce && cfg.FlushEvery <= 1 {
-		cfg.FlushEvery = DefaultFlushEvery
+	if cfg.FlushEvery < 1 {
+		cfg.FlushEvery = 1
 	}
-	d := &durability{disk: disk, cfg: cfg}
-	if cfg.FlushEvery > 1 {
-		if cfg.FlushBytes <= 0 {
-			d.cfg.FlushBytes = DefaultFlushBytes
-		}
-		d.enc = &groupEncoder{
-			d:          d,
-			coalesce:   cfg.Coalesce,
-			flushEvery: d.cfg.FlushEvery,
-			flushBytes: d.cfg.FlushBytes,
-		}
-	} else {
-		d.cfg.FlushBytes = 0
-		d.enc = &perOpEncoder{d: d}
+	if cfg.FlushBytes <= 0 {
+		cfg.FlushBytes = DefaultFlushBytes
 	}
+	d := &durability{disk: cfg.Disk, cfg: cfg}
+	d.enc.d = d
 	s.dur = d
 }
 

@@ -41,13 +41,12 @@ func FuzzWALReplay(f *testing.F) {
 			f.Add(seg[:len(seg)-7]) // torn tail
 		}
 	}
-	// A segment written by the coalescing group-commit encoder: dup and
-	// heartbeat runs collapse into walKindDupN / walKindHeartbeatN entries
-	// alongside plain frames.
+	// A segment written with a commit group of four: dup and heartbeat runs
+	// collapse into walKindDupN / walKindHeartbeatN entries alongside plain
+	// frames.
 	coalDisk := storage.NewDisk(storage.Faults{})
 	coalSrv := NewSharded(2)
-	coalSrv.AttachDurability(DurabilityConfig{SnapshotEvery: -1, Disk: coalDisk,
-		FlushEvery: 4, Coalesce: true})
+	coalSrv.AttachDurability(DurabilityConfig{SnapshotEvery: -1, Disk: coalDisk, FlushEvery: 4})
 	for _, frame := range buildConformanceFrames(rng, 2, 2, 2) {
 		_ = coalSrv.Receive(frame)
 		_ = coalSrv.Receive(frame) // immediate redelivery: dup runs
@@ -70,9 +69,9 @@ func FuzzWALReplay(f *testing.F) {
 	crafted = appendTestEntry(crafted, walKindRejectN, 6, testBody(u32(1)))
 	crafted = appendTestEntry(crafted, walKindHeartbeatN, 10, testBody(u32(1), u64b(1000), u64b(500), u32(4)))
 	f.Add(crafted)
-	f.Add(appendTestEntry(nil, walKindDupN, 1, testBody(u32(1), u32(2))))            // span past LSN 1
+	f.Add(appendTestEntry(nil, walKindDupN, 1, testBody(u32(1), u32(2))))                             // span past LSN 1
 	f.Add(appendTestEntry(nil, walKindHeartbeatN, 8, testBody(u32(1), u64b(1), u64b(1), u32(1<<31)))) // hostile count
-	f.Add(appendTestEntry(nil, walKindDupN, 2, testBody(u32(1))))                    // body too short for count
+	f.Add(appendTestEntry(nil, walKindDupN, 2, testBody(u32(1))))                                     // body too short for count
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0})
 	f.Add(bytes.Repeat([]byte{0}, 64))

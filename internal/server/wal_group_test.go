@@ -1,6 +1,7 @@
 package server
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -13,7 +14,7 @@ import (
 )
 
 // buildGroupSchedule interleaves frames with duplicate redeliveries and
-// same-rank heartbeats — the chatter the coalescing encoder collapses —
+// same-rank heartbeats — the chatter the encoder collapses inside a group —
 // then pads with heartbeats to a multiple of window so the final commit
 // group flushes. Every element is one Receive call == one delivery outcome.
 func buildGroupSchedule(t *testing.T, window int) [][]byte {
@@ -46,7 +47,7 @@ func TestGroupCommitFlushBoundary(t *testing.T) {
 
 	disk := storage.NewDisk(storage.Faults{})
 	s := NewSharded(2)
-	s.AttachDurability(DurabilityConfig{Disk: disk, SnapshotEvery: -1, FlushEvery: window, Coalesce: true})
+	s.AttachDurability(DurabilityConfig{Disk: disk, SnapshotEvery: -1, FlushEvery: window})
 	for _, f := range schedule {
 		_ = s.Receive(f)
 	}
@@ -112,7 +113,7 @@ func TestGroupCommitFlushBoundary(t *testing.T) {
 				t.Fatal(err)
 			}
 			r := NewSharded(2)
-			r.AttachDurability(DurabilityConfig{Disk: torn, FlushEvery: window, Coalesce: true})
+			r.AttachDurability(DurabilityConfig{Disk: torn, FlushEvery: window})
 			if err := r.Crash(); err != nil {
 				t.Fatal(err)
 			}
@@ -153,7 +154,7 @@ func TestGroupCommitFlushBoundary(t *testing.T) {
 
 // A staged-but-unflushed commit group dies with the process: the crash
 // loses the whole acked tail (LSN 0 with nothing flushed) and clients
-// re-send it — the SyncEvery>1-equivalent ack contract.
+// re-send it — the ack contract of FlushEvery > 1.
 func TestGroupCommitStagedTailLostAtCrash(t *testing.T) {
 	disk := storage.NewDisk(storage.Faults{})
 	s := NewSharded(1)
@@ -201,7 +202,7 @@ func TestGroupCommitStagedTailLostAtCrash(t *testing.T) {
 func TestCheckpointFlushesOpenRun(t *testing.T) {
 	disk := storage.NewDisk(storage.Faults{})
 	s := NewSharded(1)
-	s.AttachDurability(DurabilityConfig{Disk: disk, SnapshotEvery: -1, FlushEvery: 1 << 10, Coalesce: true})
+	s.AttachDurability(DurabilityConfig{Disk: disk, SnapshotEvery: -1, FlushEvery: 1 << 10})
 	const n = 10
 	for i := 0; i < n; i++ {
 		if err := s.Receive(AppendHeartbeat(nil, 3, int64(i+1)*1_000, 5_000)); err != nil {
@@ -301,7 +302,7 @@ func TestGroupCommitObsMetrics(t *testing.T) {
 	s := NewSharded(1)
 	s.AttachDurability(DurabilityConfig{
 		Disk: storage.NewDisk(storage.Faults{}), SnapshotEvery: -1,
-		FlushEvery: 4, Coalesce: true,
+		FlushEvery: 4,
 	})
 	o := obs.New()
 	o.EnableLineage(obs.LineageConfig{SampleEvery: 1}) // trace everything
@@ -343,9 +344,9 @@ func TestGroupCommitObsMetrics(t *testing.T) {
 	}
 }
 
-// The coalescing encoder's reason to exist: a heartbeat-heavy workload
-// journals at least 5x fewer WAL bytes than the per-op encoder, because a
-// run of same-rank heartbeats costs one count-delta entry.
+// Why runs coalesce inside a commit group: a heartbeat-heavy workload
+// journals at least 5x fewer WAL bytes at FlushEvery 64 than with a group of
+// one, because a run of same-rank heartbeats costs one count-delta entry.
 func TestCoalescedWALBytesReduction(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	frames := buildConformanceFrames(rng, 2, 1, 2)
@@ -371,18 +372,93 @@ func TestCoalescedWALBytesReduction(t *testing.T) {
 		return s.DurabilityStats()
 	}
 
-	perOp := run(DurabilityConfig{})
-	coal := run(DurabilityConfig{FlushEvery: 64, Coalesce: true})
-	if coal.WALBytes*5 > perOp.WALBytes {
-		t.Fatalf("coalesced WAL wrote %d bytes, per-op %d: reduction below 5x", coal.WALBytes, perOp.WALBytes)
+	one := run(DurabilityConfig{})
+	coal := run(DurabilityConfig{FlushEvery: 64})
+	if coal.WALBytes*5 > one.WALBytes {
+		t.Fatalf("FlushEvery 64 wrote %d WAL bytes, a group of one %d: reduction below 5x", coal.WALBytes, one.WALBytes)
 	}
 	if coal.GroupCommits == 0 || coal.CoalescedEntries == 0 {
 		t.Fatalf("stats = %+v, want group commits and coalesced outcomes", coal)
 	}
-	if perOp.Syncs <= coal.Syncs {
-		t.Fatalf("per-op synced %d times, coalesced %d: group commit did not amortize", perOp.Syncs, coal.Syncs)
+	if one.CoalescedEntries != 0 {
+		t.Fatalf("a group of one coalesced %d outcomes; no run can form there", one.CoalescedEntries)
 	}
-	if coal.FlushEvery != 64 || !coal.Coalesce || perOp.FlushEvery != 1 || perOp.Coalesce {
-		t.Fatalf("effective config not surfaced: per-op %+v, coalesced %+v", perOp, coal)
+	if one.Syncs <= coal.Syncs {
+		t.Fatalf("a group of one synced %d times, FlushEvery 64 %d: group commit did not amortize", one.Syncs, coal.Syncs)
+	}
+	if coal.FlushEvery != 64 || one.FlushEvery != 1 {
+		t.Fatalf("effective config not surfaced: default %+v, FlushEvery 64 %+v", one, coal)
+	}
+}
+
+// goldenSchedule is a fixed delivery schedule that produces every outcome
+// kind a default journal can hold: ingested frames, a back-to-back
+// duplicate, a checksum reject, a framing reject, and heartbeats.
+func goldenSchedule() [][]byte {
+	var schedule [][]byte
+	for i := 0; i < 12; i++ {
+		rank, seq := i%3, uint64(i/3+1)
+		recs := []detect.SliceRecord{{
+			Sensor: i % 2, Group: i % 2, Rank: rank, SliceNs: int64(seq) * 1_000_000,
+			Count: int32(1 + i), AvgNs: 100 + 12.5*float64(i),
+		}}
+		f := AppendFrame(nil, FrameHeader{Rank: rank, Seq: seq, CumRecords: seq}, recs)
+		schedule = append(schedule, f)
+		switch i % 4 {
+		case 1:
+			schedule = append(schedule, f) // retransmit: a dup outcome
+		case 2:
+			bad := append([]byte(nil), f...)
+			bad[len(bad)-1] ^= 0x40 // payload bit flip: a checksum reject
+			schedule = append(schedule, bad)
+		case 3:
+			schedule = append(schedule, AppendHeartbeat(nil, rank, int64(i)*1_000_000, 5_000_000))
+		}
+	}
+	return append(schedule, []byte("not a frame at all, by any magic")) // a framing reject
+}
+
+// The default commit is a group of one: every Receive is written and synced
+// before it returns (ack implies durable), as one device append and one
+// sync, and the journal bytes are pinned — the hash below is what the
+// removed per-op encoder wrote for this schedule, so the WAL format cannot
+// drift silently.
+func TestDefaultCommitIsOneSyncPerOutcome(t *testing.T) {
+	const goldenSHA256 = "770c4ac4ada42f6bb37485dbd6602abef8b9c3d5ba5a987fd3433896926f93c6"
+	disk := storage.NewDisk(storage.Faults{})
+	s := NewSharded(2)
+	s.AttachDurability(DurabilityConfig{Disk: disk})
+	schedule := goldenSchedule()
+	for i, f := range schedule {
+		_ = s.Receive(f) // rejects error; that's their job
+		st, ds := s.DurabilityStats(), disk.Stats()
+		if st.StagedEntries != 0 || st.StagedBytes != 0 {
+			t.Fatalf("outcome %d acked with %d entries / %d bytes still staged", i, st.StagedEntries, st.StagedBytes)
+		}
+		if n := int64(i + 1); st.LSN != uint64(n) || ds.Appends != n || ds.Syncs != n {
+			t.Fatalf("after %d outcomes: lsn %d, %d appends, %d syncs; want one of each per outcome",
+				n, st.LSN, ds.Appends, ds.Syncs)
+		}
+	}
+	seg, err := disk.ReadFile("wal.0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries, consumed, truncated := scanWAL(seg)
+	if truncated || consumed != len(seg) || len(entries) != len(schedule) {
+		t.Fatalf("segment scans to %d entries over %d/%d bytes (truncated=%v), want %d plain entries",
+			len(entries), consumed, len(seg), truncated, len(schedule))
+	}
+	kinds := map[byte]int{}
+	for _, e := range entries {
+		kinds[e.kind]++
+	}
+	for _, k := range []byte{walKindFrame, walKindDup, walKindChecksum, walKindReject, walKindHeartbeat} {
+		if kinds[k] == 0 {
+			t.Errorf("schedule journaled no entry of kind %d: %v", k, kinds)
+		}
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(seg)); got != goldenSHA256 {
+		t.Fatalf("default journal (%d bytes, %d entries) hashes to %s, want %s", len(seg), len(entries), got, goldenSHA256)
 	}
 }

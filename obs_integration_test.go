@@ -17,6 +17,7 @@ import (
 
 	vsensor "vsensor"
 	"vsensor/internal/obs"
+	"vsensor/internal/server"
 )
 
 const obsTestSrc = `
@@ -95,6 +96,51 @@ func TestObsMetricFamiliesPopulated(t *testing.T) {
 	}
 	if got := o.Registry().Counter("server_messages_total").Value(); got != rep.Server.Messages() {
 		t.Errorf("server_messages_total = %d, want %d", got, rep.Server.Messages())
+	}
+}
+
+// Every WAL metric family a durable group-commit run exports must carry a
+// HELP line on /metrics: an operator reading the scrape should not have to
+// open the source to learn what wal_sync_wait_ns measures.
+func TestObsWALFamiliesHaveHelp(t *testing.T) {
+	o := obs.New()
+	if _, err := vsensor.Run(obsTestSrc, vsensor.Options{
+		Ranks: 4, Obs: o, Durability: &server.DurabilityConfig{FlushEvery: 16},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	o.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("/metrics -> %d", rec.Code)
+	}
+	helped, families := map[string]bool{}, map[string]bool{}
+	for _, line := range strings.Split(rec.Body.String(), "\n") {
+		f := strings.Fields(line)
+		if len(f) < 3 || f[0] != "#" {
+			continue
+		}
+		switch f[1] {
+		case "HELP":
+			helped[f[2]] = true
+		case "TYPE":
+			if strings.HasPrefix(f[2], "wal_") || strings.HasPrefix(f[2], "server_wal_") {
+				families[f[2]] = true
+			}
+		}
+	}
+	for _, want := range []string{
+		"server_wal_entries_total", "server_wal_bytes_total", "server_wal_syncs_total",
+		"wal_group_commits_total", "wal_coalesced_entries_total", "wal_flush_bytes", "wal_sync_wait_ns",
+	} {
+		if !families[want] {
+			t.Errorf("durable run exported no %s family: %v", want, families)
+		}
+	}
+	for fam := range families {
+		if !helped[fam] {
+			t.Errorf("/metrics family %s has no # HELP line", fam)
+		}
 	}
 }
 

@@ -1,5 +1,5 @@
 #!/bin/sh
-# Full repository check: build, vet, race-enabled tests (including the
+# Full repository check: build, vet, gofmt, race-enabled tests (including the
 # transport chaos test, the sharded-server differential conformance
 # property, and the kill-and-recover WAL/snapshot conformance gate), a
 # -count 50 stress of the four socket/proxy exactly-once suites, the
@@ -22,6 +22,9 @@ go build ./...
 
 echo "== go vet ./..."
 go vet ./...
+
+echo "== gofmt -l . (any listed file fails)"
+make fmt-check
 
 echo "== go test -race ./..."
 go test -race ./...

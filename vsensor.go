@@ -485,10 +485,6 @@ func RunProgram(prog *ir.Program, opt Options) (*Report, error) {
 					return wrap(srv.WaitSnapshot(afterGen, timeout))
 				},
 			)
-			o.SetRecords(func(cursor int) (any, int) {
-				recs, next := srv.RecordsSince(cursor)
-				return recs, next
-			})
 		} else {
 			o.SetStatus(func() any {
 				st := make(map[string]any)
