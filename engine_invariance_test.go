@@ -4,10 +4,13 @@ import (
 	"fmt"
 	"hash/fnv"
 	"testing"
+	"time"
 
 	vsensor "vsensor"
 	"vsensor/internal/apps"
 	"vsensor/internal/cluster"
+	"vsensor/internal/ir"
+	"vsensor/internal/vis"
 )
 
 // Engine-invariance goldens: full pipeline runs (8 ranks, noisy cluster,
@@ -61,5 +64,52 @@ func TestEngineInvariance(t *testing.T) {
 				t.Errorf("detection events = %d, want %d", got, tc.events)
 			}
 		})
+	}
+}
+
+// TestRunCG256Golden is the benchmark's run-cg256 oracle in tier-1: source
+// text in, findings out, on the full-size mini-CG with one slow-memory
+// node. The virtual time and both record counts are the goldens
+// benchmark/runcg.go checks every trial against; an engine change that
+// moves one cost-model call fails here before the pipeline runs.
+func TestRunCG256Golden(t *testing.T) {
+	const ranks, perNode, badNode = 256, 8, 3
+	app, err := apps.Get("CG", apps.Scale{Iters: 100, Work: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := cluster.New(cluster.Config{Nodes: ranks / perNode, RanksPerNode: perNode})
+	cl.SetNodeMemSpeed(badNode, 0.55)
+	prog, err := vsensor.Compile(app.Source)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := vsensor.RunProgram(prog, vsensor.Options{Ranks: ranks, Cluster: cl})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rep.Result.Err(); err != nil {
+		t.Fatal(err)
+	}
+	sensorRecords := 0
+	for _, rs := range rep.Result.Ranks {
+		sensorRecords += rs.Records
+	}
+	serverRecords := len(rep.Server.Records())
+	if rep.Result.TotalNs != 18_228_914 || sensorRecords != 153_600 || serverRecords != 29_184 {
+		t.Errorf("virtual time %d ns, %d sensor records, %d server records; golden 18228914, 153600, 29184",
+			rep.Result.TotalNs, sensorRecords, serverRecords)
+	}
+	if cov := rep.Coverage(); !cov.Complete() || cov.IngestedRecords != int64(serverRecords) {
+		t.Errorf("coverage %d/%d with %d records in the report", cov.IngestedRecords, cov.ExpectedRecords, serverRecords)
+	}
+	findings := rep.Findings(2 * time.Millisecond)
+	if len(findings) != 1 {
+		t.Fatalf("%d findings, want exactly one: %+v", len(findings), findings)
+	}
+	f := findings[0]
+	if f.Component != ir.Computation || f.Kind != vis.BadRanks || f.FirstRank != badNode*perNode || f.LastRank != (badNode+1)*perNode-1 {
+		t.Errorf("finding [%s] %s ranks %d-%d, want [Comp] persistent-slow-ranks ranks %d-%d",
+			f.Component, f.Kind, f.FirstRank, f.LastRank, badNode*perNode, (badNode+1)*perNode-1)
 	}
 }

@@ -19,18 +19,38 @@ type World struct {
 	P       int
 	Cluster *cluster.Cluster
 
-	// colls holds one slot per collective instance. Entries are retained
+	// colls holds one slot per collective instance, indexed by kind and by
+	// the instance's sequence number within its kind. Entries are retained
 	// for the lifetime of the world (one small struct per collective call,
 	// not per rank), which keeps every rank free to read its exit time.
-	colls sync.Map // "kind#seq" -> *collSlot
-	pairs sync.Map // "src>dst" -> chan message
+	colls [numCollKinds]struct {
+		mu    sync.Mutex
+		slots []*collSlot
+	}
+	pairMu sync.Mutex
+	pairs  map[int]chan message // by src*P+dst; ranks cache what they look up
 
 	// Communication counters, resolved once by SetObs before the ranks
-	// start (the map is then read-only, so rank goroutines may share it).
-	obsColl     map[string]*obs.Counter
+	// start (then read-only, so rank goroutines may share them).
+	obsColl     [numCollKinds]*obs.Counter
 	obsP2PMsgs  *obs.Counter
 	obsP2PBytes *obs.Counter
 }
+
+// collKind names a collective; the string is the cluster cost model's and
+// the metric label's name for it.
+type collKind uint8
+
+const (
+	collBarrier collKind = iota
+	collBcast
+	collReduce
+	collAllreduce
+	collAlltoall
+	numCollKinds
+)
+
+var collNames = [numCollKinds]string{"barrier", "bcast", "reduce", "allreduce", "alltoall"}
 
 // SetObs attaches communication metrics (mpi_collectives_total{kind=...},
 // mpi_p2p_messages_total, mpi_p2p_bytes_total). Must be called before Run.
@@ -38,9 +58,8 @@ func (w *World) SetObs(o *obs.Obs) {
 	if o == nil {
 		return
 	}
-	w.obsColl = make(map[string]*obs.Counter)
-	for _, kind := range []string{"barrier", "bcast", "reduce", "allreduce", "alltoall"} {
-		w.obsColl[kind] = o.Counter("mpi_collectives_total", "kind", kind)
+	for kind, name := range collNames {
+		w.obsColl[kind] = o.Counter("mpi_collectives_total", "kind", name)
 	}
 	w.obsP2PMsgs = o.Counter("mpi_p2p_messages_total")
 	w.obsP2PBytes = o.Counter("mpi_p2p_bytes_total")
@@ -60,7 +79,12 @@ type Proc struct {
 	World *World
 	now   int64
 
-	collSeq map[string]int // local per-kind collective counters
+	collSeq [numCollKinds]int // local per-kind collective counters
+
+	// pairs caches the world's channels to and from the peers this rank has
+	// talked to (same keys), so a message costs one lookup in a small
+	// private map.
+	pairs map[int]chan message
 }
 
 // NewWorld creates a job with p ranks on c.
@@ -76,7 +100,7 @@ func (w *World) Proc(rank int) *Proc {
 	if rank < 0 || rank >= w.P {
 		panic(fmt.Sprintf("mpisim: rank %d out of range [0,%d)", rank, w.P))
 	}
-	return &Proc{Rank: rank, World: w, collSeq: make(map[string]int)}
+	return &Proc{Rank: rank, World: w}
 }
 
 // Run spawns one goroutine per rank executing body and waits for all of
@@ -123,14 +147,30 @@ func (p *Proc) Compute(cpuNs, memNs float64) {
 
 // ---------- point-to-point ----------
 
-func (w *World) pair(src, dst int) chan message {
-	key := fmt.Sprintf("%d>%d", src, dst)
-	if ch, ok := w.pairs.Load(key); ok {
-		return ch.(chan message)
+// pair returns the channel carrying messages from src to dst.
+func (p *Proc) pair(src, dst int) chan message {
+	w := p.World
+	key := src*w.P + dst
+	if ch, ok := p.pairs[key]; ok {
+		return ch
 	}
-	ch := make(chan message, 4096)
-	actual, _ := w.pairs.LoadOrStore(key, ch)
-	return actual.(chan message)
+	w.pairMu.Lock()
+	ch, ok := w.pairs[key]
+	if !ok {
+		if w.pairs == nil {
+			w.pairs = make(map[int]chan message)
+		}
+		// Sends are eager: the buffer is how far a sender may run ahead of
+		// its receiver before it blocks.
+		ch = make(chan message, 4096)
+		w.pairs[key] = ch
+	}
+	w.pairMu.Unlock()
+	if p.pairs == nil {
+		p.pairs = make(map[int]chan message)
+	}
+	p.pairs[key] = ch
+	return ch
 }
 
 // Send posts bytes to dst. Eager semantics: the sender continues after a
@@ -139,7 +179,7 @@ func (p *Proc) Send(dst int, bytes int64, value float64) {
 	p.checkPeer(dst)
 	p.World.obsP2PMsgs.Inc()
 	p.World.obsP2PBytes.Add(bytes)
-	p.World.pair(p.Rank, dst) <- message{sentAt: p.now, bytes: bytes, value: value}
+	p.pair(p.Rank, dst) <- message{sentAt: p.now, bytes: bytes, value: value}
 	// Injection overhead: a fraction of the latency.
 	p.now += p.World.Cluster.P2PCost(p.now, 0) / 4
 }
@@ -148,7 +188,7 @@ func (p *Proc) Send(dst int, bytes int64, value float64) {
 // is the later of the local post time and the send time, plus the transfer.
 func (p *Proc) Recv(src int, bytes int64) float64 {
 	p.checkPeer(src)
-	m := <-p.World.pair(src, p.Rank)
+	m := <-p.pair(src, p.Rank)
 	start := p.now
 	if m.sentAt > start {
 		start = m.sentAt
@@ -182,7 +222,7 @@ func (p *Proc) checkPeer(r int) {
 // collSlot synchronizes one collective instance across all ranks.
 type collSlot struct {
 	mu      sync.Mutex
-	cond    *sync.Cond
+	cond    sync.Cond // on mu
 	arrived int
 	maxT    int64
 	sum     float64
@@ -190,26 +230,26 @@ type collSlot struct {
 	done    bool
 }
 
-func (w *World) slot(kind string, seq int) *collSlot {
-	key := fmt.Sprintf("%s#%d", kind, seq)
-	if s, ok := w.colls.Load(key); ok {
-		return s.(*collSlot)
+// slot returns the seq-th instance of a collective, created by whichever
+// rank gets there first.
+func (w *World) slot(kind collKind, seq int) *collSlot {
+	c := &w.colls[kind]
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for len(c.slots) <= seq {
+		s := &collSlot{}
+		s.cond.L = &s.mu
+		c.slots = append(c.slots, s)
 	}
-	s := &collSlot{}
-	s.cond = sync.NewCond(&s.mu)
-	actual, loaded := w.colls.LoadOrStore(key, s)
-	if loaded {
-		return actual.(*collSlot)
-	}
-	return s
+	return c.slots[seq]
 }
 
 // collective runs one instance of a collective: all ranks arrive, the exit
 // time is the latest arrival plus the modeled cost, and the value-sum is
 // available for reductions. Ranks must call collectives in the same order
 // (standard MPI requirement).
-func (p *Proc) collective(kind string, bytes int64, contrib float64) float64 {
-	p.World.obsColl[kind].Inc() // nil map lookup + nil Inc are both no-ops
+func (p *Proc) collective(kind collKind, bytes int64, contrib float64) float64 {
+	p.World.obsColl[kind].Inc() // a nil counter's Inc is a no-op
 	seq := p.collSeq[kind]
 	p.collSeq[kind] = seq + 1
 	s := p.World.slot(kind, seq)
@@ -221,7 +261,7 @@ func (p *Proc) collective(kind string, bytes int64, contrib float64) float64 {
 	}
 	s.sum += contrib
 	if s.arrived == p.World.P {
-		s.exit = s.maxT + p.World.Cluster.CollectiveCost(kind, p.World.P, bytes, s.maxT)
+		s.exit = s.maxT + p.World.Cluster.CollectiveCost(collNames[kind], p.World.P, bytes, s.maxT)
 		s.done = true
 		s.cond.Broadcast()
 	} else {
@@ -237,17 +277,17 @@ func (p *Proc) collective(kind string, bytes int64, contrib float64) float64 {
 }
 
 // Barrier synchronizes all ranks (paper Fig. 4's MPI_Barrier).
-func (p *Proc) Barrier() { p.collective("barrier", 0, 0) }
+func (p *Proc) Barrier() { p.collective(collBarrier, 0, 0) }
 
 // Allreduce reduces contrib across all ranks (sum) moving bytes per rank.
 func (p *Proc) Allreduce(bytes int64, contrib float64) float64 {
-	return p.collective("allreduce", bytes, contrib)
+	return p.collective(collAllreduce, bytes, contrib)
 }
 
 // Alltoall performs the personalized all-to-all exchange of bytes per rank
 // — the operation that made FT vulnerable to network problems (paper §6.5).
 func (p *Proc) Alltoall(bytes int64) {
-	p.collective("alltoall", bytes, 0)
+	p.collective(collAlltoall, bytes, 0)
 }
 
 // Bcast broadcasts from root; the returned value is the root's contribution.
@@ -256,11 +296,11 @@ func (p *Proc) Bcast(root int, bytes int64, value float64) float64 {
 	if p.Rank == root {
 		contrib = value
 	}
-	return p.collective("bcast", bytes, contrib)
+	return p.collective(collBcast, bytes, contrib)
 }
 
 // Reduce reduces contrib to root (sum); all ranks receive the sum here for
 // simplicity, matching the simulator's needs.
 func (p *Proc) Reduce(root int, bytes int64, contrib float64) float64 {
-	return p.collective("reduce", bytes, contrib)
+	return p.collective(collReduce, bytes, contrib)
 }

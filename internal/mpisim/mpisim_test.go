@@ -1,6 +1,7 @@
 package mpisim
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
@@ -210,4 +211,30 @@ func TestPanicsOnBadPeer(t *testing.T) {
 	}()
 	p := w.Proc(0)
 	p.Send(5, 1, 0)
+}
+
+// Steady-state communication allocates one collSlot per collective instance
+// (plus the slot table's amortized growth): nothing per rank, nothing per
+// message, no formatted keys.
+func TestSteadyStateAllocs(t *testing.T) {
+	const k = 1000
+	w := newWorld(2)
+	var before, after runtime.MemStats
+	w.Run(func(p *Proc) {
+		for round := 0; round < 2*k; round++ {
+			if round == k && p.Rank == 0 {
+				runtime.ReadMemStats(&before)
+			}
+			p.SendRecv(p.Rank^1, 4096, 1)
+			p.Allreduce(8, 1)
+			p.Barrier()
+		}
+		if p.Rank == 0 {
+			runtime.ReadMemStats(&after)
+		}
+	})
+	const collectives = 2 * k // an allreduce and a barrier per round
+	if got := after.Mallocs - before.Mallocs; got > collectives+32 {
+		t.Errorf("%d mallocs over %d rounds of sendrecv+allreduce+barrier, want at most one per collective (%d)", got, k, collectives)
+	}
 }

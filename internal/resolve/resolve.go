@@ -1,8 +1,9 @@
 // Package resolve is the compile-time name-resolution pass of the rank VM's
-// two-stage execution engine. It runs once per compiled program (ir.Build
-// invokes it) and lexically addresses every identifier to a frame slot, so
-// the interpreter executes variable accesses as direct indexes into a flat
-// []Value frame — no scope maps, no string hashing, no per-block allocation.
+// resolve → compile → execute engine. It runs once per compiled program
+// (ir.Build invokes it) and lexically addresses every identifier to a frame
+// slot, so the VM's closure compiler turns variable accesses into direct
+// indexes into a flat []Value frame — no scope maps, no string hashing, no
+// per-block allocation.
 //
 // The pass annotates the AST in place:
 //

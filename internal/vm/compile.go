@@ -1,0 +1,905 @@
+package vm
+
+import (
+	"math"
+
+	"vsensor/internal/minic"
+	"vsensor/internal/resolve"
+)
+
+// The execute stage runs closures, not the AST: newMachine compiles the
+// resolved program once into a tree of Go closures, and every rank goroutine
+// runs that same tree. A closure captures only what is fixed per program —
+// slots, constants, callee code, sensor IDs, source positions — and reaches
+// everything a rank owns through its *interp argument, so the tree is
+// immutable after compile and shared without synchronization.
+//
+// What the closures must reproduce exactly is the cost-model call sequence:
+// which pmu.Add* and charge(cpu, mem) calls happen, with which operands, in
+// which order relative to sub-evaluations, ticks and tocks. exprCostNs is
+// not a dyadic rational, so the pending-cost sums are order-sensitive, and
+// flush trips at a 5,000 ns threshold — one charge moved and every later
+// virtual timestamp moves with it. Faults stay lazy for the same reason the
+// resolver keeps them lazy: an undefined name, unknown callee or wrong
+// arity compiles to a closure that faults when (and only when) it runs.
+type (
+	evalFn func(in *interp, base int) Value
+	execFn func(in *interp, base int) ctrl
+)
+
+// code is a Machine's compiled program.
+type code struct {
+	globals []evalFn // one initializer per global, in declaration order
+	main    *funcCode
+}
+
+// funcCode is one compiled user function.
+type funcCode struct {
+	decl *minic.FuncDecl
+	body block
+}
+
+// block is a statement list entered without a step of its own: a function
+// body, a then-branch, a loop body.
+type block []execFn
+
+func (b block) run(in *interp, base int) ctrl {
+	for _, s := range b {
+		if c := s(in, base); c != ctrlNone {
+			return c
+		}
+	}
+	return ctrlNone
+}
+
+type compiler struct {
+	m *Machine
+	// funcs holds every function reached so far. An entry is registered
+	// before its body compiles, so recursive calls find their own code.
+	funcs map[*minic.FuncDecl]*funcCode
+}
+
+func compile(m *Machine) *code {
+	c := &compiler{m: m, funcs: make(map[*minic.FuncDecl]*funcCode)}
+	out := &code{}
+	for _, g := range m.prog.AST.Globals {
+		out.globals = append(out.globals, c.global(g))
+	}
+	if m.mainFn != nil {
+		out.main = c.fn(m.mainFn)
+	}
+	return out
+}
+
+func (c *compiler) fn(decl *minic.FuncDecl) *funcCode {
+	if fc := c.funcs[decl]; fc != nil {
+		return fc
+	}
+	fc := &funcCode{decl: decl}
+	c.funcs[decl] = fc
+	fc.body = c.block(decl.Body)
+	return fc
+}
+
+func (c *compiler) global(g *minic.GlobalDecl) evalFn {
+	return c.decl(g.Type, g.Len, g.Init, func(in *interp, n int) *RuntimeError {
+		return rtErr(in.proc.Rank, g.Pos(), "negative array length %d for global %s", n, g.Name)
+	})
+}
+
+// decl compiles the value a declaration stores: length, zero value,
+// initializer, coercion, in that order. The parser's scalar shapes get their
+// own closures; the general one takes whatever is left.
+func (c *compiler) decl(t minic.Type, lenExpr, initExpr minic.Expr, negLen func(*interp, int) *RuntimeError) evalFn {
+	var length, init evalFn
+	if lenExpr != nil {
+		length = c.expr(lenExpr)
+	}
+	if initExpr != nil {
+		init = c.expr(initExpr)
+	}
+	if length == nil && !t.IsArray() {
+		switch {
+		case init == nil:
+			return constant(zeroValue(t, 0))
+		case t == minic.TypeInt:
+			return func(in *interp, base int) Value { return IntVal(init(in, base).AsInt()) }
+		case t == minic.TypeFloat:
+			return func(in *interp, base int) Value { return FloatVal(init(in, base).AsFloat()) }
+		}
+	}
+	return func(in *interp, base int) Value {
+		n := 0
+		if length != nil {
+			if n = int(length(in, base).AsInt()); n < 0 {
+				panic(negLen(in, n))
+			}
+		}
+		v := zeroValue(t, n)
+		if init != nil {
+			v = coerce(init(in, base), t)
+		}
+		return v
+	}
+}
+
+// ---------- statements ----------
+
+func (c *compiler) block(b *minic.BlockStmt) block {
+	out := make(block, len(b.Stmts))
+	for i, s := range b.Stmts {
+		out[i] = c.stmt(s)
+	}
+	return out
+}
+
+// stmt compiles a statement reached as a statement: it charges a step, then
+// does its work. (A block reached through block.run does not.)
+func (c *compiler) stmt(s minic.Stmt) execFn {
+	pos := s.Pos()
+	switch st := s.(type) {
+	case *minic.BlockStmt:
+		b := c.block(st)
+		return func(in *interp, base int) ctrl {
+			in.step(pos)
+			return b.run(in, base)
+		}
+	case *minic.VarDecl:
+		slot := int(st.Slot)
+		decl := c.decl(st.Type, st.Len, st.Init, func(in *interp, n int) *RuntimeError {
+			return rtErr(in.proc.Rank, pos, "negative array length %d for %s", n, st.Name)
+		})
+		return func(in *interp, base int) ctrl {
+			in.step(pos)
+			v := decl(in, base)
+			in.stack[base+slot] = v
+			return ctrlNone
+		}
+	case *minic.AssignStmt:
+		return c.assign(st, pos)
+	case *minic.IfStmt:
+		cond, then := c.expr(st.Cond), c.block(st.Then)
+		if st.Else == nil {
+			return func(in *interp, base int) ctrl {
+				in.step(pos)
+				if truthy(cond(in, base)) {
+					return then.run(in, base)
+				}
+				return ctrlNone
+			}
+		}
+		els := c.stmt(st.Else)
+		return func(in *interp, base int) ctrl {
+			in.step(pos)
+			if truthy(cond(in, base)) {
+				return then.run(in, base)
+			}
+			return els(in, base)
+		}
+	case *minic.ForStmt:
+		l := &loop{body: c.block(st.Body)}
+		if st.Init != nil {
+			l.init = c.stmt(st.Init)
+		}
+		if st.Cond != nil {
+			l.cond = c.expr(st.Cond)
+		}
+		if st.Post != nil {
+			l.post = c.stmt(st.Post)
+		}
+		return c.loop(l, st.LoopID, pos)
+	case *minic.WhileStmt:
+		return c.loop(&loop{cond: c.expr(st.Cond), body: c.block(st.Body)}, st.LoopID, pos)
+	case *minic.ReturnStmt:
+		if st.Value == nil {
+			return func(in *interp, _ int) ctrl {
+				in.step(pos)
+				return ctrlReturn
+			}
+		}
+		val := c.expr(st.Value)
+		return func(in *interp, base int) ctrl {
+			in.step(pos)
+			in.ret = val(in, base)
+			return ctrlReturn
+		}
+	case *minic.BreakStmt:
+		return func(in *interp, _ int) ctrl {
+			in.step(pos)
+			return ctrlBreak
+		}
+	case *minic.ContinueStmt:
+		return func(in *interp, _ int) ctrl {
+			in.step(pos)
+			return ctrlContinue
+		}
+	case *minic.ExprStmt:
+		x := c.expr(st.X)
+		return func(in *interp, base int) ctrl {
+			in.step(pos)
+			x(in, base)
+			return ctrlNone
+		}
+	}
+	return func(in *interp, _ int) ctrl {
+		in.step(pos)
+		return ctrlNone
+	}
+}
+
+// loop is a for or while loop (a while has no init and no post).
+type loop struct {
+	init, post execFn
+	cond       evalFn
+	body       block
+}
+
+func (l *loop) run(in *interp, base int) ctrl {
+	if l.init != nil {
+		l.init(in, base)
+	}
+	for {
+		if l.cond != nil {
+			in.op()
+			if !truthy(l.cond(in, base)) {
+				return ctrlNone
+			}
+		}
+		switch l.body.run(in, base) {
+		case ctrlBreak:
+			return ctrlNone
+		case ctrlReturn:
+			return ctrlReturn
+		}
+		if l.post != nil {
+			l.post(in, base)
+		}
+	}
+}
+
+// loop wraps an instrumented loop in its sensor's tick/tock; the tock is
+// deferred so a fault inside the loop still closes the record. Loops
+// without a sensor carry no defer.
+func (c *compiler) loop(l *loop, loopID int, pos minic.Pos) execFn {
+	if sensor := c.m.sensorOfLoop(loopID); sensor >= 0 {
+		return func(in *interp, base int) ctrl {
+			in.step(pos)
+			in.tick(sensor)
+			defer in.tock(sensor)
+			return l.run(in, base)
+		}
+	}
+	return func(in *interp, base int) ctrl {
+		in.step(pos)
+		return l.run(in, base)
+	}
+}
+
+// assign compiles target = value. The value is evaluated first; the target
+// name faults next; only then is an index evaluated.
+func (c *compiler) assign(st *minic.AssignStmt, pos minic.Pos) execFn {
+	val := c.expr(st.Value)
+	switch tgt := st.Target.(type) {
+	case *minic.Ident:
+		if tgt.Scope == minic.ScopeLocal {
+			slot := int(tgt.Slot)
+			return func(in *interp, base int) ctrl {
+				in.step(pos)
+				v := val(in, base)
+				p := &in.stack[base+slot]
+				*p = coerceLike(v, *p)
+				return ctrlNone
+			}
+		}
+		return func(in *interp, base int) ctrl {
+			in.step(pos)
+			v := val(in, base)
+			p := in.global(tgt)
+			*p = coerceLike(v, *p)
+			return ctrlNone
+		}
+	case *minic.IndexExpr:
+		index := c.expr(tgt.Index)
+		if tgt.Array.Scope == minic.ScopeLocal {
+			slot := int(tgt.Array.Slot)
+			return func(in *interp, base int) ctrl {
+				in.step(pos)
+				v := val(in, base)
+				idx := index(in, base).AsInt()
+				// Read the slot after the index: a call in the index may
+				// have moved the stack.
+				in.store(&in.stack[base+slot], idx, v, tgt)
+				return ctrlNone
+			}
+		}
+		return func(in *interp, base int) ctrl {
+			in.step(pos)
+			v := val(in, base)
+			arr := in.global(tgt.Array) // the globals array never moves
+			in.store(arr, index(in, base).AsInt(), v, tgt)
+			return ctrlNone
+		}
+	}
+	return func(in *interp, base int) ctrl {
+		in.step(pos)
+		val(in, base)
+		return ctrlNone
+	}
+}
+
+// global returns the slot of an identifier that is not a local: a live
+// global, or the undefined-variable fault.
+func (in *interp) global(id *minic.Ident) *Value {
+	if id.Scope == minic.ScopeGlobal && int(id.Slot) < in.liveGlobals {
+		return &in.globals[id.Slot]
+	}
+	panic(rtErr(in.proc.Rank, id.Pos(), "undefined variable %q", id.Name))
+}
+
+func (in *interp) store(arr *Value, idx int64, v Value, tgt *minic.IndexExpr) {
+	in.pmu.AddMemOps(1)
+	in.charge(0, memCostNs)
+	switch arr.Kind {
+	case KIntArr:
+		in.boundCheck(tgt.Pos(), idx, len(arr.arr.ints))
+		arr.arr.ints[idx] = v.AsInt()
+	case KFloatArr:
+		in.boundCheck(tgt.Pos(), idx, len(arr.arr.floats))
+		arr.arr.floats[idx] = v.AsFloat()
+	default:
+		panic(rtErr(in.proc.Rank, tgt.Pos(), "indexing non-array %s", tgt.Array.Name))
+	}
+}
+
+func (in *interp) load(arr *Value, idx int64, x *minic.IndexExpr) Value {
+	in.pmu.AddMemOps(1)
+	in.charge(exprCostNs, memCostNs)
+	switch arr.Kind {
+	case KIntArr:
+		in.boundCheck(x.Pos(), idx, len(arr.arr.ints))
+		return IntVal(arr.arr.ints[idx])
+	case KFloatArr:
+		in.boundCheck(x.Pos(), idx, len(arr.arr.floats))
+		return FloatVal(arr.arr.floats[idx])
+	}
+	panic(rtErr(in.proc.Rank, x.Pos(), "indexing non-array %q", x.Array.Name))
+}
+
+// ---------- expressions ----------
+
+// op charges one evaluated expression node.
+func (in *interp) op() {
+	in.pmu.AddInstructions(1)
+	in.charge(exprCostNs, 0)
+}
+
+func constant(v Value) evalFn {
+	return func(*interp, int) Value { return v }
+}
+
+func (c *compiler) expr(e minic.Expr) evalFn {
+	switch x := e.(type) {
+	case *minic.Ident:
+		if x.Scope == minic.ScopeLocal {
+			slot := int(x.Slot)
+			return func(in *interp, base int) Value { return in.stack[base+slot] }
+		}
+		return func(in *interp, _ int) Value { return *in.global(x) }
+	case *minic.BinaryExpr:
+		return c.binary(x)
+	case *minic.IntLit:
+		return constant(IntVal(x.Value))
+	case *minic.FloatLit:
+		return constant(FloatVal(x.Value))
+	case *minic.StringLit:
+		return constant(IntVal(0)) // strings only reach print(), handled there
+	case *minic.IndexExpr:
+		index := c.expr(x.Index)
+		if x.Array.Scope == minic.ScopeLocal {
+			slot := int(x.Array.Slot)
+			return func(in *interp, base int) Value {
+				idx := index(in, base).AsInt()
+				return in.load(&in.stack[base+slot], idx, x)
+			}
+		}
+		return func(in *interp, base int) Value {
+			arr := in.global(x.Array)
+			return in.load(arr, index(in, base).AsInt(), x)
+		}
+	case *minic.UnaryExpr:
+		operand := c.expr(x.X)
+		switch x.Op {
+		case minic.Minus:
+			return func(in *interp, base int) Value {
+				v := operand(in, base)
+				in.op()
+				if v.Kind == KFloat {
+					return FloatVal(-v.F)
+				}
+				return IntVal(-v.I)
+			}
+		case minic.Not:
+			return func(in *interp, base int) Value {
+				v := operand(in, base)
+				in.op()
+				return boolVal(!truthy(v))
+			}
+		}
+		return func(in *interp, base int) Value {
+			operand(in, base)
+			in.op()
+			panic(rtErr(in.proc.Rank, x.Pos(), "cannot evaluate expression"))
+		}
+	case *minic.CallExpr:
+		return c.call(x)
+	}
+	pos := e.Pos()
+	return func(in *interp, _ int) Value {
+		panic(rtErr(in.proc.Rank, pos, "cannot evaluate expression"))
+	}
+}
+
+// operands evaluates both sides of an arithmetic or comparison operator and
+// then charges it; float reports whether the operation is a float one.
+func operands(in *interp, base int, l, r evalFn) (a, b Value, float bool) {
+	a, b = l(in, base), r(in, base)
+	in.op()
+	return a, b, a.Kind == KFloat || b.Kind == KFloat
+}
+
+func (c *compiler) binary(x *minic.BinaryExpr) evalFn {
+	l, r := c.expr(x.X), c.expr(x.Y)
+	switch x.Op {
+	case minic.AndAnd: // the short-circuit operators charge before either side
+		return func(in *interp, base int) Value {
+			in.op()
+			return boolVal(truthy(l(in, base)) && truthy(r(in, base)))
+		}
+	case minic.OrOr:
+		return func(in *interp, base int) Value {
+			in.op()
+			return boolVal(truthy(l(in, base)) || truthy(r(in, base)))
+		}
+	case minic.Plus:
+		return func(in *interp, base int) Value {
+			a, b, float := operands(in, base, l, r)
+			if float {
+				return FloatVal(a.AsFloat() + b.AsFloat())
+			}
+			return IntVal(a.I + b.I)
+		}
+	case minic.Minus:
+		return func(in *interp, base int) Value {
+			a, b, float := operands(in, base, l, r)
+			if float {
+				return FloatVal(a.AsFloat() - b.AsFloat())
+			}
+			return IntVal(a.I - b.I)
+		}
+	case minic.Star:
+		return func(in *interp, base int) Value {
+			a, b, float := operands(in, base, l, r)
+			if float {
+				return FloatVal(a.AsFloat() * b.AsFloat())
+			}
+			return IntVal(a.I * b.I)
+		}
+	case minic.Slash:
+		return func(in *interp, base int) Value {
+			a, b, float := operands(in, base, l, r)
+			if float {
+				if b.AsFloat() == 0 {
+					panic(rtErr(in.proc.Rank, x.Pos(), "division by zero"))
+				}
+				return FloatVal(a.AsFloat() / b.AsFloat())
+			}
+			if b.I == 0 {
+				panic(rtErr(in.proc.Rank, x.Pos(), "division by zero"))
+			}
+			return IntVal(a.I / b.I)
+		}
+	case minic.Percent:
+		return func(in *interp, base int) Value {
+			a, b, float := operands(in, base, l, r)
+			if float {
+				if b.AsFloat() == 0 {
+					panic(rtErr(in.proc.Rank, x.Pos(), "modulo by zero"))
+				}
+				return FloatVal(math.Mod(a.AsFloat(), b.AsFloat()))
+			}
+			if b.I == 0 {
+				panic(rtErr(in.proc.Rank, x.Pos(), "modulo by zero"))
+			}
+			return IntVal(a.I % b.I)
+		}
+	case minic.Eq:
+		return func(in *interp, base int) Value {
+			a, b, float := operands(in, base, l, r)
+			if float {
+				return boolVal(a.AsFloat() == b.AsFloat())
+			}
+			return boolVal(a.I == b.I)
+		}
+	case minic.NotEq:
+		return func(in *interp, base int) Value {
+			a, b, float := operands(in, base, l, r)
+			if float {
+				return boolVal(a.AsFloat() != b.AsFloat())
+			}
+			return boolVal(a.I != b.I)
+		}
+	case minic.Lt:
+		return func(in *interp, base int) Value {
+			a, b, float := operands(in, base, l, r)
+			if float {
+				return boolVal(a.AsFloat() < b.AsFloat())
+			}
+			return boolVal(a.I < b.I)
+		}
+	case minic.Gt:
+		return func(in *interp, base int) Value {
+			a, b, float := operands(in, base, l, r)
+			if float {
+				return boolVal(a.AsFloat() > b.AsFloat())
+			}
+			return boolVal(a.I > b.I)
+		}
+	case minic.LtEq:
+		return func(in *interp, base int) Value {
+			a, b, float := operands(in, base, l, r)
+			if float {
+				return boolVal(a.AsFloat() <= b.AsFloat())
+			}
+			return boolVal(a.I <= b.I)
+		}
+	case minic.GtEq:
+		return func(in *interp, base int) Value {
+			a, b, float := operands(in, base, l, r)
+			if float {
+				return boolVal(a.AsFloat() >= b.AsFloat())
+			}
+			return boolVal(a.I >= b.I)
+		}
+	}
+	return func(in *interp, base int) Value {
+		operands(in, base, l, r)
+		panic(rtErr(in.proc.Rank, x.Pos(), "unknown operator"))
+	}
+}
+
+// ---------- calls ----------
+
+// call compiles a call through its resolver pre-binding. A user call
+// evaluates its arguments into the reusable argBuf scratch (stack
+// discipline via mark, so a steady-state call allocates nothing), then
+// ticks, then charges; a builtin ticks, charges, then evaluates the
+// arguments it reads. Instrumented sites get the closure that ticks and
+// defers the tock; the others carry no defer.
+func (c *compiler) call(call *minic.CallExpr) evalFn {
+	if call.Target == nil {
+		return c.builtin(call)
+	}
+	fn, pos := c.fn(call.Target), call.Pos()
+	args := make([]evalFn, len(call.Args))
+	for i, a := range call.Args {
+		args[i] = c.expr(a)
+	}
+	if sensor := c.m.sensorOfCall(call.CallID); sensor >= 0 {
+		return func(in *interp, base int) Value {
+			mark := in.pushArgs(args, base)
+			in.tick(sensor)
+			defer in.tock(sensor)
+			return in.enter(fn, mark, pos)
+		}
+	}
+	return func(in *interp, base int) Value {
+		return in.enter(fn, in.pushArgs(args, base), pos)
+	}
+}
+
+// pushArgs evaluates a call's arguments onto argBuf and returns the mark
+// they start at.
+func (in *interp) pushArgs(args []evalFn, base int) int {
+	mark := len(in.argBuf)
+	for _, a := range args {
+		in.argBuf = append(in.argBuf, a(in, base))
+	}
+	return mark
+}
+
+// enter charges a user call and runs it on the arguments above mark.
+func (in *interp) enter(fn *funcCode, mark int, pos minic.Pos) Value {
+	in.pmu.AddInstructions(1)
+	in.charge(stmtCostNs, 0)
+	ret := in.callFn(fn, in.argBuf[mark:], pos)
+	in.argBuf = in.argBuf[:mark]
+	return ret
+}
+
+func (c *compiler) builtin(call *minic.CallExpr) evalFn {
+	bi := resolve.Builtin(call.Builtin)
+	// arg compiles the i-th argument; a missing one reads as 0.
+	arg := func(i int) evalFn {
+		if i < len(call.Args) {
+			return c.expr(call.Args[i])
+		}
+		return constant(IntVal(0))
+	}
+
+	// print and the raw probes are never sensor sites and charge on their
+	// own terms.
+	switch bi {
+	case resolve.BuiltinPrint:
+		return c.print(call)
+	case resolve.BuiltinVsTick:
+		id := arg(0)
+		return func(in *interp, base int) Value {
+			in.tick(int(id(in, base).AsInt()))
+			return IntVal(0)
+		}
+	case resolve.BuiltinVsTock:
+		id := arg(0)
+		return func(in *interp, base int) Value {
+			in.tock(int(id(in, base).AsInt()))
+			return IntVal(0)
+		}
+	}
+
+	body := c.builtinBody(bi, call, arg)
+	if sensor := c.m.sensorOfCall(call.CallID); sensor >= 0 {
+		return func(in *interp, base int) Value {
+			in.tick(sensor)
+			defer in.tock(sensor)
+			return body(in, base)
+		}
+	}
+	return body
+}
+
+// print evaluates its non-literal arguments, then charges a statement. The
+// argument and literal slices exist only when there is somewhere to print.
+func (c *compiler) print(call *minic.CallExpr) evalFn {
+	args := make([]evalFn, len(call.Args))
+	lits := make([]string, len(call.Args))
+	for i, a := range call.Args {
+		if s, ok := a.(*minic.StringLit); ok {
+			lits[i] = s.Value
+			continue
+		}
+		args[i] = c.expr(a)
+	}
+	return func(in *interp, base int) Value {
+		var vals []Value
+		if in.cfg.Stdout != nil {
+			vals = make([]Value, len(args))
+		}
+		for i, a := range args {
+			if a == nil {
+				continue
+			}
+			v := a(in, base)
+			if vals != nil {
+				vals[i] = v
+			}
+		}
+		in.pmu.AddInstructions(1)
+		in.charge(stmtCostNs, 0)
+		if vals != nil {
+			in.printf(vals, lits)
+		}
+		return IntVal(0)
+	}
+}
+
+// builtinBody compiles everything a sensor would wrap: the expression
+// charge, the arguments in the order the builtin reads them, the effect.
+func (c *compiler) builtinBody(bi resolve.Builtin, call *minic.CallExpr, arg func(int) evalFn) evalFn {
+	name := call.Name
+	switch bi {
+	case resolve.BuiltinMPICommRank:
+		return func(in *interp, _ int) Value {
+			in.op()
+			return IntVal(int64(in.proc.Rank))
+		}
+	case resolve.BuiltinMPICommSize:
+		return func(in *interp, _ int) Value {
+			in.op()
+			return IntVal(int64(in.proc.World.P))
+		}
+	case resolve.BuiltinMPIBarrier:
+		return func(in *interp, _ int) Value {
+			in.op()
+			start := in.netBegin()
+			in.proc.Barrier()
+			in.netEnd(name, 0, start)
+			return IntVal(0)
+		}
+	case resolve.BuiltinMPISend, resolve.BuiltinMPIISend:
+		a0, a1, a2 := arg(0), arg(1), arg(2)
+		isend := bi == resolve.BuiltinMPIISend
+		return func(in *interp, base int) Value {
+			in.op()
+			dst, n, val := a0(in, base).AsInt(), a1(in, base).AsInt(), a2(in, base).AsFloat()
+			in.checkRank(call, dst)
+			start := in.netBegin()
+			in.proc.Send(int(dst), n, val)
+			in.netEnd(name, n, start)
+			if !isend {
+				return IntVal(0)
+			}
+			// Posted eagerly; completion is instantaneous for the sender.
+			in.nextReq++
+			in.postReq(in.nextReq, pendingReq{peer: int(dst), bytes: n})
+			return IntVal(in.nextReq)
+		}
+	case resolve.BuiltinMPIRecv:
+		a0, a1 := arg(0), arg(1)
+		return func(in *interp, base int) Value {
+			in.op()
+			src, n := a0(in, base).AsInt(), a1(in, base).AsInt()
+			in.checkRank(call, src)
+			start := in.netBegin()
+			v := in.proc.Recv(int(src), n)
+			in.netEnd(name, n, start)
+			return FloatVal(v)
+		}
+	case resolve.BuiltinMPIIRecv:
+		a0, a1 := arg(0), arg(1)
+		return func(in *interp, base int) Value {
+			in.op()
+			src, n := a0(in, base).AsInt(), a1(in, base).AsInt()
+			in.checkRank(call, src)
+			// Posting a receive costs almost nothing; the transfer is
+			// charged at mpi_wait.
+			in.nextReq++
+			in.postReq(in.nextReq, pendingReq{isRecv: true, peer: int(src), bytes: n})
+			return IntVal(in.nextReq)
+		}
+	case resolve.BuiltinMPIWait:
+		a0 := arg(0)
+		return func(in *interp, base int) Value {
+			in.op()
+			id := a0(in, base).AsInt()
+			req, ok := in.takeReq(id)
+			if !ok {
+				panic(rtErr(in.proc.Rank, call.Pos(), "mpi_wait: unknown request %d", id))
+			}
+			if !req.isRecv {
+				return FloatVal(0) // isend already completed at post time
+			}
+			start := in.netBegin()
+			v := in.proc.Recv(req.peer, req.bytes)
+			in.netEnd(name, req.bytes, start)
+			return FloatVal(v)
+		}
+	case resolve.BuiltinMPISendRecv:
+		a0, a1, a2 := arg(0), arg(1), arg(2)
+		return func(in *interp, base int) Value {
+			in.op()
+			peer, n, val := a0(in, base).AsInt(), a1(in, base).AsInt(), a2(in, base).AsFloat()
+			in.checkRank(call, peer)
+			start := in.netBegin()
+			v := in.proc.SendRecv(int(peer), n, val)
+			in.netEnd(name, n, start)
+			return FloatVal(v)
+		}
+	case resolve.BuiltinMPIAllreduce:
+		a0, a1 := arg(0), arg(1)
+		return func(in *interp, base int) Value {
+			in.op()
+			n, contrib := a0(in, base).AsInt(), a1(in, base).AsFloat()
+			start := in.netBegin()
+			v := in.proc.Allreduce(n, contrib)
+			in.netEnd(name, n, start)
+			return FloatVal(v)
+		}
+	case resolve.BuiltinMPIAlltoall:
+		a0 := arg(0)
+		return func(in *interp, base int) Value {
+			in.op()
+			n := a0(in, base).AsInt()
+			start := in.netBegin()
+			in.proc.Alltoall(n)
+			in.netEnd(name, n, start)
+			return IntVal(0)
+		}
+	case resolve.BuiltinMPIBcast, resolve.BuiltinMPIReduce:
+		a0, a1, a2 := arg(0), arg(1), arg(2)
+		bcast := bi == resolve.BuiltinMPIBcast
+		return func(in *interp, base int) Value {
+			in.op()
+			root, n, val := a0(in, base).AsInt(), a1(in, base).AsInt(), a2(in, base).AsFloat()
+			in.checkRank(call, root)
+			start := in.netBegin()
+			var v float64
+			if bcast {
+				v = in.proc.Bcast(int(root), n, val)
+			} else {
+				v = in.proc.Reduce(int(root), n, val)
+			}
+			in.netEnd(name, n, start)
+			return FloatVal(v)
+		}
+	case resolve.BuiltinIORead, resolve.BuiltinIOWrite:
+		a0 := arg(0)
+		read := bi == resolve.BuiltinIORead
+		return func(in *interp, base int) Value {
+			in.op()
+			n := a0(in, base).AsInt()
+			in.flush()
+			start := in.proc.Now()
+			in.proc.AdvanceTo(start + in.cfg.Cluster.IOCost(start, n))
+			end := in.proc.Now()
+			in.ioNs += end - start
+			if in.events != nil {
+				in.events.OnEvent(Event{Rank: in.proc.Rank, Kind: EvIO, Op: name, Start: start, End: end, Bytes: n})
+			}
+			if read {
+				return IntVal(n)
+			}
+			return IntVal(0)
+		}
+	case resolve.BuiltinFlops:
+		a0 := arg(0)
+		return func(in *interp, base int) Value {
+			in.op()
+			n := max(a0(in, base).AsInt(), 0)
+			in.pmu.AddInstructions(n)
+			in.pmu.AddFlops(n)
+			in.charge(float64(n)*flopCostNs, 0)
+			return IntVal(0)
+		}
+	case resolve.BuiltinMem:
+		a0 := arg(0)
+		return func(in *interp, base int) Value {
+			in.op()
+			n := max(a0(in, base).AsInt(), 0)
+			in.pmu.AddMemOps(n)
+			in.charge(0, float64(n)*memCostNs)
+			return IntVal(0)
+		}
+	case resolve.BuiltinAbsI:
+		a0 := arg(0)
+		return func(in *interp, base int) Value {
+			in.op()
+			v := a0(in, base).AsInt()
+			if v < 0 {
+				v = -v
+			}
+			return IntVal(v)
+		}
+	case resolve.BuiltinMinI:
+		a0, a1 := arg(0), arg(1)
+		return func(in *interp, base int) Value {
+			in.op()
+			return IntVal(min(a0(in, base).AsInt(), a1(in, base).AsInt()))
+		}
+	case resolve.BuiltinMaxI:
+		a0, a1 := arg(0), arg(1)
+		return func(in *interp, base int) Value {
+			in.op()
+			return IntVal(max(a0(in, base).AsInt(), a1(in, base).AsInt()))
+		}
+	case resolve.BuiltinSqrtF:
+		a0 := arg(0)
+		return func(in *interp, base int) Value {
+			in.op()
+			return FloatVal(math.Sqrt(a0(in, base).AsFloat()))
+		}
+	case resolve.BuiltinRandI:
+		a0 := arg(0)
+		return func(in *interp, base int) Value {
+			in.op()
+			n := a0(in, base).AsInt()
+			if n <= 0 {
+				return IntVal(0)
+			}
+			in.rng = in.rng*6364136223846793005 + 1442695040888963407
+			return IntVal(int64(in.rng>>33) % n)
+		}
+	}
+	return func(in *interp, _ int) Value {
+		in.op()
+		panic(rtErr(in.proc.Rank, call.Pos(), "call to undefined function %q", name))
+	}
+}

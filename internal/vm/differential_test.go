@@ -1,0 +1,315 @@
+package vm
+
+import (
+	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
+	"regexp"
+	"strconv"
+	"strings"
+	"sync"
+	"testing"
+	"unsafe"
+
+	"vsensor/internal/analysis"
+	"vsensor/internal/apps"
+	"vsensor/internal/cluster"
+	"vsensor/internal/instrument"
+	"vsensor/internal/ir"
+	"vsensor/internal/minic"
+)
+
+func TestValueSize(t *testing.T) {
+	if n := unsafe.Sizeof(Value{}); n > 32 {
+		t.Errorf("unsafe.Sizeof(Value{}) = %d, want <= 32", n)
+	}
+}
+
+// observation is everything a run lets the outside see.
+type observation struct {
+	TotalNs int64
+	Ranks   []RankStats // Err folded into Errs: errors compare by message
+	Errs    []string
+	Records [][]Record // per rank, in emission order
+	Events  [][]Event
+	Stdout  []string // per rank, in print order
+}
+
+// rankLines buckets print() output by its "[rank N]" prefix: output order
+// across ranks is the scheduler's, within a rank it is the program's.
+type rankLines struct {
+	mu    sync.Mutex
+	lines []string
+}
+
+func (w *rankLines) Write(p []byte) (int, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	line := string(p)
+	var rank int
+	fmt.Sscanf(line, "[rank %d]", &rank)
+	w.lines[rank] += line
+	return len(p), nil
+}
+
+type recordLog []Record
+
+func (l *recordLog) OnRecord(r Record) { *l = append(*l, r) }
+
+type eventLog []Event
+
+func (l *eventLog) OnEvent(e Event) { *l = append(*l, e) }
+
+// diffEnv is one runtime environment of the differential grid.
+type diffEnv struct {
+	name    string
+	cluster func(ranks int) *cluster.Cluster
+	jitter  float64
+}
+
+// noisyCluster is TestEngineInvariance's: jittered speeds, OS noise and a
+// CPU-noise window, so flush boundaries land on speed changes.
+func noisyCluster(ranks int) *cluster.Cluster {
+	cl := cluster.New(cluster.Config{Nodes: 2, RanksPerNode: (ranks + 1) / 2, Seed: 7, JitterPct: 0.02})
+	cl.SetOSNoise(150_000, 15_000, 0.25)
+	cl.AddCPUNoise(1, 200_000, 900_000, 0.35)
+	return cl
+}
+
+var diffEnvs = []diffEnv{
+	{"quiet", func(ranks int) *cluster.Cluster {
+		return cluster.New(cluster.Config{Nodes: 1, RanksPerNode: ranks})
+	}, 0},
+	{"noisy", noisyCluster, 0},
+	{"noisy-pmujitter", noisyCluster, 0.004},
+}
+
+// observe runs prog on one engine and records everything observable.
+func observe(prog *ir.Program, instrumented bool, ranks int, env diffEnv, maxSteps int64, run func(*Machine) *Result) observation {
+	obs := observation{
+		Records: make([][]Record, ranks),
+		Events:  make([][]Event, ranks),
+	}
+	out := &rankLines{lines: make([]string, ranks)}
+	cfg := Config{
+		Ranks:        ranks,
+		Cluster:      env.cluster(ranks),
+		PMUJitterPct: env.jitter,
+		Seed:         42,
+		MaxSteps:     maxSteps,
+		Stdout:       out,
+		SinkFactory:  func(rank int) Sink { return (*recordLog)(&obs.Records[rank]) },
+		EventFactory: func(rank int) EventSink { return (*eventLog)(&obs.Events[rank]) },
+	}
+	var m *Machine
+	if instrumented {
+		cfg.ProbeCostNs = 25
+		m = NewInstrumented(instrument.Apply(analysis.Analyze(prog), instrument.Config{}), cfg)
+	} else {
+		m = New(prog, cfg)
+	}
+	res := run(m)
+	obs.TotalNs, obs.Ranks, obs.Stdout = res.TotalNs, res.Ranks, out.lines
+	for i := range obs.Ranks {
+		if err := obs.Ranks[i].Err; err != nil {
+			obs.Errs = append(obs.Errs, err.Error())
+			obs.Ranks[i].Err = nil
+		}
+	}
+	return obs
+}
+
+// diffEngines runs prog on the compiled engine and on the reference and
+// reports the first observable difference.
+func diffEngines(t *testing.T, prog *ir.Program, instrumented bool, ranks int, env diffEnv, maxSteps int64) {
+	t.Helper()
+	got := observe(prog, instrumented, ranks, env, maxSteps, (*Machine).Run)
+	want := observe(prog, instrumented, ranks, env, maxSteps, refRun)
+	if reflect.DeepEqual(got, want) {
+		return
+	}
+	gv, wv := reflect.ValueOf(got), reflect.ValueOf(want)
+	for i := 0; i < gv.NumField(); i++ {
+		if g, w := gv.Field(i).Interface(), wv.Field(i).Interface(); !reflect.DeepEqual(g, w) {
+			t.Errorf("%s differs\ncompiled:  %.600v\nreference: %.600v", gv.Type().Field(i).Name, g, w)
+		}
+	}
+}
+
+// TestEngineDifferential holds the closure engine to the tree-walker's
+// observable behaviour, bit for bit: final clocks, every RankStats field,
+// each rank's record and event stream, stdout and the exact fault text —
+// for every app, plain and instrumented, on quiet and noisy clusters, and
+// for the semantics and fault programs, whose instrumented runs cover a
+// fault unwinding through deferred tocks.
+func TestEngineDifferential(t *testing.T) {
+	type program struct {
+		name, src string
+		ranks     int
+	}
+	var programs []program
+	for _, app := range apps.All(apps.TestScale) {
+		programs = append(programs, program{app.Name, app.Source, 8})
+	}
+	for _, g := range semanticsGoldens {
+		programs = append(programs, program{"semantics-" + g.name, g.src, 2})
+	}
+	// The fault programs are rank-symmetric and fault before communicating,
+	// so no rank is left waiting in a collective.
+	for _, c := range runtimeErrorCases {
+		programs = append(programs, program{"fault-" + c.name, c.src, 2})
+	}
+	programs = append(programs,
+		program{"fault-in-sensor-loop", faultInSensorLoop, 2},
+		program{"every-operator", everyOperator, 2},
+	)
+	for _, p := range programs {
+		prog := mustProg(t, p.src)
+		for _, instrumented := range []bool{false, true} {
+			for _, env := range diffEnvs {
+				t.Run(fmt.Sprintf("%s/instrumented=%v/%s", p.name, instrumented, env.name), func(t *testing.T) {
+					diffEngines(t, prog, instrumented, p.ranks, env, 100_000)
+				})
+			}
+		}
+	}
+}
+
+// everyOperator runs each operator on int and on float operands, every
+// statement kind, array traffic through calls that grow the stack, and the
+// builtins the apps leave out.
+const everyOperator = `
+global float GF[4];
+global int GN = 3;
+func idx(int i) int { int pad[64]; return i % 4; }
+func fmix(float a, int b) float { return a * b - a / (b + 1) + a % 3.0; }
+func nothing() { return; }
+func main() {
+    int i = 7;
+    float f = 2.5;
+    int a[4];
+    a[idx(5)] = i / 2;
+    a[2] = a[idx(1)] % 3;
+    GF[idx(2)] = f - i;
+    GF[3] += a[1];
+    print("arith", i + 2, i - 2, i * 2, i / 2, i % 2, f + 1, f - 1, f * 2, f / 2, f % 2.0, -i, -f, !i, !0, !f);
+    print("cmp", i == 7, i != 7, i < 8, i > 8, i <= 7, i >= 8, f == 2.5, f != 2.5, f < 3, f > 3, f <= 2.5, f >= 3);
+    print("logic", i && 0, 0 && i, i || 0, 0 || 0, f && 1, 0.0 || 0);
+    print("arr", a[1], a[2], GF[2], GF[3], a, GF, "", nothing());
+    print("calls", fmix(f, i), min_i(i, 3), max_i(i, 3), abs_i(0 - i), sqrt_f(f * 10), rand_i(5), rand_i(0), min_i());
+    int n = 0;
+    while (n < GN) {
+        n++;
+        if (n == 2) { continue; } else if (n == 3) { f = n; } else { int n = 9; i = n; }
+        { int n = 40; i += n; }
+    }
+    for (;;) { n--; if (n < 0) { break; } }
+    f = i;
+    i = f / 2;
+    int r = mpi_irecv(1 - mpi_comm_rank(), 64);
+    int s = mpi_isend(1 - mpi_comm_rank(), 64, f);
+    io_write(512);
+    print("net", mpi_wait(r), mpi_wait(s), io_read(256), mpi_reduce(0, 8, 1.0), mpi_bcast(1, 8, i));
+    mpi_alltoall(128);
+    vs_tick(7);
+    mem(300);
+    flops(0 - 5);
+    vs_tock(7);
+    print("end", i, f, n);
+}`
+
+// faultInSensorLoop faults at k == 4, inside an instrumented loop: the fault
+// unwinds through the loop's deferred tock, which still emits the record.
+const faultInSensorLoop = `
+func main() {
+    int a[4];
+    for (int n = 0; n < 6; n++) {
+        for (int k = 0; k < 8; k++) { flops(100); a[k] = k; }
+    }
+}`
+
+func TestFaultInsideSensorClosesRecord(t *testing.T) {
+	obs := observe(mustProg(t, faultInSensorLoop), true, 1, diffEnvs[0], 0, (*Machine).Run)
+	if len(obs.Errs) != 1 || !strings.Contains(obs.Errs[0], "index 4 out of range [0,4)") {
+		t.Fatalf("errors = %q, want one index fault", obs.Errs)
+	}
+	if len(obs.Records[0]) == 0 {
+		t.Error("the faulting sensor loop left no record: its tock did not run")
+	}
+}
+
+// p2pCall matches the point-to-point builtins on which a one-rank run could
+// wait forever: a receive nobody sends, or sends beyond the channel buffer.
+// (mpi_sendrecv with oneself never touches a channel.)
+var p2pCall = regexp.MustCompile(`\bmpi_i?(send|recv)\b`)
+
+// FuzzEngineDifferential diffs the engines on arbitrary accepted programs:
+// one rank, a short step budget, plain and instrumented.
+func FuzzEngineDifferential(f *testing.F) {
+	for _, app := range apps.All(apps.TestScale) {
+		f.Add(app.Source)
+	}
+	for _, g := range semanticsGoldens {
+		f.Add(g.src)
+	}
+	for _, c := range runtimeErrorCases {
+		f.Add(c.src)
+	}
+	// The front end's fuzz corpus: one `string("...")` line per file.
+	corpus, _ := filepath.Glob("../minic/testdata/fuzz/FuzzParse/*")
+	for _, path := range corpus {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		for _, line := range strings.Split(string(data), "\n") {
+			if q, ok := strings.CutPrefix(line, "string("); ok {
+				if src, err := strconv.Unquote(strings.TrimSuffix(q, ")")); err == nil {
+					f.Add(src)
+				}
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		ast, err := minic.Parse(src)
+		if err != nil {
+			t.Skip()
+		}
+		prog, err := ir.Build(ast)
+		if err != nil || p2pCall.MatchString(src) || unbounded(ast) {
+			t.Skip()
+		}
+		for _, instrumented := range []bool{false, true} {
+			diffEngines(t, prog, instrumented, 1, diffEnvs[2], 20_000)
+		}
+	})
+}
+
+// unbounded reports whether a run of the program could outlast any step
+// budget or memory a fuzz worker should spend: a loop with an empty body
+// executes no statement, so MaxSteps never trips; an array length that is
+// not a small literal can ask for gigabytes.
+func unbounded(ast *minic.Program) bool {
+	small := func(e minic.Expr) bool {
+		lit, ok := e.(*minic.IntLit)
+		return e == nil || ok && lit.Value <= 1<<12
+	}
+	bad := false
+	for _, g := range ast.Globals {
+		bad = bad || !small(g.Len)
+	}
+	for _, f := range ast.Funcs {
+		minic.WalkStmts(f.Body, func(s minic.Stmt) {
+			switch st := s.(type) {
+			case *minic.VarDecl:
+				bad = bad || !small(st.Len)
+			case *minic.ForStmt:
+				bad = bad || len(st.Body.Stmts) == 0
+			case *minic.WhileStmt:
+				bad = bad || len(st.Body.Stmts) == 0
+			}
+		})
+	}
+	return bad
+}

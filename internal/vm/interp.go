@@ -9,11 +9,11 @@ import (
 	"vsensor/internal/pmu"
 )
 
-// interp executes one rank. It runs the slot-resolved program form: locals
-// live in flat frame windows carved out of a single growing value stack,
-// globals in a dense per-rank array, and every identifier access is a
-// direct index computed at compile time (internal/resolve) — no scope maps,
-// no string hashing, no per-block allocation.
+// interp is one rank's state. The code it runs is the Machine's closure
+// tree (compile.go), shared read-only by every rank; everything a closure
+// mutates it reaches through its *interp argument. Locals live in flat
+// frame windows carved out of a single growing value stack, globals in a
+// dense per-rank array.
 type interp struct {
 	m    *Machine
 	proc *mpisim.Proc
@@ -30,6 +30,11 @@ type interp struct {
 	// [base, base+NumSlots). It grows by appending, so *Value pointers into
 	// it are taken fresh after any evaluation that could call a function.
 	stack []Value
+	// ret carries a return value from the return statement that produced it
+	// up to the callFn that consumes and clears it. A *Value threaded through
+	// the closures instead would force callFn's local to the heap (indirect
+	// calls defeat escape analysis): one allocation per user call.
+	ret Value
 	// argBuf is scratch for evaluating call arguments in the caller's frame
 	// before they are copied into the callee's; stack discipline (marks)
 	// makes nested calls in argument position safe, and the buffer is
@@ -121,7 +126,7 @@ func newInterp(m *Machine, proc *mpisim.Proc, cfg Config) *interp {
 	return in
 }
 
-// runMain initializes globals and executes main().
+// runMain initializes globals in declaration order and executes main().
 func (in *interp) runMain() (err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -132,25 +137,16 @@ func (in *interp) runMain() (err error) {
 			panic(r)
 		}
 	}()
-	ast := in.m.prog.AST
-	in.globals = make([]Value, len(ast.Globals))
-	for i, g := range ast.Globals {
+	inits := in.m.code.globals
+	in.globals = make([]Value, len(inits))
+	for i, init := range inits {
+		// A global is visible only once its own initializer has run: a
+		// function called from an initializer faults on a later global.
 		in.liveGlobals = i
-		arrLen := 0
-		if g.Len != nil {
-			arrLen = int(in.eval(0, g.Len).AsInt())
-			if arrLen < 0 {
-				panic(rtErr(in.proc.Rank, g.Pos(), "negative array length %d for global %s", arrLen, g.Name))
-			}
-		}
-		v := zeroValue(g.Type, arrLen)
-		if g.Init != nil {
-			v = coerce(in.eval(0, g.Init), g.Type)
-		}
-		in.globals[i] = v
+		in.globals[i] = init(in, 0)
 	}
-	in.liveGlobals = len(ast.Globals)
-	in.callFn(in.m.mainFn, nil, minic.Pos{Line: 1, Col: 1})
+	in.liveGlobals = len(inits)
+	in.callFn(in.m.code.main, nil, minic.Pos{Line: 1, Col: 1})
 	return nil
 }
 
@@ -177,12 +173,12 @@ func (in *interp) flush() {
 	in.pendingCPU, in.pendingMem = 0, 0
 }
 
-// step charges one statement; s.Pos() is only consulted on the (cold)
-// step-limit fault, keeping the dynamic Pos dispatch off the hot path.
-func (in *interp) step(s minic.Stmt) {
+// step charges one statement; pos is the statement's, for the step-limit
+// fault.
+func (in *interp) step(pos minic.Pos) {
 	in.steps++
 	if in.steps > in.cfg.MaxSteps {
-		panic(rtErr(in.proc.Rank, s.Pos(), "step limit exceeded (%d): possible runaway loop", in.cfg.MaxSteps))
+		panic(rtErr(in.proc.Rank, pos, "step limit exceeded (%d): possible runaway loop", in.cfg.MaxSteps))
 	}
 	in.pmu.AddInstructions(1)
 	in.charge(stmtCostNs, 0)
@@ -275,191 +271,88 @@ func (in *interp) jitterInstr(v int64) int64 {
 	return out
 }
 
-// ---------- statements ----------
-
-// execBlock runs a block's statements. Scope entry/exit is free: slot
-// layout was fixed at resolve time, so blocks need no runtime bookkeeping.
-func (in *interp) execBlock(base int, b *minic.BlockStmt, ret *Value) ctrl {
-	for _, s := range b.Stmts {
-		if c := in.execStmt(base, s, ret); c != ctrlNone {
-			return c
-		}
-	}
-	return ctrlNone
-}
-
-func (in *interp) execStmt(base int, s minic.Stmt, ret *Value) ctrl {
-	in.step(s)
-	switch st := s.(type) {
-	case *minic.BlockStmt:
-		return in.execBlock(base, st, ret)
-	case *minic.VarDecl:
-		arrLen := 0
-		if st.Len != nil {
-			arrLen = int(in.eval(base, st.Len).AsInt())
-			if arrLen < 0 {
-				panic(rtErr(in.proc.Rank, st.Pos(), "negative array length %d for %s", arrLen, st.Name))
-			}
-		}
-		v := zeroValue(st.Type, arrLen)
-		if st.Init != nil {
-			v = coerce(in.eval(base, st.Init), st.Type)
-		}
-		in.stack[base+int(st.Slot)] = v
-	case *minic.AssignStmt:
-		in.assign(base, st)
-	case *minic.IfStmt:
-		if truthy(in.eval(base, st.Cond)) {
-			return in.execBlock(base, st.Then, ret)
-		}
-		if st.Else != nil {
-			return in.execStmt(base, st.Else, ret)
-		}
-	case *minic.ForStmt:
-		return in.execFor(base, st, ret)
-	case *minic.WhileStmt:
-		return in.execWhile(base, st, ret)
-	case *minic.ReturnStmt:
-		if st.Value != nil && ret != nil {
-			*ret = in.eval(base, st.Value)
-		}
-		return ctrlReturn
-	case *minic.BreakStmt:
-		return ctrlBreak
-	case *minic.ContinueStmt:
-		return ctrlContinue
-	case *minic.ExprStmt:
-		in.eval(base, st.X)
-	}
-	return ctrlNone
-}
-
-func (in *interp) execFor(base int, st *minic.ForStmt, ret *Value) ctrl {
-	sensor := in.m.sensorOfLoop(st.LoopID)
-	if sensor >= 0 {
-		in.tick(sensor)
-		defer in.tock(sensor)
-	}
-	if st.Init != nil {
-		in.execStmt(base, st.Init, ret)
-	}
-	for {
-		if st.Cond != nil {
-			in.pmu.AddInstructions(1)
-			in.charge(exprCostNs, 0)
-			if !truthy(in.eval(base, st.Cond)) {
-				break
-			}
-		}
-		c := in.execBlock(base, st.Body, ret)
-		if c == ctrlBreak {
-			break
-		}
-		if c == ctrlReturn {
-			return ctrlReturn
-		}
-		if st.Post != nil {
-			in.execStmt(base, st.Post, ret)
-		}
-	}
-	return ctrlNone
-}
-
-func (in *interp) execWhile(base int, st *minic.WhileStmt, ret *Value) ctrl {
-	sensor := in.m.sensorOfLoop(st.LoopID)
-	if sensor >= 0 {
-		in.tick(sensor)
-		defer in.tock(sensor)
-	}
-	for {
-		in.pmu.AddInstructions(1)
-		in.charge(exprCostNs, 0)
-		if !truthy(in.eval(base, st.Cond)) {
-			return ctrlNone
-		}
-		c := in.execBlock(base, st.Body, ret)
-		if c == ctrlBreak {
-			return ctrlNone
-		}
-		if c == ctrlReturn {
-			return ctrlReturn
-		}
-	}
-}
-
-func (in *interp) assign(base int, st *minic.AssignStmt) {
-	val := in.eval(base, st.Value)
-	switch tgt := st.Target.(type) {
-	case *minic.Ident:
-		slot := in.slotOf(base, tgt)
-		*slot = coerceLike(val, *slot)
-	case *minic.IndexExpr:
-		arr := in.slotOf(base, tgt.Array)
-		idx := in.eval(base, tgt.Index).AsInt()
-		in.pmu.AddMemOps(1)
-		in.charge(0, memCostNs)
-		switch arr.Kind {
-		case KIntArr:
-			in.boundCheck(tgt, idx, len(arr.AI))
-			arr.AI[idx] = val.AsInt()
-		case KFloatArr:
-			in.boundCheck(tgt, idx, len(arr.AF))
-			arr.AF[idx] = val.AsFloat()
-		default:
-			panic(rtErr(in.proc.Rank, tgt.Pos(), "indexing non-array %s", tgt.Array.Name))
-		}
-	}
-}
-
-func (in *interp) boundCheck(e minic.Expr, idx int64, n int) {
-	if idx < 0 || idx >= int64(n) {
-		panic(rtErr(in.proc.Rank, e.Pos(), "index %d out of range [0,%d)", idx, n))
-	}
-}
-
-// slotOf returns the storage slot of a resolved identifier: a direct frame
-// or global index. Unresolved names fault here, preserving the lazy
-// undefined-variable semantics of the scope-map interpreter.
-func (in *interp) slotOf(base int, id *minic.Ident) *Value {
-	switch id.Scope {
-	case minic.ScopeLocal:
-		return &in.stack[base+int(id.Slot)]
-	case minic.ScopeGlobal:
-		if int(id.Slot) < in.liveGlobals {
-			return &in.globals[id.Slot]
-		}
-	}
-	panic(rtErr(in.proc.Rank, id.Pos(), "undefined variable %q", id.Name))
-}
+// ---------- calls ----------
 
 // callFn executes a user-defined function over a frame window pushed onto
 // the value stack. args may alias in.argBuf; they are copied (with
 // coercion) into the frame before evaluation continues.
-func (in *interp) callFn(fn *minic.FuncDecl, args []Value, pos minic.Pos) Value {
-	if len(args) != len(fn.Params) {
-		panic(rtErr(in.proc.Rank, pos, "%s expects %d args, got %d", fn.Name, len(fn.Params), len(args)))
+func (in *interp) callFn(fn *funcCode, args []Value, pos minic.Pos) Value {
+	decl := fn.decl
+	if len(args) != len(decl.Params) {
+		panic(rtErr(in.proc.Rank, pos, "%s expects %d args, got %d", decl.Name, len(decl.Params), len(args)))
 	}
 	nb := len(in.stack)
-	top := nb + int(fn.NumSlots)
+	top := nb + int(decl.NumSlots)
 	if top <= cap(in.stack) {
 		in.stack = in.stack[:top]
 	} else {
 		in.stack = append(in.stack, make([]Value, top-nb)...)
 	}
-	for i, p := range fn.Params {
-		in.stack[nb+i] = coerce(args[i], p.Type)
+	for i := range decl.Params {
+		in.stack[nb+i] = coerce(args[i], decl.Params[i].Type)
 	}
-	var ret Value
-	if fn.Ret == minic.TypeFloat {
-		ret = FloatVal(0)
-	}
-	in.execBlock(nb, fn.Body, &ret)
+	// in.ret is the zero Value here and after every nested call; falling
+	// off the end leaves it so, and it coerces to the declared type's zero.
+	fn.body.run(in, nb)
+	ret := in.ret
+	in.ret = Value{}
 	// Clear the frame before popping so array values don't outlive the
 	// activation in the reused stack memory. Slots are never read before
 	// their declaration re-executes, so this is purely for the GC.
 	clear(in.stack[nb:])
 	in.stack = in.stack[:nb]
-	return coerce(ret, fn.Ret)
+	return coerce(ret, decl.Ret)
+}
+
+// netBegin opens an MPI operation: pending work is flushed so the operation
+// starts at the rank's true clock, which it returns.
+func (in *interp) netBegin() int64 {
+	in.flush()
+	return in.proc.Now()
+}
+
+// netEnd accounts the time since start as network time and emits the trace
+// event.
+func (in *interp) netEnd(name string, bytes, start int64) {
+	end := in.proc.Now()
+	in.netNs += end - start
+	if in.events != nil {
+		in.events.OnEvent(Event{Rank: in.proc.Rank, Kind: EvNet, Op: name, Start: start, End: end, Bytes: bytes})
+	}
+}
+
+// postReq records an outstanding nonblocking request in the small-slice
+// table (appends reuse freed capacity, so steady-state posting is
+// allocation-free).
+func (in *interp) postReq(id int64, req pendingReq) {
+	in.requests = append(in.requests, reqEntry{id: id, req: req})
+}
+
+// takeReq removes and returns the request with the given id. Outstanding
+// requests are few, so linear scan + swap-remove beats a map.
+func (in *interp) takeReq(id int64) (pendingReq, bool) {
+	for i := range in.requests {
+		if in.requests[i].id == id {
+			req := in.requests[i].req
+			last := len(in.requests) - 1
+			in.requests[i] = in.requests[last]
+			in.requests = in.requests[:last]
+			return req, true
+		}
+	}
+	return pendingReq{}, false
+}
+
+func (in *interp) checkRank(call *minic.CallExpr, r int64) {
+	if r < 0 || r >= int64(in.proc.World.P) {
+		panic(rtErr(in.proc.Rank, call.Pos(), "%s: rank %d out of range [0,%d)", call.Name, r, in.proc.World.P))
+	}
+}
+
+func (in *interp) boundCheck(pos minic.Pos, idx int64, n int) {
+	if idx < 0 || idx >= int64(n) {
+		panic(rtErr(in.proc.Rank, pos, "index %d out of range [0,%d)", idx, n))
+	}
 }
 
 // ---------- helpers ----------
@@ -469,6 +362,13 @@ func truthy(v Value) bool {
 		return v.F != 0
 	}
 	return v.I != 0
+}
+
+func boolVal(b bool) Value {
+	if b {
+		return IntVal(1)
+	}
+	return IntVal(0)
 }
 
 // coerce converts a value to a declared type.

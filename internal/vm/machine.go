@@ -1,8 +1,9 @@
 package vm
 
 import (
-	"fmt"
+	"errors"
 	"io"
+	"strconv"
 	"sync"
 
 	"vsensor/internal/cluster"
@@ -157,12 +158,11 @@ type Machine struct {
 	ins  *instrument.Instrumented // nil when running uninstrumented
 	cfg  Config
 
-	// Per-program dispatch tables, computed once at construction so the
-	// per-rank interpreters share them read-only:
 	mainFn     *minic.FuncDecl
-	loopSensor []int32 // sensor ID by LoopID, -1 = uninstrumented
-	callSensor []int32 // sensor ID by CallID, -1 = uninstrumented
 	numSensors int
+	// code is the program compiled to closures, built once here and run
+	// read-only by every rank (compile.go).
+	code *code
 }
 
 // New creates a machine for an uninstrumented program.
@@ -182,55 +182,33 @@ func newMachine(prog *ir.Program, ins *instrument.Instrumented, cfg Config) *Mac
 	if !prog.AST.Resolved {
 		resolve.Resolve(prog.AST)
 	}
-	m := &Machine{
-		prog:       prog,
-		ins:        ins,
-		cfg:        cfg,
-		mainFn:     prog.AST.Func("main"),
-		loopSensor: denseSensors(len(prog.Loops), nil),
-		callSensor: denseSensors(len(prog.Calls), nil),
-	}
+	m := &Machine{prog: prog, ins: ins, cfg: cfg, mainFn: prog.AST.Func("main")}
 	if ins != nil {
 		m.numSensors = len(ins.Sensors)
-		m.loopSensor = denseSensors(len(prog.Loops), ins.LoopSensor)
-		m.callSensor = denseSensors(len(prog.Calls), ins.CallSensor)
 	}
+	m.code = compile(m)
 	return m
 }
 
-// denseSensors flattens an instrumentation site->sensor map into an
-// ID-indexed table (-1 = no sensor), the form the interpreter's loop and
-// call paths index without hashing.
-func denseSensors(n int, m map[int]*instrument.Sensor) []int32 {
-	t := make([]int32, n)
-	for i := range t {
-		t[i] = -1
-	}
-	for id, s := range m {
-		if id >= 0 && id < n {
-			t[id] = int32(s.ID)
+// sensorOfLoop returns the sensor ID instrumenting a loop, or -1. Asked
+// once per site, at compile time.
+func (m *Machine) sensorOfLoop(loopID int) int {
+	if m.ins != nil && loopID >= 0 && loopID < len(m.prog.Loops) {
+		if s := m.ins.LoopSensor[loopID]; s != nil {
+			return s.ID
 		}
 	}
-	return t
-}
-
-// sensorOfLoop returns the sensor ID instrumenting a loop, or -1.
-func (m *Machine) sensorOfLoop(loopID int) int {
-	if loopID < 0 || loopID >= len(m.loopSensor) {
-		return -1
-	}
-	return int(m.loopSensor[loopID])
+	return -1
 }
 
 // sensorOfCall returns the sensor ID instrumenting a call site, or -1.
-// Call expressions outside any function body (global initializers) carry
-// the zero CallID; they are never instrumented, and the bounds check keeps
-// them (and unindexed programs) off the table.
 func (m *Machine) sensorOfCall(callID int) int {
-	if m.ins == nil || callID < 0 || callID >= len(m.callSensor) {
-		return -1
+	if m.ins != nil && callID >= 0 && callID < len(m.prog.Calls) {
+		if s := m.ins.CallSensor[callID]; s != nil {
+			return s.ID
+		}
 	}
-	return int(m.callSensor[callID])
+	return -1
 }
 
 // Run executes main() on every rank and returns aggregate results.
@@ -245,9 +223,8 @@ func (m *Machine) Run() *Result {
 	if cfg.MaxSteps == 0 {
 		cfg.MaxSteps = defaultMaxSteps
 	}
-	if m.prog.AST.Func("main") == nil {
-		res := &Result{Ranks: []RankStats{{Err: fmt.Errorf("vm: program has no main function")}}}
-		return res
+	if m.mainFn == nil {
+		return &Result{Ranks: []RankStats{{Err: errors.New("vm: program has no main function")}}}
 	}
 
 	if cfg.Stdout != nil {
@@ -270,7 +247,7 @@ func (m *Machine) Run() *Result {
 			}
 		}
 		for r := 0; r < cfg.Ranks; r++ {
-			o.NameThread(r+1, fmt.Sprintf("rank %d", r))
+			o.NameThread(r+1, "rank "+strconv.Itoa(r))
 		}
 	}
 
@@ -280,7 +257,10 @@ func (m *Machine) Run() *Result {
 	var mu sync.Mutex
 
 	total := world.Run(func(p *mpisim.Proc) {
-		sp := o.Span(p.Rank+1, "rank").Arg("rank", itoa(p.Rank))
+		var sp *obs.Span
+		if o != nil {
+			sp = o.Span(p.Rank+1, "rank").Arg("rank", strconv.Itoa(p.Rank))
+		}
 		vmMetrics.active.Add(1)
 		in := newInterp(m, p, cfg)
 		err := in.runMain()
@@ -354,8 +334,6 @@ func (c *countingEventSink) OnEvent(e Event) {
 	}
 	c.next.OnEvent(e)
 }
-
-func itoa(v int) string { return fmt.Sprintf("%d", v) }
 
 // newPMU builds the per-rank counter.
 func (m *Machine) newPMU(rank int) *pmu.Counter {

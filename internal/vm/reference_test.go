@@ -1,11 +1,272 @@
 package vm
 
 import (
+	"errors"
 	"math"
 
+	"vsensor/internal/cluster"
 	"vsensor/internal/minic"
+	"vsensor/internal/mpisim"
 	"vsensor/internal/resolve"
 )
+
+// The reference engine: the tree-walking interpreter the closure compiler
+// replaced, kept verbatim as the independent implementation the compiled
+// code is diffed against (TestEngineDifferential, FuzzEngineDifferential).
+// It walks the resolved AST directly and shares with production only the
+// rank state (interp), the cost model (charge, flush, step, tick, tock) and
+// the value helpers — none of the compiled code.
+
+// refRun is Machine.Run with the reference engine and no observability.
+func refRun(m *Machine) *Result {
+	cfg := m.cfg
+	if cfg.Ranks <= 0 {
+		cfg.Ranks = 1
+	}
+	if cfg.Cluster == nil {
+		cfg.Cluster = cluster.New(cluster.Config{Nodes: 1, RanksPerNode: cfg.Ranks})
+	}
+	if cfg.MaxSteps == 0 {
+		cfg.MaxSteps = defaultMaxSteps
+	}
+	if m.mainFn == nil {
+		return &Result{Ranks: []RankStats{{Err: errors.New("vm: program has no main function")}}}
+	}
+	if cfg.Stdout != nil {
+		cfg.Stdout = &lockedWriter{w: cfg.Stdout}
+	}
+	stats := make([]RankStats, cfg.Ranks)
+	total := mpisim.NewWorld(cfg.Ranks, cfg.Cluster).Run(func(p *mpisim.Proc) {
+		in := newInterp(m, p, cfg)
+		err := in.refRunMain()
+		in.flush()
+		stats[p.Rank] = RankStats{
+			Rank:    p.Rank,
+			Total:   p.Now(),
+			CompNs:  in.compNs,
+			NetNs:   in.netNs,
+			IONs:    in.ioNs,
+			Instr:   in.pmu.Exact(),
+			Records: in.records,
+			Err:     err,
+		}
+	})
+	return &Result{TotalNs: total, Ranks: stats}
+}
+
+// refRunMain initializes globals and executes main().
+func (in *interp) refRunMain() (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			if re, ok := r.(*RuntimeError); ok {
+				err = re
+				return
+			}
+			panic(r)
+		}
+	}()
+	ast := in.m.prog.AST
+	in.globals = make([]Value, len(ast.Globals))
+	for i, g := range ast.Globals {
+		in.liveGlobals = i
+		arrLen := 0
+		if g.Len != nil {
+			arrLen = int(in.eval(0, g.Len).AsInt())
+			if arrLen < 0 {
+				panic(rtErr(in.proc.Rank, g.Pos(), "negative array length %d for global %s", arrLen, g.Name))
+			}
+		}
+		v := zeroValue(g.Type, arrLen)
+		if g.Init != nil {
+			v = coerce(in.eval(0, g.Init), g.Type)
+		}
+		in.globals[i] = v
+	}
+	in.liveGlobals = len(ast.Globals)
+	in.refCallFn(in.m.mainFn, nil, minic.Pos{Line: 1, Col: 1})
+	return nil
+}
+
+// ---------- statements ----------
+
+// execBlock runs a block's statements. Scope entry/exit is free: slot
+// layout was fixed at resolve time, so blocks need no runtime bookkeeping.
+func (in *interp) execBlock(base int, b *minic.BlockStmt, ret *Value) ctrl {
+	for _, s := range b.Stmts {
+		if c := in.execStmt(base, s, ret); c != ctrlNone {
+			return c
+		}
+	}
+	return ctrlNone
+}
+
+func (in *interp) execStmt(base int, s minic.Stmt, ret *Value) ctrl {
+	in.step(s.Pos())
+	switch st := s.(type) {
+	case *minic.BlockStmt:
+		return in.execBlock(base, st, ret)
+	case *minic.VarDecl:
+		arrLen := 0
+		if st.Len != nil {
+			arrLen = int(in.eval(base, st.Len).AsInt())
+			if arrLen < 0 {
+				panic(rtErr(in.proc.Rank, st.Pos(), "negative array length %d for %s", arrLen, st.Name))
+			}
+		}
+		v := zeroValue(st.Type, arrLen)
+		if st.Init != nil {
+			v = coerce(in.eval(base, st.Init), st.Type)
+		}
+		in.stack[base+int(st.Slot)] = v
+	case *minic.AssignStmt:
+		in.assign(base, st)
+	case *minic.IfStmt:
+		if truthy(in.eval(base, st.Cond)) {
+			return in.execBlock(base, st.Then, ret)
+		}
+		if st.Else != nil {
+			return in.execStmt(base, st.Else, ret)
+		}
+	case *minic.ForStmt:
+		return in.execFor(base, st, ret)
+	case *minic.WhileStmt:
+		return in.execWhile(base, st, ret)
+	case *minic.ReturnStmt:
+		if st.Value != nil && ret != nil {
+			*ret = in.eval(base, st.Value)
+		}
+		return ctrlReturn
+	case *minic.BreakStmt:
+		return ctrlBreak
+	case *minic.ContinueStmt:
+		return ctrlContinue
+	case *minic.ExprStmt:
+		in.eval(base, st.X)
+	}
+	return ctrlNone
+}
+
+func (in *interp) execFor(base int, st *minic.ForStmt, ret *Value) ctrl {
+	sensor := in.m.sensorOfLoop(st.LoopID)
+	if sensor >= 0 {
+		in.tick(sensor)
+		defer in.tock(sensor)
+	}
+	if st.Init != nil {
+		in.execStmt(base, st.Init, ret)
+	}
+	for {
+		if st.Cond != nil {
+			in.pmu.AddInstructions(1)
+			in.charge(exprCostNs, 0)
+			if !truthy(in.eval(base, st.Cond)) {
+				break
+			}
+		}
+		c := in.execBlock(base, st.Body, ret)
+		if c == ctrlBreak {
+			break
+		}
+		if c == ctrlReturn {
+			return ctrlReturn
+		}
+		if st.Post != nil {
+			in.execStmt(base, st.Post, ret)
+		}
+	}
+	return ctrlNone
+}
+
+func (in *interp) execWhile(base int, st *minic.WhileStmt, ret *Value) ctrl {
+	sensor := in.m.sensorOfLoop(st.LoopID)
+	if sensor >= 0 {
+		in.tick(sensor)
+		defer in.tock(sensor)
+	}
+	for {
+		in.pmu.AddInstructions(1)
+		in.charge(exprCostNs, 0)
+		if !truthy(in.eval(base, st.Cond)) {
+			return ctrlNone
+		}
+		c := in.execBlock(base, st.Body, ret)
+		if c == ctrlBreak {
+			return ctrlNone
+		}
+		if c == ctrlReturn {
+			return ctrlReturn
+		}
+	}
+}
+
+func (in *interp) assign(base int, st *minic.AssignStmt) {
+	val := in.eval(base, st.Value)
+	switch tgt := st.Target.(type) {
+	case *minic.Ident:
+		slot := in.slotOf(base, tgt)
+		*slot = coerceLike(val, *slot)
+	case *minic.IndexExpr:
+		arr := in.slotOf(base, tgt.Array)
+		idx := in.eval(base, tgt.Index).AsInt()
+		in.pmu.AddMemOps(1)
+		in.charge(0, memCostNs)
+		switch arr.Kind {
+		case KIntArr:
+			in.boundCheck(tgt.Pos(), idx, len(arr.arr.ints))
+			arr.arr.ints[idx] = val.AsInt()
+		case KFloatArr:
+			in.boundCheck(tgt.Pos(), idx, len(arr.arr.floats))
+			arr.arr.floats[idx] = val.AsFloat()
+		default:
+			panic(rtErr(in.proc.Rank, tgt.Pos(), "indexing non-array %s", tgt.Array.Name))
+		}
+	}
+}
+
+// slotOf returns the storage slot of a resolved identifier: a direct frame
+// or global index. Unresolved names fault here, preserving the lazy
+// undefined-variable semantics of the scope-map interpreter.
+func (in *interp) slotOf(base int, id *minic.Ident) *Value {
+	switch id.Scope {
+	case minic.ScopeLocal:
+		return &in.stack[base+int(id.Slot)]
+	case minic.ScopeGlobal:
+		if int(id.Slot) < in.liveGlobals {
+			return &in.globals[id.Slot]
+		}
+	}
+	panic(rtErr(in.proc.Rank, id.Pos(), "undefined variable %q", id.Name))
+}
+
+// refCallFn executes a user-defined function over a frame window pushed onto
+// the value stack. args may alias in.argBuf; they are copied (with
+// coercion) into the frame before evaluation continues.
+func (in *interp) refCallFn(fn *minic.FuncDecl, args []Value, pos minic.Pos) Value {
+	if len(args) != len(fn.Params) {
+		panic(rtErr(in.proc.Rank, pos, "%s expects %d args, got %d", fn.Name, len(fn.Params), len(args)))
+	}
+	nb := len(in.stack)
+	top := nb + int(fn.NumSlots)
+	if top <= cap(in.stack) {
+		in.stack = in.stack[:top]
+	} else {
+		in.stack = append(in.stack, make([]Value, top-nb)...)
+	}
+	for i, p := range fn.Params {
+		in.stack[nb+i] = coerce(args[i], p.Type)
+	}
+	var ret Value
+	if fn.Ret == minic.TypeFloat {
+		ret = FloatVal(0)
+	}
+	in.execBlock(nb, fn.Body, &ret)
+	// Clear the frame before popping so array values don't outlive the
+	// activation in the reused stack memory. Slots are never read before
+	// their declaration re-executes, so this is purely for the GC.
+	clear(in.stack[nb:])
+	in.stack = in.stack[:nb]
+	return coerce(ret, fn.Ret)
+}
 
 func (in *interp) eval(base int, e minic.Expr) Value {
 	// Cases ordered by dynamic frequency: identifier loads and binary
@@ -28,11 +289,11 @@ func (in *interp) eval(base int, e minic.Expr) Value {
 		in.charge(exprCostNs, memCostNs)
 		switch arr.Kind {
 		case KIntArr:
-			in.boundCheck(x, idx, len(arr.AI))
-			return IntVal(arr.AI[idx])
+			in.boundCheck(x.Pos(), idx, len(arr.arr.ints))
+			return IntVal(arr.arr.ints[idx])
 		case KFloatArr:
-			in.boundCheck(x, idx, len(arr.AF))
-			return FloatVal(arr.AF[idx])
+			in.boundCheck(x.Pos(), idx, len(arr.arr.floats))
+			return FloatVal(arr.arr.floats[idx])
 		}
 		panic(rtErr(in.proc.Rank, x.Pos(), "indexing non-array %q", x.Array.Name))
 	case *minic.UnaryExpr:
@@ -148,13 +409,6 @@ func (in *interp) evalBinary(base int, x *minic.BinaryExpr) Value {
 	panic(rtErr(in.proc.Rank, x.Pos(), "unknown operator"))
 }
 
-func boolVal(b bool) Value {
-	if b {
-		return IntVal(1)
-	}
-	return IntVal(0)
-}
-
 // ---------- calls ----------
 
 // evalCall dispatches a call through its resolver pre-binding: user-defined
@@ -175,7 +429,7 @@ func (in *interp) evalCall(base int, call *minic.CallExpr) Value {
 		}
 		in.pmu.AddInstructions(1)
 		in.charge(stmtCostNs, 0)
-		ret := in.callFn(fn, in.argBuf[mark:], call.Pos())
+		ret := in.refCallFn(fn, in.argBuf[mark:], call.Pos())
 		in.argBuf = in.argBuf[:mark]
 		return ret
 	}
@@ -383,32 +637,4 @@ func (in *interp) evalBuiltin(base int, call *minic.CallExpr) Value {
 		return IntVal(int64(in.rng>>33) % n)
 	}
 	panic(rtErr(in.proc.Rank, call.Pos(), "call to undefined function %q", call.Name))
-}
-
-// postReq records an outstanding nonblocking request in the small-slice
-// table (appends reuse freed capacity, so steady-state posting is
-// allocation-free).
-func (in *interp) postReq(id int64, req pendingReq) {
-	in.requests = append(in.requests, reqEntry{id: id, req: req})
-}
-
-// takeReq removes and returns the request with the given id. Outstanding
-// requests are few, so linear scan + swap-remove beats a map.
-func (in *interp) takeReq(id int64) (pendingReq, bool) {
-	for i := range in.requests {
-		if in.requests[i].id == id {
-			req := in.requests[i].req
-			last := len(in.requests) - 1
-			in.requests[i] = in.requests[last]
-			in.requests = in.requests[:last]
-			return req, true
-		}
-	}
-	return pendingReq{}, false
-}
-
-func (in *interp) checkRank(call *minic.CallExpr, r int64) {
-	if r < 0 || r >= int64(in.proc.World.P) {
-		panic(rtErr(in.proc.Rank, call.Pos(), "%s: rank %d out of range [0,%d)", call.Name, r, in.proc.World.P))
-	}
 }

@@ -22,13 +22,20 @@ const (
 	KFloatArr
 )
 
-// Value is a mini-C runtime value. Arrays are reference values.
+// Value is a mini-C runtime value. Arrays are reference values: the two
+// slice headers sit behind one pointer, so the scalars that make up nearly
+// all interpreted traffic move as 32 bytes.
 type Value struct {
 	Kind Kind
 	I    int64
 	F    float64
-	AI   []int64
-	AF   []float64
+	arr  *array
+}
+
+// array is the storage of an array value; Kind says which slice is live.
+type array struct {
+	ints   []int64
+	floats []float64
 }
 
 // IntVal wraps an int64.
@@ -60,9 +67,9 @@ func (v Value) IsArray() bool { return v.Kind == KIntArr || v.Kind == KFloatArr 
 func (v Value) Len() int {
 	switch v.Kind {
 	case KIntArr:
-		return len(v.AI)
+		return len(v.arr.ints)
 	case KFloatArr:
-		return len(v.AF)
+		return len(v.arr.floats)
 	}
 	return 0
 }
@@ -75,9 +82,9 @@ func (v Value) String() string {
 	case KFloat:
 		return fmt.Sprintf("%g", v.F)
 	case KIntArr:
-		return fmt.Sprintf("int[%d]", len(v.AI))
+		return fmt.Sprintf("int[%d]", len(v.arr.ints))
 	case KFloatArr:
-		return fmt.Sprintf("float[%d]", len(v.AF))
+		return fmt.Sprintf("float[%d]", len(v.arr.floats))
 	}
 	return "?"
 }
@@ -90,9 +97,9 @@ func zeroValue(t minic.Type, arrLen int) Value {
 	case minic.TypeFloat:
 		return FloatVal(0)
 	case minic.TypeIntArray:
-		return Value{Kind: KIntArr, AI: make([]int64, arrLen)}
+		return Value{Kind: KIntArr, arr: &array{ints: make([]int64, arrLen)}}
 	case minic.TypeFloatArray:
-		return Value{Kind: KFloatArr, AF: make([]float64, arrLen)}
+		return Value{Kind: KFloatArr, arr: &array{floats: make([]float64, arrLen)}}
 	}
 	return IntVal(0)
 }

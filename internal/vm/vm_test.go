@@ -276,26 +276,55 @@ func main() {
 	}
 }
 
+// runtimeErrorCases pin the whole fault message — rank, line:col, text — as
+// the tree-walking interpreter produced it, and that faults are lazy: an
+// unresolved name, unknown callee or wrong arity faults only when its node
+// executes. want "" means the program runs clean.
+var runtimeErrorCases = []struct {
+	name string
+	src  string
+	want string
+}{
+	{"div-zero", `func main() { int x = 0; int y = 1 / x; }`, "rank 0: 1:34: division by zero"},
+	{"oob", `func main() { int a[3]; a[5] = 1; }`, "rank 0: 1:25: index 5 out of range [0,3)"},
+	{"undefined-var", `func main() { x = y + 1; }`, `rank 0: 1:19: undefined variable "y"`},
+	{"undefined-fn", `func main() { nope(); }`, `rank 0: 1:15: call to undefined function "nope"`},
+	{"bad-rank", `func main() { mpi_send(99, 8, 0.0); }`, "rank 0: 1:15: mpi_send: rank 99 out of range [0,1)"},
+	{"runaway", `func main() { while (1 == 1) { flops(1); } }`, "rank 0: 1:32: step limit exceeded (100000): possible runaway loop"},
+	{"lazy-dead-code", `func f(int a) int { return a; }
+func main() { int y = 0; if (0 == 1) { y = nope(zz, 1); y = f(1, 2); } print("ok", y); }`, ""},
+	{"lazy-undefined-fn-reached", `func f(int a) int { return a; }
+func main() { int y = 0; if (1 == 1) { y = nope(zz, 1); } }`, `rank 0: 2:44: call to undefined function "nope"`},
+	{"lazy-arity-reached", `func f(int a) int { return a; }
+func main() { int y = 0; if (1 == 1) { y = f(1, 2); } }`, "rank 0: 2:44: f expects 1 args, got 2"},
+	{"lazy-undefined-var-reached", `func main() { int y = 0; y = zz; }`, `rank 0: 1:30: undefined variable "zz"`},
+	{"float-div-zero", `func main() { float x = 0.0; float y = 1.5 / x; }`, "rank 0: 1:40: division by zero"},
+	{"mod-zero", `func main() { int x = 0; int y = 7 % x; }`, "rank 0: 1:34: modulo by zero"},
+	{"float-mod-zero", `func main() { float x = 0.0; float y = 7.5 % x; }`, "rank 0: 1:40: modulo by zero"},
+	{"index-read-non-array", `func main() { int x = 1; int y = x[0]; }`, `rank 0: 1:34: indexing non-array "x"`},
+	{"index-write-non-array", `func main() { int x = 1; x[0] = 2; }`, "rank 0: 1:26: indexing non-array x"},
+	{"negative-index", `func main() { int a[2]; int y = a[0 - 1]; }`, "rank 0: 1:33: index -1 out of range [0,2)"},
+	{"negative-global-length", `global int N = 0 - 2;
+global float G[N];
+func main() { }`, "rank 0: 2:14: negative array length -2 for global G"},
+	{"global-not-yet-live", `global int A = later();
+global int B = 3;
+func later() int { return B; }
+func main() { print("A", A); }`, `rank 0: 3:27: undefined variable "B"`},
+	{"main-arity", `func main(int x) { }`, "rank 0: 1:1: main expects 1 args, got 0"},
+}
+
 func TestRuntimeErrors(t *testing.T) {
-	cases := []struct {
-		name string
-		src  string
-		want string
-	}{
-		{"div-zero", `func main() { int x = 0; int y = 1 / x; }`, "division by zero"},
-		{"oob", `func main() { int a[3]; a[5] = 1; }`, "out of range"},
-		{"undefined-var", `func main() { x = y + 1; }`, "undefined variable"},
-		{"undefined-fn", `func main() { nope(); }`, "undefined function"},
-		{"bad-rank", `func main() { mpi_send(99, 8, 0.0); }`, "out of range"},
-		{"runaway", `func main() { while (1 == 1) { flops(1); } }`, "step limit"},
-	}
-	for _, c := range cases {
+	for _, c := range runtimeErrorCases {
 		t.Run(c.name, func(t *testing.T) {
 			prog := mustProg(t, c.src)
 			m := New(prog, Config{Ranks: 1, MaxSteps: 100000})
-			err := m.Run().Err()
-			if err == nil || !strings.Contains(err.Error(), c.want) {
-				t.Errorf("err = %v, want containing %q", err, c.want)
+			got := ""
+			if err := m.Run().Err(); err != nil {
+				got = err.Error()
+			}
+			if got != c.want {
+				t.Errorf("err = %q, want %q", got, c.want)
 			}
 		})
 	}

@@ -4,7 +4,8 @@
 # property, and the kill-and-recover WAL/snapshot conformance gate), a
 # -count 50 stress of the four socket/proxy exactly-once suites, the
 # coverage gate against the seed baseline, a race-enabled benchmark smoke,
-# and a coverage-guided fuzz smoke over every fuzz target.
+# one full-size run of the benchmark's run-cg256 oracle, and a
+# coverage-guided fuzz smoke over every fuzz target.
 #
 # Performance is not measured here: `make bench` (benchmark/run.sh) is the
 # one benchmark, with repeated trials and bounds in BENCHMARK.json.
@@ -59,11 +60,15 @@ sh scripts/cover.sh
 echo "== race-enabled benchmark smoke"
 go test -race -run '^$' -bench 'BenchmarkInterpHotLoop$' -benchtime 1x ./internal/vm
 
+echo "== full-size run-cg256 oracle (golden virtual time, record counts and finding; one trial, untimed)"
+go run ./benchmark -workload run-cg256 -seed 1 -seconds 1 -trace 0
+
 echo "== fuzz smoke ($fuzztime per target)"
 go test -run '^$' -fuzz 'FuzzBatchRoundTrip$' -fuzztime "$fuzztime" ./internal/server
 go test -run '^$' -fuzz 'FuzzCheckBatch$' -fuzztime "$fuzztime" ./internal/server
 go test -run '^$' -fuzz 'FuzzWALReplay$' -fuzztime "$fuzztime" ./internal/server
 go test -run '^$' -fuzz 'FuzzParse$' -fuzztime "$fuzztime" ./internal/minic
 go test -run '^$' -fuzz 'FuzzLex$' -fuzztime "$fuzztime" ./internal/minic
+go test -run '^$' -fuzz 'FuzzEngineDifferential$' -fuzztime "$fuzztime" ./internal/vm
 go test -run '^$' -fuzz 'FuzzETagCursor$' -fuzztime "$fuzztime" ./internal/obs
 go test -run '^$' -fuzz 'FuzzSession$' -fuzztime "$fuzztime" ./internal/netsrv
