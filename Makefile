@@ -26,7 +26,7 @@ cover:
 	sh scripts/cover.sh
 
 # Coverage-guided fuzz smoke over every fuzz target (wire codec, server
-# ingest, WAL replay, mini-C parser and lexer, closure engine vs reference
+# ingest, WAL replay, snapshot slot, mini-C parser and lexer, closure engine vs reference
 # interpreter, HTTP conditional-read protocol, network session handshake),
 # FUZZTIME each. `go test -fuzz` takes one target per invocation, so they
 # run sequentially.
@@ -34,6 +34,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzBatchRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/server
 	$(GO) test -run '^$$' -fuzz 'FuzzCheckBatch$$' -fuzztime $(FUZZTIME) ./internal/server
 	$(GO) test -run '^$$' -fuzz 'FuzzWALReplay$$' -fuzztime $(FUZZTIME) ./internal/server
+	$(GO) test -run '^$$' -fuzz 'FuzzSnapshotSlot$$' -fuzztime $(FUZZTIME) ./internal/server
 	$(GO) test -run '^$$' -fuzz 'FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/minic
 	$(GO) test -run '^$$' -fuzz 'FuzzLex$$' -fuzztime $(FUZZTIME) ./internal/minic
 	$(GO) test -run '^$$' -fuzz 'FuzzEngineDifferential$$' -fuzztime $(FUZZTIME) ./internal/vm

@@ -181,8 +181,10 @@ func describeStandard(r *Registry) {
 	r.Describe("wal_coalesced_entries_total", "Delivery outcomes absorbed into an open coalesced run instead of journaling their own entry.")
 	r.Describe("wal_flush_bytes", "Size distribution of flushed commit groups.")
 	r.Describe("wal_sync_wait_ns", "Time each commit group's fsync stalled ingest; outlier buckets carry exemplar trace IDs.")
-	r.Describe("server_snapshots_total", "Checkpoints taken: snapshot written, WAL segment rotated.")
-	r.Describe("server_snapshot_bytes", "Size of the most recent snapshot.")
+	r.Describe("server_snapshots_total", "Checkpoints taken: snapshot section appended, WAL segment rotated.")
+	r.Describe("server_snapshot_bytes", "Size of the most recent snapshot section: what one checkpoint appended to each slot, not the slot's size.")
+	r.Describe("server_checkpoint_bytes_total", "Snapshot-section bytes written by checkpoints, both mirrored slots counted; divided by server_wal_bytes_total it is the write amplification.")
+	r.Describe("server_checkpoint_ns", "Time each checkpoint held ingest: WAL group flush, section encode, two slot writes, segment rotation.")
 	r.Describe("server_recoveries_total", "Crash recoveries completed (snapshot load + WAL replay).")
 	r.Describe("server_wal_truncated_bytes_total", "WAL bytes discarded at recovery as torn or corrupt tails.")
 	r.Describe("server_replayed_frames_total", "Frames re-ingested from the WAL during crash recovery.")

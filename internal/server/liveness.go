@@ -190,6 +190,9 @@ func (s *Server) LivenessSummary() LivenessSummary {
 func (s *Server) receiveHeartbeat(rank int, nowNs, leaseNs int64, live bool) error {
 	sh := s.shardFor(rank)
 	sh.mu.Lock()
+	if sh.touched != nil {
+		sh.touched[rank] = struct{}{}
+	}
 	lv := sh.live[rank]
 	if lv == nil {
 		lv = &rankLive{}

@@ -12,8 +12,8 @@ import (
 // Crash recovery. Crash() models losing the server process: the backing
 // disk crashes (dropping or tearing unsynced tails, possibly rotting a
 // durable bit) and every in-memory structure is wiped. Recover() rebuilds
-// the server purely from what survived on disk: the newest valid snapshot
-// plus a replay of every WAL entry past the snapshot's LSN.
+// the server purely from what survived on disk: the longest valid prefix of
+// snapshot sections plus a replay of every WAL entry past its LSN.
 //
 // The recovery invariant is *strict prefix*: the rebuilt state equals the
 // state the server held after some prefix of its acknowledged ingest
@@ -32,9 +32,10 @@ var ErrServerDown = errors.New("server: down (crashed; awaiting recovery)")
 type RecoveryStats struct {
 	// UsedSnapshot is false on a cold start (no valid snapshot found).
 	UsedSnapshot bool
-	// SnapshotFallback is true when a snapshot slot existed but failed
-	// validation and recovery proceeded from the other (older) slot or a
-	// cold start — the bit-rot/lying-fsync path.
+	// SnapshotFallback is true when a snapshot slot existed but did not
+	// validate to its end (or at all) and recovery proceeded from the other
+	// slot, a shorter section prefix or a cold start — the bit-rot /
+	// lying-fsync path.
 	SnapshotFallback bool
 	SnapshotGen      uint64
 	SnapshotLSN      uint64
@@ -73,6 +74,8 @@ func (s *Server) Crash() error {
 		sh.flows = make(map[int]*rankFlow)
 		sh.perRank = make(map[int]*RankProgress)
 		sh.live = make(map[int]*rankLive)
+		clear(sh.touched)
+		sh.sealed = 0
 		sh.bytesReceived = 0
 		sh.messages = 0
 		sh.latestSliceNs = 0
@@ -113,10 +116,11 @@ func walGen(name string) (uint64, bool) {
 	return g, err == nil
 }
 
-// Recover rebuilds the server from the disk: newest valid snapshot, then
-// WAL replay of entries past the snapshot's LSN under the strict-prefix
-// policy. It finishes by checkpointing the recovered state onto a fresh
-// WAL segment, so post-recovery appends never land behind a torn tail.
+// Recover rebuilds the server from the disk: the longest valid snapshot
+// prefix, then WAL replay of entries past its LSN under the strict-prefix
+// policy. It finishes by sealing the recovered state as a full snapshot in
+// fresh slots and a fresh WAL segment, so post-recovery appends never land
+// behind a torn tail.
 func (s *Server) Recover() (RecoveryStats, error) {
 	d := s.dur
 	if d == nil {
@@ -231,9 +235,10 @@ func (s *Server) Recover() (RecoveryStats, error) {
 	d.obsTruncated.Add(rs.TruncatedBytes)
 	d.obsReplayed.Add(int64(rs.FramesReplayed))
 
-	// Seal recovery with a checkpoint: the recovered state becomes the
-	// newest snapshot and the WAL rotates to a clean segment.
-	if err := s.checkpointLocked(); err != nil {
+	// Seal recovery with a checkpoint: the recovered state, taken from
+	// nothing, replaces both snapshot slots and the WAL rotates to a clean
+	// segment.
+	if err := s.checkpointLocked(true); err != nil {
 		return rs, err
 	}
 	// Delete every pre-seal segment, including the one an ordinary
@@ -241,38 +246,38 @@ func (s *Server) Recover() (RecoveryStats, error) {
 	// stale suffix in the old segment — entries beyond the truncation
 	// point whose LSNs will be reassigned to different frames when clients
 	// re-send — and replaying that suffix at the next crash would
-	// resurrect state the recovered prefix never contained. The seal
-	// snapshot fully covers the recovered state, so nothing is lost; if it
-	// later rots, the previous slot's snapshot alone is the (shorter,
-	// still valid) prefix.
+	// resurrect state the recovered prefix never contained. The seal fully
+	// covers the recovered state in both slots, so nothing is lost unless
+	// both copies rot.
 	for _, g := range gens {
-		_ = d.disk.Remove(walSegmentName(g))
+		if err := d.disk.Remove(walSegmentName(g)); err != nil {
+			return rs, err
+		}
 	}
 	s.down.Store(false)
 	s.bumpReadVersion()
 	return rs, nil
 }
 
-// loadSnapshot reads both snapshot slots and returns the decoded snapshot
-// with the highest generation, or nil when neither validates (cold start).
+// loadSnapshot folds both snapshot slots and returns the state of the one
+// whose valid section prefix reaches furthest, or nil when neither holds a
+// valid section (cold start). The slots mirror one section log, so the
+// higher generation is the longer prefix.
 func loadSnapshot(d *durability, rs *RecoveryStats) *snapState {
 	var best *snapState
-	sawInvalid := false
-	for _, name := range []string{"snap.a", "snap.b"} {
+	for _, name := range snapSlots {
 		data, err := d.disk.ReadFile(name)
 		if err != nil {
 			continue // slot never written
 		}
-		st, derr := decodeSnapshot(data)
-		if derr != nil {
-			sawInvalid = true // rotten or half-persisted snapshot
-			continue
+		st, valid, derr := decodeSlot(data)
+		if derr != nil || st == nil || valid < len(data) {
+			rs.SnapshotFallback = true // rotten, torn or half-persisted
 		}
-		if best == nil || st.gen > best.gen {
+		if st != nil && (best == nil || st.gen > best.gen) {
 			best = st
 		}
 	}
-	rs.SnapshotFallback = sawInvalid
 	return best
 }
 
@@ -392,7 +397,9 @@ func (s *Server) applyWALEntry(e walEntry, rs *RecoveryStats) bool {
 		if rank > MaxFrameRank || nowNs < 0 || leaseNs < 0 {
 			return false
 		}
-		_ = s.receiveHeartbeat(rank, nowNs, leaseNs, false)
+		if err := s.receiveHeartbeat(rank, nowNs, leaseNs, false); err != nil {
+			return false
+		}
 		if n > 1 {
 			s.heartbeats.Add(n - 1)
 		}

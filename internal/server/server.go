@@ -149,11 +149,7 @@ func NewSharded(n int) *Server {
 		an:     newAnalyzer(),
 	}
 	for i := range s.shards {
-		s.shards[i] = &shard{
-			flows:   make(map[int]*rankFlow),
-			perRank: make(map[int]*RankProgress),
-			live:    make(map[int]*rankLive),
-		}
+		s.shards[i] = newShard()
 	}
 	s.snap.init()
 	return s
@@ -216,7 +212,8 @@ func (s *Server) SetObs(o *obs.Obs) {
 func (s *Server) Receive(encoded []byte) error {
 	d := s.dur
 	if d == nil {
-		return s.receiveLocked(encoded)
+		_, err := s.receiveLocked(encoded)
+		return err
 	}
 	if s.down.Load() {
 		return ErrServerDown
@@ -226,33 +223,30 @@ func (s *Server) Receive(encoded []byte) error {
 		d.stateMu.RUnlock()
 		return ErrServerDown
 	}
-	err := s.receiveLocked(encoded)
-	d.mu.Lock()
-	snapDue := d.snapDue
-	d.mu.Unlock()
+	snapDue, err := s.receiveLocked(encoded)
 	d.stateMu.RUnlock()
 	// An automatic checkpoint needs the exclusive lock, so it runs after
 	// the shared hold is released. Concurrent Receives may all see snapDue;
-	// the first checkpoint clears it and the rest re-snapshot harmlessly
-	// (at worst one extra snapshot per racing frame).
+	// checkpointIfDue lets exactly one of them pay for it.
 	if snapDue && err == nil {
 		if lin := s.lin; lin != nil {
 			if trace := TraceOf(encoded); trace != 0 {
 				rank := int(binary.LittleEndian.Uint32(encoded[4:]))
 				t0 := nowUnixNs()
-				cerr := s.Checkpoint()
+				cerr := s.checkpointIfDue()
 				lin.Record(trace, obs.StageSnapshot, rank, 0, t0, nowUnixNs()-t0, 0)
 				return cerr
 			}
 		}
-		return s.Checkpoint()
+		return s.checkpointIfDue()
 	}
 	return err
 }
 
 // receiveLocked is Receive's body; with durability the caller holds the
-// stateMu read lock.
-func (s *Server) receiveLocked(encoded []byte) error {
+// stateMu read lock. snapDue reports that journaling this frame made an
+// automatic checkpoint due (always false without durability).
+func (s *Server) receiveLocked(encoded []byte) (snapDue bool, err error) {
 	// Every outcome — ingest, duplicate, rejection, heartbeat — invalidates
 	// the cached report: any of them can advance the watermark, reopen an
 	// epoch, move a liveness lease, or change a counter /status serves.
@@ -264,12 +258,12 @@ func (s *Server) receiveLocked(encoded []byte) error {
 			s.obsRejected.Inc()
 			if s.dur != nil {
 				if werr := s.dur.logBadFrame(false); werr != nil {
-					return werr
+					return false, werr
 				}
 			}
-			return err
+			return false, err
 		}
-		return s.receiveHeartbeat(rank, nowNs, leaseNs, true)
+		return false, s.receiveHeartbeat(rank, nowNs, leaseNs, true)
 	}
 	h, err := ParseFrame(encoded)
 	if err != nil {
@@ -283,10 +277,10 @@ func (s *Server) receiveLocked(encoded []byte) error {
 		}
 		if s.dur != nil {
 			if werr := s.dur.logBadFrame(checksum); werr != nil {
-				return werr
+				return false, werr
 			}
 		}
-		return err
+		return false, err
 	}
 	// Time the full live ingest only for sampled frames: the nonzero-trace
 	// check is a few byte loads, so unsampled frames skip both clock reads.
@@ -302,7 +296,7 @@ func (s *Server) receiveLocked(encoded []byte) error {
 		if dup {
 			werr = s.dur.logDup(h.Rank)
 		} else {
-			_, werr = s.dur.logFrame(ticket, encoded, h.TraceID)
+			snapDue, werr = s.dur.logFrame(ticket, encoded, h.TraceID)
 		}
 	}
 	if traced {
@@ -314,7 +308,7 @@ func (s *Server) receiveLocked(encoded []byte) error {
 		lin.Record(h.TraceID, obs.StageDedup, h.Rank, 0, now, 0, dupArg)
 		lin.Record(h.TraceID, obs.StageIngest, h.Rank, 0, t0, now-t0, int64(h.Count))
 	}
-	return werr
+	return snapDue, werr
 }
 
 // ingestFrame applies one parsed, validated frame to the shard state and
@@ -325,6 +319,12 @@ func (s *Server) receiveLocked(encoded []byte) error {
 func (s *Server) ingestFrame(h FrameHeader, encoded []byte, forceTicket uint64, live bool) (dup bool, ticket uint64) {
 	sh := s.shardFor(h.Rank)
 	sh.mu.Lock()
+	// Even a duplicate can raise the flow's maxSeq/maxCum, so the sender is
+	// marked before dedup decides.
+	durable := sh.touched != nil
+	if durable {
+		sh.touched[h.Rank] = struct{}{}
+	}
 	fl := sh.flows[h.Rank]
 	if fl == nil {
 		fl = &rankFlow{}
@@ -379,6 +379,9 @@ func (s *Server) ingestFrame(h FrameHeader, encoded []byte, forceTicket uint64, 
 		if rp == nil {
 			rp = &RankProgress{Rank: r.Rank}
 			sh.perRank[r.Rank] = rp
+		}
+		if durable && r.Rank != h.Rank {
+			sh.touched[r.Rank] = struct{}{} // a record filed under another rank
 		}
 		rp.Records++
 		if r.SliceNs > rp.LatestSliceNs {

@@ -39,6 +39,13 @@ type shard struct {
 	// and the lease it carried, for ranks routed to this shard.
 	live map[int]*rankLive
 
+	// touched and sealed are the change marks a checkpoint consumes
+	// (snapshot.go): the ranks whose flow, progress or liveness entry moved
+	// since the last snapshot section, and how many segments the sections
+	// already hold. touched is nil — and never written — without durability.
+	touched map[int]struct{}
+	sealed  int
+
 	bytesReceived   int64
 	messages        int64
 	latestSliceNs   int64
@@ -49,6 +56,14 @@ type shard struct {
 	// Observability handles (nil-safe no-ops when obs is off).
 	obsRecords *obs.Gauge // server_shard_records{shard=i}
 	obsFrames  *obs.Gauge // server_shard_frames{shard=i}
+}
+
+func newShard() *shard {
+	return &shard{
+		flows:   make(map[int]*rankFlow),
+		perRank: make(map[int]*RankProgress),
+		live:    make(map[int]*rankLive),
+	}
 }
 
 // segment is one ingested frame's slot in a shard's sub-log. The ticket is

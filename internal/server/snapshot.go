@@ -2,7 +2,6 @@ package server
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"math"
@@ -11,53 +10,94 @@ import (
 	"vsensor/internal/detect"
 )
 
-// Snapshots. A checkpoint serializes the server's complete ingest state —
-// every shard's record sub-log with arrival tickets, per-rank dedup
-// windows, progress and liveness entries, delivery counters — into one
-// CRC-sealed blob, commits it with a durable atomic rename, rotates the
-// WAL to a fresh segment, and deletes segments the snapshot supersedes.
-// Recovery (recover.go) loads the newest valid snapshot and replays only
-// WAL entries past its LSN, so recovery time is bounded by the checkpoint
-// cadence, not the run length.
+// Snapshots. A checkpoint appends one CRC-sealed *section* — what changed
+// since the previous checkpoint — to the snapshot slots, rotates the WAL to
+// a fresh segment, and deletes segments the slots supersede. Recovery
+// (recover.go) folds a slot's sections in order and replays only WAL entries
+// past the last one's LSN, so recovery time is bounded by the checkpoint
+// cadence and a checkpoint's cost by the frames ingested since the previous
+// one; neither grows with the run.
 //
-// Snapshot layout (little endian), sealed by a trailing CRC32 over
-// everything before it:
+// A slot ("snap.a", "snap.b") is a log of sections (little endian):
 //
-//	u32 magic "vSS1" | u32 version | u64 gen | u64 lsn | u64 ticket
-//	i64 checksumErrors | i64 rejectedFrames | i64 heartbeats
-//	u32 shardCount
-//	per shard:
-//	  i64 bytesReceived | i64 messages | i64 latestSliceNs | i64 dupFrames
-//	  i64 expectedRecords | i64 ingestedRecords
-//	  u32 nFlows    { u32 rank, u64 contig, u64 maxSeq, u64 maxCum,
-//	                  i64 frames, i64 records, u32 nAhead, u64 ahead... }
-//	  u32 nPerRank  { u32 rank, i64 records, i64 latestSliceNs }
-//	  u32 nLive     { u32 rank, i64 hbNs, i64 leaseNs }
-//	  u32 nSegments { u64 ticket, u32 nRecs, 40-byte wire records... }
-//	u32 crc
+//	u32 magic "vSS2" | u32 n | u32 crc     IEEE CRC32 over the n payload bytes
+//	payload:
+//	  u32 link                             crc of the slot's previous section, 0 for the first
+//	  u64 gen | u64 lsn | u64 ticket
+//	  i64 checksumErrors | i64 rejectedFrames | i64 heartbeats
+//	  u32 shardCount
+//	  per shard:
+//	    i64 bytesReceived | i64 messages | i64 latestSliceNs | i64 dupFrames
+//	    i64 expectedRecords | i64 ingestedRecords
+//	    u32 nFlows    { rank, contig, maxSeq, maxCum, frames, records,
+//	                    nAhead, ahead... }
+//	    u32 nPerRank  { rank, records, latestSliceNs }
+//	    u32 nLive     { rank, hbNs, leaseNs }
+//	    u32 nSegments { ticket, nRecs, 40-byte wire records... }
 //
-// Maps serialize in sorted rank order so identical state produces
+// Brace fields are uvarints (signed ones cast through uint64): small counters
+// repeated per touched rank and per frame, which fixed-width would outweigh
+// the WAL's own per-frame framing.
+//
+// Framing and folding. A section carries the scalar counters whole, the flow
+// / progress / liveness entries of the ranks touched since the previous
+// section (folding replaces the rank's entry) and the segments ingested since
+// then (folding appends them). A full snapshot is the section taken from
+// nothing — every rank touched, every segment new, link 0 — so there is one
+// encoder and one decoder. A fresh server's first checkpoint is such a
+// section by construction; Recover's seal writes one explicitly and replaces
+// both slots with it (snap.tmp + durable rename), so a torn or rotten tail
+// never sits in front of new sections. Steady-state sections are plain
+// appends: a torn append fails its own seal and costs nothing before it.
+//
+// Chain check. The decoder stops at the first section whose magic, length,
+// CRC or link fails and keeps the prefix before it. The link names the exact
+// bytes a section is a delta against: a slot that missed a section (a failed
+// append) never accepts a later one.
+//
+// Mirror. Every section goes to both slots, so one rotten file loses nothing
+// — recovery takes the slot whose valid prefix reaches furthest — and two
+// rotten files lose only what follows the longer surviving prefix.
+//
+// No compaction. Record segments, the bulk of the state, are written once and
+// never again, and a section's bookkeeping (scalars plus touched ranks) is
+// bounded by the frames that made the checkpoint due, so a slot stays within
+// a constant factor of a from-nothing encode of the same state.
+//
+// Entries serialize in sorted rank order so identical histories produce
 // identical bytes — snapshot determinism is what lets the kill-and-recover
 // conformance harness compare servers structurally.
 const (
-	snapMagic   = 0x76535331 // "vSS1"
-	snapVersion = 1
+	snapMagic     = 0x76535332 // "vSS2"
+	sectionHeader = 12
+	// minShardBytes is the smallest per-shard encoding: six scalars and four
+	// empty lists.
+	minShardBytes = 6*8 + 4*4
 )
 
-// errNoSnapshot marks recovery finding no usable snapshot (cold start).
-var errNoSnapshot = errors.New("server: no valid snapshot")
+// snapSlots are the two mirrored section logs.
+var snapSlots = [2]string{"snap.a", "snap.b"}
 
 func appendI64(b []byte, v int64) []byte  { return binary.LittleEndian.AppendUint64(b, uint64(v)) }
 func appendU64(b []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(b, v) }
 func appendU32(b []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32(b, v) }
 
-// encodeSnapshot captures the server state. Caller holds the durability
-// stateMu exclusively (no concurrent ingest); shard mutexes are still taken
-// one at a time to honor the locking discipline used by queries.
-func (s *Server) encodeSnapshot(gen, lsn uint64) []byte {
-	b := make([]byte, 0, 4096)
+// appendUv appends v as a uvarint; the signed fields it carries are never
+// negative in practice and round-trip through the cast when they are.
+func appendUv[T int | int64 | uint64](b []byte, v T) []byte {
+	return binary.AppendUvarint(b, uint64(v))
+}
+
+// appendSection appends to b one sealed section holding what changed since
+// the last sectionWritten — the whole state after touchAll — and returns the
+// section's crc, the next section's link. Caller holds the durability
+// stateMu exclusively (no concurrent ingest) and d.mu; shard mutexes are
+// still taken one at a time to honor the locking discipline used by queries.
+func (s *Server) appendSection(b []byte, link uint32, gen, lsn uint64) ([]byte, uint32) {
+	start := len(b)
 	b = appendU32(b, snapMagic)
-	b = appendU32(b, snapVersion)
+	b = appendU64(b, 0) // n and crc, patched once the payload is complete
+	b = appendU32(b, link)
 	b = appendU64(b, gen)
 	b = appendU64(b, lsn)
 	b = appendU64(b, s.ticket.Load())
@@ -65,6 +105,7 @@ func (s *Server) encodeSnapshot(gen, lsn uint64) []byte {
 	b = appendI64(b, s.rejectedFrames.Load())
 	b = appendI64(b, s.heartbeats.Load())
 	b = appendU32(b, uint32(len(s.shards)))
+	ranks := s.dur.ranks
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		b = appendI64(b, sh.bytesReceived)
@@ -74,61 +115,113 @@ func (s *Server) encodeSnapshot(gen, lsn uint64) []byte {
 		b = appendI64(b, sh.expectedRecords)
 		b = appendI64(b, sh.ingestedRecords)
 
-		b = appendU32(b, uint32(len(sh.flows)))
-		for _, rank := range sortedKeys(sh.flows) {
+		ranks = ranks[:0]
+		for rank := range sh.touched {
+			ranks = append(ranks, rank)
+		}
+		sort.Ints(ranks)
+
+		// A touched rank need not hold an entry of every kind, so each
+		// list's count is patched after the list is written.
+		at, n := len(b), uint32(0)
+		b = appendU32(b, 0)
+		for _, rank := range ranks {
 			fl := sh.flows[rank]
-			b = appendU32(b, uint32(rank))
-			b = appendU64(b, fl.contig)
-			b = appendU64(b, fl.maxSeq)
-			b = appendU64(b, fl.maxCum)
-			b = appendI64(b, fl.ingestedFrames)
-			b = appendI64(b, fl.ingestedRecords)
-			ahead := make([]uint64, 0, len(fl.ahead))
-			for seq := range fl.ahead {
-				ahead = append(ahead, seq)
+			if fl == nil {
+				continue
 			}
-			sort.Slice(ahead, func(i, j int) bool { return ahead[i] < ahead[j] })
-			b = appendU32(b, uint32(len(ahead)))
-			for _, seq := range ahead {
-				b = appendU64(b, seq)
+			n++
+			b = appendUv(b, rank)
+			b = appendUv(b, fl.contig)
+			b = appendUv(b, fl.maxSeq)
+			b = appendUv(b, fl.maxCum)
+			b = appendUv(b, fl.ingestedFrames)
+			b = appendUv(b, fl.ingestedRecords)
+			b = appendUv(b, len(fl.ahead))
+			if len(fl.ahead) > 0 {
+				ahead := make([]uint64, 0, len(fl.ahead))
+				for seq := range fl.ahead {
+					ahead = append(ahead, seq)
+				}
+				sort.Slice(ahead, func(i, j int) bool { return ahead[i] < ahead[j] })
+				for _, seq := range ahead {
+					b = appendUv(b, seq)
+				}
 			}
 		}
+		binary.LittleEndian.PutUint32(b[at:], n)
 
-		b = appendU32(b, uint32(len(sh.perRank)))
-		for _, rank := range sortedKeys(sh.perRank) {
-			rp := sh.perRank[rank]
-			b = appendU32(b, uint32(rank))
-			b = appendI64(b, int64(rp.Records))
-			b = appendI64(b, rp.LatestSliceNs)
+		at, n = len(b), 0
+		b = appendU32(b, 0)
+		for _, rank := range ranks {
+			if rp := sh.perRank[rank]; rp != nil {
+				n++
+				b = appendUv(b, rank)
+				b = appendUv(b, rp.Records)
+				b = appendUv(b, rp.LatestSliceNs)
+			}
 		}
+		binary.LittleEndian.PutUint32(b[at:], n)
 
-		b = appendU32(b, uint32(len(sh.live)))
-		for _, rank := range sortedKeys(sh.live) {
-			lv := sh.live[rank]
-			b = appendU32(b, uint32(rank))
-			b = appendI64(b, lv.hbNs)
-			b = appendI64(b, lv.leaseNs)
+		at, n = len(b), 0
+		b = appendU32(b, 0)
+		for _, rank := range ranks {
+			if lv := sh.live[rank]; lv != nil {
+				n++
+				b = appendUv(b, rank)
+				b = appendUv(b, lv.hbNs)
+				b = appendUv(b, lv.leaseNs)
+			}
 		}
+		binary.LittleEndian.PutUint32(b[at:], n)
 
-		b = appendU32(b, uint32(len(sh.segments)))
-		for _, sg := range sh.segments {
-			b = appendU64(b, sg.ticket)
+		fresh := sh.segments[sh.sealed:]
+		b = appendU32(b, uint32(len(fresh)))
+		for _, sg := range fresh {
+			b = appendUv(b, sg.ticket)
 			recs := sh.records[sg.start:sg.end]
-			b = appendU32(b, uint32(len(recs)))
+			b = appendUv(b, len(recs))
 			b = appendRecords(b, recs)
 		}
 		sh.mu.Unlock()
 	}
-	return appendU32(b, crc32.ChecksumIEEE(b))
+	s.dur.ranks = ranks
+	payload := b[start+sectionHeader:]
+	crc := crc32.ChecksumIEEE(payload)
+	binary.LittleEndian.PutUint32(b[start+4:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(b[start+8:], crc)
+	return b, crc
 }
 
-func sortedKeys[V any](m map[int]V) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
+// touchAll makes the next section a full snapshot: every rank touched, every
+// segment unsealed.
+func (s *Server) touchAll() {
+	for _, sh := range s.shards {
+		sh.mu.Lock()
+		sh.sealed = 0
+		for rank := range sh.flows {
+			sh.touched[rank] = struct{}{}
+		}
+		for rank := range sh.perRank {
+			sh.touched[rank] = struct{}{}
+		}
+		for rank := range sh.live {
+			sh.touched[rank] = struct{}{}
+		}
+		sh.mu.Unlock()
 	}
-	sort.Ints(out)
-	return out
+}
+
+// sectionWritten forgets the change marks the section just written covered.
+// It runs only after the slots took the section, so a failed checkpoint
+// leaves the marks for the next one to encode again.
+func (s *Server) sectionWritten() {
+	for _, sh := range s.shards {
+		sh.mu.Lock()
+		sh.sealed = len(sh.segments)
+		clear(sh.touched)
+		sh.mu.Unlock()
+	}
 }
 
 // snapReader is a bounds-checked cursor over snapshot bytes; the first
@@ -168,6 +261,29 @@ func (r *snapReader) u64(what string) uint64 {
 
 func (r *snapReader) i64(what string) int64 { return int64(r.u64(what)) }
 
+func (r *snapReader) uv(what string) uint64 {
+	if r.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(r.data[r.off:])
+	if n <= 0 {
+		r.fail(what)
+		return 0
+	}
+	r.off += n
+	return v
+}
+
+// rank reads a rank field, refusing values no u32 wire rank could produce.
+func (r *snapReader) rank(what string) int {
+	v := r.uv(what)
+	if v > math.MaxUint32 {
+		r.fail(what)
+		return 0
+	}
+	return int(v)
+}
+
 func (r *snapReader) bytes(n int, what string) []byte {
 	if r.err != nil || n < 0 || len(r.data)-r.off < n {
 		r.fail(what)
@@ -178,8 +294,8 @@ func (r *snapReader) bytes(n int, what string) []byte {
 	return v
 }
 
-// snapState is a decoded snapshot, held off-server until recovery commits
-// it.
+// snapState is the fold of a slot's valid sections, held off-server until
+// recovery commits it.
 type snapState struct {
 	gen, lsn, ticket uint64
 	checksumErrors   int64
@@ -188,44 +304,64 @@ type snapState struct {
 	shards           []*shard
 }
 
-// decodeSnapshot validates and decodes a snapshot blob. Arbitrary bytes
-// must never panic or allocate unboundedly; every count is checked against
-// the remaining buffer before it sizes anything.
-func decodeSnapshot(data []byte) (*snapState, error) {
-	if len(data) < 4+4+8+8+8+8*3+4+4 {
-		return nil, fmt.Errorf("server: snapshot too short (%d bytes)", len(data))
+// decodeSlot folds a slot's sections in order and stops at the first one
+// whose magic, length, CRC or link fails; valid is the length of the prefix
+// it accepted (st is nil when that is empty). Arbitrary bytes must never
+// panic or allocate unboundedly: a payload is a sub-slice of data, and every
+// count inside it is checked against the remaining bytes before it sizes
+// anything. A section that passes its seal but does not parse is no disk
+// fault — the writer was wrong — so the whole slot is refused with an error
+// rather than trusted up to that point.
+func decodeSlot(data []byte) (st *snapState, valid int, err error) {
+	var link uint32
+	for len(data)-valid >= sectionHeader {
+		hdr := data[valid:]
+		n := int(binary.LittleEndian.Uint32(hdr[4:]))
+		if binary.LittleEndian.Uint32(hdr) != snapMagic || n < 4 || n > len(hdr)-sectionHeader {
+			break
+		}
+		payload := hdr[sectionHeader : sectionHeader+n]
+		crc := crc32.ChecksumIEEE(payload)
+		if crc != binary.LittleEndian.Uint32(hdr[8:]) || binary.LittleEndian.Uint32(payload) != link {
+			break
+		}
+		if st == nil {
+			st = &snapState{}
+		}
+		if err := st.fold(payload[4:]); err != nil {
+			return nil, valid, err
+		}
+		link = crc
+		valid += sectionHeader + n
 	}
-	body, tail := data[:len(data)-4], data[len(data)-4:]
-	if got, want := binary.LittleEndian.Uint32(tail), crc32.ChecksumIEEE(body); got != want {
-		return nil, fmt.Errorf("%w: snapshot says %#x, computed %#x", ErrChecksum, got, want)
-	}
+	return st, valid, nil
+}
+
+// fold applies one section body (the payload past its link) onto st.
+func (st *snapState) fold(body []byte) error {
 	r := &snapReader{data: body}
-	if m := r.u32("magic"); m != snapMagic {
-		return nil, fmt.Errorf("server: bad snapshot magic %#x", m)
-	}
-	if v := r.u32("version"); v != snapVersion {
-		return nil, fmt.Errorf("server: unsupported snapshot version %d", v)
-	}
-	st := &snapState{}
 	st.gen = r.u64("gen")
 	st.lsn = r.u64("lsn")
 	st.ticket = r.u64("ticket")
 	st.checksumErrors = r.i64("checksumErrors")
 	st.rejectedFrames = r.i64("rejectedFrames")
 	st.heartbeats = r.i64("heartbeats")
-	nShards := r.u32("shardCount")
+	nShards := int(r.u32("shardCount"))
 	if r.err != nil {
-		return nil, r.err
+		return r.err
 	}
-	if nShards == 0 || nShards > MaxShards || nShards&(nShards-1) != 0 {
-		return nil, fmt.Errorf("server: snapshot claims %d shards", nShards)
-	}
-	for i := uint32(0); i < nShards; i++ {
-		sh := &shard{
-			flows:   make(map[int]*rankFlow),
-			perRank: make(map[int]*RankProgress),
-			live:    make(map[int]*rankLive),
+	if st.shards == nil {
+		if nShards == 0 || nShards > MaxShards || nShards&(nShards-1) != 0 || nShards*minShardBytes > len(body)-r.off {
+			return fmt.Errorf("server: snapshot claims %d shards", nShards)
 		}
+		st.shards = make([]*shard, nShards)
+		for i := range st.shards {
+			st.shards[i] = newShard()
+		}
+	} else if nShards != len(st.shards) {
+		return fmt.Errorf("server: snapshot section claims %d shards, slot began with %d", nShards, len(st.shards))
+	}
+	for _, sh := range st.shards {
 		sh.bytesReceived = r.i64("bytesReceived")
 		sh.messages = r.i64("messages")
 		sh.latestSliceNs = r.i64("latestSliceNs")
@@ -235,73 +371,74 @@ func decodeSnapshot(data []byte) (*snapState, error) {
 
 		nFlows := int(r.u32("nFlows"))
 		for f := 0; f < nFlows && r.err == nil; f++ {
-			rank := int(r.u32("flow rank"))
+			rank := r.rank("flow rank")
 			fl := &rankFlow{
-				contig:          r.u64("contig"),
-				maxSeq:          r.u64("maxSeq"),
-				maxCum:          r.u64("maxCum"),
-				ingestedFrames:  r.i64("flow frames"),
-				ingestedRecords: r.i64("flow records"),
+				contig:          r.uv("contig"),
+				maxSeq:          r.uv("maxSeq"),
+				maxCum:          r.uv("maxCum"),
+				ingestedFrames:  int64(r.uv("flow frames")),
+				ingestedRecords: int64(r.uv("flow records")),
 			}
-			nAhead := int(r.u32("nAhead"))
-			for a := 0; a < nAhead && r.err == nil; a++ {
+			// Each ahead entry consumes at least a byte, so a hostile count
+			// runs the reader dry before it grows the map past the input.
+			for a, nAhead := uint64(0), r.uv("nAhead"); a < nAhead && r.err == nil; a++ {
 				if fl.ahead == nil {
 					fl.ahead = make(map[uint64]struct{})
 				}
-				fl.ahead[r.u64("ahead seq")] = struct{}{}
+				fl.ahead[r.uv("ahead seq")] = struct{}{}
 			}
 			if rank > MaxFrameRank {
-				return nil, fmt.Errorf("server: snapshot flow claims rank %d", rank)
+				return fmt.Errorf("server: snapshot flow claims rank %d", rank)
 			}
 			sh.flows[rank] = fl
 		}
 
 		nPerRank := int(r.u32("nPerRank"))
 		for p := 0; p < nPerRank && r.err == nil; p++ {
-			rank := int(r.u32("progress rank"))
+			rank := r.rank("progress rank")
 			sh.perRank[rank] = &RankProgress{
 				Rank:          rank,
-				Records:       int(r.i64("progress records")),
-				LatestSliceNs: r.i64("progress latest"),
+				Records:       int(r.uv("progress records")),
+				LatestSliceNs: int64(r.uv("progress latest")),
 			}
 		}
 
 		nLive := int(r.u32("nLive"))
 		for l := 0; l < nLive && r.err == nil; l++ {
-			rank := int(r.u32("live rank"))
-			sh.live[rank] = &rankLive{hbNs: r.i64("live hb"), leaseNs: r.i64("live lease")}
+			rank := r.rank("live rank")
+			sh.live[rank] = &rankLive{hbNs: int64(r.uv("live hb")), leaseNs: int64(r.uv("live lease"))}
 		}
 
 		nSegs := int(r.u32("nSegments"))
 		for g := 0; g < nSegs && r.err == nil; g++ {
-			ticket := r.u64("segment ticket")
-			nRecs := int(r.u32("segment records"))
+			ticket := r.uv("segment ticket")
+			nRecs := r.uv("segment records")
 			if nRecs > MaxFrameRecords {
-				return nil, fmt.Errorf("server: snapshot segment claims %d records", nRecs)
+				return fmt.Errorf("server: snapshot segment claims %d records", nRecs)
 			}
-			raw := r.bytes(nRecs*recordWireSize, "segment payload")
+			raw := r.bytes(int(nRecs)*recordWireSize, "segment payload")
 			if r.err != nil {
 				break
 			}
 			start := len(sh.records)
-			sh.records = decodeRecords(sh.records, raw, nRecs)
+			sh.records = decodeRecords(sh.records, raw, int(nRecs))
 			sh.segments = append(sh.segments, segment{ticket: ticket, start: start, end: len(sh.records)})
 		}
 		if r.err != nil {
-			return nil, r.err
+			return r.err
 		}
-		st.shards = append(st.shards, sh)
 	}
 	if r.off != len(body) {
-		return nil, fmt.Errorf("server: snapshot has %d trailing bytes", len(body)-r.off)
+		return fmt.Errorf("server: snapshot section has %d trailing bytes", len(body)-r.off)
 	}
-	return st, nil
+	return nil
 }
 
-// Checkpoint writes a snapshot of the current state, rotates the WAL to a
-// new segment, and deletes WAL segments the new snapshot supersedes. Safe
-// to call at any time; automatic checkpoints run every
-// DurabilityConfig.SnapshotEvery frames. No-op without durability.
+// Checkpoint appends a section covering everything since the previous
+// checkpoint to both snapshot slots, rotates the WAL to a new segment, and
+// deletes WAL segments the slots supersede. Safe to call at any time;
+// automatic checkpoints run every DurabilityConfig.SnapshotEvery frames.
+// No-op without durability.
 func (s *Server) Checkpoint() error {
 	d := s.dur
 	if d == nil {
@@ -309,43 +446,66 @@ func (s *Server) Checkpoint() error {
 	}
 	d.stateMu.Lock()
 	defer d.stateMu.Unlock()
-	return s.checkpointLocked()
+	return s.checkpointLocked(false)
+}
+
+// checkpointIfDue runs the automatic checkpoint a frame made due. Due is
+// re-read under the exclusive lock: of the Receives that raced past the same
+// due mark, the first checkpoints and clears it, the rest find nothing to do.
+func (s *Server) checkpointIfDue() error {
+	d := s.dur
+	d.stateMu.Lock()
+	defer d.stateMu.Unlock()
+	d.mu.Lock()
+	due := d.snapDue
+	d.mu.Unlock()
+	if !due {
+		return nil
+	}
+	return s.checkpointLocked(false)
 }
 
 // checkpointLocked is Checkpoint's body; the caller holds the durability
-// stateMu exclusively (Checkpoint, or Recover sealing a recovery).
-func (s *Server) checkpointLocked() error {
+// stateMu exclusively. seal is Recover closing a recovery: the section is
+// taken from nothing and replaces both slots instead of extending them.
+func (s *Server) checkpointLocked(seal bool) error {
 	d := s.dur
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	var t0 int64
+	if d.obsCkptNs != nil {
+		t0 = nowUnixNs()
+	}
 	// Commit any staged group-commit entries (closing an open coalesced
-	// run) before capturing the snapshot LSN: the snapshot must cover a
+	// run) before capturing the section's LSN: the slots must cover a
 	// durable prefix, and a coalesced run must never straddle a checkpoint
 	// boundary — replay validates that each entry's covered range starts
 	// exactly at the snapshot's LSN + 1.
 	if err := d.enc.flush(); err != nil {
 		return err
 	}
+	if seal {
+		s.touchAll()
+		d.link = 0
+	}
 	newGen := d.gen + 1
-	enc := s.encodeSnapshot(newGen, d.lsn)
-	const tmp = "snap.tmp"
-	if err := d.disk.Remove(tmp); err != nil {
-		return err
+	sec, crc := s.appendSection(d.section[:0], d.link, newGen, d.lsn)
+	d.section = sec
+	for _, slot := range snapSlots {
+		if err := d.writeSection(slot, sec, seal); err != nil {
+			return err
+		}
 	}
-	if err := d.disk.Append(tmp, enc); err != nil {
-		return err
+	s.sectionWritten()
+	d.link = crc
+	if seal {
+		d.section = nil // a whole-state buffer is not worth keeping for deltas
 	}
-	if err := d.disk.Sync(tmp); err != nil {
-		return err
-	}
-	if err := d.disk.Rename(tmp, snapName(newGen)); err != nil {
-		return err
-	}
-	// The snapshot is committed: rotate to segment newGen and drop segments
-	// older than the previous generation — the previous snapshot plus its
-	// segment remain the fallback if this snapshot later rots. After a
-	// recovery there may be older stragglers too, so sweep by name rather
-	// than deleting a single predecessor.
+	// The section is committed: rotate to segment newGen and drop segments
+	// older than the previous generation — the previous section plus its
+	// segment remain the fallback if this section is lost from both slots.
+	// Sweep by name rather than deleting a single predecessor: a disk that
+	// was never recovered may hold older stragglers.
 	oldGen := d.gen
 	d.gen = newGen
 	d.frames = 0
@@ -357,9 +517,37 @@ func (s *Server) checkpointLocked() error {
 			}
 		}
 	}
+	written := int64(len(sec) * len(snapSlots))
 	d.snapshots++
+	d.snapBytes += written
 	d.obsSnapshots.Inc()
-	d.obsSnapBytes.Set(float64(len(enc)))
+	d.obsSnapBytes.Set(float64(len(sec)))
+	d.obsCkptBytes.Add(written)
+	if d.obsCkptNs != nil {
+		d.obsCkptNs.ObserveInt(nowUnixNs() - t0)
+	}
+	return nil
+}
+
+// writeSection makes sec durable at the end of slot — or, with replace, as
+// the slot's whole content, committed by a durable atomic rename.
+func (d *durability) writeSection(slot string, sec []byte, replace bool) error {
+	name := slot
+	if replace {
+		name = "snap.tmp"
+		if err := d.disk.Remove(name); err != nil {
+			return err
+		}
+	}
+	if err := d.disk.Append(name, sec); err != nil {
+		return err
+	}
+	if err := d.disk.Sync(name); err != nil {
+		return err
+	}
+	if replace {
+		return d.disk.Rename(name, slot)
+	}
 	return nil
 }
 

@@ -38,9 +38,9 @@ import (
 //
 // Segments: entries append to "wal.<gen>"; a checkpoint (snapshot.go)
 // starts generation gen+1 and deletes segments older than gen, so at most
-// two segments — the one the newest snapshot supersedes and the live one —
-// exist at a time, which is exactly what falling back to the previous
-// snapshot needs.
+// two segments — the one the newest snapshot section supersedes and the live
+// one — exist at a time, which is exactly what falling back to the previous
+// section needs.
 const (
 	walEntryHeader = 8
 
@@ -125,6 +125,13 @@ type durability struct {
 	snapDue bool   // set when frames crosses SnapshotEvery; cleared by Checkpoint
 	buf     []byte // reusable entry encode buffer
 
+	// Snapshot section log (snapshot.go): link is the crc of the last
+	// section written, which the next one names as its predecessor; section
+	// and ranks are the encoder's reusable scratch.
+	link    uint32
+	section []byte
+	ranks   []int
+
 	// Lifetime counters (survive Crash; they describe the device, not the
 	// server state).
 	entries      int64
@@ -133,6 +140,7 @@ type durability struct {
 	groupCommits int64
 	coalesced    int64
 	snapshots    int64
+	snapBytes    int64 // section bytes appended to the slots, both mirrors counted
 	recoveries   int64
 	lastRec      RecoveryStats
 
@@ -146,6 +154,8 @@ type durability struct {
 	obsSyncWait     *obs.Histogram
 	obsSnapshots    *obs.Counter
 	obsSnapBytes    *obs.Gauge
+	obsCkptBytes    *obs.Counter
+	obsCkptNs       *obs.Histogram
 	obsRecovered    *obs.Counter
 	obsTruncated    *obs.Counter
 	obsReplayed     *obs.Counter
@@ -153,16 +163,6 @@ type durability struct {
 }
 
 func walSegmentName(gen uint64) string { return fmt.Sprintf("wal.%d", gen) }
-
-// snapName alternates between two snapshot slots by generation parity, so
-// the previous snapshot survives until the next checkpoint overwrites its
-// slot — the fallback when the newest snapshot is bit-rotten.
-func snapName(gen uint64) string {
-	if gen%2 == 0 {
-		return "snap.a"
-	}
-	return "snap.b"
-}
 
 // entryAt serializes the common payload prefix (kind + an explicit LSN)
 // into d.buf. Caller holds d.mu.
@@ -545,6 +545,7 @@ type DurabilityStats struct {
 	LSN              uint64 // last assigned log sequence number
 	WALEntries       int64
 	WALBytes         int64
+	CheckpointBytes  int64 // snapshot-section bytes written; ÷ WALBytes is the write amplification
 	Syncs            int64
 	GroupCommits     int64 // commit groups flushed (== Syncs)
 	CoalescedEntries int64 // outcomes absorbed into an open coalesced run
@@ -579,6 +580,7 @@ func (s *Server) DurabilityStats() DurabilityStats {
 		LSN:              d.lsn,
 		WALEntries:       d.entries,
 		WALBytes:         d.bytes,
+		CheckpointBytes:  d.snapBytes,
 		Syncs:            d.syncs,
 		GroupCommits:     d.groupCommits,
 		CoalescedEntries: d.coalesced,
@@ -626,6 +628,11 @@ func (s *Server) AttachDurability(cfg DurabilityConfig) {
 	d := &durability{disk: cfg.Disk, cfg: cfg}
 	d.enc.d = d
 	s.dur = d
+	// The change marks checkpoints consume exist only on a durable server;
+	// nil maps keep the plain ingest path free of them.
+	for _, sh := range s.shards {
+		sh.touched = make(map[int]struct{})
+	}
 }
 
 // setDurObs attaches the durability metric handles. Called from SetObs.
@@ -639,6 +646,8 @@ func (d *durability) setObs(o *obs.Obs) {
 	d.obsSyncWait = o.Histogram("wal_sync_wait_ns")
 	d.obsSnapshots = o.Counter("server_snapshots_total")
 	d.obsSnapBytes = o.Gauge("server_snapshot_bytes")
+	d.obsCkptBytes = o.Counter("server_checkpoint_bytes_total")
+	d.obsCkptNs = o.Histogram("server_checkpoint_ns")
 	d.obsRecovered = o.Counter("server_recoveries_total")
 	d.obsTruncated = o.Counter("server_wal_truncated_bytes_total")
 	d.obsReplayed = o.Counter("server_replayed_frames_total")

@@ -99,8 +99,8 @@ func TestObsMetricFamiliesPopulated(t *testing.T) {
 	}
 }
 
-// Every WAL metric family a durable group-commit run exports must carry a
-// HELP line on /metrics: an operator reading the scrape should not have to
+// Every WAL and checkpoint metric family a durable group-commit run exports
+// must carry a HELP line on /metrics: an operator reading the scrape should not have to
 // open the source to learn what wal_sync_wait_ns measures.
 func TestObsWALFamiliesHaveHelp(t *testing.T) {
 	o := obs.New()
@@ -124,7 +124,7 @@ func TestObsWALFamiliesHaveHelp(t *testing.T) {
 		case "HELP":
 			helped[f[2]] = true
 		case "TYPE":
-			if strings.HasPrefix(f[2], "wal_") || strings.HasPrefix(f[2], "server_wal_") {
+			if strings.HasPrefix(f[2], "wal_") || strings.HasPrefix(f[2], "server_wal_") || strings.HasPrefix(f[2], "server_checkpoint_") {
 				families[f[2]] = true
 			}
 		}
@@ -132,6 +132,7 @@ func TestObsWALFamiliesHaveHelp(t *testing.T) {
 	for _, want := range []string{
 		"server_wal_entries_total", "server_wal_bytes_total", "server_wal_syncs_total",
 		"wal_group_commits_total", "wal_coalesced_entries_total", "wal_flush_bytes", "wal_sync_wait_ns",
+		"server_checkpoint_bytes_total", "server_checkpoint_ns",
 	} {
 		if !families[want] {
 			t.Errorf("durable run exported no %s family: %v", want, families)

@@ -67,6 +67,7 @@ echo "== fuzz smoke ($fuzztime per target)"
 go test -run '^$' -fuzz 'FuzzBatchRoundTrip$' -fuzztime "$fuzztime" ./internal/server
 go test -run '^$' -fuzz 'FuzzCheckBatch$' -fuzztime "$fuzztime" ./internal/server
 go test -run '^$' -fuzz 'FuzzWALReplay$' -fuzztime "$fuzztime" ./internal/server
+go test -run '^$' -fuzz 'FuzzSnapshotSlot$' -fuzztime "$fuzztime" ./internal/server
 go test -run '^$' -fuzz 'FuzzParse$' -fuzztime "$fuzztime" ./internal/minic
 go test -run '^$' -fuzz 'FuzzLex$' -fuzztime "$fuzztime" ./internal/minic
 go test -run '^$' -fuzz 'FuzzEngineDifferential$' -fuzztime "$fuzztime" ./internal/vm
