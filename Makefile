@@ -58,7 +58,8 @@ chaos-recover:
 # real loopback TCP, plus the multi-tenant differential property (N runs
 # on one listener bit-identical to N isolated servers).
 chaos-net:
-	$(GO) test -race -run 'TestSocketChaosExactlyOnce$$|TestSocketKillRecoverConformance$$|TestMultiTenantDifferentialConformance$$' \
+	$(GO) test -race -run 'TestLinkWindowAttribution$$' -count 10 ./internal/transport
+	$(GO) test -race -run 'TestSocketChaosExactlyOnce$$|TestSocketKillRecoverConformance$$|TestMultiTenantDifferentialConformance$$|TestWindowProgressUnderEarlyResets$$|TestWindowBoundedAcrossOutage$$|TestReceiveAmongAsyncReportsItsOwnFate$$|TestWindowedSendSteadyStateAllocs$$' \
 	    -count 1 ./internal/netsrv
 
 # The wire-level chaos suites under the race detector: a seeded TCP

@@ -96,7 +96,10 @@ func TestSocketChaosExactlyOnce(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer svc.Close()
-			sess, err := Dial(svc.Addr().String(), Hello{RunID: "chaos", Rank: 0}, DialConfig{})
+			// The resilient session is a windowed medium, so the dice and
+			// the Link's crash window run over frames in flight; a plain
+			// *Session has no ack observer and would stay synchronous.
+			sess, err := DialResilient(ReconnectConfig{Addr: svc.Addr().String(), Hello: Hello{RunID: "chaos", Rank: 0}})
 			if err != nil {
 				t.Fatal(err)
 			}

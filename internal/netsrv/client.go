@@ -24,7 +24,8 @@ type DialConfig struct {
 	Timeout time.Duration
 
 	// Window is the pipelining depth for SendAsync: how many frames may
-	// be in flight before the sender must consume an ack. Default 256.
+	// be in flight before the sender must consume an ack. Every connection
+	// opens at one and doubles up to it (see Session). Default 256.
 	Window int
 
 	// OpTimeout is the per-operation I/O deadline after the handshake:
@@ -59,6 +60,13 @@ func (c *DialConfig) fillDefaults() {
 // the frame/ack exchange serializes under an internal lock (matching the
 // in-process server, whose Receive is also internally synchronized).
 //
+// The pipeline window opens the way a congestion window does: a fresh
+// connection may have one frame unanswered, and the allowance doubles each
+// time a whole window has been acknowledged, up to DialConfig.Window. So a
+// connection delivers an ack before a second frame is risked on it — a wire
+// that dies sooner than a window's bytes still makes progress, one
+// reconnect at a time — and reaches full depth nine round trips later.
+//
 // A Session distinguishes two failure classes. Protocol-level statuses
 // (ErrFrameRejected, server.ErrServerDown) describe one frame's fate on a
 // healthy connection. Transport-level failures (write errors, ack-read
@@ -72,7 +80,10 @@ type Session struct {
 	r         *bufio.Reader
 	w         *bufio.Writer
 	ack       SessionAck
-	window    int
+	window    int       // frames that may be unanswered now: 1 after the dial, doubling
+	maxWindow int       // DialConfig.Window, where the doubling stops
+	acked     int       // acks since window last grew
+	flushed   time.Time // last flush SendAsync forced on age (flushLag)
 	opTimeout time.Duration
 	readDl    time.Time // last armed read deadline (freshness gate)
 	writeDl   time.Time // last armed write deadline (freshness gate)
@@ -120,7 +131,8 @@ func handshake(conn net.Conn, h Hello, cfg DialConfig) (*Session, error) {
 		conn:      conn,
 		r:         bufio.NewReaderSize(conn, 64<<10),
 		w:         bufio.NewWriterSize(conn, 64<<10),
-		window:    cfg.Window,
+		window:    1,
+		maxWindow: cfg.Window,
 		opTimeout: cfg.OpTimeout,
 	}
 	_ = conn.SetDeadline(time.Now().Add(cfg.Timeout))
@@ -243,17 +255,14 @@ func (s *Session) SendAsync(encoded []byte) error {
 	// writer flushes on its own buffer boundary instead of once per frame.
 	s.drainBuffered()
 	if s.inflight >= s.window {
-		s.armWrite()
-		if err := s.w.Flush(); err != nil {
-			return s.fail(err)
+		// A window still opening is acknowledged whole before the next,
+		// doubled one is risked; at full depth it slides one ack at a time.
+		keep := 0
+		if s.window == s.maxWindow {
+			keep = s.window - 1
 		}
-		if err := s.readAck(); err != nil {
-			if s.connErr != nil {
-				return err
-			}
-			if s.pendErr == nil {
-				s.pendErr = err
-			}
+		if err := s.awaitLocked(keep); err != nil {
+			return err
 		}
 		s.drainBuffered()
 	}
@@ -262,8 +271,21 @@ func (s *Session) SendAsync(encoded []byte) error {
 		return s.fail(err)
 	}
 	s.inflight++
+	// No frame waits in the write buffer longer than flushLag while frames
+	// keep coming: a trickle goes out frame by frame, as promptly as
+	// Receive sends it; a firehose fills the buffer before this fires.
+	if now := time.Now(); now.Sub(s.flushed) > flushLag {
+		s.flushed = now
+		if err := s.w.Flush(); err != nil {
+			return s.fail(err)
+		}
+	}
 	return nil
 }
+
+// flushLag is how stale SendAsync lets the write buffer get: well under a
+// report interval, well over the time a saturated sender takes to fill it.
+const flushLag = 2 * time.Millisecond
 
 // Drain flushes queued frames and consumes every outstanding ack,
 // returning the first failure the pipeline saw.
@@ -277,13 +299,36 @@ func (s *Session) Drain() error {
 }
 
 func (s *Session) drainLocked() error {
-	if s.inflight > 0 {
+	if err := s.awaitLocked(0); err != nil {
+		return err
+	}
+	err := s.pendErr
+	s.pendErr = nil
+	return err
+}
+
+// await is awaitLocked for ResilientSession, which hears statuses through
+// ackHook and wants only the transport's verdict.
+func (s *Session) await(keep int) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.connErr != nil {
+		return s.connErr
+	}
+	return s.awaitLocked(keep)
+}
+
+// awaitLocked flushes queued frames and consumes acks until at most keep
+// frames are unanswered. Per-frame statuses collect in pendErr (and pass
+// through ackHook); the returned error is a transport failure.
+func (s *Session) awaitLocked(keep int) error {
+	if s.inflight > keep {
 		s.armWrite()
 		if err := s.w.Flush(); err != nil {
 			return s.fail(err)
 		}
 	}
-	for s.inflight > 0 {
+	for s.inflight > keep {
 		if err := s.readAck(); err != nil {
 			if s.connErr != nil {
 				return err // transport broken: no more acks are coming
@@ -293,9 +338,7 @@ func (s *Session) drainLocked() error {
 			}
 		}
 	}
-	err := s.pendErr
-	s.pendErr = nil
-	return err
+	return nil
 }
 
 // drainBuffered consumes acks that can be read without touching the
@@ -330,6 +373,9 @@ func (s *Session) readAck() error {
 	status := payload[0]
 	if status > frameAckDown {
 		return s.fail(fmt.Errorf("netsrv: unknown ack status %d", status))
+	}
+	if s.acked++; s.acked >= s.window && s.window < s.maxWindow {
+		s.window, s.acked = min(2*s.window, s.maxWindow), 0
 	}
 	if s.ackHook != nil {
 		s.ackHook(status)

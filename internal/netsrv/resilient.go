@@ -2,6 +2,7 @@ package netsrv
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"sync"
 	"time"
@@ -150,6 +151,7 @@ type ResilientStats struct {
 	BackoffNs    int64  // total time slept in dial backoff
 	Resumed      int64  // queued envelopes skipped because the resume LSN proved them processed
 	Outages      int64  // operations that exhausted the retry budget
+	InFlight     int    // envelopes accepted and not yet answered (at most Dial.Window)
 	LSN          uint64 // client's belief of the tenant's durable LSN
 }
 
@@ -165,11 +167,19 @@ type ResilientStats struct {
 // envelopes. The session keeps copies of sent-but-unanswered envelopes in
 // order; on reconnect, the fresh session ack's LSN minus the client's
 // last-acked position says exactly how many of those the server processed
-// before the wire died — that prefix is dropped (already journaled), the
+// before the wire died — that prefix is answered (already journaled), the
 // rest is retransmitted in order. Against a non-durable tenant the ack
 // LSN is always 0, so everything unanswered is retransmitted and the
 // server's sequence dedup absorbs the overlap: at-least-once there,
 // exactly-once when durability is on.
+//
+// It is also a windowed medium (transport.Windowed): SendAsync accepts a
+// frame into a window of at most Dial.Window unanswered envelopes, and every
+// accepted envelope is answered exactly once, in order — by its ack, by the
+// resume LSN, or with server.ErrServerDown when the session gives up —
+// through the observer (ObserveAcks). Giving up empties the window, so the
+// bound holds across an outage. The session owns no goroutine: acks are read
+// on the caller's, inside SendAsync, Drain and Receive.
 //
 // When an outage outlives the retry budget, operations fail with
 // server.ErrServerDown — the same error a crashed tenant returns — so the
@@ -181,19 +191,28 @@ type ResilientSession struct {
 	d    *dialer
 	sess *Session
 
-	lsn     uint64   // belief: tenant's durable LSN after all answered envelopes
-	pend    [][]byte // sent-but-unanswered envelope copies, oldest first
-	sent    int      // prefix of pend transmitted on the live conn
-	ackErr  error    // first non-OK status since the last report
-	ever    bool     // a connection has succeeded at least once
+	lsn uint64 // belief: tenant's durable LSN after all answered envelopes
+	// pend is a ring of Dial.Window slots: n unanswered envelope copies from
+	// head on, the first sent of them written to the live conn. Slot buffers
+	// are reused in place, so the steady state allocates nothing.
+	pend          [][]byte
+	head, n, sent int
+	// observe hears each answered envelope's fate; without one the first
+	// failure waits in ackErr for Drain. own marks the tail as a Receive in
+	// progress, whose fate is that call's return value (ownErr) instead.
+	observe func(encoded []byte, err error)
+	ackErr  error
+	own     bool
+	ownErr  error
+	ever    bool // a connection has succeeded at least once
 	lastAck SessionAck
 
-	free  [][]byte // recycled pend copies (see push)
 	stats ResilientStats
 
 	reconnects *obs.Counter
 	attempts   *obs.Counter
 	backoffNs  *obs.Histogram
+	inflight   *obs.Gauge
 }
 
 // DialResilient dials the first connection eagerly — network errors and
@@ -203,7 +222,7 @@ type ResilientSession struct {
 func DialResilient(cfg ReconnectConfig) (*ResilientSession, error) {
 	cfg.Dial.fillDefaults()
 	cfg.Retry.fillDefaults()
-	r := &ResilientSession{cfg: cfg, d: newDialer(cfg.Addr, cfg.Dial, cfg.Retry)}
+	r := &ResilientSession{cfg: cfg, d: newDialer(cfg.Addr, cfg.Dial, cfg.Retry), pend: make([][]byte, cfg.Dial.Window)}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if err := r.redialLocked(time.Now().Add(cfg.Retry.MaxElapsed)); err != nil {
@@ -219,6 +238,21 @@ func (r *ResilientSession) SetObs(o *obs.Obs) {
 	r.reconnects = o.Counter("net_reconnects_total")
 	r.attempts = o.Counter("net_dial_attempts_total")
 	r.backoffNs = o.Histogram("net_dial_backoff_ns")
+	r.inflight = o.Gauge("net_inflight_frames")
+}
+
+// ObserveAcks registers fn to hear the fate of every envelope SendAsync
+// accepts, once each and in acceptance order: nil (journaled — by ack or by
+// resume LSN), ErrFrameRejected, or server.ErrServerDown (the tenant was
+// down, or the session gave up on it; the sender owns the retry). fn runs on
+// the goroutine inside SendAsync, Drain or Receive with the session locked:
+// it must not call back in, and encoded is valid only during the call. One
+// observer at a time: a transport.Link registers itself here, and a session
+// it drives is driven by nothing else.
+func (r *ResilientSession) ObserveAcks(fn func(encoded []byte, err error)) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.observe = fn
 }
 
 // Ack returns the most recent vSA1 session ack (the latest successful
@@ -235,6 +269,7 @@ func (r *ResilientSession) Stats() ResilientStats {
 	defer r.mu.Unlock()
 	st := r.stats
 	st.LSN = r.lsn
+	st.InFlight = r.n
 	return st
 }
 
@@ -253,36 +288,45 @@ func (r *ResilientSession) ResyncLSN(lsn uint64) {
 // goroutine, inside a Session operation, while r.mu is held by that same
 // caller — the oldest unanswered envelope is the one being answered.
 func (r *ResilientSession) onAck(status byte) {
-	if len(r.pend) > 0 {
-		head := r.pend[0]
-		r.pend = r.pend[1:]
-		if len(r.pend) == 0 {
-			r.pend = nil // release the backing array
-		}
-		if r.sent > 0 {
-			r.sent--
-		}
-		// The envelope was fully written before its ack arrived, so its
-		// copy can be recycled into the next push.
-		if len(r.free) < pendFreeMax {
-			r.free = append(r.free, head)
-		}
-	}
+	var err error
 	switch status {
 	case frameAckOK:
 		r.lsn++
 	case frameAckReject:
 		r.lsn++ // a reject is journaled too (dense LSN)
-		if r.ackErr == nil {
-			r.ackErr = ErrFrameRejected
-		}
+		err = ErrFrameRejected
 	case frameAckDown:
 		// Not journaled: the tenant was between Crash and Recover.
-		if r.ackErr == nil {
-			r.ackErr = server.ErrServerDown
-		}
+		err = server.ErrServerDown
+	}
+	r.answer(err)
+}
+
+// answer releases the oldest unanswered envelope and tells its fate to
+// whoever is waiting for it.
+func (r *ResilientSession) answer(err error) {
+	if r.n == 0 {
+		return
+	}
+	frame := r.pend[r.head]
+	r.head = (r.head + 1) % len(r.pend)
+	r.n--
+	if r.sent > 0 {
+		r.sent--
+	}
+	r.inflight.Set(float64(r.n))
+	switch {
+	case r.own && r.n == 0:
+		r.ownErr = err
+	case r.observe != nil:
+		r.observe(frame, err)
+	case r.ackErr == nil:
+		r.ackErr = err
 	}
 }
+
+// at returns the i-th oldest unanswered envelope's slot.
+func (r *ResilientSession) at(i int) *[]byte { return &r.pend[(r.head+i)%len(r.pend)] }
 
 // redialLocked establishes a fresh connection within the deadline and
 // reconciles the unanswered queue against the server's durable position.
@@ -294,10 +338,8 @@ func (r *ResilientSession) redialLocked(deadline time.Time) error {
 	r.stats.DialAttempts += st.Attempts
 	r.stats.Refusals += st.Refusals
 	r.stats.BackoffNs += st.BackoffNs
-	if r.attempts != nil {
-		r.attempts.Add(st.Attempts)
-	}
-	if r.backoffNs != nil && st.BackoffNs > 0 {
+	r.attempts.Add(st.Attempts)
+	if st.BackoffNs > 0 {
 		r.backoffNs.ObserveInt(st.BackoffNs)
 	}
 	if err != nil {
@@ -309,26 +351,23 @@ func (r *ResilientSession) redialLocked(deadline time.Time) error {
 	r.lastAck = s.Ack()
 	if r.ever {
 		r.stats.Reconnects++
-		if r.reconnects != nil {
-			r.reconnects.Inc()
-		}
+		r.reconnects.Inc()
 	}
 	r.ever = true
+	r.sent = 0
 	// Reconcile: the ack's LSN is the server's truth. Anything it has
 	// journaled beyond our belief must be the oldest unanswered envelopes,
-	// delivered in order before the previous wire died — drop them instead
+	// delivered in order before the previous wire died — answer them instead
 	// of re-sending. A *lower* LSN (crash truncation, or a non-durable
 	// tenant's flat 0) means re-send everything unanswered and let
 	// sequence dedup absorb any overlap.
-	if processed := r.lastAck.LSN - r.lsn; r.lastAck.LSN > r.lsn {
-		if processed > uint64(len(r.pend)) {
-			processed = uint64(len(r.pend))
+	if r.lastAck.LSN > r.lsn {
+		for processed := min(r.lastAck.LSN-r.lsn, uint64(r.n)); processed > 0; processed-- {
+			r.stats.Resumed++
+			r.answer(nil)
 		}
-		r.pend = r.pend[processed:]
-		r.stats.Resumed += int64(processed)
 	}
 	r.lsn = r.lastAck.LSN
-	r.sent = 0
 	return nil
 }
 
@@ -341,29 +380,30 @@ func (r *ResilientSession) dropSessLocked() {
 	r.sent = 0
 }
 
-// transmitLocked pushes untransmitted queued envelopes onto the live
-// session, optionally draining all outstanding acks. Ack arrivals pop the
-// queue via onAck as a side effect of the Session calls.
-func (r *ResilientSession) transmitLocked(drain bool) error {
-	s := r.sess
-	for r.sent < len(r.pend) {
-		next := r.pend[r.sent]
-		if err := s.SendAsync(next); err != nil {
+// transmitLocked writes every queued envelope the live connection has not
+// carried yet, then consumes acks until at most keep are unanswered. Ack
+// arrivals pop the queue via onAck as a side effect of the Session calls.
+func (r *ResilientSession) transmitLocked(keep int) error {
+	for r.sent < r.n {
+		if err := r.sess.SendAsync(*r.at(r.sent)); err != nil {
 			return err
 		}
 		r.sent++
 	}
-	if drain {
-		return s.Drain()
+	if r.n > keep {
+		return r.sess.await(keep)
 	}
 	return nil
 }
 
 // opLocked is the self-healing core: keep a connection alive, transmit
-// the queue, and on transport failure redial-and-retransmit until the
-// per-outage budget is gone. Protocol-level statuses (reject/down) are
-// captured by onAck and surfaced; they never trigger a redial.
-func (r *ResilientSession) opLocked(drain bool) error {
+// the queue, wait until at most keep envelopes are unanswered, and on
+// transport failure redial-and-retransmit until the per-outage budget is
+// gone. Then the session gives up: everything unanswered is answered
+// server.ErrServerDown — handed back, not kept queued — and the operation
+// fails with the same error. Protocol-level statuses (reject/down) are
+// answers like any other; they never trigger a redial.
+func (r *ResilientSession) opLocked(keep int) error {
 	// The outage deadline is read lazily: a healthy session never pays
 	// for the clock, and the budget spans this operation's redials only.
 	var deadline time.Time
@@ -373,108 +413,104 @@ func (r *ResilientSession) opLocked(drain bool) error {
 				deadline = time.Now().Add(r.d.p.MaxElapsed)
 			}
 			if err := r.redialLocked(deadline); err != nil {
+				for r.n > 0 {
+					r.answer(server.ErrServerDown)
+				}
 				return server.ErrServerDown
 			}
 		}
-		err := r.transmitLocked(drain)
-		if err != nil && r.sess.Broken() != nil {
-			r.dropSessLocked()
-			continue
+		// Every error a Session returns here is a transport failure that
+		// poisoned it; statuses travel through onAck.
+		if r.transmitLocked(keep) == nil {
+			return nil
 		}
-		e := r.ackErr
-		r.ackErr = nil
-		return e
+		r.dropSessLocked()
 	}
 }
 
-// pendFreeMax bounds the recycled-buffer stack fed by acked queue
-// entries. It must cover a full pipeline window (acks arrive in bursts
-// that pop up to Window entries at once) or the steady state degenerates
-// to allocating on most pushes.
-const pendFreeMax = 320
-
-// push copies one frame into the unanswered queue (the copy is what gets
-// retransmitted after a reconnect — the caller may reuse its buffer).
-// Acked entries' buffers are recycled to keep the steady-state path to
-// one memcpy with no allocation.
-func (r *ResilientSession) push(encoded []byte) []byte {
-	var cp []byte
-	if n := len(r.free); n > 0 && cap(r.free[n-1]) >= len(encoded) {
-		cp = append(r.free[n-1][:0], encoded...)
-		r.free = r.free[:n-1]
-	} else {
-		cp = append([]byte(nil), encoded...)
+// accept makes room in the window — a full one waits for its oldest ack,
+// redialing if it must, and fails with nothing queued when it cannot — then
+// copies the frame into the next slot (what a reconnect retransmits).
+func (r *ResilientSession) accept(encoded []byte) error {
+	if err := r.opLocked(len(r.pend) - 1); err != nil {
+		return err
 	}
-	r.pend = append(r.pend, cp)
-	return cp
-}
-
-// unpush removes the caller's own entry after a failed synchronous
-// operation, so the caller's retry does not double-queue it. The entry is
-// the queue tail iff no ack or resume already consumed it.
-func (r *ResilientSession) unpush(cp []byte) {
-	if n := len(r.pend); n > 0 && len(cp) > 0 {
-		tail := r.pend[n-1]
-		if len(tail) == len(cp) && &tail[0] == &cp[0] {
-			r.pend = r.pend[:n-1]
-			if r.sent > n-1 {
-				r.sent = n - 1
-			}
-		}
-	}
+	slot := r.at(r.n)
+	*slot = append((*slot)[:0], encoded...)
+	r.n++
+	r.inflight.Set(float64(r.n))
+	return nil
 }
 
 // Receive sends one encoded vS* frame and waits for its ack, redialing
-// through connection failures — the transport.Medium contract. The
-// outcome is exact: nil or ErrFrameRejected means the envelope was
-// delivered and journaled exactly once (possibly proven by the resume
-// LSN rather than an explicit ack); server.ErrServerDown means it was
-// not delivered and the caller owns the retry — the frame is not left
-// queued.
+// through connection failures — the transport.Medium contract. It drains
+// whatever SendAsync left in flight ahead of it; those envelopes' fates go
+// to the observer, never into this return value. The outcome is exact: nil
+// or ErrFrameRejected means the envelope was delivered and journaled exactly
+// once (possibly proven by the resume LSN rather than an explicit ack);
+// server.ErrServerDown means it was not delivered and the caller owns the
+// retry — the frame is not left queued.
 func (r *ResilientSession) Receive(encoded []byte) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.ackErr = nil
-	cp := r.push(encoded)
-	err := r.opLocked(true)
-	if err != nil && !errors.Is(err, ErrFrameRejected) {
-		r.unpush(cp)
+	if err := r.accept(encoded); err != nil {
+		return err
+	}
+	r.own = true
+	err := r.opLocked(0)
+	r.own = false
+	if err != nil {
+		return err
+	}
+	return r.ownErr
+}
+
+// SendAsync accepts one frame into the window without waiting for its ack;
+// its fate goes to the observer (or, without one, to Drain). An error
+// (server.ErrServerDown: the window was full or the connection gone, and the
+// retry budget ran out) means it was not queued and will not be reported. A
+// write that fails after acceptance is not an error here: the frame stays
+// queued and the next operation redials and retransmits it.
+func (r *ResilientSession) SendAsync(encoded []byte) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if err := r.accept(encoded); err != nil {
+		return err
+	}
+	if r.transmitLocked(r.n) != nil {
+		r.dropSessLocked()
+	}
+	return nil
+}
+
+// Drain retransmits anything unanswered and consumes every outstanding
+// ack. Its error is server.ErrServerDown when the session gave up, else, on
+// a session without an observer, the first failure since the last Drain.
+func (r *ResilientSession) Drain() error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	err := r.opLocked(0)
+	if err == nil {
+		err, r.ackErr = r.ackErr, nil
 	}
 	return err
 }
 
-// SendAsync queues one frame on the pipelined path without waiting for
-// its ack; protocol-level failures surface on a later call or on Drain.
-// Unlike Receive, a reported outage does NOT unqueue the frame: an async
-// frame may already be in flight when the error belongs to an older one,
-// so abandoning it would corrupt the in-order ledger. The queue is
-// retransmitted by the next operation once the server is back.
-func (r *ResilientSession) SendAsync(encoded []byte) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.push(encoded)
-	return r.opLocked(false)
-}
-
-// Drain retransmits anything unanswered and consumes every outstanding
-// ack, reporting the first failure the pipeline saw since the last
-// report.
-func (r *ResilientSession) Drain() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.opLocked(true)
-}
-
-// Close tears down the live connection (after a best-effort drain) and
-// stops reconnecting.
+// Close drains the live connection (without redialing), tears it down and
+// stops reconnecting. An error means envelopes were still unanswered.
 func (r *ResilientSession) Close() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.sess == nil {
-		return nil
+	var err error
+	if r.sess != nil {
+		err = r.transmitLocked(0)
+		if cerr := r.sess.Close(); err == nil {
+			err = cerr
+		}
+		r.sess = nil
 	}
-	_ = r.transmitLocked(true)
-	err := r.sess.Close()
-	r.sess = nil
+	if r.n > 0 && err == nil {
+		err = fmt.Errorf("netsrv: session closed with %d envelopes unanswered", r.n)
+	}
 	return err
 }

@@ -287,11 +287,15 @@ func stubService(t *testing.T, script string) (addr string, wait func()) {
 			}
 			_ = writeEnvelope(w, reply)
 			_ = w.Flush()
+			var buf []byte // reused, so the 's' loop allocates nothing per envelope
+			ok := []byte{frameAckOK}
 			for step == 's' {
-				if _, _, err := readEnvelope(r, nil, MaxEnvelopeBytes); err != nil {
+				payload, _, err := readEnvelope(r, buf, MaxEnvelopeBytes)
+				if err != nil {
 					break
 				}
-				_ = writeEnvelope(w, []byte{frameAckOK})
+				buf = payload[:0]
+				_ = writeEnvelope(w, ok)
 				_ = w.Flush()
 			}
 			c.Close()

@@ -1,0 +1,284 @@
+package netsrv
+
+import (
+	"errors"
+	"sync"
+	"testing"
+	"time"
+
+	"vsensor/internal/netsrv/chaosproxy"
+	"vsensor/internal/server"
+	"vsensor/internal/transport"
+)
+
+// The window's contract, from the session's side. The Link-side half (who a
+// failed frame goes back to) is transport's TestLinkWindowAttribution over a
+// scripted medium; these run the real session over real sockets.
+
+// TestWindowProgressUnderEarlyResets is the regression test for invariant
+// (3), progress: a wire that dies sooner than one window of frames, against a
+// non-durable tenant. The session ack's LSN is a flat 0 there, so a reconnect
+// proves nothing and re-sends everything unanswered; if a fresh connection
+// were handed the whole backlog at once, every one would be reset before its
+// first ack was read and the queue would shrink only by luck. Opening each
+// connection at one frame means every connection retires at least one.
+func TestWindowProgressUnderEarlyResets(t *testing.T) {
+	const ranks, perRank = 8, 200
+	svc, err := Listen("127.0.0.1:0", Config{Shards: 1, MaxWorkers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	// 200 frames of ~400 bytes: a default window (256) of them is ~100 KiB,
+	// and no connection lives past 3 KiB.
+	px, err := chaosproxy.New(svc.Addr().String(), chaosproxy.Plan{Seed: 5, ResetEvery: 3 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer px.Close()
+	rs := proxyDial(t, px.Addr(), "early-resets", 5)
+	defer rs.Close()
+	if lsn := rs.Ack().LSN; lsn != 0 {
+		t.Fatalf("non-durable tenant acked LSN %d, want 0", lsn)
+	}
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		runRanksOver(t, rs, transport.FaultPlan{}, ranks, perRank)
+	}()
+	select {
+	case <-done:
+	case <-time.After(60 * time.Second):
+		t.Fatalf("no progress: session %+v, proxy %+v", rs.Stats(), px.Stats())
+	}
+
+	clean := server.New()
+	runRanksOver(t, clean, transport.FaultPlan{}, ranks, perRank)
+	got, want := svc.Tenant("early-resets").Records(), clean.Records()
+	sortRecs(got)
+	sortRecs(want)
+	if len(got) != len(want) {
+		t.Fatalf("log has %d records, reference %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("record %d differs after sorting:\n got: %+v\nwant: %+v", i, got[i], want[i])
+		}
+	}
+	if cov := svc.Tenant("early-resets").Coverage(); !cov.Complete() {
+		t.Errorf("coverage incomplete: %+v", cov)
+	}
+	st := rs.Stats()
+	if st.Reconnects == 0 || px.Stats().Resets == 0 {
+		t.Errorf("plan too tame: session %+v, proxy %+v", st, px.Stats())
+	}
+	if st.InFlight != 0 || st.Outages != 0 {
+		t.Errorf("session %+v, want nothing in flight and no outage", st)
+	}
+	// Progress, not luck: every connection retires at least one envelope, so
+	// there cannot be more connections than envelopes. (Handing a fresh
+	// connection the whole backlog finishes too, eventually — after some
+	// 7,000 reconnects and 44 MB for these 70 KB of frames.)
+	if frames := int64(ranks * perRank / 8); st.Reconnects > frames {
+		t.Errorf("%d reconnects for %d frames: connections are dying without retiring a frame (%+v)", st.Reconnects, frames, st)
+	}
+}
+
+// recordingObserver collects what ObserveAcks reports, in order.
+type recordingObserver struct {
+	mu    sync.Mutex
+	fates []error
+}
+
+func (o *recordingObserver) observe(_ []byte, err error) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.fates = append(o.fates, err)
+}
+
+func (o *recordingObserver) take() []error {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	out := o.fates
+	o.fates = nil
+	return out
+}
+
+// TestReceiveAmongAsyncReportsItsOwnFate mixes the two calls on one session:
+// a synchronous Receive drains the window ahead of it, but what it returns is
+// its own frame's fate, and the older frames' fates go to the observer — not
+// the first failure anyone met, which is what it used to return.
+func TestReceiveAmongAsyncReportsItsOwnFate(t *testing.T) {
+	svc, err := Listen("127.0.0.1:0", Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	rs, err := DialResilient(ReconnectConfig{Addr: svc.Addr().String(), Hello: Hello{RunID: "mix"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rs.Close()
+	var seen recordingObserver
+	rs.ObserveAcks(seen.observe)
+
+	good := func(seq uint64) []byte { return testFrame(0, seq, seq*2, 2) }
+	bad := good(99)
+	bad[len(bad)-1] ^= 0x40 // fails the frame CRC: the server rejects it
+
+	for _, f := range [][]byte{good(1), bad, good(2)} {
+		if err := rs.SendAsync(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := rs.Receive(good(3)); err != nil {
+		t.Fatalf("Receive of a good frame behind a rejected async one = %v, want nil", err)
+	}
+	if got := seen.take(); len(got) != 3 || got[0] != nil || !errors.Is(got[1], ErrFrameRejected) || got[2] != nil {
+		t.Fatalf("observer heard %v, want [nil, rejected, nil]", got)
+	}
+
+	if err := rs.SendAsync(good(4)); err != nil {
+		t.Fatal(err)
+	}
+	if err := rs.Receive(bad); !errors.Is(err, ErrFrameRejected) {
+		t.Fatalf("Receive of a bad frame behind a good async one = %v, want ErrFrameRejected", err)
+	}
+	if got := seen.take(); len(got) != 1 || got[0] != nil {
+		t.Fatalf("observer heard %v, want [nil]", got)
+	}
+	if st := rs.Stats(); st.InFlight != 0 {
+		t.Fatalf("in flight after Receive: %+v", st)
+	}
+	if n := len(svc.Tenant("mix").Records()); n != 8 {
+		t.Fatalf("tenant holds %d records, want 8 (four good frames)", n)
+	}
+}
+
+// TestWindowBoundedAcrossOutage is invariant (2): with the service gone for
+// good the window does not grow past Dial.Window — it used to append without
+// limit — a sender that finds it full fails like a synchronous one, and
+// giving up hands every unanswered frame back instead of keeping it queued.
+// Close then has nothing to hide; a Close over frames it could not drain says
+// so.
+func TestWindowBoundedAcrossOutage(t *testing.T) {
+	const window = 4
+	svc, err := Listen("127.0.0.1:0", Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := ReconnectConfig{
+		Addr:  svc.Addr().String(),
+		Hello: Hello{RunID: "bound"},
+		Dial:  DialConfig{Window: window, Timeout: 100 * time.Millisecond, OpTimeout: 100 * time.Millisecond},
+		Retry: RetryPolicy{MaxElapsed: 150 * time.Millisecond, BackoffBase: time.Millisecond, Seed: 3},
+	}
+	rs, err := DialResilient(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seen recordingObserver
+	rs.ObserveAcks(seen.observe)
+	// Open the window fully first, so frames queue instead of waiting out
+	// the one-frame start.
+	for seq := uint64(1); seq <= 2*window; seq++ {
+		if err := rs.SendAsync(testFrame(0, seq, seq, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := rs.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	seen.take()
+	svc.Close()
+
+	accepted := 0
+	var refused error
+	for seq := uint64(100); refused == nil && seq < 100+4*window; seq++ {
+		if refused = rs.SendAsync(testFrame(0, seq, seq, 1)); refused == nil {
+			accepted++
+		}
+		if st := rs.Stats(); st.InFlight > window {
+			t.Fatalf("%d envelopes in flight, window is %d", st.InFlight, window)
+		}
+	}
+	if !errors.Is(refused, server.ErrServerDown) {
+		t.Fatalf("SendAsync into a dead service kept accepting (%d frames): last error %v", accepted, refused)
+	}
+	fates := seen.take()
+	if len(fates) != accepted {
+		t.Fatalf("%d frames accepted, %d fates reported: %v", accepted, len(fates), fates)
+	}
+	for i, err := range fates {
+		if !errors.Is(err, server.ErrServerDown) {
+			t.Fatalf("fate %d = %v, want ErrServerDown", i, err)
+		}
+	}
+	if st := rs.Stats(); st.InFlight != 0 || st.Outages == 0 {
+		t.Fatalf("after giving up: %+v, want an empty window and a booked outage", st)
+	}
+	if err := rs.Close(); err != nil {
+		t.Fatalf("Close with nothing in flight: %v", err)
+	}
+
+	// The other half of Close: frames accepted, service dies, no later
+	// operation redials — Close must not report success.
+	svc2, err := Listen("127.0.0.1:0", Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Addr = svc2.Addr().String()
+	rs2, err := DialResilient(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rs2.Receive(testFrame(0, 1, 1, 1)); err != nil {
+		t.Fatal(err)
+	}
+	svc2.Close()
+	if err := rs2.SendAsync(testFrame(0, 2, 2, 1)); err != nil {
+		t.Fatalf("SendAsync with room in the window = %v, want accepted", err)
+	}
+	if err := rs2.Close(); err == nil {
+		t.Fatalf("Close over an unanswered frame reported success: %+v", rs2.Stats())
+	}
+}
+
+// TestWindowedSendSteadyStateAllocs pins the windowed record path's
+// allocation ceiling, in the style of server's TestFlushSteadyStateAllocs:
+// once the window is open and every slot of the session's ring has held a
+// frame, a full batch through Conn → Link → ResilientSession allocates
+// nothing — no queue growth, no per-frame copy, no ticket. The far end is the
+// stub service with a reused read buffer, so the process-wide count is the
+// client's alone.
+func TestWindowedSendSteadyStateAllocs(t *testing.T) {
+	addr, wait := stubService(t, "s")
+	rs, err := DialResilient(ReconnectConfig{Addr: addr, Hello: Hello{RunID: "allocs"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	link := transport.NewLinkOver(rs, transport.FaultPlan{})
+	conn := link.NewConn(0, transport.Config{BatchSize: 8})
+	batch := func() {
+		for i := 0; i < 8; i++ {
+			if err := conn.OnSlice(chaosRec(0, i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i := 0; i < 4*256; i++ { // open the window, touch every ring slot, size the ticket queue
+		batch()
+	}
+	if avg := testing.AllocsPerRun(2000, batch); avg != 0 {
+		t.Errorf("steady-state windowed frame allocates %.2f objects, want 0", avg)
+	}
+	if err := conn.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st := rs.Stats(); st.InFlight != 0 {
+		t.Errorf("in flight after Close: %+v", st)
+	}
+	rs.Close()
+	wait()
+}

@@ -358,14 +358,21 @@ func writeEnvelope(w *bufio.Writer, payload []byte) error {
 // stream synchronized; a CRC mismatch returns ErrEnvelopeCorrupt, which is
 // connection-fatal for every caller.
 func readEnvelope(r *bufio.Reader, buf []byte, maxBytes int) ([]byte, envHeader, error) {
-	var hdrBuf [envHeaderSize]byte
-	if _, err := io.ReadFull(r, hdrBuf[:]); err != nil {
+	// The header is decoded in place for the reason writeEnvelope's goes
+	// through WriteByte: a stack array handed to io.ReadFull escapes, one
+	// allocation per envelope on both ends of the wire.
+	hdrBuf, err := r.Peek(envHeaderSize)
+	if err != nil {
+		if len(hdrBuf) > 0 && err == io.EOF {
+			err = io.ErrUnexpectedEOF // what io.ReadFull calls a torn header
+		}
 		return nil, envHeader{}, err
 	}
 	hdr := envHeader{
 		n:   int(binary.LittleEndian.Uint32(hdrBuf[0:])),
 		crc: binary.LittleEndian.Uint32(hdrBuf[4:]),
 	}
+	_, _ = r.Discard(envHeaderSize) // cannot fail: Peek just buffered these bytes
 	if hdr.n > maxBytes {
 		return nil, hdr, fmt.Errorf("%w: %d bytes declared, cap %d", ErrEnvelopeTooLarge, hdr.n, maxBytes)
 	}

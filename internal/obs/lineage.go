@@ -4,6 +4,12 @@ import "fmt"
 
 // Stage identifies one hop of a record's journey through the pipeline, from
 // the detector's emit to the analyzer's final verdict.
+//
+// A StageAttempt's duration is what the sender waited for the attempt: the
+// medium's round trip when delivery is synchronous, only the time to be
+// accepted into the window (a stall for the oldest ack included) over a
+// windowed medium. An accepted attempt that later comes back from the window
+// shows as a StageRetry when its rank reclaims it.
 type Stage uint8
 
 const (

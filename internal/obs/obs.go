@@ -206,6 +206,9 @@ func describeStandard(r *Registry) {
 	r.Describe("transport_parked_total", "Frames parked in a retransmit buffer after exhausting retries.")
 	r.Describe("transport_records_lost_total", "Records lost to drop-oldest backpressure or abandoned at close.")
 	r.Describe("transport_heartbeats_total", "Liveness heartbeats delivered to the server by rank conns.")
+	r.Describe("transport_window_stalls_total", "Sends over a windowed medium that had to wait for the oldest ack: the window was full, or reopening after a redial.")
+	r.Describe("transport_returned_frames_total", "Frames a windowed medium accepted and then failed (rejected, tenant down, or unanswered when it gave up), handed back to their rank's retransmit buffer.")
+	r.Describe("net_inflight_frames", "Envelopes the resilient session has accepted and not yet seen answered; at most the dial window.")
 	r.Describe("mpi_collectives_total", "Collective operations completed, by kind.")
 	r.Describe("mpi_p2p_messages_total", "Point-to-point messages sent.")
 	r.Describe("mpi_p2p_bytes_total", "Point-to-point payload bytes sent.")

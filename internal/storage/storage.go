@@ -1,16 +1,18 @@
 // Package storage is a simulated, fault-injectable persistence device for
-// the analysis server's durability layer (WAL + snapshots). The in-process
-// server of earlier PRs never loses state, so its "crash recovery" was
-// untestable fiction; this package gives the reproduction a disk with the
-// failure modes real write-ahead logs are built to survive:
+// the analysis server's durability layer (WAL + snapshots): a disk with the
+// failure modes real write-ahead logs are built to survive.
 //
-//   - Writes land in an unsynced region first (the page cache). A crash
-//     discards whatever was not fsynced — or, under the torn-write fault,
-//     keeps an arbitrary byte prefix of it, the classic partially-persisted
-//     append that forces WAL readers to truncate at the first bad CRC.
-//   - Sync moves the unsynced region into durable bytes — unless the
-//     sync-loss fault makes it lie: it reports success while the data stays
-//     volatile, the fsync-error-swallowed bug of real storage stacks.
+// Layout: a file is a list of extents plus two offsets; bytes [0,synced)
+// are durable, [synced,size) is the page cache.
+//
+//   - Append copies each byte once — into the tail extent's spare room, the
+//     rest into one new extent — and never moves an old one. A crash drops
+//     what was not fsynced — or, under the torn-write fault, keeps a byte
+//     prefix of it, the partial append that makes WAL readers truncate at
+//     the first bad CRC.
+//   - Sync is synced = size and costs what SetSyncDelayNs states, whatever
+//     the file's size — unless the sync-loss fault makes it lie: it reports
+//     success while the data stays volatile, the fsync-error-swallowed bug.
 //   - A crash can flip a random bit in a file's durable bytes (bit rot),
 //     which recovery must detect by checksum rather than trust.
 //
@@ -31,18 +33,15 @@ import (
 // Faults configures the disk's seeded failure injection. Probabilities are
 // in [0,1]; the zero value injects nothing.
 type Faults struct {
-	// Seed derives the fault stream; crash outcomes are deterministic per
-	// (Seed, operation sequence).
+	// Seed derives the fault stream: outcomes are a function of (Seed, ops).
 	Seed int64
 
 	// TornWrite is the probability, per file with unsynced data at crash
-	// time, that a byte prefix of the unsynced tail survives instead of the
-	// whole tail vanishing — a partially persisted append.
+	// time, that a byte prefix of the tail survives — a partial append.
 	TornWrite float64
 
 	// SyncLoss is the probability a Sync call claims success while leaving
-	// the data unsynced (lost if a crash follows before a later, honest
-	// Sync).
+	// the data unsynced (lost if a crash precedes a later, honest Sync).
 	SyncLoss float64
 
 	// BitRot is the probability, per file at crash time, that one random
@@ -63,22 +62,26 @@ func (f Faults) Validate() error {
 	return nil
 }
 
-// file is one stored object: durable bytes survive a crash; unsynced bytes
-// are the page-cache tail that a crash discards (or tears).
+// extentSize is the least a file grows by: small appends share an extent,
+// a larger one gets a single extent of its own size.
+const extentSize = 64 << 10
+
+// file is one stored object; the package comment has the layout.
 type file struct {
-	durable  []byte
-	unsynced []byte
+	ext          [][]byte // never empty; only the last has spare capacity
+	size, synced int
 }
 
-// view returns what a running process reads: durable bytes plus the cached
-// unsynced tail.
+// view returns a copy of what a running process reads, cached tail included.
 func (f *file) view() []byte {
-	out := make([]byte, 0, len(f.durable)+len(f.unsynced))
-	out = append(out, f.durable...)
-	return append(out, f.unsynced...)
+	out := make([]byte, 0, f.size)
+	for _, e := range f.ext {
+		out = append(out, e...)
+	}
+	return out
 }
 
-// Stats counts the disk's operation history, for tests and observability.
+// Stats counts the disk's operations.
 type Stats struct {
 	Appends     int64
 	AppendBytes int64
@@ -101,9 +104,8 @@ type Disk struct {
 	syncDelayNs int64
 }
 
-// NewDisk creates an empty disk with the given fault plan. Panics on an
-// invalid plan (rates out of range) — fault plans are test/CLI inputs that
-// should have been validated already.
+// NewDisk creates an empty disk. It panics on rates out of range: plans are
+// test/CLI inputs, validated before they get here.
 func NewDisk(f Faults) *Disk {
 	if err := f.Validate(); err != nil {
 		panic(err)
@@ -115,29 +117,33 @@ func NewDisk(f Faults) *Disk {
 	}
 }
 
-// Append buffers p onto the end of name, creating it if absent. The bytes
+// Append buffers p onto the end of name, creating it if absent; the bytes
 // are volatile (lost or torn at crash) until a truthful Sync.
 func (d *Disk) Append(name string, p []byte) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	f := d.files[name]
 	if f == nil {
-		f = &file{}
+		f = &file{ext: [][]byte{nil}}
 		d.files[name] = f
 	}
-	f.unsynced = append(f.unsynced, p...)
 	d.stats.Appends++
 	d.stats.AppendBytes += int64(len(p))
+	f.size += len(p)
+	last := &f.ext[len(f.ext)-1]
+	room := min(cap(*last)-len(*last), len(p))
+	*last, p = append(*last, p[:room]...), p[room:]
+	if len(p) > 0 {
+		f.ext = append(f.ext, append(make([]byte, 0, max(len(p), extentSize)), p...))
+	}
 	return nil
 }
 
 // SetSyncDelayNs models the device's sync latency: every Sync call busy
-// waits this long while holding the disk lock, the way a real fsync
-// stalls its caller for the flush round trip. The default (0) keeps Sync
-// free, which is right for correctness tests but hides exactly the cost
-// that sync batching amortizes — load benchmarks set a realistic delay.
-// A busy wait rather than a sleep because sub-100µs sleeps round up to
-// scheduler granularity and would distort the model.
+// waits this long while holding the disk lock, the way a real fsync stalls
+// its caller. The default (0) keeps Sync free, right for correctness tests;
+// load benchmarks set a realistic delay, the cost sync batching amortizes.
+// A busy wait, because sub-100µs sleeps round up to scheduler granularity.
 func (d *Disk) SetSyncDelayNs(ns int64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -162,13 +168,12 @@ func (d *Disk) Sync(name string) error {
 		d.stats.SyncsLost++
 		return nil
 	}
-	f.durable = append(f.durable, f.unsynced...)
-	f.unsynced = f.unsynced[:0]
+	f.synced = f.size
 	return nil
 }
 
-// ReadFile returns the running-process view of name: durable bytes plus the
-// cached unsynced tail. The returned slice is a copy.
+// ReadFile returns a copy of the running-process view of name: durable
+// bytes plus the cached unsynced tail.
 func (d *Disk) ReadFile(name string) ([]byte, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -180,9 +185,7 @@ func (d *Disk) ReadFile(name string) ([]byte, error) {
 }
 
 // Rename atomically and durably renames old to new, replacing any existing
-// new — the commit primitive snapshots rely on. Metadata operations are
-// modeled as journaled by the filesystem: a crash never observes a half
-// rename.
+// new — the snapshots' commit primitive. A crash never sees a half rename.
 func (d *Disk) Rename(oldName, newName string) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -196,8 +199,7 @@ func (d *Disk) Rename(oldName, newName string) error {
 	return nil
 }
 
-// Remove deletes name; removing a missing file is not an error (idempotent
-// cleanup).
+// Remove deletes name; a missing file is not an error (idempotent cleanup).
 func (d *Disk) Remove(name string) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -212,6 +214,10 @@ func (d *Disk) Remove(name string) error {
 func (d *Disk) List() []string {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	return d.sortedNames()
+}
+
+func (d *Disk) sortedNames() []string {
 	out := make([]string, 0, len(d.files))
 	for name := range d.files {
 		out = append(out, name)
@@ -221,39 +227,33 @@ func (d *Disk) List() []string {
 }
 
 // Crash simulates losing the machine: every file's unsynced tail is
-// discarded — or torn, keeping a random byte prefix, under the torn-write
-// fault — and durable bytes may suffer a single-bit flip under the bit-rot
-// fault. The disk remains usable afterwards; recovery reads what survived.
+// discarded — or torn, keeping a random byte prefix — and durable bytes may
+// suffer a single-bit flip. The disk stays usable; recovery reads the rest.
 func (d *Disk) Crash() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.stats.Crashes++
-	// Iterate in sorted order so the fault stream is deterministic: map
-	// iteration order must not decide which file tears.
-	names := make([]string, 0, len(d.files))
-	for name := range d.files {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	// Sorted, so map iteration order does not decide which file tears.
+	for _, name := range d.sortedNames() {
 		f := d.files[name]
-		if len(f.unsynced) > 0 {
-			if d.faults.TornWrite > 0 && d.rng.Float64() < d.faults.TornWrite {
-				keep := d.rng.Intn(len(f.unsynced) + 1)
-				f.durable = append(f.durable, f.unsynced[:keep]...)
-				d.stats.TornKept += int64(keep)
-			}
-			f.unsynced = nil
+		if f.size > f.synced && d.faults.TornWrite > 0 && d.rng.Float64() < d.faults.TornWrite {
+			keep := d.rng.Intn(f.size - f.synced + 1)
+			f.synced += keep
+			d.stats.TornKept += int64(keep)
 		}
-		if len(f.durable) > 0 && d.faults.BitRot > 0 && d.rng.Float64() < d.faults.BitRot {
-			bit := d.rng.Intn(len(f.durable) * 8)
-			f.durable[bit/8] ^= 1 << (bit % 8)
+		// What survives becomes one flat extent: a crash may copy a file,
+		// nothing on the running path does.
+		data := f.view()[:f.synced]
+		if len(data) > 0 && d.faults.BitRot > 0 && d.rng.Float64() < d.faults.BitRot {
+			bit := d.rng.Intn(len(data) * 8)
+			data[bit/8] ^= 1 << (bit % 8)
 			d.stats.BitFlips++
 		}
+		f.ext, f.size = [][]byte{data}, f.synced
 	}
 }
 
-// Stats returns a snapshot of the operation counters.
+// Stats returns the operation counters.
 func (d *Disk) Stats() Stats {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -266,7 +266,7 @@ func (d *Disk) Size() int64 {
 	defer d.mu.Unlock()
 	var n int64
 	for _, f := range d.files {
-		n += int64(len(f.durable) + len(f.unsynced))
+		n += int64(f.size)
 	}
 	return n
 }

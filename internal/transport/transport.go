@@ -103,6 +103,26 @@ type Medium interface {
 	Receive(encoded []byte) error
 }
 
+// Windowed is a Medium that can hold a bounded window of unanswered frames,
+// so a delivery attempt costs a place in the window instead of a round trip
+// (internal/netsrv's ResilientSession; the bound is the medium's own). The
+// in-process server and any Receive-only wrapper get the synchronous call,
+// the window-of-one case.
+type Windowed interface {
+	Medium
+	// SendAsync accepts the frame into the window, first waiting for the
+	// oldest ack if the window is full. An error means it was not accepted
+	// and will not be reported: the attempt failed, as Receive would have.
+	SendAsync(encoded []byte) error
+	// Drain returns once every accepted frame has been answered.
+	Drain() error
+	// ObserveAcks registers the callback that hears each accepted frame's
+	// fate once, in acceptance order: nil, or the error Receive would have
+	// returned (the medium giving up on it included). It runs inside
+	// SendAsync or Drain, on their caller's goroutine.
+	ObserveAcks(fn func(encoded []byte, err error))
+}
+
 // Link is the shared lossy medium in front of one analysis server. Conns
 // from every rank send through it; the FaultPlan decides each attempt's
 // fate. Safe for concurrent use by all rank goroutines. Delivery is not
@@ -114,9 +134,24 @@ type Medium interface {
 // on the sender's side of the wire, so the same seeded fault schedule
 // applies whether the frames land on an in-process server or cross a real
 // TCP socket (NewLinkOver).
+//
+// Over a Windowed medium an attempt is acked when the window accepts it.
+// The dice, the crash window and every counter stay on the sender's side as
+// in the synchronous case; what changes is when a failure at the far end is
+// learned — the frame comes back to its own Conn (Conn.reclaim) instead of
+// failing the call that sent it.
 type Link struct {
 	sink Medium
 	plan FaultPlan
+
+	// win is sink when it is Windowed, else nil. wmu orders tickets with the
+	// SendAsync calls they describe; the medium reports fates in that order
+	// from inside those calls (and Drain), so wmu guards tickets too:
+	// tickets[thead:] are the accepted, unanswered envelopes.
+	win     Windowed
+	wmu     sync.Mutex
+	tickets []ticket
+	thead   int
 
 	attempts atomic.Int64 // delivery attempts that reached the "network"
 
@@ -145,6 +180,16 @@ type Link struct {
 	obsPacked     *obs.Counter
 	obsLost       *obs.Counter
 	obsHeartbeats *obs.Counter
+	obsStalls     *obs.Counter
+	obsReturned   *obs.Counter
+}
+
+// ticket is one envelope in the window: whose it is, and whether its fate
+// matters (a frame attempt) or is discarded as the synchronous path discards
+// it (corrupt copy, duplicate, released held frame, heartbeat).
+type ticket struct {
+	c       *Conn
+	tracked bool
 }
 
 // NewLink wraps srv behind plan. A zero plan is a perfect (but still
@@ -158,7 +203,68 @@ func NewLink(srv *server.Server, plan FaultPlan) *Link {
 // reorder, corrupt, delay, crash window) applies to real socket traffic
 // exactly as it does to the in-process path.
 func NewLinkOver(m Medium, plan FaultPlan) *Link {
-	return &Link{sink: m, plan: plan}
+	l := &Link{sink: m, plan: plan}
+	if w, ok := m.(Windowed); ok {
+		l.win = w
+		w.ObserveAcks(l.onAck)
+	}
+	return l
+}
+
+// send hands one envelope to the medium and reports whether the sender got
+// its ack: the synchronous Receive, or a place in the window.
+func (l *Link) send(c *Conn, encoded []byte, tracked bool) bool {
+	if l.win == nil {
+		return l.sink.Receive(encoded) == nil
+	}
+	l.wmu.Lock()
+	defer l.wmu.Unlock()
+	if l.thead > 0 && len(l.tickets) == cap(l.tickets) {
+		l.tickets = l.tickets[:copy(l.tickets, l.tickets[l.thead:])]
+		l.thead = 0
+	}
+	l.tickets = append(l.tickets, ticket{c, tracked})
+	c.inflight.Add(1)
+	before := len(l.tickets) - l.thead
+	if err := l.win.SendAsync(encoded); err != nil {
+		// Not accepted, so not reported: the ticket is still the tail.
+		l.tickets = l.tickets[:len(l.tickets)-1]
+		c.inflight.Add(-1)
+		return false
+	}
+	if len(l.tickets)-l.thead < before {
+		// Acks were consumed inside the call: the window was full (or
+		// reopening after a redial) and the sender waited for the oldest.
+		l.obsStalls.Inc()
+	}
+	return true
+}
+
+// onAck is the windowed medium's report of the oldest unanswered envelope's
+// fate. A tracked frame that failed goes back to its own Conn; inflight drops
+// last, so a Conn that reads zero has everything that came back.
+func (l *Link) onAck(encoded []byte, err error) {
+	t := l.tickets[l.thead]
+	if l.thead++; l.thead == len(l.tickets) {
+		l.tickets, l.thead = l.tickets[:0], 0
+	}
+	if err != nil && t.tracked {
+		t.c.giveBack(encoded)
+		l.obsReturned.Inc()
+	}
+	t.c.inflight.Add(-1)
+}
+
+// settle waits until none of c's envelopes is in the window.
+func (l *Link) settle(c *Conn) {
+	if c.inflight.Load() == 0 {
+		return
+	}
+	l.wmu.Lock()
+	defer l.wmu.Unlock()
+	// A Drain that gives up answers everything "down" on its way out: the
+	// error says nothing the returned frames do not.
+	_ = l.win.Drain()
 }
 
 // Plan returns the link's fault plan.
@@ -202,6 +308,8 @@ func (l *Link) SetObs(o *obs.Obs) {
 	l.obsPacked = o.Counter("transport_packed_flushes_total")
 	l.obsLost = o.Counter("transport_records_lost_total")
 	l.obsHeartbeats = o.Counter("transport_heartbeats_total")
+	l.obsStalls = o.Counter("transport_window_stalls_total")
+	l.obsReturned = o.Counter("transport_returned_frames_total")
 	l.lin = o.Lineage()
 }
 
@@ -232,7 +340,7 @@ func (l *Link) deliver(c *Conn, frame []byte, corrupt []byte, dup, reorder bool)
 	if corrupt != nil {
 		// The damaged copy reaches the server, which rejects it by CRC;
 		// the sender never gets an ack.
-		_ = l.sink.Receive(corrupt)
+		l.send(c, corrupt, false)
 		l.obsCorrupted.Inc()
 		return false
 	}
@@ -240,7 +348,7 @@ func (l *Link) deliver(c *Conn, frame []byte, corrupt []byte, dup, reorder bool)
 	if c.held != nil && !reorder {
 		held := c.held
 		c.held = nil
-		_ = l.sink.Receive(held)
+		l.send(c, held, false)
 	}
 	if reorder && c.held == nil {
 		// The frame lingers in flight; it will arrive after the rank's
@@ -250,13 +358,13 @@ func (l *Link) deliver(c *Conn, frame []byte, corrupt []byte, dup, reorder bool)
 		l.obsReordered.Inc()
 		return true
 	}
-	if err := l.sink.Receive(frame); err != nil {
+	if !l.send(c, frame, true) {
 		return false
 	}
 	if dup {
 		// Ack lost → sender-side retransmit arrives too; the server's
 		// sequence dedup absorbs it.
-		_ = l.sink.Receive(frame)
+		l.send(c, frame, false)
 		l.obsDuped.Inc()
 	}
 	return true
@@ -266,7 +374,7 @@ func (l *Link) deliver(c *Conn, frame []byte, corrupt []byte, dup, reorder bool)
 // deliver, it runs on the conn's own goroutine; held is conn-local.
 func (l *Link) release(c *Conn) {
 	if c.held != nil {
-		_ = l.sink.Receive(c.held)
+		l.send(c, c.held, false)
 		c.held = nil
 	}
 }
@@ -292,6 +400,13 @@ type Conn struct {
 	// held is the in-flight reordered frame; conn-local, only touched from
 	// this conn's goroutine (deliver/release).
 	held []byte
+
+	// The only state another goroutine touches (Link.onAck, giveBack): this
+	// conn's envelopes in the window, and the frames it gave back.
+	inflight  atomic.Int32
+	nreturned atomic.Int32
+	back      sync.Mutex
+	returned  [][]byte
 
 	// hbEnc is the reusable heartbeat wire buffer; lastHBNs is the virtual
 	// time of the last heartbeat that reached the server.
@@ -365,7 +480,7 @@ func (c *Conn) maybeHeartbeat() {
 		return
 	}
 	c.hbEnc = server.AppendHeartbeat(c.hbEnc[:0], c.rank, now, lease)
-	if c.link.deliverHeartbeat(c.hbEnc) {
+	if c.link.deliverHeartbeat(c, c.hbEnc) {
 		c.sentHB = true
 		c.lastHBNs = now
 		c.heartbeats++
@@ -375,13 +490,13 @@ func (c *Conn) maybeHeartbeat() {
 // deliverHeartbeat hands a heartbeat frame to the server unless the crash
 // window is open. It does not advance the attempt counter (see
 // maybeHeartbeat).
-func (l *Link) deliverHeartbeat(hb []byte) bool {
+func (l *Link) deliverHeartbeat(c *Conn, hb []byte) bool {
 	a := l.attempts.Load()
 	if l.plan.CrashAfterFrames > 0 && a >= l.plan.CrashAfterFrames &&
 		a < l.plan.CrashAfterFrames+l.plan.CrashDownFrames {
 		return false
 	}
-	if err := l.sink.Receive(hb); err != nil {
+	if !l.send(c, hb, false) {
 		return false
 	}
 	l.obsHeartbeats.Inc()
@@ -435,7 +550,8 @@ func (c *Conn) flush(force bool) error {
 		return nil
 	}
 	c.maybeHeartbeat()
-	err := c.drainParked(c.cfg.MaxRetries)
+	err := c.reclaim()
+	c.drainParked(c.cfg.MaxRetries)
 	if len(c.buf) == 0 {
 		return err
 	}
@@ -477,13 +593,27 @@ func (c *Conn) flush(force bool) error {
 	return err
 }
 
-// transmit pushes one frame with bounded retry + exponential backoff. On
-// exhaustion the frame parks in the retransmit buffer; the returned error
+// transmit pushes one fresh frame with bounded retry + exponential backoff.
+// On exhaustion the frame parks in the retransmit buffer; the returned error
 // is non-nil only when parking evicted an older frame (data loss).
 func (c *Conn) transmit(frame []byte, maxRetries int) error {
+	if c.try(frame, maxRetries, false) {
+		return nil
+	}
+	return c.park(append([]byte(nil), frame...))
+}
+
+// try makes up to maxRetries+1 delivery attempts at frame, charging the ack
+// timeout plus a doubling backoff after each failure, and reports whether one
+// was acked. A fresh frame that fails its last attempt parks at once; a
+// parked one waits that timeout out too before its turn ends (chargeLast) —
+// the two schedules every seeded run's virtual time is built on.
+func (c *Conn) try(frame []byte, maxRetries int, chargeLast bool) bool {
 	lin := c.link.lin
 	var trace uint64
 	if lin != nil {
+		// Parked frames hold raw bytes; the lineage trace is re-derived from
+		// the encoded frame so retransmits stay on the record's journey.
 		trace = server.TraceOf(frame)
 	}
 	backoff := c.cfg.BackoffBaseNs
@@ -499,13 +629,13 @@ func (c *Conn) transmit(frame []byte, maxRetries int) error {
 			c.framesSent++
 			c.bytesSent += int64(len(frame))
 			c.link.obsAcked.Inc()
-			return nil
+			return true
 		}
 		if trace != 0 {
 			lin.Record(trace, obs.StageAttempt, c.rank, try+1, t0, nowUnixNs()-t0, 0)
 		}
-		if try >= maxRetries {
-			return c.park(frame)
+		if try >= maxRetries && !chargeLast {
+			return false
 		}
 		c.retries++
 		c.link.obsRetries.Inc()
@@ -513,6 +643,9 @@ func (c *Conn) transmit(frame []byte, maxRetries int) error {
 		c.charge(charged)
 		if trace != 0 {
 			lin.Record(trace, obs.StageRetry, c.rank, try+1, nowUnixNs(), 0, charged)
+		}
+		if try >= maxRetries {
+			return false
 		}
 		backoff *= 2
 		if backoff > c.cfg.BackoffMaxNs {
@@ -543,11 +676,58 @@ func (c *Conn) attempt(frame []byte) bool {
 	return c.link.deliver(c, frame, corrupt, dup, reorder)
 }
 
-// park appends a frame to the retransmit buffer, evicting the oldest frame
-// beyond the cap (drop-oldest backpressure). Evictions are counted as lost
-// records and reported as an error.
+// giveBack leaves a copy of a frame the window failed in the conn's mailbox.
+// It is the one Conn method that runs on another goroutine: whichever reads
+// the acks.
+func (c *Conn) giveBack(encoded []byte) {
+	c.back.Lock()
+	defer c.back.Unlock()
+	c.returned = append(c.returned, append([]byte(nil), encoded...))
+	c.nreturned.Store(int32(len(c.returned)))
+}
+
+// reclaim takes back the frames a windowed medium accepted and then failed
+// (rejected, tenant down, or unanswered when it gave up). Each is a failed
+// attempt learned late: its ack is undone, the timeout and first backoff are
+// charged as try would have charged them (a dead rank burns no time), and
+// the frame joins the retransmit buffer, where retry, packing, drop-oldest
+// and abandon-at-close take over.
+func (c *Conn) reclaim() error {
+	if c.nreturned.Load() == 0 {
+		return nil // the happy path: one atomic load per flush
+	}
+	c.back.Lock()
+	frames := c.returned
+	c.returned = nil
+	c.nreturned.Store(0)
+	c.back.Unlock()
+	var err error
+	for _, frame := range frames {
+		c.framesSent--
+		c.bytesSent -= int64(len(frame))
+		if !c.silenced() {
+			c.retries++
+			c.link.obsRetries.Inc()
+			charged := c.cfg.TimeoutNs + c.cfg.BackoffBaseNs
+			c.charge(charged)
+			if lin := c.link.lin; lin != nil {
+				if trace := server.TraceOf(frame); trace != 0 {
+					lin.Record(trace, obs.StageRetry, c.rank, 1, nowUnixNs(), 0, charged)
+				}
+			}
+		}
+		if perr := c.park(frame); perr != nil && err == nil {
+			err = perr
+		}
+	}
+	return err
+}
+
+// park adds a frame (which it now owns) to the retransmit buffer, evicting
+// the oldest frame beyond the cap (drop-oldest backpressure). Evictions are
+// counted as lost records and reported as an error.
 func (c *Conn) park(frame []byte) error {
-	c.parked = append(c.parked, append([]byte(nil), frame...))
+	c.parked = append(c.parked, frame)
 	c.link.obsParked.Inc()
 	if len(c.parked) <= c.cfg.BufferCap {
 		return nil
@@ -555,94 +735,49 @@ func (c *Conn) park(frame []byte) error {
 	oldest := c.parked[0]
 	copy(c.parked, c.parked[1:])
 	c.parked = c.parked[:len(c.parked)-1]
-	lost := int64(0)
-	if h, err := server.ParseFrame(oldest); err == nil {
-		lost = int64(h.Count)
+	return fmt.Errorf("transport: rank %d retransmit buffer full (cap %d), dropped oldest frame (%d records)",
+		c.rank, c.cfg.BufferCap, c.lose(oldest))
+}
+
+// lose books one undeliverable frame's records as lost and returns how many.
+func (c *Conn) lose(frame []byte) int64 {
+	var n int64
+	if h, err := server.ParseFrame(frame); err == nil {
+		n = int64(h.Count)
 	}
 	c.lostFrames++
-	c.lostRecords += lost
-	c.link.obsLost.Add(lost)
-	return fmt.Errorf("transport: rank %d retransmit buffer full (cap %d), dropped oldest frame (%d records)",
-		c.rank, c.cfg.BufferCap, lost)
+	c.lostRecords += n
+	c.link.obsLost.Add(n)
+	return n
 }
 
 // drainParked retries parked frames oldest-first, stopping at the first
 // frame that still cannot be delivered (preserving order).
-func (c *Conn) drainParked(maxRetries int) error {
-	var err error
-	lin := c.link.lin
-	for len(c.parked) > 0 {
-		frame := c.parked[0]
-		// Parked frames hold raw bytes; re-derive the lineage trace from the
-		// encoded frame so retransmit attempts stay on the record's journey.
-		var trace uint64
-		if lin != nil {
-			trace = server.TraceOf(frame)
-		}
-		backoff := c.cfg.BackoffBaseNs
-		ok := false
-		for try := 0; try <= maxRetries; try++ {
-			var t0 int64
-			if trace != 0 {
-				t0 = nowUnixNs()
-			}
-			if c.attempt(frame) {
-				if trace != 0 {
-					lin.Record(trace, obs.StageAttempt, c.rank, try+1, t0, nowUnixNs()-t0, 1)
-				}
-				ok = true
-				break
-			}
-			if trace != 0 {
-				lin.Record(trace, obs.StageAttempt, c.rank, try+1, t0, nowUnixNs()-t0, 0)
-			}
-			c.retries++
-			c.link.obsRetries.Inc()
-			charged := c.cfg.TimeoutNs + backoff
-			c.charge(charged)
-			if trace != 0 {
-				lin.Record(trace, obs.StageRetry, c.rank, try+1, nowUnixNs(), 0, charged)
-			}
-			backoff *= 2
-			if backoff > c.cfg.BackoffMaxNs {
-				backoff = c.cfg.BackoffMaxNs
-			}
-		}
-		if !ok {
-			return err
-		}
-		c.framesSent++
-		c.bytesSent += int64(len(frame))
-		c.link.obsAcked.Inc()
+func (c *Conn) drainParked(maxRetries int) {
+	for len(c.parked) > 0 && c.try(c.parked[0], maxRetries, true) {
 		copy(c.parked, c.parked[1:])
 		c.parked = c.parked[:len(c.parked)-1]
 	}
-	return err
 }
 
 // dropAllSilently discards everything a dead rank still holds — buffered
 // records, parked retransmits, the held reordered frame — counting the
 // records as lost. A dead process sends nothing, not even its backlog.
 func (c *Conn) dropAllSilently() {
-	lost := int64(len(c.buf))
+	// What is in the window lands or comes back, as backlog like the rest
+	// (an eviction is counted by park; the rest is counted below).
+	c.link.settle(c)
+	_ = c.reclaim()
+	c.lostRecords += int64(len(c.buf))
+	c.link.obsLost.Add(int64(len(c.buf)))
 	c.buf = c.buf[:0]
 	for _, f := range c.parked {
-		if h, err := server.ParseFrame(f); err == nil {
-			lost += int64(h.Count)
-		}
-		c.lostFrames++
+		c.lose(f)
 	}
 	c.parked = nil
 	if c.held != nil {
-		if h, err := server.ParseFrame(c.held); err == nil {
-			lost += int64(h.Count)
-		}
+		c.lose(c.held)
 		c.held = nil
-		c.lostFrames++
-	}
-	if lost > 0 {
-		c.lostRecords += lost
-		c.link.obsLost.Add(lost)
 	}
 }
 
@@ -656,18 +791,22 @@ func (c *Conn) Close() error {
 		return nil
 	}
 	err := c.flush(true)
-	if derr := c.drainParked(c.cfg.CloseAttempts); derr != nil && err == nil {
-		err = derr
+	// The final drain. Over a window an accepted attempt can still come
+	// back: settle, and give what did another persistent round, at most as
+	// many as a frame gets attempts. A synchronous medium leaves after one.
+	for round := 0; round <= c.cfg.CloseAttempts; round++ {
+		c.drainParked(c.cfg.CloseAttempts)
+		c.link.settle(c)
+		if c.nreturned.Load() == 0 {
+			break
+		}
+		if rerr := c.reclaim(); rerr != nil && err == nil {
+			err = rerr
+		}
 	}
 	if n := len(c.parked); n > 0 {
 		for _, f := range c.parked {
-			lost := int64(0)
-			if h, perr := server.ParseFrame(f); perr == nil {
-				lost = int64(h.Count)
-			}
-			c.lostFrames++
-			c.lostRecords += lost
-			c.link.obsLost.Add(lost)
+			c.lose(f)
 		}
 		c.parked = nil
 		lossErr := fmt.Errorf("transport: rank %d abandoned %d undeliverable frames at close", c.rank, n)
@@ -676,6 +815,7 @@ func (c *Conn) Close() error {
 		}
 	}
 	c.link.release(c)
+	c.link.settle(c)
 	return err
 }
 

@@ -99,49 +99,74 @@ func TestObsMetricFamiliesPopulated(t *testing.T) {
 	}
 }
 
-// Every WAL and checkpoint metric family a durable group-commit run exports
-// must carry a HELP line on /metrics: an operator reading the scrape should not have to
-// open the source to learn what wal_sync_wait_ns measures.
+// Every WAL and checkpoint metric family a durable group-commit run exports,
+// and every window metric a run over a socket exports, must carry a HELP line
+// on /metrics: an operator reading the scrape should not have to open the
+// source to learn what wal_sync_wait_ns or transport_window_stalls_total
+// measures.
 func TestObsWALFamiliesHaveHelp(t *testing.T) {
-	o := obs.New()
-	if _, err := vsensor.Run(obsTestSrc, vsensor.Options{
-		Ranks: 4, Obs: o, Durability: &server.DurabilityConfig{FlushEvery: 16},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	rec := httptest.NewRecorder()
-	o.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("/metrics -> %d", rec.Code)
-	}
-	helped, families := map[string]bool{}, map[string]bool{}
-	for _, line := range strings.Split(rec.Body.String(), "\n") {
-		f := strings.Fields(line)
-		if len(f) < 3 || f[0] != "#" {
-			continue
-		}
-		switch f[1] {
-		case "HELP":
-			helped[f[2]] = true
-		case "TYPE":
-			if strings.HasPrefix(f[2], "wal_") || strings.HasPrefix(f[2], "server_wal_") || strings.HasPrefix(f[2], "server_checkpoint_") {
-				families[f[2]] = true
-			}
-		}
-	}
-	for _, want := range []string{
-		"server_wal_entries_total", "server_wal_bytes_total", "server_wal_syncs_total",
-		"wal_group_commits_total", "wal_coalesced_entries_total", "wal_flush_bytes", "wal_sync_wait_ns",
-		"server_checkpoint_bytes_total", "server_checkpoint_ns",
+	for _, tc := range []struct {
+		name     string
+		opt      vsensor.Options
+		prefixes []string
+		want     []string
+	}{
+		{
+			name:     "durable",
+			opt:      vsensor.Options{Ranks: 4, Durability: &server.DurabilityConfig{FlushEvery: 16}},
+			prefixes: []string{"wal_", "server_wal_", "server_checkpoint_"},
+			want: []string{
+				"server_wal_entries_total", "server_wal_bytes_total", "server_wal_syncs_total",
+				"wal_group_commits_total", "wal_coalesced_entries_total", "wal_flush_bytes", "wal_sync_wait_ns",
+				"server_checkpoint_bytes_total", "server_checkpoint_ns",
+			},
+		},
+		{
+			name:     "windowed",
+			opt:      vsensor.Options{Ranks: 4, Listen: "127.0.0.1:0"},
+			prefixes: []string{"transport_window_", "transport_returned_", "net_inflight_"},
+			want:     []string{"transport_window_stalls_total", "transport_returned_frames_total", "net_inflight_frames"},
+		},
 	} {
-		if !families[want] {
-			t.Errorf("durable run exported no %s family: %v", want, families)
-		}
-	}
-	for fam := range families {
-		if !helped[fam] {
-			t.Errorf("/metrics family %s has no # HELP line", fam)
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			o := obs.New()
+			tc.opt.Obs = o
+			if _, err := vsensor.Run(obsTestSrc, tc.opt); err != nil {
+				t.Fatal(err)
+			}
+			rec := httptest.NewRecorder()
+			o.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("/metrics -> %d", rec.Code)
+			}
+			helped, families := map[string]bool{}, map[string]bool{}
+			for _, line := range strings.Split(rec.Body.String(), "\n") {
+				f := strings.Fields(line)
+				if len(f) < 3 || f[0] != "#" {
+					continue
+				}
+				switch f[1] {
+				case "HELP":
+					helped[f[2]] = true
+				case "TYPE":
+					for _, p := range tc.prefixes {
+						if strings.HasPrefix(f[2], p) {
+							families[f[2]] = true
+						}
+					}
+				}
+			}
+			for _, want := range tc.want {
+				if !families[want] {
+					t.Errorf("%s run exported no %s family: %v", tc.name, want, families)
+				}
+			}
+			for fam := range families {
+				if !helped[fam] {
+					t.Errorf("/metrics family %s has no # HELP line", fam)
+				}
+			}
+		})
 	}
 }
 

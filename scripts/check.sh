@@ -2,10 +2,11 @@
 # Full repository check: build, vet, gofmt, race-enabled tests (including the
 # transport chaos test, the sharded-server differential conformance
 # property, and the kill-and-recover WAL/snapshot conformance gate), a
-# -count 50 stress of the four socket/proxy exactly-once suites, the
-# coverage gate against the seed baseline, a race-enabled benchmark smoke,
-# one full-size run of the benchmark's run-cg256 oracle, and a
-# coverage-guided fuzz smoke over every fuzz target.
+# -count 50 stress of the socket/proxy exactly-once suites and the window's
+# progress/bound tests, the coverage gate against the seed baseline, a
+# race-enabled benchmark smoke, one full-size run each of the benchmark's
+# run-cg256 and ingest-tcp-durable oracles, and a coverage-guided fuzz smoke
+# over every fuzz target.
 #
 # Performance is not measured here: `make bench` (benchmark/run.sh) is the
 # one benchmark, with repeated trials and bounds in BENCHMARK.json.
@@ -42,8 +43,11 @@ go test -race -run 'TestReadSnapshotConformance$' -count 1 ./internal/server
 echo "== race-enabled kill-and-recover conformance (WAL+snapshot recovery vs never-crashed server)"
 go test -race -run 'TestKillRecoverConformance$' -count 1 ./internal/server
 
-echo "== race-enabled socket chaos + kill-recover + multi-tenant conformance (real loopback TCP)"
-go test -race -run 'TestSocketChaosExactlyOnce$|TestSocketKillRecoverConformance$|TestMultiTenantDifferentialConformance$' \
+echo "== race-enabled windowed link: attribution over a scripted medium (-count 10)"
+go test -race -run 'TestLinkWindowAttribution$' -count 10 ./internal/transport
+
+echo "== race-enabled socket chaos + kill-recover + multi-tenant conformance + the window's progress, bound and alloc tests (real loopback TCP)"
+go test -race -run 'TestSocketChaosExactlyOnce$|TestSocketKillRecoverConformance$|TestMultiTenantDifferentialConformance$|TestWindowProgressUnderEarlyResets$|TestWindowBoundedAcrossOutage$|TestReceiveAmongAsyncReportsItsOwnFate$|TestWindowedSendSteadyStateAllocs$' \
     -count 1 ./internal/netsrv
 
 echo "== race-enabled wire-level chaos proxy (resets/partitions/stalls/bit-flips vs self-healing client)"
@@ -51,7 +55,7 @@ go test -race -run 'TestProxyChaosExactlyOnce$|TestProxyKillRecoverConformance$'
     -count 1 ./internal/netsrv
 
 echo "== socket/proxy exactly-once stress (-count 50: these suites race real sockets, one pass proves little)"
-go test -run 'TestSocketChaosExactlyOnce$|TestSocketKillRecoverConformance$|TestProxyChaosExactlyOnce$|TestProxyKillRecoverConformance$' \
+go test -run 'TestSocketChaosExactlyOnce$|TestSocketKillRecoverConformance$|TestProxyChaosExactlyOnce$|TestProxyKillRecoverConformance$|TestWindowProgressUnderEarlyResets$|TestWindowBoundedAcrossOutage$' \
     -count 50 ./internal/netsrv
 
 echo "== coverage gate (per-package deltas vs seed baseline)"
@@ -62,6 +66,9 @@ go test -race -run '^$' -bench 'BenchmarkInterpHotLoop$' -benchtime 1x ./interna
 
 echo "== full-size run-cg256 oracle (golden virtual time, record counts and finding; one trial, untimed)"
 go run ./benchmark -workload run-cg256 -seed 1 -seconds 1 -trace 0
+
+echo "== full-size ingest-tcp-durable oracle (4,096 frames over the window into a durable tenant: none lost, duplicated, rejected or retried; untimed)"
+go run ./benchmark -workload ingest-tcp-durable -seed 1 -seconds 1 -trace 0
 
 echo "== fuzz smoke ($fuzztime per target)"
 go test -run '^$' -fuzz 'FuzzBatchRoundTrip$' -fuzztime "$fuzztime" ./internal/server
