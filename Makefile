@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build test race vet fmt-check cover fuzz chaos chaos-recover chaos-net chaos-proxy bench check clean
+.PHONY: build test race vet fmt-check cover fuzz chaos chaos-recover chaos-net chaos-proxy bench experiments check clean
 
 build:
 	$(GO) build ./...
@@ -73,15 +73,25 @@ chaos-proxy:
 
 # The one benchmark: four workloads, repeated trials, end-to-end and
 # per-layer metrics under the bounds in BENCHMARK.json (see
-# benchmark/README.md). The Benchmark* functions under internal/ remain as
-# developer tools for `go test -bench`.
+# benchmark/README.md). The Benchmark* functions under internal/ (and the
+# root's wall-clock BenchmarkObsOverhead) remain as developer tools for
+# `go test -bench`; the paper's tables and figures are not benchmarks — see
+# `experiments`.
 bench:
 	sh benchmark/run.sh
 
+# Re-measure every table and figure of the paper (internal/experiments, full
+# size, ~17 s) and rewrite the generated part of EXPERIMENTS.md in place;
+# the hand-written prose above its marker line is untouched. TestGolden
+# fails until the file matches what the code measures — review the diff.
+experiments:
+	$(GO) run ./cmd/vsexp -out EXPERIMENTS.md
+
 # The full gate: build + vet + gofmt + race tests + race chaos + race conformance +
-# socket/proxy stress (-count 50) + coverage gate + bench smoke + fuzz smoke.
+# paper shapes under race + socket/proxy stress (-count 50) + coverage gate
+# (which runs the EXPERIMENTS.md golden) + bench smoke + fuzz smoke.
 check:
 	scripts/check.sh
 
 clean:
-	rm -f cover.out vsensor.test
+	rm -f cover.out vsensor.test EXPERIMENTS.md.tmp

@@ -1,429 +1,37 @@
 package vsensor_test
 
-// One benchmark per table/figure of the paper's evaluation (§6), plus the
-// ablation benches listed in DESIGN.md. Each bench runs a scaled-down
-// version of the corresponding vsexp experiment and reports the metrics the
-// paper's artifact reports (who wins, by what factor) via b.ReportMetric.
-// The full-size reproductions live in cmd/vsexp.
-
 import (
 	"testing"
 	"time"
 
 	vsensor "vsensor"
 	"vsensor/internal/apps"
-	"vsensor/internal/cluster"
-	"vsensor/internal/detect"
-	"vsensor/internal/instrument"
-	"vsensor/internal/ir"
 	"vsensor/internal/obs"
-	"vsensor/internal/stats"
-	"vsensor/internal/vm"
 )
-
-func mustRun(b *testing.B, src string, opt vsensor.Options) *vsensor.Report {
-	b.Helper()
-	rep, err := vsensor.Run(src, opt)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return rep
-}
-
-// BenchmarkFig01RunToRunVariance: repeated FT submissions on a noisy
-// machine; reports the max/min run-time ratio (paper: >3x).
-func BenchmarkFig01RunToRunVariance(b *testing.B) {
-	app := apps.MustGet("FT", apps.Scale{Iters: 10, Work: 20})
-	var ratio float64
-	for i := 0; i < b.N; i++ {
-		var times []float64
-		for run := 0; run < 8; run++ {
-			cl := cluster.New(cluster.Config{Nodes: 4, RanksPerNode: 4, Seed: int64(run), JitterPct: 0.02})
-			h := uint64(run)*0x9e3779b97f4a7c15 + 12345
-			if h%3 != 0 {
-				cl.AddNetWindow(0, int64(3e12), 0.10+float64(h%50)/100.0)
-			}
-			rep := mustRun(b, app.Source, vsensor.Options{Ranks: 16, Cluster: cl, Uninstrumented: true})
-			times = append(times, rep.TotalSeconds())
-		}
-		ratio = stats.MaxOverMin(times)
-	}
-	b.ReportMetric(ratio, "max/min")
-}
-
-// BenchmarkTable1Validation: per-app pipeline with PMU validation; reports
-// the worst workload error across computation sensors (paper: <5%).
-func BenchmarkTable1Validation(b *testing.B) {
-	for _, name := range apps.Names() {
-		b.Run(name, func(b *testing.B) {
-			app := apps.MustGet(name, apps.Scale{Iters: 10, Work: 20})
-			var worst float64 = 1
-			for i := 0; i < b.N; i++ {
-				rep := mustRun(b, app.Source, vsensor.Options{
-					Ranks: 8, CollectRecords: true, PMUJitterPct: 0.005,
-				})
-				comp := map[int]bool{}
-				for _, s := range rep.Instrumented.Sensors {
-					if s.Type == ir.Computation {
-						comp[s.ID] = true
-					}
-				}
-				bySensor := map[int][]float64{}
-				for _, r := range rep.Records {
-					if comp[r.Sensor] && r.Instr > 0 {
-						bySensor[r.Sensor] = append(bySensor[r.Sensor], float64(r.Instr))
-					}
-				}
-				worst = 1
-				for _, vs := range bySensor {
-					if len(vs) > 1 {
-						if ps := stats.MaxOverMin(vs); ps > worst {
-							worst = ps
-						}
-					}
-				}
-			}
-			b.ReportMetric((worst-1)*100, "workload-err-%")
-		})
-	}
-}
-
-// BenchmarkTable1Overhead: instrumented vs baseline execution time
-// (paper: <4%).
-func BenchmarkTable1Overhead(b *testing.B) {
-	app := apps.MustGet("SP", apps.Scale{Iters: 15, Work: 40})
-	var overhead float64
-	for i := 0; i < b.N; i++ {
-		base := mustRun(b, app.Source, vsensor.Options{Ranks: 8, Uninstrumented: true})
-		ins := mustRun(b, app.Source, vsensor.Options{Ranks: 8})
-		overhead = float64(ins.Result.TotalNs-base.Result.TotalNs) / float64(base.Result.TotalNs)
-	}
-	b.ReportMetric(overhead*100, "overhead-%")
-}
-
-// BenchmarkFig12Smoothing: coefficient of variation of a short sensor's
-// series at 10µs vs 1000µs resolution (paper: smoothing flattens it).
-func BenchmarkFig12Smoothing(b *testing.B) {
-	src := `
-func main() {
-    for (int i = 0; i < 5000; i++) {
-        for (int k = 0; k < 20; k++) {
-            flops(1000);
-        }
-    }
-}`
-	var cvRaw, cvSmooth float64
-	for i := 0; i < b.N; i++ {
-		cl := cluster.New(cluster.Config{Nodes: 1, RanksPerNode: 1})
-		cl.SetOSNoise(100_000, 12_000, 0.3)
-		rep := mustRun(b, src, vsensor.Options{Ranks: 1, Cluster: cl, CollectRecords: true})
-		cv := func(sliceNs int64) float64 {
-			agg := map[int64][]float64{}
-			for _, r := range rep.Records {
-				agg[r.Start/sliceNs] = append(agg[r.Start/sliceNs], float64(r.Duration()))
-			}
-			var means []float64
-			for _, vs := range agg {
-				sum := 0.0
-				for _, v := range vs {
-					sum += v
-				}
-				means = append(means, sum/float64(len(vs)))
-			}
-			s := stats.Summarize(means)
-			return s.StdDev / s.Mean
-		}
-		cvRaw, cvSmooth = cv(10_000), cv(1_000_000)
-	}
-	b.ReportMetric(cvRaw, "cv-10us")
-	b.ReportMetric(cvSmooth, "cv-1000us")
-}
-
-// BenchmarkFig13DynamicRules: variance records flagged without vs with
-// miss-rate grouping on the paper's worked example (3 vs 1).
-func BenchmarkFig13DynamicRules(b *testing.B) {
-	var plain, grouped int
-	for i := 0; i < b.N; i++ {
-		mk := func(buckets []float64) int {
-			d := detect.New(0, []detect.Sensor{{ID: 0, Type: ir.Computation}},
-				detect.Config{SliceNs: 1_000_000, VarianceThreshold: 0.7, MissRateBuckets: buckets}, nil)
-			durs := []int64{3, 3, 7, 3, 5, 3, 7, 3, 3, 3}
-			miss := []float64{.05, .05, .45, .05, .05, .05, .45, .05, .05, .05}
-			for j := range durs {
-				s := int64(j) * 1_000_000
-				d.OnRecord(vm.Record{Sensor: 0, Start: s, End: s + durs[j]*100_000, MissRate: miss[j]})
-			}
-			d.Finish()
-			return len(d.Events())
-		}
-		plain = mk(nil)
-		grouped = mk([]float64{0.2, 1.01})
-	}
-	b.ReportMetric(float64(plain), "flagged-plain")
-	b.ReportMetric(float64(grouped), "flagged-grouped")
-}
-
-// BenchmarkFig14CleanMatrix: matrix construction on a clean run; reports
-// mean normalized performance (expected ~1.0).
-func BenchmarkFig14CleanMatrix(b *testing.B) {
-	app := apps.MustGet("CG", apps.Scale{Iters: 30, Work: 40})
-	var mean float64
-	for i := 0; i < b.N; i++ {
-		cl := cluster.New(cluster.Config{Nodes: 4, RanksPerNode: 8, JitterPct: 0.03, Seed: 11})
-		rep := mustRun(b, app.Source, vsensor.Options{Ranks: 32, Cluster: cl})
-		mean = rep.Matrices(time.Millisecond)[ir.Computation].MeanPerf()
-	}
-	b.ReportMetric(mean, "mean-perf")
-}
-
-// BenchmarkFig16Fig17Distribution: duration/interval histograms across the
-// eight apps; reports the fraction of sub-100µs durations (paper: most).
-func BenchmarkFig16Fig17Distribution(b *testing.B) {
-	var subFrac float64
-	for i := 0; i < b.N; i++ {
-		var sub, total int64
-		for _, app := range apps.All(apps.Scale{Iters: 10, Work: 20}) {
-			rep := mustRun(b, app.Source, vsensor.Options{Ranks: 8, CollectRecords: true})
-			d := rep.Distribution()
-			sub += d.Durations.Counts[0]
-			total += d.Durations.Total()
-		}
-		subFrac = float64(sub) / float64(total)
-	}
-	b.ReportMetric(subFrac, "frac-sub100us")
-}
-
-// BenchmarkFig18Fig19Profiler: profiler MPI-time growth under noise
-// injection (the misleading signal of Figs. 18-19).
-func BenchmarkFig18Fig19Profiler(b *testing.B) {
-	app := apps.MustGet("CG", apps.Scale{Iters: 60, Work: 80})
-	var growth float64
-	for i := 0; i < b.N; i++ {
-		mk := func() *cluster.Cluster {
-			return cluster.New(cluster.Config{Nodes: 8, RanksPerNode: 4})
-		}
-		clean := mustRun(b, app.Source, vsensor.Options{Ranks: 32, Cluster: mk(), Profile: true})
-		total := clean.Result.TotalNs
-		noisy := mk()
-		noisy.AddCPUNoise(2, total/4, total/2, 0.3)
-		rep := mustRun(b, app.Source, vsensor.Options{Ranks: 32, Cluster: noisy, Profile: true})
-		growth = rep.Profiler.MeanMPISeconds() / clean.Profiler.MeanMPISeconds()
-	}
-	b.ReportMetric(growth, "mpi-time-growth")
-}
-
-// BenchmarkFig20NoiseLocated: vSensor localizes the injected block; reports
-// whether the block was found at the right ranks (1 = yes).
-func BenchmarkFig20NoiseLocated(b *testing.B) {
-	app := apps.MustGet("CG", apps.Scale{Iters: 120, Work: 150})
-	var located float64
-	for i := 0; i < b.N; i++ {
-		mk := func() *cluster.Cluster {
-			return cluster.New(cluster.Config{Nodes: 8, RanksPerNode: 4})
-		}
-		clean := mustRun(b, app.Source, vsensor.Options{Ranks: 32, Cluster: mk(), Uninstrumented: true})
-		total := clean.Result.TotalNs
-		noisy := mk()
-		noisy.AddCPUNoise(2, total/4, total/2, 0.3) // ranks 8..11
-		rep := mustRun(b, app.Source, vsensor.Options{Ranks: 32, Cluster: noisy})
-		located = 0
-		m := rep.Matrices(2 * time.Millisecond)[ir.Computation]
-		for _, blk := range m.LowBlocks(0.8, 0.02) {
-			if blk.FirstRank <= 11 && blk.LastRank >= 8 {
-				located = 1
-			}
-		}
-	}
-	b.ReportMetric(located, "block-located")
-}
-
-// BenchmarkTraceVolume: tracer bytes over vSensor bytes on the same run
-// (paper: 501.5 MB vs 8.8 MB = 57x).
-func BenchmarkTraceVolume(b *testing.B) {
-	app := apps.MustGet("CG", apps.Scale{Iters: 100, Work: 60})
-	var ratio float64
-	for i := 0; i < b.N; i++ {
-		rep := mustRun(b, app.Source, vsensor.Options{Ranks: 16, Trace: true})
-		ratio = float64(rep.Tracer.Bytes()) / float64(rep.DataVolume())
-	}
-	b.ReportMetric(ratio, "trace/vsensor")
-}
-
-// BenchmarkFig21BadNode: the bad-node case; reports the improvement from
-// removing the node (paper: 21%).
-func BenchmarkFig21BadNode(b *testing.B) {
-	app := apps.MustGet("CG", apps.Scale{Iters: 40, Work: 60})
-	var improvement float64
-	for i := 0; i < b.N; i++ {
-		run := func(bad bool) *vsensor.Report {
-			cl := cluster.New(cluster.Config{Nodes: 8, RanksPerNode: 4})
-			if bad {
-				cl.SetNodeMemSpeed(5, 0.55)
-			}
-			return mustRun(b, app.Source, vsensor.Options{Ranks: 32, Cluster: cl})
-		}
-		bad, good := run(true), run(false)
-		improvement = 1 - good.TotalSeconds()/bad.TotalSeconds()
-	}
-	b.ReportMetric(improvement*100, "improvement-%")
-}
-
-// BenchmarkFig22NetworkDegradation: FT under a congestion window; reports
-// the slowdown factor (paper: 3.37x).
-func BenchmarkFig22NetworkDegradation(b *testing.B) {
-	app := apps.MustGet("FT", apps.Scale{Iters: 25, Work: 30})
-	var slowdown float64
-	for i := 0; i < b.N; i++ {
-		mk := func() *cluster.Cluster {
-			return cluster.New(cluster.Config{Nodes: 8, RanksPerNode: 8})
-		}
-		clean := mustRun(b, app.Source, vsensor.Options{Ranks: 64, Cluster: mk(), Uninstrumented: true})
-		cl := mk()
-		cl.AddNetWindow(clean.Result.TotalNs/5, int64(1)<<62, 0.25)
-		congested := mustRun(b, app.Source, vsensor.Options{Ranks: 64, Cluster: cl, Uninstrumented: true})
-		slowdown = congested.TotalSeconds() / clean.TotalSeconds()
-	}
-	b.ReportMetric(slowdown, "slowdown-x")
-}
-
-// BenchmarkOverheadScaling: overhead at increasing rank counts (paper:
-// <4% up to 16,384 processes; use -timeout and larger -benchtime for the
-// 16k point via cmd/vsexp -big).
-func BenchmarkOverheadScaling(b *testing.B) {
-	app := apps.MustGet("SP", apps.Scale{Iters: 10, Work: 30})
-	for _, ranks := range []int{4, 32, 256} {
-		b.Run(itoa(ranks), func(b *testing.B) {
-			var overhead float64
-			for i := 0; i < b.N; i++ {
-				nodes := ranks / 8
-				if nodes < 1 {
-					nodes = 1
-				}
-				mk := func() *cluster.Cluster {
-					return cluster.New(cluster.Config{Nodes: nodes, RanksPerNode: (ranks + nodes - 1) / nodes})
-				}
-				base := mustRun(b, app.Source, vsensor.Options{Ranks: ranks, Cluster: mk(), Uninstrumented: true})
-				ins := mustRun(b, app.Source, vsensor.Options{Ranks: ranks, Cluster: mk()})
-				overhead = float64(ins.Result.TotalNs-base.Result.TotalNs) / float64(base.Result.TotalNs)
-			}
-			b.ReportMetric(overhead*100, "overhead-%")
-		})
-	}
-}
 
 // BenchmarkObsOverhead: wall-clock cost of attaching the observability
 // layer to a full instrumented run. Virtual time is identical by
 // construction (obs charges no simulated cost); this measures the real
 // host-time overhead of the counters, spans and per-record hooks, which
-// must stay within the paper's <4% envelope.
+// must stay within the paper's <4% envelope. (The paper's own tables and
+// figures are virtual-time results, not benchmarks: internal/experiments.)
 func BenchmarkObsOverhead(b *testing.B) {
 	app := apps.MustGet("SP", apps.Scale{Iters: 15, Work: 40})
+	run := func(o *obs.Obs) time.Duration {
+		start := time.Now()
+		if _, err := vsensor.Run(app.Source, vsensor.Options{Ranks: 8, Obs: o}); err != nil {
+			b.Fatal(err)
+		}
+		return time.Since(start)
+	}
 	// Interleave plain and obs-attached runs within one loop so clock
 	// drift and frequency scaling hit both sides equally.
 	var plain, withObs time.Duration
 	for i := 0; i < b.N; i++ {
-		start := time.Now()
-		mustRun(b, app.Source, vsensor.Options{Ranks: 8})
-		plain += time.Since(start)
-
-		start = time.Now()
-		mustRun(b, app.Source, vsensor.Options{Ranks: 8, Obs: obs.New()})
-		withObs += time.Since(start)
+		plain += run(nil)
+		withObs += run(obs.New())
 	}
 	if plain > 0 {
 		b.ReportMetric(float64(withObs-plain)/float64(plain)*100, "overhead-%")
 	}
-}
-
-// ---------- ablations ----------
-
-// BenchmarkAblationMaxDepth: sensors instrumented vs max-depth (A1).
-func BenchmarkAblationMaxDepth(b *testing.B) {
-	app := apps.MustGet("CG", apps.Scale{Iters: 10, Work: 20})
-	for _, depth := range []int{1, 3} {
-		b.Run(itoa(depth), func(b *testing.B) {
-			var sensors float64
-			for i := 0; i < b.N; i++ {
-				rep := mustRun(b, app.Source, vsensor.Options{
-					Ranks:      4,
-					Instrument: instrument.Config{MaxDepth: depth, KeepNested: true},
-				})
-				sensors = float64(len(rep.Instrumented.Sensors))
-			}
-			b.ReportMetric(sensors, "sensors")
-		})
-	}
-}
-
-// BenchmarkAblationSliceSize: false-positive variance events on a clean
-// cluster with OS noise, vs smoothing slice (A2).
-func BenchmarkAblationSliceSize(b *testing.B) {
-	app := apps.MustGet("CG", apps.Scale{Iters: 20, Work: 40})
-	for _, sliceNs := range []int64{10_000, 1_000_000} {
-		b.Run(itoa(int(sliceNs/1000))+"us", func(b *testing.B) {
-			var events float64
-			for i := 0; i < b.N; i++ {
-				cl := cluster.New(cluster.Config{Nodes: 2, RanksPerNode: 4})
-				cl.SetOSNoise(100_000, 10_000, 0.3)
-				rep := mustRun(b, app.Source, vsensor.Options{
-					Ranks: 8, Cluster: cl,
-					Detect: detect.Config{SliceNs: sliceNs},
-				})
-				events = float64(len(rep.Events()))
-			}
-			b.ReportMetric(events, "false-positives")
-		})
-	}
-}
-
-// BenchmarkAblationNestedSensors: record volume with nested sensors kept
-// vs outermost-only (A3).
-func BenchmarkAblationNestedSensors(b *testing.B) {
-	app := apps.MustGet("CG", apps.Scale{Iters: 10, Work: 20})
-	for _, keep := range []bool{false, true} {
-		name := "outermost"
-		if keep {
-			name = "nested"
-		}
-		b.Run(name, func(b *testing.B) {
-			var recs float64
-			for i := 0; i < b.N; i++ {
-				rep := mustRun(b, app.Source, vsensor.Options{
-					Ranks: 4, CollectRecords: true,
-					Instrument: instrument.Config{KeepNested: keep},
-				})
-				recs = float64(len(rep.Records))
-			}
-			b.ReportMetric(recs, "records")
-		})
-	}
-}
-
-// BenchmarkAblationBatching: server messages with and without batching (A4).
-func BenchmarkAblationBatching(b *testing.B) {
-	app := apps.MustGet("CG", apps.Scale{Iters: 30, Work: 40})
-	for _, batch := range []int{1, 64} {
-		b.Run("batch"+itoa(batch), func(b *testing.B) {
-			var msgs float64
-			for i := 0; i < b.N; i++ {
-				rep := mustRun(b, app.Source, vsensor.Options{Ranks: 8, BatchSize: batch})
-				msgs = float64(rep.Server.Messages())
-			}
-			b.ReportMetric(msgs, "messages")
-		})
-	}
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [12]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
 }

@@ -1,8 +1,10 @@
-// Command iostorm demonstrates the third sensor component: IO. A
-// checkpointing stencil code writes fixed-size snapshots every iteration;
+// Command iostorm demonstrates the third sensor component: IO. The
+// checkpointing BT-IO mini app writes fixed-size snapshots every iteration;
 // midway through the run the shared filesystem degrades (another job's IO
 // storm). The IO performance matrix shows the window while computation and
-// network stay clean, attributing the variance to the right component.
+// network stay clean, attributing the variance to the right component. The
+// situation is the registry's scenario "iostorm-btio" (`vsensor scenario
+// -matrix iostorm-btio` runs the same thing).
 package main
 
 import (
@@ -11,69 +13,18 @@ import (
 	"time"
 
 	vsensor "vsensor"
-	"vsensor/internal/cluster"
 	"vsensor/internal/ir"
 )
 
-const src = `
-global int STEPS = 150;
-global int CELLS = 120;
-
-func stencil(int cells) {
-    for (int c = 0; c < cells; c++) {
-        flops(220);
-        mem(90);
-    }
-}
-
-func checkpoint(int bytes) {
-    io_write(bytes);
-}
-
-func halo(int rank, int size) {
-    int peer = rank + 1;
-    if (rank % 2 == 1) {
-        peer = rank - 1;
-    }
-    if (peer >= size) {
-        peer = rank;
-    }
-    mpi_sendrecv(peer, 8192, 1.0);
-}
-
 func main() {
-    int rank = mpi_comm_rank();
-    int size = mpi_comm_size();
-    for (int step = 0; step < STEPS; step++) {
-        stencil(CELLS);
-        halo(rank, size);
-        checkpoint(262144);
-    }
-}
-`
-
-func main() {
-	const ranks = 32
-	mk := func() *cluster.Cluster {
-		return cluster.New(cluster.Config{Nodes: 4, RanksPerNode: 8})
-	}
-	clean, err := vsensor.Run(src, vsensor.Options{Ranks: ranks, Cluster: mk()})
+	rep, clean, err := vsensor.RunScenario("iostorm-btio", vsensor.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	total := clean.Result.TotalNs
 	fmt.Printf("clean run: %.3f ms\n", clean.TotalSeconds()*1e3)
-
-	cl := mk()
-	cl.AddIOWindow(total/3, 2*total/3, 0.15)
-	rep, err := vsensor.Run(src, vsensor.Options{Ranks: ranks, Cluster: cl})
-	if err != nil {
-		log.Fatal(err)
-	}
 	fmt.Printf("with IO storm: %.3f ms\n\n", rep.TotalSeconds()*1e3)
 
-	mats := rep.Matrices(2 * time.Millisecond)
-	if m := mats[ir.IO]; m != nil {
+	if m := rep.Matrices(2 * time.Millisecond)[ir.IO]; m != nil {
 		fmt.Println("IO performance matrix:")
 		fmt.Print(m.ASCII(16, 72))
 	}

@@ -14,33 +14,28 @@ package main
 import (
 	"fmt"
 	"log"
-	"sort"
 
 	vsensor "vsensor"
-	"vsensor/internal/apps"
-	"vsensor/internal/cluster"
 	"vsensor/internal/obs"
+	"vsensor/internal/scenario"
 	"vsensor/internal/transport"
 )
 
 func main() {
-	const (
-		ranks        = 64
-		ranksPerNode = 8
-		badNode      = 3
-	)
-	app := apps.MustGet("CG", apps.Scale{Iters: 60, Work: 80})
+	// The workload, the bad node and the fault plan are the registry's
+	// scenario "lossylink-cg"; this program only compares three legs of it.
+	const name = "lossylink-cg"
+	sc, err := scenario.Get(name)
+	if err != nil {
+		log.Fatal(err)
+	}
+	ranksPerNode, badNode, plan := sc.RanksPerNode, sc.Injections[0].Node, sc.Faults
 
 	run := func(faults *transport.FaultPlan, lineage *obs.LineageConfig) *vsensor.Report {
-		cl := cluster.New(cluster.Config{Nodes: ranks / ranksPerNode, RanksPerNode: ranksPerNode})
-		cl.SetNodeMemSpeed(badNode, 0.55)
 		// Batch of 8 so ranks flush mid-run: retry and backoff delays on the
 		// lossy link are charged to the ranks' virtual clocks while the job
 		// is still executing, not just at the final drain.
-		rep, err := vsensor.Run(app.Source, vsensor.Options{
-			Ranks: ranks, Cluster: cl, Faults: faults, BatchSize: 8,
-			Lineage: lineage,
-		})
+		rep, _, err := vsensor.RunScenario(name, vsensor.Options{Faults: faults, BatchSize: 8, Lineage: lineage})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -67,16 +62,12 @@ func main() {
 		return node, count
 	}
 
-	clean := run(nil, nil)
+	clean := run(&transport.FaultPlan{}, nil) // the zero plan: same link, nothing injected
 	cleanNodes := outliersByNode(clean)
 	cn, cc := dominant(cleanNodes)
 	fmt.Printf("fault-free link:      %.3f ms, %d records, top outlier node %d (%d flags)\n",
 		clean.TotalSeconds()*1e3, len(clean.Server.Records()), cn, cc)
 
-	plan := &transport.FaultPlan{
-		Seed: 7, Drop: 0.2, Dup: 0.08, Reorder: 0.1, Corrupt: 0.03,
-		DelayNs: 5_000, CrashAfterFrames: 40, CrashDownFrames: 15,
-	}
 	lossy := run(plan, nil)
 	lossyNodes := outliersByNode(lossy)
 	ln, lc := dominant(lossyNodes)
@@ -90,8 +81,7 @@ func main() {
 	report := lossy.Server.InterProcessReport(0.85)
 	fmt.Printf("  analysis confidence: %.3f over %d outlier flags\n",
 		report.Confidence, len(report.Outliers))
-	fmt.Printf("  flags per node: %v (retry stalls scatter noise; the bad node sustains)\n",
-		sortedCounts(lossyNodes))
+	fmt.Printf("  flags per node: %v (retry stalls scatter noise; the bad node sustains)\n", lossyNodes)
 	if ln == badNode {
 		fmt.Printf("\nbad node %d still localized through the lossy link\n", badNode)
 	} else {
@@ -132,17 +122,4 @@ func main() {
 		fmt.Printf("  slowest sampled ingest: trace %016x at %.0f ns — resolvable in /debug/flight\n",
 			top.Trace, top.Value)
 	}
-}
-
-func sortedCounts(m map[int]int) []string {
-	nodes := make([]int, 0, len(m))
-	for n := range m {
-		nodes = append(nodes, n)
-	}
-	sort.Ints(nodes)
-	out := make([]string, len(nodes))
-	for i, n := range nodes {
-		out[i] = fmt.Sprintf("node%d:%d", n, m[n])
-	}
-	return out
 }

@@ -34,8 +34,6 @@ var TestScale = Scale{Iters: 8, Work: 10}
 type App struct {
 	Name   string
 	Source string
-	// DefaultRanks is the rank count used by the paper-style experiments.
-	DefaultRanks int
 }
 
 // LoC returns the app's source line count (Table 1's "Code" column analog).
@@ -47,20 +45,19 @@ type builder func(Scale) string
 
 var registry = map[string]struct {
 	build builder
-	ranks int
 	extra bool // not part of the paper's eight-program evaluation set
 }{
-	"BT":     {buildBT, 64, false},
-	"CG":     {buildCG, 128, false},
-	"FT":     {buildFT, 64, false},
-	"LU":     {buildLU, 64, false},
-	"SP":     {buildSP, 64, false},
-	"LULESH": {buildLULESH, 64, false},
-	"AMG":    {buildAMG, 64, false},
-	"RAXML":  {buildRAXML, 48, false},
+	"BT":     {buildBT, false},
+	"CG":     {buildCG, false},
+	"FT":     {buildFT, false},
+	"LU":     {buildLU, false},
+	"SP":     {buildSP, false},
+	"LULESH": {buildLULESH, false},
+	"AMG":    {buildAMG, false},
+	"RAXML":  {buildRAXML, false},
 	// BTIO is the NPB BT-IO variant: BT plus periodic checkpointing. It is
 	// not in the paper's Table 1 but exercises the IO sensor component.
-	"BTIO": {buildBTIO, 64, true},
+	"BTIO": {buildBTIO, true},
 }
 
 // Names lists the paper's eight evaluation apps in a fixed order.
@@ -97,7 +94,7 @@ func Get(name string, s Scale) (*App, error) {
 	if s.Work <= 0 {
 		s.Work = DefaultScale.Work
 	}
-	return &App{Name: name, Source: e.build(s), DefaultRanks: e.ranks}, nil
+	return &App{Name: name, Source: e.build(s)}, nil
 }
 
 // MustGet is Get or panic.

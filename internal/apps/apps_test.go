@@ -178,7 +178,7 @@ func TestDefaultsFilledIn(t *testing.T) {
 	if !strings.Contains(a.Source, "NITER = 60;") {
 		t.Error("default iters not applied")
 	}
-	if a.DefaultRanks <= 0 || a.LoC() < 20 {
-		t.Errorf("app metadata: ranks=%d loc=%d", a.DefaultRanks, a.LoC())
+	if a.LoC() < 20 {
+		t.Errorf("app metadata: loc=%d", a.LoC())
 	}
 }

@@ -91,18 +91,33 @@ type Scenario struct {
 	Faults *transport.FaultPlan
 }
 
+// shape returns the cluster's node count and ranks per node.
+func (s *Scenario) shape() (nodes, rpn int) {
+	rpn = s.RanksPerNode
+	if rpn <= 0 {
+		rpn = 8
+	}
+	nodes = (s.Ranks + rpn - 1) / rpn
+	if nodes < 1 {
+		nodes = 1
+	}
+	return nodes, rpn
+}
+
+// Resize runs the same situation at another rank count: the cluster keeps
+// its nodes and each hosts proportionally fewer (or more) ranks, so every
+// node-scoped injection still lands on a populated node.
+func (s *Scenario) Resize(ranks int) {
+	nodes, _ := s.shape()
+	s.Ranks = ranks
+	s.RanksPerNode = (ranks + nodes - 1) / nodes
+}
+
 // Cluster builds the scenario's cluster with injections applied.
 // baselineNs is the clean run's total time, used to resolve window
 // fractions; pass 0 when the scenario has no windowed injections.
 func (s *Scenario) Cluster(baselineNs int64) (*cluster.Cluster, error) {
-	rpn := s.RanksPerNode
-	if rpn <= 0 {
-		rpn = 8
-	}
-	nodes := (s.Ranks + rpn - 1) / rpn
-	if nodes < 1 {
-		nodes = 1
-	}
+	nodes, rpn := s.shape()
 	cl := cluster.New(cluster.Config{Nodes: nodes, RanksPerNode: rpn})
 	for _, inj := range s.Injections {
 		if err := apply(cl, inj, nodes, baselineNs); err != nil {
@@ -148,7 +163,7 @@ func apply(cl *cluster.Cluster, inj Injection, nodes int, baselineNs int64) erro
 			return fmt.Errorf("injection %s: node %d out of range [0,%d)", inj.Kind, inj.Node, nodes)
 		}
 	}
-	start, end := window(inj, baselineNs)
+	start, end := inj.Window(baselineNs)
 	switch inj.Kind {
 	case BadNodeMemory:
 		cl.SetNodeMemSpeed(inj.Node, inj.Factor)
@@ -168,12 +183,14 @@ func apply(cl *cluster.Cluster, inj Injection, nodes int, baselineNs int64) erro
 	return nil
 }
 
-func window(inj Injection, baselineNs int64) (int64, int64) {
+// Window resolves the injection's fractions against the clean run's total
+// time; an unbounded end is 1<<62.
+func (inj Injection) Window(baselineNs int64) (start, end int64) {
 	if inj.StartFrac == 0 && inj.EndFrac == 0 {
 		return 0, int64(1) << 62
 	}
-	start := int64(inj.StartFrac * float64(baselineNs))
-	end := int64(inj.EndFrac * float64(baselineNs))
+	start = int64(inj.StartFrac * float64(baselineNs))
+	end = int64(inj.EndFrac * float64(baselineNs))
 	if end <= start {
 		end = int64(1) << 62
 	}

@@ -52,6 +52,18 @@ func TestBadNodeCluster(t *testing.T) {
 	if cl.MemFactor(0, 0) != 1.0 {
 		t.Error("other nodes affected")
 	}
+	// Resized to a quarter of the ranks the cluster keeps its 32 nodes, two
+	// ranks each, so the bad node still hosts ranks: 32 and 33.
+	s.Resize(64)
+	if cl, err = s.Cluster(0); err != nil {
+		t.Fatal(err)
+	}
+	if cfg := cl.Config(); cfg.Nodes != 32 || cfg.RanksPerNode != 2 || s.Ranks != 64 {
+		t.Errorf("resized shape = %d nodes x %d, %d ranks", cfg.Nodes, cfg.RanksPerNode, s.Ranks)
+	}
+	if cl.MemFactor(31, 0) != 1.0 || cl.MemFactor(32, 0) != 0.55 || cl.MemFactor(33, 0) != 0.55 || cl.MemFactor(34, 0) != 1.0 {
+		t.Error("resized bad node does not host ranks 32-33")
+	}
 }
 
 func TestWindowedCluster(t *testing.T) {
@@ -72,6 +84,9 @@ func TestWindowedCluster(t *testing.T) {
 	// EndFrac 100 => extends far beyond the baseline.
 	if cl.NetFactor(50_000_000) != 0.25 {
 		t.Error("persistent window should extend")
+	}
+	if start, end := s.Injections[0].Window(1_000_000); start != 200_000 || end != 100_000_000 {
+		t.Errorf("Window = [%d,%d)", start, end)
 	}
 }
 

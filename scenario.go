@@ -13,7 +13,9 @@ func ScenarioNames() []string { return scenario.Names() }
 // RunScenario executes a named scenario end-to-end. When the scenario's
 // injections are windowed relative to the run length, a clean baseline run
 // resolves them first. The returned baseline report is nil for scenarios
-// with only permanent injections.
+// with only permanent injections. A non-zero opt.Ranks runs the same
+// situation at that size (scenario.Resize): the same nodes and injections,
+// fewer or more ranks per node.
 func RunScenario(name string, opt Options) (rep, baseline *Report, err error) {
 	sc, err := scenario.Get(name)
 	if err != nil {
@@ -25,6 +27,8 @@ func RunScenario(name string, opt Options) (rep, baseline *Report, err error) {
 	}
 	if opt.Ranks == 0 {
 		opt.Ranks = sc.Ranks
+	} else {
+		sc.Resize(opt.Ranks)
 	}
 	// Scenario-declared transport faults apply unless the caller brought
 	// their own plan. The baseline run below is uninstrumented, so faults

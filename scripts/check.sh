@@ -1,10 +1,13 @@
 #!/bin/sh
 # Full repository check: build, vet, gofmt, race-enabled tests (including the
 # transport chaos test, the sharded-server differential conformance
-# property, and the kill-and-recover WAL/snapshot conformance gate), a
-# -count 50 stress of the socket/proxy exactly-once suites and the window's
-# progress/bound tests, the coverage gate against the seed baseline, a
-# race-enabled benchmark smoke, one full-size run each of the benchmark's
+# property, and the kill-and-recover WAL/snapshot conformance gate), the
+# paper's shape predicates at tier-1 size under the race detector
+# (internal/experiments), a -count 50 stress of the socket/proxy
+# exactly-once suites and the window's progress/bound tests, the coverage
+# gate against the seed baseline (not race-enabled, -count=1: the run that
+# regenerates EXPERIMENTS.md at full size and compares it byte for byte), a
+# race-enabled interpreter smoke, one full-size run each of the benchmark's
 # run-cg256 and ingest-tcp-durable oracles, and a coverage-guided fuzz smoke
 # over every fuzz target.
 #
@@ -54,6 +57,9 @@ echo "== race-enabled wire-level chaos proxy (resets/partitions/stalls/bit-flips
 go test -race -run 'TestProxyChaosExactlyOnce$|TestProxyKillRecoverConformance$' \
     -count 1 ./internal/netsrv
 
+echo "== race-enabled paper shapes (every named predicate of internal/experiments at tier-1 size; the full-size golden is skipped under race and runs in the coverage stage)"
+go test -race -run 'TestShapes$' -count 1 ./internal/experiments
+
 echo "== socket/proxy exactly-once stress (-count 50: these suites race real sockets, one pass proves little)"
 go test -run 'TestSocketChaosExactlyOnce$|TestSocketKillRecoverConformance$|TestProxyChaosExactlyOnce$|TestProxyKillRecoverConformance$|TestWindowProgressUnderEarlyResets$|TestWindowBoundedAcrossOutage$' \
     -count 50 ./internal/netsrv
@@ -61,7 +67,7 @@ go test -run 'TestSocketChaosExactlyOnce$|TestSocketKillRecoverConformance$|Test
 echo "== coverage gate (per-package deltas vs seed baseline)"
 sh scripts/cover.sh
 
-echo "== race-enabled benchmark smoke"
+echo "== race-enabled interpreter benchmark smoke (internal/vm BenchmarkInterpHotLoop, one iteration)"
 go test -race -run '^$' -bench 'BenchmarkInterpHotLoop$' -benchtime 1x ./internal/vm
 
 echo "== full-size run-cg256 oracle (golden virtual time, record counts and finding; one trial, untimed)"
