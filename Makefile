@@ -53,23 +53,24 @@ chaos:
 chaos-recover:
 	$(GO) test -race -run 'TestKillRecoverConformance$$' -count 1 ./internal/server
 
-# The socket suites under the race detector: the transport chaos and
-# kill-recover conformance properties re-run through vSS1 sessions over
-# real loopback TCP, plus the multi-tenant differential property (N runs
-# on one listener bit-identical to N isolated servers).
+# The socket suites under the race detector: the "socket" rows of the
+# chaos and kill-recover conformance tables (the transport properties re-run
+# through the one client over real loopback TCP), the multi-tenant
+# differential property (N runs on one listener bit-identical to N isolated
+# servers) and the window's tests.
 chaos-net:
 	$(GO) test -race -run 'TestLinkWindowAttribution$$' -count 10 ./internal/transport
-	$(GO) test -race -run 'TestSocketChaosExactlyOnce$$|TestSocketKillRecoverConformance$$|TestMultiTenantDifferentialConformance$$|TestWindowProgressUnderEarlyResets$$|TestWindowBoundedAcrossOutage$$|TestReceiveAmongAsyncReportsItsOwnFate$$|TestWindowedSendSteadyStateAllocs$$' \
+	$(GO) test -race -run 'TestNet(ChaosExactlyOnce|KillRecoverConformance)$$/^socket$$' -count 1 ./internal/netsrv
+	$(GO) test -race -run 'TestMultiTenantDifferentialConformance$$|TestWindowProgressUnderEarlyResets$$|TestWindowBoundedAcrossOutage$$|TestReceiveAmongAsyncReportsItsOwnFate$$|TestWindowedSendSteadyStateAllocs$$' \
 	    -count 1 ./internal/netsrv
 
-# The wire-level chaos suites under the race detector: a seeded TCP
-# chaos proxy (resets, partitions, stalls, bit flips, split/coalesced
-# writes, half-open closes) between a self-healing client and the
-# service, with tenant crash-recovery and disk faults layered on top —
-# final state proven exactly equal to an undisturbed reference.
+# The wire-level rows under the race detector: a seeded TCP chaos proxy
+# (resets, partitions, stalls, bit flips, split/coalesced writes, half-open
+# closes) between the self-healing client and the service, with tenant
+# crash-recovery and disk faults layered on top — final state proven
+# exactly equal to an undisturbed reference.
 chaos-proxy:
-	$(GO) test -race -run 'TestProxyChaosExactlyOnce$$|TestProxyKillRecoverConformance$$' \
-	    -count 1 ./internal/netsrv
+	$(GO) test -race -run 'TestNet(ChaosExactlyOnce|KillRecoverConformance)$$/^socket\+proxy$$' -count 1 ./internal/netsrv
 
 # The one benchmark: four workloads, repeated trials, end-to-end and
 # per-layer metrics under the bounds in BENCHMARK.json (see

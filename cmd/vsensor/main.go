@@ -414,7 +414,7 @@ func doServe(args []string) {
 		defer hs.Close()
 		svc.SetObs(o)
 		o.SetStatus(func() any {
-			return map[string]any{"net": svc.StatusMap(), "runs": svc.RunIDs()}
+			return map[string]any{"net": svc.Stats(), "runs": svc.RunIDs()}
 		})
 		fmt.Fprintf(os.Stderr, "introspection: http://%s/ (/metrics /status)\n", hs.Addr())
 	}

@@ -43,13 +43,13 @@ func TestMultiTenantDifferentialConformance(t *testing.T) {
 				schedules[r] = buildSchedule(rng, frames, plan)
 			}
 
-			// Isolated references: one private server per run.
+			// Isolated references: one private server per run, and the
+			// verdict each schedule entry earned there.
 			refs := make([]*server.Server, runs)
+			accepted := make([][]bool, runs)
 			for r := range refs {
 				refs[r] = server.NewSharded(shards)
-				for _, f := range schedules[r] {
-					_ = refs[r].Receive(f)
-				}
+				accepted[r] = referenceVerdicts(refs[r], schedules[r])
 			}
 
 			// One listener, N concurrent tenant sessions.
@@ -60,7 +60,7 @@ func TestMultiTenantDifferentialConformance(t *testing.T) {
 			}
 			defer svc.Close()
 			svc.SetObs(o)
-			o.SetStatus(func() any { return svc.StatusMap() })
+			o.SetStatus(func() any { return svc.Stats() })
 			ts := httptest.NewServer(o.Handler())
 			defer ts.Close()
 
@@ -91,14 +91,18 @@ func TestMultiTenantDifferentialConformance(t *testing.T) {
 				wg.Add(1)
 				go func(run int) {
 					defer wg.Done()
-					sess, err := Dial(svc.Addr().String(), Hello{RunID: fmt.Sprintf("run-%d", run), Rank: 0}, DialConfig{})
+					rs, err := DialResilient(ReconnectConfig{Addr: svc.Addr().String(), Hello: Hello{RunID: fmt.Sprintf("run-%d", run)}})
 					if err != nil {
 						errs[run] = err
 						return
 					}
-					defer sess.Close()
-					for _, f := range schedules[run] {
-						_ = sess.Receive(f) // corrupt frames error by design
+					defer rs.Close()
+					for i, f := range schedules[run] {
+						if err := rs.Receive(f); verdictMismatch(err, accepted[run][i], false) {
+							errs[run] = fmt.Errorf("item %d: delivery = %v, reference accepted = %v\nsession: %+v",
+								i, err, accepted[run][i], rs.Stats())
+							return
+						}
 					}
 				}(r)
 			}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"net"
 	"sync"
 	"time"
 
@@ -85,13 +86,13 @@ func newDialer(addr string, cfg DialConfig, p RetryPolicy) *dialer {
 // malformed hello is a configuration error and fails fast. Once it has,
 // the address and the hello are known good, so a network error is an
 // outage and is retried under the budget too.
-func (d *dialer) dial(h Hello, deadline time.Time, accepted bool, st *retryStats) (*Session, error) {
+func (d *dialer) dial(h Hello, deadline time.Time, accepted bool, st *retryStats) (*clientConn, error) {
 	backoff := d.p.BackoffBase
 	for {
 		st.Attempts++
-		s, err := Dial(d.addr, h, d.cfg)
+		c, err := connect(d.addr, h, d.cfg)
 		if err == nil {
-			return s, nil
+			return c, nil
 		}
 		var ref *Refuse
 		var wait time.Duration
@@ -155,11 +156,23 @@ type ResilientStats struct {
 	LSN          uint64 // client's belief of the tenant's durable LSN
 }
 
-// ResilientSession is a transport.Medium that survives the network: it
-// wraps Dial, auto-redials on connection loss with exponential backoff +
-// jitter, honors vSE1 retry-after hints, and resumes delivery at the
-// durable LSN carried by the vSA1 session ack so a reconnect neither
-// loses nor duplicates journaled envelopes.
+// ResilientSession is netsrv's client: a transport.Medium that speaks the
+// envelope protocol for one run and survives the network. It auto-redials on
+// connection loss with exponential backoff + jitter, honors vSE1 retry-after
+// hints, and resumes delivery at the durable LSN carried by the vSA1 session
+// ack so a reconnect neither loses nor duplicates journaled envelopes.
+//
+// It is safe for concurrent use: a transport.Link shared by many rank
+// goroutines funnels all of their delivery attempts into one session, so
+// every operation runs under its one lock (matching the in-process server,
+// whose Receive is also internally synchronized).
+//
+// A session tells two failure classes apart. An ack status (nil,
+// ErrFrameRejected, server.ErrServerDown — the in-process server's errors,
+// so retry classification works identically over the wire) is one frame's
+// answer on a healthy connection. A transport failure (write error, ack-read
+// error, envelope corruption, deadline expiry) drops the connection at once;
+// the next step of the operation redials.
 //
 // The resume algorithm rides the dense-LSN contract of the durable
 // server: every delivered envelope (frame ingest, dup, reject, heartbeat)
@@ -181,22 +194,33 @@ type ResilientStats struct {
 // bound holds across an outage. The session owns no goroutine: acks are read
 // on the caller's, inside SendAsync, Drain and Receive.
 //
+// Each connection's share of the window opens the way a congestion window
+// does: a fresh connection may have one frame unanswered, and the allowance
+// doubles each time that many have been acknowledged, up to Dial.Window. So a
+// connection delivers an ack before a second frame is risked on it — a wire
+// that dies sooner than a window's bytes still makes progress, one reconnect
+// at a time — and reaches full depth nine round trips later.
+//
 // When an outage outlives the retry budget, operations fail with
 // server.ErrServerDown — the same error a crashed tenant returns — so the
 // transport.Link machinery parks frames and packed-flushes them when the
 // world comes back.
 type ResilientSession struct {
-	mu   sync.Mutex
-	cfg  ReconnectConfig
-	d    *dialer
-	sess *Session
+	mu     sync.Mutex
+	cfg    ReconnectConfig
+	d      *dialer
+	conn   *clientConn // nil between a transport failure and the next redial
+	closed bool
 
 	lsn uint64 // belief: tenant's durable LSN after all answered envelopes
 	// pend is a ring of Dial.Window slots: n unanswered envelope copies from
 	// head on, the first sent of them written to the live conn. Slot buffers
-	// are reused in place, so the steady state allocates nothing.
+	// are reused in place, so the steady state allocates nothing. The live
+	// conn may have window of them unanswered: 1 after each dial, doubling
+	// each time that many acks (acked) have come back, up to len(pend).
 	pend          [][]byte
 	head, n, sent int
+	window, acked int
 	// observe hears each answered envelope's fate; without one the first
 	// failure waits in ackErr for Drain. own marks the tail as a Receive in
 	// progress, whose fate is that call's return value (ownErr) instead.
@@ -218,8 +242,14 @@ type ResilientSession struct {
 // DialResilient dials the first connection eagerly — network errors and
 // permanent refusals surface immediately, a momentarily full service's
 // retry-after hints are honored within the budget — and returns the
-// self-healing session.
+// self-healing session. Hello.Version defaults to ProtocolVersion.
 func DialResilient(cfg ReconnectConfig) (*ResilientSession, error) {
+	if cfg.Hello.Version == 0 {
+		cfg.Hello.Version = ProtocolVersion
+	}
+	if n := len(cfg.Hello.RunID); n == 0 || n > MaxRunIDLen {
+		return nil, fmt.Errorf("netsrv: run ID length %d out of [1,%d]", n, MaxRunIDLen)
+	}
 	cfg.Dial.fillDefaults()
 	cfg.Retry.fillDefaults()
 	r := &ResilientSession{cfg: cfg, d: newDialer(cfg.Addr, cfg.Dial, cfg.Retry), pend: make([][]byte, cfg.Dial.Window)}
@@ -284,9 +314,8 @@ func (r *ResilientSession) ResyncLSN(lsn uint64) {
 	r.lsn = lsn
 }
 
-// onAck observes every ack in arrival order. It runs on the calling
-// goroutine, inside a Session operation, while r.mu is held by that same
-// caller — the oldest unanswered envelope is the one being answered.
+// onAck is the one ack-status → answer mapping: it answers the oldest
+// envelope on the wire, in arrival order, with r.mu held.
 func (r *ResilientSession) onAck(status byte) {
 	var err error
 	switch status {
@@ -334,7 +363,7 @@ func (r *ResilientSession) redialLocked(deadline time.Time) error {
 	h := r.cfg.Hello
 	h.ResumeLSN = r.lsn
 	var st retryStats
-	s, err := r.d.dial(h, deadline, r.ever, &st)
+	c, err := r.d.dial(h, deadline, r.ever, &st)
 	r.stats.DialAttempts += st.Attempts
 	r.stats.Refusals += st.Refusals
 	r.stats.BackoffNs += st.BackoffNs
@@ -346,15 +375,14 @@ func (r *ResilientSession) redialLocked(deadline time.Time) error {
 		r.stats.Outages++
 		return err
 	}
-	s.ackHook = r.onAck
-	r.sess = s
-	r.lastAck = s.Ack()
+	r.conn = c
+	r.lastAck = c.ack
 	if r.ever {
 		r.stats.Reconnects++
 		r.reconnects.Inc()
 	}
 	r.ever = true
-	r.sent = 0
+	r.sent, r.window, r.acked = 0, 1, 0
 	// Reconcile: the ack's LSN is the server's truth. Anything it has
 	// journaled beyond our belief must be the oldest unanswered envelopes,
 	// delivered in order before the previous wire died — answer them instead
@@ -371,30 +399,81 @@ func (r *ResilientSession) redialLocked(deadline time.Time) error {
 	return nil
 }
 
-// dropSessLocked abandons a broken connection.
-func (r *ResilientSession) dropSessLocked() {
-	if r.sess != nil {
-		_ = r.sess.Close()
-		r.sess = nil
-	}
+// dropConnLocked abandons a broken connection; its close error adds nothing
+// to the failure that broke it.
+func (r *ResilientSession) dropConnLocked() {
+	_ = r.conn.nc.Close()
+	r.conn = nil
 	r.sent = 0
 }
 
+// readAck reads the live connection's next ack, opens the window a step and
+// answers the oldest envelope on the wire.
+func (r *ResilientSession) readAck() error {
+	status, err := r.conn.readAck()
+	if err != nil {
+		return err
+	}
+	if r.acked++; r.acked >= r.window && r.window < len(r.pend) {
+		r.window, r.acked = min(2*r.window, len(r.pend)), 0
+	}
+	r.onAck(status)
+	return nil
+}
+
+// awaitLocked flushes and reads acks until at most keep envelopes on the
+// wire are unanswered.
+func (r *ResilientSession) awaitLocked(keep int) error {
+	if r.sent <= keep {
+		return nil
+	}
+	if err := r.conn.flush(); err != nil {
+		return err
+	}
+	for r.sent > keep {
+		if err := r.readAck(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // transmitLocked writes every queued envelope the live connection has not
-// carried yet, then consumes acks until at most keep are unanswered. Ack
-// arrivals pop the queue via onAck as a side effect of the Session calls.
+// carried yet, within its window, then reads acks until at most keep are
+// unanswered. Its error is always a transport failure: ack statuses are
+// answers (onAck), never errors.
 func (r *ResilientSession) transmitLocked(keep int) error {
 	for r.sent < r.n {
-		if err := r.sess.SendAsync(*r.at(r.sent)); err != nil {
+		// Answer whatever acks already sit in the read buffer — the server
+		// batches them — so the window stays open and the writer flushes on
+		// its own buffer boundary instead of once per frame.
+		for r.sent > 0 && r.conn.buffered() {
+			if err := r.readAck(); err != nil {
+				return err
+			}
+		}
+		if r.sent >= r.window {
+			// A window still opening is acknowledged whole before the next,
+			// doubled one is risked; at full depth it slides one ack at a time.
+			hold := 0
+			if r.window == len(r.pend) {
+				hold = r.window - 1
+			}
+			if err := r.awaitLocked(hold); err != nil {
+				return err
+			}
+			continue
+		}
+		if err := r.conn.write(*r.at(r.sent)); err != nil {
 			return err
 		}
 		r.sent++
 	}
-	if r.n > keep {
-		return r.sess.await(keep)
-	}
-	return nil
+	return r.awaitLocked(keep)
 }
+
+// errClosed is what every operation on a closed session returns.
+var errClosed = fmt.Errorf("netsrv: ResilientSession closed: %w", net.ErrClosed)
 
 // opLocked is the self-healing core: keep a connection alive, transmit
 // the queue, wait until at most keep envelopes are unanswered, and on
@@ -404,11 +483,14 @@ func (r *ResilientSession) transmitLocked(keep int) error {
 // fails with the same error. Protocol-level statuses (reject/down) are
 // answers like any other; they never trigger a redial.
 func (r *ResilientSession) opLocked(keep int) error {
+	if r.closed {
+		return errClosed
+	}
 	// The outage deadline is read lazily: a healthy session never pays
 	// for the clock, and the budget spans this operation's redials only.
 	var deadline time.Time
 	for {
-		if r.sess == nil {
+		if r.conn == nil {
 			if deadline.IsZero() {
 				deadline = time.Now().Add(r.d.p.MaxElapsed)
 			}
@@ -419,12 +501,10 @@ func (r *ResilientSession) opLocked(keep int) error {
 				return server.ErrServerDown
 			}
 		}
-		// Every error a Session returns here is a transport failure that
-		// poisoned it; statuses travel through onAck.
 		if r.transmitLocked(keep) == nil {
 			return nil
 		}
-		r.dropSessLocked()
+		r.dropConnLocked()
 	}
 }
 
@@ -478,7 +558,7 @@ func (r *ResilientSession) SendAsync(encoded []byte) error {
 		return err
 	}
 	if r.transmitLocked(r.n) != nil {
-		r.dropSessLocked()
+		r.dropConnLocked()
 	}
 	return nil
 }
@@ -496,18 +576,24 @@ func (r *ResilientSession) Drain() error {
 	return err
 }
 
-// Close drains the live connection (without redialing), tears it down and
-// stops reconnecting. An error means envelopes were still unanswered.
+// Close drains the live connection (without redialing) and tears it down.
+// An error means envelopes were still unanswered. After Close every
+// operation fails with an error wrapping net.ErrClosed and dials nothing;
+// a second Close is a no-op.
 func (r *ResilientSession) Close() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if r.closed {
+		return nil
+	}
+	r.closed = true
 	var err error
-	if r.sess != nil {
+	if r.conn != nil {
 		err = r.transmitLocked(0)
-		if cerr := r.sess.Close(); err == nil {
+		if cerr := r.conn.nc.Close(); err == nil {
 			err = cerr
 		}
-		r.sess = nil
+		r.conn = nil
 	}
 	if r.n > 0 && err == nil {
 		err = fmt.Errorf("netsrv: session closed with %d envelopes unanswered", r.n)

@@ -117,24 +117,25 @@ func (c *Config) fillDefaults() {
 // Stats is a point-in-time snapshot of service counters; every refused
 // connection shows up in exactly one Refused* bucket, so
 // Accepted == handled + queued + sum(Refused*) at all times — the
-// "never a silent drop" ledger.
+// "never a silent drop" ledger. Its JSON form is the run.net block of
+// /status.
 type Stats struct {
-	Accepted         int64 // connections the listener accepted
-	Shed             int64 // refused with vSE1 busy (accept queue full)
-	RefusedSessions  int64 // refused: per-run session cap
-	RefusedRuns      int64 // refused: run (tenant) cap
-	RefusedBadHello  int64 // refused: malformed/unsupported hello
-	RefusedShutdown  int64 // refused: service closing
-	Sessions         int64 // sessions ever admitted
-	SessionsOpen     int64 // sessions currently streaming
-	Runs             int64 // live tenants
-	Workers          int64 // current pool size
-	PeakWorkers      int64 // high-water pool size
-	FramesIn         int64 // data envelopes delivered to tenant servers
-	FramesRejected   int64 // data envelopes acked with frameAckReject
-	FramesDown       int64 // data envelopes acked with frameAckDown
-	SessionsReaped   int64 // sessions closed by the dead-peer defense (idle reaper or ack-write timeout)
-	CorruptEnvelopes int64 // connections killed by an envelope CRC mismatch
+	Accepted         int64 `json:"accepted"`          // connections the listener accepted
+	Shed             int64 `json:"shed"`              // refused with vSE1 busy (accept queue full)
+	RefusedSessions  int64 `json:"refused_sessions"`  // refused: per-run session cap
+	RefusedRuns      int64 `json:"refused_runs"`      // refused: run (tenant) cap
+	RefusedBadHello  int64 `json:"refused_badhello"`  // refused: malformed/unsupported hello
+	RefusedShutdown  int64 `json:"refused_shutdown"`  // refused: service closing
+	Sessions         int64 `json:"sessions"`          // sessions ever admitted
+	SessionsOpen     int64 `json:"sessions_open"`     // sessions currently streaming
+	Runs             int64 `json:"runs"`              // live tenants
+	Workers          int64 `json:"workers"`           // current pool size
+	PeakWorkers      int64 `json:"peak_workers"`      // high-water pool size
+	FramesIn         int64 `json:"frames_in"`         // data envelopes delivered to tenant servers
+	FramesRejected   int64 `json:"frames_rejected"`   // data envelopes acked with frameAckReject
+	FramesDown       int64 `json:"frames_down"`       // data envelopes acked with frameAckDown
+	SessionsReaped   int64 `json:"sessions_reaped"`   // sessions closed by the dead-peer defense (idle reaper or ack-write timeout)
+	CorruptEnvelopes int64 `json:"corrupt_envelopes"` // connections killed by an envelope CRC mismatch
 }
 
 type tenant struct {
@@ -265,29 +266,6 @@ func (s *Service) Stats() Stats {
 		FramesDown:       s.framesDown.Load(),
 		SessionsReaped:   s.sessionsReaped.Load(),
 		CorruptEnvelopes: s.corruptEnv.Load(),
-	}
-}
-
-// StatusMap renders the stats for an obs /status provider.
-func (s *Service) StatusMap() map[string]any {
-	st := s.Stats()
-	return map[string]any{
-		"accepted":          st.Accepted,
-		"shed":              st.Shed,
-		"refused_sessions":  st.RefusedSessions,
-		"refused_runs":      st.RefusedRuns,
-		"refused_badhello":  st.RefusedBadHello,
-		"refused_shutdown":  st.RefusedShutdown,
-		"sessions":          st.Sessions,
-		"sessions_open":     st.SessionsOpen,
-		"runs":              st.Runs,
-		"workers":           st.Workers,
-		"peak_workers":      st.PeakWorkers,
-		"frames_in":         st.FramesIn,
-		"frames_rejected":   st.FramesRejected,
-		"frames_down":       st.FramesDown,
-		"sessions_reaped":   st.SessionsReaped,
-		"corrupt_envelopes": st.CorruptEnvelopes,
 	}
 }
 

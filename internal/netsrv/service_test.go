@@ -9,6 +9,7 @@ import (
 	"io"
 	"net"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -35,6 +36,13 @@ func testFrame(rank int, seq uint64, cum uint64, n int) []byte {
 	return server.AppendFrame(nil, server.FrameHeader{Rank: rank, Seq: seq, CumRecords: cum}, recs)
 }
 
+// dialOnce is a plain connect on the one client: a retry budget too small
+// to sleep through makes the first dial's failure — a *Refuse included —
+// come straight back.
+func dialOnce(addr string, h Hello) (*ResilientSession, error) {
+	return DialResilient(ReconnectConfig{Addr: addr, Hello: h, Retry: RetryPolicy{MaxElapsed: time.Nanosecond}})
+}
+
 // waitFor polls cond until it holds or the deadline trips.
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
@@ -54,7 +62,7 @@ func TestSessionRoundTrip(t *testing.T) {
 	}
 	defer svc.Close()
 
-	sess, err := Dial(svc.Addr().String(), Hello{RunID: "run-a", Rank: 3}, DialConfig{})
+	sess, err := dialOnce(svc.Addr().String(), Hello{RunID: "run-a", Rank: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +116,7 @@ func TestSessionResumeLSNAndFlags(t *testing.T) {
 	}
 	defer svc.Close()
 
-	s1, err := Dial(svc.Addr().String(), Hello{RunID: "run-r", Rank: 0}, DialConfig{})
+	s1, err := dialOnce(svc.Addr().String(), Hello{RunID: "run-r", Rank: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +128,7 @@ func TestSessionResumeLSNAndFlags(t *testing.T) {
 	// Second session against the same run ID sees the resumed flag and the
 	// same tenant (an in-memory tenant reports LSN 0; the durable path is
 	// exercised by the kill-recover conformance suite).
-	s2, err := Dial(svc.Addr().String(), Hello{RunID: "run-r", Rank: 1, ResumeLSN: 7}, DialConfig{})
+	s2, err := dialOnce(svc.Addr().String(), Hello{RunID: "run-r", Rank: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +159,7 @@ func TestLoadShedExplicitRefusal(t *testing.T) {
 	addr := svc.Addr().String()
 
 	// c1 occupies the only worker with a live session.
-	c1, err := Dial(addr, Hello{RunID: "shed", Rank: 0}, DialConfig{})
+	c1, err := dialOnce(addr, Hello{RunID: "shed", Rank: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +177,7 @@ func TestLoadShedExplicitRefusal(t *testing.T) {
 	// c3 arrives to a full queue: explicit refusal, bounded wait.
 	done := make(chan error, 1)
 	go func() {
-		_, derr := Dial(addr, Hello{RunID: "shed", Rank: 1}, DialConfig{Timeout: 5 * time.Second})
+		_, derr := dialOnce(addr, Hello{RunID: "shed", Rank: 1})
 		done <- derr
 	}()
 	select {
@@ -208,9 +216,9 @@ func TestPoolScalesUpDown(t *testing.T) {
 	}
 	defer svc.Close()
 
-	var sessions []*Session
+	var sessions []*ResilientSession
 	for i := 0; i < maxW; i++ {
-		s, err := Dial(svc.Addr().String(), Hello{RunID: "pool", Rank: i}, DialConfig{})
+		s, err := dialOnce(svc.Addr().String(), Hello{RunID: "pool", Rank: i})
 		if err != nil {
 			t.Fatalf("session %d: %v", i, err)
 		}
@@ -247,17 +255,17 @@ func TestTenantCaps(t *testing.T) {
 	defer svc.Close()
 	addr := svc.Addr().String()
 
-	s1, err := Dial(addr, Hello{RunID: "only", Rank: 0}, DialConfig{})
+	s1, err := dialOnce(addr, Hello{RunID: "only", Rank: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s1.Close()
 
 	var ref *Refuse
-	if _, err := Dial(addr, Hello{RunID: "only", Rank: 1}, DialConfig{}); !errors.As(err, &ref) || ref.Code != RefuseRunSessions {
+	if _, err := dialOnce(addr, Hello{RunID: "only", Rank: 1}); !errors.As(err, &ref) || ref.Code != RefuseRunSessions {
 		t.Fatalf("second session on capped run: %v, want RefuseRunSessions", err)
 	}
-	if _, err := Dial(addr, Hello{RunID: "other", Rank: 0}, DialConfig{}); !errors.As(err, &ref) || ref.Code != RefuseRuns {
+	if _, err := dialOnce(addr, Hello{RunID: "other", Rank: 0}); !errors.As(err, &ref) || ref.Code != RefuseRuns {
 		t.Fatalf("second run on capped service: %v, want RefuseRuns", err)
 	}
 	st := svc.Stats()
@@ -268,7 +276,7 @@ func TestTenantCaps(t *testing.T) {
 	// Releasing the session frees the slot for the same run.
 	s1.Close()
 	waitFor(t, "session slot freed", func() bool {
-		s2, err := Dial(addr, Hello{RunID: "only", Rank: 2}, DialConfig{})
+		s2, err := dialOnce(addr, Hello{RunID: "only", Rank: 2})
 		if err != nil {
 			return false
 		}
@@ -337,8 +345,10 @@ func TestBadHelloRefused(t *testing.T) {
 	}
 }
 
-// TestShedCountsInStatus wires the service into an obs registry and
-// asserts shed/accept counts surface through both /metrics and /status.
+// TestShedCountsInStatus wires the service into an obs registry the way
+// `vsensor serve` does and asserts shed/accept counts surface through both
+// /metrics and /status, where the run.net block is Stats' JSON form under
+// exactly the keys the hand-written map it replaced served.
 func TestShedCountsInStatus(t *testing.T) {
 	o := obs.New()
 	svc, err := Listen("127.0.0.1:0", Config{
@@ -351,10 +361,10 @@ func TestShedCountsInStatus(t *testing.T) {
 	}
 	defer svc.Close()
 	svc.SetObs(o)
-	o.SetStatus(func() any { return map[string]any{"net": svc.StatusMap()} })
+	o.SetStatus(func() any { return map[string]any{"net": svc.Stats()} })
 
 	addr := svc.Addr().String()
-	s1, err := Dial(addr, Hello{RunID: "obs", Rank: 0}, DialConfig{})
+	s1, err := dialOnce(addr, Hello{RunID: "obs", Rank: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +375,7 @@ func TestShedCountsInStatus(t *testing.T) {
 	}
 	defer c2.Close()
 	waitFor(t, "queue primed", func() bool { return svc.Stats().Accepted == 2 })
-	if _, err := Dial(addr, Hello{RunID: "obs", Rank: 1}, DialConfig{}); err == nil {
+	if _, err := dialOnce(addr, Hello{RunID: "obs", Rank: 1}); err == nil {
 		t.Fatal("third connection was not shed")
 	}
 	waitFor(t, "shed counted", func() bool { return svc.Stats().Shed == 1 })
@@ -391,6 +401,16 @@ func TestShedCountsInStatus(t *testing.T) {
 	}
 	if got := body.Run.Net["accepted"]; got != float64(3) {
 		t.Fatalf("/status net.accepted = %v, want 3", got)
+	}
+	var keys []string
+	for k := range body.Run.Net {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	if got, want := strings.Join(keys, " "), "accepted corrupt_envelopes frames_down frames_in frames_rejected "+
+		"peak_workers refused_badhello refused_runs refused_sessions refused_shutdown runs sessions "+
+		"sessions_open sessions_reaped shed workers"; got != want {
+		t.Fatalf("/status net keys:\n got: %s\nwant: %s", got, want)
 	}
 
 	res, err = ts.Client().Get(ts.URL + "/metrics")
@@ -423,7 +443,7 @@ func TestCloseRefusesQueued(t *testing.T) {
 	}
 	addr := svc.Addr().String()
 
-	s1, err := Dial(addr, Hello{RunID: "close", Rank: 0}, DialConfig{})
+	s1, err := dialOnce(addr, Hello{RunID: "close", Rank: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -468,7 +488,7 @@ func TestSessionPipelinedSend(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer svc.Close()
-	sess, err := Dial(svc.Addr().String(), Hello{RunID: "pipe", Rank: 0}, DialConfig{Window: 16})
+	sess, err := DialResilient(ReconnectConfig{Addr: svc.Addr().String(), Hello: Hello{RunID: "pipe", Rank: 0}, Dial: DialConfig{Window: 16}})
 	if err != nil {
 		t.Fatal(err)
 	}

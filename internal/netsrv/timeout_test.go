@@ -57,7 +57,7 @@ func TestIdleReaperFires(t *testing.T) {
 	}
 	defer svc.Close()
 
-	s, err := Dial(svc.Addr().String(), Hello{RunID: "idle"}, DialConfig{})
+	s, err := dialOnce(svc.Addr().String(), Hello{RunID: "idle"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,10 +69,13 @@ func TestIdleReaperFires(t *testing.T) {
 	waitFor(t, "reaped session to leave the open set", func() bool {
 		return svc.Stats().SessionsOpen == 0
 	})
-	// The reaped client sees a transport error, not a hang.
+	// The reaped client meets a transport error, not a hang, and redials.
 	hb := server.AppendHeartbeat(nil, 0, 1_000_000, 5_000_000)
-	if err := s.Receive(hb); err == nil {
-		t.Fatal("Receive on a reaped session succeeded")
+	if err := s.Receive(hb); err != nil {
+		t.Fatalf("Receive after the reap = %v, want a redial and delivery", err)
+	}
+	if st := s.Stats(); st.Reconnects != 1 {
+		t.Fatalf("reaped session did not redial exactly once: %+v", st)
 	}
 }
 
@@ -87,7 +90,7 @@ func TestIdleReaperSparedByHeartbeats(t *testing.T) {
 	}
 	defer svc.Close()
 
-	s, err := Dial(svc.Addr().String(), Hello{RunID: "hb"}, DialConfig{})
+	s, err := dialOnce(svc.Addr().String(), Hello{RunID: "hb"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,8 +104,8 @@ func TestIdleReaperSparedByHeartbeats(t *testing.T) {
 		}
 		time.Sleep(40 * time.Millisecond)
 	}
-	if st := svc.Stats(); st.SessionsReaped != 0 {
-		t.Fatalf("reaper fired %d times while heartbeats flowed: %+v", st.SessionsReaped, st)
+	if st := svc.Stats(); st.SessionsReaped != 0 || s.Stats().Reconnects != 0 {
+		t.Fatalf("reaper fired %d times while heartbeats flowed: %+v, session %+v", st.SessionsReaped, st, s.Stats())
 	}
 	if svc.Tenant("hb").Heartbeats() == 0 {
 		t.Fatal("no heartbeats recorded")
@@ -219,7 +222,7 @@ func TestDialRetryHonorsRetryAfter(t *testing.T) {
 	}
 	defer svc.Close()
 
-	s1, err := Dial(svc.Addr().String(), Hello{RunID: "slot"}, DialConfig{})
+	s1, err := dialOnce(svc.Addr().String(), Hello{RunID: "slot"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,9 +307,9 @@ func stubService(t *testing.T, script string) (addr string, wait func()) {
 	return ln.Addr().String(), func() { <-done }
 }
 
-// TestResilientRetriesBadHelloAfterAccept is the deterministic form of the
-// TestProxyKillRecoverConformance flake: the live connection dies, and the
-// wire flips a bit in the redial's hello so the service refuses it as
+// TestResilientRetriesBadHelloAfterAccept is the deterministic form of a
+// TestNetKillRecoverConformance/socket+proxy flake: the live connection dies,
+// and the wire flips a bit in the redial's hello so the service refuses it as
 // malformed. The service has already accepted this very hello, so the
 // refusal is an outage to retry under the budget — Receive must deliver,
 // not surface ErrServerDown after one attempt. The very first dial has no
@@ -342,44 +345,46 @@ func TestResilientRetriesBadHelloAfterAccept(t *testing.T) {
 	wait()
 }
 
-// TestSessionPoisonAndIdempotentClose covers the leak-proofing contract:
-// once a transport write fails, every later call on the session fails
-// fast with the same sticky error instead of deadlocking on a dead
-// socket, and Close is safe to call any number of times.
-func TestSessionPoisonAndIdempotentClose(t *testing.T) {
+// TestResilientCloseIsFinal is the regression test for a closed session
+// that reopened itself: Close promised to stop reconnecting, but the next
+// operation found no connection and redialed, leaving the service an open
+// session nobody would close. After Close every operation fails with
+// net.ErrClosed and dials nothing, and Close is idempotent.
+func TestResilientCloseIsFinal(t *testing.T) {
 	svc, err := Listen("127.0.0.1:0", Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := Dial(svc.Addr().String(), Hello{RunID: "poison"}, DialConfig{OpTimeout: 200 * time.Millisecond})
+	defer svc.Close()
+	rs, err := DialResilient(ReconnectConfig{Addr: svc.Addr().String(), Hello: Hello{RunID: "closed"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc.Close() // kill the service out from under the session
-
 	hb := server.AppendHeartbeat(nil, 0, 1_000_000, 5_000_000)
-	waitFor(t, "session poisoning", func() bool {
-		return s.SendAsync(hb) != nil
-	})
-	if s.Broken() == nil {
-		t.Fatal("poisoned session reports Broken() == nil")
+	if err := rs.Receive(hb); err != nil {
+		t.Fatal(err)
 	}
-	// Poisoned calls fail fast — well under the op deadline.
-	start := time.Now()
-	if err := s.Receive(hb); err == nil {
-		t.Fatal("Receive on poisoned session succeeded")
-	}
-	if err := s.SendAsync(hb); err == nil {
-		t.Fatal("SendAsync on poisoned session succeeded")
-	}
-	if d := time.Since(start); d > 100*time.Millisecond {
-		t.Fatalf("poisoned calls took %v, want fail-fast", d)
-	}
-	if err := s.Close(); err != nil {
+	if err := rs.Close(); err != nil {
 		t.Fatalf("first Close: %v", err)
 	}
-	if err := s.Close(); err != nil {
+	if err := rs.Close(); err != nil {
 		t.Fatalf("second Close not idempotent: %v", err)
+	}
+	for name, op := range map[string]func() error{
+		"Receive":   func() error { return rs.Receive(hb) },
+		"SendAsync": func() error { return rs.SendAsync(hb) },
+		"Drain":     rs.Drain,
+	} {
+		if err := op(); !errors.Is(err, net.ErrClosed) {
+			t.Errorf("%s after Close = %v, want net.ErrClosed", name, err)
+		}
+	}
+	if st := rs.Stats(); st.DialAttempts != 1 || st.Reconnects != 0 || st.InFlight != 0 {
+		t.Fatalf("closed session dialed again: %+v", st)
+	}
+	waitFor(t, "the service to see the session close", func() bool { return svc.Stats().SessionsOpen == 0 })
+	if st := svc.Stats(); st.Sessions != 1 {
+		t.Fatalf("service admitted %d sessions, want 1", st.Sessions)
 	}
 }
 

@@ -36,7 +36,7 @@ func TestWindowProgressUnderEarlyResets(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer px.Close()
-	rs := proxyDial(t, px.Addr(), "early-resets", 5)
+	rs := dialTuned(t, px.Addr(), "early-resets", 5)
 	defer rs.Close()
 	if lsn := rs.Ack().LSN; lsn != 0 {
 		t.Fatalf("non-durable tenant acked LSN %d, want 0", lsn)
@@ -58,14 +58,7 @@ func TestWindowProgressUnderEarlyResets(t *testing.T) {
 	got, want := svc.Tenant("early-resets").Records(), clean.Records()
 	sortRecs(got)
 	sortRecs(want)
-	if len(got) != len(want) {
-		t.Fatalf("log has %d records, reference %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("record %d differs after sorting:\n got: %+v\nwant: %+v", i, got[i], want[i])
-		}
-	}
+	sameRecords(t, got, want)
 	if cov := svc.Tenant("early-resets").Coverage(); !cov.Complete() {
 		t.Errorf("coverage incomplete: %+v", cov)
 	}

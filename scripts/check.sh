@@ -3,8 +3,8 @@
 # transport chaos test, the sharded-server differential conformance
 # property, and the kill-and-recover WAL/snapshot conformance gate), the
 # paper's shape predicates at tier-1 size under the race detector
-# (internal/experiments), a -count 50 stress of the socket/proxy
-# exactly-once suites and the window's progress/bound tests, the coverage
+# (internal/experiments), a -count 50 stress of the socket and socket+proxy
+# conformance tables and the window's progress/bound tests, the coverage
 # gate against the seed baseline (not race-enabled, -count=1: the run that
 # regenerates EXPERIMENTS.md at full size and compares it byte for byte), a
 # race-enabled interpreter smoke, one full-size run each of the benchmark's
@@ -49,19 +49,15 @@ go test -race -run 'TestKillRecoverConformance$' -count 1 ./internal/server
 echo "== race-enabled windowed link: attribution over a scripted medium (-count 10)"
 go test -race -run 'TestLinkWindowAttribution$' -count 10 ./internal/transport
 
-echo "== race-enabled socket chaos + kill-recover + multi-tenant conformance + the window's progress, bound and alloc tests (real loopback TCP)"
-go test -race -run 'TestSocketChaosExactlyOnce$|TestSocketKillRecoverConformance$|TestMultiTenantDifferentialConformance$|TestWindowProgressUnderEarlyResets$|TestWindowBoundedAcrossOutage$|TestReceiveAmongAsyncReportsItsOwnFate$|TestWindowedSendSteadyStateAllocs$' \
-    -count 1 ./internal/netsrv
-
-echo "== race-enabled wire-level chaos proxy (resets/partitions/stalls/bit-flips vs self-healing client)"
-go test -race -run 'TestProxyChaosExactlyOnce$|TestProxyKillRecoverConformance$' \
+echo "== race-enabled socket and socket+proxy conformance tables (chaos, kill-recover; the proxy's resets/partitions/stalls/bit-flips vs the self-healing client) + multi-tenant conformance + the window's progress, bound and alloc tests (real loopback TCP)"
+go test -race -run 'TestNetChaosExactlyOnce$|TestNetKillRecoverConformance$|TestMultiTenantDifferentialConformance$|TestWindowProgressUnderEarlyResets$|TestWindowBoundedAcrossOutage$|TestReceiveAmongAsyncReportsItsOwnFate$|TestWindowedSendSteadyStateAllocs$' \
     -count 1 ./internal/netsrv
 
 echo "== race-enabled paper shapes (every named predicate of internal/experiments at tier-1 size; the full-size golden is skipped under race and runs in the coverage stage)"
 go test -race -run 'TestShapes$' -count 1 ./internal/experiments
 
-echo "== socket/proxy exactly-once stress (-count 50: these suites race real sockets, one pass proves little)"
-go test -run 'TestSocketChaosExactlyOnce$|TestSocketKillRecoverConformance$|TestProxyChaosExactlyOnce$|TestProxyKillRecoverConformance$|TestWindowProgressUnderEarlyResets$|TestWindowBoundedAcrossOutage$' \
+echo "== socket/proxy exactly-once stress (-count 50: these tables race real sockets, one pass proves little)"
+go test -run 'TestNetChaosExactlyOnce$|TestNetKillRecoverConformance$|TestWindowProgressUnderEarlyResets$|TestWindowBoundedAcrossOutage$' \
     -count 50 ./internal/netsrv
 
 echo "== coverage gate (per-package deltas vs seed baseline)"

@@ -461,7 +461,7 @@ func RunProgram(prog *ir.Program, opt Options) (*Report, error) {
 			}
 			if svc != nil {
 				st["listen"] = svc.Addr().String()
-				st["net"] = svc.StatusMap()
+				st["net"] = svc.Stats()
 			}
 			if remote != "" {
 				st["remote"] = remote
