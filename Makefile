@@ -57,12 +57,14 @@ chaos-recover:
 # chaos and kill-recover conformance tables (the transport properties re-run
 # through the one client over real loopback TCP), the multi-tenant
 # differential property (N runs on one listener bit-identical to N isolated
-# servers) and the window's tests.
+# servers), the window's tests, and the service's admission and Close
+# (-count 20).
 chaos-net:
 	$(GO) test -race -run 'TestLinkWindowAttribution$$' -count 10 ./internal/transport
 	$(GO) test -race -run 'TestNet(ChaosExactlyOnce|KillRecoverConformance)$$/^socket$$' -count 1 ./internal/netsrv
 	$(GO) test -race -run 'TestMultiTenantDifferentialConformance$$|TestWindowProgressUnderEarlyResets$$|TestWindowBoundedAcrossOutage$$|TestReceiveAmongAsyncReportsItsOwnFate$$|TestWindowedSendSteadyStateAllocs$$' \
 	    -count 1 ./internal/netsrv
+	$(GO) test -race -run 'TestLoadShedExplicitRefusal$$|TestCloseReachesEveryConn$$|TestCloseWhileDialing$$' -count 20 ./internal/netsrv
 
 # The wire-level rows under the race detector: a seeded TCP chaos proxy
 # (resets, partitions, stalls, bit flips, split/coalesced writes, half-open

@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/signal"
 	"sort"
@@ -366,9 +367,7 @@ func main() {
 func doServe(args []string) {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	listen := fs.String("listen", "127.0.0.1:0", "TCP address to listen on")
-	minWorkers := fs.Int("min-workers", 0, "worker-pool floor (0 = default 1)")
-	maxWorkers := fs.Int("max-workers", 0, "worker-pool ceiling; connections beyond queue+pool are refused with vSE1 busy (0 = default 8)")
-	acceptQueue := fs.Int("accept-queue", 0, "bounded accept queue depth; a full queue sheds with an explicit refusal (0 = default 64)")
+	maxWorkers := fs.Int("max-workers", 0, "connections served at once, one goroutine each; one more is refused at once with vSE1 busy (0 = default 8)")
 	maxRuns := fs.Int("max-runs", 0, "concurrent run (tenant) cap (0 = unlimited)")
 	maxRunSessions := fs.Int("max-run-sessions", 0, "concurrent sessions per run (0 = unlimited)")
 	retryAfterMs := fs.Int("retry-after-ms", 0, "retry-after hint carried in vSE1 busy refusals, milliseconds (0 = default 50)")
@@ -379,23 +378,28 @@ func doServe(args []string) {
 	if fs.NArg() != 0 {
 		fatal(fmt.Errorf("serve takes no positional arguments (got %q)", fs.Args()))
 	}
-	for name, v := range map[string]int{
-		"-min-workers": *minWorkers, "-max-workers": *maxWorkers,
-		"-accept-queue": *acceptQueue, "-max-runs": *maxRuns,
-		"-max-run-sessions": *maxRunSessions, "-retry-after-ms": *retryAfterMs,
-		"-server-shards": *shards,
+	// A fixed order, so that of several bad flags the error always names
+	// the same one.
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"-max-workers", *maxWorkers}, {"-max-runs", *maxRuns},
+		{"-max-run-sessions", *maxRunSessions}, {"-retry-after-ms", *retryAfterMs},
+		{"-server-shards", *shards},
 	} {
-		if v < 0 {
-			fatal(fmt.Errorf("bad %s %d: cannot be negative", name, v))
+		if f.v < 0 {
+			fatal(fmt.Errorf("bad %s %d: cannot be negative", f.name, f.v))
 		}
+	}
+	if int64(*retryAfterMs) > math.MaxUint32 {
+		fatal(fmt.Errorf("bad -retry-after-ms %d: above the wire's limit of %d", *retryAfterMs, uint32(math.MaxUint32)))
 	}
 	if *idleTimeout < 0 {
 		fatal(fmt.Errorf("bad -idle-timeout %s: cannot be negative", *idleTimeout))
 	}
 	svc, err := netsrv.Listen(*listen, netsrv.Config{
-		MinWorkers:     *minWorkers,
 		MaxWorkers:     *maxWorkers,
-		AcceptQueue:    *acceptQueue,
 		MaxRuns:        *maxRuns,
 		MaxRunSessions: *maxRunSessions,
 		RetryAfterMs:   uint32(*retryAfterMs),
@@ -414,7 +418,10 @@ func doServe(args []string) {
 		defer hs.Close()
 		svc.SetObs(o)
 		o.SetStatus(func() any {
-			return map[string]any{"net": svc.Stats(), "runs": svc.RunIDs()}
+			return struct {
+				Net  netsrv.Stats `json:"net"`
+				Runs []string     `json:"runs"`
+			}{svc.Stats(), svc.RunIDs()}
 		})
 		fmt.Fprintf(os.Stderr, "introspection: http://%s/ (/metrics /status)\n", hs.Addr())
 	}

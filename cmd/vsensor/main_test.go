@@ -8,6 +8,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -230,6 +231,20 @@ func TestFlagParsing(t *testing.T) {
 			wantStderr: "cannot be negative",
 		},
 		{
+			// 2^32 + 50 used to wrap silently to a 50ms hint.
+			name:       "serve with retry-after-ms above uint32",
+			args:       []string{"serve", "-retry-after-ms", "4294967346"},
+			wantCode:   1,
+			wantStderr: "bad -retry-after-ms 4294967346",
+		},
+		{
+			// The first bad flag in a fixed order is named, every time.
+			name:       "serve with several negative flags",
+			args:       []string{"serve", "-server-shards", "-1", "-max-run-sessions", "-2", "-max-workers", "-3"},
+			wantCode:   1,
+			wantStderr: "bad -max-workers -3",
+		},
+		{
 			name:       "serve on unparseable address",
 			args:       []string{"serve", "-listen", "not-an-address"},
 			wantCode:   1,
@@ -374,16 +389,20 @@ func TestRunGroupCommitEndToEnd(t *testing.T) {
 // TestServeConnectEndToEnd is the service satellite's operator contract
 // over a real TCP round trip: `vsensor serve` announces its bound address,
 // a `vsensor run -connect` delivers its records there and reports the
-// remote delivery instead of a local server summary, and an interrupt
-// shuts the service down cleanly with a session-count summary.
+// remote delivery instead of a local server summary, /status serves the
+// service's counters and live runs, and an interrupt shuts the service
+// down cleanly with a session-count summary.
 func TestServeConnectEndToEnd(t *testing.T) {
-	srv := exec.Command(os.Args[0], "serve", "-listen", "127.0.0.1:0", "-max-workers", "4")
+	srv := exec.Command(os.Args[0], "serve", "-listen", "127.0.0.1:0", "-max-workers", "4", "-http", "127.0.0.1:0")
 	srv.Env = append(os.Environ(), "VSENSOR_TEST_MAIN=1")
 	stdoutPipe, err := srv.StdoutPipe()
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.Stderr = io.Discard
+	stderrPipe, err := srv.StderrPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -391,6 +410,20 @@ func TestServeConnectEndToEnd(t *testing.T) {
 		srv.Process.Kill()
 		srv.Wait()
 	}()
+
+	// The introspection address goes to stderr before the service listens.
+	var base string
+	esc := bufio.NewScanner(stderrPipe)
+	for esc.Scan() {
+		if strings.HasPrefix(esc.Text(), "introspection: ") {
+			base = strings.TrimSuffix(strings.Fields(esc.Text())[1], "/")
+			break
+		}
+	}
+	if base == "" {
+		t.Fatalf("introspection line never appeared (scan err %v)", esc.Err())
+	}
+	go io.Copy(io.Discard, stderrPipe) //nolint:errcheck
 
 	// The service announces its bound address on stdout once listening.
 	sc := bufio.NewScanner(stdoutPipe)
@@ -425,6 +458,37 @@ func TestServeConnectEndToEnd(t *testing.T) {
 		if strings.Contains(stdout, "server data:") {
 			t.Errorf("run %s printed a local-server summary in connect mode:\n%s", rid, stdout)
 		}
+	}
+
+	// /status: run.net is the service's Stats under its 16 keys, run.runs
+	// the live run IDs.
+	res, err := http.Get(base + "/status")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var status struct {
+		Run struct {
+			Net  map[string]any `json:"net"`
+			Runs []string       `json:"runs"`
+		} `json:"run"`
+	}
+	err = json.NewDecoder(res.Body).Decode(&status)
+	res.Body.Close()
+	if err != nil {
+		t.Fatalf("/status: %v", err)
+	}
+	var keys []string
+	for k := range status.Run.Net {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	if got, want := strings.Join(keys, " "), "accepted corrupt_envelopes frames_down frames_in frames_rejected "+
+		"peak_workers refused_badhello refused_runs refused_sessions refused_shutdown runs sessions "+
+		"sessions_open sessions_reaped shed workers"; got != want {
+		t.Errorf("/status run.net keys:\n got: %s\nwant: %s", got, want)
+	}
+	if got := strings.Join(status.Run.Runs, " "); got != "job-a job-b" {
+		t.Errorf("/status run.runs = %q, want job-a job-b", got)
 	}
 
 	// Clean shutdown on signal: exit 0 and a drain summary counting both runs.

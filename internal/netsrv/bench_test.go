@@ -100,10 +100,8 @@ func BenchmarkNetIngest(b *testing.B) {
 
 			b.Run(fmt.Sprintf("mode=tcp/tenants=%d/ranks=%d", tenants, ranks), func(b *testing.B) {
 				svc, err := Listen("127.0.0.1:0", Config{
-					Shards:      server.DefaultShards,
-					MinWorkers:  tenants,
-					MaxWorkers:  tenants + 2,
-					AcceptQueue: tenants + 8,
+					Shards:     server.DefaultShards,
+					MaxWorkers: tenants + 2,
 				})
 				if err != nil {
 					b.Fatal(err)

@@ -15,8 +15,8 @@ import (
 // interleaved over ONE listener must each produce a report bit-identical
 // to an isolated single-run server fed the same schedule. Tenancy is an
 // addressing layer, never an approximation: no cross-run bleed in records,
-// coverage, or outlier verdicts, no matter how sessions interleave on the
-// accept queue and worker pool, and no matter who polls /status meanwhile.
+// coverage, or outlier verdicts, no matter how the sessions' goroutines
+// interleave, and no matter who polls /status meanwhile.
 func TestMultiTenantDifferentialConformance(t *testing.T) {
 	const trials = 10
 	for trial := 0; trial < trials; trial++ {

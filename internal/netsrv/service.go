@@ -21,19 +21,13 @@ import (
 const MaxEnvelopeBytes = 64 << 20
 
 // Config shapes a Service. The zero value is usable: defaults fill in a
-// single-shard tenant factory and a small worker pool.
+// single-shard tenant factory and a cap of 8 connections.
 type Config struct {
-	// MinWorkers and MaxWorkers bound the session worker pool. The pool
-	// holds MinWorkers goroutines when idle and grows toward MaxWorkers
-	// while the accept queue has depth. Defaults: 1 and 8.
-	MinWorkers int
+	// MaxWorkers caps the connections served at once, one goroutine each.
+	// A connection arriving at the cap is shed: it gets an explicit vSE1
+	// busy reply with RetryAfterMs and is closed — never silently dropped
+	// or queued. Default 8.
 	MaxWorkers int
-
-	// AcceptQueue bounds connections waiting for a worker. A connection
-	// arriving to a full queue is shed: it gets an explicit vSE1 busy
-	// reply with RetryAfterMs and is closed — never silently dropped.
-	// Default 64.
-	AcceptQueue int
 
 	// MaxRuns caps concurrent runs (tenants); 0 means unlimited.
 	MaxRuns int
@@ -45,17 +39,13 @@ type Config struct {
 	// Default 50.
 	RetryAfterMs uint32
 
-	// IdleWorker is how long a worker above MinWorkers waits for a
-	// connection before retiring. Default 200ms.
-	IdleWorker time.Duration
-
 	// HelloTimeout bounds how long an accepted connection may dawdle
 	// before completing its vSS1 hello. Default 5s.
 	HelloTimeout time.Duration
 
 	// WriteTimeout is the deadline armed before every ack-bearing flush
 	// (session ack, frame acks, refusals): a peer that stops reading
-	// cannot pin a worker once the socket buffers fill. Default 5s;
+	// cannot pin its goroutine once the socket buffers fill. Default 5s;
 	// negative disables.
 	WriteTimeout time.Duration
 
@@ -83,25 +73,11 @@ type Config struct {
 }
 
 func (c *Config) fillDefaults() {
-	if c.MinWorkers <= 0 {
-		c.MinWorkers = 1
-	}
-	if c.MaxWorkers < c.MinWorkers {
-		if c.MaxWorkers <= 0 {
-			c.MaxWorkers = 8
-		}
-		if c.MaxWorkers < c.MinWorkers {
-			c.MaxWorkers = c.MinWorkers
-		}
-	}
-	if c.AcceptQueue <= 0 {
-		c.AcceptQueue = 64
+	if c.MaxWorkers <= 0 {
+		c.MaxWorkers = 8
 	}
 	if c.RetryAfterMs == 0 {
 		c.RetryAfterMs = 50
-	}
-	if c.IdleWorker <= 0 {
-		c.IdleWorker = 200 * time.Millisecond
 	}
 	if c.HelloTimeout <= 0 {
 		c.HelloTimeout = 5 * time.Second
@@ -114,14 +90,14 @@ func (c *Config) fillDefaults() {
 	}
 }
 
-// Stats is a point-in-time snapshot of service counters; every refused
-// connection shows up in exactly one Refused* bucket, so
-// Accepted == handled + queued + sum(Refused*) at all times — the
-// "never a silent drop" ledger. Its JSON form is the run.net block of
-// /status.
+// Stats is a point-in-time snapshot of service counters. Every accepted
+// connection ends either admitted as a session or refused in exactly one of
+// Shed and the Refused* buckets, so once no connection awaits its hello,
+// Accepted == Sessions + Shed + sum(Refused*) — the "never a silent drop"
+// ledger. Its JSON form is the run.net block of /status.
 type Stats struct {
 	Accepted         int64 `json:"accepted"`          // connections the listener accepted
-	Shed             int64 `json:"shed"`              // refused with vSE1 busy (accept queue full)
+	Shed             int64 `json:"shed"`              // refused with vSE1 busy (MaxWorkers connections already served)
 	RefusedSessions  int64 `json:"refused_sessions"`  // refused: per-run session cap
 	RefusedRuns      int64 `json:"refused_runs"`      // refused: run (tenant) cap
 	RefusedBadHello  int64 `json:"refused_badhello"`  // refused: malformed/unsupported hello
@@ -129,8 +105,8 @@ type Stats struct {
 	Sessions         int64 `json:"sessions"`          // sessions ever admitted
 	SessionsOpen     int64 `json:"sessions_open"`     // sessions currently streaming
 	Runs             int64 `json:"runs"`              // live tenants
-	Workers          int64 `json:"workers"`           // current pool size
-	PeakWorkers      int64 `json:"peak_workers"`      // high-water pool size
+	Workers          int64 `json:"workers"`           // connections being served now
+	PeakWorkers      int64 `json:"peak_workers"`      // high-water Workers
 	FramesIn         int64 `json:"frames_in"`         // data envelopes delivered to tenant servers
 	FramesRejected   int64 `json:"frames_rejected"`   // data envelopes acked with frameAckReject
 	FramesDown       int64 `json:"frames_down"`       // data envelopes acked with frameAckDown
@@ -150,14 +126,15 @@ type Service struct {
 	cfg Config
 	ln  net.Listener
 
-	queue      chan net.Conn
 	acceptDone chan struct{}
-	closed     atomic.Bool
-	wg         sync.WaitGroup // workers
+	wg         sync.WaitGroup // one per accepted connection: its handler or its refusal
 
-	mu      sync.Mutex
+	mu sync.Mutex
+	// closed is set under mu, so admission and Close exclude each other;
+	// the hello-failure path reads it without the lock.
+	closed  atomic.Bool
 	runs    map[string]*tenant
-	conns   map[net.Conn]struct{}
+	conns   map[net.Conn]bool // connections being served; true once admitted as a session
 	workers int
 	peak    int64
 
@@ -193,8 +170,8 @@ type obsHandles struct {
 	workers  *obs.Gauge
 }
 
-// Listen binds addr (e.g. "127.0.0.1:0"), starts the accept loop and the
-// minimum worker pool, and returns the running service.
+// Listen binds addr (e.g. "127.0.0.1:0"), starts the accept loop, and
+// returns the running service.
 func Listen(addr string, cfg Config) (*Service, error) {
 	cfg.fillDefaults()
 	ln, err := net.Listen("tcp", addr)
@@ -204,13 +181,9 @@ func Listen(addr string, cfg Config) (*Service, error) {
 	s := &Service{
 		cfg:        cfg,
 		ln:         ln,
-		queue:      make(chan net.Conn, cfg.AcceptQueue),
 		acceptDone: make(chan struct{}),
 		runs:       make(map[string]*tenant),
-		conns:      make(map[net.Conn]struct{}),
-	}
-	for i := 0; i < cfg.MinWorkers; i++ {
-		s.spawnWorkerLocked()
+		conns:      make(map[net.Conn]bool),
 	}
 	go s.acceptLoop()
 	return s, nil
@@ -292,37 +265,37 @@ func (s *Service) RunIDs() []string {
 	return ids
 }
 
-// Close stops the listener, refuses everything still queued (vSE1
-// shutdown — even at teardown nothing is silently dropped), closes active
-// session connections, and waits for the pool to drain.
+// Close stops the listener and reaches every connection it accepted: an
+// admitted session's connection is closed, and one still waiting for its
+// hello — or accepted as the listener closed — is refused with vSE1
+// shutdown. It returns once every connection's goroutine has exited.
 func (s *Service) Close() error {
-	if !s.closed.CompareAndSwap(false, true) {
+	s.mu.Lock()
+	if s.closed.Swap(true) {
+		s.mu.Unlock()
 		return nil
 	}
-	err := s.ln.Close()
-	<-s.acceptDone
-	// The accept loop has exited, so nothing enqueues after this drain.
-	for {
-		select {
-		case c := <-s.queue:
-			s.refusedShutdown.Add(1)
-			s.metrics().refused.Inc()
-			s.writeRefuse(c, RefuseShutdown)
-		default:
-			close(s.queue)
-			goto drained
+	for c, admitted := range s.conns {
+		if admitted {
+			c.Close() // the handler's next read fails and it exits
+		} else {
+			// The handler's hello read fails and it refuses with vSE1
+			// shutdown; this fails only once the handler has closed c itself.
+			_ = c.SetReadDeadline(time.Now())
 		}
 	}
-drained:
-	s.mu.Lock()
-	for c := range s.conns {
-		_ = c.Close()
-	}
 	s.mu.Unlock()
+	err := s.ln.Close()
+	// Every wg.Add happens in the accept loop, so it must exit before Wait.
+	<-s.acceptDone
 	s.wg.Wait()
 	return err
 }
 
+// acceptLoop admits each connection in one critical section that excludes
+// Close: refused while closing, shed at the MaxWorkers cap, else registered
+// and handed its own goroutine. Refusals are written off the loop so a slow
+// refused peer cannot stall admission.
 func (s *Service) acceptLoop() {
 	defer close(s.acceptDone)
 	for {
@@ -332,101 +305,70 @@ func (s *Service) acceptLoop() {
 		}
 		s.accepted.Add(1)
 		s.metrics().accepted.Inc()
-		select {
-		case s.queue <- c:
-			s.maybeGrow()
+		var code uint16
+		s.mu.Lock()
+		switch {
+		case s.closed.Load():
+			code = RefuseShutdown
+		case s.workers >= s.cfg.MaxWorkers:
+			code = RefuseBusy
 		default:
-			// Load shed: the queue is full. Tell the client explicitly
-			// and hint a backoff; the write happens off the accept loop
-			// so a slow refused peer cannot stall admission.
-			s.shed.Add(1)
-			s.metrics().shed.Inc()
-			go s.writeRefuse(c, RefuseBusy)
+			// Armed before Close can see c, so it never overwrites Close's
+			// expiry; it fails only on a closed conn, whose hello read fails too.
+			_ = c.SetReadDeadline(time.Now().Add(s.cfg.HelloTimeout))
+			s.conns[c] = false
+			s.workers++
+			s.peak = max(s.peak, int64(s.workers))
+			s.metrics().workers.Set(float64(s.workers))
 		}
-	}
-}
-
-// maybeGrow adds a worker while there is backlog and headroom.
-func (s *Service) maybeGrow() {
-	if len(s.queue) == 0 {
-		return
-	}
-	s.mu.Lock()
-	if s.workers < s.cfg.MaxWorkers {
-		s.spawnWorkerLocked()
-	}
-	s.mu.Unlock()
-}
-
-func (s *Service) spawnWorkerLocked() {
-	s.workers++
-	if int64(s.workers) > s.peak {
-		s.peak = int64(s.workers)
-	}
-	s.metrics().workers.Set(float64(s.workers))
-	s.wg.Add(1)
-	go s.worker()
-}
-
-// tryRetire removes this worker if the pool is above its floor.
-func (s *Service) tryRetire() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.workers <= s.cfg.MinWorkers {
-		return false
-	}
-	s.workers--
-	s.metrics().workers.Set(float64(s.workers))
-	return true
-}
-
-func (s *Service) worker() {
-	defer s.wg.Done()
-	idle := time.NewTimer(s.cfg.IdleWorker)
-	defer idle.Stop()
-	for {
-		if !idle.Stop() {
-			select {
-			case <-idle.C:
-			default:
-			}
+		s.wg.Add(1)
+		s.mu.Unlock()
+		if code == 0 {
+			go s.handleConn(c)
+			continue
 		}
-		idle.Reset(s.cfg.IdleWorker)
-		select {
-		case c, ok := <-s.queue:
-			if !ok {
-				s.mu.Lock()
-				s.workers--
-				s.metrics().workers.Set(float64(s.workers))
-				s.mu.Unlock()
-				return
-			}
-			s.handleConn(c)
-		case <-idle.C:
-			if s.tryRetire() {
-				return
-			}
-		}
+		go func() {
+			defer s.wg.Done()
+			s.refuse(c, code)
+		}()
 	}
 }
 
-// writeRefuse sends a vSE1 and closes the connection. Best effort under a
-// short deadline: the refusal is a courtesy, the close is the guarantee.
-func (s *Service) writeRefuse(c net.Conn, code uint16) {
+// refuse books c in the Stats bucket and metric for code, then sends the
+// vSE1 and closes c.
+func (s *Service) refuse(c net.Conn, code uint16) {
 	defer c.Close()
+	counter, metric := &s.refusedShutdown, s.metrics().refused
+	switch code {
+	case RefuseBusy:
+		counter, metric = &s.shed, s.metrics().shed
+	case RefuseRunSessions:
+		counter = &s.refusedSessions
+	case RefuseRuns:
+		counter = &s.refusedRuns
+	case RefuseBadHello:
+		counter = &s.refusedBadHello
+	}
+	counter.Add(1)
+	metric.Inc()
+	// Best effort: a failed deadline or flush costs the peer only this
+	// courtesy reply; the count above and the close are the guarantee.
 	_ = c.SetWriteDeadline(time.Now().Add(time.Second))
 	w := bufio.NewWriter(c)
-	payload := AppendRefuse(nil, Refuse{Version: ProtocolVersion, Code: code, RetryAfterMs: s.cfg.RetryAfterMs})
-	if err := writeEnvelope(w, payload); err == nil {
+	if writeEnvelope(w, AppendRefuse(nil, Refuse{Version: ProtocolVersion, Code: code, RetryAfterMs: s.cfg.RetryAfterMs})) == nil {
 		_ = w.Flush()
 	}
 }
 
-// admit applies tenancy admission control for a parsed hello. It returns
-// the tenant (created on first contact) or a refusal code.
-func (s *Service) admit(h Hello) (*tenant, uint16, bool) {
+// admit applies tenancy admission control for a parsed hello, and refuses
+// every hello once Close has begun. It returns the tenant (created on first
+// contact) or a refusal code, and marks c admitted so that Close closes it.
+func (s *Service) admit(c net.Conn, h Hello) (*tenant, uint16, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.closed.Load() {
+		return nil, RefuseShutdown, false
+	}
 	t, existed := s.runs[h.RunID]
 	if !existed {
 		if s.cfg.MaxRuns > 0 && len(s.runs) >= s.cfg.MaxRuns {
@@ -446,72 +388,52 @@ func (s *Service) admit(h Hello) (*tenant, uint16, bool) {
 		return nil, RefuseRunSessions, false
 	}
 	t.sessions++
+	s.conns[c] = true
 	return t, 0, existed
 }
 
-func (s *Service) releaseSession(runID string) {
-	s.mu.Lock()
-	if t := s.runs[runID]; t != nil {
-		t.sessions--
-	}
-	s.mu.Unlock()
-}
-
-// handleConn runs one session: hello, admission, then the frame/ack loop
-// until the peer hangs up or the service closes.
+// handleConn serves one accepted connection on its own goroutine: hello,
+// admission, then the frame/ack loop until the peer hangs up or the
+// service closes.
 func (s *Service) handleConn(c net.Conn) {
-	defer c.Close()
+	var h Hello
+	defer func() {
+		c.Close() // a refusal has closed it already; closing twice is harmless
+		s.mu.Lock()
+		if s.conns[c] { // admitted: free its slot under the run's session cap
+			s.runs[h.RunID].sessions--
+		}
+		delete(s.conns, c)
+		s.workers--
+		s.metrics().workers.Set(float64(s.workers))
+		s.mu.Unlock()
+		s.wg.Done()
+	}()
 	if s.cfg.tuneConn != nil {
 		s.cfg.tuneConn(c)
 	}
-	if s.closed.Load() {
-		s.refusedShutdown.Add(1)
-		s.metrics().refused.Inc()
-		s.writeRefuse(c, RefuseShutdown)
-		return
-	}
-	s.mu.Lock()
-	s.conns[c] = struct{}{}
-	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		delete(s.conns, c)
-		s.mu.Unlock()
-	}()
 
 	r := bufio.NewReaderSize(c, 64<<10)
 	w := bufio.NewWriterSize(c, 64<<10)
 
-	_ = c.SetReadDeadline(time.Now().Add(s.cfg.HelloTimeout))
 	payload, _, err := readEnvelope(r, nil, helloHeaderSize+MaxRunIDLen)
-	if err != nil || !isHello(payload) {
-		s.refusedBadHello.Add(1)
-		s.metrics().refused.Inc()
-		s.writeRefuse(c, RefuseBadHello)
+	if err != nil && s.closed.Load() {
+		s.refuse(c, RefuseShutdown) // Close expired the hello deadline to reach c
 		return
 	}
-	h, err := ParseHello(payload)
-	if err != nil {
-		s.refusedBadHello.Add(1)
-		s.metrics().refused.Inc()
-		s.writeRefuse(c, RefuseBadHello)
+	// A failed read leaves payload nil, which ParseHello refuses too.
+	if h, err = ParseHello(payload); err != nil {
+		s.refuse(c, RefuseBadHello)
 		return
 	}
+	// Clearing fails only on a closed conn, whose session ack write fails too.
 	_ = c.SetReadDeadline(time.Time{})
 
-	t, code, existed := s.admit(h)
+	t, code, existed := s.admit(c, h)
 	if t == nil {
-		switch code {
-		case RefuseRuns:
-			s.refusedRuns.Add(1)
-		case RefuseRunSessions:
-			s.refusedSessions.Add(1)
-		}
-		s.metrics().refused.Inc()
-		s.writeRefuse(c, code)
+		s.refuse(c, code)
 		return
 	}
-	defer s.releaseSession(h.RunID)
 
 	s.sessions.Add(1)
 	s.sessionsOpen.Add(1)
@@ -553,6 +475,7 @@ func (s *Service) handleConn(c net.Conn) {
 	ackScratch := []byte{0}
 	for {
 		if s.cfg.IdleSession > 0 {
+			// Fails only on a closed conn, and the read below then fails too.
 			_ = c.SetReadDeadline(time.Now().Add(s.cfg.IdleSession))
 		}
 		payload, hdr, err := readEnvelope(r, buf, MaxEnvelopeBytes)
@@ -609,6 +532,7 @@ const ackFlushBytes = 1024
 // armWrite arms the configured write deadline on c.
 func (s *Service) armWrite(c net.Conn) {
 	if s.cfg.WriteTimeout > 0 {
+		// Fails only on a closed conn, and the flush that follows then fails too.
 		_ = c.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
 	}
 }

@@ -5,12 +5,14 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"io"
 	"net"
 	"net/http/httptest"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -141,106 +143,49 @@ func TestSessionResumeLSNAndFlags(t *testing.T) {
 	}
 }
 
-// TestLoadShedExplicitRefusal saturates a 1-deep accept queue behind a
-// 1-worker pool and asserts the overflow connection is refused with an
-// explicit vSE1 busy + retry-after — never a silent drop or hang.
+// TestLoadShedExplicitRefusal fills the MaxWorkers cap with live sessions
+// and asserts the next connection is shed at once with an explicit vSE1
+// busy + retry-after — never a silent drop, hang or queue — and that once
+// the sessions close the served count returns to zero and admits again.
 func TestLoadShedExplicitRefusal(t *testing.T) {
-	svc, err := Listen("127.0.0.1:0", Config{
-		MinWorkers:   1,
-		MaxWorkers:   1,
-		AcceptQueue:  1,
-		RetryAfterMs: 123,
-		HelloTimeout: 10 * time.Second,
-	})
+	svc, err := Listen("127.0.0.1:0", Config{MaxWorkers: 2, RetryAfterMs: 123})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer svc.Close()
 	addr := svc.Addr().String()
 
-	// c1 occupies the only worker with a live session.
-	c1, err := dialOnce(addr, Hello{RunID: "shed", Rank: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c1.Close()
-
-	// c2 parks in the accept queue (it never sends a hello, and the worker
-	// is busy, so it stays there).
-	c2, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c2.Close()
-	waitFor(t, "c2 queued", func() bool { return svc.Stats().Accepted == 2 })
-
-	// c3 arrives to a full queue: explicit refusal, bounded wait.
-	done := make(chan error, 1)
-	go func() {
-		_, derr := dialOnce(addr, Hello{RunID: "shed", Rank: 1})
-		done <- derr
-	}()
-	select {
-	case derr := <-done:
-		var ref *Refuse
-		if !errors.As(derr, &ref) {
-			t.Fatalf("shed dial returned %v, want *Refuse", derr)
-		}
-		if ref.Code != RefuseBusy {
-			t.Fatalf("refusal code %d, want RefuseBusy", ref.Code)
-		}
-		if ref.RetryAfterMs != 123 {
-			t.Fatalf("retry-after %dms, want the configured 123", ref.RetryAfterMs)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("shed connection hung instead of being refused")
-	}
-
-	if st := svc.Stats(); st.Shed != 1 {
-		t.Fatalf("stats = %+v, want Shed=1", st)
-	}
-}
-
-// TestPoolScalesUpDown drives enough concurrent sessions to hit
-// MaxWorkers, then closes them and watches the pool retire back to
-// MinWorkers — never exceeding either bound.
-func TestPoolScalesUpDown(t *testing.T) {
-	const maxW = 4
-	svc, err := Listen("127.0.0.1:0", Config{
-		MinWorkers: 1,
-		MaxWorkers: maxW,
-		IdleWorker: 10 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Close()
-
 	var sessions []*ResilientSession
-	for i := 0; i < maxW; i++ {
-		s, err := dialOnce(svc.Addr().String(), Hello{RunID: "pool", Rank: i})
+	for i := 0; i < 2; i++ {
+		s, err := dialOnce(addr, Hello{RunID: "shed", Rank: i})
 		if err != nil {
 			t.Fatalf("session %d: %v", i, err)
 		}
+		defer s.Close()
 		sessions = append(sessions, s)
-		if err := s.Receive(testFrame(i, 1, 1, 1)); err != nil {
-			t.Fatalf("session %d frame: %v", i, err)
-		}
 	}
-	waitFor(t, "pool at max", func() bool { return svc.Stats().Workers == maxW })
-	if st := svc.Stats(); st.PeakWorkers > maxW {
-		t.Fatalf("pool exceeded MaxWorkers: %+v", st)
+
+	var ref *Refuse
+	if _, err := dialOnce(addr, Hello{RunID: "shed", Rank: 2}); !errors.As(err, &ref) ||
+		ref.Code != RefuseBusy || ref.RetryAfterMs != 123 {
+		t.Fatalf("dial at the cap = %v, want RefuseBusy with the configured 123ms retry-after", err)
+	}
+	if st := svc.Stats(); st.Shed != 1 || st.Workers != 2 {
+		t.Fatalf("stats = %+v, want Shed=1 Workers=2", st)
 	}
 
 	for _, s := range sessions {
 		s.Close()
 	}
-	waitFor(t, "pool back at min", func() bool { return svc.Stats().Workers == 1 })
-	// It must stay there: retirement respects the floor.
-	time.Sleep(50 * time.Millisecond)
-	if st := svc.Stats(); st.Workers != 1 {
-		t.Fatalf("pool dropped below MinWorkers: %+v", st)
+	waitFor(t, "served count back to 0", func() bool { return svc.Stats().Workers == 0 })
+	if st := svc.Stats(); st.PeakWorkers != 2 {
+		t.Fatalf("PeakWorkers = %d, want the cap 2: %+v", st.PeakWorkers, st)
 	}
+	s, err := dialOnce(addr, Hello{RunID: "shed", Rank: 3})
+	if err != nil {
+		t.Fatalf("dial after the cap freed: %v", err)
+	}
+	s.Close()
 }
 
 func TestTenantCaps(t *testing.T) {
@@ -351,11 +296,7 @@ func TestBadHelloRefused(t *testing.T) {
 // exactly the keys the hand-written map it replaced served.
 func TestShedCountsInStatus(t *testing.T) {
 	o := obs.New()
-	svc, err := Listen("127.0.0.1:0", Config{
-		MinWorkers:  1,
-		MaxWorkers:  1,
-		AcceptQueue: 1,
-	})
+	svc, err := Listen("127.0.0.1:0", Config{MaxWorkers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,22 +304,17 @@ func TestShedCountsInStatus(t *testing.T) {
 	svc.SetObs(o)
 	o.SetStatus(func() any { return map[string]any{"net": svc.Stats()} })
 
+	// One session fills the cap; the next connection is shed, and counted
+	// before its refusal is written.
 	addr := svc.Addr().String()
 	s1, err := dialOnce(addr, Hello{RunID: "obs", Rank: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s1.Close()
-	c2, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c2.Close()
-	waitFor(t, "queue primed", func() bool { return svc.Stats().Accepted == 2 })
 	if _, err := dialOnce(addr, Hello{RunID: "obs", Rank: 1}); err == nil {
-		t.Fatal("third connection was not shed")
+		t.Fatal("second connection was not shed")
 	}
-	waitFor(t, "shed counted", func() bool { return svc.Stats().Shed == 1 })
 
 	ts := httptest.NewServer(o.Handler())
 	defer ts.Close()
@@ -399,8 +335,8 @@ func TestShedCountsInStatus(t *testing.T) {
 	if got := body.Run.Net["shed"]; got != float64(1) {
 		t.Fatalf("/status net.shed = %v, want 1", got)
 	}
-	if got := body.Run.Net["accepted"]; got != float64(3) {
-		t.Fatalf("/status net.accepted = %v, want 3", got)
+	if got := body.Run.Net["accepted"]; got != float64(2) {
+		t.Fatalf("/status net.accepted = %v, want 2", got)
 	}
 	var keys []string
 	for k := range body.Run.Net {
@@ -423,58 +359,135 @@ func TestShedCountsInStatus(t *testing.T) {
 	}
 	res.Body.Close()
 	metrics := sb.String()
-	for _, want := range []string{"net_shed_total 1", "net_accepted_total 3"} {
+	for _, want := range []string{"net_shed_total 1", "net_accepted_total 2"} {
 		if !strings.Contains(metrics, want) {
 			t.Fatalf("/metrics missing %q:\n%s", want, metrics)
 		}
 	}
 }
 
-// TestCloseRefusesQueued verifies shutdown drains the accept queue with
-// explicit vSE1 shutdown refusals instead of dropping the sockets.
-func TestCloseRefusesQueued(t *testing.T) {
-	svc, err := Listen("127.0.0.1:0", Config{
-		MinWorkers:  1,
-		MaxWorkers:  1,
-		AcceptQueue: 2,
-	})
+// rawSession dials addr and completes the handshake by hand: the bare
+// socket under an admitted session, for tests that speak envelopes directly.
+func rawSession(t *testing.T, addr, runID string) (net.Conn, *bufio.Writer, *bufio.Reader) {
+	t.Helper()
+	c, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	w, r := bufio.NewWriter(c), bufio.NewReader(c)
+	if err := writeEnvelope(w, AppendHello(nil, Hello{Version: ProtocolVersion, RunID: runID})); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	payload, _, err := readEnvelope(r, nil, sessionAckSize)
+	if err == nil {
+		_, err = ParseSessionAck(payload)
+	}
+	if err != nil {
+		t.Fatalf("handshake: %v", err)
+	}
+	return c, w, r
+}
+
+// TestCloseReachesEveryConn closes a service that holds an admitted session
+// and a connection that never sent its hello: the session's socket sees
+// EOF, the hello-less one reads vSE1 shutdown, and Close returns without
+// waiting out the hello deadline.
+func TestCloseReachesEveryConn(t *testing.T) {
+	svc, err := Listen("127.0.0.1:0", Config{HelloTimeout: 10 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
 	addr := svc.Addr().String()
-
-	s1, err := dialOnce(addr, Hello{RunID: "close", Rank: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s1.Close()
+	sc, _, _ := rawSession(t, addr, "close")
 	cq, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cq.Close()
-	waitFor(t, "conn queued", func() bool { return svc.Stats().Accepted == 2 })
+	waitFor(t, "both conns served", func() bool { return svc.Stats().Workers == 2 })
 
-	closeDone := make(chan error, 1)
-	go func() { closeDone <- svc.Close() }()
-
-	r := bufio.NewReader(cq)
-	payload, _, err := readEnvelope(r, nil, refuseSize)
-	if err != nil {
-		t.Fatalf("queued conn read during shutdown: %v", err)
+	start := time.Now()
+	if err := svc.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
 	}
-	ref, err := ParseRefuse(payload)
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("Close took %v with a 10s hello deadline pending", d)
+	}
+	if n, err := sc.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("admitted session read (%d, %v) after Close, want EOF", n, err)
+	}
+	payload, _, err := readEnvelope(bufio.NewReader(cq), nil, refuseSize)
+	if err != nil {
+		t.Fatalf("hello-less conn read after Close: %v", err)
+	}
+	if ref, err := ParseRefuse(payload); err != nil || ref.Code != RefuseShutdown {
+		t.Fatalf("hello-less conn got %+v (%v), want RefuseShutdown", ref, err)
+	}
+	if st := svc.Stats(); st.Sessions != 1 || st.RefusedShutdown != 1 || st.Workers != 0 {
+		t.Fatalf("stats = %+v, want Sessions=1 RefusedShutdown=1 Workers=0", st)
+	}
+}
+
+// TestCloseWhileDialing races Close against 8 goroutines that dial in a
+// loop, every other connection saying hello and the rest staying silent,
+// each held up to 20ms. Close must return promptly whatever it catches in
+// flight; afterwards nothing is served and every accepted connection is
+// booked exactly once: as a session, or in one refusal bucket.
+func TestCloseWhileDialing(t *testing.T) {
+	svc, err := Listen("127.0.0.1:0", Config{MaxWorkers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ref.Code != RefuseShutdown {
-		t.Fatalf("refusal code %d, want RefuseShutdown", ref.Code)
+	defer svc.Close() // a no-op once the test's own Close has run
+	addr := svc.Addr().String()
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	defer func() { close(stop); wg.Wait() }()
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			hello := AppendHello(nil, Hello{Version: ProtocolVersion, RunID: fmt.Sprintf("dialer-%d", g)})
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				c, err := net.Dial("tcp", addr)
+				if err != nil {
+					continue // the listener is gone; spin until stop
+				}
+				// Errors here only end this try early.
+				c.SetDeadline(time.Now().Add(20 * time.Millisecond))
+				if i%2 == 0 {
+					w := bufio.NewWriter(c)
+					writeEnvelope(w, hello)
+					w.Flush()
+				}
+				io.Copy(io.Discard, c) // until the service closes c or the deadline
+				c.Close()
+			}
+		}()
 	}
-	if err := <-closeDone; err != nil {
-		t.Fatalf("Close: %v", err)
+	waitFor(t, "sessions and hello-less conns churning", func() bool {
+		st := svc.Stats()
+		return st.Sessions >= 8 && st.RefusedBadHello >= 4
+	})
+	start := time.Now()
+	err = svc.Close()
+	took := time.Since(start)
+	if err != nil || took > 2*time.Second {
+		t.Fatalf("Close = %v after %v while connections arrived, want nil within 2s", err, took)
 	}
-	if st := svc.Stats(); st.RefusedShutdown != 1 {
-		t.Fatalf("stats = %+v, want RefusedShutdown=1", st)
+	st := svc.Stats()
+	booked := st.Sessions + st.Shed + st.RefusedSessions + st.RefusedRuns + st.RefusedBadHello + st.RefusedShutdown
+	if st.Workers != 0 || booked != st.Accepted {
+		t.Fatalf("after Close: %d still served, %d accepted but %d booked: %+v", st.Workers, st.Accepted, booked, st)
 	}
 }
 
@@ -554,22 +567,7 @@ func TestOversizedEnvelopeRejected(t *testing.T) {
 	}
 	defer svc.Close()
 
-	conn, err := net.Dial("tcp", svc.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	w := bufio.NewWriter(conn)
-	r := bufio.NewReader(conn)
-	if err := writeEnvelope(w, AppendHello(nil, Hello{Version: ProtocolVersion, RunID: "big", Rank: 0})); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := readEnvelope(r, nil, sessionAckSize); err != nil {
-		t.Fatalf("handshake: %v", err)
-	}
+	_, w, r := rawSession(t, svc.Addr().String(), "big")
 
 	// Declared length one past the cap, followed by exactly that many
 	// bytes with a truthful envelope CRC: a genuine oversized frame, not

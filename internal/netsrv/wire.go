@@ -9,7 +9,7 @@
 //
 //	client                                 server
 //	------ TCP connect ------------------->
-//	------ envelope(vSS1 hello) ---------->  admission (caps, queue)
+//	------ envelope(vSS1 hello) ---------->  admission (caps)
 //	<----- envelope(vSA1 session ack) ----   ...or envelope(vSE1 refuse)
 //	------ envelope(vSF1/vSF2/vSH1) ------>  tenant server Receive
 //	<----- envelope(1-byte frame ack) ----
@@ -30,11 +30,10 @@
 // is what lets the chaos-proxy conformance suites demand *exact* equality
 // with an undisturbed run even while the proxy flips bits.
 //
-// The accept loop is a worker pool that auto-scales between min and max
-// workers on queue depth and sheds load under pressure: a full accept
-// queue earns the connection an explicit vSE1 busy reply with a
-// retry-after hint — never a silent drop or hang — so the client side's
-// existing retry/backoff (internal/transport) engages.
+// The service serves each accepted connection on its own goroutine, at
+// most MaxWorkers at once, and sheds load at that cap: the connection gets
+// an explicit vSE1 busy reply with a retry-after hint — never a silent
+// drop, hang or queue — so the client's retry/backoff engages.
 package netsrv
 
 import (
@@ -122,7 +121,7 @@ const AckFlagResumed = 1
 
 // Refusal codes carried by vSE1.
 const (
-	RefuseBusy        = 1 // accept queue full — load shed
+	RefuseBusy        = 1 // MaxWorkers connections already served — load shed
 	RefuseRunSessions = 2 // per-run session cap reached
 	RefuseRuns        = 3 // run (tenant) cap reached
 	RefuseBadHello    = 4 // malformed/unsupported hello
@@ -154,7 +153,7 @@ func (r Refuse) Error() string {
 func refuseName(code uint16) string {
 	switch code {
 	case RefuseBusy:
-		return "busy: accept queue full"
+		return "busy: connection cap reached"
 	case RefuseRunSessions:
 		return "per-run session cap"
 	case RefuseRuns:
@@ -297,11 +296,6 @@ func ParseRefuse(data []byte) (Refuse, error) {
 	r.Code = binary.LittleEndian.Uint16(data[6:])
 	r.RetryAfterMs = binary.LittleEndian.Uint32(data[8:])
 	return r, nil
-}
-
-// isHello reports whether an envelope payload starts with the vSS1 magic.
-func isHello(data []byte) bool {
-	return len(data) >= 4 && binary.LittleEndian.Uint32(data) == helloMagic
 }
 
 // ---------- envelope framing ----------

@@ -3,7 +3,8 @@
 # transport chaos test, the sharded-server differential conformance
 # property, and the kill-and-recover WAL/snapshot conformance gate), the
 # paper's shape predicates at tier-1 size under the race detector
-# (internal/experiments), a -count 50 stress of the socket and socket+proxy
+# (internal/experiments), a race-enabled -count 20 stress of the service's
+# admission and Close, a -count 50 stress of the socket and socket+proxy
 # conformance tables and the window's progress/bound tests, the coverage
 # gate against the seed baseline (not race-enabled, -count=1: the run that
 # regenerates EXPERIMENTS.md at full size and compares it byte for byte), a
@@ -52,6 +53,9 @@ go test -race -run 'TestLinkWindowAttribution$' -count 10 ./internal/transport
 echo "== race-enabled socket and socket+proxy conformance tables (chaos, kill-recover; the proxy's resets/partitions/stalls/bit-flips vs the self-healing client) + multi-tenant conformance + the window's progress, bound and alloc tests (real loopback TCP)"
 go test -race -run 'TestNetChaosExactlyOnce$|TestNetKillRecoverConformance$|TestMultiTenantDifferentialConformance$|TestWindowProgressUnderEarlyResets$|TestWindowBoundedAcrossOutage$|TestReceiveAmongAsyncReportsItsOwnFate$|TestWindowedSendSteadyStateAllocs$' \
     -count 1 ./internal/netsrv
+
+echo "== race-enabled admission and Close (-count 20): shed at the MaxWorkers cap, Close reaches every connection, Close racing 8 dialers keeps the ledger"
+go test -race -run 'TestLoadShedExplicitRefusal$|TestCloseReachesEveryConn$|TestCloseWhileDialing$' -count 20 ./internal/netsrv
 
 echo "== race-enabled paper shapes (every named predicate of internal/experiments at tier-1 size; the full-size golden is skipped under race and runs in the coverage stage)"
 go test -race -run 'TestShapes$' -count 1 ./internal/experiments
