@@ -208,8 +208,9 @@ func printLineage(rep *vsensor.Report) {
 	if rep.Server != nil {
 		// Evaluate the final inter-process verdict so sampled journeys end
 		// with their epoch close/verdict spans before the recorder is read
-		// (epochs only close when a query passes the watermark over them).
-		_ = rep.Server.InterProcessOutliers(0.8)
+		// (epochs only close when a query passes the watermark over them);
+		// the call is made for that side effect, its verdict is not needed.
+		rep.Server.InterProcessOutliers(0.8)
 	}
 	st := lin.Stats()
 	fmt.Printf("lineage: sampled %d frames (1 in %d, seed %d), %d spans recorded (flight cap %d)\n",

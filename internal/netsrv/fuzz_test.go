@@ -13,7 +13,7 @@ import (
 
 // FuzzSession hammers the session-layer parsers with arbitrary bytes:
 // hostile versions, run-ID lengths and charsets, resume LSNs, truncations,
-// and vS-magic confusion (vSF1/vSF2/vSH1 data frames fed to the handshake
+// and vS-magic confusion (vSF1/vSH1 data frames fed to the handshake
 // parser). Two properties must hold for every input:
 //
 //  1. No parser panics or over-allocates — hostile lengths are bounded

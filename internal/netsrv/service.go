@@ -15,7 +15,7 @@ import (
 )
 
 // MaxEnvelopeBytes caps a single envelope's declared payload length. The
-// largest legal data frame (MaxFrameRecords records plus the vSF2 header)
+// largest legal data frame (MaxFrameRecords records plus the vSF1 header)
 // is ~40 MiB; 64 MiB leaves headroom without letting a hostile length
 // prefix allocate the machine away.
 const MaxEnvelopeBytes = 64 << 20

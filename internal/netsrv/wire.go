@@ -11,7 +11,7 @@
 //	------ TCP connect ------------------->
 //	------ envelope(vSS1 hello) ---------->  admission (caps)
 //	<----- envelope(vSA1 session ack) ----   ...or envelope(vSE1 refuse)
-//	------ envelope(vSF1/vSF2/vSH1) ------>  tenant server Receive
+//	------ envelope(vSF1/vSH1) ----------->  tenant server Receive
 //	<----- envelope(1-byte frame ack) ----
 //	------ ... pipelined frames ... ------>
 //	<----- ... in-order acks ... ---------

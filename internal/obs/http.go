@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -27,10 +28,11 @@ const (
 //	GET /outliers — the current outlier report (report provider only), with
 //	                the same ETag/304/?wait=1 semantics as /status
 //	GET /records  — incremental slice records (report provider only; an
-//	                empty window without one); ?cursor=N resumes, response
-//	                carries the next cursor so each record is seen once and
-//	                the window base so a cursor invalidated by recovery is
-//	                detectable; ?wait=1 parks a caught-up cursor
+//	                empty window at cursor 0 without one); ?cursor=N (N >= 0)
+//	                resumes, response carries the next cursor so each record
+//	                is seen once and the window base so a cursor invalidated
+//	                by recovery is detectable; ?wait=1 parks a caught-up
+//	                cursor
 //	GET /debug/flight — flight-recorder dump: stable lineage spans after
 //	                ?cursor=N plus per-stage histogram exemplars
 func (o *Obs) Handler() http.Handler {
@@ -78,17 +80,17 @@ func (o *Obs) Handler() http.Handler {
 		cursor := 0
 		if q := r.URL.Query().Get("cursor"); q != "" {
 			n, err := strconv.Atoi(q)
+			if err == nil && n < 0 {
+				err = errors.New("must be non-negative")
+			}
 			if err != nil {
 				http.Error(w, "bad cursor: "+err.Error(), http.StatusBadRequest)
 				return
 			}
 			cursor = n
 		}
-		if cur, wait := o.reportProviders(); cur != nil {
-			o.serveRecords(w, r, cur, wait, cursor)
-			return
-		}
-		writeJSON(w, map[string]any{"cursor": cursor, "records": []any{}})
+		cur, wait := o.reportProviders()
+		o.serveRecords(w, r, cur, wait, cursor)
 	})
 	mux.HandleFunc("/debug/flight", func(w http.ResponseWriter, r *http.Request) {
 		lin := o.Lineage()
@@ -172,20 +174,28 @@ func (o *Obs) serveConditional(w http.ResponseWriter, r *http.Request, cur func(
 	w.Write(body) //nolint:errcheck // client may be gone
 }
 
-// serveRecords serves /records from the versioned snapshot's record window.
-// Responses always carry the window base; an out-of-range cursor (negative
-// is rejected outright, beyond the end happens when the log shrank across a
-// crash recovery) answers with truncated=true and the base to restart from,
-// never a silently clamped window. A caught-up cursor with ?wait=1 parks
-// for the next generation before answering.
+// recordsBody is every /records response.
+type recordsBody struct {
+	Cursor    int  `json:"cursor"`
+	Base      int  `json:"base"`
+	Truncated bool `json:"truncated,omitempty"`
+	Records   any  `json:"records"`
+}
+
+// serveRecords serves /records (cursor >= 0) from the versioned snapshot's
+// record window; without a report provider, or before the run publishes a
+// snapshot, the window is empty at 0. Responses always carry the window
+// base; a cursor beyond the end (the log shrank across a crash recovery)
+// answers with truncated=true and the base to restart from, never a
+// silently clamped window. A caught-up cursor with ?wait=1 parks for the
+// next generation before answering.
 func (o *Obs) serveRecords(w http.ResponseWriter, r *http.Request, cur func() *ReportSnapshot, wait func(uint64, time.Duration) *ReportSnapshot, cursor int) {
-	if cursor < 0 {
-		http.Error(w, "bad cursor: must be non-negative", http.StatusBadRequest)
-		return
+	var sn *ReportSnapshot
+	if cur != nil {
+		sn = cur()
 	}
-	sn := cur()
 	if sn == nil {
-		writeJSON(w, map[string]any{"cursor": 0, "base": 0, "records": []any{}})
+		writeJSON(w, recordsBody{Records: []any{}})
 		return
 	}
 	recs, next, base, ok := sn.Records(cursor)
@@ -197,15 +207,10 @@ func (o *Obs) serveRecords(w http.ResponseWriter, r *http.Request, cur func() *R
 	}
 	w.Header().Set("ETag", etagOf(sn.Gen))
 	if !ok {
-		writeJSON(w, map[string]any{
-			"cursor":    base,
-			"base":      base,
-			"truncated": true,
-			"records":   []any{},
-		})
+		writeJSON(w, recordsBody{Cursor: base, Base: base, Truncated: true, Records: []any{}})
 		return
 	}
-	writeJSON(w, map[string]any{"cursor": next, "base": base, "records": recs})
+	writeJSON(w, recordsBody{Cursor: next, Base: base, Records: recs})
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

@@ -138,13 +138,17 @@ func TestRecordsEndpointCursorSemantics(t *testing.T) {
 	if code != http.StatusBadRequest {
 		t.Errorf("bad cursor status = %d", code)
 	}
-	// No report provider → empty but valid.
+	// No report provider → empty but valid, with the base, and the cursor
+	// is validated the same way.
 	o2 := New()
 	srv2 := httptest.NewServer(o2.Handler())
 	defer srv2.Close()
 	code, body := get(t, srv2, "/records")
-	if code != http.StatusOK || !strings.Contains(body, `"records":[]`) {
+	if code != http.StatusOK || !strings.Contains(body, `"records":[]`) || !strings.Contains(body, `"base":0`) {
 		t.Errorf("unwired records = %d %s", code, body)
+	}
+	if code, body := get(t, srv2, "/records?cursor=-1"); code != http.StatusBadRequest {
+		t.Errorf("unwired records at cursor -1 = %d %s, want 400", code, body)
 	}
 }
 

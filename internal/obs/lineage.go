@@ -91,7 +91,7 @@ type Lineage struct {
 	seed   uint64
 	ring   *FlightRecorder
 	stage  [numStages]*Histogram
-	frames *Counter // sampled frames stamped onto the wire
+	frames *Counter // sampled frames cut
 }
 
 // newLineage builds the tracer and registers its metric families on reg
@@ -159,8 +159,8 @@ func (l *Lineage) TraceID(rank int, seq uint64) uint64 {
 	return id
 }
 
-// FrameSampled notes that a sampled frame was stamped onto the wire (the
-// counter behind lineage_sampled_frames_total).
+// FrameSampled notes that a sampled frame was cut (the counter behind
+// lineage_sampled_frames_total).
 func (l *Lineage) FrameSampled() {
 	if l == nil {
 		return
@@ -168,7 +168,7 @@ func (l *Lineage) FrameSampled() {
 	l.frames.Inc()
 }
 
-// SampledFrames returns the number of frames stamped with a trace ID.
+// SampledFrames returns the number of sampled frames cut.
 func (l *Lineage) SampledFrames() int64 {
 	if l == nil {
 		return 0

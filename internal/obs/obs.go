@@ -215,5 +215,5 @@ func describeStandard(r *Registry) {
 	r.Describe("cluster_cost_calls_total", "Cost-model evaluations, by kind (compute/p2p/collective/io).")
 	r.Describe("run_ranks", "Rank count of the current (or last) pipeline run.")
 	r.Describe("lineage_stage_ns", "Per-stage latency of sampled record lineages; outlier buckets carry exemplar trace IDs.")
-	r.Describe("lineage_sampled_frames_total", "Frames stamped with a lineage trace ID (roughly 1/SampleEvery of all frames).")
+	r.Describe("lineage_sampled_frames_total", "Sampled frames cut: frames whose (rank, seq) the lineage sampler picks (roughly 1/SampleEvery of all frames).")
 }

@@ -24,11 +24,7 @@ const (
 // buildBenchFrames pre-encodes the whole session: frames[rank][slice] holds
 // benchSensors records for that rank at that slice. Values are arranged so
 // some slices genuinely contain outliers (rank 0 runs slow).
-func buildBenchFrames(ranks int) [][][]byte { return buildBenchFramesTraced(ranks, nil) }
-
-// buildBenchFramesTraced additionally stamps frames with lineage trace IDs
-// per lin's deterministic sampler (nil lin = plain vSF1 frames).
-func buildBenchFramesTraced(ranks int, lin *obs.Lineage) [][][]byte {
+func buildBenchFrames(ranks int) [][][]byte {
 	frames := make([][][]byte, ranks)
 	recs := make([]detect.SliceRecord, benchSensors)
 	for rank := 0; rank < ranks; rank++ {
@@ -49,11 +45,7 @@ func buildBenchFramesTraced(ranks int, lin *obs.Lineage) [][][]byte {
 				}
 			}
 			cum += uint64(len(recs))
-			h := FrameHeader{Rank: rank, Seq: uint64(sl) + 1, CumRecords: cum}
-			if lin != nil {
-				h.TraceID = lin.TraceID(rank, h.Seq)
-			}
-			perRank[sl] = AppendFrame(nil, h, recs)
+			perRank[sl] = AppendFrame(nil, FrameHeader{Rank: rank, Seq: uint64(sl) + 1, CumRecords: cum}, recs)
 		}
 		frames[rank] = perRank
 	}
@@ -117,25 +109,20 @@ func BenchmarkIngestParallel(b *testing.B) {
 }
 
 // BenchmarkIngestLineage measures the lineage tax on the streaming ingest
-// workload. Both modes attach the observability layer; "on" additionally
-// enables record-lineage tracing and stamps frames at the production
-// sampling rate (1 in obs.DefaultSampleEvery), so the on/off delta is the
-// cost of lineage itself — the trace peek on every frame plus span
-// recording on the sampled ones.
+// workload. Both modes attach the observability layer and ingest the same
+// frames; "on" additionally enables record-lineage tracing at the
+// production sampling rate (1 in obs.DefaultSampleEvery), so the on/off
+// delta is the cost of lineage itself — the trace derivation on every
+// frame plus span recording on the sampled ones.
 func BenchmarkIngestLineage(b *testing.B) {
 	for _, ranks := range []int{64, 4096} {
+		frames := buildBenchFrames(ranks)
 		for _, on := range []bool{false, true} {
 			mode := "off"
 			if on {
 				mode = "on"
 			}
 			b.Run(fmt.Sprintf("lineage=%s/ranks=%d", mode, ranks), func(b *testing.B) {
-				var frames [][][]byte
-				if on {
-					frames = buildBenchFramesTraced(ranks, obs.NewLineage(obs.LineageConfig{}))
-				} else {
-					frames = buildBenchFrames(ranks)
-				}
 				records := ranks * benchFramesPerRank * benchSensors
 				b.ReportAllocs()
 				b.ResetTimer()

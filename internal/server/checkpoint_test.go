@@ -308,7 +308,7 @@ func TestAutomaticCheckpointRunsOncePerDueMark(t *testing.T) {
 	recs := make([]detect.SliceRecord, 2)
 	for i := 0; i < every; i++ {
 		// receiveLocked, not Receive: leave the due mark standing.
-		if _, err := s.receiveLocked(feedFrame(nil, recs, i, 1)); err != nil {
+		if _, _, err := s.receiveLocked(feedFrame(nil, recs, i, 1)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,96 +1,11 @@
 package server
 
 import (
-	"bytes"
-	"encoding/binary"
-	"errors"
-	"hash/crc32"
 	"testing"
 
 	"vsensor/internal/detect"
 	"vsensor/internal/obs"
 )
-
-// ---------- vSF2 wire extension ----------
-
-func TestVSF2RoundTrip(t *testing.T) {
-	recs := []detect.SliceRecord{
-		{Sensor: 1, Group: 2, Rank: 3, SliceNs: 1_000_000, Count: 4, AvgNs: 123.5, AvgInstr: 9.25},
-		{Sensor: 7, Group: 0, Rank: 3, SliceNs: 2_000_000, Count: 1, AvgNs: 88},
-	}
-	h := FrameHeader{Rank: 3, Seq: 5, CumRecords: 10, TraceID: 0xdeadbeefcafe}
-	frame := AppendFrame(nil, h, recs)
-
-	got, decoded, err := decodeFrame(frame)
-	if err != nil {
-		t.Fatalf("decode vSF2: %v", err)
-	}
-	if got.TraceID != h.TraceID || got.Rank != 3 || got.Seq != 5 || got.CumRecords != 10 || got.Count != 2 {
-		t.Fatalf("header mismatch: %+v", got)
-	}
-	if len(decoded) != 2 || decoded[0] != recs[0] || decoded[1] != recs[1] {
-		t.Fatalf("payload mismatch: %+v", decoded)
-	}
-	if tr := TraceOf(frame); tr != h.TraceID {
-		t.Fatalf("TraceOf = %#x, want %#x", tr, h.TraceID)
-	}
-
-	// The vSF1 encoding of the same content is exactly 8 bytes shorter and
-	// carries no trace.
-	plain := AppendFrame(nil, FrameHeader{Rank: 3, Seq: 5, CumRecords: 10}, recs)
-	if len(plain) != len(frame)-frameTraceSize {
-		t.Fatalf("vSF1 len %d, vSF2 len %d, want delta %d", len(plain), len(frame), frameTraceSize)
-	}
-	if tr := TraceOf(plain); tr != 0 {
-		t.Fatalf("TraceOf(vSF1) = %#x, want 0", tr)
-	}
-	if ph, pd, err := decodeFrame(plain); err != nil || ph.TraceID != 0 || len(pd) != 2 || pd[0] != recs[0] {
-		t.Fatalf("vSF1 decode: h=%+v err=%v", ph, err)
-	}
-}
-
-func TestVSF2TraceCoveredByCRC(t *testing.T) {
-	recs := []detect.SliceRecord{{Sensor: 1, Rank: 0, SliceNs: 0, Count: 1, AvgNs: 1}}
-	frame := AppendFrame(nil, FrameHeader{Rank: 0, Seq: 1, CumRecords: 1, TraceID: 0xabc}, recs)
-	for bit := 0; bit < frameTraceSize*8; bit += 13 {
-		damaged := append([]byte(nil), frame...)
-		damaged[frameHeaderSize+bit/8] ^= 1 << (bit % 8)
-		if _, err := ParseFrame(damaged); !errors.Is(err, ErrChecksum) {
-			t.Fatalf("bit %d in trace field flipped: err = %v, want checksum mismatch", bit, err)
-		}
-	}
-}
-
-func TestVSF2ZeroTraceRejected(t *testing.T) {
-	// Handcraft a vSF2 frame whose trace field is zero with a valid CRC:
-	// the canonical-encoding rule must reject it even though the checksum
-	// passes, so each frame has exactly one valid byte encoding.
-	recs := []detect.SliceRecord{{Sensor: 1, Rank: 0, SliceNs: 0, Count: 1, AvgNs: 1}}
-	frame := AppendFrame(nil, FrameHeader{Rank: 0, Seq: 1, CumRecords: 1, TraceID: 0xabc}, recs)
-	binary.LittleEndian.PutUint64(frame[frameHeaderSize:], 0)
-	crc := crc32.ChecksumIEEE(frame[:28])
-	crc = crc32.Update(crc, crc32.IEEETable, frame[frameHeaderSize:])
-	binary.LittleEndian.PutUint32(frame[28:], crc)
-	if _, err := ParseFrame(frame); err == nil || errors.Is(err, ErrChecksum) {
-		t.Fatalf("zero-trace vSF2 accepted (err = %v), want canonical-encoding rejection", err)
-	}
-}
-
-func TestZeroTraceEncodesIdenticalVSF1(t *testing.T) {
-	// Lineage-off goldens depend on this: a zero TraceID must produce the
-	// byte-exact vSF1 frame, not an empty extension.
-	recs := []detect.SliceRecord{
-		{Sensor: 2, Group: 1, Rank: 4, SliceNs: 3_000_000, Count: 2, AvgNs: 55, AvgInstr: 3},
-	}
-	a := AppendFrame(nil, FrameHeader{Rank: 4, Seq: 9, CumRecords: 18}, recs)
-	b := AppendFrame(nil, FrameHeader{Rank: 4, Seq: 9, CumRecords: 18, TraceID: 0}, recs)
-	if !bytes.Equal(a, b) {
-		t.Fatal("zero-TraceID encoding differs from vSF1")
-	}
-	if binary.LittleEndian.Uint32(a[0:]) != frameMagic {
-		t.Fatalf("magic %#x, want vSF1", binary.LittleEndian.Uint32(a[0:]))
-	}
-}
 
 // ---------- spans through the ingest/WAL/epoch pipeline ----------
 
@@ -191,9 +106,7 @@ func TestLineageDedupAndReopenSpans(t *testing.T) {
 
 	mkFrame := func(rank int, seq uint64, sliceNs int64) []byte {
 		recs := []detect.SliceRecord{{Sensor: 0, Rank: rank, SliceNs: sliceNs, Count: 1, AvgNs: 100}}
-		return AppendFrame(nil, FrameHeader{
-			Rank: rank, Seq: seq, CumRecords: seq, TraceID: lin.TraceID(rank, seq),
-		}, recs)
+		return AppendFrame(nil, FrameHeader{Rank: rank, Seq: seq, CumRecords: seq}, recs)
 	}
 	// Three ranks cover slices 0 and 1 so slice 0 closes behind the
 	// watermark.
@@ -212,7 +125,7 @@ func TestLineageDedupAndReopenSpans(t *testing.T) {
 	if err := s.Receive(dupFrame); err != nil {
 		t.Fatal(err)
 	}
-	dupTrace := TraceOf(dupFrame)
+	dupTrace := TraceOf(lin, dupFrame)
 	spans, _ := lin.Snapshot(nil, 0)
 	sawDup, sawReopen := false, false
 	for _, sp := range spans {
@@ -238,12 +151,12 @@ func TestLineageDedupAndReopenSpans(t *testing.T) {
 	}
 	spans, _ = lin.Snapshot(nil, 0)
 	for _, sp := range spans {
-		if sp.Stage == obs.StageEpochReopen && sp.Trace == TraceOf(late) {
+		if sp.Stage == obs.StageEpochReopen && sp.Trace == TraceOf(lin, late) {
 			sawReopen = true
 		}
 	}
 	if !sawReopen {
-		t.Fatalf("no epoch_reopen span for late trace %#x", TraceOf(late))
+		t.Fatalf("no epoch_reopen span for late trace %#x", TraceOf(lin, late))
 	}
 }
 
@@ -298,11 +211,11 @@ func TestLineageSampledSetShardInvariant(t *testing.T) {
 	}
 }
 
-// TestWALReplayVSF2 pins two properties of crash recovery under lineage:
-// sampled (vSF2) frames journaled to the WAL replay correctly, and replay
+// TestWALReplayIsSpanSilent pins two properties of crash recovery under
+// lineage: sampled frames journaled to the WAL replay correctly, and replay
 // records no spans — the flight recorder describes the process's history,
 // not its reconstructed state.
-func TestWALReplayVSF2(t *testing.T) {
+func TestWALReplayIsSpanSilent(t *testing.T) {
 	const ranks, frames = 3, 4
 	s := NewSharded(2)
 	s.AttachDurability(DurabilityConfig{})
@@ -315,9 +228,7 @@ func TestWALReplayVSF2(t *testing.T) {
 			recs := []detect.SliceRecord{{
 				Sensor: 0, Rank: r, SliceNs: int64(seq-1) * 1_000_000, Count: 1, AvgNs: 100 + float64(r),
 			}}
-			frame := AppendFrame(nil, FrameHeader{
-				Rank: r, Seq: seq, CumRecords: seq, TraceID: lin.TraceID(r, seq),
-			}, recs)
+			frame := AppendFrame(nil, FrameHeader{Rank: r, Seq: seq, CumRecords: seq}, recs)
 			if err := s.Receive(frame); err != nil {
 				t.Fatal(err)
 			}
@@ -340,11 +251,9 @@ func TestWALReplayVSF2(t *testing.T) {
 	}
 
 	// Post-recovery ingest resumes span recording, and a duplicate of a
-	// replayed frame is still deduplicated (the vSF2 bytes round-tripped
-	// through the WAL with their trace intact).
-	dup := AppendFrame(nil, FrameHeader{
-		Rank: 0, Seq: 1, CumRecords: 1, TraceID: lin.TraceID(0, 1),
-	}, []detect.SliceRecord{{Sensor: 0, Rank: 0, SliceNs: 0, Count: 1, AvgNs: 100}})
+	// replayed frame is still deduplicated.
+	dup := AppendFrame(nil, FrameHeader{Rank: 0, Seq: 1, CumRecords: 1},
+		[]detect.SliceRecord{{Sensor: 0, Rank: 0, SliceNs: 0, Count: 1, AvgNs: 100}})
 	if err := s.Receive(dup); err != nil {
 		t.Fatal(err)
 	}
@@ -356,23 +265,8 @@ func TestWALReplayVSF2(t *testing.T) {
 	}
 }
 
-// TestLineageOffIngestUnchanged pins that a server without lineage ingests
-// vSF2 frames too (a traced client may talk to an untraced server) and that
-// nothing records spans.
-func TestLineageOffIngestUnchanged(t *testing.T) {
-	s := NewSharded(2)
-	frame := AppendFrame(nil, FrameHeader{Rank: 0, Seq: 1, CumRecords: 1, TraceID: 0x1234},
-		[]detect.SliceRecord{{Sensor: 0, Rank: 0, SliceNs: 0, Count: 1, AvgNs: 10}})
-	if err := s.Receive(frame); err != nil {
-		t.Fatalf("lineage-off server rejected vSF2: %v", err)
-	}
-	if got := len(s.Records()); got != 1 {
-		t.Fatalf("got %d records, want 1", got)
-	}
-}
-
 // TestClientNextTraceMatchesFlush pins the TraceSource contract: the trace
-// NextTrace predicts before a flush is the trace the wire actually carries.
+// NextTrace predicts before a flush is the trace the frame is sampled under.
 func TestClientNextTraceMatchesFlush(t *testing.T) {
 	s := NewSharded(1)
 	o := obs.New()
@@ -394,27 +288,5 @@ func TestClientNextTraceMatchesFlush(t *testing.T) {
 	}
 	if lin.SampledFrames() == 0 {
 		t.Fatal("no frames sampled at SampleEvery=2")
-	}
-}
-
-// benchmark sanity: the lineage bench helpers stamp the same set the live
-// client would.
-func TestBuildBenchFramesTraced(t *testing.T) {
-	lin := obs.NewLineage(obs.LineageConfig{})
-	frames := buildBenchFramesTraced(512, lin)
-	sampled := 0
-	for rank := range frames {
-		for sl, frame := range frames[rank] {
-			want := lin.TraceID(rank, uint64(sl)+1)
-			if got := TraceOf(frame); got != want {
-				t.Fatalf("rank %d seq %d: TraceOf = %#x, want %#x", rank, sl+1, got, want)
-			}
-			if want != 0 {
-				sampled++
-			}
-		}
-	}
-	if sampled == 0 {
-		t.Fatalf("no sampled frames in %d", 512*benchFramesPerRank)
 	}
 }

@@ -175,8 +175,8 @@ func (s *Server) Recover() (RecoveryStats, error) {
 		for _, e := range entries {
 			span, ok := e.outcomeSpan()
 			if !ok {
-				// A coalesced entry with a hostile or truncated count field
-				// is corruption; truncate here.
+				// An unknown kind, or a counted entry with a hostile or
+				// truncated count field, is corruption; truncate here.
 				stopped = true
 				break
 			}
@@ -195,7 +195,7 @@ func (s *Server) Recover() (RecoveryStats, error) {
 				stopped = true
 				break
 			}
-			if !s.applyWALEntry(e, &rs) {
+			if !s.applyWALEntry(e, int64(span), &rs) {
 				stopped = true
 				break
 			}
@@ -314,11 +314,12 @@ func (s *Server) installSnapshot(st *snapState) {
 	s.ingestedRecords.Store(ingested)
 }
 
-// applyWALEntry replays one log entry onto the recovered state. A false
-// return means the entry's body is invalid — recovery treats it like a
-// truncation and stops. Replay uses live=false paths throughout: no WAL
-// re-logging, no per-frame observability counters.
-func (s *Server) applyWALEntry(e walEntry, rs *RecoveryStats) bool {
+// applyWALEntry replays one log entry covering n outcomes (its checked
+// outcomeSpan, which also vouches for a counted kind's body length) onto the
+// recovered state. A false return means the entry's body is invalid —
+// recovery treats it like a truncation and stops. Replay uses live=false
+// paths throughout: no WAL re-logging, no per-frame observability counters.
+func (s *Server) applyWALEntry(e walEntry, n int64, rs *RecoveryStats) bool {
 	switch e.kind {
 	case walKindFrame:
 		if len(e.body) < 8+frameHeaderSize {
@@ -337,20 +338,10 @@ func (s *Server) applyWALEntry(e walEntry, rs *RecoveryStats) bool {
 		}
 		rs.FramesReplayed++
 		return true
-	case walKindDup, walKindDupN:
+	case walKindDup:
 		// A duplicate frame never advances dedup state (seen implies the
 		// flow already covers its seq), so replaying a run of n duplicates
 		// is exactly n counter bumps on the rank's shard.
-		n := int64(1)
-		if len(e.body) < 4 {
-			return false
-		}
-		if e.kind == walKindDupN {
-			if len(e.body) < 8 {
-				return false
-			}
-			n = int64(binary.LittleEndian.Uint32(e.body[4:]))
-		}
 		rank := int(binary.LittleEndian.Uint32(e.body))
 		if rank > MaxFrameRank {
 			return false
@@ -361,36 +352,15 @@ func (s *Server) applyWALEntry(e walEntry, rs *RecoveryStats) bool {
 		sh.mu.Unlock()
 		return true
 	case walKindChecksum:
-		s.checksumErrors.Add(1)
+		s.checksumErrors.Add(n)
 		return true
 	case walKindReject:
-		s.rejectedFrames.Add(1)
+		s.rejectedFrames.Add(n)
 		return true
-	case walKindChecksumN:
-		if len(e.body) < 4 {
-			return false
-		}
-		s.checksumErrors.Add(int64(binary.LittleEndian.Uint32(e.body)))
-		return true
-	case walKindRejectN:
-		if len(e.body) < 4 {
-			return false
-		}
-		s.rejectedFrames.Add(int64(binary.LittleEndian.Uint32(e.body)))
-		return true
-	case walKindHeartbeat, walKindHeartbeatN:
-		// A coalesced heartbeat run stores the fold of its heartbeats under
+	case walKindHeartbeat:
+		// A heartbeat run stores the fold of its heartbeats under
 		// receiveHeartbeat's own newest-now-wins rule, so applying the fold
-		// once plus count-1 extra counter bumps equals sequential replay.
-		n := int64(1)
-		if e.kind == walKindHeartbeatN {
-			if len(e.body) < 24 {
-				return false
-			}
-			n = int64(binary.LittleEndian.Uint32(e.body[20:]))
-		} else if len(e.body) < 20 {
-			return false
-		}
+		// once plus n-1 extra counter bumps equals sequential replay.
 		rank := int(binary.LittleEndian.Uint32(e.body))
 		nowNs := int64(binary.LittleEndian.Uint64(e.body[4:]))
 		leaseNs := int64(binary.LittleEndian.Uint64(e.body[12:]))
@@ -400,9 +370,7 @@ func (s *Server) applyWALEntry(e walEntry, rs *RecoveryStats) bool {
 		if err := s.receiveHeartbeat(rank, nowNs, leaseNs, false); err != nil {
 			return false
 		}
-		if n > 1 {
-			s.heartbeats.Add(n - 1)
-		}
+		s.heartbeats.Add(n - 1)
 		return true
 	default:
 		return false

@@ -364,26 +364,11 @@ func TestScanWALStopsAtFirstInvalidEntry(t *testing.T) {
 // never persisted) predecessor describe state transitions whose inputs
 // are gone.
 func TestRecoverStopsAtLSNGap(t *testing.T) {
-	disk := storage.NewDisk(storage.Faults{})
-	seg := appendTestEntry(nil, walKindChecksum, 1, nil)
-	seg = appendTestEntry(seg, walKindChecksum, 2, nil)
-	seg = appendTestEntry(seg, walKindChecksum, 4, nil) // 3 is missing
-	seg = appendTestEntry(seg, walKindChecksum, 5, nil)
-	if err := disk.Append("wal.0", seg); err != nil {
-		t.Fatal(err)
-	}
-	if err := disk.Sync("wal.0"); err != nil {
-		t.Fatal(err)
-	}
-	s := NewSharded(1)
-	s.AttachDurability(DurabilityConfig{Disk: disk})
-	if err := s.Crash(); err != nil {
-		t.Fatal(err)
-	}
-	rs, err := s.Recover()
-	if err != nil {
-		t.Fatal(err)
-	}
+	seg := appendTestEntry(nil, walKindChecksum, 1, u32(1))
+	seg = appendTestEntry(seg, walKindChecksum, 2, u32(1))
+	seg = appendTestEntry(seg, walKindChecksum, 4, u32(1)) // 3 is missing
+	seg = appendTestEntry(seg, walKindChecksum, 5, u32(1))
+	s, rs := recoverSegment(t, seg)
 	if rs.LSN != 2 || rs.WALEntriesReplayed != 2 {
 		t.Fatalf("recovery crossed the LSN gap: %+v", rs)
 	}

@@ -24,7 +24,6 @@
 package server
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -212,7 +211,7 @@ func (s *Server) SetObs(o *obs.Obs) {
 func (s *Server) Receive(encoded []byte) error {
 	d := s.dur
 	if d == nil {
-		_, err := s.receiveLocked(encoded)
+		_, _, err := s.receiveLocked(encoded)
 		return err
 	}
 	if s.down.Load() {
@@ -223,20 +222,17 @@ func (s *Server) Receive(encoded []byte) error {
 		d.stateMu.RUnlock()
 		return ErrServerDown
 	}
-	snapDue, err := s.receiveLocked(encoded)
+	h, snapDue, err := s.receiveLocked(encoded)
 	d.stateMu.RUnlock()
 	// An automatic checkpoint needs the exclusive lock, so it runs after
 	// the shared hold is released. Concurrent Receives may all see snapDue;
 	// checkpointIfDue lets exactly one of them pay for it.
 	if snapDue && err == nil {
-		if lin := s.lin; lin != nil {
-			if trace := TraceOf(encoded); trace != 0 {
-				rank := int(binary.LittleEndian.Uint32(encoded[4:]))
-				t0 := nowUnixNs()
-				cerr := s.checkpointIfDue()
-				lin.Record(trace, obs.StageSnapshot, rank, 0, t0, nowUnixNs()-t0, 0)
-				return cerr
-			}
+		if trace := s.lin.TraceID(h.Rank, h.Seq); trace != 0 {
+			t0 := nowUnixNs()
+			cerr := s.checkpointIfDue()
+			s.lin.Record(trace, obs.StageSnapshot, h.Rank, 0, t0, nowUnixNs()-t0, 0)
+			return cerr
 		}
 		return s.checkpointIfDue()
 	}
@@ -244,9 +240,10 @@ func (s *Server) Receive(encoded []byte) error {
 }
 
 // receiveLocked is Receive's body; with durability the caller holds the
-// stateMu read lock. snapDue reports that journaling this frame made an
-// automatic checkpoint due (always false without durability).
-func (s *Server) receiveLocked(encoded []byte) (snapDue bool, err error) {
+// stateMu read lock. h is the data frame's parsed header; snapDue reports
+// that journaling it made an automatic checkpoint due (always false without
+// durability).
+func (s *Server) receiveLocked(encoded []byte) (h FrameHeader, snapDue bool, err error) {
 	// Every outcome — ingest, duplicate, rejection, heartbeat — invalidates
 	// the cached report: any of them can advance the watermark, reopen an
 	// epoch, move a liveness lease, or change a counter /status serves.
@@ -258,14 +255,14 @@ func (s *Server) receiveLocked(encoded []byte) (snapDue bool, err error) {
 			s.obsRejected.Inc()
 			if s.dur != nil {
 				if werr := s.dur.logBadFrame(false); werr != nil {
-					return false, werr
+					return h, false, werr
 				}
 			}
-			return false, err
+			return h, false, err
 		}
-		return false, s.receiveHeartbeat(rank, nowNs, leaseNs, true)
+		return h, false, s.receiveHeartbeat(rank, nowNs, leaseNs, true)
 	}
-	h, err := ParseFrame(encoded)
+	h, err = ParseFrame(encoded)
 	if err != nil {
 		checksum := errors.Is(err, ErrChecksum)
 		if checksum {
@@ -277,17 +274,17 @@ func (s *Server) receiveLocked(encoded []byte) (snapDue bool, err error) {
 		}
 		if s.dur != nil {
 			if werr := s.dur.logBadFrame(checksum); werr != nil {
-				return false, werr
+				return h, false, werr
 			}
 		}
-		return false, err
+		return h, false, err
 	}
-	// Time the full live ingest only for sampled frames: the nonzero-trace
-	// check is a few byte loads, so unsampled frames skip both clock reads.
+	// Time the full live ingest only for sampled frames: the sampler is a
+	// few multiplies, so unsampled frames skip both clock reads.
 	lin := s.lin
-	traced := lin != nil && h.TraceID != 0
+	trace := lin.TraceID(h.Rank, h.Seq)
 	var t0 int64
-	if traced {
+	if trace != 0 {
 		t0 = nowUnixNs()
 	}
 	dup, ticket := s.ingestFrame(h, encoded, 0, true)
@@ -296,19 +293,19 @@ func (s *Server) receiveLocked(encoded []byte) (snapDue bool, err error) {
 		if dup {
 			werr = s.dur.logDup(h.Rank)
 		} else {
-			snapDue, werr = s.dur.logFrame(ticket, encoded, h.TraceID)
+			snapDue, werr = s.dur.logFrame(ticket, encoded, h.Rank, trace)
 		}
 	}
-	if traced {
+	if trace != 0 {
 		now := nowUnixNs()
 		dupArg := int64(0)
 		if dup {
 			dupArg = 1
 		}
-		lin.Record(h.TraceID, obs.StageDedup, h.Rank, 0, now, 0, dupArg)
-		lin.Record(h.TraceID, obs.StageIngest, h.Rank, 0, t0, now-t0, int64(h.Count))
+		lin.Record(trace, obs.StageDedup, h.Rank, 0, now, 0, dupArg)
+		lin.Record(trace, obs.StageIngest, h.Rank, 0, t0, now-t0, int64(h.Count))
 	}
-	return snapDue, werr
+	return h, snapDue, werr
 }
 
 // ingestFrame applies one parsed, validated frame to the shard state and
@@ -393,8 +390,9 @@ func (s *Server) ingestFrame(h FrameHeader, encoded []byte, forceTicket uint64, 
 
 	// Fold into the epoch analyzer outside the shard lock: the committed
 	// sub-log prefix is immutable, and the analyzer stripes its own locks
-	// by (sensor, group, slice).
-	s.an.fold(recs, h.TraceID, live)
+	// by (sensor, group, slice). Replay derives the same trace as live
+	// ingest did, so recovered epochs keep their sampled journeys.
+	s.an.fold(recs, s.lin.TraceID(h.Rank, h.Seq), live)
 
 	if live {
 		s.obsMessages.Inc()
@@ -547,12 +545,7 @@ func (c *Client) Flush() error {
 		}
 		c.seq++
 		c.cum += uint64(n)
-		h := FrameHeader{Rank: c.rank, Seq: c.seq, CumRecords: c.cum}
-		lin := c.server.lin
-		if lin != nil {
-			h.TraceID = lin.TraceID(c.rank, c.seq)
-		}
-		c.enc = AppendFrame(c.enc[:0], h, c.buf[:n])
+		c.enc = AppendFrame(c.enc[:0], FrameHeader{Rank: c.rank, Seq: c.seq, CumRecords: c.cum}, c.buf[:n])
 		if err := c.server.Receive(c.enc); err != nil {
 			seq := c.seq
 			if errors.Is(err, ErrServerDown) {
@@ -564,7 +557,7 @@ func (c *Client) Flush() error {
 			}
 			return fmt.Errorf("server: frame %d from rank %d rejected: %w", seq, c.rank, err)
 		}
-		if lin != nil && h.TraceID != 0 {
+		if lin := c.server.lin; lin.TraceID(c.rank, c.seq) != 0 {
 			lin.FrameSampled()
 		}
 		if c.refused {
@@ -582,17 +575,11 @@ func (c *Client) Flush() error {
 // across more than one flush interval (backpressure packing).
 func (c *Client) PackedFlushes() int64 { return c.packed }
 
-// NextTrace reports the lineage trace ID the *next* flushed frame will
-// carry (0 when unsampled or lineage is off). Records buffered now leave in
-// frame seq+1, so the detector can tag its emit span with the same trace
-// the wire will see. Implements detect.TraceSource.
-func (c *Client) NextTrace() uint64 {
-	lin := c.server.lin
-	if lin == nil {
-		return 0
-	}
-	return lin.TraceID(c.rank, c.seq+1)
-}
+// NextTrace reports the lineage trace ID of the *next* flushed frame (0
+// when unsampled or lineage is off). Records buffered now leave in frame
+// seq+1, so the detector can tag its emit span with the same trace the
+// server derives for that frame. Implements detect.TraceSource.
+func (c *Client) NextTrace() uint64 { return c.server.lin.TraceID(c.rank, c.seq+1) }
 
 // BytesSent returns the client's total encoded payload bytes.
 func (c *Client) BytesSent() int64 { return c.bytesSent }

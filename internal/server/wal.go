@@ -24,8 +24,8 @@ import (
 //	off 8: payload       u8 kind, u64 lsn, kind-specific body
 //
 // The LSN is a strictly increasing per-server sequence counting *delivery
-// outcomes*, not entries: a coalesced entry (the N-suffixed kinds) covers a
-// run of `count` consecutive outcomes and carries the LSN of the last one,
+// outcomes*, not entries: every kind but frame is counted — its entry covers
+// a run of `count` consecutive outcomes and carries the LSN of the last one,
 // so the LSN space stays dense — recovered LSN == delivery-schedule index —
 // even when steady-state chatter (heartbeats, duplicate frames, rejects)
 // collapses into O(1) journal bytes. Snapshots record the LSN they cover,
@@ -44,25 +44,22 @@ import (
 const (
 	walEntryHeader = 8
 
+	// One kind per outcome class. Every kind but frame stands for a run of
+	// `count` consecutive outcomes of its class (count 1 when no run formed);
+	// the entry's LSN is the LSN of the *last* outcome in the run.
 	walKindFrame     = 1 // u64 ticket, raw frame bytes
-	walKindDup       = 2 // u32 rank
-	walKindChecksum  = 3 // no body: a frame rejected by CRC
-	walKindReject    = 4 // no body: a frame rejected for framing errors
-	walKindHeartbeat = 5 // u32 rank, u64 virtual now, u64 lease ns
-
-	// Coalesced kinds: one entry standing for a run of `count` consecutive
-	// outcomes of the matching base kind. The entry's LSN is the LSN of the
-	// *last* outcome in the run.
-	walKindDupN       = 6 // u32 rank, u32 count
-	walKindChecksumN  = 7 // u32 count
-	walKindRejectN    = 8 // u32 count
-	walKindHeartbeatN = 9 // u32 rank, u64 folded now, u64 folded lease, u32 count
+	walKindDup       = 2 // u32 rank, u32 count
+	walKindChecksum  = 3 // u32 count: frames rejected by CRC
+	walKindReject    = 4 // u32 count: frames rejected for framing errors
+	walKindHeartbeat = 5 // u32 rank, u64 folded now, u64 folded lease, u32 count
 )
 
+// countedBody is each counted kind's body length; count is its last u32.
+var countedBody = [...]int{walKindDup: 8, walKindChecksum: 4, walKindReject: 4, walKindHeartbeat: 24}
+
 // maxWALEntry bounds a decoded entry's claimed payload length: the largest
-// legitimate entry is a frame entry around a maximum-size frame (with the
-// vSF2 lineage extension).
-const maxWALEntry = walEntryHeader + 16 + frameHeaderSize + frameTraceSize + MaxFrameRecords*recordWireSize
+// legitimate entry is a frame entry around a maximum-size frame.
+const maxWALEntry = walEntryHeader + 16 + frameHeaderSize + MaxFrameRecords*recordWireSize
 
 // maxCoalesced bounds the count field of a coalesced entry; a hostile
 // segment claiming more outcomes per entry than any real run could produce
@@ -184,13 +181,13 @@ func (d *durability) entryHead(kind byte) []byte {
 // buffer and hit the device as ONE write + ONE sync when the group covers
 // cfg.FlushEvery outcomes or cfg.FlushBytes bytes. With the default group of
 // one that is one write + one sync per outcome, before the ack. Inside a
-// group, runs of heartbeat/dup/checksum/reject outcomes collapse into a
-// single count-delta entry (walKind*N) materialized when the run closes, so
-// steady-state chatter costs O(1) journal bytes; a group of one closes every
-// run at length one, which encodes as the plain kind. Staged outcomes are
-// acked before they are written: a crash loses the staged tail and clients
-// re-send from the recovered LSN. All methods run with d.mu held and share
-// the LSN counter and the reusable encode buffer on durability.
+// group, runs of heartbeat/dup/checksum/reject outcomes collapse into one
+// counted entry materialized when the run closes, so steady-state chatter
+// costs O(1) journal bytes; a group of one closes every run at count 1.
+// Staged outcomes are acked before they are written: a crash loses the
+// staged tail and clients re-send from the recovered LSN. All methods run
+// with d.mu held and share the LSN counter and the reusable encode buffer on
+// durability.
 type groupEncoder struct {
 	d *durability
 
@@ -199,7 +196,7 @@ type groupEncoder struct {
 	outcomes int    // outcomes covered by the group, open run included
 
 	// The one open coalescible run, held as scalars and materialized into
-	// buf when it closes. openKind is the *base* kind (walKindDup /
+	// buf when it closes. openKind is a counted kind (walKindDup /
 	// walKindChecksum / walKindReject / walKindHeartbeat); 0 = no open run.
 	openKind  byte
 	openRank  int
@@ -224,58 +221,31 @@ func (e *groupEncoder) stage(payload []byte) {
 	e.entries++
 }
 
-// closeOpen materializes the open coalesced run, if any, into the staging
-// buffer. A run of one encodes as its plain kind, so a journal holds N kinds
-// only where a run actually formed. At close time d.lsn is exactly the LSN
-// of the run's last outcome.
+// closeOpen materializes the open run, if any, into the staging buffer as
+// its kind's one encoding: the rank (dup, heartbeat), the folded now/lease
+// (heartbeat), then the count. At close time d.lsn is exactly the LSN of the
+// run's last outcome.
 func (e *groupEncoder) closeOpen() {
 	if e.openKind == 0 {
 		return
 	}
 	d := e.d
-	var b []byte
-	switch e.openKind {
-	case walKindDup:
-		if e.openCount == 1 {
-			b = d.entryAt(walKindDup, d.lsn)
-			b = binary.LittleEndian.AppendUint32(b, uint32(e.openRank))
-		} else {
-			b = d.entryAt(walKindDupN, d.lsn)
-			b = binary.LittleEndian.AppendUint32(b, uint32(e.openRank))
-			b = binary.LittleEndian.AppendUint32(b, e.openCount)
-		}
-	case walKindChecksum, walKindReject:
-		if e.openCount == 1 {
-			b = d.entryAt(e.openKind, d.lsn)
-		} else {
-			kind := byte(walKindRejectN)
-			if e.openKind == walKindChecksum {
-				kind = walKindChecksumN
-			}
-			b = d.entryAt(kind, d.lsn)
-			b = binary.LittleEndian.AppendUint32(b, e.openCount)
-		}
-	case walKindHeartbeat:
-		if e.openCount == 1 {
-			b = d.entryAt(walKindHeartbeat, d.lsn)
-			b = binary.LittleEndian.AppendUint32(b, uint32(e.openRank))
-			b = binary.LittleEndian.AppendUint64(b, uint64(e.openNow))
-			b = binary.LittleEndian.AppendUint64(b, uint64(e.openLease))
-		} else {
-			b = d.entryAt(walKindHeartbeatN, d.lsn)
-			b = binary.LittleEndian.AppendUint32(b, uint32(e.openRank))
-			b = binary.LittleEndian.AppendUint64(b, uint64(e.openNow))
-			b = binary.LittleEndian.AppendUint64(b, uint64(e.openLease))
-			b = binary.LittleEndian.AppendUint32(b, e.openCount)
-		}
+	b := d.entryAt(e.openKind, d.lsn)
+	if e.openKind == walKindDup || e.openKind == walKindHeartbeat {
+		b = binary.LittleEndian.AppendUint32(b, uint32(e.openRank))
 	}
+	if e.openKind == walKindHeartbeat {
+		b = binary.LittleEndian.AppendUint64(b, uint64(e.openNow))
+		b = binary.LittleEndian.AppendUint64(b, uint64(e.openLease))
+	}
+	b = binary.LittleEndian.AppendUint32(b, e.openCount)
 	d.buf = b
 	e.stage(b)
 	e.openKind = 0
 	e.openCount = 0
 }
 
-// chatter records one coalescible outcome of base kind: it extends the open
+// chatter records one outcome of a counted kind: it extends the open
 // run when that run has the same kind and rank (dup and heartbeat runs are
 // per-rank; checksum/reject runs are global and pass rank 0), otherwise it
 // closes the open run and starts a fresh one covering this outcome.
@@ -425,15 +395,12 @@ func (e *groupEncoder) staged() (int, int64) {
 
 // logFrame appends a frame entry (arrival ticket + raw frame bytes) and
 // reports whether an automatic checkpoint is now due. The caller performs
-// the checkpoint after releasing its shared stateMu hold. trace is the
-// frame's lineage trace ID (0 = unsampled) for the WAL append/sync spans.
-func (d *durability) logFrame(ticket uint64, encoded []byte, trace uint64) (snapDue bool, err error) {
+// the checkpoint after releasing its shared stateMu hold. rank and trace
+// (0 = unsampled) are the frame's sender and lineage trace ID, for the WAL
+// append/sync spans.
+func (d *durability) logFrame(ticket uint64, encoded []byte, rank int, trace uint64) (snapDue bool, err error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	rank := 0
-	if trace != 0 && len(encoded) >= 8 {
-		rank = int(binary.LittleEndian.Uint32(encoded[4:]))
-	}
 	if err := d.enc.frame(ticket, encoded, trace, rank); err != nil {
 		return false, err
 	}
@@ -476,31 +443,18 @@ type walEntry struct {
 	body []byte // kind-specific bytes, aliasing the segment buffer
 }
 
-// outcomeSpan reports how many delivery outcomes e covers: 1 for the
-// single-outcome kinds, the count field for coalesced kinds. ok is
-// false when the body is too short to hold the count or the count is
-// outside [1, maxCoalesced] — replay treats that like corruption.
+// outcomeSpan reports how many delivery outcomes e covers: 1 for a frame,
+// the count field for the counted kinds. ok is false for an unknown kind, a
+// body too short for its kind, or a count outside [1, maxCoalesced] —
+// replay treats each like corruption.
 func (e walEntry) outcomeSpan() (span uint64, ok bool) {
-	var c uint32
-	switch e.kind {
-	case walKindDupN:
-		if len(e.body) < 8 {
-			return 0, false
-		}
-		c = binary.LittleEndian.Uint32(e.body[4:])
-	case walKindChecksumN, walKindRejectN:
-		if len(e.body) < 4 {
-			return 0, false
-		}
-		c = binary.LittleEndian.Uint32(e.body)
-	case walKindHeartbeatN:
-		if len(e.body) < 24 {
-			return 0, false
-		}
-		c = binary.LittleEndian.Uint32(e.body[20:])
-	default:
+	if e.kind == walKindFrame {
 		return 1, true
 	}
+	if int(e.kind) >= len(countedBody) || countedBody[e.kind] == 0 || len(e.body) < countedBody[e.kind] {
+		return 0, false
+	}
+	c := binary.LittleEndian.Uint32(e.body[countedBody[e.kind]-4:])
 	if c < 1 || c > maxCoalesced {
 		return 0, false
 	}

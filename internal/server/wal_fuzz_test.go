@@ -42,8 +42,7 @@ func FuzzWALReplay(f *testing.F) {
 		}
 	}
 	// A segment written with a commit group of four: dup and heartbeat runs
-	// collapse into walKindDupN / walKindHeartbeatN entries alongside plain
-	// frames.
+	// collapse into entries of count > 1 alongside frames.
 	coalDisk := storage.NewDisk(storage.Faults{})
 	coalSrv := NewSharded(2)
 	coalSrv.AttachDurability(DurabilityConfig{SnapshotEvery: -1, Disk: coalDisk, FlushEvery: 4})
@@ -61,41 +60,39 @@ func FuzzWALReplay(f *testing.F) {
 			f.Add(seg[:len(seg)-7]) // torn tail inside a commit group
 		}
 	}
-	// Hand-built coalesced entries: every N kind, including a run of one,
-	// a count that contradicts the LSN, and a hostile count.
+	// Hand-built counted entries: each kind at count 1 and at count 3, then
+	// one entry of the retired kind 6, where replay must stop.
 	var crafted []byte
-	crafted = appendTestEntry(crafted, walKindDupN, 3, testBody(u32(1), u32(3)))
-	crafted = appendTestEntry(crafted, walKindChecksumN, 5, testBody(u32(2)))
-	crafted = appendTestEntry(crafted, walKindRejectN, 6, testBody(u32(1)))
-	crafted = appendTestEntry(crafted, walKindHeartbeatN, 10, testBody(u32(1), u64b(1000), u64b(500), u32(4)))
+	lsn := uint64(0)
+	for _, c := range []struct {
+		kind byte
+		head []byte // the body before its count
+	}{
+		{walKindDup, u32(1)},
+		{walKindChecksum, nil},
+		{walKindReject, nil},
+		{walKindHeartbeat, testBody(u32(1), u64b(1000), u64b(500))},
+	} {
+		for _, n := range []uint32{1, 3} {
+			lsn += uint64(n)
+			crafted = appendTestEntry(crafted, c.kind, lsn, testBody(c.head, u32(n)))
+		}
+	}
+	crafted = appendTestEntry(crafted, 6, lsn+1, testBody(u32(1), u32(1)))
+	if _, rs := recoverSegment(f, crafted); rs.LSN != lsn || rs.WALEntriesReplayed != 8 {
+		f.Fatalf("crafted segment recovered to LSN %d over %d entries, want %d over 8 (kind 6 truncates)",
+			rs.LSN, rs.WALEntriesReplayed, lsn)
+	}
 	f.Add(crafted)
-	f.Add(appendTestEntry(nil, walKindDupN, 1, testBody(u32(1), u32(2))))                             // span past LSN 1
-	f.Add(appendTestEntry(nil, walKindHeartbeatN, 8, testBody(u32(1), u64b(1), u64b(1), u32(1<<31)))) // hostile count
-	f.Add(appendTestEntry(nil, walKindDupN, 2, testBody(u32(1))))                                     // body too short for count
+	f.Add(appendTestEntry(nil, walKindDup, 1, testBody(u32(1), u32(2))))                             // span past LSN 1
+	f.Add(appendTestEntry(nil, walKindHeartbeat, 8, testBody(u32(1), u64b(1), u64b(1), u32(1<<31)))) // hostile count
+	f.Add(appendTestEntry(nil, walKindDup, 2, testBody(u32(1))))                                     // body too short for count
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0})
 	f.Add(bytes.Repeat([]byte{0}, 64))
 
 	f.Fuzz(func(t *testing.T, seg []byte) {
-		disk := storage.NewDisk(storage.Faults{})
-		if err := disk.Append("wal.0", seg); err != nil {
-			t.Fatal(err)
-		}
-		if err := disk.Sync("wal.0"); err != nil {
-			t.Fatal(err)
-		}
-		s := NewSharded(4)
-		s.AttachDurability(DurabilityConfig{Disk: disk})
-		if err := s.Crash(); err != nil {
-			t.Fatal(err)
-		}
-		rs, err := s.Recover()
-		if err != nil {
-			// Recovery may fail only on disk errors, never on log content;
-			// a fault-free disk must always recover (to a possibly empty
-			// prefix).
-			t.Fatalf("Recover on hostile segment: %v", err)
-		}
+		s, rs := recoverSegment(t, seg)
 		// LSNs count delivery outcomes: a coalesced entry advances the LSN
 		// by its whole covered run, so entries replayed is a lower bound
 		// and outcomes replayed is exact.
@@ -122,4 +119,29 @@ func FuzzWALReplay(f *testing.F) {
 		_ = s.InterProcessOutliers(0.9)
 		_ = s.Liveness()
 	})
+}
+
+// recoverSegment recovers a fresh durable server whose disk holds seg as its
+// only WAL segment (no snapshot).
+func recoverSegment(tb testing.TB, seg []byte) (*Server, RecoveryStats) {
+	tb.Helper()
+	disk := storage.NewDisk(storage.Faults{})
+	if err := disk.Append("wal.0", seg); err != nil {
+		tb.Fatal(err)
+	}
+	if err := disk.Sync("wal.0"); err != nil {
+		tb.Fatal(err)
+	}
+	s := NewSharded(4)
+	s.AttachDurability(DurabilityConfig{Disk: disk})
+	if err := s.Crash(); err != nil {
+		tb.Fatal(err)
+	}
+	rs, err := s.Recover()
+	if err != nil {
+		// Recovery may fail only on disk errors, never on log content; a
+		// fault-free disk must always recover (to a possibly empty prefix).
+		tb.Fatalf("Recover on hostile segment: %v", err)
+	}
+	return s, rs
 }

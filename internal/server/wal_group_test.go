@@ -420,11 +420,10 @@ func goldenSchedule() [][]byte {
 
 // The default commit is a group of one: every Receive is written and synced
 // before it returns (ack implies durable), as one device append and one
-// sync, and the journal bytes are pinned — the hash below is what the
-// removed per-op encoder wrote for this schedule, so the WAL format cannot
-// drift silently.
+// sync, and the journal bytes are pinned — one entry per outcome, each
+// non-frame entry counted at 1 — so the WAL format cannot drift silently.
 func TestDefaultCommitIsOneSyncPerOutcome(t *testing.T) {
-	const goldenSHA256 = "770c4ac4ada42f6bb37485dbd6602abef8b9c3d5ba5a987fd3433896926f93c6"
+	const goldenSHA256 = "0442c3a46fb93b0489d187f4510b59b8acc00123a563935d2dad23dd5e2ede56"
 	disk := storage.NewDisk(storage.Faults{})
 	s := NewSharded(2)
 	s.AttachDurability(DurabilityConfig{Disk: disk})
@@ -446,11 +445,14 @@ func TestDefaultCommitIsOneSyncPerOutcome(t *testing.T) {
 	}
 	entries, consumed, truncated := scanWAL(seg)
 	if truncated || consumed != len(seg) || len(entries) != len(schedule) {
-		t.Fatalf("segment scans to %d entries over %d/%d bytes (truncated=%v), want %d plain entries",
+		t.Fatalf("segment scans to %d entries over %d/%d bytes (truncated=%v), want %d entries",
 			len(entries), consumed, len(seg), truncated, len(schedule))
 	}
 	kinds := map[byte]int{}
 	for _, e := range entries {
+		if span, ok := e.outcomeSpan(); !ok || span != 1 {
+			t.Fatalf("entry of kind %d covers %d outcomes (ok=%v), want 1", e.kind, span, ok)
+		}
 		kinds[e.kind]++
 	}
 	for _, k := range []byte{walKindFrame, walKindDup, walKindChecksum, walKindReject, walKindHeartbeat} {

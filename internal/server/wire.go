@@ -8,6 +8,7 @@ import (
 	"math"
 
 	"vsensor/internal/detect"
+	"vsensor/internal/obs"
 )
 
 // Wire format: one frame per transferred batch.
@@ -25,27 +26,15 @@ import (
 // Per record: u32 sensor, u32 group, u32 rank, i64 slice, i32 count,
 // f64 avgNs, f64 avgInstr.
 //
-// The "vSF2" variant carries the record-lineage extension — a u64 trace ID
-// between the base header and the payload:
-//
-//	off 32: u64 traceID     nonzero lineage trace ID
-//	off 40: payload         count * recordWireSize bytes
-//
-// The CRC of a vSF2 frame covers header[0:28] + frame[32:] (trace ID and
-// payload), so corruption of the extension field is caught like any other
-// bit flip. AppendFrame emits vSF2 only when the header carries a nonzero
-// TraceID: with lineage off (or for the 255/256 unsampled frames) the bytes
-// on the wire are exactly the vSF1 encoding, keeping goldens bit-identical.
-//
 // The sequence number lets the server deduplicate retransmissions and track
 // per-rank delivery gaps; cumRecords lets it compute how many records it
 // *should* have seen from a rank even when frames are still missing; the CRC
-// rejects bit-corrupted frames before any of the header is trusted.
+// rejects bit-corrupted frames before any of the header is trusted. A
+// sampled frame's lineage trace is not on the wire: it is a pure function of
+// (rank, seq), which every hop holding the shared sampler derives (TraceOf).
 const (
 	frameMagic      = 0x76534631 // "vSF1"
-	frameMagic2     = 0x76534632 // "vSF2" — vSF1 + u64 trace ID at off 32
 	frameHeaderSize = 32
-	frameTraceSize  = 8
 	recordWireSize  = 4 + 4 + 4 + 8 + 4 + 8 + 8
 )
 
@@ -62,33 +51,20 @@ const MaxFrameRank = 1 << 22
 // transport's bit-corruption failure mode, as opposed to a framing error.
 var ErrChecksum = errors.New("server: frame checksum mismatch")
 
-// FrameHeader is the decoded per-frame metadata. TraceID is the optional
-// lineage extension: zero means unsampled/absent (the frame encodes as
-// vSF1), nonzero selects the vSF2 encoding.
+// FrameHeader is the decoded per-frame metadata.
 type FrameHeader struct {
 	Rank       int
 	Seq        uint64
 	CumRecords uint64
 	Count      int
-	TraceID    uint64
-}
-
-// headerLen returns the encoded header size for this header's variant.
-func (h FrameHeader) headerLen() int {
-	if h.TraceID != 0 {
-		return frameHeaderSize + frameTraceSize
-	}
-	return frameHeaderSize
 }
 
 // AppendFrame serializes a frame onto dst (usually a reused buffer with len
 // 0) and returns the extended slice. h.Count is taken from len(recs); the
-// CRC is computed here. A zero h.TraceID produces the exact vSF1 bytes this
-// function always produced; a nonzero one produces the vSF2 extension.
+// CRC is computed here.
 func AppendFrame(dst []byte, h FrameHeader, recs []detect.SliceRecord) []byte {
 	start := len(dst)
-	hdrLen := h.headerLen()
-	need := hdrLen + len(recs)*recordWireSize
+	need := frameHeaderSize + len(recs)*recordWireSize
 	if cap(dst)-start < need {
 		grown := make([]byte, start, start+need)
 		copy(grown, dst)
@@ -96,19 +72,12 @@ func AppendFrame(dst []byte, h FrameHeader, recs []detect.SliceRecord) []byte {
 	}
 	dst = dst[:start+need]
 	hdr := dst[start:]
-	magic := uint32(frameMagic)
-	if h.TraceID != 0 {
-		magic = frameMagic2
-	}
-	binary.LittleEndian.PutUint32(hdr[0:], magic)
+	binary.LittleEndian.PutUint32(hdr[0:], frameMagic)
 	binary.LittleEndian.PutUint32(hdr[4:], uint32(h.Rank))
 	binary.LittleEndian.PutUint64(hdr[8:], h.Seq)
 	binary.LittleEndian.PutUint64(hdr[16:], h.CumRecords)
 	binary.LittleEndian.PutUint32(hdr[24:], uint32(len(recs)))
-	if h.TraceID != 0 {
-		binary.LittleEndian.PutUint64(hdr[frameHeaderSize:], h.TraceID)
-	}
-	off := start + hdrLen
+	off := start + frameHeaderSize
 	for _, r := range recs {
 		binary.LittleEndian.PutUint32(dst[off:], uint32(r.Sensor))
 		binary.LittleEndian.PutUint32(dst[off+4:], uint32(r.Group))
@@ -135,15 +104,7 @@ func ParseFrame(data []byte) (FrameHeader, error) {
 	if len(data) < frameHeaderSize {
 		return h, fmt.Errorf("server: short frame (%d bytes, header is %d)", len(data), frameHeaderSize)
 	}
-	hdrLen := frameHeaderSize
-	switch m := binary.LittleEndian.Uint32(data[0:]); m {
-	case frameMagic:
-	case frameMagic2:
-		hdrLen = frameHeaderSize + frameTraceSize
-		if len(data) < hdrLen {
-			return h, fmt.Errorf("server: short vSF2 frame (%d bytes, header is %d)", len(data), hdrLen)
-		}
-	default:
+	if m := binary.LittleEndian.Uint32(data[0:]); m != frameMagic {
 		return h, fmt.Errorf("server: bad frame magic %#x", m)
 	}
 	n := binary.LittleEndian.Uint32(data[24:])
@@ -152,7 +113,7 @@ func ParseFrame(data []byte) (FrameHeader, error) {
 		// buffer from it.
 		return h, fmt.Errorf("server: frame claims %d records (max %d)", n, MaxFrameRecords)
 	}
-	want := hdrLen + int(n)*recordWireSize
+	want := frameHeaderSize + int(n)*recordWireSize
 	if len(data) != want {
 		return h, fmt.Errorf("server: frame length %d, want %d for %d records", len(data), want, n)
 	}
@@ -170,14 +131,6 @@ func ParseFrame(data []byte) (FrameHeader, error) {
 	if h.CumRecords < uint64(h.Count) {
 		return h, fmt.Errorf("server: frame cumRecords %d < count %d", h.CumRecords, h.Count)
 	}
-	if hdrLen > frameHeaderSize {
-		h.TraceID = binary.LittleEndian.Uint64(data[frameHeaderSize:])
-		if h.TraceID == 0 {
-			// Canonical-encoding rule: a zero trace belongs in vSF1. One
-			// valid encoding per frame keeps dedup byte-comparisons sane.
-			return h, fmt.Errorf("server: vSF2 frame with zero trace ID")
-		}
-	}
 	crc := crc32.ChecksumIEEE(data[:28])
 	crc = crc32.Update(crc, crc32.IEEETable, data[frameHeaderSize:])
 	if got := binary.LittleEndian.Uint32(data[28:]); got != crc {
@@ -186,24 +139,21 @@ func ParseFrame(data []byte) (FrameHeader, error) {
 	return h, nil
 }
 
-// TraceOf extracts the lineage trace ID from an already-validated encoded
-// frame without reparsing it (0 for vSF1 or anything unrecognizable). Used
-// on retransmit paths that hold raw bytes, e.g. parked-frame drains.
-func TraceOf(data []byte) uint64 {
-	if len(data) < frameHeaderSize+frameTraceSize ||
-		binary.LittleEndian.Uint32(data[0:]) != frameMagic2 {
+// TraceOf derives an encoded frame's lineage trace from its header's rank
+// and sequence number with the shared sampler: 0 when lin is nil, the frame
+// is unsampled, or data is shorter than a header. Used on paths that hold
+// raw bytes, e.g. parked-frame drains.
+func TraceOf(lin *obs.Lineage, data []byte) uint64 {
+	if lin == nil || len(data) < frameHeaderSize {
 		return 0
 	}
-	return binary.LittleEndian.Uint64(data[frameHeaderSize:])
+	return lin.TraceID(int(binary.LittleEndian.Uint32(data[4:])), binary.LittleEndian.Uint64(data[8:]))
 }
 
 // appendDecoded deserializes a parsed frame's n records onto out. data must
-// have passed ParseFrame, whose framing check ties the magic to the length.
+// have passed ParseFrame.
 func appendDecoded(out []detect.SliceRecord, data []byte, n int) []detect.SliceRecord {
 	off := frameHeaderSize
-	if binary.LittleEndian.Uint32(data[0:]) == frameMagic2 {
-		off += frameTraceSize
-	}
 	for i := 0; i < n; i++ {
 		out = append(out, detect.SliceRecord{
 			Sensor:   int(binary.LittleEndian.Uint32(data[off:])),

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"strings"
 	"testing"
 
 	"vsensor/internal/detect"
@@ -64,29 +65,6 @@ func FuzzBatchRoundTrip(f *testing.F) {
 		if !bytes.Equal(composed[:2], prefix) || !bytes.Equal(composed[2:], enc) {
 			t.Fatal("AppendFrame corrupted the destination prefix")
 		}
-		// The same content must round-trip through the vSF2 lineage
-		// extension: derive a nonzero trace from the fuzzed header fields.
-		h2 := h
-		h2.TraceID = (seq ^ cum) | 1
-		enc2 := AppendFrame(nil, h2, recs)
-		if len(enc2) != len(enc)+frameTraceSize {
-			t.Fatalf("vSF2 frame is %d bytes, vSF1 %d, want delta %d", len(enc2), len(enc), frameTraceSize)
-		}
-		got2, decoded2, err := decodeFrame(enc2)
-		if err != nil {
-			t.Fatalf("self-encoded vSF2 frame rejected: %v", err)
-		}
-		if got2.TraceID != h2.TraceID || got2.Rank != h.Rank || got2.Seq != h.Seq || got2.Count != len(recs) {
-			t.Fatalf("vSF2 header mangled: sent %+v got %+v", h2, got2)
-		}
-		if tr := TraceOf(enc2); tr != h2.TraceID {
-			t.Fatalf("TraceOf = %#x, want %#x", tr, h2.TraceID)
-		}
-		for i := range recs {
-			if decoded2[i] != recs[i] {
-				t.Fatalf("vSF2 record %d: sent %+v got %+v", i, recs[i], decoded2[i])
-			}
-		}
 	})
 }
 
@@ -107,22 +85,19 @@ func FuzzCheckBatch(f *testing.F) {
 	f.Add(hostile)
 	trunc := append([]byte(nil), valid[:40]...)
 	f.Add(trunc)
-	// vSF2 seeds: a valid traced frame, one truncated inside the trace
-	// field, and the canonical-encoding trap — a zero trace ID with a
-	// recomputed valid CRC, which the parser must reject without a
-	// checksum error.
-	traced := AppendFrame(nil, FrameHeader{Rank: 2, Seq: 3, CumRecords: 4, TraceID: 0x1122334455667788},
-		[]detect.SliceRecord{
-			{Sensor: 3, Rank: 2, SliceNs: 2000, Count: 2, AvgNs: 30},
-		})
-	f.Add(traced)
-	f.Add(append([]byte(nil), traced[:36]...))
-	zeroTrace := append([]byte(nil), traced...)
-	binary.LittleEndian.PutUint64(zeroTrace[frameHeaderSize:], 0)
-	crc := crc32.ChecksumIEEE(zeroTrace[:28])
-	crc = crc32.Update(crc, crc32.IEEETable, zeroTrace[frameHeaderSize:])
-	binary.LittleEndian.PutUint32(zeroTrace[28:], crc)
-	f.Add(zeroTrace)
+	// What a client from before traces were derived sends for a sampled
+	// frame: magic 0x76534632, a u64 trace after the header, the CRC over
+	// both. It must be refused as bad magic, whole or cut inside the trace;
+	// so must a frame with 8 stray bytes after its payload.
+	legacy := append(append(append([]byte(nil), valid[:frameHeaderSize]...), u64b(0x1122334455667788)...), valid[frameHeaderSize:]...)
+	binary.LittleEndian.PutUint32(legacy, 0x76534632)
+	binary.LittleEndian.PutUint32(legacy[28:], crc32.Update(crc32.ChecksumIEEE(legacy[:28]), crc32.IEEETable, legacy[frameHeaderSize:]))
+	if _, err := ParseFrame(legacy); err == nil || !strings.Contains(err.Error(), "bad frame magic") {
+		f.Fatalf("legacy traced frame: err = %v, want bad frame magic", err)
+	}
+	f.Add(legacy)
+	f.Add(legacy[:36])
+	f.Add(append(append([]byte(nil), valid...), u64b(0)...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h, err := ParseFrame(data)
 		if err == nil {

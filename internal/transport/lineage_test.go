@@ -215,11 +215,19 @@ func TestLineageConnNextTraceMatchesWire(t *testing.T) {
 }
 
 // TestLineageFaultDeterminismUnchanged pins that enabling lineage does not
-// perturb the fault schedule or the delivered record log: the seeded fault
-// stream consumes the same dice either way.
+// perturb the fault schedule or anything delivered: frames are the same
+// bytes either way, so the seeded fault dice — the corrupt dice's bit pick
+// included — roll the same, and the record log, the bytes and coverage the
+// server saw, and the conn's own accounting are equal.
 func TestLineageFaultDeterminismUnchanged(t *testing.T) {
 	plan := FaultPlan{Seed: 9, Drop: 0.2, Dup: 0.1, Reorder: 0.1, Corrupt: 0.05}
-	run := func(withLineage bool) []detect.SliceRecord {
+	type outcome struct {
+		recs  []detect.SliceRecord
+		bytes int64
+		cov   server.Coverage
+		conn  ConnStats
+	}
+	run := func(withLineage bool) outcome {
 		srv := server.New()
 		o := obs.New()
 		if withLineage {
@@ -230,7 +238,7 @@ func TestLineageFaultDeterminismUnchanged(t *testing.T) {
 		link.SetObs(o)
 		conn := link.NewConn(0, Config{BatchSize: 4})
 		conn.BindClock(&fakeClock{})
-		for i := 0; i < 64; i++ {
+		for i := 0; i < 256; i++ {
 			if err := conn.OnSlice(rec(0, i)); err != nil {
 				t.Fatal(err)
 			}
@@ -240,15 +248,22 @@ func TestLineageFaultDeterminismUnchanged(t *testing.T) {
 		}
 		recs := srv.Records()
 		sortRecords(recs)
-		return recs
+		return outcome{recs, srv.BytesReceived(), srv.Coverage(), conn.Stats()}
 	}
 	off, on := run(false), run(true)
-	if len(off) != len(on) {
-		t.Fatalf("record counts diverge: lineage-off %d, lineage-on %d", len(off), len(on))
+	if off.cov.ChecksumErrors == 0 {
+		t.Fatalf("plan corrupted nothing: %+v", off.cov)
 	}
-	for i := range off {
-		if off[i] != on[i] {
-			t.Fatalf("record %d diverges: %+v vs %+v", i, off[i], on[i])
+	if len(off.recs) != len(on.recs) {
+		t.Fatalf("record counts diverge: lineage-off %d, lineage-on %d", len(off.recs), len(on.recs))
+	}
+	for i := range off.recs {
+		if off.recs[i] != on.recs[i] {
+			t.Fatalf("record %d diverges: %+v vs %+v", i, off.recs[i], on.recs[i])
 		}
+	}
+	if off.bytes != on.bytes || off.cov != on.cov || off.conn != on.conn {
+		t.Fatalf("lineage perturbed delivery:\n off: %d B %+v %+v\n  on: %d B %+v %+v",
+			off.bytes, off.cov, off.conn, on.bytes, on.cov, on.conn)
 	}
 }

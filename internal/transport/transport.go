@@ -521,12 +521,7 @@ func (c *Conn) OnSlice(r detect.SliceRecord) error {
 // NextTrace returns the lineage trace ID of the frame the next buffered
 // record will leave in, or 0 when unsampled or lineage is off. Records
 // buffered now leave in frame seq+1. Implements detect.TraceSource.
-func (c *Conn) NextTrace() uint64 {
-	if lin := c.link.lin; lin != nil {
-		return lin.TraceID(c.rank, c.seq+1)
-	}
-	return 0
-}
+func (c *Conn) NextTrace() uint64 { return c.link.lin.TraceID(c.rank, c.seq+1) }
 
 // Flush first retries parked frames, then sends the buffered records as one
 // new sequenced frame. The returned error reports backpressure loss
@@ -575,14 +570,13 @@ func (c *Conn) flush(force bool) error {
 		}
 		c.seq++
 		c.cum += uint64(n)
-		h := server.FrameHeader{Rank: c.rank, Seq: c.seq, CumRecords: c.cum}
 		if lin := c.link.lin; lin != nil {
-			if h.TraceID = lin.TraceID(c.rank, c.seq); h.TraceID != 0 {
+			if trace := lin.TraceID(c.rank, c.seq); trace != 0 {
 				lin.FrameSampled()
-				lin.Record(h.TraceID, obs.StageEnqueue, c.rank, 0, nowUnixNs(), 0, int64(n))
+				lin.Record(trace, obs.StageEnqueue, c.rank, 0, nowUnixNs(), 0, int64(n))
 			}
 		}
-		c.enc = server.AppendFrame(c.enc[:0], h, c.buf[:n])
+		c.enc = server.AppendFrame(c.enc[:0], server.FrameHeader{Rank: c.rank, Seq: c.seq, CumRecords: c.cum}, c.buf[:n])
 		c.recordsSent += int64(n)
 		c.buf = c.buf[:copy(c.buf, c.buf[n:])]
 		c.link.obsFrames.Inc()
@@ -609,13 +603,10 @@ func (c *Conn) transmit(frame []byte, maxRetries int) error {
 // parked one waits that timeout out too before its turn ends (chargeLast) —
 // the two schedules every seeded run's virtual time is built on.
 func (c *Conn) try(frame []byte, maxRetries int, chargeLast bool) bool {
+	// Parked frames hold raw bytes; the lineage trace is re-derived from
+	// the frame header so retransmits stay on the record's journey.
 	lin := c.link.lin
-	var trace uint64
-	if lin != nil {
-		// Parked frames hold raw bytes; the lineage trace is re-derived from
-		// the encoded frame so retransmits stay on the record's journey.
-		trace = server.TraceOf(frame)
-	}
+	trace := server.TraceOf(lin, frame)
 	backoff := c.cfg.BackoffBaseNs
 	for try := 0; ; try++ {
 		var t0 int64
@@ -711,7 +702,7 @@ func (c *Conn) reclaim() error {
 			charged := c.cfg.TimeoutNs + c.cfg.BackoffBaseNs
 			c.charge(charged)
 			if lin := c.link.lin; lin != nil {
-				if trace := server.TraceOf(frame); trace != 0 {
+				if trace := server.TraceOf(lin, frame); trace != 0 {
 					lin.Record(trace, obs.StageRetry, c.rank, 1, nowUnixNs(), 0, charged)
 				}
 			}

@@ -11,23 +11,29 @@ import (
 	"vsensor/internal/transport"
 )
 
-// lineageRun executes the full pipeline over the faulty transport with the
-// durable server and lineage sampling enabled, then closes all reachable
-// epochs with one final query (epochs close only when an analysis query
-// passes the watermark over them, so close/verdict spans need it).
-func lineageRun(t *testing.T, cfg obs.LineageConfig) *vsensor.Report {
-	t.Helper()
-	rep, err := vsensor.Run(lossySrc, vsensor.Options{
+// lossyDurable is the lineage tests' run: the full pipeline over a faulty
+// transport into the durable server.
+func lossyDurable(lin *obs.LineageConfig) vsensor.Options {
+	return vsensor.Options{
 		Ranks:   8,
 		Cluster: lossyCluster(),
-		Faults:  &transport.FaultPlan{Seed: 5, Drop: 0.2, Dup: 0.05, Reorder: 0.1},
+		Faults:  &transport.FaultPlan{Seed: 5, Drop: 0.2, Dup: 0.05, Reorder: 0.1, Corrupt: 0.05},
 		// Fine slices so the run spans many epochs and the watermark can
 		// pass over early ones.
 		Detect:     detect.Config{SliceNs: 50_000},
 		BatchSize:  4,
 		Durability: &server.DurabilityConfig{},
-		Lineage:    &cfg,
-	})
+		Lineage:    lin,
+	}
+}
+
+// lineageRun executes lossyDurable with lineage sampling enabled, then
+// closes all reachable epochs with one final query (epochs close only when
+// an analysis query passes the watermark over them, so close/verdict spans
+// need it).
+func lineageRun(t *testing.T, cfg obs.LineageConfig) *vsensor.Report {
+	t.Helper()
+	rep, err := vsensor.Run(lossySrc, lossyDurable(&cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,5 +173,72 @@ func TestLineageAutoObs(t *testing.T) {
 	}
 	if !sawEmit || !sawIngest {
 		t.Fatalf("direct path spans: emit=%v ingest=%v, want both", sawEmit, sawIngest)
+	}
+}
+
+// TestLineageIsAnObserver pins that tracing every frame perturbs nothing it
+// observes: no trace travels on the wire, so the fault dice roll the same
+// and the run, the server's log, bytes and coverage, the journal and the
+// link's delivery accounting are equal with lineage off and on. The listen
+// row crosses a real socket, where the journey still joins up: each side
+// derives the trace from the frame header with the sampler it shares.
+func TestLineageIsAnObserver(t *testing.T) {
+	for _, row := range []struct{ name, listen string }{{"inproc", ""}, {"listen", "127.0.0.1:0"}} {
+		t.Run(row.name, func(t *testing.T) {
+			run := func(lin *obs.LineageConfig) (*vsensor.Report, *obs.Obs) {
+				opt := lossyDurable(lin)
+				opt.Listen = row.listen
+				opt.Obs = obs.New()
+				rep, err := vsensor.Run(lossySrc, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return rep, opt.Obs
+			}
+			off, offObs := run(nil)
+			on, onObs := run(&obs.LineageConfig{SampleEvery: 1})
+			if a, b := off.Result.TotalNs, on.Result.TotalNs; a != b {
+				t.Errorf("TotalNs %d vs %d", a, b)
+			}
+			sameRecords(t, sortedRecords(on.Server.Records()), sortedRecords(off.Server.Records()))
+			if a, b := off.DataVolume(), on.DataVolume(); a != b {
+				t.Errorf("DataVolume %d vs %d", a, b)
+			}
+			if a, b := off.Coverage(), on.Coverage(); a != b || a.ChecksumErrors == 0 {
+				t.Errorf("coverage (want equal, with checksum rejects):\n off: %+v\n  on: %+v", a, b)
+			}
+			if a, b := off.Durability().WALBytes, on.Durability().WALBytes; a != b {
+				t.Errorf("WAL bytes %d vs %d", a, b)
+			}
+			// Per-rank Conn stats sum into the link's counters.
+			for _, name := range []string{
+				"transport_frames_total", "transport_acked_total", "transport_retries_total",
+				"transport_parked_total", "transport_records_lost_total",
+			} {
+				if a, b := offObs.Counter(name).Value(), onObs.Counter(name).Value(); a != b {
+					t.Errorf("%s %d vs %d", name, a, b)
+				}
+			}
+			stages := map[uint64]map[obs.Stage]bool{}
+			spans, _ := on.Lineage().Snapshot(nil, 0)
+			for _, sp := range spans {
+				if stages[sp.Trace] == nil {
+					stages[sp.Trace] = map[obs.Stage]bool{}
+				}
+				stages[sp.Trace][sp.Stage] = true
+			}
+			ingested := 0
+			for tr, m := range stages {
+				if m[obs.StageIngest] {
+					ingested++
+					if !m[obs.StageEnqueue] {
+						t.Fatalf("trace %#x has a server_ingest span but no enqueue span", tr)
+					}
+				}
+			}
+			if ingested == 0 {
+				t.Fatal("no server_ingest span at SampleEvery=1")
+			}
+		})
 	}
 }

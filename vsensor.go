@@ -148,15 +148,15 @@ type Options struct {
 	Trace bool
 
 	// Lineage enables end-to-end record-lineage tracing: a seeded
-	// deterministic sampler stamps ~1/SampleEvery frames with a trace ID
-	// that travels in the wire format (the vSF2 extension), and every hop
-	// of a sampled record's journey — emit, enqueue, delivery attempts and
-	// retries, server ingest, dedup, WAL append/sync, snapshot, epoch
-	// close, verdict — lands in a bounded in-memory flight recorder
-	// (obs.FlightRecorder) with per-stage latency histograms + exemplars.
-	// Requires Obs; one is created automatically when nil. Nil disables
-	// lineage entirely — the wire bytes are then exactly the lineage-off
-	// encoding and no hop ever reads the clock.
+	// deterministic sampler picks ~1/SampleEvery frames by (rank, seq), and
+	// every hop of a sampled record's journey — emit, enqueue, delivery
+	// attempts and retries, server ingest, dedup, WAL append/sync,
+	// snapshot, epoch close, verdict — derives the same trace ID from the
+	// frame header and lands its span in a bounded in-memory flight
+	// recorder (obs.FlightRecorder) with per-stage latency histograms +
+	// exemplars. Requires Obs; one is created automatically when nil. No
+	// byte on the wire or in the journal changes either way; nil disables
+	// lineage entirely, and then no hop ever reads the clock.
 	Lineage *obs.LineageConfig
 
 	// Obs attaches the self-observability layer (internal/obs): pipeline
@@ -384,7 +384,10 @@ func RunProgram(prog *ir.Program, opt Options) (*Report, error) {
 			// it wipes the server, leaving it runs WAL recovery.
 			srv := rep.Server
 			rep.Link.SetCrashHooks(
+				// Crash errs only without durability, which this branch has.
 				func() { _ = srv.Crash() },
+				// Recover errs only on a missing disk file; the link crashes
+				// the server before it ever recovers it.
 				func() { _, _ = srv.Recover() },
 			)
 		}
