@@ -34,7 +34,6 @@ import (
 	"vsensor/internal/transport"
 	"vsensor/internal/validate"
 	"vsensor/internal/vis"
-	"vsensor/internal/vm"
 )
 
 func usage() {
@@ -77,16 +76,10 @@ var (
 
 	faults = flag.String("faults", "", "inject record-transport faults, e.g. "+
 		"drop=0.2,dup=0.05,reorder=0.1,corrupt=0.02,delay=20us,seed=7,crashafter=100,crashdown=20")
-	batchSize    = flag.Int("batch", 0, "records per analysis-server batch/frame (0 = default 64; 1 disables batching)")
-	retryMax     = flag.Int("retry-max", 0, "transport delivery retries per batch before it parks in the retransmit buffer (0 = default 8)")
-	retryTimeout = flag.Duration("retry-timeout", 0, "virtual ack timeout charged per failed transport attempt (0 = default 50µs)")
-	retryBackoff = flag.Duration("retry-backoff", 0, "initial transport retry backoff, doubling per retry (0 = default 20µs)")
-	bufferCap    = flag.Int("buffer-cap", 0, "transport retransmit-buffer cap per rank; oldest frame dropped beyond it (0 = default 64)")
+	batchSize = flag.Int("batch", 0, "records per analysis-server batch/frame (0 = default 64; 1 disables batching)")
 
 	lineage      = flag.Bool("lineage", false, "enable record-lineage tracing: deterministically sample frames and record every hop of their journey in the flight recorder")
 	lineageEvery = flag.Uint64("lineage-every", 0, "sample one frame in N for lineage (0 = default 256; 1 traces every frame)")
-	lineageSeed  = flag.Uint64("lineage-seed", 0, "lineage sampler seed; same seed + workload = same sampled set")
-	flightCap    = flag.Int("flight-cap", 0, "flight-recorder span capacity, rounded up to a power of two (0 = default 4096)")
 	traceID      = flag.String("trace-id", "", "restrict 'vsensor trace' to one hex trace ID")
 
 	wal           = flag.Bool("wal", false, "make the analysis server durable: WAL + snapshots; crashafter faults wipe and recover it")
@@ -97,25 +90,20 @@ var (
 	connectAddr = flag.String("connect", "", "deliver records over TCP to an external 'vsensor serve' analysis service at this address (the run then has no in-process server)")
 	runIDFlag   = flag.String("run-id", "", "run identifier for the networked session (needs -connect; default 'local')")
 
-	dialRetryBudget  = flag.Duration("dial-retry-budget", 0, "retry budget of the self-healing -connect session: for the first dial (vSE1 retry-after refusals only; network errors fail fast) and per later outage (0 = default 10s; needs -connect)")
-	dialRetryBackoff = flag.Duration("dial-retry-backoff", 0, "first dial-retry backoff, doubling with jitter per attempt when the server sends no retry-after hint (0 = default 5ms; needs -connect)")
+	dialRetryBudget = flag.Duration("dial-retry-budget", 0, "retry budget of the self-healing -connect session: for the first dial (vSE1 retry-after refusals only; network errors fail fast) and per later outage (0 = default 10s; needs -connect)")
 )
 
-// applyTransport maps the -faults / retry / server knobs onto the run
-// options, rejecting nonsense values before the pipeline sees them.
+// applyTransport maps the -faults / batch / lease / server / lineage knobs
+// onto the run options, rejecting nonsense values before the pipeline sees
+// them.
 func applyTransport(opts *vsensor.Options) {
 	if *serverShards < 0 {
 		fatal(fmt.Errorf("bad -server-shards %d: shard count cannot be negative", *serverShards))
 	}
 	opts.ServerShards = *serverShards
-	if *retryMax < 0 || *bufferCap < 0 || *retryTimeout < 0 || *retryBackoff < 0 {
-		fatal(fmt.Errorf("transport knobs must be >= 0 (retry-max %d, buffer-cap %d, retry-timeout %s, retry-backoff %s)",
-			*retryMax, *bufferCap, *retryTimeout, *retryBackoff))
-	}
 	if *batchSize < 0 {
 		fatal(fmt.Errorf("bad -batch %d: batch size cannot be negative", *batchSize))
 	}
-	opts.BatchSize = *batchSize
 	if *snapshotEvery != 0 && !*wal {
 		fatal(fmt.Errorf("-snapshot-every %d needs -wal (there is no journal to checkpoint)", *snapshotEvery))
 	}
@@ -142,19 +130,15 @@ func applyTransport(opts *vsensor.Options) {
 	}
 	opts.Connect = *connectAddr
 	opts.RunID = *runIDFlag
-	if *dialRetryBudget < 0 || *dialRetryBackoff < 0 {
-		fatal(fmt.Errorf("dial-retry knobs must be >= 0 (dial-retry-budget %s, dial-retry-backoff %s)",
-			*dialRetryBudget, *dialRetryBackoff))
+	if *dialRetryBudget < 0 {
+		fatal(fmt.Errorf("bad -dial-retry-budget %s: budget cannot be negative", *dialRetryBudget))
 	}
-	if *dialRetryBudget != 0 || *dialRetryBackoff != 0 {
+	if *dialRetryBudget != 0 {
 		if *connectAddr == "" {
-			fatal(fmt.Errorf("-dial-retry-budget/-dial-retry-backoff need -connect (there is no networked dial to shape)"))
+			fatal(fmt.Errorf("-dial-retry-budget needs -connect (there is no networked dial to shape)"))
 		}
-		opts.Reconnect = &netsrv.ReconnectConfig{
-			Retry: netsrv.RetryPolicy{MaxElapsed: *dialRetryBudget, BackoffBase: *dialRetryBackoff},
-		}
+		opts.Reconnect = &netsrv.ReconnectConfig{Retry: netsrv.RetryPolicy{MaxElapsed: *dialRetryBudget}}
 	}
-	transportTuned := *retryMax != 0 || *retryTimeout != 0 || *retryBackoff != 0 || *bufferCap != 0 || *lease != 0
 	if *faults != "" {
 		plan, err := transport.ParsePlan(*faults)
 		if err != nil {
@@ -162,39 +146,15 @@ func applyTransport(opts *vsensor.Options) {
 		}
 		opts.Faults = &plan
 	}
-	if transportTuned {
-		opts.Transport = &transport.Config{
-			MaxRetries:    *retryMax,
-			TimeoutNs:     retryTimeout.Nanoseconds(),
-			BackoffBaseNs: retryBackoff.Nanoseconds(),
-			BufferCap:     *bufferCap,
-			LeaseNs:       lease.Nanoseconds(),
-		}
-	}
+	opts.Transport = &transport.Config{BatchSize: *batchSize, LeaseNs: lease.Nanoseconds()}
 	if *wal {
-		opts.Durability = &server.DurabilityConfig{
-			SnapshotEvery: *snapshotEvery,
-			FlushEvery:    *flushEvery,
-		}
+		opts.Durability = &server.DurabilityConfig{SnapshotEvery: *snapshotEvery, FlushEvery: *flushEvery}
 	}
-	applyLineage(opts)
-}
-
-// applyLineage maps the -lineage knobs onto the run options.
-func applyLineage(opts *vsensor.Options) {
-	if !*lineage {
-		if *lineageEvery != 0 || *lineageSeed != 0 || *flightCap != 0 {
-			fatal(fmt.Errorf("-lineage-every/-lineage-seed/-flight-cap need -lineage"))
-		}
-		return
+	if *lineageEvery != 0 && !*lineage {
+		fatal(fmt.Errorf("-lineage-every needs -lineage"))
 	}
-	if *flightCap < 0 {
-		fatal(fmt.Errorf("bad -flight-cap %d: capacity cannot be negative", *flightCap))
-	}
-	opts.Lineage = &obs.LineageConfig{
-		SampleEvery: *lineageEvery,
-		Seed:        *lineageSeed,
-		FlightCap:   *flightCap,
+	if *lineage {
+		opts.Lineage = &obs.LineageConfig{SampleEvery: *lineageEvery}
 	}
 }
 
@@ -464,8 +424,7 @@ func doValidate(src string, acfg analysis.Config, icfg instrument.Config) {
 			v.Sensor, v.Rank, v.Ps(), v.Executions)
 	}
 	// Network sensors: message-size constancy from the traced events.
-	events := collectEvents(rep)
-	fixed, violations := validate.NetSizes(events)
+	fixed, violations := validate.NetSizes(rep.TraceEvents())
 	if fixed {
 		fmt.Println("network operations: all message sizes constant")
 	} else {
@@ -473,15 +432,6 @@ func doValidate(src string, acfg analysis.Config, icfg instrument.Config) {
 			fmt.Printf("VIOLATION: varying message size at %s\n", v)
 		}
 	}
-}
-
-func collectEvents(rep *vsensor.Report) []vm.Event {
-	if rep.Tracer == nil {
-		return nil
-	}
-	// The tracer stores events internally; re-decode them from its
-	// encoding-independent accessor.
-	return rep.TraceEvents()
 }
 
 // doScenario runs a built-in evaluation scenario end-to-end.

@@ -10,6 +10,7 @@ import (
 	"vsensor/internal/apps"
 	"vsensor/internal/cluster"
 	"vsensor/internal/ir"
+	"vsensor/internal/transport"
 	"vsensor/internal/vis"
 )
 
@@ -41,7 +42,7 @@ func TestEngineInvariance(t *testing.T) {
 			cl.SetOSNoise(150_000, 15_000, 0.25)
 			cl.AddCPUNoise(1, 200_000, 900_000, 0.35)
 			rep, err := vsensor.Run(app.Source, vsensor.Options{
-				Ranks: 8, Cluster: cl, Seed: 42, PMUJitterPct: 0.004, BatchSize: 32,
+				Ranks: 8, Cluster: cl, Seed: 42, PMUJitterPct: 0.004, Transport: &transport.Config{BatchSize: 32},
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -35,7 +35,7 @@ func main() {
 		// Batch of 8 so ranks flush mid-run: retry and backoff delays on the
 		// lossy link are charged to the ranks' virtual clocks while the job
 		// is still executing, not just at the final drain.
-		rep, _, err := vsensor.RunScenario(name, vsensor.Options{Faults: faults, BatchSize: 8, Lineage: lineage})
+		rep, _, err := vsensor.RunScenario(name, vsensor.Options{Faults: faults, Transport: &transport.Config{BatchSize: 8}, Lineage: lineage})
 		if err != nil {
 			log.Fatal(err)
 		}

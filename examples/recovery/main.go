@@ -43,9 +43,8 @@ func main() {
 		Ranks:      ranks,
 		Cluster:    cl,
 		Faults:     plan,
-		BatchSize:  8,
 		Durability: &server.DurabilityConfig{SnapshotEvery: 64},
-		Transport:  &transport.Config{LeaseNs: 1_000_000}, // 1ms lease, heartbeat every 0.5ms
+		Transport:  &transport.Config{BatchSize: 8, LeaseNs: 1_000_000}, // 1ms lease, heartbeat every 0.5ms
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -8,6 +8,7 @@ import (
 	"vsensor/internal/cluster"
 	"vsensor/internal/detect"
 	"vsensor/internal/instrument"
+	"vsensor/internal/transport"
 )
 
 // measureAblations sweeps the design choices of §4/§5 on mini-CG.
@@ -85,7 +86,7 @@ func measureAblations(size Size) (Result, error) {
 	s.printf("\n### A4 — analysis-server batching\n\n| Batch | Messages | Bytes |\n|---|---|---|\n")
 	var msgs, bytes [2]int64
 	for i, batch := range []int{1, 64} {
-		rep, err := vsensor.Run(src, vsensor.Options{Ranks: p.ranks, BatchSize: batch})
+		rep, err := vsensor.Run(src, vsensor.Options{Ranks: p.ranks, Transport: &transport.Config{BatchSize: batch}})
 		if err != nil {
 			return Result{}, fmt.Errorf("batch %d: %w", batch, err)
 		}

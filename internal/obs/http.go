@@ -58,20 +58,14 @@ func (o *Obs) Handler() http.Handler {
 			})
 			return
 		}
-		body := map[string]any{
-			"uptime_seconds": o.UptimeSeconds(),
-			"running":        false,
-		}
-		if st, ok := o.statusSnapshot(); ok {
-			body["running"] = true
-			body["run"] = st
-		}
+		body := statusBody{UptimeSeconds: o.UptimeSeconds()}
+		body.Run, body.Running = o.statusSnapshot()
 		writeJSON(w, body)
 	})
 	mux.HandleFunc("/outliers", func(w http.ResponseWriter, r *http.Request) {
 		cur, wait := o.reportProviders()
 		if cur == nil {
-			writeJSON(w, map[string]any{"enabled": false})
+			writeJSON(w, enabledBody{})
 			return
 		}
 		o.serveConditional(w, r, cur, wait, (*ReportSnapshot).OutliersBody)
@@ -95,7 +89,7 @@ func (o *Obs) Handler() http.Handler {
 	mux.HandleFunc("/debug/flight", func(w http.ResponseWriter, r *http.Request) {
 		lin := o.Lineage()
 		if lin == nil {
-			writeJSON(w, map[string]any{"enabled": false})
+			writeJSON(w, enabledBody{})
 			return
 		}
 		var cursor uint64
@@ -111,13 +105,8 @@ func (o *Obs) Handler() http.Handler {
 		if spans == nil {
 			spans = []FlightSpan{}
 		}
-		writeJSON(w, map[string]any{
-			"enabled":   true,
-			"stats":     lin.Stats(),
-			"cursor":    next,
-			"spans":     spans,
-			"exemplars": o.Registry().HistogramExemplars("lineage_stage_ns"),
-		})
+		writeJSON(w, flightBody{Cursor: next, Enabled: true, Spans: spans, Stats: lin.Stats(),
+			Exemplars: o.Registry().HistogramExemplars("lineage_stage_ns")})
 	})
 	return mux
 }
@@ -151,7 +140,7 @@ func waitTimeout(r *http.Request) time.Duration {
 func (o *Obs) serveConditional(w http.ResponseWriter, r *http.Request, cur func() *ReportSnapshot, wait func(uint64, time.Duration) *ReportSnapshot, render func(*ReportSnapshot) ([]byte, error)) {
 	sn := cur()
 	if sn == nil {
-		writeJSON(w, map[string]any{"running": false})
+		writeJSON(w, statusBody{})
 		return
 	}
 	inm := r.Header.Get("If-None-Match")
@@ -173,6 +162,30 @@ func (o *Obs) serveConditional(w http.ResponseWriter, r *http.Request, cur func(
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(body) //nolint:errcheck // client may be gone
 }
+
+// The /status, /outliers and /debug/flight bodies, fields in key order so
+// the bytes are those of the equivalent sorted-key object. A statusBody
+// has Gen only from a report provider and is bare {"running":false} before
+// the provider has a snapshot; enabledBody is the answer of an endpoint
+// whose source is off.
+type (
+	statusBody struct {
+		Gen           *uint64 `json:"gen,omitempty"`
+		Run           any     `json:"run,omitempty"`
+		Running       bool    `json:"running"`
+		UptimeSeconds float64 `json:"uptime_seconds,omitempty"`
+	}
+	enabledBody struct {
+		Enabled bool `json:"enabled"`
+	}
+	flightBody struct {
+		Cursor    uint64                `json:"cursor"`
+		Enabled   bool                  `json:"enabled"`
+		Exemplars map[string][]Exemplar `json:"exemplars"`
+		Spans     []FlightSpan          `json:"spans"`
+		Stats     LineageStats          `json:"stats"`
+	}
+)
 
 // recordsBody is every /records response.
 type recordsBody struct {

@@ -42,12 +42,7 @@ func (sn *ReportSnapshot) StatusBody(uptime float64) ([]byte, error) {
 	sn.mu.Lock()
 	defer sn.mu.Unlock()
 	if sn.statusJSON == nil {
-		data, err := json.Marshal(map[string]any{
-			"uptime_seconds": uptime,
-			"running":        true,
-			"gen":            sn.Gen,
-			"run":            sn.Status,
-		})
+		data, err := json.Marshal(statusBody{Gen: &sn.Gen, Run: sn.Status, Running: true, UptimeSeconds: uptime})
 		if err != nil {
 			return nil, err
 		}

@@ -17,79 +17,15 @@ import (
 	"vsensor/internal/storage"
 )
 
-// wireReadReport wires a server's versioned snapshot into an obs HTTP
-// handler the way the facade does: one obs.ReportSnapshot wrapper per
-// generation, fully deterministic payloads (no clocks), so two responses at
-// the same generation must be byte-identical. Returns the handler and the
-// wrapper for building reference renders.
-func wireReadReport(s *Server) (http.Handler, func(*ReportSnapshot) *obs.ReportSnapshot) {
+// wireReadReport serves a server's versioned snapshot over an obs HTTP
+// handler through the same installer the facade uses, minus the facade's
+// static run fields. The payloads are fully deterministic (no clocks), so
+// two responses at the same generation must be byte-identical.
+func wireReadReport(s *Server) http.Handler {
 	o := obs.New()
 	s.SetObs(o)
-	var mu sync.Mutex
-	var last *obs.ReportSnapshot
-	wrap := func(sn *ReportSnapshot) *obs.ReportSnapshot {
-		if sn == nil {
-			return nil
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		if last != nil && last.Gen == sn.Gen {
-			return last
-		}
-		last = &obs.ReportSnapshot{
-			Gen:      sn.Gen,
-			Status:   statusPayload(sn),
-			Outliers: outlierPayload(sn),
-			Records: func(cursor int) (any, int, int, bool) {
-				recs, next, base, ok := sn.RecordsWindow(cursor)
-				return recs, next, base, ok
-			},
-		}
-		return last
-	}
-	o.SetReport(
-		func() *obs.ReportSnapshot { return wrap(s.Snapshot()) },
-		func(after uint64, timeout time.Duration) *obs.ReportSnapshot {
-			return wrap(s.WaitSnapshot(after, timeout))
-		},
-	)
-	return o.Handler(), wrap
-}
-
-// statusPayload mirrors the facade's /status "run" payload, minus the
-// static option fields (which cannot vary by generation anyway).
-func statusPayload(sn *ReportSnapshot) map[string]any {
-	st := map[string]any{
-		"gen":          sn.Gen,
-		"ticket":       sn.Ticket,
-		"watermark_ns": sn.WatermarkNs,
-		"progress":     sn.Progress,
-		"per_rank":     sn.PerRank,
-		"coverage":     sn.Coverage,
-		"per_shard":    sn.PerShard,
-		"epochs":       sn.Epochs,
-		"liveness":     sn.Liveness,
-	}
-	if sn.Durability.Enabled {
-		st["durability"] = sn.Durability
-		st["down"] = sn.Down
-	}
-	return st
-}
-
-func outlierPayload(sn *ReportSnapshot) map[string]any {
-	outliers := sn.Report.Outliers
-	if outliers == nil {
-		outliers = []Outlier{}
-	}
-	return map[string]any{
-		"gen":          sn.Gen,
-		"threshold":    sn.Threshold,
-		"watermark_ns": sn.WatermarkNs,
-		"outliers":     outliers,
-		"degraded":     sn.Report.Degraded,
-		"confidence":   sn.Report.Confidence,
-	}
+	s.ServeReport(o, nil)
+	return o.Handler()
 }
 
 func httpGet(t *testing.T, h http.Handler, path, inm string) *httptest.ResponseRecorder {
@@ -216,7 +152,7 @@ func TestRecordsWindowAfterRecoveryTruncation(t *testing.T) {
 	// crash loses the whole staged tail and recovery comes back with an empty
 	// (shorter) log.
 	s.AttachDurability(DurabilityConfig{Disk: storage.NewDisk(storage.Faults{}), FlushEvery: 1 << 20, FlushBytes: 1 << 30})
-	h, _ := wireReadReport(s)
+	h := wireReadReport(s)
 	feedFrames(t, s, 3, 6)
 	pre := s.Snapshot()
 	if pre.Total() == 0 {
@@ -362,7 +298,7 @@ func TestReadSnapshotConformance(t *testing.T) {
 				s.AttachDurability(DurabilityConfig{Disk: storage.NewDisk(storage.Faults{})})
 			}
 			s.SetSnapshotThreshold(threshold)
-			h, _ := wireReadReport(s)
+			h := wireReadReport(s)
 
 			// Racing pollers: each walks /status, /outliers, and /records
 			// during ingest, asserting monotone generations and gap-free
@@ -524,7 +460,7 @@ func TestReadSnapshotConformance(t *testing.T) {
 			if o1.Body.String() != o2.Body.String() {
 				t.Fatalf("trial %d: two /outliers GETs at one generation differ", trial)
 			}
-			want, err := json.Marshal(outlierPayload(sn))
+			want, err := json.Marshal(sn.OutliersView())
 			if err != nil {
 				t.Fatal(err)
 			}

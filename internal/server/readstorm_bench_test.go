@@ -180,7 +180,7 @@ func BenchmarkReadStorm(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					b.StopTimer()
 					s := NewSharded(DefaultShards)
-					h, _ := wireReadReport(s)
+					h := wireReadReport(s)
 					hptr.Store(&h)
 					b.StartTimer()
 					for _, frames := range rounds {

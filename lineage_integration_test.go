@@ -21,7 +21,7 @@ func lossyDurable(lin *obs.LineageConfig) vsensor.Options {
 		// Fine slices so the run spans many epochs and the watermark can
 		// pass over early ones.
 		Detect:     detect.Config{SliceNs: 50_000},
-		BatchSize:  4,
+		Transport:  &transport.Config{BatchSize: 4},
 		Durability: &server.DurabilityConfig{},
 		Lineage:    lin,
 	}

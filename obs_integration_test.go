@@ -11,13 +11,17 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
 
 	vsensor "vsensor"
+	"vsensor/internal/netsrv"
 	"vsensor/internal/obs"
 	"vsensor/internal/server"
+	"vsensor/internal/transport"
 )
 
 const obsTestSrc = `
@@ -285,6 +289,166 @@ func TestObsLiveEndpointAgainstRun(t *testing.T) {
 	if len(r2.Records) != 0 || r2.Cursor != total {
 		t.Errorf("re-poll returned %d records (cursor %d): records must be delivered exactly once",
 			len(r2.Records), r2.Cursor)
+	}
+}
+
+// getJSON serves path from h and decodes the JSON object it answers.
+func getJSON(t *testing.T, h http.Handler, path string) map[string]any {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("%s -> %d", path, rec.Code)
+	}
+	var m map[string]any
+	if err := json.Unmarshal(rec.Body.Bytes(), &m); err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	return m
+}
+
+// /status reports the batch the run used, not the raw option: the default
+// when Transport leaves it unset, else Transport's. It used to read a
+// separate Options.BatchSize and report 0 for both of these runs.
+func TestObsStatusReportsEffectiveBatchSize(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opt  vsensor.Options
+		want float64
+	}{
+		{"default", vsensor.Options{}, server.DefaultBatchSize},
+		{"transport", vsensor.Options{Transport: &transport.Config{BatchSize: 4}}, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			o := obs.New()
+			tc.opt.Ranks, tc.opt.Obs = 4, o
+			if _, err := vsensor.Run(obsTestSrc, tc.opt); err != nil {
+				t.Fatal(err)
+			}
+			run, _ := getJSON(t, o.Handler(), "/status")["run"].(map[string]any)
+			if got := run["batch_size"]; got != tc.want {
+				t.Errorf("run.batch_size = %v, want %v", got, tc.want)
+			}
+		})
+	}
+}
+
+// The server half of a /status "run" body (everything but liveness) that
+// the seeded runs of TestStatusShape share.
+const shapeServerRun = `"coverage":{"ChecksumErrors":0,"DupFrames":0,"ExpectedFrames":4,"ExpectedRecords":24,"IngestedFrames":4,"IngestedRecords":24,"RejectedFrames":0},` +
+	`"epochs":{"Closed":4,"Open":2},"gen":1,` +
+	`"per_rank":[{"LatestSliceNs":2000000,"Rank":0,"Records":6},{"LatestSliceNs":2000000,"Rank":1,"Records":6},{"LatestSliceNs":2000000,"Rank":2,"Records":6},{"LatestSliceNs":2000000,"Rank":3,"Records":6}],` +
+	`"per_shard":[{"DupFrames":0,"ExpectedRecords":12,"Frames":2,"Ranks":2,"Records":12,"Shard":0},{"DupFrames":0,"ExpectedRecords":12,"Frames":2,"Ranks":2,"Records":12,"Shard":1}],` +
+	`"progress":{"Bytes":1088,"LatestSliceNs":2000000,"Messages":4,"Records":24},"ticket":4,"watermark_ns":2000000,` +
+	`"server_shards":2,`
+
+// The run's own fields, and the session stats of a networked run.
+const (
+	shapeStaticRun = `"batch_size":0,"probe_cost_ns":25,"ranks":4,"sensors":2,"uninstrumented":false`
+	shapeReconnect = `"reconnect":{"BackoffNs":0,"DialAttempts":1,"InFlight":0,"LSN":4,"Outages":0,"Reconnects":0,"Refusals":0,"Resumed":0},`
+	shapeOutliers  = `{"confidence":1,"dead_ranks":[],"degraded":false,"gen":1,"outliers":[],"threshold":0.9,"watermark_ns":2000000}`
+)
+
+// TestStatusShape pins the /status "run" body and the /outliers body of one
+// seeded run per mode: their exact key sets and every value. The literals
+// are what the bodies were when they were hand-built maps, for the same
+// runs, with one deliberate difference: batch_size reported the raw option
+// (0 in every row) and now reports the effective batch. "$ADDR" stands for
+// the run's one ephemeral address. A Connect run has no local server, so no
+// server keys, no gen and no outlier report.
+func TestStatusShape(t *testing.T) {
+	svc, err := netsrv.Listen("127.0.0.1:0", netsrv.Config{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	for _, row := range []struct {
+		name          string
+		opt           vsensor.Options
+		run, outliers string
+	}{
+		{
+			name:     "inproc",
+			run:      `{` + shapeServerRun + `"liveness":{"Alive":4,"Dead":0,"FrontierNs":2000000,"Suspect":0},` + shapeStaticRun + `}`,
+			outliers: shapeOutliers,
+		},
+		{
+			name: "durable",
+			opt:  vsensor.Options{Durability: &server.DurabilityConfig{}, Transport: &transport.Config{LeaseNs: 50_000}},
+			run: `{` + shapeServerRun + `"liveness":{"Alive":4,"Dead":0,"FrontierNs":2550586,"Suspect":0},` +
+				`"down":false,"durability":{"CheckpointBytes":0,"CoalescedEntries":0,"DiskBytes":1352,"Enabled":true,"FlushBytes":65536,"FlushEvery":1,"Generation":0,"GroupCommits":8,"LSN":8,` +
+				`"LastRecovery":{"FramesReplayed":0,"LSN":0,"OutcomesReplayed":0,"RecordsRecovered":0,"SegmentsScanned":0,"SnapshotFallback":false,"SnapshotGen":0,"SnapshotLSN":0,"TruncatedBytes":0,"UsedSnapshot":false,"WALEntriesReplayed":0},` +
+				`"Recoveries":0,"SnapshotEvery":256,"Snapshots":0,"StagedBytes":0,"StagedEntries":0,"Syncs":8,"WALBytes":1352,"WALEntries":8},` +
+				shapeStaticRun + `}`,
+			outliers: shapeOutliers,
+		},
+		{
+			name: "listen",
+			opt:  vsensor.Options{Listen: "127.0.0.1:0"},
+			run: `{` + shapeServerRun + `"liveness":{"Alive":4,"Dead":0,"FrontierNs":2000000,"Suspect":0},"listen":"$ADDR",` +
+				`"net":{"accepted":1,"corrupt_envelopes":0,"frames_down":0,"frames_in":4,"frames_rejected":0,"peak_workers":1,"refused_badhello":0,"refused_runs":0,"refused_sessions":0,"refused_shutdown":0,"runs":1,"sessions":1,"sessions_open":0,"sessions_reaped":0,"shed":0,"workers":0},` +
+				shapeReconnect + shapeStaticRun + `}`,
+			outliers: shapeOutliers,
+		},
+		{
+			name:     "connect",
+			opt:      vsensor.Options{Connect: svc.Addr().String(), RunID: "shape"},
+			run:      `{` + shapeReconnect + `"remote":"$ADDR",` + shapeStaticRun + `}`,
+			outliers: `{"enabled":false}`,
+		},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			o := obs.New()
+			opt := row.opt
+			opt.Ranks, opt.ServerShards, opt.Seed, opt.Obs = 4, 2, 3, o
+			rep, err := vsensor.Run(obsTestSrc, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			addr := opt.Connect
+			if rep.Service != nil {
+				addr = rep.Service.Addr().String()
+			}
+			decode := func(lit string) map[string]any {
+				var m map[string]any
+				if err := json.Unmarshal([]byte(strings.ReplaceAll(lit, "$ADDR", addr)), &m); err != nil {
+					t.Fatalf("bad literal: %v", err)
+				}
+				return m
+			}
+			h := o.Handler()
+			st := getJSON(t, h, "/status")
+			if _, ok := st["gen"]; ok != (rep.Server != nil) {
+				t.Errorf("/status has gen = %v, want %v", ok, rep.Server != nil)
+			}
+			run, _ := st["run"].(map[string]any)
+			wantRun := decode(row.run)
+			wantRun["batch_size"] = float64(server.DefaultBatchSize)
+			shapeEqual(t, "/status run", run, wantRun)
+			shapeEqual(t, "/outliers", getJSON(t, h, "/outliers"), decode(row.outliers))
+		})
+	}
+}
+
+// shapeEqual fails unless got has exactly want's keys, each with want's
+// value.
+func shapeEqual(t *testing.T, what string, got, want map[string]any) {
+	t.Helper()
+	keys := func(m map[string]any) []string {
+		var ks []string
+		for k := range m {
+			ks = append(ks, k)
+		}
+		sort.Strings(ks)
+		return ks
+	}
+	if g, w := keys(got), keys(want); !reflect.DeepEqual(g, w) {
+		t.Fatalf("%s keys = %v, want %v", what, g, w)
+	}
+	for k, w := range want {
+		if !reflect.DeepEqual(got[k], w) {
+			t.Errorf("%s %q = %v, want %v", what, k, got[k], w)
+		}
 	}
 }
 

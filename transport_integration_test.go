@@ -35,7 +35,7 @@ func TestPipelineOverLossyTransport(t *testing.T) {
 		CrashAfterFrames: 30, CrashDownFrames: 10,
 	}
 	rep, err := vsensor.Run(lossySrc, vsensor.Options{
-		Ranks: 16, Cluster: lossyCluster(), Faults: plan, BatchSize: 8,
+		Ranks: 16, Cluster: lossyCluster(), Faults: plan, Transport: &transport.Config{BatchSize: 8},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -137,7 +137,7 @@ func TestTransportObsMetrics(t *testing.T) {
 	o := obs.New()
 	plan := &transport.FaultPlan{Seed: 4, Drop: 0.3, Corrupt: 0.05}
 	rep, err := vsensor.Run(lossySrc, vsensor.Options{
-		Ranks: 8, Cluster: lossyCluster(), Faults: plan, BatchSize: 4, Obs: o,
+		Ranks: 8, Cluster: lossyCluster(), Faults: plan, Transport: &transport.Config{BatchSize: 4}, Obs: o,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -66,10 +66,6 @@ type Options struct {
 	// (baseline runs for overhead measurements).
 	Uninstrumented bool
 
-	// BatchSize is the analysis-server client batch (default 64; 1
-	// disables batching).
-	BatchSize int
-
 	// ServerShards is the analysis server's ingest shard count (rounded up
 	// to a power of two; default server.DefaultShards). Each sender rank's
 	// flow state and record sub-log live on one shard, so more shards admit
@@ -77,8 +73,8 @@ type Options struct {
 	ServerShards int
 
 	// Transport tunes the reliable record link every instrumented run
-	// delivers over (retry, backoff, retransmit buffer). Nil uses the
-	// defaults.
+	// delivers over (batch size, retry, backoff, retransmit buffer, lease).
+	// Nil uses the defaults.
 	Transport *transport.Config
 
 	// Faults injects transport faults (drop/dup/reorder/delay/corrupt and
@@ -302,6 +298,10 @@ func RunProgram(prog *ir.Program, opt Options) (*Report, error) {
 		}
 	}
 
+	tcfg := transport.Config{}
+	if opt.Transport != nil {
+		tcfg = *opt.Transport
+	}
 	var mach *vm.Machine
 	var collectors []*recordCollector
 	var mu sync.Mutex
@@ -391,14 +391,6 @@ func RunProgram(prog *ir.Program, opt Options) (*Report, error) {
 				func() { _, _ = srv.Recover() },
 			)
 		}
-		tcfg := transport.Config{}
-		if opt.Transport != nil {
-			tcfg = *opt.Transport
-		}
-		if tcfg.BatchSize == 0 {
-			tcfg.BatchSize = opt.BatchSize
-		}
-
 		meta := make([]detect.Sensor, len(rep.Instrumented.Sensors))
 		for i, s := range rep.Instrumented.Sensors {
 			meta[i] = detect.Sensor{ID: s.ID, Type: s.Type, ProcessFixed: s.ProcessFixed, Name: s.Name}
@@ -447,53 +439,43 @@ func RunProgram(prog *ir.Program, opt Options) (*Report, error) {
 		// The providers outlive the run (an -http-hold endpoint keeps
 		// polling them), so they capture the handles they read, not opt
 		// and rep wholesale.
-		srv, svc, rs, remote := rep.Server, rep.Service, rep.Resilient, opt.Connect
-		ranks, uninstrumented, batch, probeCost := opt.Ranks, opt.Uninstrumented, opt.BatchSize, opt.ProbeCostNs
-		sensorCount := 0
-		if rep.Instrumented != nil {
-			sensorCount = len(rep.Instrumented.Sensors)
+		srv, svc, rs := rep.Server, rep.Service, rep.Resilient
+		static := runStatus{Ranks: opt.Ranks, Uninstrumented: opt.Uninstrumented,
+			BatchSize: tcfg.BatchSize, ProbeCostNs: opt.ProbeCostNs, Remote: opt.Connect}
+		if static.BatchSize <= 0 {
+			static.BatchSize = server.DefaultBatchSize
 		}
-		runStatus := func(st map[string]any) {
-			st["ranks"] = ranks
-			st["uninstrumented"] = uninstrumented
-			st["batch_size"] = batch
-			st["probe_cost_ns"] = probeCost
-			st["sensors"] = sensorCount
-			if srv != nil {
-				st["server_shards"] = srv.Shards()
-			}
+		if rep.Instrumented != nil {
+			static.Sensors = len(rep.Instrumented.Sensors)
+		}
+		if srv != nil {
+			static.ServerShards = srv.Shards()
+		}
+		if svc != nil {
+			static.Listen = svc.Addr().String()
+		}
+		status := func(v *server.StatusView) any {
+			st := static
+			st.StatusView = v
 			if svc != nil {
-				st["listen"] = svc.Addr().String()
-				st["net"] = svc.Stats()
-			}
-			if remote != "" {
-				st["remote"] = remote
+				st.Net = ptr(svc.Stats())
 			}
 			if rs != nil {
-				st["reconnect"] = rs.Stats()
+				st.Reconnect = ptr(rs.Stats())
 			}
 			if lin := o.Lineage(); lin != nil {
-				st["lineage"] = lin.Stats()
+				st.Lineage = ptr(lin.Stats())
 			}
+			return st
 		}
 		if srv != nil {
 			// With a server the whole read surface — /status, /records,
 			// /outliers, and the CLI's Report.Snapshot — serves from the
 			// server's versioned report cache: one render per state change,
 			// shared by every poller, revalidated by ETag.
-			wrap := newSnapshotWrapper(srv, runStatus)
-			o.SetReport(
-				func() *obs.ReportSnapshot { return wrap(srv.Snapshot()) },
-				func(afterGen uint64, timeout time.Duration) *obs.ReportSnapshot {
-					return wrap(srv.WaitSnapshot(afterGen, timeout))
-				},
-			)
+			srv.ServeReport(o, status)
 		} else {
-			o.SetStatus(func() any {
-				st := make(map[string]any)
-				runStatus(st)
-				return st
-			})
+			o.SetStatus(func() any { return status(nil) })
 		}
 	}
 
@@ -513,6 +495,28 @@ func RunProgram(prog *ir.Program, opt Options) (*Report, error) {
 	fsp.End()
 	return rep, nil
 }
+
+// runStatus is the /status "run" body: the server's view of the current
+// generation (nil in Connect mode and on uninstrumented runs, dropping its
+// fields) plus the run's shape. BatchSize is the effective batch, the
+// default when Options.Transport leaves it unset.
+type runStatus struct {
+	*server.StatusView
+	Ranks          int                    `json:"ranks"`
+	Uninstrumented bool                   `json:"uninstrumented"`
+	BatchSize      int                    `json:"batch_size"`
+	ProbeCostNs    float64                `json:"probe_cost_ns"`
+	Sensors        int                    `json:"sensors"`
+	ServerShards   int                    `json:"server_shards,omitempty"`
+	Listen         string                 `json:"listen,omitempty"`
+	Net            *netsrv.Stats          `json:"net,omitempty"`
+	Remote         string                 `json:"remote,omitempty"`
+	Reconnect      *netsrv.ResilientStats `json:"reconnect,omitempty"`
+	Lineage        *obs.LineageStats      `json:"lineage,omitempty"`
+}
+
+// ptr returns a pointer to a copy of v.
+func ptr[T any](v T) *T { return &v }
 
 // recordCollector tees raw records into a slice before the detector.
 type recordCollector struct {
@@ -610,68 +614,6 @@ func (r *Report) Snapshot() *server.ReportSnapshot {
 		return nil
 	}
 	return r.Server.Snapshot()
-}
-
-// newSnapshotWrapper adapts the server's versioned snapshot to the obs
-// HTTP layer's shape, memoizing one wrapper per generation so the JSON
-// renders (memoized inside obs.ReportSnapshot) are shared by every poller
-// at that generation. extra adds the facade's static status fields.
-func newSnapshotWrapper(srv *server.Server, extra func(map[string]any)) func(*server.ReportSnapshot) *obs.ReportSnapshot {
-	var mu sync.Mutex
-	var last *obs.ReportSnapshot
-	return func(sn *server.ReportSnapshot) *obs.ReportSnapshot {
-		if sn == nil {
-			return nil
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		if last != nil && last.Gen == sn.Gen {
-			return last
-		}
-		st := map[string]any{
-			"gen":          sn.Gen,
-			"ticket":       sn.Ticket,
-			"watermark_ns": sn.WatermarkNs,
-			"progress":     sn.Progress,
-			"per_rank":     sn.PerRank,
-			"coverage":     sn.Coverage,
-			"per_shard":    sn.PerShard,
-			"epochs":       sn.Epochs,
-			"liveness":     sn.Liveness,
-		}
-		if sn.Durability.Enabled {
-			st["durability"] = sn.Durability
-			st["down"] = sn.Down
-		}
-		extra(st)
-		outliers := sn.Report.Outliers
-		if outliers == nil {
-			outliers = []server.Outlier{}
-		}
-		deadRanks := sn.Report.DeadRanks
-		if deadRanks == nil {
-			deadRanks = []int{}
-		}
-		out := map[string]any{
-			"gen":          sn.Gen,
-			"threshold":    sn.Threshold,
-			"watermark_ns": sn.WatermarkNs,
-			"outliers":     outliers,
-			"degraded":     sn.Report.Degraded,
-			"dead_ranks":   deadRanks,
-			"confidence":   sn.Report.Confidence,
-		}
-		last = &obs.ReportSnapshot{
-			Gen:      sn.Gen,
-			Status:   st,
-			Outliers: out,
-			Records: func(cursor int) (any, int, int, bool) {
-				recs, next, base, ok := sn.RecordsWindow(cursor)
-				return recs, next, base, ok
-			},
-		}
-		return last
-	}
 }
 
 // Durability returns the analysis server's WAL/snapshot statistics; the

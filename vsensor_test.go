@@ -10,6 +10,7 @@ import (
 	"vsensor/internal/instrument"
 	"vsensor/internal/ir"
 	"vsensor/internal/minic"
+	"vsensor/internal/transport"
 )
 
 func TestPipelineQuickstart(t *testing.T) {
@@ -61,7 +62,7 @@ func TestCompileErrors(t *testing.T) {
 // (paper §2: reports update periodically, no need to wait for the job).
 func TestOnlineMonitoringMidRun(t *testing.T) {
 	app := apps.MustGet("CG", apps.Scale{Iters: 150, Work: 150})
-	rep, err := vsensor.Run(app.Source, vsensor.Options{Ranks: 8, BatchSize: 4})
+	rep, err := vsensor.Run(app.Source, vsensor.Options{Ranks: 8, Transport: &transport.Config{BatchSize: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
