@@ -64,8 +64,9 @@ func TestMultiTenantDifferentialConformance(t *testing.T) {
 			ts := httptest.NewServer(o.Handler())
 			defer ts.Close()
 
-			// Racing /status pollers hammer the introspection endpoint while
-			// the tenants stream.
+			// Racing /status and /metrics pollers hammer the introspection
+			// endpoint while the tenants stream; /metrics reads Stats at
+			// scrape time.
 			done := make(chan struct{})
 			var pollers sync.WaitGroup
 			for p := 0; p < 2; p++ {
@@ -78,8 +79,10 @@ func TestMultiTenantDifferentialConformance(t *testing.T) {
 							return
 						default:
 						}
-						if res, err := ts.Client().Get(ts.URL + "/status"); err == nil {
-							res.Body.Close()
+						for _, path := range []string{"/status", "/metrics"} {
+							if res, err := ts.Client().Get(ts.URL + path); err == nil {
+								res.Body.Close()
+							}
 						}
 					}
 				}()

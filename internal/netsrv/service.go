@@ -151,23 +151,6 @@ type Service struct {
 	framesDown      atomic.Int64
 	sessionsReaped  atomic.Int64
 	corruptEnv      atomic.Int64
-
-	// met is swapped atomically so SetObs may race the accept loop; the
-	// zero-value pointer target is all-nil handles, which are no-ops.
-	met atomic.Pointer[obsHandles]
-}
-
-// obsHandles bundles the metric handles mirrored into an obs registry.
-// Every field is nil-safe, so a zero obsHandles is a valid no-op set.
-type obsHandles struct {
-	accepted *obs.Counter
-	shed     *obs.Counter
-	refused  *obs.Counter
-	frames   *obs.Counter
-	reaped   *obs.Counter
-	sessions *obs.Gauge
-	runs     *obs.Gauge
-	workers  *obs.Gauge
 }
 
 // Listen binds addr (e.g. "127.0.0.1:0"), starts the accept loop, and
@@ -192,27 +175,21 @@ func Listen(addr string, cfg Config) (*Service, error) {
 // Addr is the listener's bound address (useful with ":0").
 func (s *Service) Addr() net.Addr { return s.ln.Addr() }
 
-// SetObs mirrors service counters into an observability registry so they
-// surface in /metrics and /status alongside the server's own.
+// SetObs registers the service's counters in an observability registry as
+// functions of Stats, read once per scrape, so they surface in /metrics next
+// to the server's own and always agree with /status.
 func (s *Service) SetObs(o *obs.Obs) {
-	s.met.Store(&obsHandles{
-		accepted: o.Counter("net_accepted_total"),
-		shed:     o.Counter("net_shed_total"),
-		refused:  o.Counter("net_refused_total"),
-		frames:   o.Counter("net_frames_total"),
-		reaped:   o.Counter("net_sessions_reaped_total"),
-		sessions: o.Gauge("net_sessions_open"),
-		runs:     o.Gauge("net_runs"),
-		workers:  o.Gauge("net_workers"),
+	src := obs.NewSource(o.Registry(), s.Stats)
+	src.Counter("net_accepted_total", func(st Stats) int64 { return st.Accepted })
+	src.Counter("net_shed_total", func(st Stats) int64 { return st.Shed })
+	src.Counter("net_refused_total", func(st Stats) int64 {
+		return st.RefusedSessions + st.RefusedRuns + st.RefusedBadHello + st.RefusedShutdown
 	})
-}
-
-// metrics returns the current handle set, never nil.
-func (s *Service) metrics() *obsHandles {
-	if m := s.met.Load(); m != nil {
-		return m
-	}
-	return &obsHandles{}
+	src.Counter("net_frames_total", func(st Stats) int64 { return st.FramesIn })
+	src.Counter("net_sessions_reaped_total", func(st Stats) int64 { return st.SessionsReaped })
+	src.Gauge("net_sessions_open", func(st Stats) int64 { return st.SessionsOpen })
+	src.Gauge("net_runs", func(st Stats) int64 { return st.Runs })
+	src.Gauge("net_workers", func(st Stats) int64 { return st.Workers })
 }
 
 // Stats snapshots the counters.
@@ -304,7 +281,6 @@ func (s *Service) acceptLoop() {
 			return
 		}
 		s.accepted.Add(1)
-		s.metrics().accepted.Inc()
 		var code uint16
 		s.mu.Lock()
 		switch {
@@ -319,7 +295,6 @@ func (s *Service) acceptLoop() {
 			s.conns[c] = false
 			s.workers++
 			s.peak = max(s.peak, int64(s.workers))
-			s.metrics().workers.Set(float64(s.workers))
 		}
 		s.wg.Add(1)
 		s.mu.Unlock()
@@ -334,14 +309,14 @@ func (s *Service) acceptLoop() {
 	}
 }
 
-// refuse books c in the Stats bucket and metric for code, then sends the
-// vSE1 and closes c.
+// refuse books c in the Stats bucket for code, then sends the vSE1 and
+// closes c.
 func (s *Service) refuse(c net.Conn, code uint16) {
 	defer c.Close()
-	counter, metric := &s.refusedShutdown, s.metrics().refused
+	counter := &s.refusedShutdown
 	switch code {
 	case RefuseBusy:
-		counter, metric = &s.shed, s.metrics().shed
+		counter = &s.shed
 	case RefuseRunSessions:
 		counter = &s.refusedSessions
 	case RefuseRuns:
@@ -350,7 +325,6 @@ func (s *Service) refuse(c net.Conn, code uint16) {
 		counter = &s.refusedBadHello
 	}
 	counter.Add(1)
-	metric.Inc()
 	// Best effort: a failed deadline or flush costs the peer only this
 	// courtesy reply; the count above and the close are the guarantee.
 	_ = c.SetWriteDeadline(time.Now().Add(time.Second))
@@ -382,7 +356,6 @@ func (s *Service) admit(c net.Conn, h Hello) (*tenant, uint16, bool) {
 		}
 		t = &tenant{srv: srv}
 		s.runs[h.RunID] = t
-		s.metrics().runs.Set(float64(len(s.runs)))
 	}
 	if s.cfg.MaxRunSessions > 0 && t.sessions >= s.cfg.MaxRunSessions {
 		return nil, RefuseRunSessions, false
@@ -405,7 +378,6 @@ func (s *Service) handleConn(c net.Conn) {
 		}
 		delete(s.conns, c)
 		s.workers--
-		s.metrics().workers.Set(float64(s.workers))
 		s.mu.Unlock()
 		s.wg.Done()
 	}()
@@ -437,11 +409,7 @@ func (s *Service) handleConn(c net.Conn) {
 
 	s.sessions.Add(1)
 	s.sessionsOpen.Add(1)
-	s.metrics().sessions.Set(float64(s.sessionsOpen.Load()))
-	defer func() {
-		s.sessionsOpen.Add(-1)
-		s.metrics().sessions.Set(float64(s.sessionsOpen.Load()))
-	}()
+	defer s.sessionsOpen.Add(-1)
 
 	ack := SessionAck{Version: ProtocolVersion, LSN: t.srv.DurabilityStats().LSN}
 	if existed {
@@ -498,7 +466,6 @@ func (s *Service) handleConn(c net.Conn) {
 				s.corruptEnv.Add(1)
 			} else if s.cfg.IdleSession > 0 && isTimeout(err) {
 				s.sessionsReaped.Add(1)
-				s.metrics().reaped.Inc()
 			}
 			return
 		}
@@ -507,7 +474,6 @@ func (s *Service) handleConn(c net.Conn) {
 		switch rerr := t.srv.Receive(payload); {
 		case rerr == nil:
 			s.framesIn.Add(1)
-			s.metrics().frames.Inc()
 		case errors.Is(rerr, server.ErrServerDown):
 			s.framesDown.Add(1)
 			status = frameAckDown
@@ -542,7 +508,6 @@ func (s *Service) armWrite(c net.Conn) {
 func (s *Service) countWriteTimeout(err error) {
 	if err != nil && isTimeout(err) {
 		s.sessionsReaped.Add(1)
-		s.metrics().reaped.Inc()
 	}
 }
 

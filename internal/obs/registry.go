@@ -33,7 +33,9 @@ const (
 
 // Registry holds metric families. Registration (Counter/Gauge/Histogram) is
 // synchronized and idempotent — the same name+labels returns the same
-// handle — while the returned handles are lock-free.
+// handle — while the returned handles are lock-free. CounterFunc/GaugeFunc
+// and a Source register function-backed children instead, read at scrape
+// time.
 type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family
@@ -44,6 +46,9 @@ type family struct {
 	name string
 	typ  string
 	help string
+	// byFunc marks a family whose children are functions read at scrape time
+	// rather than handles; a family is one or the other, never both.
+	byFunc bool
 	// children maps the canonical rendered label string (no braces) to the
 	// child metric. Guarded by the registry mutex.
 	children map[string]*child
@@ -55,6 +60,10 @@ type child struct {
 	c      *Counter
 	g      *Gauge
 	h      *Histogram
+	// fn backs a function-backed counter or gauge: it maps src's reading
+	// (nil when src is nil) to the child's value.
+	src *source
+	fn  func(any) int64
 }
 
 // NewRegistry creates an empty registry.
@@ -78,19 +87,20 @@ func (r *Registry) Describe(name, help string) {
 	f.help = help
 }
 
-// family returns (creating if needed) the family, checking type consistency.
-func (r *Registry) getFamily(name, typ string) *family {
+// getFamily returns (creating if needed) the family, checking that its type
+// and backing (handles or functions) match the request.
+func (r *Registry) getFamily(name, typ string, byFunc bool) *family {
 	f := r.families[name]
 	if f == nil {
-		f = &family{name: name, typ: typ, children: make(map[string]*child)}
+		f = &family{name: name, children: make(map[string]*child)}
 		r.families[name] = f
-		return f
 	}
 	if f.typ == "" {
-		f.typ = typ // family pre-created by Describe
+		f.typ, f.byFunc = typ, byFunc // new, or pre-created by Describe
 	}
-	if f.typ != typ {
-		panic(fmt.Sprintf("obs: metric %q registered as %s, requested as %s", name, f.typ, typ))
+	if f.typ != typ || f.byFunc != byFunc {
+		panic(fmt.Sprintf("obs: metric %q registered as %s (function-backed %t), requested as %s (function-backed %t)",
+			name, f.typ, f.byFunc, typ, byFunc))
 	}
 	return f
 }
@@ -105,7 +115,7 @@ func (r *Registry) Counter(name string, labels ...string) *Counter {
 	key := renderLabels(labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	f := r.getFamily(name, typeCounter)
+	f := r.getFamily(name, typeCounter, false)
 	ch := f.children[key]
 	if ch == nil {
 		ch = &child{labels: key, c: &Counter{}}
@@ -122,13 +132,68 @@ func (r *Registry) Gauge(name string, labels ...string) *Gauge {
 	key := renderLabels(labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	f := r.getFamily(name, typeGauge)
+	f := r.getFamily(name, typeGauge, false)
 	ch := f.children[key]
 	if ch == nil {
 		ch = &child{labels: key, g: &Gauge{}}
 		f.children[key] = ch
 	}
 	return ch.g
+}
+
+// CounterFunc registers a counter whose value is fn(), called at every
+// scrape: the way to export a number its owner already keeps without a
+// second copy to update. fn must not block on I/O or sleep. Registering the
+// same name and labels again replaces fn.
+func (r *Registry) CounterFunc(name string, fn func() int64, labels ...string) {
+	r.setFunc(name, typeCounter, nil, func(any) int64 { return fn() }, labels)
+}
+
+// GaugeFunc is CounterFunc for a gauge.
+func (r *Registry) GaugeFunc(name string, fn func() int64, labels ...string) {
+	r.setFunc(name, typeGauge, nil, func(any) int64 { return fn() }, labels)
+}
+
+// Source is one owner's scrape-time reading. Its read runs at most once per
+// scrape, and every family registered through the Source takes its value
+// from that one result: the owner's locks are taken once, and families read
+// together (ranks alive, suspect and dead) agree with each other. read must
+// not block on I/O or sleep.
+type Source[T any] struct {
+	r   *Registry
+	src *source
+}
+
+// source is a Source with its type erased: the key a scrape memoizes by.
+type source struct{ read func() any }
+
+// NewSource returns a Source over read; it registers nothing by itself. A
+// nil r gives a Source whose registrations are no-ops.
+func NewSource[T any](r *Registry, read func() T) Source[T] {
+	return Source[T]{r: r, src: &source{read: func() any { return read() }}}
+}
+
+// Counter registers name+labels as a counter whose value is fn of the
+// scrape's reading. Registering the same name and labels again replaces it.
+func (s Source[T]) Counter(name string, fn func(T) int64, labels ...string) {
+	s.r.setFunc(name, typeCounter, s.src, func(v any) int64 { return fn(v.(T)) }, labels)
+}
+
+// Gauge is Counter for a gauge.
+func (s Source[T]) Gauge(name string, fn func(T) int64, labels ...string) {
+	s.r.setFunc(name, typeGauge, s.src, func(v any) int64 { return fn(v.(T)) }, labels)
+}
+
+func (r *Registry) setFunc(name, typ string, src *source, fn func(any) int64, labels []string) {
+	if r == nil {
+		return
+	}
+	key := renderLabels(labels)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	// A fresh child, never a mutated one: a scrape reads the child it
+	// snapshotted outside the lock.
+	r.getFamily(name, typ, true).children[key] = &child{labels: key, src: src, fn: fn}
 }
 
 // DefaultHistogramBuckets: exponential base-4 bounds from 64 up — a good
@@ -155,7 +220,7 @@ func (r *Registry) HistogramWith(name string, bounds []float64, labels ...string
 	key := renderLabels(labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	f := r.getFamily(name, typeHistogram)
+	f := r.getFamily(name, typeHistogram, false)
 	ch := f.children[key]
 	if ch == nil {
 		ch = &child{labels: key, h: newHistogram(bounds)}
@@ -463,41 +528,50 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	// Snapshot child lists under the lock; atomic values are read after.
+	// Snapshot each family's children under the lock; values — atomics and
+	// functions — are read after it is released, so a function may take its
+	// owner's locks without ordering against registration.
 	type famSnap struct {
-		f    *family
-		keys []string
+		name, typ, help string
+		kids            []*child
 	}
 	snaps := make([]famSnap, 0, len(names))
 	for _, name := range names {
 		f := r.families[name]
-		keys := make([]string, 0, len(f.children))
-		for k := range f.children {
-			keys = append(keys, k)
+		kids := make([]*child, 0, len(f.children))
+		for _, ch := range f.children {
+			kids = append(kids, ch)
 		}
-		sort.Strings(keys)
-		snaps = append(snaps, famSnap{f: f, keys: keys})
+		sort.Slice(kids, func(i, j int) bool { return kids[i].labels < kids[j].labels })
+		snaps = append(snaps, famSnap{name: f.name, typ: f.typ, help: f.help, kids: kids})
 	}
 	r.mu.Unlock()
 
 	var sb strings.Builder
-	for _, s := range snaps {
-		f := s.f
-		if len(s.keys) == 0 {
+	readings := make(map[*source]any) // each Source read once per scrape
+	for _, f := range snaps {
+		if len(f.kids) == 0 {
 			continue // Describe'd but never registered
 		}
 		if f.help != "" {
 			fmt.Fprintf(&sb, "# HELP %s %s\n", f.name, escapeHelp(f.help))
 		}
 		fmt.Fprintf(&sb, "# TYPE %s %s\n", f.name, f.typ)
-		for _, key := range s.keys {
-			ch := f.children[key]
-			switch f.typ {
-			case typeCounter:
+		for _, ch := range f.kids {
+			key := ch.labels
+			switch {
+			case ch.fn != nil:
+				v, ok := readings[ch.src]
+				if !ok && ch.src != nil {
+					v = ch.src.read()
+					readings[ch.src] = v
+				}
+				fmt.Fprintf(&sb, "%s%s %d\n", f.name, wrapLabels(key), ch.fn(v))
+			case ch.c != nil:
 				fmt.Fprintf(&sb, "%s%s %d\n", f.name, wrapLabels(key), ch.c.Value())
-			case typeGauge:
+			case ch.g != nil:
 				fmt.Fprintf(&sb, "%s%s %s\n", f.name, wrapLabels(key), formatFloat(ch.g.Value()))
-			case typeHistogram:
+			default:
 				h := ch.h
 				var cum int64
 				for i, bound := range h.bounds {

@@ -50,6 +50,60 @@ func TestTypeMismatchPanics(t *testing.T) {
 	r.Gauge("x_total")
 }
 
+// TestFuncBackedFamilies: a function-backed child is read at every scrape,
+// a Source is read once per scrape for all its families, re-registering
+// replaces a function, and a family never mixes handles with functions.
+func TestFuncBackedFamilies(t *testing.T) {
+	r := NewRegistry()
+	n := int64(3)
+	r.CounterFunc("owned_total", func() int64 { return n })
+	r.GaugeFunc("owned", func() int64 { return 1 }, "shard", "0")
+	r.GaugeFunc("owned", func() int64 { return 2 }, "shard", "0")
+	reads := 0
+	src := NewSource(r, func() [2]int64 { reads++; return [2]int64{n, 10 * n} })
+	src.Gauge("pair_low", func(p [2]int64) int64 { return p[0] })
+	src.Counter("pair_high_total", func(p [2]int64) int64 { return p[1] })
+	n = 5
+	for scrape := 1; scrape <= 2; scrape++ {
+		var sb strings.Builder
+		if err := r.WritePrometheus(&sb); err != nil {
+			t.Fatal(err)
+		}
+		for _, want := range []string{
+			"# TYPE owned_total counter\nowned_total 5\n",
+			"# TYPE owned gauge\nowned{shard=\"0\"} 2\n",
+			"# TYPE pair_low gauge\npair_low 5\n",
+			"# TYPE pair_high_total counter\npair_high_total 50\n",
+		} {
+			if !strings.Contains(sb.String(), want) {
+				t.Errorf("exposition lacks %q:\n%s", want, sb.String())
+			}
+		}
+		if reads != scrape {
+			t.Errorf("after %d scrapes the source was read %d times", scrape, reads)
+		}
+	}
+	for name, register := range map[string]func(){
+		"handle onto function": func() { r.Counter("owned_total") },
+		"function onto handle": func() { r.Counter("pushed_total"); r.CounterFunc("pushed_total", func() int64 { return 0 }) },
+		"gauge onto counter":   func() { r.GaugeFunc("owned_total", func() int64 { return 0 }) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			register()
+		}()
+	}
+	var nilReg *Registry
+	nilReg.CounterFunc("x", func() int64 { return 0 })
+	var nilObs *Obs
+	nilObs.GaugeFunc("x", func() int64 { return 0 })
+	NewSource(nilObs.Registry(), func() int64 { return 0 }).Counter("x", func(v int64) int64 { return v })
+}
+
 func TestGauge(t *testing.T) {
 	r := NewRegistry()
 	g := r.Gauge("temp")

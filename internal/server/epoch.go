@@ -1,7 +1,6 @@
 package server
 
 import (
-	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -47,16 +46,10 @@ type epochEntry struct {
 	avg  float64
 }
 
-// epoch accumulates one (sensor, group, slice) group. Alongside the raw
-// entries (needed for the exact median), it maintains O(1) summary
-// statistics — count, mean, min/max with the ranks that set them — so
-// telemetry can describe an epoch without touching the entries.
+// epoch accumulates one (sensor, group, slice) group: the raw entries the
+// exact median needs.
 type epoch struct {
 	entries []epochEntry
-
-	sum              float64
-	min, max         float64
-	minRank, maxRank int32
 
 	// closed marks the epoch as past the watermark with its outlier set
 	// cached for closeThreshold. Reopened (and the cache dropped) if a late
@@ -81,10 +74,9 @@ type epochStripe struct {
 type analyzer struct {
 	stripes [epochStripes]epochStripe
 
-	open atomic.Int64 // currently open epochs
+	open atomic.Int64 // currently open epochs; server_epochs_open reads it
 
 	// Observability handles (nil-safe no-ops when obs is off).
-	obsOpen    *obs.Gauge     // server_epochs_open
 	obsClosed  *obs.Counter   // server_epochs_closed_total
 	obsReopens *obs.Counter   // server_epoch_reopens_total
 	obsLag     *obs.Histogram // server_epoch_lag_ns: watermark - slice at close
@@ -111,11 +103,10 @@ func (a *analyzer) reset() {
 		st.mu.Unlock()
 	}
 	a.open.Store(0)
-	a.obsOpen.Set(0)
 }
 
 func (a *analyzer) setObs(o *obs.Obs) {
-	a.obsOpen = o.Gauge("server_epochs_open")
+	o.GaugeFunc("server_epochs_open", a.open.Load)
 	a.obsClosed = o.Counter("server_epochs_closed_total")
 	a.obsReopens = o.Counter("server_epoch_reopens_total")
 	a.obsLag = o.Histogram("server_epoch_lag_ns")
@@ -144,7 +135,7 @@ func (a *analyzer) fold(recs []detect.SliceRecord, trace uint64, live bool) {
 		st.mu.Lock()
 		ep := st.epochs[k]
 		if ep == nil {
-			ep = &epoch{min: math.Inf(1), max: math.Inf(-1), minRank: -1, maxRank: -1}
+			ep = &epoch{}
 			st.epochs[k] = ep
 			a.open.Add(1)
 		}
@@ -168,20 +159,8 @@ func (a *analyzer) fold(recs []detect.SliceRecord, trace uint64, live bool) {
 			ep.traceRank = int32(r.Rank)
 		}
 		ep.entries = append(ep.entries, epochEntry{rank: int32(r.Rank), avg: r.AvgNs})
-		ep.sum += r.AvgNs
-		if r.AvgNs < ep.min {
-			ep.min = r.AvgNs
-			ep.minRank = int32(r.Rank)
-		}
-		if r.AvgNs > ep.max {
-			ep.max = r.AvgNs
-			ep.maxRank = int32(r.Rank)
-		}
 		st.mu.Unlock()
 	}
-	// Refresh the gauge on the ingest path too, so a dashboard watching a
-	// run that has not been queried yet still sees the epoch population.
-	a.obsOpen.Set(float64(a.open.Load()))
 }
 
 // outliers evaluates every epoch against threshold. Open epochs (and closed
@@ -219,7 +198,6 @@ func (a *analyzer) outliers(threshold float64, watermark int64, haveWatermark bo
 		}
 		st.mu.Unlock()
 	}
-	a.obsOpen.Set(float64(a.open.Load()))
 	return out
 }
 

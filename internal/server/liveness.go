@@ -152,20 +152,6 @@ func (s *Server) livenessView() livenessView {
 		out = append(out, rl)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Rank < out[j].Rank })
-	var alive, suspect, dead int
-	for _, rl := range out {
-		switch rl.State {
-		case Alive:
-			alive++
-		case Suspect:
-			suspect++
-		case Dead:
-			dead++
-		}
-	}
-	s.obsAlive.Set(float64(alive))
-	s.obsSuspect.Set(float64(suspect))
-	s.obsDead.Set(float64(dead))
 	return livenessView{ranks: out, frontier: frontier, latest: latest}
 }
 
@@ -185,8 +171,8 @@ func (s *Server) LivenessSummary() LivenessSummary {
 	return summarizeLiveness(s.livenessView())
 }
 
-// receiveHeartbeat folds one heartbeat frame into the sender's shard and
-// journals it when durability is on.
+// receiveHeartbeat folds one heartbeat frame into the sender's shard and,
+// when live (replay passes false), journals it if durability is on.
 func (s *Server) receiveHeartbeat(rank int, nowNs, leaseNs int64, live bool) error {
 	sh := s.shardFor(rank)
 	sh.mu.Lock()
@@ -207,13 +193,8 @@ func (s *Server) receiveHeartbeat(rank int, nowNs, leaseNs int64, live bool) err
 	}
 	sh.mu.Unlock()
 	s.heartbeats.Add(1)
-	if live {
-		s.obsHeartbeats.Inc()
-		if s.dur != nil {
-			if err := s.dur.logHeartbeat(rank, nowNs, leaseNs); err != nil {
-				return err
-			}
-		}
+	if live && s.dur != nil {
+		return s.dur.logHeartbeat(rank, nowNs, leaseNs)
 	}
 	return nil
 }

@@ -300,9 +300,11 @@ func TestReadSnapshotConformance(t *testing.T) {
 			s.SetSnapshotThreshold(threshold)
 			h := wireReadReport(s)
 
-			// Racing pollers: each walks /status, /outliers, and /records
-			// during ingest, asserting monotone generations and gap-free
-			// cursors (resetting on an explicit truncation, never silently).
+			// Racing pollers: each walks /status, /outliers, /records and
+			// /metrics (whose server families are read from its state at
+			// scrape time) during ingest, asserting monotone generations and
+			// gap-free cursors (resetting on an explicit truncation, never
+			// silently).
 			stop := make(chan struct{})
 			var torn atomic.Int32
 			var pwg sync.WaitGroup
@@ -352,6 +354,10 @@ func TestReadSnapshotConformance(t *testing.T) {
 						cursor = rb.Cursor
 						seen += len(rb.Records)
 						httpGet(t, h, "/outliers", "")
+						if rr := httpGet(t, h, "/metrics", ""); rr.Code != http.StatusOK {
+							torn.Add(1)
+							return
+						}
 					}
 				}()
 			}

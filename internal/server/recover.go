@@ -87,8 +87,6 @@ func (s *Server) Crash() error {
 	s.ticket.Store(0)
 	s.checksumErrors.Store(0)
 	s.rejectedFrames.Store(0)
-	s.expectedRecords.Store(0)
-	s.ingestedRecords.Store(0)
 	s.heartbeats.Store(0)
 	// The analyzer is reset in place, never replaced: queries racing the
 	// crash hold references to it.
@@ -216,11 +214,8 @@ func (s *Server) Recover() (RecoveryStats, error) {
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		rs.RecordsRecovered += int64(len(sh.records))
-		sh.obsRecords.Set(float64(len(sh.records)))
-		sh.obsFrames.Set(float64(len(sh.segments)))
 		sh.mu.Unlock()
 	}
-	s.setCoverageGauges()
 	rs.LSN = nextLSN - 1
 
 	d.mu.Lock()
@@ -228,10 +223,9 @@ func (s *Server) Recover() (RecoveryStats, error) {
 	d.lsn = rs.LSN
 	d.frames = 0
 	d.snapDue = false
-	d.recoveries++
+	d.recoveries.Add(1)
 	d.lastRec = rs
 	d.mu.Unlock()
-	d.obsRecovered.Inc()
 	d.obsTruncated.Add(rs.TruncatedBytes)
 	d.obsReplayed.Add(int64(rs.FramesReplayed))
 
@@ -284,7 +278,6 @@ func loadSnapshot(d *durability, rs *RecoveryStats) *snapState {
 // installSnapshot replaces the (wiped) in-memory state with the decoded
 // snapshot and refolds its records into the reset analyzer.
 func (s *Server) installSnapshot(st *snapState) {
-	var expected, ingested int64
 	for i, sh := range s.shards {
 		src := st.shards[i]
 		sh.mu.Lock()
@@ -299,8 +292,6 @@ func (s *Server) installSnapshot(st *snapState) {
 		sh.dupFrames = src.dupFrames
 		sh.expectedRecords = src.expectedRecords
 		sh.ingestedRecords = src.ingestedRecords
-		expected += src.expectedRecords
-		ingested += src.ingestedRecords
 		recs := sh.records
 		sh.mu.Unlock()
 		// Fold outside the shard lock: the installed prefix is immutable.
@@ -310,15 +301,13 @@ func (s *Server) installSnapshot(st *snapState) {
 	s.checksumErrors.Store(st.checksumErrors)
 	s.rejectedFrames.Store(st.rejectedFrames)
 	s.heartbeats.Store(st.heartbeats)
-	s.expectedRecords.Store(expected)
-	s.ingestedRecords.Store(ingested)
 }
 
 // applyWALEntry replays one log entry covering n outcomes (its checked
 // outcomeSpan, which also vouches for a counted kind's body length) onto the
 // recovered state. A false return means the entry's body is invalid —
-// recovery treats it like a truncation and stops. Replay uses live=false
-// paths throughout: no WAL re-logging, no per-frame observability counters.
+// recovery treats it like a truncation and stops. Replay journals nothing
+// and records no lineage spans.
 func (s *Server) applyWALEntry(e walEntry, n int64, rs *RecoveryStats) bool {
 	switch e.kind {
 	case walKindFrame:
@@ -326,6 +315,9 @@ func (s *Server) applyWALEntry(e walEntry, n int64, rs *RecoveryStats) bool {
 			return false
 		}
 		ticket := binary.LittleEndian.Uint64(e.body)
+		if ticket == 0 {
+			return false // tickets start at 1; ingestFrame reads 0 as live
+		}
 		frame := e.body[8:]
 		h, err := ParseFrame(frame)
 		if err != nil {
@@ -333,7 +325,7 @@ func (s *Server) applyWALEntry(e walEntry, n int64, rs *RecoveryStats) bool {
 		}
 		// A frame entry was only logged for a non-duplicate ingest; seeing a
 		// duplicate here means the log contradicts itself.
-		if dup, _ := s.ingestFrame(h, frame, ticket, false); dup {
+		if dup, _ := s.ingestFrame(h, frame, ticket); dup {
 			return false
 		}
 		rs.FramesReplayed++

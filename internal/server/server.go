@@ -89,11 +89,6 @@ type Server struct {
 	checksumErrors atomic.Int64
 	rejectedFrames atomic.Int64
 
-	// Whole-server coverage totals, mirrored from the shard-local flow
-	// bookkeeping so the obs gauges never need a cross-shard sweep.
-	expectedRecords atomic.Int64
-	ingestedRecords atomic.Int64
-
 	// lin is the record-lineage tracer (nil when lineage is off). Set from
 	// SetObs; the unsampled/off ingest path pays only nil checks.
 	lin *obs.Lineage
@@ -103,23 +98,9 @@ type Server struct {
 	// report render at most once per state change.
 	snap snapshotCache
 
-	// Observability handles (nil-safe no-ops when obs is off).
-	obsMessages   *obs.Counter
-	obsBytes      *obs.Counter
-	obsRecords    *obs.Counter
-	obsBatch      *obs.Histogram
-	obsDup        *obs.Counter
-	obsCRC        *obs.Counter
-	obsRejected   *obs.Counter
-	obsExpected   *obs.Gauge
-	obsIngested   *obs.Gauge
-	obsHeartbeats *obs.Counter
-	obsAlive      *obs.Gauge
-	obsSuspect    *obs.Gauge
-	obsDead       *obs.Gauge
-	obsSnapGen    *obs.Gauge
-	obsSnapBuilds *obs.Counter
-	obsSnapHits   *obs.Counter
+	// obsBatch is server_batch_bytes (nil-safe no-op when obs is off): the
+	// one ingest metric that is not a number the server already keeps.
+	obsBatch *obs.Histogram
 }
 
 // New creates an empty analysis server with DefaultShards ingest shards.
@@ -157,37 +138,46 @@ func NewSharded(n int) *Server {
 // Shards returns the ingest shard count.
 func (s *Server) Shards() int { return len(s.shards) }
 
-// SetObs attaches ingest metrics: message/byte/record counters, the
-// batch-size histogram (server_batch_bytes), dedup/corruption counters, the
-// coverage gauges (server_records_expected / server_records_ingested),
-// per-shard gauges (server_shard_records / server_shard_frames), and the
-// epoch analyzer's gauges and lag histogram. Call before the run starts.
+// SetObs attaches ingest metrics. Every number the server already keeps —
+// coverage, messages, bytes, heartbeats, liveness, shard, epoch, report-cache
+// and durability counts — is registered as a function of the accessor
+// /status reads, evaluated at scrape time, so /metrics and /status never
+// disagree; each accessor runs once per scrape. Only what nothing else
+// records is pushed: the batch-size histogram (server_batch_bytes), the
+// epoch analyzer's close/reopen counters and lag histogram, and the
+// durability layer's histograms and recovery counters. Call before the run
+// starts.
 func (s *Server) SetObs(o *obs.Obs) {
 	if o == nil {
 		return
 	}
-	s.obsMessages = o.Counter("server_messages_total")
-	s.obsBytes = o.Counter("server_bytes_total")
-	s.obsRecords = o.Counter("server_records_total")
-	s.obsBatch = o.Histogram("server_batch_bytes")
-	s.obsDup = o.Counter("server_dup_frames_total")
-	s.obsCRC = o.Counter("server_checksum_errors_total")
-	s.obsRejected = o.Counter("server_rejected_frames_total")
-	s.obsExpected = o.Gauge("server_records_expected")
-	s.obsIngested = o.Gauge("server_records_ingested")
-	s.obsHeartbeats = o.Counter("server_heartbeats_total")
-	s.obsAlive = o.Gauge("server_ranks_alive")
-	s.obsSuspect = o.Gauge("server_ranks_suspect")
-	s.obsDead = o.Gauge("server_ranks_dead")
-	s.obsSnapGen = o.Gauge("server_report_gen")
-	s.obsSnapBuilds = o.Counter("server_report_builds_total")
-	s.obsSnapHits = o.Counter("server_report_hits_total")
-	o.Gauge("server_shards").Set(float64(len(s.shards)))
-	for i, sh := range s.shards {
+	o.CounterFunc("server_messages_total", s.Messages)
+	o.CounterFunc("server_bytes_total", s.BytesReceived)
+	o.CounterFunc("server_heartbeats_total", s.Heartbeats)
+	o.GaugeFunc("server_shards", func() int64 { return int64(s.Shards()) })
+	r := o.Registry()
+	cov := obs.NewSource(r, s.Coverage)
+	cov.Counter("server_records_total", func(c Coverage) int64 { return c.IngestedRecords })
+	cov.Counter("server_dup_frames_total", func(c Coverage) int64 { return c.DupFrames })
+	cov.Counter("server_checksum_errors_total", func(c Coverage) int64 { return c.ChecksumErrors })
+	cov.Counter("server_rejected_frames_total", func(c Coverage) int64 { return c.RejectedFrames })
+	cov.Gauge("server_records_expected", func(c Coverage) int64 { return c.ExpectedRecords })
+	cov.Gauge("server_records_ingested", func(c Coverage) int64 { return c.IngestedRecords })
+	live := obs.NewSource(r, s.LivenessSummary)
+	live.Gauge("server_ranks_alive", func(l LivenessSummary) int64 { return int64(l.Alive) })
+	live.Gauge("server_ranks_suspect", func(l LivenessSummary) int64 { return int64(l.Suspect) })
+	live.Gauge("server_ranks_dead", func(l LivenessSummary) int64 { return int64(l.Dead) })
+	snap := obs.NewSource(r, s.SnapshotStats)
+	snap.Gauge("server_report_gen", func(st SnapshotStats) int64 { return int64(st.Gen) })
+	snap.Counter("server_report_builds_total", func(st SnapshotStats) int64 { return st.Builds })
+	snap.Counter("server_report_hits_total", func(st SnapshotStats) int64 { return st.Hits })
+	perShard := obs.NewSource(r, s.PerShardCoverage)
+	for i := range s.shards {
 		label := strconv.Itoa(i)
-		sh.obsRecords = o.Gauge("server_shard_records", "shard", label)
-		sh.obsFrames = o.Gauge("server_shard_frames", "shard", label)
+		perShard.Gauge("server_shard_records", func(sc []ShardCoverage) int64 { return sc[i].Records }, "shard", label)
+		perShard.Gauge("server_shard_frames", func(sc []ShardCoverage) int64 { return sc[i].Frames }, "shard", label)
 	}
+	s.obsBatch = o.Histogram("server_batch_bytes")
 	s.lin = o.Lineage()
 	s.an.setObs(o)
 	if s.dur != nil {
@@ -252,7 +242,6 @@ func (s *Server) receiveLocked(encoded []byte) (h FrameHeader, snapDue bool, err
 		rank, nowNs, leaseNs, err := parseHeartbeat(encoded)
 		if err != nil {
 			s.rejectedFrames.Add(1)
-			s.obsRejected.Inc()
 			if s.dur != nil {
 				if werr := s.dur.logBadFrame(false); werr != nil {
 					return h, false, werr
@@ -267,10 +256,8 @@ func (s *Server) receiveLocked(encoded []byte) (h FrameHeader, snapDue bool, err
 		checksum := errors.Is(err, ErrChecksum)
 		if checksum {
 			s.checksumErrors.Add(1)
-			s.obsCRC.Inc()
 		} else {
 			s.rejectedFrames.Add(1)
-			s.obsRejected.Inc()
 		}
 		if s.dur != nil {
 			if werr := s.dur.logBadFrame(checksum); werr != nil {
@@ -287,7 +274,10 @@ func (s *Server) receiveLocked(encoded []byte) (h FrameHeader, snapDue bool, err
 	if trace != 0 {
 		t0 = nowUnixNs()
 	}
-	dup, ticket := s.ingestFrame(h, encoded, 0, true)
+	dup, ticket := s.ingestFrame(h, encoded, 0)
+	if !dup {
+		s.obsBatch.ObserveInt(int64(len(encoded)))
+	}
 	var werr error
 	if s.dur != nil {
 		if dup {
@@ -310,10 +300,9 @@ func (s *Server) receiveLocked(encoded []byte) (h FrameHeader, snapDue bool, err
 
 // ingestFrame applies one parsed, validated frame to the shard state and
 // the epoch analyzer. forceTicket non-zero replays the frame under its
-// original arrival ticket (WAL recovery); live=false additionally
-// suppresses the per-frame observability counters, which describe the
-// process's ingest history rather than its state.
-func (s *Server) ingestFrame(h FrameHeader, encoded []byte, forceTicket uint64, live bool) (dup bool, ticket uint64) {
+// original arrival ticket (WAL recovery), which records no lineage spans:
+// replay reconstructs state, not history.
+func (s *Server) ingestFrame(h FrameHeader, encoded []byte, forceTicket uint64) (dup bool, ticket uint64) {
 	sh := s.shardFor(h.Rank)
 	sh.mu.Lock()
 	// Even a duplicate can raise the flow's maxSeq/maxCum, so the sender is
@@ -331,25 +320,18 @@ func (s *Server) ingestFrame(h FrameHeader, encoded []byte, forceTicket uint64, 
 		fl.maxSeq = h.Seq
 	}
 	if h.CumRecords > fl.maxCum {
-		delta := int64(h.CumRecords - fl.maxCum)
-		sh.expectedRecords += delta
-		s.expectedRecords.Add(delta)
+		sh.expectedRecords += int64(h.CumRecords - fl.maxCum)
 		fl.maxCum = h.CumRecords
 	}
 	if fl.seen(h.Seq) {
 		sh.dupFrames++
 		sh.mu.Unlock()
-		if live {
-			s.obsDup.Inc()
-			s.setCoverageGauges()
-		}
 		return true, 0
 	}
 	fl.markSeen(h.Seq)
 	fl.ingestedFrames++
 	fl.ingestedRecords += int64(h.Count)
 	sh.ingestedRecords += int64(h.Count)
-	s.ingestedRecords.Add(int64(h.Count))
 
 	if forceTicket != 0 {
 		ticket = forceTicket
@@ -385,30 +367,14 @@ func (s *Server) ingestFrame(h FrameHeader, encoded []byte, forceTicket uint64, 
 			rp.LatestSliceNs = r.SliceNs
 		}
 	}
-	shardRecords, shardFrames := len(sh.records), len(sh.segments)
 	sh.mu.Unlock()
 
 	// Fold into the epoch analyzer outside the shard lock: the committed
 	// sub-log prefix is immutable, and the analyzer stripes its own locks
 	// by (sensor, group, slice). Replay derives the same trace as live
 	// ingest did, so recovered epochs keep their sampled journeys.
-	s.an.fold(recs, s.lin.TraceID(h.Rank, h.Seq), live)
-
-	if live {
-		s.obsMessages.Inc()
-		s.obsBytes.Add(int64(len(encoded)))
-		s.obsRecords.Add(int64(len(recs)))
-		s.obsBatch.ObserveInt(int64(len(encoded)))
-		sh.obsRecords.Set(float64(shardRecords))
-		sh.obsFrames.Set(float64(shardFrames))
-		s.setCoverageGauges()
-	}
+	s.an.fold(recs, s.lin.TraceID(h.Rank, h.Seq), forceTicket == 0)
 	return false, ticket
-}
-
-func (s *Server) setCoverageGauges() {
-	s.obsExpected.Set(float64(s.expectedRecords.Load()))
-	s.obsIngested.Set(float64(s.ingestedRecords.Load()))
 }
 
 // seen reports whether seq was already ingested from this flow.

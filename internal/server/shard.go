@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"vsensor/internal/detect"
-	"vsensor/internal/obs"
 )
 
 // A shard owns the ingest state for a subset of ranks (rank & mask). Every
@@ -52,10 +51,6 @@ type shard struct {
 	dupFrames       int64
 	expectedRecords int64
 	ingestedRecords int64
-
-	// Observability handles (nil-safe no-ops when obs is off).
-	obsRecords *obs.Gauge // server_shard_records{shard=i}
-	obsFrames  *obs.Gauge // server_shard_frames{shard=i}
 }
 
 func newShard() *shard {

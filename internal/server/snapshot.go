@@ -518,11 +518,9 @@ func (s *Server) checkpointLocked(seal bool) error {
 		}
 	}
 	written := int64(len(sec) * len(snapSlots))
-	d.snapshots++
-	d.snapBytes += written
-	d.obsSnapshots.Inc()
+	d.snapshots.Add(1)
+	d.snapBytes.Add(written)
 	d.obsSnapBytes.Set(float64(len(sec)))
-	d.obsCkptBytes.Add(written)
 	if d.obsCkptNs != nil {
 		d.obsCkptNs.ObserveInt(nowUnixNs() - t0)
 	}

@@ -131,9 +131,9 @@ type snapshotCache struct {
 	ver atomic.Uint64                  // mutation counter; bumped by every state change
 	cur atomic.Pointer[ReportSnapshot] // latest render; nil before first Snapshot
 
-	// mu serializes rebuilds; gen/lastBuild/buildDur are guarded by it.
+	// mu serializes rebuilds and guards lastBuild/buildDur; the generation
+	// is the published snapshot's Gen, read without it.
 	mu        sync.Mutex
-	gen       uint64
 	lastBuild time.Time
 	buildDur  time.Duration
 
@@ -209,7 +209,6 @@ func (s *Server) Snapshot() *ReportSnapshot {
 	c := &s.snap
 	if sn := c.cur.Load(); sn != nil && sn.version == c.ver.Load() {
 		c.hits.Add(1)
-		s.obsSnapHits.Inc()
 		return sn
 	}
 	if !c.mu.TryLock() {
@@ -220,14 +219,12 @@ func (s *Server) Snapshot() *ReportSnapshot {
 		} else {
 			sn := c.cur.Load()
 			c.hits.Add(1)
-			s.obsSnapHits.Inc()
 			return sn
 		}
 	}
 	defer c.mu.Unlock()
 	if sn := c.cur.Load(); sn != nil && sn.version == c.ver.Load() {
 		c.hits.Add(1)
-		s.obsSnapHits.Inc()
 		return sn
 	}
 	if c.cur.Load() != nil {
@@ -250,7 +247,6 @@ func (s *Server) Snapshot() *ReportSnapshot {
 		// the version, so the first post-recovery read rebuilds.
 		if old := c.cur.Load(); old != nil {
 			c.hits.Add(1)
-			s.obsSnapHits.Inc()
 			return old
 		}
 		sn = &ReportSnapshot{
@@ -259,14 +255,12 @@ func (s *Server) Snapshot() *ReportSnapshot {
 			Down:      true,
 		}
 	}
-	c.gen++
-	sn.Gen = c.gen
+	// Only a builder holding mu publishes, so Gen stays strictly monotone.
+	sn.Gen = s.SnapshotStats().Gen + 1
 	c.cur.Store(sn)
 	c.lastBuild = time.Now()
 	c.buildDur = c.lastBuild.Sub(start)
 	c.builds.Add(1)
-	s.obsSnapBuilds.Inc()
-	s.obsSnapGen.Set(float64(c.gen))
 	return sn
 }
 
@@ -361,13 +355,16 @@ func (st SnapshotStats) HitRate() float64 {
 	return float64(st.Hits) / float64(st.Reads)
 }
 
-// SnapshotStats returns the report cache counters.
+// SnapshotStats returns the report cache counters. It never waits: Gen is
+// the published snapshot's, not read under the rebuild lock that Snapshot
+// holds across its throttle sleep.
 func (s *Server) SnapshotStats() SnapshotStats {
 	hits := s.snap.hits.Load()
 	builds := s.snap.builds.Load()
-	s.snap.mu.Lock()
-	gen := s.snap.gen
-	s.snap.mu.Unlock()
+	var gen uint64
+	if sn := s.snap.cur.Load(); sn != nil {
+		gen = sn.Gen
+	}
 	return SnapshotStats{Gen: gen, Reads: hits + builds, Hits: hits, Builds: builds}
 }
 

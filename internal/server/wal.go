@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"sync"
+	"sync/atomic"
 
 	"vsensor/internal/obs"
 	"vsensor/internal/storage"
@@ -103,8 +104,9 @@ const DefaultFlushEvery = 64
 const DefaultFlushBytes = 1 << 16
 
 // durability is the server's WAL/snapshot state. All fields except stateMu
-// are guarded by mu; stateMu serializes ingest (read side) against crash,
-// recovery, and checkpoint (write side).
+// are guarded by mu (the atomic counters are also read without it);
+// stateMu serializes ingest (read side) against crash, recovery, and
+// checkpoint (write side).
 type durability struct {
 	// stateMu is held shared for every Receive and exclusively by
 	// Crash/Recover/Checkpoint, so a wipe or a state capture never
@@ -130,33 +132,26 @@ type durability struct {
 	ranks   []int
 
 	// Lifetime counters (survive Crash; they describe the device, not the
-	// server state).
-	entries      int64
-	bytes        int64
-	syncs        int64
-	groupCommits int64
-	coalesced    int64
-	snapshots    int64
-	snapBytes    int64 // section bytes appended to the slots, both mirrors counted
-	recoveries   int64
-	lastRec      RecoveryStats
+	// server state). Written under mu but atomic, so /metrics reads them
+	// through lifetime without waiting behind a commit's sync.
+	entries    atomic.Int64
+	bytes      atomic.Int64
+	syncs      atomic.Int64 // one per commit group: DurabilityStats' Syncs and GroupCommits
+	coalesced  atomic.Int64
+	snapshots  atomic.Int64
+	snapBytes  atomic.Int64 // section bytes appended to the slots, both mirrors counted
+	recoveries atomic.Int64
+	lastRec    RecoveryStats
 
-	// Observability handles (nil-safe no-ops when obs is off).
-	obsEntries      *obs.Counter
-	obsBytes        *obs.Counter
-	obsSyncs        *obs.Counter
-	obsGroupCommits *obs.Counter
-	obsCoalesced    *obs.Counter
-	obsFlushBytes   *obs.Histogram
-	obsSyncWait     *obs.Histogram
-	obsSnapshots    *obs.Counter
-	obsSnapBytes    *obs.Gauge
-	obsCkptBytes    *obs.Counter
-	obsCkptNs       *obs.Histogram
-	obsRecovered    *obs.Counter
-	obsTruncated    *obs.Counter
-	obsReplayed     *obs.Counter
-	lin             *obs.Lineage // record-lineage tracer (nil = lineage off)
+	// Observability handles (nil-safe no-ops when obs is off), for what the
+	// counters above do not record.
+	obsFlushBytes *obs.Histogram
+	obsSyncWait   *obs.Histogram
+	obsSnapBytes  *obs.Gauge
+	obsCkptNs     *obs.Histogram
+	obsTruncated  *obs.Counter
+	obsReplayed   *obs.Counter
+	lin           *obs.Lineage // record-lineage tracer (nil = lineage off)
 }
 
 func walSegmentName(gen uint64) string { return fmt.Sprintf("wal.%d", gen) }
@@ -254,8 +249,7 @@ func (e *groupEncoder) chatter(kind byte, rank int) (extended bool) {
 	extended = e.openKind == kind && e.openRank == rank
 	if extended {
 		e.openCount++
-		d.coalesced++
-		d.obsCoalesced.Inc()
+		d.coalesced.Add(1)
 	} else {
 		e.closeOpen()
 		e.openKind, e.openRank, e.openCount = kind, rank, 1
@@ -353,14 +347,9 @@ func (e *groupEncoder) flush() error {
 	if timed {
 		wait = nowUnixNs() - t0
 	}
-	d.entries += int64(e.entries)
-	d.bytes += int64(len(e.buf))
-	d.syncs++
-	d.groupCommits++
-	d.obsEntries.Add(int64(e.entries))
-	d.obsBytes.Add(int64(len(e.buf)))
-	d.obsSyncs.Inc()
-	d.obsGroupCommits.Inc()
+	d.entries.Add(int64(e.entries))
+	d.bytes.Add(int64(len(e.buf)))
+	d.syncs.Add(1)
 	d.obsFlushBytes.ObserveInt(int64(len(e.buf)))
 	d.obsSyncWait.ObserveExemplar(float64(wait), trace)
 	if d.lin != nil && trace != 0 {
@@ -517,37 +506,43 @@ type DurabilityStats struct {
 // DurabilityStats returns the durability layer's state; the zero value when
 // durability is off.
 func (s *Server) DurabilityStats() DurabilityStats {
-	d := s.dur
-	if d == nil {
+	if s.dur == nil {
 		return DurabilityStats{}
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	every := d.cfg.SnapshotEvery
-	if every == 0 {
-		every = DefaultSnapshotEvery
-	}
-	stagedEntries, stagedBytes := d.enc.staged()
+	return s.dur.stats()
+}
+
+// lifetime reads the lifetime counters without mu: the fields /metrics
+// exports. stats reads them under mu, together with the rest.
+func (d *durability) lifetime() DurabilityStats {
+	syncs := d.syncs.Load()
 	return DurabilityStats{
 		Enabled:          true,
-		Generation:       d.gen,
-		LSN:              d.lsn,
-		WALEntries:       d.entries,
-		WALBytes:         d.bytes,
-		CheckpointBytes:  d.snapBytes,
-		Syncs:            d.syncs,
-		GroupCommits:     d.groupCommits,
-		CoalescedEntries: d.coalesced,
-		StagedEntries:    stagedEntries,
-		StagedBytes:      stagedBytes,
-		Snapshots:        d.snapshots,
-		Recoveries:       d.recoveries,
-		DiskBytes:        d.disk.Size(),
-		LastRecovery:     d.lastRec,
-		SnapshotEvery:    every,
-		FlushEvery:       d.cfg.FlushEvery,
-		FlushBytes:       d.cfg.FlushBytes,
+		WALEntries:       d.entries.Load(),
+		WALBytes:         d.bytes.Load(),
+		CheckpointBytes:  d.snapBytes.Load(),
+		Syncs:            syncs,
+		GroupCommits:     syncs,
+		CoalescedEntries: d.coalesced.Load(),
+		Snapshots:        d.snapshots.Load(),
+		Recoveries:       d.recoveries.Load(),
 	}
+}
+
+func (d *durability) stats() DurabilityStats {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	st := d.lifetime()
+	st.Generation, st.LSN = d.gen, d.lsn
+	st.StagedEntries, st.StagedBytes = d.enc.staged()
+	st.DiskBytes = d.disk.Size()
+	st.LastRecovery = d.lastRec
+	st.SnapshotEvery = d.cfg.SnapshotEvery
+	if st.SnapshotEvery == 0 {
+		st.SnapshotEvery = DefaultSnapshotEvery
+	}
+	st.FlushEvery, st.FlushBytes = d.cfg.FlushEvery, d.cfg.FlushBytes
+	return st
 }
 
 // Disk returns the backing storage device (nil when durability is off) —
@@ -589,20 +584,23 @@ func (s *Server) AttachDurability(cfg DurabilityConfig) {
 	}
 }
 
-// setDurObs attaches the durability metric handles. Called from SetObs.
+// setObs registers the durability metrics: the lifetime counters as
+// functions of lifetime, read once per scrape, plus the handles for what
+// they do not record. Called from SetObs.
 func (d *durability) setObs(o *obs.Obs) {
-	d.obsEntries = o.Counter("server_wal_entries_total")
-	d.obsBytes = o.Counter("server_wal_bytes_total")
-	d.obsSyncs = o.Counter("server_wal_syncs_total")
-	d.obsGroupCommits = o.Counter("wal_group_commits_total")
-	d.obsCoalesced = o.Counter("wal_coalesced_entries_total")
+	lt := obs.NewSource(o.Registry(), d.lifetime)
+	lt.Counter("server_wal_entries_total", func(st DurabilityStats) int64 { return st.WALEntries })
+	lt.Counter("server_wal_bytes_total", func(st DurabilityStats) int64 { return st.WALBytes })
+	lt.Counter("server_wal_syncs_total", func(st DurabilityStats) int64 { return st.Syncs })
+	lt.Counter("wal_group_commits_total", func(st DurabilityStats) int64 { return st.GroupCommits })
+	lt.Counter("wal_coalesced_entries_total", func(st DurabilityStats) int64 { return st.CoalescedEntries })
+	lt.Counter("server_snapshots_total", func(st DurabilityStats) int64 { return st.Snapshots })
+	lt.Counter("server_checkpoint_bytes_total", func(st DurabilityStats) int64 { return st.CheckpointBytes })
+	lt.Counter("server_recoveries_total", func(st DurabilityStats) int64 { return st.Recoveries })
 	d.obsFlushBytes = o.Histogram("wal_flush_bytes")
 	d.obsSyncWait = o.Histogram("wal_sync_wait_ns")
-	d.obsSnapshots = o.Counter("server_snapshots_total")
 	d.obsSnapBytes = o.Gauge("server_snapshot_bytes")
-	d.obsCkptBytes = o.Counter("server_checkpoint_bytes_total")
 	d.obsCkptNs = o.Histogram("server_checkpoint_ns")
-	d.obsRecovered = o.Counter("server_recoveries_total")
 	d.obsTruncated = o.Counter("server_wal_truncated_bytes_total")
 	d.obsReplayed = o.Counter("server_replayed_frames_total")
 	d.lin = o.Lineage()

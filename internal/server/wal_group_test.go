@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"vsensor/internal/detect"
@@ -320,11 +321,20 @@ func TestGroupCommitObsMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := s.DurabilityStats()
-	if got := o.Counter("wal_group_commits_total").Value(); got != st.GroupCommits || got == 0 {
-		t.Errorf("wal_group_commits_total = %d, stats say %d", got, st.GroupCommits)
+	if st.GroupCommits == 0 || st.CoalescedEntries == 0 {
+		t.Fatalf("stats = %+v, want group commits and coalesced entries", st)
 	}
-	if got := o.Counter("wal_coalesced_entries_total").Value(); got != st.CoalescedEntries || got == 0 {
-		t.Errorf("wal_coalesced_entries_total = %d, stats say %d", got, st.CoalescedEntries)
+	var sb strings.Builder
+	if err := o.Registry().WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		fmt.Sprintf("\nwal_group_commits_total %d\n", st.GroupCommits),
+		fmt.Sprintf("\nwal_coalesced_entries_total %d\n", st.CoalescedEntries),
+	} {
+		if !strings.Contains(sb.String(), want) {
+			t.Errorf("/metrics lacks %q:\n%s", strings.TrimSpace(want), sb.String())
+		}
 	}
 	if got := o.Histogram("wal_flush_bytes").Count(); got != st.GroupCommits {
 		t.Errorf("wal_flush_bytes observations = %d, want one per group commit (%d)", got, st.GroupCommits)

@@ -8,6 +8,7 @@ package vsensor_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -75,8 +76,6 @@ func TestObsMetricFamiliesPopulated(t *testing.T) {
 		"vm_time_ns_total{kind=\"comp\"}",
 		"detect_records_total{rank=\"0\"}",
 		"detect_slices_total{rank=\"0\"}",
-		"server_messages_total",
-		"server_bytes_total",
 		"server_batch_bytes_count",
 		"mpi_collectives_total{kind=\"allreduce\"}",
 		"mpi_collectives_total{kind=\"barrier\"}",
@@ -95,30 +94,261 @@ func TestObsMetricFamiliesPopulated(t *testing.T) {
 	if got := o.Registry().Counter("vm_records_total").Value(); got != int64(totalRecords) {
 		t.Errorf("vm_records_total = %d, want %d", got, totalRecords)
 	}
-	if got := o.Registry().Counter("server_bytes_total").Value(); got != rep.Server.BytesReceived() {
-		t.Errorf("server_bytes_total = %d, want %d", got, rep.Server.BytesReceived())
+}
+
+// scrape serves /metrics from o and returns every sample's value keyed by
+// its name and labels as rendered (`server_shard_records{shard="0"}`), and
+// every family's TYPE.
+func scrape(t *testing.T, o *obs.Obs) (samples map[string]float64, types map[string]string) {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	o.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("/metrics -> %d", rec.Code)
 	}
-	if got := o.Registry().Counter("server_messages_total").Value(); got != rep.Server.Messages() {
-		t.Errorf("server_messages_total = %d, want %d", got, rep.Server.Messages())
+	samples, types = map[string]float64{}, map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(rec.Body.String()), "\n") {
+		f := strings.Fields(line)
+		switch {
+		case len(f) == 4 && f[0] == "#" && f[1] == "TYPE":
+			types[f[2]] = f[3]
+		case len(f) == 2 && f[0] != "#":
+			v, err := strconv.ParseFloat(f[1], 64)
+			if err != nil {
+				t.Fatalf("unparseable sample %q", line)
+			}
+			samples[f[0]] = v
+		}
+	}
+	return samples, types
+}
+
+// checkSamples fails for every name in want whose scraped sample is missing
+// or differs.
+func checkSamples(t *testing.T, samples map[string]float64, want map[string]int64) {
+	t.Helper()
+	for name, w := range want {
+		if got, ok := samples[name]; !ok || got != float64(w) {
+			t.Errorf("/metrics %s = %v (present %v), accessor says %d", name, got, ok, w)
+		}
 	}
 }
 
-// Every WAL and checkpoint metric family a durable group-commit run exports,
-// and every window metric a run over a socket exports, must carry a HELP line
-// on /metrics: an operator reading the scrape should not have to open the
-// source to learn what wal_sync_wait_ns or transport_window_stalls_total
-// measures.
+// TestMetricsReadOwnersStats: every /metrics family whose number the server
+// or the service already keeps is read from the accessor /status reads, at
+// scrape time. Scraped straight after a durable, leased Listen run, each
+// equals its accessor — server_ranks_alive included, though nothing has run
+// a liveness query yet. The family set and TYPEs are pinned too, for that
+// run and for a bare netsrv service.
+func TestMetricsReadOwnersStats(t *testing.T) {
+	o := obs.New()
+	rep, err := vsensor.Run(obsTestSrc, vsensor.Options{
+		Ranks: 4, Transport: &transport.Config{LeaseNs: 50_000}, Durability: &server.DurabilityConfig{},
+		Listen: "127.0.0.1:0", Obs: o,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	samples, types := scrape(t, o) // before anything queries the server
+
+	if !reflect.DeepEqual(types, durableListenFamilies) {
+		t.Errorf("/metrics families = %v\nwant %v", types, durableListenFamilies)
+	}
+	srv := rep.Server
+	cov, live, snap := srv.Coverage(), srv.LivenessSummary(), srv.SnapshotStats()
+	dur, net := srv.DurabilityStats(), rep.Service.Stats()
+	if live.Alive != 4 || dur.Syncs == 0 || net.Accepted == 0 {
+		t.Fatalf("run left nothing to compare: liveness %+v, syncs %d, accepted %d", live, dur.Syncs, net.Accepted)
+	}
+	want := map[string]int64{
+		"server_messages_total":         srv.Messages(),
+		"server_bytes_total":            srv.BytesReceived(),
+		"server_records_total":          cov.IngestedRecords,
+		"server_dup_frames_total":       cov.DupFrames,
+		"server_checksum_errors_total":  cov.ChecksumErrors,
+		"server_rejected_frames_total":  cov.RejectedFrames,
+		"server_records_expected":       cov.ExpectedRecords,
+		"server_records_ingested":       cov.IngestedRecords,
+		"server_heartbeats_total":       srv.Heartbeats(),
+		"server_ranks_alive":            int64(live.Alive),
+		"server_ranks_suspect":          int64(live.Suspect),
+		"server_ranks_dead":             int64(live.Dead),
+		"server_report_gen":             int64(snap.Gen),
+		"server_report_builds_total":    snap.Builds,
+		"server_report_hits_total":      snap.Hits,
+		"server_shards":                 int64(srv.Shards()),
+		"server_epochs_open":            srv.EpochStats().Open,
+		"server_wal_entries_total":      dur.WALEntries,
+		"server_wal_bytes_total":        dur.WALBytes,
+		"server_wal_syncs_total":        dur.Syncs,
+		"wal_group_commits_total":       dur.GroupCommits,
+		"wal_coalesced_entries_total":   dur.CoalescedEntries,
+		"server_snapshots_total":        dur.Snapshots,
+		"server_checkpoint_bytes_total": dur.CheckpointBytes,
+		"server_recoveries_total":       dur.Recoveries,
+	}
+	for _, sc := range srv.PerShardCoverage() {
+		want[fmt.Sprintf("server_shard_records{shard=%q}", strconv.Itoa(sc.Shard))] = sc.Records
+		want[fmt.Sprintf("server_shard_frames{shard=%q}", strconv.Itoa(sc.Shard))] = sc.Frames
+	}
+	for name, v := range netSamples(net) {
+		want[name] = v
+	}
+	checkSamples(t, samples, want)
+
+	// Reads move the report cache: a build, then a hit.
+	srv.Snapshot()
+	srv.Snapshot()
+	samples, _ = scrape(t, o)
+	if snap = srv.SnapshotStats(); snap.Hits == 0 {
+		t.Fatalf("two reads left no cache hit: %+v", snap)
+	}
+	checkSamples(t, samples, map[string]int64{
+		"server_report_gen":          int64(snap.Gen),
+		"server_report_builds_total": snap.Builds,
+		"server_report_hits_total":   snap.Hits,
+	})
+
+	// A bare service exports the net families alone, read from its Stats.
+	so := obs.New()
+	svc, err := netsrv.Listen("127.0.0.1:0", netsrv.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	svc.SetObs(so)
+	if _, err := vsensor.Run(obsTestSrc, vsensor.Options{Ranks: 4, Connect: svc.Addr().String(), RunID: "metrics"}); err != nil {
+		t.Fatal(err)
+	}
+	// The run's client has hung up, but the service's handlers notice that
+	// asynchronously; Close waits for every one, so the numbers hold still.
+	svc.Close()
+	samples, types = scrape(t, so)
+	wantTypes := map[string]string{}
+	for name := range netSamples(netsrv.Stats{}) {
+		wantTypes[name] = durableListenFamilies[name]
+	}
+	if !reflect.DeepEqual(types, wantTypes) {
+		t.Errorf("service /metrics families = %v\nwant %v", types, wantTypes)
+	}
+	if st := svc.Stats(); st.FramesIn == 0 {
+		t.Errorf("service delivered no frames: %+v", st)
+	} else {
+		checkSamples(t, samples, netSamples(st))
+	}
+}
+
+// netSamples is what /metrics must show for a service whose Stats are st.
+func netSamples(st netsrv.Stats) map[string]int64 {
+	return map[string]int64{
+		"net_accepted_total":        st.Accepted,
+		"net_shed_total":            st.Shed,
+		"net_refused_total":         st.RefusedSessions + st.RefusedRuns + st.RefusedBadHello + st.RefusedShutdown,
+		"net_frames_total":          st.FramesIn,
+		"net_sessions_reaped_total": st.SessionsReaped,
+		"net_sessions_open":         st.SessionsOpen,
+		"net_runs":                  st.Runs,
+		"net_workers":               st.Workers,
+	}
+}
+
+// durableListenFamilies is every family, with its TYPE, that
+// TestMetricsReadOwnersStats's run exports: the same set as when the
+// derived families were push handles.
+var durableListenFamilies = map[string]string{
+	"cluster_cost_calls_total":            "counter",
+	"detect_dropped_total":                "counter",
+	"detect_emit_errors_total":            "counter",
+	"detect_records_total":                "counter",
+	"detect_slices_total":                 "counter",
+	"detect_variance_events_total":        "counter",
+	"mpi_collectives_total":               "counter",
+	"mpi_p2p_bytes_total":                 "counter",
+	"mpi_p2p_messages_total":              "counter",
+	"net_accepted_total":                  "counter",
+	"net_dial_attempts_total":             "counter",
+	"net_dial_backoff_ns":                 "histogram",
+	"net_frames_total":                    "counter",
+	"net_inflight_frames":                 "gauge",
+	"net_reconnects_total":                "counter",
+	"net_refused_total":                   "counter",
+	"net_runs":                            "gauge",
+	"net_sessions_open":                   "gauge",
+	"net_sessions_reaped_total":           "counter",
+	"net_shed_total":                      "counter",
+	"net_workers":                         "gauge",
+	"run_ranks":                           "gauge",
+	"server_batch_bytes":                  "histogram",
+	"server_bytes_total":                  "counter",
+	"server_checkpoint_bytes_total":       "counter",
+	"server_checkpoint_ns":                "histogram",
+	"server_checksum_errors_total":        "counter",
+	"server_dup_frames_total":             "counter",
+	"server_epoch_lag_ns":                 "histogram",
+	"server_epoch_reopens_total":          "counter",
+	"server_epochs_closed_total":          "counter",
+	"server_epochs_open":                  "gauge",
+	"server_heartbeats_total":             "counter",
+	"server_messages_total":               "counter",
+	"server_ranks_alive":                  "gauge",
+	"server_ranks_dead":                   "gauge",
+	"server_ranks_suspect":                "gauge",
+	"server_records_expected":             "gauge",
+	"server_records_ingested":             "gauge",
+	"server_records_total":                "counter",
+	"server_recoveries_total":             "counter",
+	"server_rejected_frames_total":        "counter",
+	"server_replayed_frames_total":        "counter",
+	"server_report_builds_total":          "counter",
+	"server_report_gen":                   "gauge",
+	"server_report_hits_total":            "counter",
+	"server_shard_frames":                 "gauge",
+	"server_shard_records":                "gauge",
+	"server_shards":                       "gauge",
+	"server_snapshot_bytes":               "gauge",
+	"server_snapshots_total":              "counter",
+	"server_wal_bytes_total":              "counter",
+	"server_wal_entries_total":            "counter",
+	"server_wal_syncs_total":              "counter",
+	"server_wal_truncated_bytes_total":    "counter",
+	"transport_acked_total":               "counter",
+	"transport_corrupted_total":           "counter",
+	"transport_dropped_total":             "counter",
+	"transport_duplicated_total":          "counter",
+	"transport_frames_total":              "counter",
+	"transport_heartbeats_total":          "counter",
+	"transport_packed_flushes_total":      "counter",
+	"transport_parked_total":              "counter",
+	"transport_records_lost_total":        "counter",
+	"transport_reordered_total":           "counter",
+	"transport_retries_total":             "counter",
+	"transport_returned_frames_total":     "counter",
+	"transport_server_down_rejects_total": "counter",
+	"transport_window_stalls_total":       "counter",
+	"vm_active_ranks":                     "gauge",
+	"vm_probe_ns_total":                   "counter",
+	"vm_records_total":                    "counter",
+	"vm_steps_total":                      "counter",
+	"vm_time_ns_total":                    "counter",
+	"wal_coalesced_entries_total":         "counter",
+	"wal_flush_bytes":                     "histogram",
+	"wal_group_commits_total":             "counter",
+	"wal_sync_wait_ns":                    "histogram",
+}
+
+// Every metric family a durable group-commit run exports, and every family a
+// run over a socket exports, must carry a HELP line on /metrics: an operator
+// reading the scrape should not have to open the source to learn what
+// wal_sync_wait_ns or net_shed_total measures.
 func TestObsWALFamiliesHaveHelp(t *testing.T) {
 	for _, tc := range []struct {
-		name     string
-		opt      vsensor.Options
-		prefixes []string
-		want     []string
+		name string
+		opt  vsensor.Options
+		want []string
 	}{
 		{
-			name:     "durable",
-			opt:      vsensor.Options{Ranks: 4, Durability: &server.DurabilityConfig{FlushEvery: 16}},
-			prefixes: []string{"wal_", "server_wal_", "server_checkpoint_"},
+			name: "durable",
+			opt:  vsensor.Options{Ranks: 4, Durability: &server.DurabilityConfig{FlushEvery: 16}},
 			want: []string{
 				"server_wal_entries_total", "server_wal_bytes_total", "server_wal_syncs_total",
 				"wal_group_commits_total", "wal_coalesced_entries_total", "wal_flush_bytes", "wal_sync_wait_ns",
@@ -126,10 +356,9 @@ func TestObsWALFamiliesHaveHelp(t *testing.T) {
 			},
 		},
 		{
-			name:     "windowed",
-			opt:      vsensor.Options{Ranks: 4, Listen: "127.0.0.1:0"},
-			prefixes: []string{"transport_window_", "transport_returned_", "net_inflight_"},
-			want:     []string{"transport_window_stalls_total", "transport_returned_frames_total", "net_inflight_frames"},
+			name: "windowed",
+			opt:  vsensor.Options{Ranks: 4, Listen: "127.0.0.1:0"},
+			want: []string{"transport_window_stalls_total", "transport_returned_frames_total", "net_inflight_frames", "net_shed_total"},
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -153,11 +382,7 @@ func TestObsWALFamiliesHaveHelp(t *testing.T) {
 				case "HELP":
 					helped[f[2]] = true
 				case "TYPE":
-					for _, p := range tc.prefixes {
-						if strings.HasPrefix(f[2], p) {
-							families[f[2]] = true
-						}
-					}
+					families[f[2]] = true
 				}
 			}
 			for _, want := range tc.want {

@@ -1,7 +1,6 @@
 package vsensor_test
 
 import (
-	"strings"
 	"testing"
 
 	vsensor "vsensor"
@@ -142,27 +141,18 @@ func TestTransportObsMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sb strings.Builder
-	if err := o.Registry().WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, name := range []string{
-		"transport_frames_total", "transport_acked_total", "transport_retries_total",
-		"transport_dropped_total", "server_records_expected", "server_records_ingested",
-	} {
-		if !strings.Contains(out, name) {
+	samples, _ := scrape(t, o)
+	for _, name := range []string{"transport_frames_total", "transport_acked_total", "transport_dropped_total"} {
+		if _, ok := samples[name]; !ok {
 			t.Errorf("metric %s missing from /metrics", name)
 		}
 	}
-	reg := o.Registry()
-	if v := reg.Counter("transport_retries_total").Value(); v == 0 {
+	if samples["transport_retries_total"] == 0 {
 		t.Error("30% drop produced no retries in transport_retries_total")
 	}
 	cov := rep.Coverage()
-	exp := reg.Gauge("server_records_expected").Value()
-	ing := reg.Gauge("server_records_ingested").Value()
-	if exp != float64(cov.ExpectedRecords) || ing != float64(cov.IngestedRecords) {
-		t.Errorf("gauges expected=%v ingested=%v, coverage %+v", exp, ing, cov)
-	}
+	checkSamples(t, samples, map[string]int64{
+		"server_records_expected": cov.ExpectedRecords,
+		"server_records_ingested": cov.IngestedRecords,
+	})
 }
