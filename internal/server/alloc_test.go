@@ -1,6 +1,7 @@
 package server
 
 import (
+	"runtime"
 	"testing"
 
 	"vsensor/internal/detect"
@@ -8,13 +9,14 @@ import (
 
 // TestFlushSteadyStateAllocs pins the client transfer path's allocation
 // behaviour: once the wire buffer, the shard's flow/progress entries, and
-// the epoch accumulators are warm, shipping a batch allocates nothing
-// beyond the (amortized, pre-sized here) growth of the shard sub-log, its
-// segment index, and the epochs' entry slices.
+// the epoch accumulators are warm, shipping a batch allocates nothing except
+// a new log chunk every chunkRecords records (the segment index and the
+// epochs' entry slices grow amortized; they are pre-sized here).
 func TestFlushSteadyStateAllocs(t *testing.T) {
+	const batchSize = 8
 	s := New()
-	c := s.NewClient(3, 8)
-	batch := make([]detect.SliceRecord, 8)
+	c := s.NewClient(3, batchSize)
+	batch := make([]detect.SliceRecord, batchSize)
 	for i := range batch {
 		batch[i] = detect.SliceRecord{
 			Sensor: i, Group: i % 2, Rank: 3,
@@ -22,11 +24,9 @@ func TestFlushSteadyStateAllocs(t *testing.T) {
 			AvgNs: 12.5, AvgInstr: 99,
 		}
 	}
-	// Pre-size the append-only structures so their growth doesn't count
-	// against the per-flush path, and warm the client's buffers (and the
-	// epoch map entries) with one round.
+	// Pre-size the segment index and warm the client's buffers (and the
+	// epoch map entries) with one round, then pre-size the epochs' entries.
 	sh := s.shardFor(3)
-	sh.records = make([]detect.SliceRecord, 0, 16<<10)
 	sh.segments = make([]segment, 0, 1<<10)
 	for _, r := range batch {
 		c.OnSlice(r)
@@ -41,12 +41,20 @@ func TestFlushSteadyStateAllocs(t *testing.T) {
 		}
 	}
 
-	avg := testing.AllocsPerRun(200, func() {
+	// Four chunks' worth of batches: the warm round left the first chunk
+	// open, so exactly four more are cut.
+	const rounds = 4 * chunkRecords / batchSize
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.Mallocs
+	for i := 0; i < rounds; i++ {
 		for _, r := range batch {
 			c.OnSlice(r)
 		}
-	})
-	if avg != 0 {
-		t.Errorf("steady-state OnSlice+Flush allocates %.1f objects per batch, want 0", avg)
+	}
+	runtime.ReadMemStats(&ms)
+	if got, want := ms.Mallocs-before, uint64(rounds*batchSize/chunkRecords); got != want {
+		t.Errorf("%d batches allocated %d objects, want %d (one per chunk)", rounds, got, want)
 	}
 }

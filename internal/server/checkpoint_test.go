@@ -369,22 +369,29 @@ func resealSlot(data []byte) []byte {
 }
 
 // sameSlotState is reflect.DeepEqual for two decoded states, made NaN-aware:
-// a record field that decodes to NaN is not equal to itself. The records'
-// floats (the only floats a state holds) are compared by their bits, then
-// zeroed in both states so DeepEqual compares everything else.
+// a record field that decodes to NaN is not equal to itself. Segment by
+// segment, the records' floats (the only floats a state holds) are compared
+// by their bits, then zeroed in both states so DeepEqual compares everything
+// else — tickets, the records' other fields, and the open chunks.
 func sameSlotState(a, b *snapState) bool {
 	if a != nil && b != nil && len(a.shards) == len(b.shards) {
 		for i, sh := range a.shards {
-			ra, rb := sh.records, b.shards[i].records
-			if len(ra) != len(rb) {
+			sa, sb := sh.segments, b.shards[i].segments
+			if len(sa) != len(sb) {
 				return false
 			}
-			for j := range ra {
-				if math.Float64bits(ra[j].AvgNs) != math.Float64bits(rb[j].AvgNs) ||
-					math.Float64bits(ra[j].AvgInstr) != math.Float64bits(rb[j].AvgInstr) {
+			for g := range sa {
+				ra, rb := sa[g].recs, sb[g].recs
+				if len(ra) != len(rb) {
 					return false
 				}
-				ra[j].AvgNs, ra[j].AvgInstr, rb[j].AvgNs, rb[j].AvgInstr = 0, 0, 0, 0
+				for j := range ra {
+					if math.Float64bits(ra[j].AvgNs) != math.Float64bits(rb[j].AvgNs) ||
+						math.Float64bits(ra[j].AvgInstr) != math.Float64bits(rb[j].AvgInstr) {
+						return false
+					}
+					ra[j].AvgNs, ra[j].AvgInstr, rb[j].AvgNs, rb[j].AvgInstr = 0, 0, 0, 0
+				}
 			}
 		}
 	}

@@ -1,7 +1,8 @@
 package server
 
 import (
-	"sort"
+	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -203,8 +204,9 @@ func (a *analyzer) outliers(threshold float64, watermark int64, haveWatermark bo
 
 // epochOutliers computes one epoch's outlier set: ranks whose average time
 // exceeds the cross-rank median by more than 1/threshold. Identical math to
-// the batch recompute — median over the same value multiset, same quorum,
-// same comparison — so the result cannot depend on arrival order.
+// the batch recompute — the same order statistic of the same value multiset
+// under sort.Float64s's order, same quorum, same comparison — so the result
+// cannot depend on arrival order.
 func epochOutliers(k epochKey, ep *epoch, threshold float64, scratch *[]float64) []Outlier {
 	if len(ep.entries) < 3 {
 		return nil
@@ -213,9 +215,8 @@ func epochOutliers(k epochKey, ep *epoch, threshold float64, scratch *[]float64)
 	for _, e := range ep.entries {
 		vals = append(vals, e.avg)
 	}
-	sort.Float64s(vals)
 	*scratch = vals
-	med := medianSorted(vals)
+	med := selectMedian(vals)
 	if med <= 0 {
 		return nil
 	}
@@ -248,14 +249,92 @@ func (s *Server) EpochStats() EpochStats {
 	return EpochStats{Open: open, Closed: total - open}
 }
 
-// medianSorted returns the median of an already-sorted value slice.
-func medianSorted(vals []float64) float64 {
+// selectMedian returns the median of vals — the middle value, or the mean
+// of the two middle values — in the order sort.Float64s sorts them: NaN
+// before every number, then ascending. It selects in place instead of
+// sorting (expected linear time) and leaves vals permuted. Where that order
+// ties distinct bit patterns (-0 and +0, NaN payloads) sort.Float64s itself
+// fixes no arrangement; every other median is the sorted one bit for bit.
+func selectMedian(vals []float64) float64 {
 	n := len(vals)
 	if n == 0 {
 		return 0
 	}
-	if n%2 == 1 {
-		return vals[n/2]
+	// Gather the NaNs in front, where sort.Float64s puts them; past them,
+	// plain < is the sort order.
+	nans := 0
+	for i, v := range vals {
+		if v != v {
+			vals[i], vals[nans] = vals[nans], v
+			nans++
+		}
 	}
-	return (vals[n/2-1] + vals[n/2]) / 2
+	k := n / 2
+	if k >= nans {
+		selectNth(vals[nans:], k-nans)
+	}
+	if n%2 == 1 {
+		return vals[k]
+	}
+	// The lower middle is a NaN when rank k-1 falls among them, else the
+	// greatest of the numbers selectNth left below vals[k].
+	lo := vals[k-1]
+	if k > nans {
+		for _, v := range vals[nans : k-1] {
+			if lo < v {
+				lo = v
+			}
+		}
+	}
+	return (lo + vals[k]) / 2
+}
+
+// selectNth permutes vals, which hold no NaN, so that vals[k] is the value
+// sort.Float64s would put there, with nothing greater before it and nothing
+// smaller after it: quickselect with a median-of-three pivot and Hoare
+// partitioning, which splits runs of equal values evenly. A range that is
+// not converging after 2·log2(n) rounds is sorted instead, so adversarial
+// input costs n log n at worst.
+func selectNth(vals []float64, k int) {
+	lo, hi := 0, len(vals)-1
+	for rounds := 2 * bits.Len(uint(len(vals))); lo < hi; rounds-- {
+		if rounds == 0 {
+			slices.Sort(vals[lo : hi+1])
+			return
+		}
+		mid := lo + (hi-lo)/2
+		if vals[mid] < vals[lo] {
+			vals[mid], vals[lo] = vals[lo], vals[mid]
+		}
+		if vals[hi] < vals[lo] {
+			vals[hi], vals[lo] = vals[lo], vals[hi]
+		}
+		if vals[hi] < vals[mid] {
+			vals[hi], vals[mid] = vals[mid], vals[hi]
+		}
+		p := vals[mid]
+		i, j := lo, hi
+		for i <= j {
+			for vals[i] < p {
+				i++
+			}
+			for p < vals[j] {
+				j--
+			}
+			if i <= j {
+				vals[i], vals[j] = vals[j], vals[i]
+				i++
+				j--
+			}
+		}
+		// vals[lo..j] <= p <= vals[i..hi], and everything between equals p.
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return
+		}
+	}
 }

@@ -61,7 +61,7 @@ func (s *Server) Progress() Progress {
 	var p Progress
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		p.Records += len(sh.records)
+		p.Records += int(sh.ingestedRecords)
 		p.Messages += sh.messages
 		p.Bytes += sh.bytesReceived
 		if sh.latestSliceNs > p.LatestSliceNs {

@@ -69,7 +69,7 @@ func (s *Server) Crash() error {
 	d.disk.Crash()
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		sh.records = nil
+		sh.chunk = nil
 		sh.segments = nil
 		sh.flows = make(map[int]*rankFlow)
 		sh.perRank = make(map[int]*RankProgress)
@@ -213,7 +213,9 @@ func (s *Server) Recover() (RecoveryStats, error) {
 	s.compactTickets()
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		rs.RecordsRecovered += int64(len(sh.records))
+		for _, sg := range sh.segments {
+			rs.RecordsRecovered += int64(len(sg.recs))
+		}
 		sh.mu.Unlock()
 	}
 	rs.LSN = nextLSN - 1
@@ -281,7 +283,7 @@ func (s *Server) installSnapshot(st *snapState) {
 	for i, sh := range s.shards {
 		src := st.shards[i]
 		sh.mu.Lock()
-		sh.records = src.records
+		sh.chunk = src.chunk
 		sh.segments = src.segments
 		sh.flows = src.flows
 		sh.perRank = src.perRank
@@ -292,10 +294,12 @@ func (s *Server) installSnapshot(st *snapState) {
 		sh.dupFrames = src.dupFrames
 		sh.expectedRecords = src.expectedRecords
 		sh.ingestedRecords = src.ingestedRecords
-		recs := sh.records
+		segs := sh.segments
 		sh.mu.Unlock()
-		// Fold outside the shard lock: the installed prefix is immutable.
-		s.an.fold(recs, 0, false)
+		// Fold outside the shard lock: installed segments are immutable.
+		for _, sg := range segs {
+			s.an.fold(sg.recs, 0, false)
+		}
 	}
 	s.ticket.Store(st.ticket)
 	s.checksumErrors.Store(st.checksumErrors)

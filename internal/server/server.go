@@ -343,10 +343,9 @@ func (s *Server) ingestFrame(h FrameHeader, encoded []byte, forceTicket uint64) 
 	} else {
 		ticket = s.ticket.Add(1)
 	}
-	start := len(sh.records)
-	sh.records = appendDecoded(sh.records, encoded, h.Count)
-	recs := sh.records[start:]
-	sh.segments = append(sh.segments, segment{ticket: ticket, start: start, end: len(sh.records)})
+	recs := sh.alloc(h.Count)
+	decodeRecords(recs, encoded[frameHeaderSize:])
+	sh.segments = append(sh.segments, segment{ticket: ticket, recs: recs})
 	sh.bytesReceived += int64(len(encoded))
 	sh.messages++
 	for i := range recs {
@@ -369,8 +368,8 @@ func (s *Server) ingestFrame(h FrameHeader, encoded []byte, forceTicket uint64) 
 	}
 	sh.mu.Unlock()
 
-	// Fold into the epoch analyzer outside the shard lock: the committed
-	// sub-log prefix is immutable, and the analyzer stripes its own locks
+	// Fold into the epoch analyzer outside the shard lock: a committed
+	// segment is immutable, and the analyzer stripes its own locks
 	// by (sensor, group, slice). Replay derives the same trace as live
 	// ingest did, so recovered epochs keep their sampled journeys.
 	s.an.fold(recs, s.lin.TraceID(h.Rank, h.Seq), forceTicket == 0)

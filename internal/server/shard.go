@@ -16,15 +16,15 @@ import (
 type shard struct {
 	mu sync.Mutex
 
-	// records is the shard's append-only sub-log. Committed prefixes are
-	// immutable: an append either writes past the snapshot lengths readers
-	// captured, or reallocates and leaves the old backing array intact —
-	// either way a reader holding a snapshot header never observes a torn
-	// record.
-	records []detect.SliceRecord
+	// chunk is the open chunk of the shard's record log: fixed capacity,
+	// filled by appending, never moved (see alloc). Only the open chunk is
+	// held here; full chunks live on through the segments that point into
+	// them.
+	chunk []detect.SliceRecord
 
-	// segments maps each ingested frame to its record range and the global
-	// arrival ticket that linearizes it against other shards' frames.
+	// segments is the shard's sub-log: each ingested frame's records and
+	// the global arrival ticket that linearizes it against other shards'
+	// frames.
 	segments []segment
 
 	// flows is the per-sender delivery state (dedup window + coverage),
@@ -61,20 +61,39 @@ func newShard() *shard {
 	}
 }
 
-// segment is one ingested frame's slot in a shard's sub-log. The ticket is
-// the global arrival number (1-based, assigned under the shard lock), so
-// merging every shard's segments by ticket reproduces a single linearized
-// log — identical to the order a single global lock would have produced.
+// segment is one ingested frame's slot in a shard's sub-log: its records, a
+// capacity-capped sub-slice of a chunk, and the global arrival number
+// (1-based, assigned under the shard lock). Merging every shard's segments by
+// ticket reproduces a single linearized log — identical to the order a single
+// global lock would have produced. A committed segment's records are
+// immutable, so a segment copied out under the lock is a read-only view.
 type segment struct {
-	ticket     uint64
-	start, end int
-}
-
-// segSnap is a read-only view of one committed segment, captured under the
-// owning shard's lock.
-type segSnap struct {
 	ticket uint64
 	recs   []detect.SliceRecord
+}
+
+// chunkRecords is the capacity of one record-log chunk: 56 KiB of records,
+// sixteen frames of the default batch. Not a knob: large enough that chunk
+// allocation is rare next to ingest, small enough that a shard which saw a
+// single frame does not pin much memory.
+const chunkRecords = 1024
+
+// alloc reserves n records at the end of the shard's log and returns them
+// for the caller to fill. A reservation that does not fit the rest of the
+// open chunk starts a new chunk; one larger than a chunk gets a block of its
+// own size and leaves the open chunk as it was. Nothing is ever copied or
+// moved, so a segment handed to a reader or to the analyzer stays valid by
+// construction. Caller holds sh.mu.
+func (sh *shard) alloc(n int) []detect.SliceRecord {
+	if n > chunkRecords {
+		return make([]detect.SliceRecord, n)
+	}
+	if n > cap(sh.chunk)-len(sh.chunk) {
+		sh.chunk = make([]detect.SliceRecord, 0, chunkRecords)
+	}
+	start := len(sh.chunk)
+	sh.chunk = sh.chunk[:start+n]
+	return sh.chunk[start : start+n : start+n]
 }
 
 // orderedSegments snapshots every shard's committed segments and returns
@@ -84,7 +103,7 @@ type segSnap struct {
 // another; withholding everything from the first gap onward keeps the
 // merged log strictly append-only across successive snapshots, which is
 // what RecordsSince's cursor semantics require.
-func (s *Server) orderedSegments() []segSnap {
+func (s *Server) orderedSegments() []segment {
 	// Tickets are assigned only when a frame commits, so committed segments
 	// carry the dense sequence 1..N and bucket placement by ticket rebuilds
 	// the linearized log in one O(n) pass — no comparison sort, one sized
@@ -97,12 +116,12 @@ func (s *Server) orderedSegments() []segSnap {
 	if bound == 0 {
 		return nil
 	}
-	segs := make([]segSnap, bound)
+	segs := make([]segment, bound)
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		for _, sg := range sh.segments {
 			if sg.ticket <= bound {
-				segs[sg.ticket-1] = segSnap{sg.ticket, sh.records[sg.start:sg.end]}
+				segs[sg.ticket-1] = sg
 			}
 		}
 		sh.mu.Unlock()

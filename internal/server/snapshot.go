@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 	"sort"
 
 	"vsensor/internal/detect"
@@ -179,9 +180,8 @@ func (s *Server) appendSection(b []byte, link uint32, gen, lsn uint64) ([]byte, 
 		b = appendU32(b, uint32(len(fresh)))
 		for _, sg := range fresh {
 			b = appendUv(b, sg.ticket)
-			recs := sh.records[sg.start:sg.end]
-			b = appendUv(b, len(recs))
-			b = appendRecords(b, recs)
+			b = appendUv(b, len(sg.recs))
+			b = appendRecords(b, sg.recs)
 		}
 		sh.mu.Unlock()
 	}
@@ -420,9 +420,9 @@ func (st *snapState) fold(body []byte) error {
 			if r.err != nil {
 				break
 			}
-			start := len(sh.records)
-			sh.records = decodeRecords(sh.records, raw, int(nRecs))
-			sh.segments = append(sh.segments, segment{ticket: ticket, start: start, end: len(sh.records)})
+			recs := sh.alloc(int(nRecs))
+			decodeRecords(recs, raw)
+			sh.segments = append(sh.segments, segment{ticket: ticket, recs: recs})
 		}
 		if r.err != nil {
 			return r.err
@@ -549,37 +549,10 @@ func (d *durability) writeSection(slot string, sec []byte, replace bool) error {
 	return nil
 }
 
-// appendRecords serializes records in the 40-byte frame wire layout
-// (shared with AppendFrame's payload encoding).
+// appendRecords appends records in the 40-byte frame wire layout.
 func appendRecords(dst []byte, recs []detect.SliceRecord) []byte {
-	for _, r := range recs {
-		var rec [recordWireSize]byte
-		binary.LittleEndian.PutUint32(rec[0:], uint32(r.Sensor))
-		binary.LittleEndian.PutUint32(rec[4:], uint32(r.Group))
-		binary.LittleEndian.PutUint32(rec[8:], uint32(r.Rank))
-		binary.LittleEndian.PutUint64(rec[12:], uint64(r.SliceNs))
-		binary.LittleEndian.PutUint32(rec[20:], uint32(r.Count))
-		binary.LittleEndian.PutUint64(rec[24:], math.Float64bits(r.AvgNs))
-		binary.LittleEndian.PutUint64(rec[32:], math.Float64bits(r.AvgInstr))
-		dst = append(dst, rec[:]...)
-	}
-	return dst
-}
-
-// decodeRecords deserializes n wire records (no frame header) onto out.
-func decodeRecords(out []detect.SliceRecord, raw []byte, n int) []detect.SliceRecord {
-	off := 0
-	for i := 0; i < n; i++ {
-		out = append(out, detect.SliceRecord{
-			Sensor:   int(binary.LittleEndian.Uint32(raw[off:])),
-			Group:    int(binary.LittleEndian.Uint32(raw[off+4:])),
-			Rank:     int(binary.LittleEndian.Uint32(raw[off+8:])),
-			SliceNs:  int64(binary.LittleEndian.Uint64(raw[off+12:])),
-			Count:    int32(binary.LittleEndian.Uint32(raw[off+20:])),
-			AvgNs:    math.Float64frombits(binary.LittleEndian.Uint64(raw[off+24:])),
-			AvgInstr: math.Float64frombits(binary.LittleEndian.Uint64(raw[off+32:])),
-		})
-		off += recordWireSize
-	}
-	return out
+	n := len(recs) * recordWireSize
+	dst = slices.Grow(dst, n)
+	putRecords(dst[len(dst):len(dst)+n], recs)
+	return dst[:len(dst)+n]
 }

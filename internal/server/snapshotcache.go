@@ -74,7 +74,7 @@ type ReportSnapshot struct {
 	// and offsets hold the ordered-segment record view (offsets[i] = records
 	// before segs[i]) so record windows are served without copying the log.
 	version uint64
-	segs    []segSnap
+	segs    []segment
 	offsets []int
 	total   int
 }

@@ -77,17 +77,7 @@ func AppendFrame(dst []byte, h FrameHeader, recs []detect.SliceRecord) []byte {
 	binary.LittleEndian.PutUint64(hdr[8:], h.Seq)
 	binary.LittleEndian.PutUint64(hdr[16:], h.CumRecords)
 	binary.LittleEndian.PutUint32(hdr[24:], uint32(len(recs)))
-	off := start + frameHeaderSize
-	for _, r := range recs {
-		binary.LittleEndian.PutUint32(dst[off:], uint32(r.Sensor))
-		binary.LittleEndian.PutUint32(dst[off+4:], uint32(r.Group))
-		binary.LittleEndian.PutUint32(dst[off+8:], uint32(r.Rank))
-		binary.LittleEndian.PutUint64(dst[off+12:], uint64(r.SliceNs))
-		binary.LittleEndian.PutUint32(dst[off+20:], uint32(r.Count))
-		binary.LittleEndian.PutUint64(dst[off+24:], math.Float64bits(r.AvgNs))
-		binary.LittleEndian.PutUint64(dst[off+32:], math.Float64bits(r.AvgInstr))
-		off += recordWireSize
-	}
+	putRecords(dst[start+frameHeaderSize:], recs)
 	crc := crc32.ChecksumIEEE(dst[start : start+28])
 	crc = crc32.Update(crc, crc32.IEEETable, dst[start+frameHeaderSize:])
 	binary.LittleEndian.PutUint32(dst[start+28:], crc)
@@ -150,23 +140,41 @@ func TraceOf(lin *obs.Lineage, data []byte) uint64 {
 	return lin.TraceID(int(binary.LittleEndian.Uint32(data[4:])), binary.LittleEndian.Uint64(data[8:]))
 }
 
-// appendDecoded deserializes a parsed frame's n records onto out. data must
-// have passed ParseFrame.
-func appendDecoded(out []detect.SliceRecord, data []byte, n int) []detect.SliceRecord {
-	off := frameHeaderSize
-	for i := 0; i < n; i++ {
-		out = append(out, detect.SliceRecord{
-			Sensor:   int(binary.LittleEndian.Uint32(data[off:])),
-			Group:    int(binary.LittleEndian.Uint32(data[off+4:])),
-			Rank:     int(binary.LittleEndian.Uint32(data[off+8:])),
-			SliceNs:  int64(binary.LittleEndian.Uint64(data[off+12:])),
-			Count:    int32(binary.LittleEndian.Uint32(data[off+20:])),
-			AvgNs:    math.Float64frombits(binary.LittleEndian.Uint64(data[off+24:])),
-			AvgInstr: math.Float64frombits(binary.LittleEndian.Uint64(data[off+32:])),
-		})
+// putRecords serializes recs in the 40-byte wire record layout into dst,
+// which must hold len(recs)*recordWireSize bytes: the one record encoder,
+// shared by frame payloads and snapshot sections.
+func putRecords(dst []byte, recs []detect.SliceRecord) {
+	off := 0
+	for _, r := range recs {
+		binary.LittleEndian.PutUint32(dst[off:], uint32(r.Sensor))
+		binary.LittleEndian.PutUint32(dst[off+4:], uint32(r.Group))
+		binary.LittleEndian.PutUint32(dst[off+8:], uint32(r.Rank))
+		binary.LittleEndian.PutUint64(dst[off+12:], uint64(r.SliceNs))
+		binary.LittleEndian.PutUint32(dst[off+20:], uint32(r.Count))
+		binary.LittleEndian.PutUint64(dst[off+24:], math.Float64bits(r.AvgNs))
+		binary.LittleEndian.PutUint64(dst[off+32:], math.Float64bits(r.AvgInstr))
 		off += recordWireSize
 	}
-	return out
+}
+
+// decodeRecords fills dst from len(dst) wire records at the start of raw:
+// the one record decoder. Live ingest and WAL replay hand it a validated
+// frame's payload, snapshot install a section's bounds-checked segment, and
+// both decode straight into the shard log's chunk.
+func decodeRecords(dst []detect.SliceRecord, raw []byte) {
+	off := 0
+	for i := range dst {
+		dst[i] = detect.SliceRecord{
+			Sensor:   int(binary.LittleEndian.Uint32(raw[off:])),
+			Group:    int(binary.LittleEndian.Uint32(raw[off+4:])),
+			Rank:     int(binary.LittleEndian.Uint32(raw[off+8:])),
+			SliceNs:  int64(binary.LittleEndian.Uint64(raw[off+12:])),
+			Count:    int32(binary.LittleEndian.Uint32(raw[off+20:])),
+			AvgNs:    math.Float64frombits(binary.LittleEndian.Uint64(raw[off+24:])),
+			AvgInstr: math.Float64frombits(binary.LittleEndian.Uint64(raw[off+32:])),
+		}
+		off += recordWireSize
+	}
 }
 
 // decodeFrame parses and deserializes a whole frame (test/tooling helper;
@@ -176,5 +184,7 @@ func decodeFrame(data []byte) (FrameHeader, []detect.SliceRecord, error) {
 	if err != nil {
 		return h, nil, err
 	}
-	return h, appendDecoded(make([]detect.SliceRecord, 0, h.Count), data, h.Count), nil
+	recs := make([]detect.SliceRecord, h.Count)
+	decodeRecords(recs, data[frameHeaderSize:])
+	return h, recs, nil
 }

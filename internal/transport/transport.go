@@ -511,6 +511,11 @@ func (c *Conn) OnSlice(r detect.SliceRecord) error {
 		c.link.obsLost.Inc()
 		return nil
 	}
+	if c.buf == nil {
+		// One batch of room up front: grown by append instead, the buffer
+		// would be reallocated at every power of two on every connection.
+		c.buf = make([]detect.SliceRecord, 0, c.cfg.BatchSize)
+	}
 	c.buf = append(c.buf, r)
 	if len(c.buf) >= c.cfg.BatchSize {
 		return c.Flush()

@@ -12,7 +12,10 @@
 # regenerates EXPERIMENTS.md at full size and compares it byte for byte), a
 # race-enabled interpreter smoke, one full-size run each of the benchmark's
 # run-cg256 and ingest-tcp-durable oracles, and a coverage-guided fuzz smoke
-# over every fuzz target.
+# over every fuzz target: the frame codec and parser, WAL replay, snapshot
+# slots, the epoch median (selection against sort.Float64s, bit for bit), the
+# mini-C lexer and parser, the engine differential, ETag cursors and the
+# service session.
 #
 # Performance is not measured here: `make bench` (benchmark/run.sh) is the
 # one benchmark, with repeated trials and bounds in BENCHMARK.json.
@@ -64,6 +67,7 @@ go test -run '^$' -fuzz 'FuzzBatchRoundTrip$' -fuzztime "$fuzztime" ./internal/s
 go test -run '^$' -fuzz 'FuzzCheckBatch$' -fuzztime "$fuzztime" ./internal/server
 go test -run '^$' -fuzz 'FuzzWALReplay$' -fuzztime "$fuzztime" ./internal/server
 go test -run '^$' -fuzz 'FuzzSnapshotSlot$' -fuzztime "$fuzztime" ./internal/server
+go test -run '^$' -fuzz 'FuzzEpochMedian$' -fuzztime "$fuzztime" ./internal/server
 go test -run '^$' -fuzz 'FuzzParse$' -fuzztime "$fuzztime" ./internal/minic
 go test -run '^$' -fuzz 'FuzzLex$' -fuzztime "$fuzztime" ./internal/minic
 go test -run '^$' -fuzz 'FuzzEngineDifferential$' -fuzztime "$fuzztime" ./internal/vm
