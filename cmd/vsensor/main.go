@@ -659,7 +659,7 @@ func doRun(src string, acfg analysis.Config, icfg instrument.Config) {
 	fmt.Printf("execution time: %.3f ms over %d ranks\n", rep.TotalSeconds()*1e3, *ranks)
 	if rep.Server != nil {
 		fmt.Printf("sensors: %s, server data: %d bytes in %d messages\n",
-			rep.Instrumented.TypeSummary(), rep.DataVolume(), rep.Server.Messages())
+			rep.Instrumented.TypeSummary(), rep.DataVolume(), rep.Server.Progress().Messages)
 	} else {
 		rid := *runIDFlag
 		if rid == "" {

@@ -78,7 +78,7 @@ func main() {
 	fmt.Printf("instrumented sensors:   %s\n", rep.Instrumented.TypeSummary())
 	fmt.Printf("records collected:      %d\n", len(rep.Records))
 	fmt.Printf("data sent to server:    %d bytes in %d messages\n",
-		rep.DataVolume(), rep.Server.Messages())
+		rep.DataVolume(), rep.Server.Progress().Messages)
 	d := rep.Distribution()
 	fmt.Printf("sense coverage:         %.1f%%\n", d.Coverage()*100)
 	fmt.Printf("sense frequency:        %.1f kHz\n", d.FrequencyHz()/1e3)

@@ -90,7 +90,8 @@ func measureAblations(size Size) (Result, error) {
 		if err != nil {
 			return Result{}, fmt.Errorf("batch %d: %w", batch, err)
 		}
-		msgs[i], bytes[i] = rep.Server.Messages(), rep.Server.BytesReceived()
+		p := rep.Server.Progress()
+		msgs[i], bytes[i] = p.Messages, p.Bytes
 		s.printf("| %d | %d | %d |\n", batch, msgs[i], bytes[i])
 	}
 

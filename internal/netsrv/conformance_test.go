@@ -139,10 +139,10 @@ func TestMultiTenantDifferentialConformance(t *testing.T) {
 				if g, w := ten.Coverage(), ref.Coverage(); g != w {
 					t.Fatalf("run %d coverage differs:\n got: %+v\nwant: %+v", r, g, w)
 				}
-				if g, w := ten.Messages(), ref.Messages(); g != w {
+				if g, w := ten.Progress().Messages, ref.Progress().Messages; g != w {
 					t.Fatalf("run %d messages %d, want %d", r, g, w)
 				}
-				if g, w := ten.BytesReceived(), ref.BytesReceived(); g != w {
+				if g, w := ten.Progress().Bytes, ref.Progress().Bytes; g != w {
 					t.Fatalf("run %d bytes %d, want %d", r, g, w)
 				}
 				gotOut, wantOut := ten.InterProcessOutliers(threshold), ref.InterProcessOutliers(threshold)

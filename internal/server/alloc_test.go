@@ -8,7 +8,7 @@ import (
 )
 
 // TestFlushSteadyStateAllocs pins the client transfer path's allocation
-// behaviour: once the wire buffer, the shard's flow/progress entries, and
+// behaviour: once the wire buffer, the sender's rank entry, and
 // the epoch accumulators are warm, shipping a batch allocates nothing except
 // a new log chunk every chunkRecords records (the segment index and the
 // epochs' entry slices grow amortized; they are pre-sized here).

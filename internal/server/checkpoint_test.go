@@ -347,6 +347,34 @@ func TestAutomaticCheckpointRunsOncePerDueMark(t *testing.T) {
 	}
 }
 
+// The slot decoder files every rank entry in the shard rank & mask selects:
+// a section that puts a rank in any other shard is a writer error, and the
+// slot is refused whole.
+func TestSnapshotRefusesRankInForeignShard(t *testing.T) {
+	hdr := testBody(u32(0), u64b(1), u64b(0), u64b(0), u64b(0), u64b(0), u64b(0))
+	counters := bytes.Repeat([]byte{0}, 6*8)
+	empty := testBody(counters, u32(0), u32(0), u32(0), u32(0))
+	// Rank 1's flow: contig, maxSeq, maxCum, frames and records 1, no ahead.
+	rank1 := testBody(counters, u32(1), []byte{1, 1, 1, 1, 1, 1, 0}, u32(0), u32(0), u32(0))
+	for _, tc := range []struct {
+		name string
+		body []byte
+		ok   bool
+	}{
+		{"home shard", testBody(hdr, u32(2), empty, rank1), true},
+		{"foreign shard", testBody(hdr, u32(2), rank1, empty), false},
+	} {
+		slot := resealSlot(testBody(u32(snapMagic), u32(uint32(len(tc.body))), u32(0), tc.body))
+		st, _, err := decodeSlot(slot)
+		if (err == nil) != tc.ok {
+			t.Fatalf("%s: err = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+		if tc.ok && (st == nil || st.shards[1].ranks[1] == nil || st.shards[1].ranks[1].records != 1) {
+			t.Fatalf("%s: rank 1 not filed in shard 1: %+v", tc.name, st)
+		}
+	}
+}
+
 // resealSlot walks data as a section log and repairs every seal it can reach
 // — magic, crc, link — so the fuzzer's mutations land in section bodies
 // instead of dying at the first checksum.

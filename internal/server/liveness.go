@@ -1,10 +1,11 @@
 package server
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"sort"
+	"slices"
 )
 
 // Rank liveness. A large run must keep issuing honest verdicts while some
@@ -54,15 +55,6 @@ func (st LivenessState) String() string {
 	}
 }
 
-// rankLive is the per-rank lease state a shard tracks at ingest: the
-// newest heartbeat stamp and the lease it carried. Record ingest advances
-// progress separately (RankProgress.LatestSliceNs); liveness queries merge
-// both.
-type rankLive struct {
-	hbNs    int64 // newest heartbeat virtual time
-	leaseNs int64 // lease carried by that heartbeat (0 = no lease)
-}
-
 // RankLiveness is one rank's liveness snapshot.
 type RankLiveness struct {
 	Rank       int
@@ -72,87 +64,58 @@ type RankLiveness struct {
 	LagNs      int64 // frontier minus LastSeenNs
 }
 
-// livenessView is the merged per-rank state liveness queries and the
-// watermark computation share.
+// livenessView is the per-rank state liveness queries share, with the
+// watermark (server.go) it implies: the earliest latest-slice over the ranks
+// that reported records and are not Dead.
 type livenessView struct {
-	ranks    []RankLiveness
-	frontier int64
-	// latest maps rank -> latest record slice (the watermark inputs), for
-	// ranks that have reported records.
-	latest map[int]int64
+	ranks         []RankLiveness
+	frontier      int64
+	watermarkNs   int64
+	haveWatermark bool
 }
 
-// livenessView sweeps the shards and classifies every known rank against
-// the cluster-wide frontier (the newest last-seen mark anywhere).
+// livenessView sweeps the shards and classifies every known rank — one that
+// reported records or heartbeats — against the cluster-wide frontier (the
+// newest last-seen mark anywhere). Each rank's entry lives in one shard, so
+// the sweep reads it there whole.
 func (s *Server) livenessView() livenessView {
 	type seen struct {
-		last    int64
-		lease   int64
-		records bool
+		rank                  int
+		last, lease, latestNs int64
+		reported              bool
 	}
-	merged := make(map[int]*seen)
-	latest := make(map[int]int64)
-	get := func(rank int) *seen {
-		sn := merged[rank]
-		if sn == nil {
-			sn = &seen{}
-			merged[rank] = sn
-		}
-		return sn
-	}
+	all := make([]seen, 0, s.rankCount())
+	var frontier int64
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		for _, rp := range sh.perRank {
-			sn := get(rp.Rank)
-			sn.records = true
-			if rp.LatestSliceNs > sn.last {
-				sn.last = rp.LatestSliceNs
+		for rank, rs := range sh.ranks {
+			if rs.records == 0 && !rs.heartbeat {
+				continue
 			}
-			// Merge across shards like PerRankProgress: a frame can carry
-			// records for a rank other than its header rank, splitting one
-			// rank's progress over two shards. A slice of 0 still counts as
-			// having reported, so the map entry must exist either way.
-			if cur, ok := latest[rp.Rank]; !ok || rp.LatestSliceNs > cur {
-				latest[rp.Rank] = rp.LatestSliceNs
-			}
-		}
-		for rank, lv := range sh.live {
-			sn := get(rank)
-			if lv.hbNs > sn.last {
-				sn.last = lv.hbNs
-			}
-			if lv.leaseNs > sn.lease {
-				sn.lease = lv.leaseNs
-			}
+			last := max(rs.latestSliceNs, rs.hbNs)
+			frontier = max(frontier, last)
+			all = append(all, seen{rank, last, rs.leaseNs, rs.latestSliceNs, rs.records > 0})
 		}
 		sh.mu.Unlock()
 	}
-	var frontier int64
-	for _, sn := range merged {
-		if sn.last > frontier {
-			frontier = sn.last
-		}
-	}
-	out := make([]RankLiveness, 0, len(merged))
-	for rank, sn := range merged {
-		rl := RankLiveness{
-			Rank:       rank,
-			LastSeenNs: sn.last,
-			LeaseNs:    sn.lease,
-			LagNs:      frontier - sn.last,
-		}
-		if sn.lease > 0 {
+	slices.SortFunc(all, func(a, b seen) int { return cmp.Compare(a.rank, b.rank) })
+	v := livenessView{ranks: make([]RankLiveness, len(all)), frontier: frontier}
+	for i, sn := range all {
+		rl := RankLiveness{Rank: sn.rank, LastSeenNs: sn.last, LeaseNs: sn.lease, LagNs: frontier - sn.last}
+		if rl.LeaseNs > 0 {
 			switch {
-			case rl.LagNs > deadFactor*sn.lease:
+			case rl.LagNs > deadFactor*rl.LeaseNs:
 				rl.State = Dead
-			case rl.LagNs > sn.lease:
+			case rl.LagNs > rl.LeaseNs:
 				rl.State = Suspect
 			}
 		}
-		out = append(out, rl)
+		v.ranks[i] = rl
+		if sn.reported && rl.State != Dead && (!v.haveWatermark || sn.latestNs < v.watermarkNs) {
+			v.watermarkNs, v.haveWatermark = sn.latestNs, true
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Rank < out[j].Rank })
-	return livenessView{ranks: out, frontier: frontier, latest: latest}
+	return v
 }
 
 // Liveness returns every known rank's lease state in rank order.
@@ -176,21 +139,15 @@ func (s *Server) LivenessSummary() LivenessSummary {
 func (s *Server) receiveHeartbeat(rank int, nowNs, leaseNs int64, live bool) error {
 	sh := s.shardFor(rank)
 	sh.mu.Lock()
-	if sh.touched != nil {
-		sh.touched[rank] = struct{}{}
-	}
-	lv := sh.live[rank]
-	if lv == nil {
-		lv = &rankLive{}
-		sh.live[rank] = lv
-	}
+	rs := sh.touch(rank)
 	// >= so a heartbeat stamped at virtual time 0 still records its lease
 	// against the zero-valued fresh entry; among equal stamps the last
 	// arrival wins, which replay reproduces exactly.
-	if nowNs >= lv.hbNs {
-		lv.hbNs = nowNs
-		lv.leaseNs = leaseNs
+	if nowNs >= rs.hbNs {
+		rs.hbNs = nowNs
+		rs.leaseNs = leaseNs
 	}
+	rs.heartbeat = true
 	sh.mu.Unlock()
 	s.heartbeats.Add(1)
 	if live && s.dur != nil {

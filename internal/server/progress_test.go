@@ -6,37 +6,36 @@ import (
 	"vsensor/internal/detect"
 )
 
-func TestRecordsSinceCursor(t *testing.T) {
+func TestRecordsWindowCursor(t *testing.T) {
 	s := New()
 	c := s.NewClient(0, 1)
 	for i := 0; i < 5; i++ {
 		c.OnSlice(detect.SliceRecord{Sensor: 0, Rank: 0, SliceNs: int64(i) * 1000, Count: 1, AvgNs: 10})
 	}
-	first, cur := s.RecordsSince(0)
-	if len(first) != 5 || cur != 5 {
-		t.Fatalf("first batch: %d records, cursor %d", len(first), cur)
+	first, cur, _, ok := s.Snapshot().RecordsWindow(0)
+	if !ok || len(first) != 5 || cur != 5 {
+		t.Fatalf("first batch: %d records, cursor %d, ok %v", len(first), cur, ok)
 	}
 	// Nothing new yet.
-	none, cur2 := s.RecordsSince(cur)
-	if len(none) != 0 || cur2 != 5 {
-		t.Fatalf("expected empty delta: %d, %d", len(none), cur2)
+	none, cur2, _, ok := s.Snapshot().RecordsWindow(cur)
+	if !ok || len(none) != 0 || cur2 != 5 {
+		t.Fatalf("expected empty delta: %d, %d, ok %v", len(none), cur2, ok)
 	}
 	// Two more arrive.
 	c.OnSlice(detect.SliceRecord{Sensor: 0, Rank: 0, SliceNs: 9000, Count: 1, AvgNs: 10})
 	c.OnSlice(detect.SliceRecord{Sensor: 1, Rank: 0, SliceNs: 10000, Count: 1, AvgNs: 10})
-	delta, cur3 := s.RecordsSince(cur2)
-	if len(delta) != 2 || cur3 != 7 {
-		t.Fatalf("delta = %d, cursor %d", len(delta), cur3)
+	delta, cur3, _, ok := s.Snapshot().RecordsWindow(cur2)
+	if !ok || len(delta) != 2 || cur3 != 7 {
+		t.Fatalf("delta = %d, cursor %d, ok %v", len(delta), cur3, ok)
 	}
 	if delta[0].SliceNs != 9000 || delta[1].Sensor != 1 {
 		t.Errorf("delta contents wrong: %+v", delta)
 	}
-	// Out-of-range cursors are clamped.
-	if recs, cur := s.RecordsSince(-5); len(recs) != 7 || cur != 7 {
-		t.Error("negative cursor not clamped")
-	}
-	if recs, cur := s.RecordsSince(99); len(recs) != 0 || cur != 7 {
-		t.Error("overlong cursor not clamped")
+	// Out-of-range cursors are refused and restart from the base.
+	for _, bad := range []int{-5, 99} {
+		if recs, next, base, ok := s.Snapshot().RecordsWindow(bad); ok || len(recs) != 0 || next != base || base != 0 {
+			t.Errorf("cursor %d: %d records, next %d, base %d, ok %v; want a refusal back to base 0", bad, len(recs), next, base, ok)
+		}
 	}
 }
 
@@ -46,10 +45,14 @@ func TestPerRankProgress(t *testing.T) {
 		t.Fatalf("empty server per-rank = %v", pr)
 	}
 	c0 := s.NewClient(0, 1)
-	c1 := s.NewClient(1, 1)
+	c2 := s.NewClient(2, 1)
 	c0.OnSlice(detect.SliceRecord{Sensor: 0, Rank: 0, SliceNs: 1_000_000, Count: 1, AvgNs: 10})
 	c0.OnSlice(detect.SliceRecord{Sensor: 0, Rank: 0, SliceNs: 3_000_000, Count: 1, AvgNs: 10})
-	c1.OnSlice(detect.SliceRecord{Sensor: 0, Rank: 2, SliceNs: 2_000_000, Count: 1, AvgNs: 10})
+	c2.OnSlice(detect.SliceRecord{Sensor: 0, Rank: 2, SliceNs: 2_000_000, Count: 1, AvgNs: 10})
+	// A heartbeat-only rank has no progress to report.
+	if err := s.Receive(AppendHeartbeat(nil, 1, 5_000_000, 0)); err != nil {
+		t.Fatal(err)
+	}
 	pr := s.PerRankProgress()
 	if len(pr) != 2 {
 		t.Fatalf("per-rank entries = %d", len(pr))

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -225,6 +226,40 @@ func TestWaitSnapshot(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatalf("WaitSnapshot never woke")
+	}
+}
+
+// A waiter whose Snapshot was served a stale render — another reader holds
+// the rebuild lock through its throttle sleep — parks behind that rebuild
+// instead of spinning back into Snapshot, where every pass counts as a
+// cache hit.
+func TestWaitSnapshotParksBehindRebuild(t *testing.T) {
+	s := NewSharded(2)
+	feedFrames(t, s, 2, 2)
+	sn := s.Snapshot()
+
+	s.snap.mu.Lock() // the other reader's rebuild, mid-throttle
+	f := AppendFrame(nil, FrameHeader{Rank: 7, Seq: 1, CumRecords: 1}, []detect.SliceRecord{snapRecord(7, 0)})
+	if err := s.Receive(f); err != nil {
+		s.snap.mu.Unlock()
+		t.Fatal(err)
+	}
+	hits := s.SnapshotStats().Hits
+	done := make(chan *ReportSnapshot, 1)
+	go func() { done <- s.WaitSnapshot(sn.Gen, 5*time.Second) }()
+	for s.SnapshotStats().Hits == hits { // the waiter was served the stale render
+		runtime.Gosched()
+	}
+	time.Sleep(50 * time.Millisecond) // the window a spinning waiter fills with hits
+	during := s.SnapshotStats().Hits - hits
+	s.snap.mu.Unlock()
+
+	got := <-done
+	if during > 4 {
+		t.Errorf("waiter took %d cache hits while the rebuild lock was held, want a handful: it spun instead of parking", during)
+	}
+	if got.Gen <= sn.Gen {
+		t.Fatalf("wait returned gen %d, want > %d", got.Gen, sn.Gen)
 	}
 }
 

@@ -71,9 +71,7 @@ func (s *Server) Crash() error {
 		sh.mu.Lock()
 		sh.chunk = nil
 		sh.segments = nil
-		sh.flows = make(map[int]*rankFlow)
-		sh.perRank = make(map[int]*RankProgress)
-		sh.live = make(map[int]*rankLive)
+		sh.ranks = make(map[int]*rankState)
 		clear(sh.touched)
 		sh.sealed = 0
 		sh.bytesReceived = 0
@@ -285,9 +283,7 @@ func (s *Server) installSnapshot(st *snapState) {
 		sh.mu.Lock()
 		sh.chunk = src.chunk
 		sh.segments = src.segments
-		sh.flows = src.flows
-		sh.perRank = src.perRank
-		sh.live = src.live
+		sh.ranks = src.ranks
 		sh.bytesReceived = src.bytesReceived
 		sh.messages = src.messages
 		sh.latestSliceNs = src.latestSliceNs

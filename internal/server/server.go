@@ -12,12 +12,13 @@
 // delivery coverage so downstream analysis can report confidence on partial
 // data instead of silently degrading.
 //
-// Ingest is sharded: each sender rank's flow state, dedup window, progress
-// entries, and record sub-log live in the shard rank&mask selects (shard.go),
-// so Receives from different ranks proceed in parallel. A global arrival
-// ticket, assigned under the owning shard's lock, linearizes the sub-logs —
-// merging segments by ticket reproduces exactly the log a single global
-// lock would have built. Inter-process analysis is incremental (epoch.go):
+// Ingest is sharded: each sender rank's one entry (flow, dedup window,
+// progress, lease) and its records' sub-log live in the shard rank&mask
+// selects (shard.go), so Receives from different ranks proceed in parallel.
+// A global arrival ticket, assigned under the owning shard's lock,
+// linearizes the sub-logs — merging segments by ticket reproduces exactly
+// the log a single global lock would have built. Inter-process analysis is
+// incremental (epoch.go):
 // records fold into per-(sensor, group, slice) epoch accumulators at ingest,
 // and a query only evaluates epochs the cross-rank watermark has not yet
 // sealed, instead of rescanning every record ever received.
@@ -44,21 +45,6 @@ const DefaultShards = 16
 
 // MaxShards bounds the shard count a caller may request.
 const MaxShards = 1 << 10
-
-// rankFlow is the per-sender delivery-tracking state: dedup window and
-// coverage counters, keyed by the frame header's rank field.
-type rankFlow struct {
-	// contig is the highest sequence with all of 1..contig ingested.
-	contig uint64
-	// ahead holds ingested sequences beyond contig+1 (only populated when
-	// frames arrive out of order; nil on the reliable in-process path).
-	ahead map[uint64]struct{}
-
-	maxSeq          uint64 // highest sequence observed
-	maxCum          uint64 // highest cumulative record count observed
-	ingestedFrames  int64
-	ingestedRecords int64
-}
 
 // Server aggregates slice records from every rank. Concurrent Receives from
 // ranks on different shards never contend; queries visit shards one at a
@@ -151,11 +137,12 @@ func (s *Server) SetObs(o *obs.Obs) {
 	if o == nil {
 		return
 	}
-	o.CounterFunc("server_messages_total", s.Messages)
-	o.CounterFunc("server_bytes_total", s.BytesReceived)
 	o.CounterFunc("server_heartbeats_total", s.Heartbeats)
 	o.GaugeFunc("server_shards", func() int64 { return int64(s.Shards()) })
 	r := o.Registry()
+	prog := obs.NewSource(r, s.Progress)
+	prog.Counter("server_messages_total", func(p Progress) int64 { return p.Messages })
+	prog.Counter("server_bytes_total", func(p Progress) int64 { return p.Bytes })
 	cov := obs.NewSource(r, s.Coverage)
 	cov.Counter("server_records_total", func(c Coverage) int64 { return c.IngestedRecords })
 	cov.Counter("server_dup_frames_total", func(c Coverage) int64 { return c.DupFrames })
@@ -307,30 +294,22 @@ func (s *Server) ingestFrame(h FrameHeader, encoded []byte, forceTicket uint64) 
 	sh.mu.Lock()
 	// Even a duplicate can raise the flow's maxSeq/maxCum, so the sender is
 	// marked before dedup decides.
-	durable := sh.touched != nil
-	if durable {
-		sh.touched[h.Rank] = struct{}{}
+	rs := sh.touch(h.Rank)
+	if h.Seq > rs.maxSeq {
+		rs.maxSeq = h.Seq
 	}
-	fl := sh.flows[h.Rank]
-	if fl == nil {
-		fl = &rankFlow{}
-		sh.flows[h.Rank] = fl
+	if h.CumRecords > rs.maxCum {
+		sh.expectedRecords += int64(h.CumRecords - rs.maxCum)
+		rs.maxCum = h.CumRecords
 	}
-	if h.Seq > fl.maxSeq {
-		fl.maxSeq = h.Seq
-	}
-	if h.CumRecords > fl.maxCum {
-		sh.expectedRecords += int64(h.CumRecords - fl.maxCum)
-		fl.maxCum = h.CumRecords
-	}
-	if fl.seen(h.Seq) {
+	if rs.seen(h.Seq) {
 		sh.dupFrames++
 		sh.mu.Unlock()
 		return true, 0
 	}
-	fl.markSeen(h.Seq)
-	fl.ingestedFrames++
-	fl.ingestedRecords += int64(h.Count)
+	rs.markSeen(h.Seq)
+	rs.frames++
+	rs.records += int64(h.Count)
 	sh.ingestedRecords += int64(h.Count)
 
 	if forceTicket != 0 {
@@ -349,23 +328,11 @@ func (s *Server) ingestFrame(h FrameHeader, encoded []byte, forceTicket uint64) 
 	sh.bytesReceived += int64(len(encoded))
 	sh.messages++
 	for i := range recs {
-		r := &recs[i]
-		if r.SliceNs > sh.latestSliceNs {
-			sh.latestSliceNs = r.SliceNs
-		}
-		rp := sh.perRank[r.Rank]
-		if rp == nil {
-			rp = &RankProgress{Rank: r.Rank}
-			sh.perRank[r.Rank] = rp
-		}
-		if durable && r.Rank != h.Rank {
-			sh.touched[r.Rank] = struct{}{} // a record filed under another rank
-		}
-		rp.Records++
-		if r.SliceNs > rp.LatestSliceNs {
-			rp.LatestSliceNs = r.SliceNs
+		if ns := recs[i].SliceNs; ns > rs.latestSliceNs {
+			rs.latestSliceNs = ns
 		}
 	}
+	sh.latestSliceNs = max(sh.latestSliceNs, rs.latestSliceNs)
 	sh.mu.Unlock()
 
 	// Fold into the epoch analyzer outside the shard lock: a committed
@@ -374,61 +341,6 @@ func (s *Server) ingestFrame(h FrameHeader, encoded []byte, forceTicket uint64) 
 	// ingest did, so recovered epochs keep their sampled journeys.
 	s.an.fold(recs, s.lin.TraceID(h.Rank, h.Seq), forceTicket == 0)
 	return false, ticket
-}
-
-// seen reports whether seq was already ingested from this flow.
-func (fl *rankFlow) seen(seq uint64) bool {
-	if seq <= fl.contig {
-		return true
-	}
-	if fl.ahead == nil {
-		return false
-	}
-	_, ok := fl.ahead[seq]
-	return ok
-}
-
-// markSeen records seq as ingested, advancing the contiguous high-water
-// mark through any previously buffered out-of-order sequences. On the
-// reliable in-order path this is a single increment and never allocates.
-func (fl *rankFlow) markSeen(seq uint64) {
-	if seq == fl.contig+1 {
-		fl.contig++
-		for fl.ahead != nil {
-			if _, ok := fl.ahead[fl.contig+1]; !ok {
-				break
-			}
-			fl.contig++
-			delete(fl.ahead, fl.contig)
-		}
-		return
-	}
-	if fl.ahead == nil {
-		fl.ahead = make(map[uint64]struct{})
-	}
-	fl.ahead[seq] = struct{}{}
-}
-
-// BytesReceived returns the total encoded bytes shipped to the server.
-func (s *Server) BytesReceived() int64 {
-	var total int64
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		total += sh.bytesReceived
-		sh.mu.Unlock()
-	}
-	return total
-}
-
-// Messages returns how many frames were ingested (duplicates excluded).
-func (s *Server) Messages() int64 {
-	var total int64
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		total += sh.messages
-		sh.mu.Unlock()
-	}
-	return total
 }
 
 // Records returns a snapshot of the received slice records in arrival
@@ -592,9 +504,9 @@ func (s *Server) Coverage() Coverage {
 		cov.ExpectedRecords += sh.expectedRecords
 		cov.IngestedRecords += sh.ingestedRecords
 		cov.DupFrames += sh.dupFrames
-		for _, fl := range sh.flows {
-			cov.ExpectedFrames += int64(fl.maxSeq)
-			cov.IngestedFrames += fl.ingestedFrames
+		for _, rs := range sh.ranks {
+			cov.ExpectedFrames += int64(rs.maxSeq)
+			cov.IngestedFrames += rs.frames
 		}
 		sh.mu.Unlock()
 	}
@@ -605,7 +517,7 @@ func (s *Server) Coverage() Coverage {
 // dashboards that want to see load spread across shards.
 type ShardCoverage struct {
 	Shard           int
-	Ranks           int // distinct sender flows routed to this shard
+	Ranks           int // distinct ranks routed to this shard
 	Frames          int64
 	Records         int64
 	ExpectedRecords int64
@@ -619,7 +531,7 @@ func (s *Server) PerShardCoverage() []ShardCoverage {
 		sh.mu.Lock()
 		sc := ShardCoverage{
 			Shard:           i,
-			Ranks:           len(sh.flows),
+			Ranks:           len(sh.ranks),
 			Frames:          int64(len(sh.segments)),
 			Records:         sh.ingestedRecords,
 			ExpectedRecords: sh.expectedRecords,
@@ -653,8 +565,14 @@ type Outlier struct {
 // recompute over Records() would produce, and is invariant under record
 // arrival order: late records reopen their epoch rather than being dropped.
 func (s *Server) InterProcessOutliers(threshold float64) []Outlier {
-	watermark, haveWatermark := s.watermark()
-	out := s.an.outliers(threshold, watermark, haveWatermark)
+	watermarkNs, haveWatermark := s.watermark()
+	return s.outliersAt(threshold, watermarkNs, haveWatermark)
+}
+
+// outliersAt renders the outliers under the given watermark in the order
+// every outlier surface serves.
+func (s *Server) outliersAt(threshold float64, watermarkNs int64, haveWatermark bool) []Outlier {
+	out := s.an.outliers(threshold, watermarkNs, haveWatermark)
 	sortOutliers(out)
 	return out
 }
@@ -669,49 +587,27 @@ func (s *Server) InterProcessOutliers(threshold float64) []Outlier {
 // a rank that stopped reporting would otherwise pin the watermark forever,
 // so no epoch would ever close and the analyzer's open set would grow for
 // the rest of the run. Without leases (the in-process path) every rank is
-// Alive and this is exactly the old all-ranks minimum.
+// Alive and this is exactly the all-ranks minimum. A caller that already
+// holds a liveness view reads the same value from it.
 func (s *Server) watermark() (int64, bool) {
-	// Fast path: until a heartbeat arrives no rank has a lease, so none can
-	// be dead and the watermark is the plain all-ranks minimum. This keeps
-	// lease-free queries allocation-free instead of paying livenessView's
-	// per-rank merge maps on every poll racing ingest (heartbeat frames are
-	// the only writers of shard live tables, so heartbeats==0 implies every
-	// lease is zero).
-	if s.heartbeats.Load() == 0 {
-		wm := int64(math.MaxInt64)
-		have := false
-		for _, sh := range s.shards {
-			sh.mu.Lock()
-			for _, rp := range sh.perRank {
-				if !have || rp.LatestSliceNs < wm {
-					wm = rp.LatestSliceNs
-					have = true
-				}
+	// Until a heartbeat arrives no rank has a lease, so none can be dead and
+	// the watermark is the plain all-ranks minimum, read in place: lease-free
+	// queries stay allocation-free instead of building the liveness view on
+	// every poll racing ingest (heartbeat frames are the only writers of
+	// leases, so heartbeats==0 implies every lease is zero).
+	if s.heartbeats.Load() != 0 {
+		v := s.livenessView()
+		return v.watermarkNs, v.haveWatermark
+	}
+	wm, have := int64(math.MaxInt64), false
+	for _, sh := range s.shards {
+		sh.mu.Lock()
+		for _, rs := range sh.ranks {
+			if rs.records > 0 && (!have || rs.latestSliceNs < wm) {
+				wm, have = rs.latestSliceNs, true
 			}
-			sh.mu.Unlock()
 		}
-		if !have {
-			return 0, false
-		}
-		return wm, true
-	}
-	v := s.livenessView()
-	dead := make(map[int]bool)
-	for _, rl := range v.ranks {
-		if rl.State == Dead {
-			dead[rl.Rank] = true
-		}
-	}
-	wm := int64(math.MaxInt64)
-	have := false
-	for rank, latest := range v.latest {
-		if dead[rank] {
-			continue
-		}
-		if !have || latest < wm {
-			wm = latest
-			have = true
-		}
+		sh.mu.Unlock()
 	}
 	if !have {
 		return 0, false
@@ -751,5 +647,5 @@ type OutlierReport struct {
 func (s *Server) InterProcessReport(threshold float64) OutlierReport {
 	cov := s.Coverage()
 	v := s.livenessView()
-	return assembleReport(s.InterProcessOutliers(threshold), cov, v.ranks)
+	return assembleReport(s.outliersAt(threshold, v.watermarkNs, v.haveWatermark), cov, v.ranks)
 }

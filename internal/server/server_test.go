@@ -8,12 +8,13 @@ import (
 	"testing/quick"
 
 	"vsensor/internal/detect"
+	"vsensor/internal/storage"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
 	recs := []detect.SliceRecord{
 		{Sensor: 1, Group: 0, Rank: 5, SliceNs: 3_000_000, Count: 12, AvgNs: 1234.5, AvgInstr: 99.25},
-		{Sensor: 2, Group: 3, Rank: 0, SliceNs: 0, Count: 1, AvgNs: 7, AvgInstr: 0},
+		{Sensor: 2, Group: 3, Rank: 5, SliceNs: 0, Count: 1, AvgNs: 7, AvgInstr: 0},
 	}
 	in := FrameHeader{Rank: 5, Seq: 3, CumRecords: 17}
 	enc := AppendFrame(nil, in, recs)
@@ -100,6 +101,60 @@ func TestParseFrameHostileCount(t *testing.T) {
 	}
 }
 
+// A frame is one sender's batch: a CRC-valid frame carrying a record of
+// another rank is refused as a framing error before it touches any log, flow
+// or progress entry, and is journaled as a reject.
+func TestFrameRejectsForeignRecordRank(t *testing.T) {
+	recs := []detect.SliceRecord{
+		{Sensor: 1, Rank: 4, SliceNs: 1_000_000, Count: 1, AvgNs: 10},
+		{Sensor: 1, Rank: 6, SliceNs: 1_000_000, Count: 1, AvgNs: 10},
+	}
+	foreign := AppendFrame(nil, FrameHeader{Rank: 4, Seq: 1, CumRecords: 2}, recs)
+	disk := storage.NewDisk(storage.Faults{})
+	s := NewSharded(2)
+	s.AttachDurability(DurabilityConfig{Disk: disk})
+	err := s.Receive(foreign)
+	if err == nil || errors.Is(err, ErrChecksum) {
+		t.Fatalf("foreign record: err = %v, want a framing reject", err)
+	}
+	if cov := s.Coverage(); cov.RejectedFrames != 1 || cov.ChecksumErrors != 0 || cov.ExpectedRecords != 0 || cov.ExpectedFrames != 0 {
+		t.Fatalf("coverage = %+v, want one framing reject and no flow", cov)
+	}
+	if n := len(s.Records()); n != 0 {
+		t.Fatalf("refused frame left %d records in the log", n)
+	}
+	if pr := s.PerRankProgress(); len(pr) != 0 {
+		t.Fatalf("refused frame left progress %+v", pr)
+	}
+	for _, sh := range s.shards {
+		if len(sh.ranks) != 0 {
+			t.Fatalf("refused frame left rank entries %v", sh.ranks)
+		}
+	}
+	seg, err := disk.ReadFile("wal.0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if entries, _, _ := scanWAL(seg); len(entries) != 1 || entries[0].kind != walKindReject {
+		t.Fatalf("journal holds %d entries (%+v), want one reject", len(entries), entries)
+	}
+
+	// A 1,000-record frame naming 1,000 ranks cannot create 1,000 entries.
+	many := make([]detect.SliceRecord, 1000)
+	for i := range many {
+		many[i] = detect.SliceRecord{Sensor: 2, Rank: i, SliceNs: 1_000_000, Count: 1, AvgNs: 10}
+	}
+	wide := New()
+	_ = wide.Receive(AppendFrame(nil, FrameHeader{Rank: 0, Seq: 1, CumRecords: 1000}, many))
+	entries := 0
+	for _, sh := range wide.shards {
+		entries += len(sh.ranks)
+	}
+	if entries > 1 || len(wide.PerRankProgress()) > 1 {
+		t.Fatalf("a frame of 1,000 distinct record ranks left %d rank entries", entries)
+	}
+}
+
 func TestClientBatching(t *testing.T) {
 	s := New()
 	c := s.NewClient(1, 10)
@@ -108,20 +163,21 @@ func TestClientBatching(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if s.Messages() != 2 {
-		t.Errorf("messages before flush = %d, want 2 full batches", s.Messages())
+	if m := s.Progress().Messages; m != 2 {
+		t.Errorf("messages before flush = %d, want 2 full batches", m)
 	}
 	if err := c.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if s.Messages() != 3 || c.RecordsSent() != 25 {
-		t.Errorf("messages=%d sent=%d", s.Messages(), c.RecordsSent())
+	p := s.Progress()
+	if p.Messages != 3 || c.RecordsSent() != 25 {
+		t.Errorf("messages=%d sent=%d", p.Messages, c.RecordsSent())
 	}
 	if len(s.Records()) != 25 {
 		t.Errorf("server records = %d", len(s.Records()))
 	}
-	if c.BytesSent() != s.BytesReceived() {
-		t.Errorf("byte accounting mismatch: %d vs %d", c.BytesSent(), s.BytesReceived())
+	if c.BytesSent() != p.Bytes {
+		t.Errorf("byte accounting mismatch: %d vs %d", c.BytesSent(), p.Bytes)
 	}
 	cov := s.Coverage()
 	if !cov.Complete() || cov.ExpectedRecords != 25 || cov.IngestedFrames != 3 {
@@ -140,12 +196,13 @@ func TestBatchingReducesMessages(t *testing.T) {
 	}
 	cb.Flush()
 	cu.Flush()
-	if batched.Messages() >= unbatched.Messages() {
-		t.Errorf("batching should reduce messages: %d vs %d", batched.Messages(), unbatched.Messages())
+	b, u := batched.Progress(), unbatched.Progress()
+	if b.Messages >= u.Messages {
+		t.Errorf("batching should reduce messages: %d vs %d", b.Messages, u.Messages)
 	}
 	// Payload bytes shrink too (fewer headers).
-	if batched.BytesReceived() >= unbatched.BytesReceived() {
-		t.Errorf("batching should reduce bytes: %d vs %d", batched.BytesReceived(), unbatched.BytesReceived())
+	if b.Bytes >= u.Bytes {
+		t.Errorf("batching should reduce bytes: %d vs %d", b.Bytes, u.Bytes)
 	}
 }
 
@@ -283,16 +340,18 @@ func batchOutliers(recs []detect.SliceRecord, threshold float64) []Outlier {
 
 func TestInterProcessOutliers(t *testing.T) {
 	s := New()
-	c := s.NewClient(0, 0)
 	// 8 ranks, same sensor & slice; rank 5 is 2x slower.
 	for rank := 0; rank < 8; rank++ {
 		avg := 100.0
 		if rank == 5 {
 			avg = 200
 		}
+		c := s.NewClient(rank, 0)
 		c.OnSlice(detect.SliceRecord{Sensor: 3, Rank: rank, SliceNs: 1_000_000, Count: 10, AvgNs: avg})
+		if err := c.Flush(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	c.Flush()
 	outs := s.InterProcessOutliers(0.8)
 	if len(outs) != 1 {
 		t.Fatalf("outliers = %+v", outs)
@@ -305,10 +364,13 @@ func TestInterProcessOutliers(t *testing.T) {
 
 func TestOutliersRequireQuorum(t *testing.T) {
 	s := New()
-	c := s.NewClient(0, 0)
-	c.OnSlice(detect.SliceRecord{Sensor: 0, Rank: 0, SliceNs: 0, Count: 1, AvgNs: 100})
-	c.OnSlice(detect.SliceRecord{Sensor: 0, Rank: 1, SliceNs: 0, Count: 1, AvgNs: 500})
-	c.Flush()
+	for rank, avg := range []float64{100, 500} {
+		c := s.NewClient(rank, 0)
+		c.OnSlice(detect.SliceRecord{Sensor: 0, Rank: rank, SliceNs: 0, Count: 1, AvgNs: avg})
+		if err := c.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if outs := s.InterProcessOutliers(0.8); len(outs) != 0 {
 		t.Errorf("two ranks should not produce outliers: %+v", outs)
 	}
@@ -345,7 +407,7 @@ func TestQuickWireFormat(t *testing.T) {
 		recs := make([]detect.SliceRecord, len(sensors))
 		for i, sn := range sensors {
 			recs[i] = detect.SliceRecord{
-				Sensor: int(sn), Group: i % 4, Rank: i,
+				Sensor: int(sn), Group: i % 4, Rank: 3,
 				SliceNs: slice, Count: int32(i + 1), AvgNs: avg, AvgInstr: avg / 2,
 			}
 		}

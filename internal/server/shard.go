@@ -7,12 +7,13 @@ import (
 )
 
 // A shard owns the ingest state for a subset of ranks (rank & mask). Every
-// mutable structure a Receive touches — the flow table (dedup + coverage),
-// the record sub-log, the per-rank progress entries — lives inside one
-// shard, behind one short-lived mutex, so concurrent Receives from ranks on
-// different shards never contend. Cross-shard queries (Records, Coverage,
-// Progress) visit shards one at a time; nothing ever holds two shard locks
-// at once.
+// mutable structure a Receive touches — the sender's rank entry (flow,
+// progress, lease) and the record sub-log — lives inside one shard, behind
+// one short-lived mutex, so concurrent Receives from ranks on different
+// shards never contend. A frame carries only its sender's records (wire.go),
+// so each rank's whole state is in exactly one shard and every per-rank read
+// takes it from there. Cross-shard queries (Records, Coverage, Progress)
+// visit shards one at a time; nothing ever holds two shard locks at once.
 type shard struct {
 	mu sync.Mutex
 
@@ -27,21 +28,13 @@ type shard struct {
 	// frames.
 	segments []segment
 
-	// flows is the per-sender delivery state (dedup window + coverage),
-	// keyed by the frame header's rank field.
-	flows map[int]*rankFlow
-
-	// perRank is the incremental progress state for live dashboards.
-	perRank map[int]*RankProgress
-
-	// live is the per-rank lease state (liveness.go): newest heartbeat stamp
-	// and the lease it carried, for ranks routed to this shard.
-	live map[int]*rankLive
+	// ranks holds one entry per rank routed to this shard.
+	ranks map[int]*rankState
 
 	// touched and sealed are the change marks a checkpoint consumes
-	// (snapshot.go): the ranks whose flow, progress or liveness entry moved
-	// since the last snapshot section, and how many segments the sections
-	// already hold. touched is nil — and never written — without durability.
+	// (snapshot.go): the ranks whose entry moved since the last snapshot
+	// section, and how many segments the sections already hold. touched is
+	// nil — and never written — without durability.
 	touched map[int]struct{}
 	sealed  int
 
@@ -54,11 +47,76 @@ type shard struct {
 }
 
 func newShard() *shard {
-	return &shard{
-		flows:   make(map[int]*rankFlow),
-		perRank: make(map[int]*RankProgress),
-		live:    make(map[int]*rankLive),
+	return &shard{ranks: make(map[int]*rankState)}
+}
+
+// rankState is everything a shard knows about one sender rank: the delivery
+// flow of its data frames (dedup window and coverage), its ingest progress,
+// and its lease (liveness.go).
+type rankState struct {
+	// contig is the highest sequence with all of 1..contig ingested.
+	contig uint64
+	// ahead holds ingested sequences beyond contig+1 (only populated when
+	// frames arrive out of order; nil on the reliable in-process path).
+	ahead map[uint64]struct{}
+
+	maxSeq uint64 // highest sequence observed; 0 until a data frame arrives
+	maxCum uint64 // highest cumulative record count observed
+	frames int64  // distinct frames ingested
+
+	records       int64 // records ingested; the rank has reported once > 0
+	latestSliceNs int64 // newest slice among them
+
+	hbNs      int64 // newest heartbeat virtual time
+	leaseNs   int64 // lease carried by that heartbeat (0 = no lease)
+	heartbeat bool  // a heartbeat arrived
+}
+
+// touch returns rank's entry, creating it on first sight, and marks it for
+// the next snapshot section. Caller holds sh.mu.
+func (sh *shard) touch(rank int) *rankState {
+	if sh.touched != nil {
+		sh.touched[rank] = struct{}{}
 	}
+	rs := sh.ranks[rank]
+	if rs == nil {
+		rs = &rankState{}
+		sh.ranks[rank] = rs
+	}
+	return rs
+}
+
+// seen reports whether seq was already ingested from this rank.
+func (rs *rankState) seen(seq uint64) bool {
+	if seq <= rs.contig {
+		return true
+	}
+	if rs.ahead == nil {
+		return false
+	}
+	_, ok := rs.ahead[seq]
+	return ok
+}
+
+// markSeen records seq as ingested, advancing the contiguous high-water
+// mark through any previously buffered out-of-order sequences. On the
+// reliable in-order path this is a single increment and never allocates.
+func (rs *rankState) markSeen(seq uint64) {
+	if seq == rs.contig+1 {
+		rs.contig++
+		for rs.ahead != nil {
+			if _, ok := rs.ahead[rs.contig+1]; !ok {
+				break
+			}
+			rs.contig++
+			delete(rs.ahead, rs.contig)
+		}
+		return
+	}
+	if rs.ahead == nil {
+		rs.ahead = make(map[uint64]struct{})
+	}
+	rs.ahead[seq] = struct{}{}
 }
 
 // segment is one ingested frame's slot in a shard's sub-log: its records, a
@@ -102,7 +160,7 @@ func (sh *shard) alloc(n int) []detect.SliceRecord {
 // t+1 committed on one shard while ticket t is still being written on
 // another; withholding everything from the first gap onward keeps the
 // merged log strictly append-only across successive snapshots, which is
-// what RecordsSince's cursor semantics require.
+// what a RecordsWindow cursor requires.
 func (s *Server) orderedSegments() []segment {
 	// Tickets are assigned only when a frame commits, so committed segments
 	// carry the dense sequence 1..N and bucket placement by ticket rebuilds
@@ -132,6 +190,19 @@ func (s *Server) orderedSegments() []segment {
 		}
 	}
 	return segs
+}
+
+// rankCount returns how many rank entries the shards hold: the capacity a
+// per-rank read sizes its result with before it takes each shard lock again
+// to fill it, so a sweep over thousands of ranks allocates once.
+func (s *Server) rankCount() int {
+	n := 0
+	for _, sh := range s.shards {
+		sh.mu.Lock()
+		n += len(sh.ranks)
+		sh.mu.Unlock()
+	}
+	return n
 }
 
 // shardFor routes a sender rank to its shard.

@@ -14,8 +14,8 @@ import (
 // ones in between. It pins the allocation rule (a frame that does not fit
 // the open chunk starts a new one; a frame larger than a chunk gets its own
 // block and leaves the open chunk alone), that no segment's records move or
-// change once later chunks exist, that Records, RecordsSince and Progress
-// read exactly what was sent, and that a checkpoint taken mid-boundary
+// change once later chunks exist, that Records, the report snapshot's
+// RecordsWindow and Progress read exactly what was sent, and that a checkpoint taken mid-boundary
 // followed by Crash and Recover rebuilds the never-crashed state.
 func TestShardLogChunkBoundary(t *testing.T) {
 	sizes := []int{
@@ -75,8 +75,8 @@ func TestShardLogChunkBoundary(t *testing.T) {
 		if got := live.Records(); !slices.Equal(got, sent) {
 			t.Fatalf("after frame %d: Records() holds %d records, sent %d (or contents differ)", i, len(got), len(sent))
 		}
-		if delta, cursor := live.RecordsSince(len(sent) - n); !slices.Equal(delta, recs) || cursor != len(sent) {
-			t.Fatalf("after frame %d: RecordsSince returned %d records and cursor %d, want %d and %d", i, len(delta), cursor, n, len(sent))
+		if delta, cursor, _, ok := live.Snapshot().RecordsWindow(len(sent) - n); !ok || !slices.Equal(delta, recs) || cursor != len(sent) {
+			t.Fatalf("after frame %d: RecordsWindow returned %d records and cursor %d (ok %v), want %d and %d", i, len(delta), cursor, ok, n, len(sent))
 		}
 		if p := live.Progress(); p.Records != len(sent) {
 			t.Fatalf("after frame %d: Progress().Records = %d, want %d", i, p.Records, len(sent))

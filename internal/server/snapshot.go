@@ -122,29 +122,31 @@ func (s *Server) appendSection(b []byte, link uint32, gen, lsn uint64) ([]byte, 
 		}
 		sort.Ints(ranks)
 
-		// A touched rank need not hold an entry of every kind, so each
+		// The three lists are views of the one rank entry: a flow once a
+		// data frame arrived, progress once records did, a lease once a
+		// heartbeat did. A touched rank need not be in every list, so each
 		// list's count is patched after the list is written.
 		at, n := len(b), uint32(0)
 		b = appendU32(b, 0)
 		for _, rank := range ranks {
-			fl := sh.flows[rank]
-			if fl == nil {
+			rs := sh.ranks[rank]
+			if rs.maxSeq == 0 {
 				continue
 			}
 			n++
 			b = appendUv(b, rank)
-			b = appendUv(b, fl.contig)
-			b = appendUv(b, fl.maxSeq)
-			b = appendUv(b, fl.maxCum)
-			b = appendUv(b, fl.ingestedFrames)
-			b = appendUv(b, fl.ingestedRecords)
-			b = appendUv(b, len(fl.ahead))
-			if len(fl.ahead) > 0 {
-				ahead := make([]uint64, 0, len(fl.ahead))
-				for seq := range fl.ahead {
+			b = appendUv(b, rs.contig)
+			b = appendUv(b, rs.maxSeq)
+			b = appendUv(b, rs.maxCum)
+			b = appendUv(b, rs.frames)
+			b = appendUv(b, rs.records)
+			b = appendUv(b, len(rs.ahead))
+			if len(rs.ahead) > 0 {
+				ahead := make([]uint64, 0, len(rs.ahead))
+				for seq := range rs.ahead {
 					ahead = append(ahead, seq)
 				}
-				sort.Slice(ahead, func(i, j int) bool { return ahead[i] < ahead[j] })
+				slices.Sort(ahead)
 				for _, seq := range ahead {
 					b = appendUv(b, seq)
 				}
@@ -155,11 +157,11 @@ func (s *Server) appendSection(b []byte, link uint32, gen, lsn uint64) ([]byte, 
 		at, n = len(b), 0
 		b = appendU32(b, 0)
 		for _, rank := range ranks {
-			if rp := sh.perRank[rank]; rp != nil {
+			if rs := sh.ranks[rank]; rs.records > 0 {
 				n++
 				b = appendUv(b, rank)
-				b = appendUv(b, rp.Records)
-				b = appendUv(b, rp.LatestSliceNs)
+				b = appendUv(b, rs.records)
+				b = appendUv(b, rs.latestSliceNs)
 			}
 		}
 		binary.LittleEndian.PutUint32(b[at:], n)
@@ -167,11 +169,11 @@ func (s *Server) appendSection(b []byte, link uint32, gen, lsn uint64) ([]byte, 
 		at, n = len(b), 0
 		b = appendU32(b, 0)
 		for _, rank := range ranks {
-			if lv := sh.live[rank]; lv != nil {
+			if rs := sh.ranks[rank]; rs.heartbeat {
 				n++
 				b = appendUv(b, rank)
-				b = appendUv(b, lv.hbNs)
-				b = appendUv(b, lv.leaseNs)
+				b = appendUv(b, rs.hbNs)
+				b = appendUv(b, rs.leaseNs)
 			}
 		}
 		binary.LittleEndian.PutUint32(b[at:], n)
@@ -199,13 +201,7 @@ func (s *Server) touchAll() {
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		sh.sealed = 0
-		for rank := range sh.flows {
-			sh.touched[rank] = struct{}{}
-		}
-		for rank := range sh.perRank {
-			sh.touched[rank] = struct{}{}
-		}
-		for rank := range sh.live {
+		for rank := range sh.ranks {
 			sh.touched[rank] = struct{}{}
 		}
 		sh.mu.Unlock()
@@ -361,7 +357,9 @@ func (st *snapState) fold(body []byte) error {
 	} else if nShards != len(st.shards) {
 		return fmt.Errorf("server: snapshot section claims %d shards, slot began with %d", nShards, len(st.shards))
 	}
-	for _, sh := range st.shards {
+	mask := uint32(len(st.shards) - 1)
+	fresh := make(map[int]*rankState)
+	for i, sh := range st.shards {
 		sh.bytesReceived = r.i64("bytesReceived")
 		sh.messages = r.i64("messages")
 		sh.latestSliceNs = r.i64("latestSliceNs")
@@ -369,44 +367,52 @@ func (st *snapState) fold(body []byte) error {
 		sh.expectedRecords = r.i64("expectedRecords")
 		sh.ingestedRecords = r.i64("ingestedRecords")
 
+		// A touched rank's whole state is in the section, so the first sight
+		// of a rank in a section replaces its entry and the section's later
+		// lists fill that fresh entry.
+		clear(fresh)
+		entry := func(rank int) *rankState {
+			if r.err == nil && (rank > MaxFrameRank || uint32(rank)&mask != uint32(i)) {
+				r.err = fmt.Errorf("server: snapshot files rank %d in shard %d of %d", rank, i, len(st.shards))
+			}
+			if r.err != nil {
+				return &rankState{} // discarded: the section is refused
+			}
+			rs := fresh[rank]
+			if rs == nil {
+				rs = &rankState{}
+				fresh[rank] = rs
+				sh.ranks[rank] = rs
+			}
+			return rs
+		}
+
 		nFlows := int(r.u32("nFlows"))
 		for f := 0; f < nFlows && r.err == nil; f++ {
-			rank := r.rank("flow rank")
-			fl := &rankFlow{
-				contig:          r.uv("contig"),
-				maxSeq:          r.uv("maxSeq"),
-				maxCum:          r.uv("maxCum"),
-				ingestedFrames:  int64(r.uv("flow frames")),
-				ingestedRecords: int64(r.uv("flow records")),
-			}
+			rs := entry(r.rank("flow rank"))
+			rs.contig, rs.maxSeq, rs.maxCum = r.uv("contig"), r.uv("maxSeq"), r.uv("maxCum")
+			rs.frames, rs.records = int64(r.uv("flow frames")), int64(r.uv("flow records"))
 			// Each ahead entry consumes at least a byte, so a hostile count
 			// runs the reader dry before it grows the map past the input.
+			rs.ahead = nil
 			for a, nAhead := uint64(0), r.uv("nAhead"); a < nAhead && r.err == nil; a++ {
-				if fl.ahead == nil {
-					fl.ahead = make(map[uint64]struct{})
+				if rs.ahead == nil {
+					rs.ahead = make(map[uint64]struct{})
 				}
-				fl.ahead[r.uv("ahead seq")] = struct{}{}
+				rs.ahead[r.uv("ahead seq")] = struct{}{}
 			}
-			if rank > MaxFrameRank {
-				return fmt.Errorf("server: snapshot flow claims rank %d", rank)
-			}
-			sh.flows[rank] = fl
 		}
 
 		nPerRank := int(r.u32("nPerRank"))
 		for p := 0; p < nPerRank && r.err == nil; p++ {
-			rank := r.rank("progress rank")
-			sh.perRank[rank] = &RankProgress{
-				Rank:          rank,
-				Records:       int(r.uv("progress records")),
-				LatestSliceNs: int64(r.uv("progress latest")),
-			}
+			rs := entry(r.rank("progress rank"))
+			rs.records, rs.latestSliceNs = int64(r.uv("progress records")), int64(r.uv("progress latest"))
 		}
 
 		nLive := int(r.u32("nLive"))
 		for l := 0; l < nLive && r.err == nil; l++ {
-			rank := r.rank("live rank")
-			sh.live[rank] = &rankLive{hbNs: int64(r.uv("live hb")), leaseNs: int64(r.uv("live lease"))}
+			rs := entry(r.rank("live rank"))
+			rs.hbNs, rs.leaseNs, rs.heartbeat = int64(r.uv("live hb")), int64(r.uv("live lease")), true
 		}
 
 		nSegs := int(r.u32("nSegments"))

@@ -32,11 +32,11 @@ func checkSnapRecord(t *testing.T, r detect.SliceRecord) {
 	}
 }
 
-// TestRecordsSnapshotUnderIngest proves Records() and RecordsSince() return
-// consistent snapshots while writers are actively ingesting: no torn
-// records, the visible log is strictly append-only between polls, and the
-// deltas collected via a cursor concatenate to exactly a prefix of the
-// final log.
+// TestRecordsSnapshotUnderIngest proves Records() and the report snapshot's
+// RecordsWindow return consistent views while writers are actively
+// ingesting: no torn records, the visible log is strictly append-only
+// between polls, and the deltas collected via a cursor concatenate to
+// exactly a prefix of the final log.
 func TestRecordsSnapshotUnderIngest(t *testing.T) {
 	const (
 		writers       = 8
@@ -94,9 +94,16 @@ func TestRecordsSnapshotUnderIngest(t *testing.T) {
 		defer close(cursorDone)
 		cursor := 0
 		for !stop.Load() {
-			var delta []detect.SliceRecord
-			delta, cursor = s.RecordsSince(cursor)
+			delta, next, _, ok := s.Snapshot().RecordsWindow(cursor)
+			if !ok {
+				t.Errorf("cursor %d refused by a later snapshot", cursor)
+				return
+			}
+			for _, r := range delta {
+				checkSnapRecord(t, r)
+			}
 			collected = append(collected, delta...)
+			cursor = next
 		}
 	}()
 
@@ -126,7 +133,10 @@ func TestRecordsSnapshotUnderIngest(t *testing.T) {
 	}
 
 	// Drain the remainder; the concatenation must now equal the whole log.
-	delta, _ := s.RecordsSince(len(collected))
+	delta, _, _, ok := s.Snapshot().RecordsWindow(len(collected))
+	if !ok {
+		t.Fatalf("cursor %d refused after ingest stopped", len(collected))
+	}
 	collected = append(collected, delta...)
 	if len(collected) != len(final) {
 		t.Fatalf("after drain, cursor reader has %d records, want %d", len(collected), len(final))

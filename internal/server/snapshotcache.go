@@ -288,9 +288,9 @@ func (s *Server) buildSnapshot() *ReportSnapshot {
 		sn.offsets[i] = sn.total
 		sn.total += len(sg.recs)
 	}
-	sn.WatermarkNs, sn.HaveWatermark = s.watermark()
-	outliers := s.an.outliers(threshold, sn.WatermarkNs, sn.HaveWatermark)
-	sortOutliers(outliers)
+	v := s.livenessView()
+	sn.WatermarkNs, sn.HaveWatermark = v.watermarkNs, v.haveWatermark
+	outliers := s.outliersAt(threshold, sn.WatermarkNs, sn.HaveWatermark)
 	// Epoch counts are captured after the outlier render: computing outliers
 	// seals epochs under the watermark, and the cached report must agree
 	// with a fresh recompute at the same instant (sealing is idempotent).
@@ -299,7 +299,6 @@ func (s *Server) buildSnapshot() *ReportSnapshot {
 	sn.PerRank = s.PerRankProgress()
 	sn.Coverage = s.Coverage()
 	sn.PerShard = s.PerShardCoverage()
-	v := s.livenessView()
 	sn.Liveness = summarizeLiveness(v)
 	sn.Report = assembleReport(outliers, sn.Coverage, v.ranks)
 	sn.Durability = s.DurabilityStats()
@@ -310,6 +309,10 @@ func (s *Server) buildSnapshot() *ReportSnapshot {
 // the snapshot generation exceeds afterGen, or timeout elapses, and returns
 // the current snapshot either way. N parked pollers cost one channel close
 // per state change — no per-poller goroutines or timers on the ingest path.
+// When the state already moved past the render Snapshot served — another
+// reader's rebuild, or its throttle sleep, holds the rebuild lock — the
+// waiter parks behind that rebuild rather than spinning back into Snapshot,
+// so a wait can overrun its timeout by at most one rebuild window.
 func (s *Server) WaitSnapshot(afterGen uint64, timeout time.Duration) *ReportSnapshot {
 	c := &s.snap
 	deadline := time.Now().Add(timeout)
@@ -326,6 +329,8 @@ func (s *Server) WaitSnapshot(afterGen uint64, timeout time.Duration) *ReportSna
 		ch := c.waitChan()
 		if c.ver.Load() != sn.version && !s.down.Load() {
 			c.waiters.Add(-1)
+			c.mu.Lock() // wait out the in-flight rebuild, then look again
+			c.mu.Unlock()
 			continue
 		}
 		timer := time.NewTimer(time.Until(deadline))

@@ -474,3 +474,28 @@ func TestDefaultCommitIsOneSyncPerOutcome(t *testing.T) {
 		t.Fatalf("default journal (%d bytes, %d entries) hashes to %s, want %s", len(seg), len(entries), got, goldenSHA256)
 	}
 }
+
+// The snapshot section bytes are pinned too: the golden schedule plus one
+// checkpoint on a two-shard server writes the same section to both slots,
+// whatever the in-memory layout of the per-rank state behind it.
+func TestCheckpointSlotsArePinned(t *testing.T) {
+	const goldenSHA256 = "c3fefe65c62d3328241f20a2d2232c61c23f9ee184956153230913cc52fb08a6"
+	disk := storage.NewDisk(storage.Faults{})
+	s := NewSharded(2)
+	s.AttachDurability(DurabilityConfig{Disk: disk})
+	for _, f := range goldenSchedule() {
+		_ = s.Receive(f)
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	for _, slot := range snapSlots {
+		data, err := disk.ReadFile(slot)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != goldenSHA256 {
+			t.Errorf("slot %s (%d bytes) hashes to %s, want %s", slot, len(data), got, goldenSHA256)
+		}
+	}
+}

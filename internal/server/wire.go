@@ -24,7 +24,9 @@ import (
 //	off 32: payload         count * recordWireSize bytes
 //
 // Per record: u32 sensor, u32 group, u32 rank, i64 slice, i32 count,
-// f64 avgNs, f64 avgInstr.
+// f64 avgNs, f64 avgInstr. A record's rank must equal the header rank: a
+// frame is one sender's batch (paper §5.4), so the server files the whole
+// frame — flow, progress, lease — under one rank in one shard.
 //
 // The sequence number lets the server deduplicate retransmissions and track
 // per-rank delivery gaps; cumRecords lets it compute how many records it
@@ -86,9 +88,11 @@ func AppendFrame(dst []byte, h FrameHeader, recs []detect.SliceRecord) []byte {
 
 // ParseFrame validates a frame without trusting any header field: length,
 // magic, bounded record count (before the count is used to size anything),
-// exact framing, bounded rank, header consistency, and finally the CRC.
-// It is the hardened checkBatch: arbitrary bytes must never panic or force
-// a huge allocation.
+// exact framing, bounded rank, header consistency, the CRC, and finally that
+// every record carries the header's rank. The rank rule runs after the CRC,
+// so a bit flip in a record's rank field stays a checksum error; a CRC-valid
+// frame mixing ranks is a framing error. It is the hardened checkBatch:
+// arbitrary bytes must never panic or force a huge allocation.
 func ParseFrame(data []byte) (FrameHeader, error) {
 	var h FrameHeader
 	if len(data) < frameHeaderSize {
@@ -125,6 +129,11 @@ func ParseFrame(data []byte) (FrameHeader, error) {
 	crc = crc32.Update(crc, crc32.IEEETable, data[frameHeaderSize:])
 	if got := binary.LittleEndian.Uint32(data[28:]); got != crc {
 		return h, fmt.Errorf("%w: header says %#x, computed %#x", ErrChecksum, got, crc)
+	}
+	for off := frameHeaderSize + 8; off < len(data); off += recordWireSize {
+		if r := binary.LittleEndian.Uint32(data[off:]); r != rank {
+			return h, fmt.Errorf("server: frame from rank %d carries a record of rank %d", rank, r)
+		}
 	}
 	return h, nil
 }

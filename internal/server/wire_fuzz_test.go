@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"strings"
 	"testing"
@@ -10,12 +11,14 @@ import (
 	"vsensor/internal/detect"
 )
 
-// FuzzBatchRoundTrip proves decode(encode(x)) == x: for any record batch and
-// header the fuzzer can express, the frame codec must reproduce it exactly.
+// FuzzBatchRoundTrip proves decode(encode(x)) == x: for any single-rank
+// record batch and header the fuzzer can express, the frame codec must
+// reproduce it exactly; a batch carrying a record of another rank must be
+// refused as a framing error, never as a checksum error.
 func FuzzBatchRoundTrip(f *testing.F) {
 	f.Add(uint32(0), uint64(1), uint64(1), []byte{})
-	f.Add(uint32(5), uint64(3), uint64(200),
-		[]byte{1, 0, 2, 0, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8})
+	f.Add(uint32(2), uint64(3), uint64(200),
+		[]byte{1, 0, 2, 0, 3, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add(uint32(4194304), uint64(1<<63), uint64(1<<63),
 		bytes.Repeat([]byte{0xff}, 72))
 	f.Fuzz(func(t *testing.T, rank uint32, seq, cum uint64, raw []byte) {
@@ -45,6 +48,14 @@ func FuzzBatchRoundTrip(f *testing.F) {
 		}
 		enc := AppendFrame(nil, h, recs)
 		got, decoded, err := decodeFrame(enc)
+		for _, r := range recs {
+			if r.Rank != h.Rank {
+				if err == nil || errors.Is(err, ErrChecksum) {
+					t.Fatalf("frame from rank %d with a record of rank %d: err = %v, want a framing error", h.Rank, r.Rank, err)
+				}
+				return
+			}
+		}
 		if err != nil {
 			t.Fatalf("self-encoded frame rejected: %v", err)
 		}

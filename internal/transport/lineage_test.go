@@ -178,7 +178,7 @@ func TestLineageOffAddsNoSpansOrBytes(t *testing.T) {
 	if err := conn2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if a, b := srv.BytesReceived(), srv2.BytesReceived(); a != b {
+	if a, b := srv.Progress().Bytes, srv2.Progress().Bytes; a != b {
 		t.Fatalf("unsampled lineage changed wire bytes: %d vs %d", a, b)
 	}
 	if n := lin.SampledFrames(); n != 0 {
@@ -248,7 +248,7 @@ func TestLineageFaultDeterminismUnchanged(t *testing.T) {
 		}
 		recs := srv.Records()
 		sortRecords(recs)
-		return outcome{recs, srv.BytesReceived(), srv.Coverage(), conn.Stats()}
+		return outcome{recs, srv.Progress().Bytes, srv.Coverage(), conn.Stats()}
 	}
 	off, on := run(false), run(true)
 	if off.cov.ChecksumErrors == 0 {

@@ -196,7 +196,7 @@ func TestHeartbeatCadence(t *testing.T) {
 		t.Fatalf("liveness = %+v", live)
 	}
 	// Heartbeats are invisible to record accounting.
-	if msgs := srv.Messages(); msgs != int64(len(times)) {
+	if msgs := srv.Progress().Messages; msgs != int64(len(times)) {
 		t.Fatalf("messages = %d, want %d record frames only", msgs, len(times))
 	}
 }

@@ -155,14 +155,14 @@ func TestMetricsReadOwnersStats(t *testing.T) {
 		t.Errorf("/metrics families = %v\nwant %v", types, durableListenFamilies)
 	}
 	srv := rep.Server
-	cov, live, snap := srv.Coverage(), srv.LivenessSummary(), srv.SnapshotStats()
+	prog, cov, live, snap := srv.Progress(), srv.Coverage(), srv.LivenessSummary(), srv.SnapshotStats()
 	dur, net := srv.DurabilityStats(), rep.Service.Stats()
 	if live.Alive != 4 || dur.Syncs == 0 || net.Accepted == 0 {
 		t.Fatalf("run left nothing to compare: liveness %+v, syncs %d, accepted %d", live, dur.Syncs, net.Accepted)
 	}
 	want := map[string]int64{
-		"server_messages_total":         srv.Messages(),
-		"server_bytes_total":            srv.BytesReceived(),
+		"server_messages_total":         prog.Messages,
+		"server_bytes_total":            prog.Bytes,
 		"server_records_total":          cov.IngestedRecords,
 		"server_dup_frames_total":       cov.DupFrames,
 		"server_checksum_errors_total":  cov.ChecksumErrors,

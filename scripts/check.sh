@@ -6,12 +6,16 @@
 # the paper's shape predicates at tier-1 size run there, once each),
 # race-enabled stress of the windowed link's
 # attribution (-count 10) and of the service's admission and Close
-# (-count 20), a -count 50 stress of the socket and socket+proxy
+# (-count 20), a race-enabled -count 20 stress of the record-window
+# snapshot under ingest and of the long-poll parking behind a rebuild, a
+# -count 50 stress of the socket and socket+proxy
 # conformance tables and the window's progress/bound tests, the coverage
 # gate against the seed baseline (not race-enabled, -count=1: the run that
 # regenerates EXPERIMENTS.md at full size and compares it byte for byte), a
 # race-enabled interpreter smoke, one full-size run each of the benchmark's
-# run-cg256 and ingest-tcp-durable oracles, and a coverage-guided fuzz smoke
+# run-cg256, ingest-inproc, ingest-tcp-durable and ingest-read-mix oracles
+# (the ingest reports read the watermark and liveness view), and a
+# coverage-guided fuzz smoke
 # over every fuzz target: the frame codec and parser, WAL replay, snapshot
 # slots, the epoch median (selection against sort.Float64s, bit for bit), the
 # mini-C lexer and parser, the engine differential, ETag cursors and the
@@ -46,6 +50,9 @@ go test -race -run 'TestLinkWindowAttribution$' -count 10 ./internal/transport
 echo "== race-enabled admission and Close (-count 20): shed at the MaxWorkers cap, Close reaches every connection, Close racing 8 dialers keeps the ledger"
 go test -race -run 'TestLoadShedExplicitRefusal$|TestCloseReachesEveryConn$|TestCloseWhileDialing$' -count 20 ./internal/netsrv
 
+echo "== race-enabled read path (-count 20): record windows stay append-only under ingest, a long-poll parks behind an in-flight rebuild"
+go test -race -run 'TestRecordsSnapshotUnderIngest$|TestWaitSnapshotParksBehindRebuild$' -count 20 ./internal/server
+
 echo "== socket/proxy exactly-once stress (-count 50: these tables race real sockets, one pass proves little)"
 go test -run 'TestNetChaosExactlyOnce$|TestNetKillRecoverConformance$|TestWindowProgressUnderEarlyResets$|TestWindowBoundedAcrossOutage$' \
     -count 50 ./internal/netsrv
@@ -59,8 +66,14 @@ go test -race -run '^$' -bench 'BenchmarkInterpHotLoop$' -benchtime 1x ./interna
 echo "== full-size run-cg256 oracle (golden virtual time, record counts and finding; one trial, untimed)"
 go run ./benchmark -workload run-cg256 -seed 1 -seconds 1 -trace 0
 
+echo "== full-size ingest-inproc oracle (524,288 records through Link and Conn into the sharded server; untimed)"
+go run ./benchmark -workload ingest-inproc -seed 1 -seconds 1 -trace 0
+
 echo "== full-size ingest-tcp-durable oracle (4,096 frames over the window into a durable tenant: none lost, duplicated, rejected or retried; untimed)"
 go run ./benchmark -workload ingest-tcp-durable -seed 1 -seconds 1 -trace 0
+
+echo "== full-size ingest-read-mix oracle (open-loop ingest beside an HTTP poller and a snapshot tailer; untimed)"
+go run ./benchmark -workload ingest-read-mix -seed 1 -seconds 1 -trace 0
 
 echo "== fuzz smoke ($fuzztime per target)"
 go test -run '^$' -fuzz 'FuzzBatchRoundTrip$' -fuzztime "$fuzztime" ./internal/server

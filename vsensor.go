@@ -591,7 +591,7 @@ func (r *Report) DataVolume() int64 {
 	if r.Server == nil {
 		return 0
 	}
-	return r.Server.BytesReceived()
+	return r.Server.Progress().Bytes
 }
 
 // Coverage returns the analysis server's delivery coverage: how completely

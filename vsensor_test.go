@@ -66,11 +66,11 @@ func TestOnlineMonitoringMidRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, cursor := rep.Server.RecordsSince(0)
-	if len(recs) == 0 || cursor != len(recs) {
-		t.Fatalf("cursor API: %d records, cursor %d", len(recs), cursor)
+	recs, cursor, _, ok := rep.Server.Snapshot().RecordsWindow(0)
+	if !ok || len(recs) == 0 || cursor != len(recs) {
+		t.Fatalf("cursor API: %d records, cursor %d, ok %v", len(recs), cursor, ok)
 	}
-	if more, c2 := rep.Server.RecordsSince(cursor); len(more) != 0 || c2 != cursor {
+	if more, c2, _, ok := rep.Server.Snapshot().RecordsWindow(cursor); !ok || len(more) != 0 || c2 != cursor {
 		t.Error("no new records expected after completion")
 	}
 	p := rep.Server.Progress()
