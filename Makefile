@@ -26,15 +26,17 @@ cover:
 	sh scripts/cover.sh
 
 # Coverage-guided fuzz smoke over every fuzz target (wire codec, server
-# ingest, WAL replay, snapshot slot, mini-C parser and lexer, closure engine vs reference
-# interpreter, HTTP conditional-read protocol, network session handshake),
-# FUZZTIME each. `go test -fuzz` takes one target per invocation, so they
-# run sequentially.
+# ingest, WAL replay, snapshot slot, epoch median, mini-C parser and lexer,
+# closure engine vs reference interpreter, HTTP conditional-read protocol,
+# network session handshake), FUZZTIME each. `go test -fuzz` takes one
+# target per invocation, so they run sequentially. This is the one list:
+# scripts/check.sh runs this target.
 fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzBatchRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/server
 	$(GO) test -run '^$$' -fuzz 'FuzzCheckBatch$$' -fuzztime $(FUZZTIME) ./internal/server
 	$(GO) test -run '^$$' -fuzz 'FuzzWALReplay$$' -fuzztime $(FUZZTIME) ./internal/server
 	$(GO) test -run '^$$' -fuzz 'FuzzSnapshotSlot$$' -fuzztime $(FUZZTIME) ./internal/server
+	$(GO) test -run '^$$' -fuzz 'FuzzEpochMedian$$' -fuzztime $(FUZZTIME) ./internal/server
 	$(GO) test -run '^$$' -fuzz 'FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/minic
 	$(GO) test -run '^$$' -fuzz 'FuzzLex$$' -fuzztime $(FUZZTIME) ./internal/minic
 	$(GO) test -run '^$$' -fuzz 'FuzzEngineDifferential$$' -fuzztime $(FUZZTIME) ./internal/vm
@@ -92,7 +94,8 @@ experiments:
 
 # The full gate: build + vet + gofmt + race tests + race chaos + race conformance +
 # paper shapes under race + socket/proxy stress (-count 50) + coverage gate
-# (which runs the EXPERIMENTS.md golden) + bench smoke + fuzz smoke.
+# (which runs the EXPERIMENTS.md golden) + bench smoke + one run of each
+# example + fuzz smoke.
 check:
 	scripts/check.sh
 

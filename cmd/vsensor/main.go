@@ -125,8 +125,20 @@ func applyTransport(opts *vsensor.Options) {
 	if *runIDFlag != "" && *connectAddr == "" {
 		fatal(fmt.Errorf("-run-id needs -connect (there is no networked session to name)"))
 	}
-	if *connectAddr != "" && *wal {
-		fatal(fmt.Errorf("-wal tunes the in-process server; a -connect run has none (configure durability on the serve side)"))
+	if *connectAddr != "" {
+		// A -connect run's records, and so its verdict, live on the
+		// service: there is no local server to make durable or to render.
+		for _, f := range []struct {
+			name string
+			set  bool
+		}{
+			{"-wal", *wal}, {"-save", *saveOut != ""}, {"-matrix", *matrix},
+			{"-csv", *csvOut != ""}, {"-png", *pngOut != ""},
+		} {
+			if f.set {
+				fatal(fmt.Errorf("%s needs the in-process server; a -connect run has none (its records and verdict live on the serve side)", f.name))
+			}
+		}
 	}
 	opts.Connect = *connectAddr
 	opts.RunID = *runIDFlag
@@ -175,6 +187,26 @@ func printLineage(rep *vsensor.Report) {
 	st := lin.Stats()
 	fmt.Printf("lineage: sampled %d frames (1 in %d, seed %d), %d spans recorded (flight cap %d)\n",
 		st.SampledFrames, st.SampleEvery, st.Seed, st.Spans, st.FlightCap)
+}
+
+// runID is the -connect session's run name: -run-id, or the default.
+func runID() string {
+	if *runIDFlag == "" {
+		return "local"
+	}
+	return *runIDFlag
+}
+
+// printVerdict prints the variance report, or, for a -connect run, where
+// it lives: the records went to the service, so this process has none to
+// diagnose and must not print a clean verdict it never computed.
+func printVerdict(rep *vsensor.Report, ranksPerNode int) {
+	if rep.Server == nil {
+		fmt.Printf("verdict: on the analysis service at %s (run %q); this run holds no records to diagnose\n",
+			*connectAddr, runID())
+		return
+	}
+	fmt.Print(rep.ReportText(*col, ranksPerNode))
 }
 
 // printCoverage reports delivery coverage for a run with a local server,
@@ -460,7 +492,7 @@ func doScenario(name string) {
 	} else {
 		fmt.Printf("run: %.3f ms\n", rep.TotalSeconds()*1e3)
 	}
-	fmt.Print(rep.ReportText(*col, 8))
+	printVerdict(rep, 8)
 	if *matrix {
 		for _, typ := range []ir.SnippetType{ir.Computation, ir.Network, ir.IO} {
 			if m := rep.Matrices(*col)[typ]; m != nil {
@@ -661,19 +693,15 @@ func doRun(src string, acfg analysis.Config, icfg instrument.Config) {
 		fmt.Printf("sensors: %s, server data: %d bytes in %d messages\n",
 			rep.Instrumented.TypeSummary(), rep.DataVolume(), rep.Server.Progress().Messages)
 	} else {
-		rid := *runIDFlag
-		if rid == "" {
-			rid = "local"
-		}
 		st := rep.Resilient.Stats()
 		fmt.Printf("sensors: %s, records delivered to %s (run %q, durable lsn %d, %d reconnects over %d dial attempts)\n",
-			rep.Instrumented.TypeSummary(), *connectAddr, rid, st.LSN, st.Reconnects, st.DialAttempts)
+			rep.Instrumented.TypeSummary(), *connectAddr, runID(), st.LSN, st.Reconnects, st.DialAttempts)
 	}
 	printCoverage(rep)
 	printLineage(rep)
 	events := rep.Events()
 	fmt.Printf("per-process variance events: %d\n", len(events))
-	fmt.Print(rep.ReportText(*col, rpn))
+	printVerdict(rep, rpn)
 
 	mats := rep.Matrices(*col)
 	if *matrix {

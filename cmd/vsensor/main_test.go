@@ -179,6 +179,32 @@ func TestFlagParsing(t *testing.T) {
 			wantStderr: "a -connect run has none",
 		},
 		{
+			// The verdict lives on the service: nothing local to save or
+			// render, so these are refused before the run.
+			name:       "save with connect",
+			args:       []string{"run", "-connect", "127.0.0.1:1", "-save", "run.json", tiny},
+			wantCode:   1,
+			wantStderr: "-save needs the in-process server",
+		},
+		{
+			name:       "matrix with connect",
+			args:       []string{"run", "-connect", "127.0.0.1:1", "-matrix", tiny},
+			wantCode:   1,
+			wantStderr: "-matrix needs the in-process server",
+		},
+		{
+			name:       "csv with connect",
+			args:       []string{"run", "-connect", "127.0.0.1:1", "-csv", "comp.csv", tiny},
+			wantCode:   1,
+			wantStderr: "-csv needs the in-process server",
+		},
+		{
+			name:       "png with connect",
+			args:       []string{"run", "-connect", "127.0.0.1:1", "-png", "heat", tiny},
+			wantCode:   1,
+			wantStderr: "-png needs the in-process server",
+		},
+		{
 			// The self-healing session's first dial fails fast on a network
 			// error; only an accepted session retries them under the budget.
 			name:       "connect to unreachable service",
@@ -451,6 +477,12 @@ func TestServeConnectEndToEnd(t *testing.T) {
 		}
 		if strings.Contains(stdout, "server data:") {
 			t.Errorf("run %s printed a local-server summary in connect mode:\n%s", rid, stdout)
+		}
+		// The run holds no records, so it has no verdict of its own: it
+		// names the service instead of printing a clean one.
+		if strings.Contains(stdout, "no performance variance detected") ||
+			!strings.Contains(stdout, "verdict: on the analysis service at "+addr+` (run "`+rid+`")`) {
+			t.Errorf("run %s connect verdict line wrong:\n%s", rid, stdout)
 		}
 	}
 

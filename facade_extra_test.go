@@ -79,39 +79,44 @@ func TestReportTextBadNode(t *testing.T) {
 	}
 }
 
-// Component-tracker integration: merged same-type streams detect a short
-// network dip from staggered sensors through the Fanout emitter path.
-func TestComponentTrackerIntegration(t *testing.T) {
-	// Feed the tracker from server records of a congested run.
+// Same-type merging (paper §5.2) is the per-type matrix: every network
+// sensor's normalized slices land in one cell per rank and column, so a
+// short congestion window shows as low Network columns across the ranks.
+// The clean twin of the same run shows none.
+func TestNetworkMatrixLocatesWindow(t *testing.T) {
 	cl := cluster.New(cluster.Config{Nodes: 2, RanksPerNode: 4})
 	probe, err := vsensor.Run(facadeSrc, vsensor.Options{Ranks: 8, Cluster: cl, Uninstrumented: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	mid := probe.Result.TotalNs / 2
-	cl2 := cluster.New(cluster.Config{Nodes: 2, RanksPerNode: 4})
-	cl2.AddNetWindow(mid/2, mid*3/2, 0.2)
-	rep, err := vsensor.Run(facadeSrc, vsensor.Options{Ranks: 8, Cluster: cl2})
-	if err != nil {
-		t.Fatal(err)
+	windows := func(inject bool) []vis.TimeWindow {
+		cl := cluster.New(cluster.Config{Nodes: 2, RanksPerNode: 4})
+		if inject {
+			cl.AddNetWindow(mid/2, mid*3/2, 0.2)
+		}
+		rep, err := vsensor.Run(facadeSrc, vsensor.Options{Ranks: 8, Cluster: cl})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := rep.Matrices(500 * time.Microsecond)[ir.Network]
+		if m == nil {
+			t.Fatal("no network matrix")
+		}
+		return m.LowTimeWindows(0.8, 0.5)
 	}
-	var meta []detect.Sensor
-	for _, s := range rep.Instrumented.Sensors {
-		meta = append(meta, detect.Sensor{ID: s.ID, Type: s.Type, Name: s.Name})
+	if wins := windows(false); len(wins) != 0 {
+		t.Errorf("clean run has low network windows: %+v", wins)
 	}
-	tr := detect.NewComponentTracker(meta, 500_000, 0.8)
-	for _, r := range rep.Server.Records() {
-		tr.OnSlice(r)
-	}
-	events := tr.Finish()
-	netHit := false
-	for _, e := range events {
-		if e.Type.String() == "Net" && e.SliceNs >= mid/2-1_000_000 && e.SliceNs < mid*3/2+1_000_000 {
-			netHit = true
+	wins := windows(true)
+	hit := false
+	for _, w := range wins {
+		if w.StartNs < mid*3/2 && w.EndNs > mid/2 {
+			hit = true
 		}
 	}
-	if !netHit {
-		t.Errorf("merged network stream missed the window; %d events", len(events))
+	if !hit {
+		t.Errorf("merged network matrix missed the window [%d, %d): %+v", mid/2, mid*3/2, wins)
 	}
 }
 

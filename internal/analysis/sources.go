@@ -206,15 +206,3 @@ func (s SourceSet) Params() []int {
 	sort.Ints(out)
 	return out
 }
-
-// LoopIDs returns the IDs of all loop-variable sources in the set.
-func (s SourceSet) LoopIDs() []int {
-	var out []int
-	for x := range s.m {
-		if x.Kind == SrcLoopVar {
-			out = append(out, x.Idx)
-		}
-	}
-	sort.Ints(out)
-	return out
-}

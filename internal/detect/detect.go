@@ -336,17 +336,27 @@ func (d *Detector) closeSlice(key groupKey, st *groupState) {
 	st.sumInstr = 0
 }
 
+// closeGroupsOf flushes and forgets every group of a sensor the
+// short-sensor rule just disabled.
 func (d *Detector) closeGroupsOf(sensor int) {
-	for key, st := range d.state {
-		if key.sensor == sensor {
-			d.closeSlice(key, st)
-			delete(d.state, key)
+	for _, k := range d.openGroups() {
+		if k.sensor == sensor {
+			d.closeSlice(k, d.state[k])
+			delete(d.state, k)
 		}
 	}
 }
 
 // Finish flushes every open slice; call once after the run completes.
 func (d *Detector) Finish() {
+	for _, k := range d.openGroups() {
+		d.closeSlice(k, d.state[k])
+	}
+}
+
+// openGroups returns the keys of every open group in (sensor, group) order,
+// so flushed slices leave in the same order on every run.
+func (d *Detector) openGroups() []groupKey {
 	keys := make([]groupKey, 0, len(d.state))
 	for k := range d.state {
 		keys = append(keys, k)
@@ -357,9 +367,7 @@ func (d *Detector) Finish() {
 		}
 		return keys[i].group < keys[j].group
 	})
-	for _, k := range keys {
-		d.closeSlice(k, d.state[k])
-	}
+	return keys
 }
 
 // Events returns the locally detected variance events.

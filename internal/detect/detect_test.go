@@ -105,6 +105,25 @@ func TestNormalizationAgainstFastest(t *testing.T) {
 	}
 }
 
+// Each sensor keeps its own standard time, and an event carries its
+// sensor's component: a degraded computation sensor does not taint the
+// clean network sensor beside it.
+func TestComponentSeparation(t *testing.T) {
+	d := New(0, mkSensors(), Config{SliceNs: 1_000_000}, nil)
+	feed(d, 0, 0, 100_000, 10_000, 50, 0)
+	feed(d, 0, 5_000_000, 100_000, 30_000, 50, 0) // computation degrades
+	feed(d, 1, 0, 100_000, 5_000, 100, 0)         // network stays clean
+	d.Finish()
+	if len(d.Events()) != 5 {
+		t.Fatalf("events = %+v, want the 5 degraded computation slices", d.Events())
+	}
+	for _, e := range d.Events() {
+		if e.Type != ir.Computation || e.Sensor != 0 || e.SliceNs < 5_000_000 {
+			t.Errorf("unexpected event %+v", e)
+		}
+	}
+}
+
 // Fig. 13: without dynamic rules, high-miss records look like variance;
 // with miss-rate buckets they form their own group and only the genuine
 // outlier remains.
@@ -140,6 +159,16 @@ func TestDynamicRuleMissRateGrouping(t *testing.T) {
 	if e.Group != 0 || e.SliceNs != 4_000_000 {
 		t.Errorf("wrong variance located: %+v", e)
 	}
+
+	// Both groups in every slice at steady but different speeds: each group
+	// keeps its own best, so the slower one is no variance.
+	both := New(0, mkSensors(), Config{SliceNs: 1_000_000, VarianceThreshold: 0.7, MissRateBuckets: []float64{0.2, 1.01}}, nil)
+	feed(both, 0, 0, 100_000, 10_000, 60, 0.05)
+	feed(both, 0, 50_000, 100_000, 30_000, 60, 0.45)
+	both.Finish()
+	if len(both.Events()) != 0 {
+		t.Errorf("per-group baselines: steady groups raised %+v", both.Events())
+	}
 }
 
 func TestShortSensorDisabled(t *testing.T) {
@@ -162,6 +191,34 @@ func TestShortSensorDisabled(t *testing.T) {
 	for _, r := range col.recs {
 		if r.Sensor == 0 && r.SliceNs > 0 {
 			t.Errorf("disabled sensor still emitting: %+v", r)
+		}
+	}
+}
+
+// A sensor the short-sensor rule disables flushes its open groups in group
+// order, the order Finish uses: every fresh detector emits the same
+// sequence, so frames, the log and matrix sums do not depend on map order.
+func TestDisabledSensorFlushesInGroupOrder(t *testing.T) {
+	buckets := []float64{0.1, 0.2, 0.3, 0.4, 1.01}
+	for run := 0; run < 20; run++ {
+		col := &sliceCollector{}
+		d := New(0, mkSensors(), Config{SliceNs: 1_000_000, MissRateBuckets: buckets, DisableShortNs: 500, WarmupRecords: 10}, col)
+		// Nine short records open all five groups in one slice; the tenth
+		// ends the warm-up and disables the sensor.
+		for i := 0; i < 10; i++ {
+			s := int64(i) * 1_000
+			d.OnRecord(vm.Record{Sensor: 0, Start: s, End: s + 100, MissRate: 0.05 + 0.1*float64(i%5)})
+		}
+		if !d.Disabled(0) {
+			t.Fatal("short sensor not disabled")
+		}
+		if len(col.recs) != len(buckets) {
+			t.Fatalf("run %d: flushed %d slices, want %d", run, len(col.recs), len(buckets))
+		}
+		for i, r := range col.recs {
+			if r.Group != i {
+				t.Fatalf("run %d: flush order %+v, want groups 0..4 ascending", run, col.recs)
+			}
 		}
 	}
 }

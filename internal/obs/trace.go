@@ -162,18 +162,13 @@ type chromeTrace struct {
 	DisplayTimeUnit string        `json:"displayTimeUnit"`
 }
 
-// WriteChrome exports every completed span (and thread-name metadata) as
-// Chrome trace_event JSON.
-func (t *Tracer) WriteChrome(w io.Writer) error {
-	return t.WriteChromeMerged(w, nil)
-}
-
 // lineagePid is the Chrome-trace process id under which lineage spans are
 // grouped (pipeline spans live under pid 1, one row per rank under pid 2).
 const lineagePid = 2
 
-// WriteChromeMerged exports the tracer's spans plus, when lin is non-nil,
-// every stable span in the lineage flight recorder: each sampled record's
+// WriteChromeMerged exports every completed span (and thread-name
+// metadata) as Chrome trace_event JSON plus, when lin is non-nil, every
+// stable span in the lineage flight recorder: each sampled record's
 // journey appears as stage slices on the emitting rank's row of a separate
 // "lineage" process, with the trace ID in the args so rows correlate with
 // /debug/flight and histogram exemplars.

@@ -33,7 +33,7 @@ func TestWriteChromeValidJSON(t *testing.T) {
 	tr.Start(1, "rank").Arg("rank", "0").End()
 
 	var buf bytes.Buffer
-	if err := tr.WriteChrome(&buf); err != nil {
+	if err := tr.WriteChromeMerged(&buf, nil); err != nil {
 		t.Fatal(err)
 	}
 	var out struct {
@@ -95,7 +95,7 @@ func TestConcurrentSpans(t *testing.T) {
 				return
 			default:
 				var buf bytes.Buffer
-				if err := tr.WriteChrome(&buf); err != nil {
+				if err := tr.WriteChromeMerged(&buf, nil); err != nil {
 					t.Error(err)
 					return
 				}
@@ -117,7 +117,7 @@ func TestNilTracer(t *testing.T) {
 	if tr.Len() != 0 || tr.SpanNames() != nil {
 		t.Error("nil tracer should be empty")
 	}
-	if err := tr.WriteChrome(nil); err != nil {
+	if err := tr.WriteChromeMerged(nil, nil); err != nil {
 		t.Error(err)
 	}
 }

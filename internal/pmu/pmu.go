@@ -1,24 +1,21 @@
-// Package pmu simulates a hardware performance-monitoring unit. The paper
-// validates identified v-sensors by reading instruction counts from the PMU
-// and checking that a sensor's workload really is fixed (§6.2, Table 1's
-// "workload max error" column); it also uses PMU metrics such as cache miss
-// rate as dynamic classification rules (§5.3, Fig. 13). Real PMUs are not
-// perfectly accurate (the paper cites Weaver et al.), so reads here apply a
-// deterministic, bounded, multiplicative jitter.
+// Package pmu simulates a hardware performance-monitoring unit's
+// instruction counter. The paper validates identified v-sensors by reading
+// instruction counts from the PMU and checking that a sensor's workload
+// really is fixed (§6.2, Table 1's "workload max error" column). Real PMUs
+// are not perfectly accurate (the paper cites Weaver et al.), so reads here
+// apply a deterministic, bounded, multiplicative jitter.
 package pmu
 
 import "math"
 
-// Counter accumulates exact event counts for one rank; Read applies the
-// measurement error model.
+// Counter accumulates the exact instruction count of one rank; Read applies
+// the measurement error model.
 type Counter struct {
 	rank      int
 	seed      int64
 	jitterPct float64 // max relative read error, e.g. 0.005 for ±0.5%
 
 	instructions int64
-	flops        int64
-	memOps       int64
 	reads        int64 // read sequence number, drives the jitter stream
 }
 
@@ -31,12 +28,6 @@ func New(rank int, seed int64, jitterPct float64) *Counter {
 // AddInstructions records n retired instructions.
 func (c *Counter) AddInstructions(n int64) { c.instructions += n }
 
-// AddFlops records n floating-point operations.
-func (c *Counter) AddFlops(n int64) { c.flops += n }
-
-// AddMemOps records n memory operations.
-func (c *Counter) AddMemOps(n int64) { c.memOps += n }
-
 // Exact returns the true instruction count (no measurement error); used by
 // tests and by the harness when computing ground truth.
 func (c *Counter) Exact() int64 { return c.instructions }
@@ -45,22 +36,7 @@ func (c *Counter) Exact() int64 { return c.instructions }
 // multiplicative jitter, mimicking PMU non-determinism and overcount.
 func (c *Counter) Read() int64 {
 	c.reads++
-	return c.perturb(c.instructions)
-}
-
-// ReadFlops returns the measured flop count.
-func (c *Counter) ReadFlops() int64 {
-	c.reads++
-	return c.perturb(c.flops)
-}
-
-// ReadMemOps returns the measured memory-op count.
-func (c *Counter) ReadMemOps() int64 {
-	c.reads++
-	return c.perturb(c.memOps)
-}
-
-func (c *Counter) perturb(v int64) int64 {
+	v := c.instructions
 	if c.jitterPct == 0 || v == 0 {
 		return v
 	}
@@ -71,33 +47,6 @@ func (c *Counter) perturb(v int64) int64 {
 		out = 0
 	}
 	return out
-}
-
-// MissRateModel produces a synthetic cache-miss-rate signal for a sensor
-// execution. The paper's Fig. 13 clusters sensor records by miss-rate range
-// (a dynamic rule); this model gives each (rank, sensor) stream a base rate
-// plus optional high-miss phases.
-type MissRateModel struct {
-	Base float64 // baseline miss rate, e.g. 0.05
-
-	// HighRate applies during phases selected by Phase.
-	HighRate float64
-
-	// Phase selects records with high miss rate: given the execution index
-	// of a sensor record, report whether it is a high-miss execution.
-	// Nil means never.
-	Phase func(execIdx int64) bool
-}
-
-// Rate returns the miss rate for the execIdx-th execution.
-func (m *MissRateModel) Rate(execIdx int64) float64 {
-	if m == nil {
-		return 0
-	}
-	if m.Phase != nil && m.Phase(execIdx) {
-		return m.HighRate
-	}
-	return m.Base
 }
 
 func hash64(x uint64) uint64 {

@@ -116,9 +116,6 @@ func (d *Distribution) FrequencyHz() float64 {
 	return float64(d.SenseCount) / (float64(d.TotalNs) / 1e9)
 }
 
-// FrequencyMHz matches Table 1's unit (senses per microsecond).
-func (d *Distribution) FrequencyMHz() float64 { return d.FrequencyHz() / 1e6 }
-
 // Analyze computes the distribution from raw sensor records. totalNs is the
 // job's execution time. Records are grouped per rank; intervals are the
 // gaps between consecutive senses on the same rank. Overlapping senses

@@ -61,9 +61,6 @@ func TestAnalyzeCoverageAndFrequency(t *testing.T) {
 	if f := d.FrequencyHz(); math.Abs(f-10_000) > 1e-6 {
 		t.Errorf("freq = %v Hz", f)
 	}
-	if mhz := d.FrequencyMHz(); math.Abs(mhz-0.01) > 1e-9 {
-		t.Errorf("freq = %v MHz", mhz)
-	}
 	// Intervals: 9 gaps of 90µs, all in <100us bucket.
 	if d.Intervals.Counts[0] != 9 {
 		t.Errorf("interval buckets = %v", d.Intervals.Counts)

@@ -70,6 +70,7 @@ func TestRecordsDetectsJitterAndViolation(t *testing.T) {
 	recs := []vm.Record{
 		{Sensor: compID, Rank: 0, Instr: 1000},
 		{Sensor: compID, Rank: 0, Instr: 1005}, // 0.5% jitter: fine
+		{Sensor: compID, Rank: 0, Instr: 1015}, // 1.5%: inside the 2% band
 		{Sensor: compID, Rank: 1, Instr: 1000},
 		{Sensor: compID, Rank: 1, Instr: 1500}, // 50%: a violation
 	}

@@ -39,11 +39,12 @@ func Build(recs []detect.SliceRecord, sensorTypes map[int]ir.SnippetType, ranks 
 	if colNs <= 0 {
 		colNs = 200_000_000
 	}
-	// Per-sensor best average — the normalization standard.
+	// Per-sensor best average — the normalization standard. A zero average
+	// is no measurement: it would zero every cell of its sensor.
 	best := make(map[int]float64)
 	var maxT int64
 	for _, r := range recs {
-		if b, ok := best[r.Sensor]; !ok || r.AvgNs < b {
+		if b, ok := best[r.Sensor]; r.AvgNs > 0 && (!ok || r.AvgNs < b) {
 			best[r.Sensor] = r.AvgNs
 		}
 		if r.SliceNs > maxT {
@@ -419,35 +420,6 @@ func (m *Matrix) CSV() string {
 			} else {
 				fmt.Fprintf(&sb, ",%.4f", v)
 			}
-		}
-		sb.WriteByte('\n')
-	}
-	return sb.String()
-}
-
-// PGM renders the matrix as a binary-ascii PGM image (P2), 0 = worst
-// (white in the paper's figures is low performance; here 255 = best).
-func (m *Matrix) PGM() string {
-	cols := m.Cols()
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "P2\n%d %d\n255\n", cols, m.Ranks)
-	for r := 0; r < m.Ranks; r++ {
-		for c := 0; c < cols; c++ {
-			v := m.Cells[r][c]
-			px := 0
-			if !math.IsNaN(v) {
-				px = int(v * 255)
-				if px > 255 {
-					px = 255
-				}
-				if px < 0 {
-					px = 0
-				}
-			}
-			if c > 0 {
-				sb.WriteByte(' ')
-			}
-			fmt.Fprintf(&sb, "%d", px)
 		}
 		sb.WriteByte('\n')
 	}

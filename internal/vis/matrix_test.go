@@ -173,20 +173,27 @@ func TestRenderers(t *testing.T) {
 	if !strings.Contains(lines[3], "0.4") { // rank 2 ≈ 0.4 perf
 		t.Errorf("slow rank row: %s", lines[3])
 	}
-
-	pgm := m.PGM()
-	if !strings.HasPrefix(pgm, "P2\n6 4\n255\n") {
-		t.Errorf("pgm header:\n%s", pgm[:20])
-	}
 }
 
+// Same-type merging (paper §5.2): sensors 1 and 2 are both Network, so a
+// cell is the mean of their normalized slices, each against its own best.
+// Build skips sensor 99, which has no type, and a zero average, which is no
+// measurement.
 func TestMultiTypeSeparation(t *testing.T) {
-	types := map[int]ir.SnippetType{0: ir.Computation, 1: ir.Network}
+	types := map[int]ir.SnippetType{0: ir.Computation, 1: ir.Network, 2: ir.Network}
 	var recs []detect.SliceRecord
 	for c := 0; c < 5; c++ {
+		at := int64(c) * 1_000_000
+		net2 := 450.0
+		if c == 4 {
+			net2 = 900 // sensor 2 at half its best in the last column
+		}
 		recs = append(recs,
-			detect.SliceRecord{Sensor: 0, Rank: 0, SliceNs: int64(c) * 1_000_000, Count: 1, AvgNs: 100},
-			detect.SliceRecord{Sensor: 1, Rank: 0, SliceNs: int64(c) * 1_000_000, Count: 1, AvgNs: 900},
+			detect.SliceRecord{Sensor: 0, Rank: 0, SliceNs: at, Count: 1, AvgNs: 100},
+			detect.SliceRecord{Sensor: 1, Rank: 0, SliceNs: at, Count: 1, AvgNs: 900},
+			detect.SliceRecord{Sensor: 2, Rank: 0, SliceNs: at + 500_000, Count: 1, AvgNs: net2},
+			detect.SliceRecord{Sensor: 99, Rank: 0, SliceNs: at, Count: 1, AvgNs: 5000},
+			detect.SliceRecord{Sensor: 0, Rank: 0, SliceNs: at, Count: 1, AvgNs: 0},
 		)
 	}
 	ms := Build(recs, types, 1, 1_000_000)
@@ -194,7 +201,13 @@ func TestMultiTypeSeparation(t *testing.T) {
 		t.Fatalf("matrices = %v", ms)
 	}
 	// Each type normalizes independently: both are at their own best.
-	if ms[ir.Network].Cells[0][0] != 1.0 {
-		t.Errorf("net perf = %v", ms[ir.Network].Cells[0][0])
+	if v := ms[ir.Computation].Cells[0][0]; v != 1.0 {
+		t.Errorf("comp perf = %v", v)
+	}
+	if v := ms[ir.Network].Cells[0][0]; v != 1.0 {
+		t.Errorf("net perf = %v", v)
+	}
+	if v := ms[ir.Network].Cells[0][4]; v != 0.75 {
+		t.Errorf("merged net perf = %v, want mean(1.0, 0.5) = 0.75", v)
 	}
 }

@@ -15,13 +15,14 @@ import (
 // immutable after compile and shared without synchronization.
 //
 // What the closures must reproduce exactly is the cost-model call sequence:
-// which pmu.Add* and charge(cpu, mem) calls happen, with which operands, in
-// which order relative to sub-evaluations, ticks and tocks. exprCostNs is
-// not a dyadic rational, so the pending-cost sums are order-sensitive, and
-// flush trips at a 5,000 ns threshold — one charge moved and every later
-// virtual timestamp moves with it. Faults stay lazy for the same reason the
-// resolver keeps them lazy: an undefined name, unknown callee or wrong
-// arity compiles to a closure that faults when (and only when) it runs.
+// which pmu.AddInstructions and charge(cpu, mem) calls happen, with which
+// operands, in which order relative to sub-evaluations, ticks and tocks.
+// exprCostNs is not a dyadic rational, so the pending-cost sums are
+// order-sensitive, and flush trips at a 5,000 ns threshold — one charge
+// moved and every later virtual timestamp moves with it. Faults stay lazy
+// for the same reason the resolver keeps them lazy: an undefined name,
+// unknown callee or wrong arity compiles to a closure that faults when (and
+// only when) it runs.
 type (
 	evalFn func(in *interp, base int) Value
 	execFn func(in *interp, base int) ctrl
@@ -337,7 +338,6 @@ func (in *interp) global(id *minic.Ident) *Value {
 }
 
 func (in *interp) store(arr *Value, idx int64, v Value, tgt *minic.IndexExpr) {
-	in.pmu.AddMemOps(1)
 	in.charge(0, memCostNs)
 	switch arr.Kind {
 	case KIntArr:
@@ -352,7 +352,6 @@ func (in *interp) store(arr *Value, idx int64, v Value, tgt *minic.IndexExpr) {
 }
 
 func (in *interp) load(arr *Value, idx int64, x *minic.IndexExpr) Value {
-	in.pmu.AddMemOps(1)
 	in.charge(exprCostNs, memCostNs)
 	switch arr.Kind {
 	case KIntArr:
@@ -845,7 +844,6 @@ func (c *compiler) builtinBody(bi resolve.Builtin, call *minic.CallExpr, arg fun
 			in.op()
 			n := max(a0(in, base).AsInt(), 0)
 			in.pmu.AddInstructions(n)
-			in.pmu.AddFlops(n)
 			in.charge(float64(n)*flopCostNs, 0)
 			return IntVal(0)
 		}
@@ -854,7 +852,6 @@ func (c *compiler) builtinBody(bi resolve.Builtin, call *minic.CallExpr, arg fun
 		return func(in *interp, base int) Value {
 			in.op()
 			n := max(a0(in, base).AsInt(), 0)
-			in.pmu.AddMemOps(n)
 			in.charge(0, float64(n)*memCostNs)
 			return IntVal(0)
 		}

@@ -208,7 +208,6 @@ func (in *interp) assign(base int, st *minic.AssignStmt) {
 	case *minic.IndexExpr:
 		arr := in.slotOf(base, tgt.Array)
 		idx := in.eval(base, tgt.Index).AsInt()
-		in.pmu.AddMemOps(1)
 		in.charge(0, memCostNs)
 		switch arr.Kind {
 		case KIntArr:
@@ -285,7 +284,6 @@ func (in *interp) eval(base int, e minic.Expr) Value {
 	case *minic.IndexExpr:
 		arr := in.slotOf(base, x.Array)
 		idx := in.eval(base, x.Index).AsInt()
-		in.pmu.AddMemOps(1)
 		in.charge(exprCostNs, memCostNs)
 		switch arr.Kind {
 		case KIntArr:
@@ -597,7 +595,6 @@ func (in *interp) evalBuiltin(base int, call *minic.CallExpr) Value {
 			n = 0
 		}
 		in.pmu.AddInstructions(n)
-		in.pmu.AddFlops(n)
 		in.charge(float64(n)*flopCostNs, 0)
 		return IntVal(0)
 	case resolve.BuiltinMem:
@@ -605,7 +602,6 @@ func (in *interp) evalBuiltin(base int, call *minic.CallExpr) Value {
 		if n < 0 {
 			n = 0
 		}
-		in.pmu.AddMemOps(n)
 		in.charge(0, float64(n)*memCostNs)
 		return IntVal(0)
 	case resolve.BuiltinAbsI:

@@ -418,7 +418,7 @@ func TestObsPipelineSpans(t *testing.T) {
 		t.Errorf("span count = %d, want 9", got)
 	}
 	var buf bytes.Buffer
-	if err := o.Tracer().WriteChrome(&buf); err != nil {
+	if err := o.Tracer().WriteChromeMerged(&buf, nil); err != nil {
 		t.Fatal(err)
 	}
 	var out struct {

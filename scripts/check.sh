@@ -14,12 +14,12 @@
 # regenerates EXPERIMENTS.md at full size and compares it byte for byte), a
 # race-enabled interpreter smoke, one full-size run each of the benchmark's
 # run-cg256, ingest-inproc, ingest-tcp-durable and ingest-read-mix oracles
-# (the ingest reports read the watermark and liveness view), and a
-# coverage-guided fuzz smoke
-# over every fuzz target: the frame codec and parser, WAL replay, snapshot
-# slots, the epoch median (selection against sort.Float64s, bit for bit), the
-# mini-C lexer and parser, the engine differential, ETag cursors and the
-# service session.
+# (the ingest reports read the watermark and liveness view), one run of
+# each program under examples/ (each must exit 0), and `make fuzz`: a
+# coverage-guided fuzz smoke over every fuzz target (the frame codec and
+# parser, WAL replay, snapshot slots, the epoch median, the mini-C lexer and
+# parser, the engine differential, ETag cursors and the service session;
+# the Makefile holds the one list).
 #
 # Performance is not measured here: `make bench` (benchmark/run.sh) is the
 # one benchmark, with repeated trials and bounds in BENCHMARK.json.
@@ -75,14 +75,10 @@ go run ./benchmark -workload ingest-tcp-durable -seed 1 -seconds 1 -trace 0
 echo "== full-size ingest-read-mix oracle (open-loop ingest beside an HTTP poller and a snapshot tailer; untimed)"
 go run ./benchmark -workload ingest-read-mix -seed 1 -seconds 1 -trace 0
 
+echo "== examples (one run each; each must exit 0)"
+for ex in examples/*/; do
+    go run "./$ex" >/dev/null
+done
+
 echo "== fuzz smoke ($fuzztime per target)"
-go test -run '^$' -fuzz 'FuzzBatchRoundTrip$' -fuzztime "$fuzztime" ./internal/server
-go test -run '^$' -fuzz 'FuzzCheckBatch$' -fuzztime "$fuzztime" ./internal/server
-go test -run '^$' -fuzz 'FuzzWALReplay$' -fuzztime "$fuzztime" ./internal/server
-go test -run '^$' -fuzz 'FuzzSnapshotSlot$' -fuzztime "$fuzztime" ./internal/server
-go test -run '^$' -fuzz 'FuzzEpochMedian$' -fuzztime "$fuzztime" ./internal/server
-go test -run '^$' -fuzz 'FuzzParse$' -fuzztime "$fuzztime" ./internal/minic
-go test -run '^$' -fuzz 'FuzzLex$' -fuzztime "$fuzztime" ./internal/minic
-go test -run '^$' -fuzz 'FuzzEngineDifferential$' -fuzztime "$fuzztime" ./internal/vm
-go test -run '^$' -fuzz 'FuzzETagCursor$' -fuzztime "$fuzztime" ./internal/obs
-go test -run '^$' -fuzz 'FuzzSession$' -fuzztime "$fuzztime" ./internal/netsrv
+make fuzz FUZZTIME="$fuzztime"

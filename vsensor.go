@@ -560,7 +560,8 @@ func (r *Report) SensorTypes() map[int]ir.SnippetType {
 }
 
 // Matrices builds the per-type performance matrices (paper §5.5) at the
-// given column resolution.
+// given column resolution. It is nil in Connect mode: the records live on
+// the remote service.
 func (r *Report) Matrices(col time.Duration) map[ir.SnippetType]*vis.Matrix {
 	if r.Server == nil {
 		return nil
@@ -649,13 +650,16 @@ func (r *Report) TotalSeconds() float64 {
 }
 
 // Findings diagnoses variance structures from the per-type matrices at the
-// given column resolution (paper workflow step 8).
+// given column resolution (paper workflow step 8). It is empty in Connect
+// mode, where there are no local matrices: that is no verdict, not a clean
+// one.
 func (r *Report) Findings(col time.Duration) []vis.Finding {
 	return vis.Diagnose(r.Matrices(col), vis.ReportConfig{})
 }
 
 // ReportText renders the user-facing variance report. ranksPerNode > 0
-// adds node attribution.
+// adds node attribution. In Connect mode it renders the empty Findings, so
+// callers print the service's verdict instead.
 func (r *Report) ReportText(col time.Duration, ranksPerNode int) string {
 	return vis.RenderReport(r.Findings(col), ranksPerNode)
 }
