@@ -9,9 +9,9 @@ import (
 
 // TestFlushSteadyStateAllocs pins the client transfer path's allocation
 // behaviour: once the wire buffer, the sender's rank entry, and
-// the epoch accumulators are warm, shipping a batch allocates nothing except
+// the epoch parts are warm, shipping a batch allocates nothing except
 // a new log chunk every chunkRecords records (the segment index and the
-// epochs' entry slices grow amortized; they are pre-sized here).
+// epoch partition's arenas grow amortized; they are pre-sized here).
 func TestFlushSteadyStateAllocs(t *testing.T) {
 	const batchSize = 8
 	s := New()
@@ -25,26 +25,24 @@ func TestFlushSteadyStateAllocs(t *testing.T) {
 		}
 	}
 	// Pre-size the segment index and warm the client's buffers (and the
-	// epoch map entries) with one round, then pre-size the epochs' entries.
+	// epoch parts) with one round, then pre-size the partition's entry and
+	// block arenas.
 	sh := s.shardFor(3)
 	sh.segments = make([]segment, 0, 1<<10)
 	for _, r := range batch {
 		c.OnSlice(r)
 	}
-	for si := range s.an.stripes {
-		st := &s.an.stripes[si]
-		for k, ep := range st.epochs {
-			grown := make([]epochEntry, len(ep.entries), 1<<10)
-			copy(grown, ep.entries)
-			ep.entries = grown
-			st.epochs[k] = ep
-		}
-	}
+	p := s.an.parts[s.shardIndex(3)]
+	p.entries.free = make([]epochEntry, 1<<13)
+	p.blocks.free = make([]block, 1<<7)
 
 	// Four chunks' worth of batches: the warm round left the first chunk
 	// open, so exactly four more are cut.
 	const rounds = 4 * chunkRecords / batchSize
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	// Finish a collection first, so that no cycle the runtime starts on its
+	// own, with what it allocates, falls inside the count.
+	runtime.GC()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	before := ms.Mallocs

@@ -32,7 +32,46 @@ func nowUnixNs() int64 { return time.Now().UnixNano() }
 // what makes the incremental result *exactly* equal to a batch recompute
 // over the final log under any ingest permutation — the property the
 // differential conformance test pins.
-const epochStripes = 64 // power of two; stripes the analyzer's lock by key hash
+//
+// Epochs are partitioned by ingest shard. A frame carries only its sender's
+// records (wire.go) and a rank always routes to one shard, so each frame
+// folds into exactly one partition under one lock, and two shards never
+// write the same memory. An epoch's records in one partition form a part: a
+// chain of fixed-size blocks carved from the partition's arena, written
+// once and never moved. The key-level state — closed, threshold, cache and
+// the list of parts — sits in one key table behind its own mutex, which a
+// fold takes only when its partition first sees a key or lands on a sealed
+// part. Lock order: a partition, then the key table; never the reverse, and
+// never two partitions at once.
+
+// A part's first block holds firstBlockLen entries and every later block
+// blockLen. The short first block keeps a partition that holds few of an
+// epoch's ranks from pinning a long, mostly empty one (256 ranks over 16
+// shards fill it exactly). The later length trades the fold against the
+// query: a fold writes each active part's tail, so short blocks keep that
+// frontier compact, while a query streams a part's runs, so long blocks
+// save it a jump every few entries. 16-entry blocks made a full evaluation
+// of 4096 ranks × 256 epochs about 30 % slower than contiguous slices, and
+// 256-entry ones cost ingest-tcp-durable about 10 % of its throughput; 64
+// is within a few percent of the parent on the second and 13 % on the
+// first.
+const (
+	firstBlockLen = 16
+	blockLen      = 64
+)
+
+// A partition's arenas start with a chunk of the minimum size and double
+// each time one runs out, up to the maximum, so a partition that saw a few
+// records pins little memory and a busy one allocates rarely. The largest
+// entry chunk is 64 KiB, a whole number of pages.
+const (
+	entryChunkMin = 64
+	entryChunkMax = 4096
+	blockChunkMin = 4
+	blockChunkMax = 128
+	partChunkMin  = 4
+	partChunkMax  = 64
+)
 
 type epochKey struct {
 	sensor int32
@@ -47,10 +86,83 @@ type epochEntry struct {
 	avg  float64
 }
 
-// epoch accumulates one (sensor, group, slice) group: the raw entries the
-// exact median needs.
-type epoch struct {
+// block is one link of a part's entry chain: a fixed run of entries carved
+// from the partition's entry arena, always full except at the part's tail.
+type block struct {
 	entries []epochEntry
+	next    *block
+}
+
+// part is one partition's share of an epoch. Every field but snap is
+// guarded by the partition's lock; entries below a count read under that
+// lock are immutable, so a query reads them after releasing it.
+type part struct {
+	ep    *epoch
+	pi    int // index of the owning partition
+	n     int // entries folded
+	first block
+	tail  *block
+
+	// sealed marks the part as covered by its epoch's cached result: a fold
+	// landing here must go through the key table to reopen the epoch.
+	sealed bool
+
+	// trace is the lineage trace ID of the last sampled record folded into
+	// this part (0 when none was sampled), and traceRank the rank that sent
+	// it.
+	trace     uint64
+	traceRank int32
+
+	// snap is the count the running query read in its first pass; written
+	// and read only under the analyzer's query lock.
+	snap int
+}
+
+// add appends one entry, linking a fresh block when the tail is full.
+// Caller holds the partition's lock.
+func (pt *part) add(p *partition, e epochEntry) {
+	i := pt.n
+	switch {
+	case i == 0:
+		pt.first.entries = p.entries.carve(firstBlockLen, entryChunkMin, entryChunkMax)
+		pt.tail = &pt.first
+	case i >= firstBlockLen:
+		if i = (i - firstBlockLen) % blockLen; i == 0 {
+			b := &p.blocks.carve(1, blockChunkMin, blockChunkMax)[0]
+			b.entries = p.entries.carve(blockLen, entryChunkMin, entryChunkMax)
+			pt.tail.next = b
+			pt.tail = b
+		}
+	}
+	pt.tail.entries[i] = e
+	pt.n++
+}
+
+// appendRuns appends the runs of entries that hold the part's first snap
+// entries, in fold order. It never follows a link past them: the tail's
+// link may be written concurrently by a fold.
+func (pt *part) appendRuns(runs [][]epochEntry) [][]epochEntry {
+	b := &pt.first
+	for left := pt.snap; left > 0; b = b.next {
+		if left <= len(b.entries) {
+			return append(runs, b.entries[:left])
+		}
+		runs = append(runs, b.entries)
+		left -= len(b.entries)
+	}
+	return runs
+}
+
+// epoch is the key-level state of one (sensor, group, slice) group, guarded
+// by the analyzer's key-table lock.
+type epoch struct {
+	key   epochKey
+	parts []*part
+
+	// gen counts the folds that went through the key table for this epoch:
+	// a partition's first record for it, or a record landing on a sealed
+	// part. A query closes the epoch only if gen did not move while it ran.
+	gen uint64
 
 	// closed marks the epoch as past the watermark with its outlier set
 	// cached for closeThreshold. Reopened (and the cache dropped) if a late
@@ -59,23 +171,57 @@ type epoch struct {
 	closeThreshold float64
 	cached         []Outlier
 
-	// trace is the lineage trace ID of the last sampled record folded into
-	// this epoch (0 when none was sampled), and traceRank the rank that sent
-	// it — enough to attribute epoch close/reopen/verdict spans to a
-	// journey a human can follow end to end.
+	// trace and traceRank are the sampled journey the epoch was last closed
+	// under — the fallback a reopen span is attributed to.
 	trace     uint64
 	traceRank int32
 }
 
-type epochStripe struct {
-	mu     sync.Mutex
-	epochs map[epochKey]*epoch
+// partition is the epoch state one ingest shard's ranks fold into.
+type partition struct {
+	mu      sync.Mutex
+	pi      int
+	parts   map[epochKey]*part
+	entries arena[epochEntry]
+	blocks  arena[block]
+	spare   arena[part]
+}
+
+func newPartition(pi int) *partition {
+	return &partition{pi: pi, parts: make(map[epochKey]*part)}
+}
+
+// arena hands out zeroed runs of values carved from chunks that are never
+// moved; each chunk is twice the size of the one before, within [lo, hi]
+// (n <= hi). A run that does not fit the rest of the chunk starts a new one.
+type arena[T any] struct {
+	free []T
+	last int
+}
+
+func (a *arena[T]) carve(n, lo, hi int) []T {
+	if len(a.free) < n {
+		a.last = min(max(2*a.last, lo, n), hi)
+		a.free = make([]T, a.last)
+	}
+	run := a.free[:n:n]
+	a.free = a.free[n:]
+	return run
 }
 
 type analyzer struct {
-	stripes [epochStripes]epochStripe
+	parts []*partition // one per ingest shard, indexed like Server.shards
 
-	open atomic.Int64 // currently open epochs; server_epochs_open reads it
+	mu   sync.Mutex // the key table
+	keys map[epochKey]*epoch
+	open atomic.Int64 // open epochs; written under mu, read lock-free by server_epochs_open
+
+	// qmu serializes queries and guards their reusable state below.
+	qmu     sync.Mutex
+	cands   []cand
+	buckets [][]partRef    // candidate parts by partition
+	runs    [][]epochEntry // one key's snapshotted entries
+	vals    []float64      // their values, which the median permutes
 
 	// Observability handles (nil-safe no-ops when obs is off).
 	obsClosed  *obs.Counter   // server_epochs_closed_total
@@ -84,26 +230,58 @@ type analyzer struct {
 	lin        *obs.Lineage   // record-lineage tracer (nil = lineage off)
 }
 
-func newAnalyzer() *analyzer {
-	a := &analyzer{}
-	for i := range a.stripes {
-		a.stripes[i].epochs = make(map[epochKey]*epoch)
+// cand is one epoch a query evaluates, with what it read of it.
+type cand struct {
+	ep        *epoch
+	parts     []*part // the epoch's parts when the query started
+	gen       uint64
+	wasClosed bool // closed at another threshold: recompute, re-cache
+	closing   bool // open and behind the watermark: seal and close
+	failed    bool // a part grew between the two passes: stays open
+	n         int  // entries in the snapshot
+	trace     uint64
+	traceRank int32
+	res       []Outlier
+}
+
+// partRef is a candidate part and the index of its cand.
+type partRef struct {
+	pt *part
+	c  int
+}
+
+func newAnalyzer(partitions int) *analyzer {
+	a := &analyzer{
+		parts:   make([]*partition, partitions),
+		keys:    make(map[epochKey]*epoch),
+		buckets: make([][]partRef, partitions),
+	}
+	for i := range a.parts {
+		a.parts[i] = newPartition(i)
 	}
 	return a
 }
 
-// reset drops every epoch in place, stripe by stripe. Used by crash
-// recovery (recover.go): the analyzer object itself survives — concurrent
-// queries hold references to it — and the recovered record log is refolded
-// from scratch.
+// reset drops every epoch in place. Used by crash recovery (recover.go):
+// the analyzer object itself survives — concurrent queries hold references
+// to it — and the recovered record log is refolded from scratch. Nothing is
+// reused, so a query still reading the old parts reads memory no fold
+// writes again.
 func (a *analyzer) reset() {
-	for i := range a.stripes {
-		st := &a.stripes[i]
-		st.mu.Lock()
-		st.epochs = make(map[epochKey]*epoch)
-		st.mu.Unlock()
+	a.qmu.Lock()
+	defer a.qmu.Unlock()
+	for _, p := range a.parts {
+		p.mu.Lock()
+		p.parts = make(map[epochKey]*part)
+		p.entries = arena[epochEntry]{}
+		p.blocks = arena[block]{}
+		p.spare = arena[part]{}
+		p.mu.Unlock()
 	}
+	a.mu.Lock()
+	a.keys = make(map[epochKey]*epoch)
 	a.open.Store(0)
+	a.mu.Unlock()
 }
 
 func (a *analyzer) setObs(o *obs.Obs) {
@@ -114,53 +292,76 @@ func (a *analyzer) setObs(o *obs.Obs) {
 	a.lin = o.Lineage()
 }
 
-func stripeOf(k epochKey) uint64 {
-	h := uint64(uint32(k.sensor))*0x9e3779b97f4a7c15 ^
-		uint64(uint32(k.group))*0xbf58476d1ce4e5b9 ^
-		uint64(k.slice)*0x94d049bb133111eb
-	return (h >> 32) & (epochStripes - 1)
-}
-
-// fold merges newly ingested records into their epochs. Called outside the
-// ingest shard's lock; stripes are keyed by (sensor, group, slice), so two
-// shards folding different sensors or slices proceed in parallel. trace is
-// the frame's lineage trace ID (0 = unsampled); live=false (WAL replay,
-// snapshot refold) still threads the trace into the epoch but records no
-// spans — replay reconstructs state, not history.
-func (a *analyzer) fold(recs []detect.SliceRecord, trace uint64, live bool) {
-	lin := a.lin
+// fold merges one frame's records into partition pi, the partition of the
+// shard their sender routes to. Called outside the ingest shard's lock,
+// under the partition's lock alone. trace is the frame's lineage trace ID
+// (0 = unsampled); live=false (WAL replay, snapshot refold) still threads
+// the trace into the epoch but records no spans — replay reconstructs
+// state, not history.
+func (a *analyzer) fold(pi int, recs []detect.SliceRecord, trace uint64, live bool) {
+	p := a.parts[pi]
+	p.mu.Lock()
 	for i := range recs {
 		r := &recs[i]
 		k := epochKey{sensor: int32(r.Sensor), group: int32(r.Group), slice: r.SliceNs}
-		st := &a.stripes[stripeOf(k)]
-		st.mu.Lock()
-		ep := st.epochs[k]
-		if ep == nil {
-			ep = &epoch{}
-			st.epochs[k] = ep
-			a.open.Add(1)
-		}
-		if ep.closed {
-			ep.closed = false
-			ep.cached = nil
-			a.open.Add(1)
-			a.obsReopens.Inc()
-			if live && lin != nil {
-				// Attribute the reopen to the late record's own trace when
-				// it is sampled, else to the epoch's remembered journey.
-				tr := trace
-				if tr == 0 {
-					tr = ep.trace
-				}
-				lin.Record(tr, obs.StageEpochReopen, r.Rank, 0, nowUnixNs(), 0, k.slice)
-			}
+		pt := p.parts[k]
+		switch {
+		case pt == nil:
+			pt = a.join(p, k, trace, r.Rank, live)
+		case pt.sealed:
+			a.mu.Lock()
+			pt.sealed = false
+			a.touch(pt.ep, trace, r.Rank, live)
+			a.mu.Unlock()
 		}
 		if trace != 0 {
-			ep.trace = trace
-			ep.traceRank = int32(r.Rank)
+			pt.trace = trace
+			pt.traceRank = int32(r.Rank)
 		}
-		ep.entries = append(ep.entries, epochEntry{rank: int32(r.Rank), avg: r.AvgNs})
-		st.mu.Unlock()
+		pt.add(p, epochEntry{rank: int32(r.Rank), avg: r.AvgNs})
+	}
+	p.mu.Unlock()
+}
+
+// join gives partition p its part of k's epoch, creating the epoch on the
+// first sight of k in any partition. Caller holds p.mu.
+func (a *analyzer) join(p *partition, k epochKey, trace uint64, rank int, live bool) *part {
+	pt := &p.spare.carve(1, partChunkMin, partChunkMax)[0]
+	pt.pi = p.pi
+	p.parts[k] = pt
+	a.mu.Lock()
+	ep := a.keys[k]
+	if ep == nil {
+		ep = &epoch{key: k}
+		a.keys[k] = ep
+		a.open.Add(1)
+	}
+	pt.ep = ep
+	ep.parts = append(ep.parts, pt)
+	a.touch(ep, trace, rank, live)
+	a.mu.Unlock()
+	return pt
+}
+
+// touch notes a record that reached ep through the key table, reopening ep
+// if it was closed. Caller holds a.mu.
+func (a *analyzer) touch(ep *epoch, trace uint64, rank int, live bool) {
+	ep.gen++
+	if !ep.closed {
+		return
+	}
+	ep.closed = false
+	ep.cached = nil
+	a.open.Add(1)
+	a.obsReopens.Inc()
+	if live && a.lin != nil {
+		// Attribute the reopen to the late record's own trace when it is
+		// sampled, else to the journey the epoch was closed under.
+		tr := trace
+		if tr == 0 {
+			tr = ep.trace
+		}
+		a.lin.Record(tr, obs.StageEpochReopen, rank, 0, nowUnixNs(), 0, ep.key.slice)
 	}
 }
 
@@ -168,65 +369,159 @@ func (a *analyzer) fold(recs []detect.SliceRecord, trace uint64, live bool) {
 // epochs queried at a different threshold) are recomputed; epochs whose
 // slice the watermark has passed are closed with their result cached.
 // The returned slice is unsorted; the caller applies the canonical order.
+//
+// A query never holds two partition locks. Its first pass reads each
+// candidate part's count, one partition at a time; the medians are then
+// taken over those prefixes with no lock held; the second pass seals a
+// closing epoch's parts only where the count did not move. An epoch closes
+// only if every part was sealed unmoved and no fold went through the key
+// table for it meanwhile, so a record racing the query either is in the
+// cached result or reopens the epoch.
 func (a *analyzer) outliers(threshold float64, watermark int64, haveWatermark bool) []Outlier {
+	a.qmu.Lock()
+	defer a.qmu.Unlock()
+	out := a.snapshot(threshold, watermark, haveWatermark)
+	a.evaluate(threshold)
+	return a.seal(out, threshold, watermark)
+}
+
+// snapshot appends every cached result that answers threshold to a fresh
+// slice, and makes every other epoch a candidate with its parts' counts
+// read. Caller holds a.qmu.
+func (a *analyzer) snapshot(threshold float64, watermark int64, haveWatermark bool) []Outlier {
 	var out []Outlier
-	var scratch []float64
-	for si := range a.stripes {
-		st := &a.stripes[si]
-		st.mu.Lock()
-		for k, ep := range st.epochs {
-			if ep.closed && ep.closeThreshold == threshold {
-				out = append(out, ep.cached...)
-				continue
-			}
-			res := epochOutliers(k, ep, threshold, &scratch)
-			if wasClosed := ep.closed; wasClosed || (haveWatermark && k.slice < watermark) {
-				if !wasClosed {
-					a.open.Add(-1)
-					a.obsClosed.Inc()
-					a.obsLag.ObserveInt(watermark - k.slice)
-					if lin := a.lin; lin != nil && ep.trace != 0 {
-						now := nowUnixNs()
-						lin.Record(ep.trace, obs.StageEpochClose, int(ep.traceRank), 0, now, 0, int64(len(ep.entries)))
-						lin.Record(ep.trace, obs.StageVerdict, int(ep.traceRank), 0, now, 0, int64(len(res)))
-					}
-				}
-				ep.closed = true
-				ep.closeThreshold = threshold
-				ep.cached = res
-			}
-			out = append(out, res...)
+	a.mu.Lock()
+	for k, ep := range a.keys {
+		if ep.closed && ep.closeThreshold == threshold {
+			out = append(out, ep.cached...)
+			continue
 		}
-		st.mu.Unlock()
+		a.cands = append(a.cands, cand{
+			ep: ep, parts: ep.parts, gen: ep.gen, wasClosed: ep.closed,
+			closing: !ep.closed && haveWatermark && k.slice < watermark,
+		})
+	}
+	a.mu.Unlock()
+	for ci := range a.cands {
+		for _, pt := range a.cands[ci].parts {
+			a.buckets[pt.pi] = append(a.buckets[pt.pi], partRef{pt, ci})
+		}
+	}
+	for pi, refs := range a.buckets {
+		if len(refs) == 0 {
+			continue
+		}
+		p := a.parts[pi]
+		p.mu.Lock()
+		for _, r := range refs {
+			c := &a.cands[r.c]
+			r.pt.snap = r.pt.n
+			c.n += r.pt.n
+			if r.pt.trace != 0 {
+				c.trace, c.traceRank = r.pt.trace, r.pt.traceRank
+			}
+		}
+		p.mu.Unlock()
 	}
 	return out
 }
 
-// epochOutliers computes one epoch's outlier set: ranks whose average time
-// exceeds the cross-rank median by more than 1/threshold. Identical math to
-// the batch recompute — the same order statistic of the same value multiset
-// under sort.Float64s's order, same quorum, same comparison — so the result
-// cannot depend on arrival order.
-func epochOutliers(k epochKey, ep *epoch, threshold float64, scratch *[]float64) []Outlier {
-	if len(ep.entries) < 3 {
-		return nil
-	}
-	vals := (*scratch)[:0]
-	for _, e := range ep.entries {
-		vals = append(vals, e.avg)
-	}
-	*scratch = vals
-	med := selectMedian(vals)
-	if med <= 0 {
-		return nil
-	}
-	var out []Outlier
-	for _, e := range ep.entries {
-		perf := med / e.avg
-		if perf < threshold {
-			out = append(out, Outlier{Sensor: int(k.sensor), SliceNs: k.slice, Rank: int(e.rank), Perf: perf})
+// evaluate computes every candidate's outlier set over its snapshot:
+// ranks whose average time exceeds the cross-rank median by more than
+// 1/threshold. Identical math to the batch recompute — the same order
+// statistic of the same value multiset under sort.Float64s's order, same
+// quorum, same comparison — so the result cannot depend on arrival order
+// or on how the epoch is partitioned. Caller holds a.qmu.
+func (a *analyzer) evaluate(threshold float64) {
+	for ci := range a.cands {
+		c := &a.cands[ci]
+		if c.n < 3 {
+			continue
+		}
+		runs := a.runs[:0]
+		for _, pt := range c.parts {
+			runs = pt.appendRuns(runs)
+		}
+		a.runs = runs
+		vals := a.vals[:0]
+		for _, run := range runs {
+			for _, e := range run {
+				vals = append(vals, e.avg)
+			}
+		}
+		a.vals = vals
+		med := selectMedian(vals)
+		if med <= 0 {
+			continue
+		}
+		k := c.ep.key
+		for _, run := range runs {
+			for _, e := range run {
+				if perf := med / e.avg; perf < threshold {
+					c.res = append(c.res, Outlier{Sensor: int(k.sensor), SliceNs: k.slice, Rank: int(e.rank), Perf: perf})
+				}
+			}
 		}
 	}
+}
+
+// seal runs the second pass and commits: closing candidates' unmoved parts
+// are sealed, the epochs that qualify are closed (or re-cached at the new
+// threshold), and every candidate's result is appended to out. The query's
+// reusable state is cleared for the next one. Caller holds a.qmu.
+func (a *analyzer) seal(out []Outlier, threshold float64, watermark int64) []Outlier {
+	for pi, refs := range a.buckets {
+		if len(refs) == 0 {
+			continue
+		}
+		p := a.parts[pi]
+		p.mu.Lock()
+		for _, r := range refs {
+			c := &a.cands[r.c]
+			switch {
+			case !c.closing:
+			case r.pt.n == r.pt.snap:
+				r.pt.sealed = true
+			default:
+				c.failed = true
+			}
+		}
+		p.mu.Unlock()
+		clear(refs)
+		a.buckets[pi] = refs[:0]
+	}
+	a.mu.Lock()
+	for ci := range a.cands {
+		c := &a.cands[ci]
+		ep := c.ep
+		switch {
+		case ep.gen != c.gen:
+			// A record reached the epoch through the key table while the
+			// query ran: the result is not the whole epoch's.
+		case c.wasClosed:
+			ep.closeThreshold = threshold
+			ep.cached = c.res
+		case c.closing && !c.failed:
+			ep.closed = true
+			ep.closeThreshold = threshold
+			ep.cached = c.res
+			ep.trace, ep.traceRank = c.trace, c.traceRank
+			a.open.Add(-1)
+			a.obsClosed.Inc()
+			a.obsLag.ObserveInt(watermark - ep.key.slice)
+			if lin := a.lin; lin != nil && c.trace != 0 {
+				now := nowUnixNs()
+				lin.Record(c.trace, obs.StageEpochClose, int(c.traceRank), 0, now, 0, int64(c.n))
+				lin.Record(c.trace, obs.StageVerdict, int(c.traceRank), 0, now, 0, int64(len(c.res)))
+			}
+		}
+		out = append(out, c.res...)
+	}
+	a.mu.Unlock()
+	clear(a.cands)
+	a.cands = a.cands[:0]
+	clear(a.runs)
+	a.runs = a.runs[:0]
 	return out
 }
 
@@ -236,16 +531,13 @@ type EpochStats struct {
 	Closed int64 // epochs sealed behind the watermark with cached results
 }
 
-// EpochStats returns the analyzer's open/closed epoch counts.
+// EpochStats returns the analyzer's open/closed epoch counts, both read
+// under the key-table lock that every change to either is made under.
 func (s *Server) EpochStats() EpochStats {
-	var total int64
-	for si := range s.an.stripes {
-		st := &s.an.stripes[si]
-		st.mu.Lock()
-		total += int64(len(st.epochs))
-		st.mu.Unlock()
-	}
-	open := s.an.open.Load()
+	a := s.an
+	a.mu.Lock()
+	total, open := int64(len(a.keys)), a.open.Load()
+	a.mu.Unlock()
 	return EpochStats{Open: open, Closed: total - open}
 }
 

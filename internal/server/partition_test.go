@@ -1,0 +1,339 @@
+package server
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"runtime"
+	"sync"
+	"testing"
+
+	"vsensor/internal/detect"
+	"vsensor/internal/obs"
+)
+
+// sameOutliersBits reports whether a and b are equal field for field, Perf
+// compared by bit pattern.
+func sameOutliersBits(a, b []Outlier) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		x, y := a[i], b[i]
+		if x.Sensor != y.Sensor || x.SliceNs != y.SliceNs || x.Rank != y.Rank ||
+			math.Float64bits(x.Perf) != math.Float64bits(y.Perf) {
+			return false
+		}
+	}
+	return true
+}
+
+// partitionRun is what one server made of a replayed frame sequence: every
+// poll's outliers and epoch counts, then the final ones and the reopens.
+type partitionRun struct {
+	polls   [][]Outlier
+	stats   []EpochStats
+	reopens int64
+}
+
+// replayPartitioned delivers schedule to a fresh server with the given
+// shard count from one goroutine, polling every pollEvery frames, then
+// delivers held (the late frames) and polls once more.
+func replayPartitioned(t *testing.T, shards int, schedule, held [][]byte, pollEvery int, threshold float64) partitionRun {
+	t.Helper()
+	s := NewSharded(shards)
+	o := obs.New()
+	s.SetObs(o)
+	var run partitionRun
+	poll := func() {
+		run.polls = append(run.polls, s.InterProcessOutliers(threshold))
+		run.stats = append(run.stats, s.EpochStats())
+	}
+	for i, f := range schedule {
+		_ = s.Receive(f) // corrupt copies are rejected; that is their job
+		if i%pollEvery == pollEvery-1 {
+			poll()
+		}
+	}
+	poll()
+	for _, f := range held {
+		_ = s.Receive(f)
+	}
+	poll()
+	if got, want := run.polls[len(run.polls)-1], batchOutliers(s.Records(), threshold); !sameOutliersBits(got, want) {
+		t.Fatalf("shards=%d: final query differs from the batch recompute", shards)
+	}
+	run.reopens = o.Counter("server_epoch_reopens_total").Value()
+	return run
+}
+
+// TestVerdictIndependentOfPartitioning replays one seeded frame sequence —
+// reordered, duplicated and corrupted frames, with a held-back set of late
+// frames delivered after the epochs they belong to closed, and polls
+// throughout — through servers with 1, 16 and 64 epoch partitions. Every
+// poll's outliers (bit for bit), every poll's epoch counts and the reopen
+// counter must agree: the verdict, and the one-reopen-per-key accounting,
+// cannot depend on how epochs are partitioned.
+func TestVerdictIndependentOfPartitioning(t *testing.T) {
+	for seed := int64(0); seed < 6; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(0x9A27 + seed))
+			threshold := []float64{0.7, 0.8, 0.9}[rng.Intn(3)]
+			frames := buildConformanceFrames(rng, 80, 3, 5)
+			schedule := applyPlan(rng, frames, conformancePlan{dup: 0.15, corrupt: 0.05, shuffle: true})
+			// Hold back a tenth of the schedule: delivered last, after the
+			// poll that closes the epochs they belong to.
+			var held [][]byte
+			kept := schedule[:0:0]
+			for _, f := range schedule {
+				if rng.Intn(10) == 0 {
+					held = append(held, f)
+				} else {
+					kept = append(kept, f)
+				}
+			}
+			ref := replayPartitioned(t, 1, kept, held, 37, threshold)
+			if ref.reopens == 0 {
+				t.Fatal("the sequence reopened no epoch: the late-frame path went unexercised")
+			}
+			for _, shards := range []int{16, 64} {
+				got := replayPartitioned(t, shards, kept, held, 37, threshold)
+				for i := range ref.polls {
+					if !sameOutliersBits(got.polls[i], ref.polls[i]) {
+						t.Fatalf("shards=%d poll %d: outliers differ from shards=1\n got: %+v\nwant: %+v", shards, i, got.polls[i], ref.polls[i])
+					}
+					if got.stats[i] != ref.stats[i] {
+						t.Fatalf("shards=%d poll %d: EpochStats %+v, shards=1 %+v", shards, i, got.stats[i], ref.stats[i])
+					}
+				}
+				if got.reopens != ref.reopens {
+					t.Fatalf("shards=%d: %d reopens, shards=1 %d", shards, got.reopens, ref.reopens)
+				}
+			}
+		})
+	}
+}
+
+// TestEpochStatsNeverNegative polls the epoch counts — directly and through
+// the shared report snapshot — while concurrent senders keep creating
+// epochs and queries keep closing them. Every poll must satisfy
+// 0 <= Open <= Open+Closed: the two numbers are one consistent reading.
+func TestEpochStatsNeverNegative(t *testing.T) {
+	const senders, frames = 4, 400
+	s := NewSharded(8)
+	var wg sync.WaitGroup
+	for g := 0; g < senders; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			recs := make([]detect.SliceRecord, 8)
+			for seq := 1; seq <= frames; seq++ {
+				for i := range recs {
+					recs[i] = detect.SliceRecord{
+						Sensor: i, Rank: g, SliceNs: int64(seq) * 1000, Count: 1, AvgNs: 100 + float64(g),
+					}
+				}
+				f := AppendFrame(nil, FrameHeader{Rank: g, Seq: uint64(seq), CumRecords: uint64(seq * len(recs))}, recs)
+				if err := s.Receive(f); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(g)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	check := func(where string, st EpochStats) {
+		if st.Open < 0 || st.Closed < 0 {
+			t.Fatalf("%s: EpochStats %+v has a negative count", where, st)
+		}
+	}
+	for polls := 0; ; polls++ {
+		select {
+		case <-done:
+			check("final", s.EpochStats())
+			return
+		default:
+		}
+		check(fmt.Sprintf("poll %d", polls), s.EpochStats())
+		check(fmt.Sprintf("snapshot %d", polls), s.Snapshot().Epochs)
+		if polls%4 == 0 {
+			s.InterProcessOutliers(0.9)
+		}
+	}
+}
+
+// oneRecordFrame is a frame from rank carrying one record for sensor 0 in slice
+// sliceNs, with the given sequence number.
+func oneRecordFrame(rank int, seq uint64, sliceNs int64, avg float64) []byte {
+	recs := []detect.SliceRecord{{Sensor: 0, Rank: rank, SliceNs: sliceNs, Count: 1, AvgNs: avg}}
+	return AppendFrame(nil, FrameHeader{Rank: rank, Seq: seq, CumRecords: seq}, recs)
+}
+
+// TestQueryRacingLateRecord stops a query between its snapshot pass and
+// its seal pass and delivers a late record for an epoch the query is
+// sealing: into a part the snapshot counted, into a partition that had no
+// part of the epoch yet, and into a sealed part while the query re-caches a
+// closed epoch at another threshold. The racing query answers for its own
+// snapshot; the epoch must not be cached without the late record, so every
+// later query equals the batch recompute over Records().
+func TestQueryRacingLateRecord(t *testing.T) {
+	cases := []struct {
+		name      string
+		lateRank  int
+		preClose  bool // close slice 0 at threshold 0.9 before the racing query
+		threshold float64
+	}{
+		{name: "counted part grows", lateRank: 8, threshold: 0.9},
+		{name: "new partition joins", lateRank: 3, threshold: 0.9},
+		{name: "sealed part at another threshold", lateRank: 8, preClose: true, threshold: 0.5},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := NewSharded(8)
+			o := obs.New()
+			s.SetObs(o)
+			// Ranks 0..2 report slices 0 and 1, so slice 0 is behind the
+			// watermark; rank 2 is slow.
+			for r := 0; r < 3; r++ {
+				for sl := int64(0); sl < 2; sl++ {
+					if err := s.Receive(oneRecordFrame(r, uint64(sl)+1, sl*1_000_000, 100+100*float64(r/2))); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if tc.preClose {
+				s.InterProcessOutliers(0.9)
+				if st := s.EpochStats(); st.Closed != 1 {
+					t.Fatalf("EpochStats %+v, want slice 0 closed", st)
+				}
+			}
+			want := batchOutliers(s.Records(), tc.threshold)
+
+			a := s.an
+			wm, have := s.watermark()
+			a.qmu.Lock()
+			out := a.snapshot(tc.threshold, wm, have)
+			a.evaluate(tc.threshold)
+			// Rank 8 shares rank 0's partition; rank 3 has one of its own.
+			if err := s.Receive(oneRecordFrame(tc.lateRank, 1, 0, 400)); err != nil {
+				a.qmu.Unlock()
+				t.Fatal(err)
+			}
+			out = a.seal(out, tc.threshold, wm)
+			a.qmu.Unlock()
+			sortOutliers(out)
+			if !sameOutliersBits(out, want) {
+				t.Fatalf("racing query = %+v, want its snapshot's %+v", out, want)
+			}
+
+			if st := s.EpochStats(); st.Open != 2 || st.Closed != 0 {
+				t.Fatalf("after the race EpochStats = %+v, want both epochs open", st)
+			}
+			wantReopens := int64(0)
+			if tc.preClose {
+				wantReopens = 1
+			}
+			if got := o.Counter("server_epoch_reopens_total").Value(); got != wantReopens {
+				t.Fatalf("%d reopens, want %d", got, wantReopens)
+			}
+			for _, th := range []float64{tc.threshold, 0.9, tc.threshold} {
+				if got, want := s.InterProcessOutliers(th), batchOutliers(s.Records(), th); !sameOutliersBits(got, want) {
+					t.Fatalf("threshold %v after the race: %+v, want %+v", th, got, want)
+				}
+			}
+		})
+	}
+}
+
+// TestQueriesRacingLateRecords is the concurrent form: one sender keeps
+// delivering late records for slices the watermark has passed while another
+// goroutine queries in a loop. Once both stop, a query must equal the batch
+// recompute — no query cached a verdict that missed a record.
+func TestQueriesRacingLateRecords(t *testing.T) {
+	const ranks, slices, late = 8, 4, 300
+	s := NewSharded(4)
+	seqs := make([]uint64, ranks)
+	for sl := int64(0); sl < slices; sl++ {
+		for r := 0; r < ranks; r++ {
+			seqs[r]++
+			if err := s.Receive(oneRecordFrame(r, seqs[r], sl*1_000_000, 100+float64(r%3)*60)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(35))
+	frames := make([][]byte, late)
+	for i := range frames {
+		r := rng.Intn(ranks)
+		seqs[r]++
+		frames[i] = oneRecordFrame(r, seqs[r], int64(rng.Intn(slices-1))*1_000_000, 50+400*rng.Float64())
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for _, f := range frames {
+			if err := s.Receive(f); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for querying := true; querying; {
+		select {
+		case <-done:
+			querying = false
+		default:
+			s.InterProcessOutliers(0.8)
+		}
+	}
+	if got, want := s.InterProcessOutliers(0.8), batchOutliers(s.Records(), 0.8); !sameOutliersBits(got, want) {
+		t.Fatalf("after the race: %d outliers, batch recompute %d", len(got), len(want))
+	}
+}
+
+// TestFoldAllocsAmortized pins the fold's allocation behaviour: folding N
+// 64-record frames over K keys allocates the arenas' chunks — after the
+// doublings, at most one per full-size chunk of entries or of block links —
+// and O(K) objects for the keys themselves, never an allocation per record.
+func TestFoldAllocsAmortized(t *testing.T) {
+	const frames, keys, perFrame = 512, 64, 64
+	a := newAnalyzer(1)
+	recs := make([][]detect.SliceRecord, frames)
+	for f := range recs {
+		recs[f] = make([]detect.SliceRecord, perFrame)
+		for i := range recs[f] {
+			k := (f*perFrame + i) % keys
+			recs[f][i] = detect.SliceRecord{Sensor: k % 8, Group: k / 8, Rank: f, SliceNs: 0, AvgNs: 100}
+		}
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.Mallocs
+	for _, r := range recs {
+		a.fold(0, r, 0, false)
+	}
+	runtime.ReadMemStats(&ms)
+	got := ms.Mallocs - before
+
+	// chunks bounds the chunks an arena needs for n units: the doublings
+	// from lo to hi, one per hi units after them, and one for a run that
+	// did not fit the rest of a chunk.
+	chunks := func(n, lo, hi int) int {
+		c := 1
+		for ; lo < hi; lo *= 2 {
+			c++
+		}
+		return c + n/hi + 1
+	}
+	perKey := frames * perFrame / keys
+	links := keys * ((perKey - firstBlockLen + blockLen - 1) / blockLen)
+	arenaChunks := chunks(keys*firstBlockLen+links*blockLen, entryChunkMin, entryChunkMax) +
+		chunks(links, blockChunkMin, blockChunkMax)
+	t.Logf("folding %d records over %d keys allocated %d objects", frames*perFrame, keys, got)
+	if bound := uint64(arenaChunks + 4*keys); got > bound {
+		t.Errorf("folding %d records over %d keys allocated %d objects, want <= %d (%d arena chunks + 4 per key)",
+			frames*perFrame, keys, got, bound, arenaChunks)
+	}
+}

@@ -292,9 +292,10 @@ func (s *Server) installSnapshot(st *snapState) {
 		sh.ingestedRecords = src.ingestedRecords
 		segs := sh.segments
 		sh.mu.Unlock()
-		// Fold outside the shard lock: installed segments are immutable.
+		// Fold outside the shard lock: installed segments are immutable,
+		// and shard i's records belong to epoch partition i.
 		for _, sg := range segs {
-			s.an.fold(sg.recs, 0, false)
+			s.an.fold(i, sg.recs, 0, false)
 		}
 	}
 	s.ticket.Store(st.ticket)

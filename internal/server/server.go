@@ -19,7 +19,8 @@
 // linearizes the sub-logs — merging segments by ticket reproduces exactly
 // the log a single global lock would have built. Inter-process analysis is
 // incremental (epoch.go):
-// records fold into per-(sensor, group, slice) epoch accumulators at ingest,
+// records fold into their shard's partition of per-(sensor, group, slice)
+// epoch accumulators at ingest,
 // and a query only evaluates epochs the cross-rank watermark has not yet
 // sealed, instead of rescanning every record ever received.
 package server
@@ -112,7 +113,7 @@ func NewSharded(n int) *Server {
 	s := &Server{
 		shards: make([]*shard, p),
 		mask:   uint32(p - 1),
-		an:     newAnalyzer(),
+		an:     newAnalyzer(p),
 	}
 	for i := range s.shards {
 		s.shards[i] = newShard()
@@ -336,10 +337,11 @@ func (s *Server) ingestFrame(h FrameHeader, encoded []byte, forceTicket uint64) 
 	sh.mu.Unlock()
 
 	// Fold into the epoch analyzer outside the shard lock: a committed
-	// segment is immutable, and the analyzer stripes its own locks
-	// by (sensor, group, slice). Replay derives the same trace as live
-	// ingest did, so recovered epochs keep their sampled journeys.
-	s.an.fold(recs, s.lin.TraceID(h.Rank, h.Seq), forceTicket == 0)
+	// segment is immutable, and the frame's records all belong to this
+	// shard's epoch partition, which has a lock of its own. Replay derives
+	// the same trace as live ingest did, so recovered epochs keep their
+	// sampled journeys.
+	s.an.fold(s.shardIndex(h.Rank), recs, s.lin.TraceID(h.Rank, h.Seq), forceTicket == 0)
 	return false, ticket
 }
 

@@ -207,5 +207,10 @@ func (s *Server) rankCount() int {
 
 // shardFor routes a sender rank to its shard.
 func (s *Server) shardFor(rank int) *shard {
-	return s.shards[uint32(rank)&s.mask]
+	return s.shards[s.shardIndex(rank)]
+}
+
+// shardIndex is the index of rank's shard, and of its epoch partition.
+func (s *Server) shardIndex(rank int) int {
+	return int(uint32(rank) & s.mask)
 }

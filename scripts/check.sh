@@ -6,8 +6,10 @@
 # the paper's shape predicates at tier-1 size run there, once each),
 # race-enabled stress of the windowed link's
 # attribution (-count 10) and of the service's admission and Close
-# (-count 20), a race-enabled -count 20 stress of the record-window
-# snapshot under ingest and of the long-poll parking behind a rebuild, a
+# (-count 20), a race-enabled -count 20 stress of the read path (the
+# record-window snapshot under ingest, the long-poll parking behind a
+# rebuild, the sharded-server differential, and queries racing late
+# records into the epoch partitions they are sealing), a
 # -count 50 stress of the socket and socket+proxy
 # conformance tables and the window's progress/bound tests, the coverage
 # gate against the seed baseline (not race-enabled, -count=1: the run that
@@ -50,8 +52,8 @@ go test -race -run 'TestLinkWindowAttribution$' -count 10 ./internal/transport
 echo "== race-enabled admission and Close (-count 20): shed at the MaxWorkers cap, Close reaches every connection, Close racing 8 dialers keeps the ledger"
 go test -race -run 'TestLoadShedExplicitRefusal$|TestCloseReachesEveryConn$|TestCloseWhileDialing$' -count 20 ./internal/netsrv
 
-echo "== race-enabled read path (-count 20): record windows stay append-only under ingest, a long-poll parks behind an in-flight rebuild"
-go test -race -run 'TestRecordsSnapshotUnderIngest$|TestWaitSnapshotParksBehindRebuild$' -count 20 ./internal/server
+echo "== race-enabled read path (-count 20): record windows stay append-only under ingest, a long-poll parks behind an in-flight rebuild, the incremental verdict equals the batch recompute, a query racing late records never caches a stale verdict"
+go test -race -run 'TestRecordsSnapshotUnderIngest$|TestWaitSnapshotParksBehindRebuild$|TestDifferentialConformance$|TestQueryRacingLateRecord$|TestQueriesRacingLateRecords$' -count 20 ./internal/server
 
 echo "== socket/proxy exactly-once stress (-count 50: these tables race real sockets, one pass proves little)"
 go test -run 'TestNetChaosExactlyOnce$|TestNetKillRecoverConformance$|TestWindowProgressUnderEarlyResets$|TestWindowBoundedAcrossOutage$' \
