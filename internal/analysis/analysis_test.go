@@ -381,6 +381,30 @@ func main() {
 	}
 }
 
+// Paper §3.3 condition 2 across functions: work()'s loop bound is a global
+// that only main mutates, between calls. Within work() the bound looks
+// invariant, so only the whole-program mutated-globals rule rejects it.
+func TestGlobalMutatedByCallerBlocks(t *testing.T) {
+	res := analyze(t, `
+global int N = 4;
+
+func work() {
+    for (int i = 0; i < N; i++) {
+        flops(10);
+    }
+}
+
+func main() {
+    for (int n = 0; n < 30; n++) {
+        work();
+        N += 1;
+    }
+}`)
+	if s := loopSnippet(t, res, "work", "i"); s.Global || len(s.SensorOf) != 0 {
+		t.Errorf("loop bounded by a global main mutates must not be a sensor; global=%v sensorOf=%v deps=%s", s.Global, s.SensorOf, s.Deps)
+	}
+}
+
 // A while loop whose condition variable is driven by constants is a sensor;
 // one driven by received data is not.
 func TestWhileLoops(t *testing.T) {

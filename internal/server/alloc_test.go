@@ -11,7 +11,7 @@ import (
 // behaviour: once the wire buffer, the sender's rank entry, and
 // the epoch parts are warm, shipping a batch allocates nothing except
 // a new log chunk every chunkRecords records (the segment index and the
-// epoch partition's arenas grow amortized; they are pre-sized here).
+// shard's epoch arenas grow amortized; they are pre-sized here).
 func TestFlushSteadyStateAllocs(t *testing.T) {
 	const batchSize = 8
 	s := New()
@@ -25,16 +25,15 @@ func TestFlushSteadyStateAllocs(t *testing.T) {
 		}
 	}
 	// Pre-size the segment index and warm the client's buffers (and the
-	// epoch parts) with one round, then pre-size the partition's entry and
+	// epoch parts) with one round, then pre-size the shard's entry and
 	// block arenas.
 	sh := s.shardFor(3)
 	sh.segments = make([]segment, 0, 1<<10)
 	for _, r := range batch {
 		c.OnSlice(r)
 	}
-	p := s.an.parts[s.shardIndex(3)]
-	p.entries.free = make([]epochEntry, 1<<13)
-	p.blocks.free = make([]block, 1<<7)
+	sh.entries.free = make([]epochEntry, 1<<13)
+	sh.blocks.free = make([]block, 1<<7)
 
 	// Four chunks' worth of batches: the warm round left the first chunk
 	// open, so exactly four more are cut.

@@ -34,18 +34,18 @@ func nowUnixNs() int64 { return time.Now().UnixNano() }
 // differential conformance test pins.
 //
 // Epochs are partitioned by ingest shard. A frame carries only its sender's
-// records (wire.go) and a rank always routes to one shard, so each frame
-// folds into exactly one partition under one lock, and two shards never
-// write the same memory. An epoch's records in one partition form a part: a
-// chain of fixed-size blocks carved from the partition's arena, written
-// once and never moved. The key-level state — closed, threshold, cache and
-// the list of parts — sits in one key table behind its own mutex, which a
-// fold takes only when its partition first sees a key or lands on a sealed
-// part. Lock order: a partition, then the key table; never the reverse, and
-// never two partitions at once.
+// records (wire.go), so it folds into its sender's shard in the critical
+// section that dedups and logs it, and no query's watermark runs ahead of
+// the fold. An epoch's records in one shard form a part: a chain of
+// fixed-size blocks carved from the shard's arena, written once and never
+// moved. The key-level state — closed, threshold, cache and the list of
+// parts — sits in one key table behind its own mutex, which a fold takes
+// only when its shard first sees a key or lands on a sealed part. Lock
+// order: stateMu, then a shard, then the key table; never the reverse, and
+// never two shards at once.
 
 // A part's first block holds firstBlockLen entries and every later block
-// blockLen. The short first block keeps a partition that holds few of an
+// blockLen. The short first block keeps a shard that holds few of an
 // epoch's ranks from pinning a long, mostly empty one (256 ranks over 16
 // shards fill it exactly). The later length trades the fold against the
 // query: a fold writes each active part's tail, so short blocks keep that
@@ -60,8 +60,8 @@ const (
 	blockLen      = 64
 )
 
-// A partition's arenas start with a chunk of the minimum size and double
-// each time one runs out, up to the maximum, so a partition that saw a few
+// A shard's arenas start with a chunk of the minimum size and double
+// each time one runs out, up to the maximum, so a shard that saw a few
 // records pins little memory and a busy one allocates rarely. The largest
 // entry chunk is 64 KiB, a whole number of pages.
 const (
@@ -87,18 +87,18 @@ type epochEntry struct {
 }
 
 // block is one link of a part's entry chain: a fixed run of entries carved
-// from the partition's entry arena, always full except at the part's tail.
+// from the shard's entry arena, always full except at the part's tail.
 type block struct {
 	entries []epochEntry
 	next    *block
 }
 
-// part is one partition's share of an epoch. Every field but snap is
-// guarded by the partition's lock; entries below a count read under that
-// lock are immutable, so a query reads them after releasing it.
+// part is one shard's share of an epoch. Every field but snap is guarded
+// by the shard's lock; entries below a count read under that lock are
+// immutable, so a query reads them after releasing it.
 type part struct {
 	ep    *epoch
-	pi    int // index of the owning partition
+	pi    int // index of the owning shard
 	n     int // entries folded
 	first block
 	tail  *block
@@ -119,17 +119,17 @@ type part struct {
 }
 
 // add appends one entry, linking a fresh block when the tail is full.
-// Caller holds the partition's lock.
-func (pt *part) add(p *partition, e epochEntry) {
+// Caller holds sh.mu.
+func (pt *part) add(sh *shard, e epochEntry) {
 	i := pt.n
 	switch {
 	case i == 0:
-		pt.first.entries = p.entries.carve(firstBlockLen, entryChunkMin, entryChunkMax)
+		pt.first.entries = sh.entries.carve(firstBlockLen, entryChunkMin, entryChunkMax)
 		pt.tail = &pt.first
 	case i >= firstBlockLen:
 		if i = (i - firstBlockLen) % blockLen; i == 0 {
-			b := &p.blocks.carve(1, blockChunkMin, blockChunkMax)[0]
-			b.entries = p.entries.carve(blockLen, entryChunkMin, entryChunkMax)
+			b := &sh.blocks.carve(1, blockChunkMin, blockChunkMax)[0]
+			b.entries = sh.entries.carve(blockLen, entryChunkMin, entryChunkMax)
 			pt.tail.next = b
 			pt.tail = b
 		}
@@ -160,7 +160,7 @@ type epoch struct {
 	parts []*part
 
 	// gen counts the folds that went through the key table for this epoch:
-	// a partition's first record for it, or a record landing on a sealed
+	// a shard's first record for it, or a record landing on a sealed
 	// part. A query closes the epoch only if gen did not move while it ran.
 	gen uint64
 
@@ -175,20 +175,6 @@ type epoch struct {
 	// under — the fallback a reopen span is attributed to.
 	trace     uint64
 	traceRank int32
-}
-
-// partition is the epoch state one ingest shard's ranks fold into.
-type partition struct {
-	mu      sync.Mutex
-	pi      int
-	parts   map[epochKey]*part
-	entries arena[epochEntry]
-	blocks  arena[block]
-	spare   arena[part]
-}
-
-func newPartition(pi int) *partition {
-	return &partition{pi: pi, parts: make(map[epochKey]*part)}
 }
 
 // arena hands out zeroed runs of values carved from chunks that are never
@@ -210,7 +196,7 @@ func (a *arena[T]) carve(n, lo, hi int) []T {
 }
 
 type analyzer struct {
-	parts []*partition // one per ingest shard, indexed like Server.shards
+	shards []*shard // the server's ingest shards, which hold the parts
 
 	mu   sync.Mutex // the key table
 	keys map[epochKey]*epoch
@@ -219,7 +205,7 @@ type analyzer struct {
 	// qmu serializes queries and guards their reusable state below.
 	qmu     sync.Mutex
 	cands   []cand
-	buckets [][]partRef    // candidate parts by partition
+	buckets [][]partRef    // candidate parts by shard
 	runs    [][]epochEntry // one key's snapshotted entries
 	vals    []float64      // their values, which the median permutes
 
@@ -250,34 +236,22 @@ type partRef struct {
 	c  int
 }
 
-func newAnalyzer(partitions int) *analyzer {
-	a := &analyzer{
-		parts:   make([]*partition, partitions),
+func newAnalyzer(shards []*shard) *analyzer {
+	return &analyzer{
+		shards:  shards,
 		keys:    make(map[epochKey]*epoch),
-		buckets: make([][]partRef, partitions),
+		buckets: make([][]partRef, len(shards)),
 	}
-	for i := range a.parts {
-		a.parts[i] = newPartition(i)
-	}
-	return a
 }
 
-// reset drops every epoch in place. Used by crash recovery (recover.go):
-// the analyzer object itself survives — concurrent queries hold references
-// to it — and the recovered record log is refolded from scratch. Nothing is
-// reused, so a query still reading the old parts reads memory no fold
-// writes again.
+// reset drops the key table in place. Used by crash recovery (recover.go),
+// which wipes each shard's parts with its log: the analyzer object itself
+// survives — concurrent queries hold references to it — and the recovered
+// record log is refolded from scratch. Nothing is reused, so a query still
+// reading the old parts reads memory no fold writes again.
 func (a *analyzer) reset() {
 	a.qmu.Lock()
 	defer a.qmu.Unlock()
-	for _, p := range a.parts {
-		p.mu.Lock()
-		p.parts = make(map[epochKey]*part)
-		p.entries = arena[epochEntry]{}
-		p.blocks = arena[block]{}
-		p.spare = arena[part]{}
-		p.mu.Unlock()
-	}
 	a.mu.Lock()
 	a.keys = make(map[epochKey]*epoch)
 	a.open.Store(0)
@@ -292,22 +266,20 @@ func (a *analyzer) setObs(o *obs.Obs) {
 	a.lin = o.Lineage()
 }
 
-// fold merges one frame's records into partition pi, the partition of the
-// shard their sender routes to. Called outside the ingest shard's lock,
-// under the partition's lock alone. trace is the frame's lineage trace ID
-// (0 = unsampled); live=false (WAL replay, snapshot refold) still threads
-// the trace into the epoch but records no spans — replay reconstructs
-// state, not history.
-func (a *analyzer) fold(pi int, recs []detect.SliceRecord, trace uint64, live bool) {
-	p := a.parts[pi]
-	p.mu.Lock()
+// fold merges one frame's records into sh, the shard their sender routes
+// to. Caller holds sh.mu: the fold is part of the critical section that
+// ingests the frame. trace is the frame's lineage trace ID (0 =
+// unsampled); live=false (WAL replay, snapshot refold) still threads the
+// trace into the epoch but records no spans — replay reconstructs state,
+// not history.
+func (a *analyzer) fold(sh *shard, recs []detect.SliceRecord, trace uint64, live bool) {
 	for i := range recs {
 		r := &recs[i]
 		k := epochKey{sensor: int32(r.Sensor), group: int32(r.Group), slice: r.SliceNs}
-		pt := p.parts[k]
+		pt := sh.parts[k]
 		switch {
 		case pt == nil:
-			pt = a.join(p, k, trace, r.Rank, live)
+			pt = a.join(sh, k, trace, r.Rank, live)
 		case pt.sealed:
 			a.mu.Lock()
 			pt.sealed = false
@@ -318,17 +290,16 @@ func (a *analyzer) fold(pi int, recs []detect.SliceRecord, trace uint64, live bo
 			pt.trace = trace
 			pt.traceRank = int32(r.Rank)
 		}
-		pt.add(p, epochEntry{rank: int32(r.Rank), avg: r.AvgNs})
+		pt.add(sh, epochEntry{rank: int32(r.Rank), avg: r.AvgNs})
 	}
-	p.mu.Unlock()
 }
 
-// join gives partition p its part of k's epoch, creating the epoch on the
-// first sight of k in any partition. Caller holds p.mu.
-func (a *analyzer) join(p *partition, k epochKey, trace uint64, rank int, live bool) *part {
-	pt := &p.spare.carve(1, partChunkMin, partChunkMax)[0]
-	pt.pi = p.pi
-	p.parts[k] = pt
+// join gives shard sh its part of k's epoch, creating the epoch on the
+// first sight of k in any shard. Caller holds sh.mu.
+func (a *analyzer) join(sh *shard, k epochKey, trace uint64, rank int, live bool) *part {
+	pt := &sh.spare.carve(1, partChunkMin, partChunkMax)[0]
+	pt.pi = sh.idx
+	sh.parts[k] = pt
 	a.mu.Lock()
 	ep := a.keys[k]
 	if ep == nil {
@@ -370,8 +341,8 @@ func (a *analyzer) touch(ep *epoch, trace uint64, rank int, live bool) {
 // slice the watermark has passed are closed with their result cached.
 // The returned slice is unsorted; the caller applies the canonical order.
 //
-// A query never holds two partition locks. Its first pass reads each
-// candidate part's count, one partition at a time; the medians are then
+// A query never holds two shard locks. Its first pass reads each
+// candidate part's count, one shard at a time; the medians are then
 // taken over those prefixes with no lock held; the second pass seals a
 // closing epoch's parts only where the count did not move. An epoch closes
 // only if every part was sealed unmoved and no fold went through the key
@@ -411,8 +382,8 @@ func (a *analyzer) snapshot(threshold float64, watermark int64, haveWatermark bo
 		if len(refs) == 0 {
 			continue
 		}
-		p := a.parts[pi]
-		p.mu.Lock()
+		sh := a.shards[pi]
+		sh.mu.Lock()
 		for _, r := range refs {
 			c := &a.cands[r.c]
 			r.pt.snap = r.pt.n
@@ -421,7 +392,7 @@ func (a *analyzer) snapshot(threshold float64, watermark int64, haveWatermark bo
 				c.trace, c.traceRank = r.pt.trace, r.pt.traceRank
 			}
 		}
-		p.mu.Unlock()
+		sh.mu.Unlock()
 	}
 	return out
 }
@@ -431,7 +402,7 @@ func (a *analyzer) snapshot(threshold float64, watermark int64, haveWatermark bo
 // 1/threshold. Identical math to the batch recompute — the same order
 // statistic of the same value multiset under sort.Float64s's order, same
 // quorum, same comparison — so the result cannot depend on arrival order
-// or on how the epoch is partitioned. Caller holds a.qmu.
+// or on how the epoch is spread over shards. Caller holds a.qmu.
 func (a *analyzer) evaluate(threshold float64) {
 	for ci := range a.cands {
 		c := &a.cands[ci]
@@ -474,8 +445,8 @@ func (a *analyzer) seal(out []Outlier, threshold float64, watermark int64) []Out
 		if len(refs) == 0 {
 			continue
 		}
-		p := a.parts[pi]
-		p.mu.Lock()
+		sh := a.shards[pi]
+		sh.mu.Lock()
 		for _, r := range refs {
 			c := &a.cands[r.c]
 			switch {
@@ -486,7 +457,7 @@ func (a *analyzer) seal(out []Outlier, threshold float64, watermark int64) []Out
 				c.failed = true
 			}
 		}
-		p.mu.Unlock()
+		sh.mu.Unlock()
 		clear(refs)
 		a.buckets[pi] = refs[:0]
 	}

@@ -62,7 +62,8 @@ func TestHeartbeatRejectCounted(t *testing.T) {
 
 // The lease state machine: lag within one lease is alive, beyond one lease
 // suspect, beyond deadFactor leases dead. Ranks without a lease never
-// leave Alive no matter the lag.
+// leave Alive no matter the lag. Ranks 4..7 sit on either side of both
+// boundaries, so an off-by-one or a changed deadFactor shows.
 func TestLivenessStateMachine(t *testing.T) {
 	const lease = 1_000_000
 	s := NewSharded(4)
@@ -73,19 +74,23 @@ func TestLivenessStateMachine(t *testing.T) {
 
 	// Rank 1 renews late enough to be suspect but not dead.
 	hb(t, s, 1, 10*lease-2*lease, lease)
+	hb(t, s, 4, 10*lease-lease, lease)     // lag exactly one lease: alive
+	hb(t, s, 5, 10*lease-lease-1, lease)   // one past it: suspect
+	hb(t, s, 6, 10*lease-3*lease, lease)   // lag exactly three leases: suspect
+	hb(t, s, 7, 10*lease-3*lease-1, lease) // one past them: dead
 
 	states := map[int]LivenessState{}
 	for _, rl := range s.Liveness() {
 		states[rl.Rank] = rl.State
 	}
-	want := map[int]LivenessState{0: Dead, 1: Suspect, 2: Alive, 3: Alive}
+	want := map[int]LivenessState{0: Dead, 1: Suspect, 2: Alive, 3: Alive, 4: Alive, 5: Suspect, 6: Suspect, 7: Dead}
 	for rank, st := range want {
 		if states[rank] != st {
 			t.Errorf("rank %d = %s, want %s", rank, states[rank], st)
 		}
 	}
 	sum := s.LivenessSummary()
-	if sum.Alive != 2 || sum.Suspect != 1 || sum.Dead != 1 {
+	if sum.Alive != 3 || sum.Suspect != 3 || sum.Dead != 2 {
 		t.Errorf("summary = %+v", sum)
 	}
 	if sum.FrontierNs != 10*lease {

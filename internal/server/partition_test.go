@@ -292,13 +292,69 @@ func TestQueriesRacingLateRecords(t *testing.T) {
 	}
 }
 
+// TestInOrderIngestNeverReopens races a query loop against ranks that each
+// deliver their frames in slice order. An epoch then closes only once every
+// rank has sent a later slice, so all of its records are in already: a
+// query must never close one early and leave a fold to reopen it. That
+// holds only while a rank's advanced slice and the fold of the frame that
+// advanced it are published together. Every rank reports the same time, so
+// no outlier work lengthens a query: short queries hit that window most.
+func TestInOrderIngestNeverReopens(t *testing.T) {
+	const ranks, frames, slicesPer, sensors = 8, 400, 4, 2
+	s := NewSharded(4)
+	o := obs.New()
+	s.SetObs(o)
+	send := func(rank, f int) error {
+		recs := make([]detect.SliceRecord, 0, slicesPer*sensors)
+		for sl := f * slicesPer; sl < (f+1)*slicesPer; sl++ {
+			for sn := 0; sn < sensors; sn++ {
+				recs = append(recs, detect.SliceRecord{Sensor: sn, Rank: rank, SliceNs: int64(sl) * 1_000_000, Count: 1, AvgNs: 100})
+			}
+		}
+		h := FrameHeader{Rank: rank, Seq: uint64(f + 1), CumRecords: uint64((f + 1) * len(recs))}
+		return s.Receive(AppendFrame(nil, h, recs))
+	}
+	for r := 0; r < ranks; r++ {
+		if err := send(r, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var senders sync.WaitGroup
+	for r := 0; r < ranks; r++ {
+		senders.Add(1)
+		go func() {
+			defer senders.Done()
+			for f := 1; f < frames; f++ {
+				if err := send(r, f); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() { senders.Wait(); close(done) }()
+	for querying := true; querying; {
+		select {
+		case <-done:
+			querying = false
+		default:
+			s.InterProcessOutliers(0.8)
+		}
+	}
+	if got := o.Counter("server_epoch_reopens_total").Value(); got != 0 {
+		t.Fatalf("in-order ingest reopened %d epochs, want 0", got)
+	}
+}
+
 // TestFoldAllocsAmortized pins the fold's allocation behaviour: folding N
 // 64-record frames over K keys allocates the arenas' chunks — after the
 // doublings, at most one per full-size chunk of entries or of block links —
 // and O(K) objects for the keys themselves, never an allocation per record.
 func TestFoldAllocsAmortized(t *testing.T) {
 	const frames, keys, perFrame = 512, 64, 64
-	a := newAnalyzer(1)
+	sh := newShard(0)
+	a := newAnalyzer([]*shard{sh})
 	recs := make([][]detect.SliceRecord, frames)
 	for f := range recs {
 		recs[f] = make([]detect.SliceRecord, perFrame)
@@ -312,7 +368,7 @@ func TestFoldAllocsAmortized(t *testing.T) {
 	runtime.ReadMemStats(&ms)
 	before := ms.Mallocs
 	for _, r := range recs {
-		a.fold(0, r, 0, false)
+		a.fold(sh, r, 0, false)
 	}
 	runtime.ReadMemStats(&ms)
 	got := ms.Mallocs - before

@@ -67,6 +67,9 @@ func (s *Server) Crash() error {
 	defer d.stateMu.Unlock()
 	s.down.Store(true)
 	d.disk.Crash()
+	// The analyzer is reset in place (racing queries hold it), key table
+	// first, so no query reaches the parts the shard wipe drops.
+	s.an.reset()
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		sh.chunk = nil
@@ -80,15 +83,14 @@ func (s *Server) Crash() error {
 		sh.dupFrames = 0
 		sh.expectedRecords = 0
 		sh.ingestedRecords = 0
+		sh.parts = make(map[epochKey]*part)
+		sh.entries, sh.blocks, sh.spare = arena[epochEntry]{}, arena[block]{}, arena[part]{}
 		sh.mu.Unlock()
 	}
 	s.ticket.Store(0)
 	s.checksumErrors.Store(0)
 	s.rejectedFrames.Store(0)
 	s.heartbeats.Store(0)
-	// The analyzer is reset in place, never replaced: queries racing the
-	// crash hold references to it.
-	s.an.reset()
 	d.mu.Lock()
 	d.frames = 0
 	d.snapDue = false
@@ -290,13 +292,10 @@ func (s *Server) installSnapshot(st *snapState) {
 		sh.dupFrames = src.dupFrames
 		sh.expectedRecords = src.expectedRecords
 		sh.ingestedRecords = src.ingestedRecords
-		segs := sh.segments
-		sh.mu.Unlock()
-		// Fold outside the shard lock: installed segments are immutable,
-		// and shard i's records belong to epoch partition i.
-		for _, sg := range segs {
-			s.an.fold(i, sg.recs, 0, false)
+		for _, sg := range sh.segments {
+			s.an.fold(sh, sg.recs, 0, false)
 		}
+		sh.mu.Unlock()
 	}
 	s.ticket.Store(st.ticket)
 	s.checksumErrors.Store(st.checksumErrors)

@@ -13,15 +13,15 @@
 // data instead of silently degrading.
 //
 // Ingest is sharded: each sender rank's one entry (flow, dedup window,
-// progress, lease) and its records' sub-log live in the shard rank&mask
-// selects (shard.go), so Receives from different ranks proceed in parallel.
-// A global arrival ticket, assigned under the owning shard's lock,
-// linearizes the sub-logs — merging segments by ticket reproduces exactly
-// the log a single global lock would have built. Inter-process analysis is
-// incremental (epoch.go):
-// records fold into their shard's partition of per-(sensor, group, slice)
-// epoch accumulators at ingest,
-// and a query only evaluates epochs the cross-rank watermark has not yet
+// progress, lease), its records' sub-log and their share of the epoch
+// accumulators live in the shard rank&mask selects (shard.go), so Receives
+// from different ranks proceed in parallel. A global arrival ticket,
+// assigned under the owning shard's lock, linearizes the sub-logs —
+// merging segments by ticket reproduces exactly the log a single global
+// lock would have built. Inter-process analysis is incremental (epoch.go):
+// in the same critical section that dedups and logs a frame, its records
+// fold into the shard's per-(sensor, group, slice) epoch accumulators, and
+// a query only evaluates epochs the cross-rank watermark has not yet
 // sealed, instead of rescanning every record ever received.
 package server
 
@@ -113,11 +113,11 @@ func NewSharded(n int) *Server {
 	s := &Server{
 		shards: make([]*shard, p),
 		mask:   uint32(p - 1),
-		an:     newAnalyzer(p),
 	}
 	for i := range s.shards {
-		s.shards[i] = newShard()
+		s.shards[i] = newShard(i)
 	}
+	s.an = newAnalyzer(s.shards)
 	s.snap.init()
 	return s
 }
@@ -176,7 +176,7 @@ func (s *Server) SetObs(o *obs.Obs) {
 // Receive ingests one encoded frame: validate (length, magic, bounded
 // count, CRC), route to the sender rank's shard, deduplicate by (sender
 // rank, sequence), decode records straight into the shard's sub-log (no
-// per-message temporary slice), then fold them into the epoch analyzer.
+// per-message temporary slice) and fold them into the epoch analyzer.
 // Duplicate frames are acknowledged (nil error) but not re-ingested;
 // corrupted or malformed frames return an error without touching any log.
 // Heartbeat frames (liveness.go) fold into the sender's lease state and are
@@ -287,9 +287,9 @@ func (s *Server) receiveLocked(encoded []byte) (h FrameHeader, snapDue bool, err
 }
 
 // ingestFrame applies one parsed, validated frame to the shard state and
-// the epoch analyzer. forceTicket non-zero replays the frame under its
-// original arrival ticket (WAL recovery), which records no lineage spans:
-// replay reconstructs state, not history.
+// the epoch analyzer in one critical section. forceTicket non-zero replays
+// the frame under its original arrival ticket (WAL recovery), which records
+// no lineage spans: replay reconstructs state, not history.
 func (s *Server) ingestFrame(h FrameHeader, encoded []byte, forceTicket uint64) (dup bool, ticket uint64) {
 	sh := s.shardFor(h.Rank)
 	sh.mu.Lock()
@@ -334,14 +334,11 @@ func (s *Server) ingestFrame(h FrameHeader, encoded []byte, forceTicket uint64) 
 		}
 	}
 	sh.latestSliceNs = max(sh.latestSliceNs, rs.latestSliceNs)
+	// Fold before the unlock publishes the rank's advanced slice, so no
+	// watermark counts records an epoch lacks. Replay derives the same trace as live
+	// ingest did, so recovered epochs keep their sampled journeys.
+	s.an.fold(sh, recs, s.lin.TraceID(h.Rank, h.Seq), forceTicket == 0)
 	sh.mu.Unlock()
-
-	// Fold into the epoch analyzer outside the shard lock: a committed
-	// segment is immutable, and the frame's records all belong to this
-	// shard's epoch partition, which has a lock of its own. Replay derives
-	// the same trace as live ingest did, so recovered epochs keep their
-	// sampled journeys.
-	s.an.fold(s.shardIndex(h.Rank), recs, s.lin.TraceID(h.Rank, h.Seq), forceTicket == 0)
 	return false, ticket
 }
 

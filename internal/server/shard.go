@@ -8,14 +8,15 @@ import (
 
 // A shard owns the ingest state for a subset of ranks (rank & mask). Every
 // mutable structure a Receive touches — the sender's rank entry (flow,
-// progress, lease) and the record sub-log — lives inside one shard, behind
-// one short-lived mutex, so concurrent Receives from ranks on different
-// shards never contend. A frame carries only its sender's records (wire.go),
-// so each rank's whole state is in exactly one shard and every per-rank read
-// takes it from there. Cross-shard queries (Records, Coverage, Progress)
+// progress, lease), the record sub-log and its epoch parts — lives inside
+// one shard, behind one short-lived mutex, so concurrent Receives from
+// ranks on different shards never contend. A frame carries only its
+// sender's records (wire.go), so each rank's whole state is in exactly one
+// shard. Cross-shard reads (Records, Coverage, Progress, the epoch query)
 // visit shards one at a time; nothing ever holds two shard locks at once.
 type shard struct {
-	mu sync.Mutex
+	mu  sync.Mutex
+	idx int // index in Server.shards
 
 	// chunk is the open chunk of the shard's record log: fixed capacity,
 	// filled by appending, never moved (see alloc). Only the open chunk is
@@ -44,10 +45,17 @@ type shard struct {
 	dupFrames       int64
 	expectedRecords int64
 	ingestedRecords int64
+
+	// parts is the shard's share of the epoch accumulators (epoch.go),
+	// carved from the arenas below by folds under mu.
+	parts   map[epochKey]*part
+	entries arena[epochEntry]
+	blocks  arena[block]
+	spare   arena[part]
 }
 
-func newShard() *shard {
-	return &shard{ranks: make(map[int]*rankState)}
+func newShard(idx int) *shard {
+	return &shard{idx: idx, ranks: make(map[int]*rankState), parts: make(map[epochKey]*part)}
 }
 
 // rankState is everything a shard knows about one sender rank: the delivery
@@ -207,10 +215,5 @@ func (s *Server) rankCount() int {
 
 // shardFor routes a sender rank to its shard.
 func (s *Server) shardFor(rank int) *shard {
-	return s.shards[s.shardIndex(rank)]
-}
-
-// shardIndex is the index of rank's shard, and of its epoch partition.
-func (s *Server) shardIndex(rank int) int {
-	return int(uint32(rank) & s.mask)
+	return s.shards[uint32(rank)&s.mask]
 }

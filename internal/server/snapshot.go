@@ -352,7 +352,7 @@ func (st *snapState) fold(body []byte) error {
 		}
 		st.shards = make([]*shard, nShards)
 		for i := range st.shards {
-			st.shards[i] = newShard()
+			st.shards[i] = newShard(i)
 		}
 	} else if nShards != len(st.shards) {
 		return fmt.Errorf("server: snapshot section claims %d shards, slot began with %d", nShards, len(st.shards))

@@ -8,9 +8,11 @@
 # attribution (-count 10) and of the service's admission and Close
 # (-count 20), a race-enabled -count 20 stress of the read path (the
 # record-window snapshot under ingest, the long-poll parking behind a
-# rebuild, the sharded-server differential, and queries racing late
-# records into the epoch partitions they are sealing), a
-# -count 50 stress of the socket and socket+proxy
+# rebuild, the sharded-server differential, queries racing late records
+# into the shards' epoch parts they are sealing, and queries racing
+# in-order ingest, which must never reopen an epoch), a -count 200 stress
+# of that last test without the race detector (its race needs many fast
+# runs to show), a -count 50 stress of the socket and socket+proxy
 # conformance tables and the window's progress/bound tests, the coverage
 # gate against the seed baseline (not race-enabled, -count=1: the run that
 # regenerates EXPERIMENTS.md at full size and compares it byte for byte), a
@@ -52,8 +54,11 @@ go test -race -run 'TestLinkWindowAttribution$' -count 10 ./internal/transport
 echo "== race-enabled admission and Close (-count 20): shed at the MaxWorkers cap, Close reaches every connection, Close racing 8 dialers keeps the ledger"
 go test -race -run 'TestLoadShedExplicitRefusal$|TestCloseReachesEveryConn$|TestCloseWhileDialing$' -count 20 ./internal/netsrv
 
-echo "== race-enabled read path (-count 20): record windows stay append-only under ingest, a long-poll parks behind an in-flight rebuild, the incremental verdict equals the batch recompute, a query racing late records never caches a stale verdict"
-go test -race -run 'TestRecordsSnapshotUnderIngest$|TestWaitSnapshotParksBehindRebuild$|TestDifferentialConformance$|TestQueryRacingLateRecord$|TestQueriesRacingLateRecords$' -count 20 ./internal/server
+echo "== race-enabled read path (-count 20): record windows stay append-only under ingest, a long-poll parks behind an in-flight rebuild, the incremental verdict equals the batch recompute, a query racing late records never caches a stale verdict, in-order ingest never reopens an epoch"
+go test -race -run 'TestRecordsSnapshotUnderIngest$|TestWaitSnapshotParksBehindRebuild$|TestDifferentialConformance$|TestQueryRacingLateRecord$|TestQueriesRacingLateRecords$|TestInOrderIngestNeverReopens$' -count 20 ./internal/server
+
+echo "== in-order ingest racing queries (-count 200, no race detector): no query closes an epoch ahead of its records"
+go test -run 'TestInOrderIngestNeverReopens$' -count 200 ./internal/server
 
 echo "== socket/proxy exactly-once stress (-count 50: these tables race real sockets, one pass proves little)"
 go test -run 'TestNetChaosExactlyOnce$|TestNetKillRecoverConformance$|TestWindowProgressUnderEarlyResets$|TestWindowBoundedAcrossOutage$' \
