@@ -674,13 +674,31 @@ func TestHTTPConditionalEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var stdout strings.Builder
-	cmd.Stdout = &stdout
+	stdoutPipe, err := cmd.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
+	// The run's summary ends with the report cache line, printed once the
+	// run has finished and before the hold: the one sign that the snapshot
+	// is final. stdout is read to EOF so the child never blocks on it.
+	cacheLine := make(chan string, 1)
+	stdoutDone := make(chan struct{})
+	go func() {
+		defer close(stdoutDone)
+		defer close(cacheLine)
+		sc := bufio.NewScanner(stdoutPipe)
+		for sc.Scan() {
+			if line := sc.Text(); strings.HasPrefix(line, "report cache: gen ") {
+				cacheLine <- line
+			}
+		}
+	}()
 	defer func() {
 		cmd.Process.Kill()
+		<-stdoutDone
 		cmd.Wait()
 	}()
 
@@ -730,25 +748,24 @@ func TestHTTPConditionalEndToEnd(t *testing.T) {
 		return resp.StatusCode, string(body), resp.Header.Get("ETag")
 	}
 
-	// Wait for the run itself to finish so the snapshot is final: /status
-	// eventually reports progress and its generation stops moving.
-	var tag string
-	for i := 0; i < 100; i++ {
-		_, _, t1 := get("/status", "")
-		time.Sleep(20 * time.Millisecond)
-		_, _, t2 := get("/status", "")
-		if t1 != "" && t1 == t2 {
-			tag = t1
-			break
-		}
+	// The summary reports the cache's effectiveness.
+	var summary string
+	select {
+	case summary = <-cacheLine:
+	case <-time.After(60 * time.Second):
+		t.Fatal("no 'report cache' summary line on stdout within 60s")
 	}
-	if tag == "" {
-		t.Fatal("/status generation never settled")
+	if summary == "" {
+		t.Fatal("stdout closed without a 'report cache' summary line")
+	}
+	if !strings.Contains(summary, "hit rate") || !strings.Contains(summary, "rebuilds") {
+		t.Fatalf("cache summary incomplete: %q", summary)
 	}
 
-	code, body, _ := get("/status", "")
-	if code != http.StatusOK {
-		t.Fatalf("/status = %d", code)
+	// The run is over, so the generation /status serves now is the last.
+	code, body, tag := get("/status", "")
+	if code != http.StatusOK || tag == "" {
+		t.Fatalf("/status = %d, ETag %q", code, tag)
 	}
 	var st map[string]any
 	if err := json.Unmarshal([]byte(body), &st); err != nil {
@@ -795,24 +812,5 @@ func TestHTTPConditionalEndToEnd(t *testing.T) {
 	}
 	if len(rb.Records) == 0 || rb.Cursor != rb.Base+len(rb.Records) {
 		t.Fatalf("/records window = cursor %d base %d len %d", rb.Cursor, rb.Base, len(rb.Records))
-	}
-
-	// The summary (already flushed to stdout before the hold) reports the
-	// cache's effectiveness.
-	cmd.Process.Kill()
-	cmd.Wait()
-	out := stdout.String()
-	var cacheLine string
-	for _, line := range strings.Split(out, "\n") {
-		if strings.HasPrefix(line, "report cache: gen ") {
-			cacheLine = line
-			break
-		}
-	}
-	if cacheLine == "" {
-		t.Fatalf("stdout missing 'report cache' summary:\n%s", out)
-	}
-	if !strings.Contains(cacheLine, "hit rate") || !strings.Contains(cacheLine, "rebuilds") {
-		t.Fatalf("cache summary incomplete: %q", cacheLine)
 	}
 }

@@ -1,11 +1,9 @@
 package server
 
 import (
-	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"slices"
 )
 
 // Rank liveness. A large run must keep issuing honest verdicts while some
@@ -64,64 +62,8 @@ type RankLiveness struct {
 	LagNs      int64 // frontier minus LastSeenNs
 }
 
-// livenessView is the per-rank state liveness queries share, with the
-// watermark (server.go) it implies: the earliest latest-slice over the ranks
-// that reported records and are not Dead.
-type livenessView struct {
-	ranks         []RankLiveness
-	frontier      int64
-	watermarkNs   int64
-	haveWatermark bool
-}
-
-// livenessView sweeps the shards and classifies every known rank — one that
-// reported records or heartbeats — against the cluster-wide frontier (the
-// newest last-seen mark anywhere). Each rank's entry lives in one shard, so
-// the sweep reads it there whole.
-func (s *Server) livenessView() livenessView {
-	type seen struct {
-		rank                  int
-		last, lease, latestNs int64
-		reported              bool
-	}
-	all := make([]seen, 0, s.rankCount())
-	var frontier int64
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		for rank, rs := range sh.ranks {
-			if rs.records == 0 && !rs.heartbeat {
-				continue
-			}
-			last := max(rs.latestSliceNs, rs.hbNs)
-			frontier = max(frontier, last)
-			all = append(all, seen{rank, last, rs.leaseNs, rs.latestSliceNs, rs.records > 0})
-		}
-		sh.mu.Unlock()
-	}
-	slices.SortFunc(all, func(a, b seen) int { return cmp.Compare(a.rank, b.rank) })
-	v := livenessView{ranks: make([]RankLiveness, len(all)), frontier: frontier}
-	for i, sn := range all {
-		rl := RankLiveness{Rank: sn.rank, LastSeenNs: sn.last, LeaseNs: sn.lease, LagNs: frontier - sn.last}
-		if rl.LeaseNs > 0 {
-			switch {
-			case rl.LagNs > deadFactor*rl.LeaseNs:
-				rl.State = Dead
-			case rl.LagNs > rl.LeaseNs:
-				rl.State = Suspect
-			}
-		}
-		v.ranks[i] = rl
-		if sn.reported && rl.State != Dead && (!v.haveWatermark || sn.latestNs < v.watermarkNs) {
-			v.watermarkNs, v.haveWatermark = sn.latestNs, true
-		}
-	}
-	return v
-}
-
 // Liveness returns every known rank's lease state in rank order.
-func (s *Server) Liveness() []RankLiveness {
-	return s.livenessView().ranks
-}
+func (s *Server) Liveness() []RankLiveness { return s.read(readRanks).ranks }
 
 // LivenessSummary aggregates the lease states for gauges and /status.
 type LivenessSummary struct {
@@ -129,17 +71,15 @@ type LivenessSummary struct {
 	FrontierNs           int64
 }
 
-// LivenessSummary counts ranks per state.
-func (s *Server) LivenessSummary() LivenessSummary {
-	return summarizeLiveness(s.livenessView())
-}
+// LivenessSummary counts known ranks per state.
+func (s *Server) LivenessSummary() LivenessSummary { return s.read(0).liveness }
 
 // receiveHeartbeat folds one heartbeat frame into the sender's shard and,
 // when live (replay passes false), journals it if durability is on.
 func (s *Server) receiveHeartbeat(rank int, nowNs, leaseNs int64, live bool) error {
 	sh := s.shardFor(rank)
 	sh.mu.Lock()
-	rs := sh.touch(rank)
+	rs := s.touch(sh, rank)
 	// >= so a heartbeat stamped at virtual time 0 still records its lease
 	// against the zero-valued fresh entry; among equal stamps the last
 	// arrival wins, which replay reproduces exactly.

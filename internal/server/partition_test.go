@@ -211,7 +211,8 @@ func TestQueryRacingLateRecord(t *testing.T) {
 			want := batchOutliers(s.Records(), tc.threshold)
 
 			a := s.an
-			wm, have := s.watermark()
+			v := s.read(0)
+			wm, have := v.watermarkNs, v.haveWatermark
 			a.qmu.Lock()
 			out := a.snapshot(tc.threshold, wm, have)
 			a.evaluate(tc.threshold)

@@ -8,6 +8,8 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -101,15 +103,8 @@ func TestSnapshotInvalidation(t *testing.T) {
 		t.Fatalf("gen did not advance after heartbeat: %d -> %d", sn4.Gen, sn5.Gen)
 	}
 
-	// Changing the render threshold invalidates.
-	s.SetSnapshotThreshold(0.5)
-	sn6 := s.Snapshot()
-	if sn6.Gen <= sn5.Gen || sn6.Threshold != 0.5 {
-		t.Fatalf("threshold change: gen %d -> %d, threshold %v", sn5.Gen, sn6.Gen, sn6.Threshold)
-	}
-
 	st := s.SnapshotStats()
-	if st.Gen != sn6.Gen || st.Builds < 4 || st.Reads != st.Hits+st.Builds {
+	if st.Gen != sn5.Gen || st.Builds < 4 || st.Reads != st.Hits+st.Builds {
 		t.Fatalf("stats inconsistent: %+v", st)
 	}
 }
@@ -297,7 +292,11 @@ func TestReadSnapshotConformance(t *testing.T) {
 			shards := 1 << rng.Intn(5)
 			sensors := 1 + rng.Intn(3)
 			slices := 2 + rng.Intn(4)
-			threshold := []float64{0.7, 0.8, 0.9}[rng.Intn(3)]
+			// The render threshold is DefaultSnapshotThreshold; the draw
+			// that once picked it stays, so every later seeded draw is the
+			// one it always was.
+			rng.Intn(3)
+			threshold := DefaultSnapshotThreshold
 			durable := trial%3 == 0
 			crash := durable && trial%6 == 0
 			liveness := trial%4 == 0
@@ -332,7 +331,6 @@ func TestReadSnapshotConformance(t *testing.T) {
 			if durable {
 				s.AttachDurability(DurabilityConfig{Disk: storage.NewDisk(storage.Faults{})})
 			}
-			s.SetSnapshotThreshold(threshold)
 			h := wireReadReport(s)
 
 			// Racing pollers: each walks /status, /outliers, /records and
@@ -525,4 +523,142 @@ func TestReadSnapshotConformance(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestSnapshotIsOneInstant builds snapshots and scrapes /metrics while
+// senders race them, half of them heartbeating with a lease and one leased
+// rank going silent early so it dies. Every number one generation (or one
+// scrape) publishes must describe the same state of the shards: the totals,
+// the per-rank and per-shard sums, the liveness counts and the watermark
+// agree with each other.
+func TestSnapshotIsOneInstant(t *testing.T) {
+	const (
+		senders  = 8
+		frames   = 3000
+		perFrame = 4
+		step     = int64(1000) // virtual ns between a sender's frames
+		lease    = 64 * step
+		silent   = 0   // a leased rank that stops early and dies
+		silentAt = 300 // frames rank silent sends
+	)
+	s := NewSharded(8)
+	o := obs.New()
+	s.SetObs(o)
+	h := o.Handler()
+
+	var wg sync.WaitGroup
+	for rank := 0; rank < senders; rank++ {
+		wg.Add(1)
+		go func(rank int) {
+			defer wg.Done()
+			n := frames
+			if rank == silent {
+				n = silentAt
+			}
+			recs := make([]detect.SliceRecord, perFrame)
+			var enc []byte
+			for seq := 1; seq <= n; seq++ {
+				now := int64(seq) * step
+				for i := range recs {
+					recs[i] = detect.SliceRecord{Sensor: i, Rank: rank, SliceNs: now, Count: 1, AvgNs: 100}
+				}
+				enc = AppendFrame(enc[:0], FrameHeader{Rank: rank, Seq: uint64(seq), CumRecords: uint64(seq * perFrame)}, recs)
+				if err := s.Receive(enc); err != nil {
+					t.Error(err)
+					return
+				}
+				if rank%2 == 0 && seq%16 == 1 {
+					if err := s.Receive(AppendHeartbeat(nil, rank, now, lease)); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}
+		}(rank)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+
+	scrapes := make(chan error, 1)
+	go func() {
+		var err error
+		for n := 0; err == nil; n++ {
+			select {
+			case <-done:
+				if n > 0 {
+					scrapes <- nil
+					return
+				}
+			default:
+			}
+			sums := map[string]int64{}
+			for _, line := range strings.Split(httpGet(t, h, "/metrics", "").Body.String(), "\n") {
+				name, val, ok := strings.Cut(line, " ")
+				if !ok || strings.HasPrefix(line, "#") {
+					continue
+				}
+				name, _, _ = strings.Cut(name, "{")
+				v, _ := strconv.ParseInt(val, 10, 64)
+				sums[name] += v
+			}
+			if got, want := sums["server_records_ingested"], sums["server_shard_records"]; got != want {
+				err = fmt.Errorf("scrape %d: server_records_ingested %d, Σ server_shard_records %d", n, got, want)
+			}
+		}
+		scrapes <- err
+	}()
+
+	check := func(sn *ReportSnapshot) {
+		t.Helper()
+		var perRank, perShard int64
+		for _, rp := range sn.PerRank {
+			perRank += int64(rp.Records)
+		}
+		for _, sc := range sn.PerShard {
+			perShard += sc.Records
+		}
+		if rec := int64(sn.Progress.Records); rec != sn.Coverage.IngestedRecords || rec != perRank || rec != perShard {
+			t.Fatalf("records: progress %d, coverage %d, Σ per-rank %d, Σ per-shard %d",
+				rec, sn.Coverage.IngestedRecords, perRank, perShard)
+		}
+		l := sn.Liveness
+		if l.Alive+l.Suspect+l.Dead != len(sn.Report.Liveness) {
+			t.Fatalf("liveness %+v counts %d ranks, the list %d", l, l.Alive+l.Suspect+l.Dead, len(sn.Report.Liveness))
+		}
+		dead := map[int]bool{}
+		for _, rl := range sn.Report.Liveness {
+			dead[rl.Rank] = rl.State == Dead
+		}
+		var wm int64
+		have := false
+		for _, rp := range sn.PerRank {
+			if !dead[rp.Rank] && (!have || rp.LatestSliceNs < wm) {
+				wm, have = rp.LatestSliceNs, true
+			}
+		}
+		if have != sn.HaveWatermark || wm != sn.WatermarkNs {
+			t.Fatalf("watermark %d (have %v), want %d (have %v): the minimum over the per-rank list's live ranks",
+				sn.WatermarkNs, sn.HaveWatermark, wm, have)
+		}
+	}
+	builds := 0
+	for {
+		select {
+		case <-done:
+		default:
+			check(s.buildSnapshot())
+			builds++
+			continue
+		}
+		break
+	}
+	sn := s.buildSnapshot()
+	check(sn)
+	if err := <-scrapes; err != nil {
+		t.Fatal(err)
+	}
+	if sn.Liveness.Dead != 1 || sn.Progress.Records != (senders-1)*frames*perFrame+silentAt*perFrame {
+		t.Fatalf("final generation: liveness %+v, %d records", sn.Liveness, sn.Progress.Records)
+	}
+	t.Logf("%d generations checked while ingest ran", builds)
 }

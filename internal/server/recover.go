@@ -88,6 +88,7 @@ func (s *Server) Crash() error {
 		sh.mu.Unlock()
 	}
 	s.ticket.Store(0)
+	s.rankEntries.Store(0)
 	s.checksumErrors.Store(0)
 	s.rejectedFrames.Store(0)
 	s.heartbeats.Store(0)
@@ -208,7 +209,7 @@ func (s *Server) Recover() (RecoveryStats, error) {
 	}
 
 	// Lost frames can leave permanent gaps in the global arrival-ticket
-	// sequence, which orderedSegments would truncate at forever; renumber
+	// sequence, which a read's log would be cut at forever; renumber
 	// the surviving segments contiguously (preserving their order).
 	s.compactTickets()
 	for _, sh := range s.shards {
@@ -286,6 +287,7 @@ func (s *Server) installSnapshot(st *snapState) {
 		sh.chunk = src.chunk
 		sh.segments = src.segments
 		sh.ranks = src.ranks
+		s.rankEntries.Add(int64(len(sh.ranks)))
 		sh.bytesReceived = src.bytesReceived
 		sh.messages = src.messages
 		sh.latestSliceNs = src.latestSliceNs

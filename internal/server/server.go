@@ -28,7 +28,6 @@ package server
 import (
 	"errors"
 	"fmt"
-	"math"
 	"strconv"
 	"sync/atomic"
 
@@ -57,6 +56,10 @@ type Server struct {
 	// ticket is the global arrival counter linearizing frames across
 	// shards; assigned under the ingesting shard's lock.
 	ticket atomic.Uint64
+
+	// rankEntries counts the rank entries over all shards: the capacity a
+	// read's per-rank lists are sized with, so they allocate once.
+	rankEntries atomic.Int64
 
 	// an is the incremental inter-process analyzer (epoch.go).
 	an *analyzer
@@ -127,10 +130,11 @@ func (s *Server) Shards() int { return len(s.shards) }
 
 // SetObs attaches ingest metrics. Every number the server already keeps —
 // coverage, messages, bytes, heartbeats, liveness, shard, epoch, report-cache
-// and durability counts — is registered as a function of the accessor
-// /status reads, evaluated at scrape time, so /metrics and /status never
-// disagree; each accessor runs once per scrape. Only what nothing else
-// records is pushed: the batch-size histogram (server_batch_bytes), the
+// and durability counts — is registered as a function of the state /status
+// reads, evaluated at scrape time, so /metrics and /status never disagree.
+// Every family the shards hold comes from one read per scrape (read.go), so
+// a scrape's families agree with each other. Only what nothing else records
+// is pushed: the batch-size histogram (server_batch_bytes), the
 // epoch analyzer's close/reopen counters and lag histogram, and the
 // durability layer's histograms and recovery counters. Call before the run
 // starts.
@@ -141,30 +145,27 @@ func (s *Server) SetObs(o *obs.Obs) {
 	o.CounterFunc("server_heartbeats_total", s.Heartbeats)
 	o.GaugeFunc("server_shards", func() int64 { return int64(s.Shards()) })
 	r := o.Registry()
-	prog := obs.NewSource(r, s.Progress)
-	prog.Counter("server_messages_total", func(p Progress) int64 { return p.Messages })
-	prog.Counter("server_bytes_total", func(p Progress) int64 { return p.Bytes })
-	cov := obs.NewSource(r, s.Coverage)
-	cov.Counter("server_records_total", func(c Coverage) int64 { return c.IngestedRecords })
-	cov.Counter("server_dup_frames_total", func(c Coverage) int64 { return c.DupFrames })
-	cov.Counter("server_checksum_errors_total", func(c Coverage) int64 { return c.ChecksumErrors })
-	cov.Counter("server_rejected_frames_total", func(c Coverage) int64 { return c.RejectedFrames })
-	cov.Gauge("server_records_expected", func(c Coverage) int64 { return c.ExpectedRecords })
-	cov.Gauge("server_records_ingested", func(c Coverage) int64 { return c.IngestedRecords })
-	live := obs.NewSource(r, s.LivenessSummary)
-	live.Gauge("server_ranks_alive", func(l LivenessSummary) int64 { return int64(l.Alive) })
-	live.Gauge("server_ranks_suspect", func(l LivenessSummary) int64 { return int64(l.Suspect) })
-	live.Gauge("server_ranks_dead", func(l LivenessSummary) int64 { return int64(l.Dead) })
+	src := obs.NewSource(r, func() view { return s.read(readShards) })
+	src.Counter("server_messages_total", func(v view) int64 { return v.progress.Messages })
+	src.Counter("server_bytes_total", func(v view) int64 { return v.progress.Bytes })
+	src.Counter("server_records_total", func(v view) int64 { return v.coverage.IngestedRecords })
+	src.Counter("server_dup_frames_total", func(v view) int64 { return v.coverage.DupFrames })
+	src.Counter("server_checksum_errors_total", func(v view) int64 { return v.coverage.ChecksumErrors })
+	src.Counter("server_rejected_frames_total", func(v view) int64 { return v.coverage.RejectedFrames })
+	src.Gauge("server_records_expected", func(v view) int64 { return v.coverage.ExpectedRecords })
+	src.Gauge("server_records_ingested", func(v view) int64 { return v.coverage.IngestedRecords })
+	src.Gauge("server_ranks_alive", func(v view) int64 { return int64(v.liveness.Alive) })
+	src.Gauge("server_ranks_suspect", func(v view) int64 { return int64(v.liveness.Suspect) })
+	src.Gauge("server_ranks_dead", func(v view) int64 { return int64(v.liveness.Dead) })
+	for i := range s.shards {
+		label := strconv.Itoa(i)
+		src.Gauge("server_shard_records", func(v view) int64 { return v.perShard[i].Records }, "shard", label)
+		src.Gauge("server_shard_frames", func(v view) int64 { return v.perShard[i].Frames }, "shard", label)
+	}
 	snap := obs.NewSource(r, s.SnapshotStats)
 	snap.Gauge("server_report_gen", func(st SnapshotStats) int64 { return int64(st.Gen) })
 	snap.Counter("server_report_builds_total", func(st SnapshotStats) int64 { return st.Builds })
 	snap.Counter("server_report_hits_total", func(st SnapshotStats) int64 { return st.Hits })
-	perShard := obs.NewSource(r, s.PerShardCoverage)
-	for i := range s.shards {
-		label := strconv.Itoa(i)
-		perShard.Gauge("server_shard_records", func(sc []ShardCoverage) int64 { return sc[i].Records }, "shard", label)
-		perShard.Gauge("server_shard_frames", func(sc []ShardCoverage) int64 { return sc[i].Frames }, "shard", label)
-	}
 	s.obsBatch = o.Histogram("server_batch_bytes")
 	s.lin = o.Lineage()
 	s.an.setObs(o)
@@ -295,7 +296,7 @@ func (s *Server) ingestFrame(h FrameHeader, encoded []byte, forceTicket uint64) 
 	sh.mu.Lock()
 	// Even a duplicate can raise the flow's maxSeq/maxCum, so the sender is
 	// marked before dedup decides.
-	rs := sh.touch(h.Rank)
+	rs := s.touch(sh, h.Rank)
 	if h.Seq > rs.maxSeq {
 		rs.maxSeq = h.Seq
 	}
@@ -348,7 +349,7 @@ func (s *Server) ingestFrame(h FrameHeader, encoded []byte, forceTicket uint64) 
 // racing the snapshot only affects whether its frame is included, never the
 // integrity of the records that are.
 func (s *Server) Records() []detect.SliceRecord {
-	segs := s.orderedSegments()
+	segs := s.read(readLog).segs
 	n := 0
 	for _, sg := range segs {
 		n += len(sg.recs)
@@ -493,24 +494,7 @@ func (c Coverage) Fraction() float64 {
 func (c Coverage) Complete() bool { return c.IngestedRecords >= c.ExpectedRecords }
 
 // Coverage returns the server's delivery-coverage snapshot.
-func (s *Server) Coverage() Coverage {
-	cov := Coverage{
-		ChecksumErrors: s.checksumErrors.Load(),
-		RejectedFrames: s.rejectedFrames.Load(),
-	}
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		cov.ExpectedRecords += sh.expectedRecords
-		cov.IngestedRecords += sh.ingestedRecords
-		cov.DupFrames += sh.dupFrames
-		for _, rs := range sh.ranks {
-			cov.ExpectedFrames += int64(rs.maxSeq)
-			cov.IngestedFrames += rs.frames
-		}
-		sh.mu.Unlock()
-	}
-	return cov
-}
+func (s *Server) Coverage() Coverage { return s.read(0).coverage }
 
 // ShardCoverage is one ingest shard's slice of the delivery accounting, for
 // dashboards that want to see load spread across shards.
@@ -524,23 +508,7 @@ type ShardCoverage struct {
 }
 
 // PerShardCoverage returns each shard's delivery accounting in shard order.
-func (s *Server) PerShardCoverage() []ShardCoverage {
-	out := make([]ShardCoverage, len(s.shards))
-	for i, sh := range s.shards {
-		sh.mu.Lock()
-		sc := ShardCoverage{
-			Shard:           i,
-			Ranks:           len(sh.ranks),
-			Frames:          int64(len(sh.segments)),
-			Records:         sh.ingestedRecords,
-			ExpectedRecords: sh.expectedRecords,
-			DupFrames:       sh.dupFrames,
-		}
-		sh.mu.Unlock()
-		out[i] = sc
-	}
-	return out
-}
+func (s *Server) PerShardCoverage() []ShardCoverage { return s.read(readShards).perShard }
 
 // ---------- inter-process analysis ----------
 
@@ -563,9 +531,19 @@ type Outlier struct {
 // epochs reuse their cached result. The outcome is exactly what a batch
 // recompute over Records() would produce, and is invariant under record
 // arrival order: late records reopen their epoch rather than being dropped.
+//
+// The watermark is the earliest latest-slice over every rank that has
+// reported and is not lease-expired — the virtual instant every live sender
+// is known to have progressed past. Epochs for slices strictly before it are
+// sealed; a reordered frame arriving later still reopens its epoch, so the
+// watermark is a performance hint, never a correctness gate. Ranks the lease
+// state machine classifies Dead (liveness.go) are excluded: a rank that
+// stopped reporting would otherwise pin the watermark forever, so no epoch
+// would ever close. Without leases every rank is Alive and this is exactly
+// the all-ranks minimum.
 func (s *Server) InterProcessOutliers(threshold float64) []Outlier {
-	watermarkNs, haveWatermark := s.watermark()
-	return s.outliersAt(threshold, watermarkNs, haveWatermark)
+	v := s.read(0)
+	return s.outliersAt(threshold, v.watermarkNs, v.haveWatermark)
 }
 
 // outliersAt renders the outliers under the given watermark in the order
@@ -574,44 +552,6 @@ func (s *Server) outliersAt(threshold float64, watermarkNs int64, haveWatermark 
 	out := s.an.outliers(threshold, watermarkNs, haveWatermark)
 	sortOutliers(out)
 	return out
-}
-
-// watermark returns the earliest latest-slice over every rank that has
-// reported and is not lease-expired — the virtual instant every live
-// sender is known to have progressed past. Epochs for slices strictly
-// before it are sealed; a reordered frame arriving later still reopens its
-// epoch, so the watermark is a performance hint, never a correctness gate.
-//
-// Ranks the lease state machine classifies Dead (liveness.go) are excluded:
-// a rank that stopped reporting would otherwise pin the watermark forever,
-// so no epoch would ever close and the analyzer's open set would grow for
-// the rest of the run. Without leases (the in-process path) every rank is
-// Alive and this is exactly the all-ranks minimum. A caller that already
-// holds a liveness view reads the same value from it.
-func (s *Server) watermark() (int64, bool) {
-	// Until a heartbeat arrives no rank has a lease, so none can be dead and
-	// the watermark is the plain all-ranks minimum, read in place: lease-free
-	// queries stay allocation-free instead of building the liveness view on
-	// every poll racing ingest (heartbeat frames are the only writers of
-	// leases, so heartbeats==0 implies every lease is zero).
-	if s.heartbeats.Load() != 0 {
-		v := s.livenessView()
-		return v.watermarkNs, v.haveWatermark
-	}
-	wm, have := int64(math.MaxInt64), false
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		for _, rs := range sh.ranks {
-			if rs.records > 0 && (!have || rs.latestSliceNs < wm) {
-				wm, have = rs.latestSliceNs, true
-			}
-		}
-		sh.mu.Unlock()
-	}
-	if !have {
-		return 0, false
-	}
-	return wm, true
 }
 
 // OutlierReport pairs the inter-process outliers with the delivery coverage
@@ -644,7 +584,6 @@ type OutlierReport struct {
 // report is degraded, not stalled: the dead rank is named, excluded from
 // the watermark, and discounted from Confidence.
 func (s *Server) InterProcessReport(threshold float64) OutlierReport {
-	cov := s.Coverage()
-	v := s.livenessView()
-	return assembleReport(s.outliersAt(threshold, v.watermarkNs, v.haveWatermark), cov, v.ranks)
+	v := s.read(readRanks)
+	return v.report(s.outliersAt(threshold, v.watermarkNs, v.haveWatermark))
 }

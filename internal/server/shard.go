@@ -12,7 +12,7 @@ import (
 // one shard, behind one short-lived mutex, so concurrent Receives from
 // ranks on different shards never contend. A frame carries only its
 // sender's records (wire.go), so each rank's whole state is in exactly one
-// shard. Cross-shard reads (Records, Coverage, Progress, the epoch query)
+// shard. Cross-shard reads (the reader sweep in read.go, the epoch query)
 // visit shards one at a time; nothing ever holds two shard locks at once.
 type shard struct {
 	mu  sync.Mutex
@@ -80,9 +80,9 @@ type rankState struct {
 	heartbeat bool  // a heartbeat arrived
 }
 
-// touch returns rank's entry, creating it on first sight, and marks it for
-// the next snapshot section. Caller holds sh.mu.
-func (sh *shard) touch(rank int) *rankState {
+// touch returns rank's entry in sh, creating and counting it on first sight,
+// and marks it for the next snapshot section. Caller holds sh.mu.
+func (s *Server) touch(sh *shard, rank int) *rankState {
 	if sh.touched != nil {
 		sh.touched[rank] = struct{}{}
 	}
@@ -90,6 +90,7 @@ func (sh *shard) touch(rank int) *rankState {
 	if rs == nil {
 		rs = &rankState{}
 		sh.ranks[rank] = rs
+		s.rankEntries.Add(1)
 	}
 	return rs
 }
@@ -160,57 +161,6 @@ func (sh *shard) alloc(n int) []detect.SliceRecord {
 	start := len(sh.chunk)
 	sh.chunk = sh.chunk[:start+n]
 	return sh.chunk[start : start+n : start+n]
-}
-
-// orderedSegments snapshots every shard's committed segments and returns
-// them sorted by arrival ticket, truncated to the contiguous ticket prefix.
-// The truncation closes the cross-shard race: a reader can observe ticket
-// t+1 committed on one shard while ticket t is still being written on
-// another; withholding everything from the first gap onward keeps the
-// merged log strictly append-only across successive snapshots, which is
-// what a RecordsWindow cursor requires.
-func (s *Server) orderedSegments() []segment {
-	// Tickets are assigned only when a frame commits, so committed segments
-	// carry the dense sequence 1..N and bucket placement by ticket rebuilds
-	// the linearized log in one O(n) pass — no comparison sort, one sized
-	// allocation. The counter read is a safe upper bound: a segment that
-	// commits after it carries a higher ticket, lands past the contiguous
-	// prefix this call may expose, and is picked up by the next call —
-	// exactly the withholding the gap truncation below already performs for
-	// commits that race the shard walk.
-	bound := s.ticket.Load()
-	if bound == 0 {
-		return nil
-	}
-	segs := make([]segment, bound)
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		for _, sg := range sh.segments {
-			if sg.ticket <= bound {
-				segs[sg.ticket-1] = sg
-			}
-		}
-		sh.mu.Unlock()
-	}
-	for i := range segs {
-		if segs[i].ticket == 0 {
-			return segs[:i]
-		}
-	}
-	return segs
-}
-
-// rankCount returns how many rank entries the shards hold: the capacity a
-// per-rank read sizes its result with before it takes each shard lock again
-// to fill it, so a sweep over thousands of ranks allocates once.
-func (s *Server) rankCount() int {
-	n := 0
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		n += len(sh.ranks)
-		sh.mu.Unlock()
-	}
-	return n
 }
 
 // shardFor routes a sender rank to its shard.

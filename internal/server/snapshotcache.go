@@ -1,7 +1,6 @@
 package server
 
 import (
-	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -147,13 +146,10 @@ type snapshotCache struct {
 	notifyMu sync.Mutex
 	notify   chan struct{}
 	waiters  atomic.Int32
-
-	threshold atomic.Uint64 // math.Float64bits of the render threshold
 }
 
 func (c *snapshotCache) init() {
 	c.notify = make(chan struct{})
-	c.threshold.Store(math.Float64bits(DefaultSnapshotThreshold))
 }
 
 // bumpReadVersion invalidates the cached report and wakes long-pollers.
@@ -175,21 +171,6 @@ func (c *snapshotCache) waitChan() <-chan struct{} {
 	ch := c.notify
 	c.notifyMu.Unlock()
 	return ch
-}
-
-// SetSnapshotThreshold changes the outlier threshold the cached report
-// renders at (DefaultSnapshotThreshold until called). Non-positive values
-// are ignored. The cache is invalidated so the next Snapshot re-renders.
-func (s *Server) SetSnapshotThreshold(threshold float64) {
-	if threshold <= 0 {
-		return
-	}
-	s.snap.threshold.Store(math.Float64bits(threshold))
-	s.bumpReadVersion()
-}
-
-func (s *Server) snapshotThreshold() float64 {
-	return math.Float64frombits(s.snap.threshold.Load())
 }
 
 // Snapshot returns the current report snapshot, rebuilding it only if the
@@ -251,7 +232,7 @@ func (s *Server) Snapshot() *ReportSnapshot {
 		}
 		sn = &ReportSnapshot{
 			version:   c.ver.Load(),
-			Threshold: s.snapshotThreshold(),
+			Threshold: DefaultSnapshotThreshold,
 			Down:      true,
 		}
 	}
@@ -276,31 +257,26 @@ func (s *Server) buildSnapshot() *ReportSnapshot {
 	if s.down.Load() {
 		return nil
 	}
-	threshold := s.snapshotThreshold()
+	// The version is taken before the read, so a state change racing it
+	// leaves the render behind the counter and the next Snapshot rebuilds.
+	version := s.snap.ver.Load()
+	v := s.read(readRanks | readShards | readLog)
 	sn := &ReportSnapshot{
-		version:   s.snap.ver.Load(),
-		Ticket:    s.ticket.Load(),
-		Threshold: threshold,
+		version: version, Ticket: v.ticket, Threshold: DefaultSnapshotThreshold,
+		WatermarkNs: v.watermarkNs, HaveWatermark: v.haveWatermark,
+		Progress: v.progress, PerRank: v.perRank, Coverage: v.coverage,
+		PerShard: v.perShard, Liveness: v.liveness, segs: v.segs,
 	}
-	sn.segs = s.orderedSegments()
 	sn.offsets = make([]int, len(sn.segs))
 	for i, sg := range sn.segs {
 		sn.offsets[i] = sn.total
 		sn.total += len(sg.recs)
 	}
-	v := s.livenessView()
-	sn.WatermarkNs, sn.HaveWatermark = v.watermarkNs, v.haveWatermark
-	outliers := s.outliersAt(threshold, sn.WatermarkNs, sn.HaveWatermark)
+	sn.Report = v.report(s.outliersAt(DefaultSnapshotThreshold, v.watermarkNs, v.haveWatermark))
 	// Epoch counts are captured after the outlier render: computing outliers
 	// seals epochs under the watermark, and the cached report must agree
 	// with a fresh recompute at the same instant (sealing is idempotent).
 	sn.Epochs = s.EpochStats()
-	sn.Progress = s.Progress()
-	sn.PerRank = s.PerRankProgress()
-	sn.Coverage = s.Coverage()
-	sn.PerShard = s.PerShardCoverage()
-	sn.Liveness = summarizeLiveness(v)
-	sn.Report = assembleReport(outliers, sn.Coverage, v.ranks)
 	sn.Durability = s.DurabilityStats()
 	return sn
 }
@@ -390,43 +366,4 @@ func sortOutliers(out []Outlier) {
 		// same keyed group) so the order never depends on arrival order.
 		return out[i].Perf < out[j].Perf
 	})
-}
-
-// assembleReport stamps rendered outliers with coverage and liveness —
-// shared by InterProcessReport and the snapshot builder so both produce the
-// same OutlierReport for the same inputs.
-func assembleReport(outliers []Outlier, cov Coverage, ranks []RankLiveness) OutlierReport {
-	rep := OutlierReport{
-		Outliers: outliers,
-		Coverage: cov,
-		Liveness: ranks,
-	}
-	for _, rl := range ranks {
-		if rl.State == Dead {
-			rep.DeadRanks = append(rep.DeadRanks, rl.Rank)
-		}
-	}
-	rep.Degraded = len(rep.DeadRanks) > 0
-	rep.LivenessConfidence = 1
-	if n := len(ranks); n > 0 {
-		rep.LivenessConfidence = float64(n-len(rep.DeadRanks)) / float64(n)
-	}
-	rep.Confidence = cov.Fraction() * rep.LivenessConfidence
-	return rep
-}
-
-// summarizeLiveness folds a liveness view into per-state counts.
-func summarizeLiveness(v livenessView) LivenessSummary {
-	out := LivenessSummary{FrontierNs: v.frontier}
-	for _, rl := range v.ranks {
-		switch rl.State {
-		case Alive:
-			out.Alive++
-		case Suspect:
-			out.Suspect++
-		case Dead:
-			out.Dead++
-		}
-	}
-	return out
 }
