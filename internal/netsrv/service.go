@@ -21,7 +21,7 @@ import (
 const MaxEnvelopeBytes = 64 << 20
 
 // Config shapes a Service. The zero value is usable: defaults fill in a
-// single-shard tenant factory and a cap of 8 connections.
+// tenant factory of server.DefaultShards shards and a cap of 8 connections.
 type Config struct {
 	// MaxWorkers caps the connections served at once, one goroutine each.
 	// A connection arriving at the cap is shed: it gets an explicit vSE1
@@ -57,7 +57,7 @@ type Config struct {
 	IdleSession time.Duration
 
 	// Shards is the shard count the default tenant factory passes to
-	// server.NewSharded. Default 1.
+	// server.NewSharded. 0 or less selects server.DefaultShards.
 	Shards int
 
 	// tuneConn, when set, runs on every accepted connection before the
@@ -84,9 +84,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.WriteTimeout == 0 {
 		c.WriteTimeout = 5 * time.Second
-	}
-	if c.Shards <= 0 {
-		c.Shards = 1
 	}
 }
 

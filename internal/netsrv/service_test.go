@@ -57,6 +57,28 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
+// TestZeroConfigTenantShards pins the tenant factory's default: a session
+// on a zero Config gets a server with server.DefaultShards ingest shards,
+// the count `serve -server-shards 0` promises.
+func TestZeroConfigTenantShards(t *testing.T) {
+	svc, err := Listen("127.0.0.1:0", Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	sess, err := dialOnce(svc.Addr().String(), Hello{RunID: "run-d", Rank: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	if err := sess.Receive(testFrame(1, 1, 5, 5)); err != nil {
+		t.Fatal(err)
+	}
+	if got := svc.Tenant("run-d").Shards(); got != server.DefaultShards {
+		t.Fatalf("tenant has %d shards, want server.DefaultShards (%d)", got, server.DefaultShards)
+	}
+}
+
 func TestSessionRoundTrip(t *testing.T) {
 	svc, err := Listen("127.0.0.1:0", Config{Shards: 2})
 	if err != nil {

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -396,36 +395,6 @@ func resealSlot(data []byte) []byte {
 	return out
 }
 
-// sameSlotState is reflect.DeepEqual for two decoded states, made NaN-aware:
-// a record field that decodes to NaN is not equal to itself. Segment by
-// segment, the records' floats (the only floats a state holds) are compared
-// by their bits, then zeroed in both states so DeepEqual compares everything
-// else — tickets, the records' other fields, and the open chunks.
-func sameSlotState(a, b *snapState) bool {
-	if a != nil && b != nil && len(a.shards) == len(b.shards) {
-		for i, sh := range a.shards {
-			sa, sb := sh.segments, b.shards[i].segments
-			if len(sa) != len(sb) {
-				return false
-			}
-			for g := range sa {
-				ra, rb := sa[g].recs, sb[g].recs
-				if len(ra) != len(rb) {
-					return false
-				}
-				for j := range ra {
-					if math.Float64bits(ra[j].AvgNs) != math.Float64bits(rb[j].AvgNs) ||
-						math.Float64bits(ra[j].AvgInstr) != math.Float64bits(rb[j].AvgInstr) {
-						return false
-					}
-					ra[j].AvgNs, ra[j].AvgInstr, rb[j].AvgNs, rb[j].AvgInstr = 0, 0, 0, 0
-				}
-			}
-		}
-	}
-	return reflect.DeepEqual(a, b)
-}
-
 // FuzzSnapshotSlot hands the slot decoder — and then recovery — arbitrary
 // bytes, raw and with their seals repaired. Whatever they claim: no panic, no
 // allocation sized by an unchecked count, and what is accepted is a section
@@ -475,7 +444,7 @@ func FuzzSnapshotSlot(f *testing.F) {
 				continue
 			}
 			again, validAgain, err := decodeSlot(slot[:valid])
-			if err != nil || validAgain != valid || !sameSlotState(st, again) {
+			if err != nil || validAgain != valid || !reflect.DeepEqual(st, again) {
 				t.Fatalf("accepted prefix of %d bytes does not stand alone: %d bytes, err %v", valid, validAgain, err)
 			}
 			if st == nil {

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"vsensor/internal/detect"
 	"vsensor/internal/obs"
 )
 
@@ -113,7 +112,7 @@ type part struct {
 	trace     uint64
 	traceRank int32
 
-	// snap is the count the running query read in its first pass; written
+	// snap is the count the running query read in its shard pass; written
 	// and read only under the analyzer's query lock.
 	snap int
 }
@@ -138,19 +137,19 @@ func (pt *part) add(sh *shard, e epochEntry) {
 	pt.n++
 }
 
-// appendRuns appends the runs of entries that hold the part's first snap
-// entries, in fold order. It never follows a link past them: the tail's
-// link may be written concurrently by a fold.
-func (pt *part) appendRuns(runs [][]epochEntry) [][]epochEntry {
+// eachRun calls f with each run of entries that holds the part's first
+// snap entries, in fold order. It never follows a link past them: the
+// tail's link may be written concurrently by a fold.
+func (pt *part) eachRun(f func([]epochEntry)) {
 	b := &pt.first
 	for left := pt.snap; left > 0; b = b.next {
 		if left <= len(b.entries) {
-			return append(runs, b.entries[:left])
+			f(b.entries[:left])
+			return
 		}
-		runs = append(runs, b.entries)
+		f(b.entries)
 		left -= len(b.entries)
 	}
-	return runs
 }
 
 // epoch is the key-level state of one (sensor, group, slice) group, guarded
@@ -205,9 +204,8 @@ type analyzer struct {
 	// qmu serializes queries and guards their reusable state below.
 	qmu     sync.Mutex
 	cands   []cand
-	buckets [][]partRef    // candidate parts by shard
-	runs    [][]epochEntry // one key's snapshotted entries
-	vals    []float64      // their values, which the median permutes
+	buckets [][]partRef // candidate parts by shard
+	vals    []float64   // one key's snapshotted values, which the median permutes
 
 	// Observability handles (nil-safe no-ops when obs is off).
 	obsClosed  *obs.Counter   // server_epochs_closed_total
@@ -223,7 +221,6 @@ type cand struct {
 	gen       uint64
 	wasClosed bool // closed at another threshold: recompute, re-cache
 	closing   bool // open and behind the watermark: seal and close
-	failed    bool // a part grew between the two passes: stays open
 	n         int  // entries in the snapshot
 	trace     uint64
 	traceRank int32
@@ -272,31 +269,32 @@ func (a *analyzer) setObs(o *obs.Obs) {
 // unsampled); live=false (WAL replay, snapshot refold) still threads the
 // trace into the epoch but records no spans — replay reconstructs state,
 // not history.
-func (a *analyzer) fold(sh *shard, recs []detect.SliceRecord, trace uint64, live bool) {
-	for i := range recs {
-		r := &recs[i]
-		k := epochKey{sensor: int32(r.Sensor), group: int32(r.Group), slice: r.SliceNs}
+func (a *analyzer) fold(sh *shard, recs []byte, trace uint64, live bool) {
+	for off := 0; off < len(recs); off += recordWireSize {
+		r := recAt(recs, off)
+		k := epochKey{sensor: r.sensor(), group: r.group(), slice: r.sliceNs()}
+		rank := r.rank()
 		pt := sh.parts[k]
 		switch {
 		case pt == nil:
-			pt = a.join(sh, k, trace, r.Rank, live)
+			pt = a.join(sh, k, trace, rank, live)
 		case pt.sealed:
 			a.mu.Lock()
 			pt.sealed = false
-			a.touch(pt.ep, trace, r.Rank, live)
+			a.touch(pt.ep, trace, rank, live)
 			a.mu.Unlock()
 		}
 		if trace != 0 {
 			pt.trace = trace
-			pt.traceRank = int32(r.Rank)
+			pt.traceRank = rank
 		}
-		pt.add(sh, epochEntry{rank: int32(r.Rank), avg: r.AvgNs})
+		pt.add(sh, epochEntry{rank: rank, avg: r.avgNs()})
 	}
 }
 
 // join gives shard sh its part of k's epoch, creating the epoch on the
 // first sight of k in any shard. Caller holds sh.mu.
-func (a *analyzer) join(sh *shard, k epochKey, trace uint64, rank int, live bool) *part {
+func (a *analyzer) join(sh *shard, k epochKey, trace uint64, rank int32, live bool) *part {
 	pt := &sh.spare.carve(1, partChunkMin, partChunkMax)[0]
 	pt.pi = sh.idx
 	sh.parts[k] = pt
@@ -316,7 +314,7 @@ func (a *analyzer) join(sh *shard, k epochKey, trace uint64, rank int, live bool
 
 // touch notes a record that reached ep through the key table, reopening ep
 // if it was closed. Caller holds a.mu.
-func (a *analyzer) touch(ep *epoch, trace uint64, rank int, live bool) {
+func (a *analyzer) touch(ep *epoch, trace uint64, rank int32, live bool) {
 	ep.gen++
 	if !ep.closed {
 		return
@@ -332,7 +330,7 @@ func (a *analyzer) touch(ep *epoch, trace uint64, rank int, live bool) {
 		if tr == 0 {
 			tr = ep.trace
 		}
-		a.lin.Record(tr, obs.StageEpochReopen, rank, 0, nowUnixNs(), 0, ep.key.slice)
+		a.lin.Record(tr, obs.StageEpochReopen, int(rank), 0, nowUnixNs(), 0, ep.key.slice)
 	}
 }
 
@@ -341,24 +339,25 @@ func (a *analyzer) touch(ep *epoch, trace uint64, rank int, live bool) {
 // slice the watermark has passed are closed with their result cached.
 // The returned slice is unsorted; the caller applies the canonical order.
 //
-// A query never holds two shard locks. Its first pass reads each
-// candidate part's count, one shard at a time; the medians are then
-// taken over those prefixes with no lock held; the second pass seals a
-// closing epoch's parts only where the count did not move. An epoch closes
-// only if every part was sealed unmoved and no fold went through the key
-// table for it meanwhile, so a record racing the query either is in the
-// cached result or reopens the epoch.
+// A query never holds two shard locks. One pass reads each candidate part's
+// count, one shard at a time, and seals a closing epoch's parts under the
+// same lock; the medians are then taken over those prefixes with no lock
+// held. An epoch closes only if no fold went through the key table for it
+// meanwhile. A fold that lands on a part after the pass read it finds the
+// part sealed, or is the shard's first sight of the key, so it goes through
+// the key table: a record racing the query either is in the cached result
+// or keeps the epoch open.
 func (a *analyzer) outliers(threshold float64, watermark int64, haveWatermark bool) []Outlier {
 	a.qmu.Lock()
 	defer a.qmu.Unlock()
 	out := a.snapshot(threshold, watermark, haveWatermark)
 	a.evaluate(threshold)
-	return a.seal(out, threshold, watermark)
+	return a.commit(out, threshold, watermark)
 }
 
 // snapshot appends every cached result that answers threshold to a fresh
 // slice, and makes every other epoch a candidate with its parts' counts
-// read. Caller holds a.qmu.
+// read and, for a closing one, its parts sealed. Caller holds a.qmu.
 func (a *analyzer) snapshot(threshold float64, watermark int64, haveWatermark bool) []Outlier {
 	var out []Outlier
 	a.mu.Lock()
@@ -387,12 +386,15 @@ func (a *analyzer) snapshot(threshold float64, watermark int64, haveWatermark bo
 		for _, r := range refs {
 			c := &a.cands[r.c]
 			r.pt.snap = r.pt.n
+			r.pt.sealed = r.pt.sealed || c.closing
 			c.n += r.pt.n
 			if r.pt.trace != 0 {
 				c.trace, c.traceRank = r.pt.trace, r.pt.traceRank
 			}
 		}
 		sh.mu.Unlock()
+		clear(refs)
+		a.buckets[pi] = refs[:0]
 	}
 	return out
 }
@@ -409,16 +411,13 @@ func (a *analyzer) evaluate(threshold float64) {
 		if c.n < 3 {
 			continue
 		}
-		runs := a.runs[:0]
-		for _, pt := range c.parts {
-			runs = pt.appendRuns(runs)
-		}
-		a.runs = runs
 		vals := a.vals[:0]
-		for _, run := range runs {
-			for _, e := range run {
-				vals = append(vals, e.avg)
-			}
+		for _, pt := range c.parts {
+			pt.eachRun(func(run []epochEntry) {
+				for _, e := range run {
+					vals = append(vals, e.avg)
+				}
+			})
 		}
 		a.vals = vals
 		med := selectMedian(vals)
@@ -426,41 +425,22 @@ func (a *analyzer) evaluate(threshold float64) {
 			continue
 		}
 		k := c.ep.key
-		for _, run := range runs {
-			for _, e := range run {
-				if perf := med / e.avg; perf < threshold {
-					c.res = append(c.res, Outlier{Sensor: int(k.sensor), SliceNs: k.slice, Rank: int(e.rank), Perf: perf})
+		for _, pt := range c.parts {
+			pt.eachRun(func(run []epochEntry) {
+				for _, e := range run {
+					if perf := med / e.avg; perf < threshold {
+						c.res = append(c.res, Outlier{Sensor: int(k.sensor), SliceNs: k.slice, Rank: int(e.rank), Perf: perf})
+					}
 				}
-			}
+			})
 		}
 	}
 }
 
-// seal runs the second pass and commits: closing candidates' unmoved parts
-// are sealed, the epochs that qualify are closed (or re-cached at the new
-// threshold), and every candidate's result is appended to out. The query's
+// commit closes the epochs that qualify (or re-caches them at the new
+// threshold) and appends every candidate's result to out. The query's
 // reusable state is cleared for the next one. Caller holds a.qmu.
-func (a *analyzer) seal(out []Outlier, threshold float64, watermark int64) []Outlier {
-	for pi, refs := range a.buckets {
-		if len(refs) == 0 {
-			continue
-		}
-		sh := a.shards[pi]
-		sh.mu.Lock()
-		for _, r := range refs {
-			c := &a.cands[r.c]
-			switch {
-			case !c.closing:
-			case r.pt.n == r.pt.snap:
-				r.pt.sealed = true
-			default:
-				c.failed = true
-			}
-		}
-		sh.mu.Unlock()
-		clear(refs)
-		a.buckets[pi] = refs[:0]
-	}
+func (a *analyzer) commit(out []Outlier, threshold float64, watermark int64) []Outlier {
 	a.mu.Lock()
 	for ci := range a.cands {
 		c := &a.cands[ci]
@@ -472,7 +452,7 @@ func (a *analyzer) seal(out []Outlier, threshold float64, watermark int64) []Out
 		case c.wasClosed:
 			ep.closeThreshold = threshold
 			ep.cached = c.res
-		case c.closing && !c.failed:
+		case c.closing:
 			ep.closed = true
 			ep.closeThreshold = threshold
 			ep.cached = c.res
@@ -491,8 +471,6 @@ func (a *analyzer) seal(out []Outlier, threshold float64, watermark int64) []Out
 	a.mu.Unlock()
 	clear(a.cands)
 	a.cands = a.cands[:0]
-	clear(a.runs)
-	a.runs = a.runs[:0]
 	return out
 }
 

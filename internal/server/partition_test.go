@@ -221,7 +221,7 @@ func TestQueryRacingLateRecord(t *testing.T) {
 				a.qmu.Unlock()
 				t.Fatal(err)
 			}
-			out = a.seal(out, tc.threshold, wm)
+			out = a.commit(out, tc.threshold, wm)
 			a.qmu.Unlock()
 			sortOutliers(out)
 			if !sameOutliersBits(out, want) {
@@ -356,13 +356,15 @@ func TestFoldAllocsAmortized(t *testing.T) {
 	const frames, keys, perFrame = 512, 64, 64
 	sh := newShard(0)
 	a := newAnalyzer([]*shard{sh})
-	recs := make([][]detect.SliceRecord, frames)
+	recs := make([][]byte, frames)
 	for f := range recs {
-		recs[f] = make([]detect.SliceRecord, perFrame)
-		for i := range recs[f] {
+		frame := make([]detect.SliceRecord, perFrame)
+		for i := range frame {
 			k := (f*perFrame + i) % keys
-			recs[f][i] = detect.SliceRecord{Sensor: k % 8, Group: k / 8, Rank: f, SliceNs: 0, AvgNs: 100}
+			frame[i] = detect.SliceRecord{Sensor: k % 8, Group: k / 8, Rank: f, SliceNs: 0, AvgNs: 100}
 		}
+		recs[f] = make([]byte, perFrame*recordWireSize)
+		putRecords(recs[f], frame)
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var ms runtime.MemStats

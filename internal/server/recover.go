@@ -215,7 +215,7 @@ func (s *Server) Recover() (RecoveryStats, error) {
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		for _, sg := range sh.segments {
-			rs.RecordsRecovered += int64(len(sg.recs))
+			rs.RecordsRecovered += int64(sg.records())
 		}
 		sh.mu.Unlock()
 	}

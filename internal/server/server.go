@@ -176,8 +176,8 @@ func (s *Server) SetObs(o *obs.Obs) {
 
 // Receive ingests one encoded frame: validate (length, magic, bounded
 // count, CRC), route to the sender rank's shard, deduplicate by (sender
-// rank, sequence), decode records straight into the shard's sub-log (no
-// per-message temporary slice) and fold them into the epoch analyzer.
+// rank, sequence), copy the validated record bytes into the shard's sub-log
+// as they arrived and fold them into the epoch analyzer.
 // Duplicate frames are acknowledged (nil error) but not re-ingested;
 // corrupted or malformed frames return an error without touching any log.
 // Heartbeat frames (liveness.go) fold into the sender's lease state and are
@@ -324,13 +324,12 @@ func (s *Server) ingestFrame(h FrameHeader, encoded []byte, forceTicket uint64) 
 	} else {
 		ticket = s.ticket.Add(1)
 	}
-	recs := sh.alloc(h.Count)
-	decodeRecords(recs, encoded[frameHeaderSize:])
+	recs := sh.store(encoded[frameHeaderSize:])
 	sh.segments = append(sh.segments, segment{ticket: ticket, recs: recs})
 	sh.bytesReceived += int64(len(encoded))
 	sh.messages++
-	for i := range recs {
-		if ns := recs[i].SliceNs; ns > rs.latestSliceNs {
+	for off := 0; off < len(recs); off += recordWireSize {
+		if ns := recAt(recs, off).sliceNs(); ns > rs.latestSliceNs {
 			rs.latestSliceNs = ns
 		}
 	}
@@ -345,20 +344,11 @@ func (s *Server) ingestFrame(h FrameHeader, encoded []byte, forceTicket uint64) 
 
 // Records returns a snapshot of the received slice records in arrival
 // (ticket) order. The snapshot is built from per-shard segment views — no
-// shard lock is held while the merged copy is assembled, and an ingest
-// racing the snapshot only affects whether its frame is included, never the
+// shard lock is held while the merged copy is decoded, and an ingest racing
+// the snapshot only affects whether its frame is included, never the
 // integrity of the records that are.
 func (s *Server) Records() []detect.SliceRecord {
-	segs := s.read(readLog).segs
-	n := 0
-	for _, sg := range segs {
-		n += len(sg.recs)
-	}
-	out := make([]detect.SliceRecord, 0, n)
-	for _, sg := range segs {
-		out = append(out, sg.recs...)
-	}
-	return out
+	return decodeSegments(s.read(readLog).segs, 0)
 }
 
 // Client is a per-rank connection to the analysis server. It implements
@@ -472,7 +462,7 @@ func (c *Client) RecordsSent() int64 { return c.sent }
 // visible even though their contents never arrived.
 type Coverage struct {
 	ExpectedRecords int64 // highest cumulative count claimed, summed over ranks
-	IngestedRecords int64 // records actually decoded into the log
+	IngestedRecords int64 // records actually stored in the log
 	ExpectedFrames  int64 // highest sequence observed, summed over ranks
 	IngestedFrames  int64 // distinct frames ingested
 	DupFrames       int64 // retransmissions absorbed by dedup

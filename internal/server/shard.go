@@ -1,10 +1,6 @@
 package server
 
-import (
-	"sync"
-
-	"vsensor/internal/detect"
-)
+import "sync"
 
 // A shard owns the ingest state for a subset of ranks (rank & mask). Every
 // mutable structure a Receive touches — the sender's rank entry (flow,
@@ -19,10 +15,10 @@ type shard struct {
 	idx int // index in Server.shards
 
 	// chunk is the open chunk of the shard's record log: fixed capacity,
-	// filled by appending, never moved (see alloc). Only the open chunk is
-	// held here; full chunks live on through the segments that point into
-	// them.
-	chunk []detect.SliceRecord
+	// filled by appending wire records, never moved (see store). Only the
+	// open chunk is held here; full chunks live on through the segments
+	// that point into them.
+	chunk []byte
 
 	// segments is the shard's sub-log: each ingested frame's records and
 	// the global arrival ticket that linearizes it against other shards'
@@ -128,38 +124,40 @@ func (rs *rankState) markSeen(seq uint64) {
 	rs.ahead[seq] = struct{}{}
 }
 
-// segment is one ingested frame's slot in a shard's sub-log: its records, a
-// capacity-capped sub-slice of a chunk, and the global arrival number
-// (1-based, assigned under the shard lock). Merging every shard's segments by
-// ticket reproduces a single linearized log — identical to the order a single
-// global lock would have produced. A committed segment's records are
-// immutable, so a segment copied out under the lock is a read-only view.
+// segment is one ingested frame's slot in a shard's sub-log: its records in
+// the wire layout (wire.go), a capacity-capped sub-slice of a chunk, and the
+// global arrival number (1-based, assigned under the shard lock). Merging
+// every shard's segments by ticket reproduces a single linearized log —
+// identical to the order a single global lock would have produced. A
+// committed segment's records are immutable, so a segment copied out under
+// the lock is a read-only view.
 type segment struct {
 	ticket uint64
-	recs   []detect.SliceRecord
+	recs   []byte
 }
 
-// chunkRecords is the capacity of one record-log chunk: 56 KiB of records,
-// sixteen frames of the default batch. Not a knob: large enough that chunk
-// allocation is rare next to ingest, small enough that a shard which saw a
-// single frame does not pin much memory.
+// chunkRecords is the capacity of one record-log chunk in wire records:
+// 40 KiB, sixteen frames of the default batch. Not a knob: large enough
+// that chunk allocation is rare next to ingest, small enough that a shard
+// which saw a single frame does not pin much memory.
 const chunkRecords = 1024
 
-// alloc reserves n records at the end of the shard's log and returns them
-// for the caller to fill. A reservation that does not fit the rest of the
-// open chunk starts a new chunk; one larger than a chunk gets a block of its
-// own size and leaves the open chunk as it was. Nothing is ever copied or
+// store copies raw, a run of whole wire records, to the end of the shard's
+// log and returns the copy. A run that does not fit the rest of the open
+// chunk starts a new chunk; one larger than a chunk gets a block of its own
+// size and leaves the open chunk as it was. Nothing is ever copied again or
 // moved, so a segment handed to a reader or to the analyzer stays valid by
 // construction. Caller holds sh.mu.
-func (sh *shard) alloc(n int) []detect.SliceRecord {
-	if n > chunkRecords {
-		return make([]detect.SliceRecord, n)
+func (sh *shard) store(raw []byte) []byte {
+	n := len(raw)
+	if n > chunkRecords*recordWireSize {
+		return append(make([]byte, 0, n), raw...)
 	}
 	if n > cap(sh.chunk)-len(sh.chunk) {
-		sh.chunk = make([]detect.SliceRecord, 0, chunkRecords)
+		sh.chunk = make([]byte, 0, chunkRecords*recordWireSize)
 	}
 	start := len(sh.chunk)
-	sh.chunk = sh.chunk[:start+n]
+	sh.chunk = append(sh.chunk, raw...)
 	return sh.chunk[start : start+n : start+n]
 }
 

@@ -32,8 +32,9 @@ func TestShardLogChunkBoundary(t *testing.T) {
 	sh := live.shards[0]
 
 	var sent []detect.SliceRecord
-	var held [][]detect.SliceRecord // each frame's segment records, as the log handed them out
-	open := 0                       // modelled fill of the open chunk
+	var sentWire []byte // the frames' payloads, concatenated
+	var held [][]byte   // each frame's segment records, as the log handed them out
+	open := 0           // modelled fill of the open chunk, in records
 	seqs := map[int]uint64{}
 	for i, n := range sizes {
 		rank := i % 2
@@ -47,6 +48,7 @@ func TestShardLogChunkBoundary(t *testing.T) {
 		}
 		sent = append(sent, recs...)
 		frame := AppendFrame(nil, FrameHeader{Rank: rank, Seq: seqs[rank], CumRecords: uint64(len(sent))}, recs)
+		sentWire = append(sentWire, frame[frameHeaderSize:]...)
 		for _, s := range []*Server{live, ref} {
 			if err := s.Receive(frame); err != nil {
 				t.Fatalf("frame %d (%d records): %v", i, n, err)
@@ -64,11 +66,11 @@ func TestShardLogChunkBoundary(t *testing.T) {
 		seg := sh.segments[len(sh.segments)-1]
 		chunkLen, chunkCap := len(sh.chunk), cap(sh.chunk)
 		sh.mu.Unlock()
-		if chunkLen != open || chunkCap != chunkRecords {
-			t.Fatalf("frame %d (%d records): open chunk %d/%d, want %d/%d", i, n, chunkLen, chunkCap, open, chunkRecords)
+		if chunkLen != open*recordWireSize || chunkCap != chunkRecords*recordWireSize {
+			t.Fatalf("frame %d (%d records): open chunk %d/%d bytes, want %d/%d", i, n, chunkLen, chunkCap, open*recordWireSize, chunkRecords*recordWireSize)
 		}
-		if len(seg.recs) != n || cap(seg.recs) != n {
-			t.Fatalf("frame %d: segment len %d cap %d, want %d and %d (capped, so it cannot grow into a neighbour)", i, len(seg.recs), cap(seg.recs), n, n)
+		if size := n * recordWireSize; len(seg.recs) != size || cap(seg.recs) != size {
+			t.Fatalf("frame %d: segment len %d cap %d, want %d and %d (capped, so it cannot grow into a neighbour)", i, len(seg.recs), cap(seg.recs), size, size)
 		}
 		held = append(held, seg.recs)
 
@@ -92,7 +94,7 @@ func TestShardLogChunkBoundary(t *testing.T) {
 	// later frames allocated chunks (and own blocks) after it.
 	off := 0
 	for i, recs := range held {
-		if !slices.Equal(recs, sent[off:off+len(recs)]) {
+		if !slices.Equal(recs, sentWire[off:off+len(recs)]) {
 			t.Fatalf("segment %d changed after later chunks were allocated", i)
 		}
 		off += len(recs)

@@ -7,8 +7,6 @@ import (
 	"math"
 	"slices"
 	"sort"
-
-	"vsensor/internal/detect"
 )
 
 // Snapshots. A checkpoint appends one CRC-sealed *section* — what changed
@@ -182,8 +180,8 @@ func (s *Server) appendSection(b []byte, link uint32, gen, lsn uint64) ([]byte, 
 		b = appendU32(b, uint32(len(fresh)))
 		for _, sg := range fresh {
 			b = appendUv(b, sg.ticket)
-			b = appendUv(b, len(sg.recs))
-			b = appendRecords(b, sg.recs)
+			b = appendUv(b, sg.records())
+			b = append(b, sg.recs...)
 		}
 		sh.mu.Unlock()
 	}
@@ -426,9 +424,7 @@ func (st *snapState) fold(body []byte) error {
 			if r.err != nil {
 				break
 			}
-			recs := sh.alloc(int(nRecs))
-			decodeRecords(recs, raw)
-			sh.segments = append(sh.segments, segment{ticket: ticket, recs: recs})
+			sh.segments = append(sh.segments, segment{ticket: ticket, recs: sh.store(raw)})
 		}
 		if r.err != nil {
 			return r.err
@@ -553,12 +549,4 @@ func (d *durability) writeSection(slot string, sec []byte, replace bool) error {
 		return d.disk.Rename(name, slot)
 	}
 	return nil
-}
-
-// appendRecords appends records in the 40-byte frame wire layout.
-func appendRecords(dst []byte, recs []detect.SliceRecord) []byte {
-	n := len(recs) * recordWireSize
-	dst = slices.Grow(dst, n)
-	putRecords(dst[len(dst):len(dst)+n], recs)
-	return dst[:len(dst)+n]
 }

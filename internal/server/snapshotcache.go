@@ -70,11 +70,10 @@ type ReportSnapshot struct {
 	Durability DurabilityStats
 
 	// version is the mutation counter value the snapshot was built at; segs
-	// and offsets hold the ordered-segment record view (offsets[i] = records
-	// before segs[i]) so record windows are served without copying the log.
+	// is the ordered-segment record view and total the records it holds, so
+	// record windows are served without copying the log.
 	version uint64
 	segs    []segment
-	offsets []int
 	total   int
 }
 
@@ -102,18 +101,7 @@ func (sn *ReportSnapshot) RecordsWindow(cursor int) (recs []detect.SliceRecord, 
 	if cursor < base || cursor > sn.total {
 		return []detect.SliceRecord{}, base, base, false
 	}
-	recs = make([]detect.SliceRecord, 0, sn.total-cursor)
-	for i, sg := range sn.segs {
-		if sn.offsets[i]+len(sg.recs) <= cursor {
-			continue
-		}
-		from := 0
-		if cursor > sn.offsets[i] {
-			from = cursor - sn.offsets[i]
-		}
-		recs = append(recs, sg.recs[from:]...)
-	}
-	return recs, sn.total, base, true
+	return decodeSegments(sn.segs, cursor-base), sn.total, base, true
 }
 
 // Records materializes the snapshot's full ordered record view.
@@ -267,10 +255,8 @@ func (s *Server) buildSnapshot() *ReportSnapshot {
 		Progress: v.progress, PerRank: v.perRank, Coverage: v.coverage,
 		PerShard: v.perShard, Liveness: v.liveness, segs: v.segs,
 	}
-	sn.offsets = make([]int, len(sn.segs))
-	for i, sg := range sn.segs {
-		sn.offsets[i] = sn.total
-		sn.total += len(sg.recs)
+	for _, sg := range sn.segs {
+		sn.total += sg.records()
 	}
 	sn.Report = v.report(s.outliersAt(DefaultSnapshotThreshold, v.watermarkNs, v.haveWatermark))
 	// Epoch counts are captured after the outlier render: computing outliers

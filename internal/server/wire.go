@@ -151,7 +151,7 @@ func TraceOf(lin *obs.Lineage, data []byte) uint64 {
 
 // putRecords serializes recs in the 40-byte wire record layout into dst,
 // which must hold len(recs)*recordWireSize bytes: the one record encoder,
-// shared by frame payloads and snapshot sections.
+// behind every frame a client sends.
 func putRecords(dst []byte, recs []detect.SliceRecord) {
 	off := 0
 	for _, r := range recs {
@@ -166,10 +166,25 @@ func putRecords(dst []byte, recs []detect.SliceRecord) {
 	}
 }
 
+// wireRec is one record in the wire layout, as the shard log stores it. The
+// fold and the watermark advance read the few fields they need through its
+// accessors instead of decoding the record.
+type wireRec [recordWireSize]byte
+
+// recAt returns the record at byte offset off of a record run.
+func recAt(run []byte, off int) *wireRec { return (*wireRec)(run[off:]) }
+
+func (r *wireRec) sensor() int32  { return int32(binary.LittleEndian.Uint32(r[0:])) }
+func (r *wireRec) group() int32   { return int32(binary.LittleEndian.Uint32(r[4:])) }
+func (r *wireRec) rank() int32    { return int32(binary.LittleEndian.Uint32(r[8:])) }
+func (r *wireRec) sliceNs() int64 { return int64(binary.LittleEndian.Uint64(r[12:])) }
+func (r *wireRec) avgNs() float64 { return math.Float64frombits(binary.LittleEndian.Uint64(r[24:])) }
+
+// records returns how many wire records sg holds.
+func (sg segment) records() int { return len(sg.recs) / recordWireSize }
+
 // decodeRecords fills dst from len(dst) wire records at the start of raw:
-// the one record decoder. Live ingest and WAL replay hand it a validated
-// frame's payload, snapshot install a section's bounds-checked segment, and
-// both decode straight into the shard log's chunk.
+// the one record decoder, called only by decodeSegments.
 func decodeRecords(dst []detect.SliceRecord, raw []byte) {
 	off := 0
 	for i := range dst {
@@ -186,14 +201,38 @@ func decodeRecords(dst []detect.SliceRecord, raw []byte) {
 	}
 }
 
+// decodeSegments decodes the records of segs, in order, after the first
+// skip: the read edge, where a stored record becomes a detect.SliceRecord.
+// Records and RecordsWindow serve through it; skip is a record cursor, found
+// by counting segment lengths. The result is never nil.
+func decodeSegments(segs []segment, skip int) []detect.SliceRecord {
+	skip *= recordWireSize
+	n := -skip
+	for _, sg := range segs {
+		n += len(sg.recs)
+	}
+	out := make([]detect.SliceRecord, n/recordWireSize)
+	dst := out
+	for _, sg := range segs {
+		raw := sg.recs
+		if skip >= len(raw) {
+			skip -= len(raw)
+			continue
+		}
+		raw, skip = raw[skip:], 0
+		k := len(raw) / recordWireSize
+		decodeRecords(dst[:k], raw)
+		dst = dst[k:]
+	}
+	return out
+}
+
 // decodeFrame parses and deserializes a whole frame (test/tooling helper;
-// the ingest path decodes straight into the server's log instead).
+// the ingest path stores the validated payload as it is).
 func decodeFrame(data []byte) (FrameHeader, []detect.SliceRecord, error) {
 	h, err := ParseFrame(data)
 	if err != nil {
 		return h, nil, err
 	}
-	recs := make([]detect.SliceRecord, h.Count)
-	decodeRecords(recs, data[frameHeaderSize:])
-	return h, recs, nil
+	return h, decodeSegments([]segment{{recs: data[frameHeaderSize:]}}, 0), nil
 }

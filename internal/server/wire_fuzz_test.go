@@ -81,7 +81,10 @@ func FuzzBatchRoundTrip(f *testing.F) {
 
 // FuzzCheckBatch throws arbitrary bytes at the frame parser and the server
 // ingest path: they must never panic, never allocate from an unvalidated
-// length, and never ingest a frame whose CRC does not cover its bytes.
+// length, and never ingest a frame whose CRC does not cover its bytes. A
+// frame the parser accepts is stored as received: the shard's one segment
+// holds exactly its payload, and Records, re-encoded, gives those bytes back
+// bit for bit (NaN payloads included).
 func FuzzCheckBatch(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x31, 0x46, 0x53, 0x76}) // magic alone
@@ -130,8 +133,21 @@ func FuzzCheckBatch(f *testing.F) {
 		if (ierr == nil) != (err == nil) {
 			t.Fatalf("Receive and ParseFrame disagree: %v vs %v", ierr, err)
 		}
-		if err == nil && len(s.Records()) != h.Count {
-			t.Fatalf("ingested %d records from a frame claiming %d", len(s.Records()), h.Count)
+		if err != nil {
+			return
+		}
+		recs := s.Records()
+		if len(recs) != h.Count {
+			t.Fatalf("ingested %d records from a frame claiming %d", len(recs), h.Count)
+		}
+		payload := data[frameHeaderSize:]
+		if segs := s.shardFor(h.Rank).segments; len(segs) != 1 || !bytes.Equal(segs[0].recs, payload) {
+			t.Fatalf("the shard log holds %d segments, not the frame's payload as received", len(segs))
+		}
+		re := make([]byte, len(recs)*recordWireSize)
+		putRecords(re, recs)
+		if !bytes.Equal(re, payload) {
+			t.Fatal("Records, re-encoded, differ from the payload the frame carried")
 		}
 	})
 }
