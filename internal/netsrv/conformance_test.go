@@ -1,168 +1,133 @@
 package netsrv
 
 import (
+	"errors"
 	"fmt"
-	"math/rand"
 	"net/http/httptest"
+	"slices"
 	"sync"
 	"testing"
 
+	"vsensor/internal/detect"
+	"vsensor/internal/feed"
 	"vsensor/internal/obs"
 	"vsensor/internal/server"
 )
 
+var multiTenantSpec = feed.Spec{
+	Seed: 0x7E4A47, Step: 7919, Trials: 10,
+	Ranks: [2]int{4, 24}, Sensors: [2]int{1, 3}, Slices: [2]int{2, 4},
+	Events: map[feed.Kind][]float64{
+		feed.Drop: {0, 0.1, 0.3}, feed.Dup: {0, 0.15}, feed.Corrupt: {0, 0.1}, feed.Shuffle: {0.75},
+	},
+}
+
 // The multi-tenant differential conformance property: N concurrent runs
 // interleaved over ONE listener must each produce a report bit-identical
-// to an isolated single-run server fed the same schedule. Tenancy is an
-// addressing layer, never an approximation: no cross-run bleed in records,
-// coverage, or outlier verdicts, no matter how the sessions' goroutines
-// interleave, and no matter who polls /status meanwhile.
+// to an isolated single-run server fed the same schedule, and hold exactly
+// its own ranks' records. Tenancy is an addressing layer, never an
+// approximation: no cross-run bleed in records, coverage, or outlier
+// verdicts, no matter how the sessions' goroutines interleave, and no
+// matter who polls /status meanwhile.
 func TestMultiTenantDifferentialConformance(t *testing.T) {
-	const trials = 10
-	for trial := 0; trial < trials; trial++ {
-		trial := trial
-		t.Run(fmt.Sprintf("seed=%d", trial), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(0x7E4A47 + int64(trial)*7919))
-			runs := 2 + rng.Intn(3)
-			ranks := 2 + rng.Intn(5)
-			shards := 1 << rng.Intn(3)
-			threshold := []float64{0.7, 0.8, 0.9}[rng.Intn(3)]
+	feed.Run(t, multiTenantSpec, multiTenant)
+}
 
-			// Per-run schedules, faults baked deterministically into the
-			// schedule itself so the networked tenant and its isolated
-			// reference see byte-identical inputs.
-			schedules := make([][][]byte, runs)
-			for r := range schedules {
-				plan := schedulePlan{
-					drop:    []float64{0, 0.1, 0.3}[rng.Intn(3)],
-					dup:     []float64{0, 0.15}[rng.Intn(2)],
-					corrupt: []float64{0, 0.1}[rng.Intn(2)],
-					shuffle: rng.Intn(4) != 0,
-				}
-				frames := buildRankFrames(rng, ranks, 1+rng.Intn(3), 2+rng.Intn(3))
-				schedules[r] = buildSchedule(rng, frames, plan)
-			}
+func multiTenant(t *testing.T, tr feed.Trial) error {
+	r := tr.Rand("service")
+	runs := 2 + r.IntN(3)
+	shards := 1 << r.IntN(3)
+	threshold := []float64{0.7, 0.8, 0.9}[r.IntN(3)]
 
-			// Isolated references: one private server per run, and the
-			// verdict each schedule entry earned there.
-			refs := make([]*server.Server, runs)
-			accepted := make([][]bool, runs)
-			for r := range refs {
-				refs[r] = server.NewSharded(shards)
-				accepted[r] = referenceVerdicts(refs[r], schedules[r])
-			}
-
-			// One listener, N concurrent tenant sessions.
-			o := obs.New()
-			svc, err := Listen("127.0.0.1:0", Config{Shards: shards, MaxWorkers: runs + 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer svc.Close()
-			svc.SetObs(o)
-			o.SetStatus(func() any { return svc.Stats() })
-			ts := httptest.NewServer(o.Handler())
-			defer ts.Close()
-
-			// Racing /status and /metrics pollers hammer the introspection
-			// endpoint while the tenants stream; /metrics reads Stats at
-			// scrape time.
-			done := make(chan struct{})
-			var pollers sync.WaitGroup
-			for p := 0; p < 2; p++ {
-				pollers.Add(1)
-				go func() {
-					defer pollers.Done()
-					for {
-						select {
-						case <-done:
-							return
-						default:
-						}
-						for _, path := range []string{"/status", "/metrics"} {
-							if res, err := ts.Client().Get(ts.URL + path); err == nil {
-								res.Body.Close()
-							}
-						}
-					}
-				}()
-			}
-
-			var wg sync.WaitGroup
-			errs := make([]error, runs)
-			for r := 0; r < runs; r++ {
-				wg.Add(1)
-				go func(run int) {
-					defer wg.Done()
-					rs, err := DialResilient(ReconnectConfig{Addr: svc.Addr().String(), Hello: Hello{RunID: fmt.Sprintf("run-%d", run)}})
-					if err != nil {
-						errs[run] = err
-						return
-					}
-					defer rs.Close()
-					for i, f := range schedules[run] {
-						if err := rs.Receive(f); verdictMismatch(err, accepted[run][i], false) {
-							errs[run] = fmt.Errorf("item %d: delivery = %v, reference accepted = %v\nsession: %+v",
-								i, err, accepted[run][i], rs.Stats())
-							return
-						}
-					}
-				}(r)
-			}
-			wg.Wait()
-			close(done)
-			pollers.Wait()
-			for r, err := range errs {
-				if err != nil {
-					t.Fatalf("run %d session: %v", r, err)
-				}
-			}
-
-			// Bit-for-bit equality, tenant by tenant: record log in order,
-			// full coverage struct, messages/bytes accounting, and every
-			// outlier verdict field.
-			for r := 0; r < runs; r++ {
-				ten := svc.Tenant(fmt.Sprintf("run-%d", r))
-				if ten == nil {
-					t.Fatalf("tenant run-%d missing", r)
-				}
-				ref := refs[r]
-				got, want := ten.Records(), ref.Records()
-				if len(got) != len(want) {
-					t.Fatalf("run %d: %d records, reference %d", r, len(got), len(want))
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("run %d record %d differs:\n got: %+v\nwant: %+v", r, i, got[i], want[i])
-					}
-				}
-				if g, w := ten.Coverage(), ref.Coverage(); g != w {
-					t.Fatalf("run %d coverage differs:\n got: %+v\nwant: %+v", r, g, w)
-				}
-				if g, w := ten.Progress().Messages, ref.Progress().Messages; g != w {
-					t.Fatalf("run %d messages %d, want %d", r, g, w)
-				}
-				if g, w := ten.Progress().Bytes, ref.Progress().Bytes; g != w {
-					t.Fatalf("run %d bytes %d, want %d", r, g, w)
-				}
-				gotOut, wantOut := ten.InterProcessOutliers(threshold), ref.InterProcessOutliers(threshold)
-				if len(gotOut) != len(wantOut) {
-					t.Fatalf("run %d: %d outliers, reference %d", r, len(gotOut), len(wantOut))
-				}
-				for i := range gotOut {
-					if gotOut[i] != wantOut[i] {
-						t.Fatalf("run %d outlier %d differs:\n got: %+v\nwant: %+v", r, i, gotOut[i], wantOut[i])
-					}
-				}
-				gRep, wRep := ten.InterProcessReport(threshold), ref.InterProcessReport(threshold)
-				if gRep.Coverage != wRep.Coverage || gRep.Degraded != wRep.Degraded ||
-					len(gRep.Outliers) != len(wRep.Outliers) || len(gRep.DeadRanks) != len(wRep.DeadRanks) {
-					t.Fatalf("run %d report header differs:\n got: %+v\nwant: %+v", r, gRep, wRep)
-				}
-			}
-			if st := svc.Stats(); st.Runs != int64(runs) {
-				t.Fatalf("service hosts %d runs, want %d", st.Runs, runs)
-			}
-		})
+	// Run k hosts ranks k, k+runs, k+2·runs, ...: its schedule is the
+	// trial's deliveries from those ranks, faults baked in, so the networked
+	// tenant and its isolated reference see byte-identical inputs.
+	schedules := make([][][]byte, runs)
+	for _, s := range tr.Schedule(codec) {
+		if s.Data != nil {
+			schedules[s.Rank%runs] = append(schedules[s.Rank%runs], s.Data)
+		}
 	}
+	refs := make([]*server.Server, runs)
+	accepted := make([][]bool, runs)
+	for k := range refs {
+		refs[k] = server.NewSharded(shards)
+		accepted[k] = referenceVerdicts(refs[k], schedules[k])
+	}
+
+	// One listener, N concurrent tenant sessions, and racing /status and
+	// /metrics pollers hammering the introspection endpoint while the
+	// tenants stream; /metrics reads Stats at scrape time.
+	o := obs.New()
+	svc, err := Listen("127.0.0.1:0", Config{Shards: shards, MaxWorkers: runs + 2})
+	if err != nil {
+		return err
+	}
+	defer svc.Close()
+	svc.SetObs(o)
+	o.SetStatus(func() any { return svc.Stats() })
+	ts := httptest.NewServer(o.Handler())
+	defer ts.Close()
+	poll := func() {
+		for _, path := range []string{"/status", "/metrics"} {
+			if res, err := ts.Client().Get(ts.URL + path); err == nil {
+				res.Body.Close()
+			}
+		}
+	}
+	stop := feed.Race(poll, poll)
+
+	var wg sync.WaitGroup
+	errs := make([]error, runs)
+	for k := range runs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rs, err := DialResilient(ReconnectConfig{Addr: svc.Addr().String(), Hello: Hello{RunID: fmt.Sprintf("run-%d", k)}})
+			if err != nil {
+				errs[k] = err
+				return
+			}
+			defer rs.Close()
+			for i, f := range schedules[k] {
+				if err := rs.Receive(f); verdictMismatch(err, accepted[k][i], false) {
+					errs[k] = fmt.Errorf("run %d item %d: delivery = %v, reference accepted = %v\nsession: %+v",
+						k, i, err, accepted[k][i], rs.Stats())
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	stop()
+	if err := errors.Join(errs...); err != nil {
+		return err
+	}
+
+	// Bit-for-bit equality, tenant by tenant: record log in order, full
+	// coverage struct, messages/bytes accounting, every outlier verdict
+	// field and the report header.
+	truth := tr.Truth()
+	for k := range runs {
+		ten := svc.Tenant(fmt.Sprintf("run-%d", k))
+		if ten == nil {
+			return fmt.Errorf("tenant run-%d missing", k)
+		}
+		ref := refs[k]
+		own := slices.DeleteFunc(slices.Clone(truth), func(rec detect.SliceRecord) bool { return rec.Rank%runs != k })
+		gRep, wRep := ten.InterProcessReport(threshold), ref.InterProcessReport(threshold)
+		if err := errors.Join(
+			sameTenant(ten, ref, threshold),
+			feed.Same("exactly-once record", feed.Sorted(ten.Records()), own),
+			feed.Equal("messages", ten.Progress().Messages, ref.Progress().Messages),
+			feed.Equal("bytes", ten.Progress().Bytes, ref.Progress().Bytes),
+			feed.Equal("report coverage", gRep.Coverage, wRep.Coverage),
+			feed.Equal("report degraded", gRep.Degraded, wRep.Degraded),
+			feed.Same("report outlier", gRep.Outliers, wRep.Outliers),
+			feed.Same("report dead rank", gRep.DeadRanks, wRep.DeadRanks),
+		); err != nil {
+			return fmt.Errorf("run %d: %w", k, err)
+		}
+	}
+	return feed.Equal("hosted runs", svc.Stats().Runs, int64(runs))
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"vsensor/internal/feed"
 	"vsensor/internal/netsrv/chaosproxy"
 	"vsensor/internal/server"
 	"vsensor/internal/transport"
@@ -55,10 +56,9 @@ func TestWindowProgressUnderEarlyResets(t *testing.T) {
 
 	clean := server.New()
 	runRanksOver(t, clean, transport.FaultPlan{}, ranks, perRank)
-	got, want := svc.Tenant("early-resets").Records(), clean.Records()
-	sortRecs(got)
-	sortRecs(want)
-	sameRecords(t, got, want)
+	if err := feed.Same("record", feed.Sorted(svc.Tenant("early-resets").Records()), feed.Sorted(clean.Records())); err != nil {
+		t.Fatal(err)
+	}
 	if cov := svc.Tenant("early-resets").Coverage(); !cov.Complete() {
 		t.Errorf("coverage incomplete: %+v", cov)
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"vsensor/internal/detect"
+	"vsensor/internal/feed"
 	"vsensor/internal/obs"
 )
 
@@ -21,15 +22,19 @@ const (
 	benchWorkers       = 8
 )
 
-// buildBenchFrames pre-encodes the whole session: frames[rank][slice] holds
-// benchSensors records for that rank at that slice. Values are arranged so
-// some slices genuinely contain outliers (rank 0 runs slow).
-func buildBenchFrames(ranks int) [][][]byte {
+// buildBenchFrames pre-encodes round round of the session: frames[rank][sl]
+// holds benchSensors records for that rank at slice sl of the round. Round r
+// continues each rank's stream where round r-1 left off (sequences, slice
+// timestamps and cumulative counts all advance), so successive rounds are
+// fresh records, not duplicates. Values are arranged so some slices
+// genuinely contain outliers (rank 0 runs slow).
+func buildBenchFrames(ranks, round int) [][][]byte {
 	frames := make([][][]byte, ranks)
 	recs := make([]detect.SliceRecord, benchSensors)
+	base := round * benchFramesPerRank
 	for rank := 0; rank < ranks; rank++ {
 		perRank := make([][]byte, benchFramesPerRank)
-		var cum uint64
+		cum := uint64(base * benchSensors)
 		for sl := 0; sl < benchFramesPerRank; sl++ {
 			for sn := 0; sn < benchSensors; sn++ {
 				avg := 100.0 + float64(sn)
@@ -39,13 +44,13 @@ func buildBenchFrames(ranks int) [][][]byte {
 				recs[sn] = detect.SliceRecord{
 					Sensor:  sn,
 					Rank:    rank,
-					SliceNs: int64(sl) * 1_000_000,
+					SliceNs: int64(base+sl) * 1_000_000,
 					Count:   4,
 					AvgNs:   avg,
 				}
 			}
 			cum += uint64(len(recs))
-			perRank[sl] = AppendFrame(nil, FrameHeader{Rank: rank, Seq: uint64(sl) + 1, CumRecords: cum}, recs)
+			perRank[sl] = AppendFrame(nil, FrameHeader{Rank: rank, Seq: uint64(base+sl) + 1, CumRecords: cum}, recs)
 		}
 		frames[rank] = perRank
 	}
@@ -96,7 +101,7 @@ func benchSizes() []int { return []int{64, 512, 4096} }
 func BenchmarkIngestParallel(b *testing.B) {
 	for _, ranks := range benchSizes() {
 		b.Run(fmt.Sprintf("ranks=%d", ranks), func(b *testing.B) {
-			frames := buildBenchFrames(ranks)
+			frames := buildBenchFrames(ranks, 0)
 			records := ranks * benchFramesPerRank * benchSensors
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -116,7 +121,7 @@ func BenchmarkIngestParallel(b *testing.B) {
 // frame plus span recording on the sampled ones.
 func BenchmarkIngestLineage(b *testing.B) {
 	for _, ranks := range []int{64, 4096} {
-		frames := buildBenchFrames(ranks)
+		frames := buildBenchFrames(ranks, 0)
 		for _, on := range []bool{false, true} {
 			mode := "off"
 			if on {
@@ -145,7 +150,7 @@ func BenchmarkIngestLineage(b *testing.B) {
 // what it says: the sharded engine's incremental verdict over the session
 // equals a batch recompute over the flat record log.
 func TestStreamingSessionEnginesAgree(t *testing.T) {
-	frames := buildBenchFrames(64)
+	frames := buildBenchFrames(64, 0)
 	srv := NewSharded(DefaultShards)
 	for sl := 0; sl < benchFramesPerRank; sl++ {
 		for rank := 0; rank < len(frames); rank++ {
@@ -154,13 +159,8 @@ func TestStreamingSessionEnginesAgree(t *testing.T) {
 			}
 		}
 	}
-	a, bb := srv.InterProcessOutliers(0.9), batchOutliers(srv.Records(), 0.9)
-	if len(a) == 0 || len(a) != len(bb) {
-		t.Fatalf("engines disagree: incremental %d outliers, batch %d", len(a), len(bb))
-	}
-	for i := range a {
-		if a[i] != bb[i] {
-			t.Fatalf("outlier %d differs: %+v vs %+v", i, a[i], bb[i])
-		}
+	a := srv.InterProcessOutliers(0.9)
+	if err := feed.Same("outlier", a, batchOutliers(srv.Records(), 0.9)); err != nil || len(a) == 0 {
+		t.Fatalf("engines disagree (%d incremental outliers): %v", len(a), err)
 	}
 }

@@ -1,66 +1,27 @@
 package server
 
 import (
-	"math/rand"
+	"errors"
 	"testing"
 
-	"vsensor/internal/detect"
+	"vsensor/internal/feed"
 )
 
-// ingestFrames delivers one frame per record in the given order, with
-// per-sender sequence numbers assigned in that order.
-func ingestFrames(t *testing.T, recs []detect.SliceRecord, order []int) *Server {
-	t.Helper()
-	s := New()
-	seqs := map[int]uint64{}
-	cums := map[int]uint64{}
-	for _, i := range order {
-		r := recs[i]
-		seqs[r.Rank]++
-		cums[r.Rank]++
-		enc := AppendFrame(nil, FrameHeader{
-			Rank: r.Rank, Seq: seqs[r.Rank], CumRecords: cums[r.Rank],
-		}, []detect.SliceRecord{r})
-		if err := s.Receive(enc); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return s
-}
-
-// Property: InterProcessOutliers is invariant under record arrival order.
-// Whatever permutation the transport delivers a run's records in, the
+// Property: InterProcessOutliers is invariant under frame arrival order.
+// Whatever permutation the transport delivers a run's frames in, the
 // analysis must produce the identical outlier list — the guarantee that lets
 // a lossy, reordering link feed the same analysis as a reliable one.
 func TestOutliersReorderInvariance(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 25; trial++ {
-		n := 20 + rng.Intn(120)
-		recs := make([]detect.SliceRecord, n)
-		for i := range recs {
-			recs[i] = detect.SliceRecord{
-				Sensor:  rng.Intn(4),
-				Group:   rng.Intn(2),
-				Rank:    rng.Intn(10),
-				SliceNs: int64(rng.Intn(5)) * 1_000_000,
-				Count:   int32(1 + rng.Intn(9)),
-				AvgNs:   50 + 200*rng.Float64(),
-			}
-		}
-		order := rng.Perm(n)
-		inOrder := make([]int, n)
-		for i := range inOrder {
-			inOrder[i] = i
-		}
-		a := ingestFrames(t, recs, inOrder).InterProcessOutliers(0.8)
-		b := ingestFrames(t, recs, order).InterProcessOutliers(0.8)
-		if len(a) != len(b) {
-			t.Fatalf("trial %d: %d outliers in order, %d shuffled", trial, len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("trial %d: outlier %d differs: %+v vs %+v", trial, i, a[i], b[i])
-			}
-		}
+	sp := feed.Spec{
+		Seed: 42, Step: 1, Trials: 25,
+		Ranks: [2]int{2, 10}, Sensors: [2]int{1, 4}, Slices: [2]int{1, 5},
+		Events: map[feed.Kind][]float64{feed.Shuffle: {1}},
 	}
+	feed.Run(t, sp, func(t *testing.T, tr feed.Trial) error {
+		inOrder, shuffled := New(), New()
+		deliverAll(inOrder, feed.Trial{Seed: tr.Seed, Shape: tr.Shape})
+		deliverAll(shuffled, tr)
+		return errors.Join(tr.ExactlyOnce(shuffled.Records()),
+			feed.Same("outlier", shuffled.InterProcessOutliers(0.8), inOrder.InterProcessOutliers(0.8)))
+	})
 }

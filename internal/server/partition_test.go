@@ -1,14 +1,15 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
 
 	"vsensor/internal/detect"
+	"vsensor/internal/feed"
 	"vsensor/internal/obs"
 )
 
@@ -28,19 +29,17 @@ func sameOutliersBits(a, b []Outlier) bool {
 	return true
 }
 
-// partitionRun is what one server made of a replayed frame sequence: every
-// poll's outliers and epoch counts, then the final ones and the reopens.
+// partitionRun is what one server made of a trial's schedule: every poll's
+// outliers and epoch counts, and the reopens.
 type partitionRun struct {
 	polls   [][]Outlier
 	stats   []EpochStats
 	reopens int64
 }
 
-// replayPartitioned delivers schedule to a fresh server with the given
-// shard count from one goroutine, polling every pollEvery frames, then
-// delivers held (the late frames) and polls once more.
-func replayPartitioned(t *testing.T, shards int, schedule, held [][]byte, pollEvery int, threshold float64) partitionRun {
-	t.Helper()
+// replayPartitioned drives the trial's schedule into a fresh server with the
+// given shard count from one goroutine, then polls once more.
+func replayPartitioned(tr feed.Trial, steps []feed.Step, shards int, threshold float64) (partitionRun, error) {
 	s := NewSharded(shards)
 	o := obs.New()
 	s.SetObs(o)
@@ -49,68 +48,70 @@ func replayPartitioned(t *testing.T, shards int, schedule, held [][]byte, pollEv
 		run.polls = append(run.polls, s.InterProcessOutliers(threshold))
 		run.stats = append(run.stats, s.EpochStats())
 	}
-	for i, f := range schedule {
+	_ = feed.Drive(steps, func(_ int, f []byte) error {
 		_ = s.Receive(f) // corrupt copies are rejected; that is their job
-		if i%pollEvery == pollEvery-1 {
-			poll()
-		}
-	}
+		return nil
+	}, poll, nil)
 	poll()
-	for _, f := range held {
-		_ = s.Receive(f)
-	}
-	poll()
-	if got, want := run.polls[len(run.polls)-1], batchOutliers(s.Records(), threshold); !sameOutliersBits(got, want) {
-		t.Fatalf("shards=%d: final query differs from the batch recompute", shards)
-	}
 	run.reopens = o.Counter("server_epoch_reopens_total").Value()
-	return run
+	if got, want := run.polls[len(run.polls)-1], batchOutliers(s.Records(), threshold); !sameOutliersBits(got, want) {
+		return run, fmt.Errorf("shards=%d: final query differs from the batch recompute", shards)
+	}
+	return run, tr.ExactlyOnce(s.Records())
 }
 
-// TestVerdictIndependentOfPartitioning replays one seeded frame sequence —
-// reordered, duplicated and corrupted frames, with a held-back set of late
-// frames delivered after the epochs they belong to closed, and polls
-// throughout — through servers with 1, 16 and 64 epoch partitions. Every
-// poll's outliers (bit for bit), every poll's epoch counts and the reopen
-// counter must agree: the verdict, and the one-reopen-per-key accounting,
-// cannot depend on how epochs are partitioned.
+var partitionSpec = feed.Spec{
+	Seed: 0x9A27, Step: 1, Trials: 6,
+	Ranks: [2]int{80, 80}, Sensors: [2]int{3, 3}, Slices: [2]int{5, 5},
+	Events: map[feed.Kind][]float64{
+		feed.Dup: {0.15}, feed.Corrupt: {0.05}, feed.Shuffle: {1}, feed.HoldBack: {0.1}, feed.Poll: {1.0 / 37},
+	},
+}
+
+// TestVerdictIndependentOfPartitioning replays each trial's schedule —
+// reordered, duplicated and corrupted frames, polls throughout, and a
+// held-back tenth of the frames delivered after the poll that closes the
+// epochs they belong to — through servers with 1, 16 and 64 epoch
+// partitions. Every poll's outliers (bit for bit), every poll's epoch
+// counts and the reopen counter must agree: the verdict, and the
+// one-reopen-per-key accounting, cannot depend on how epochs are
+// partitioned. Every trial must reopen an epoch, or the late-frame path
+// went unexercised.
 func TestVerdictIndependentOfPartitioning(t *testing.T) {
-	for seed := int64(0); seed < 6; seed++ {
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(0x9A27 + seed))
-			threshold := []float64{0.7, 0.8, 0.9}[rng.Intn(3)]
-			frames := buildConformanceFrames(rng, 80, 3, 5)
-			schedule := applyPlan(rng, frames, conformancePlan{dup: 0.15, corrupt: 0.05, shuffle: true})
-			// Hold back a tenth of the schedule: delivered last, after the
-			// poll that closes the epochs they belong to.
-			var held [][]byte
-			kept := schedule[:0:0]
-			for _, f := range schedule {
-				if rng.Intn(10) == 0 {
-					held = append(held, f)
-				} else {
-					kept = append(kept, f)
+	reopened := 0
+	if feed.Run(t, partitionSpec, partitioning(&reopened)) == partitionSpec.Trials && reopened != partitionSpec.Trials {
+		t.Errorf("only %d of %d trials reopened an epoch: the late-frame path went unexercised", reopened, partitionSpec.Trials)
+	}
+}
+
+// partitioning is the property; it counts the trials that reopened an epoch.
+func partitioning(reopened *int) feed.Property {
+	return func(t *testing.T, tr feed.Trial) error {
+		threshold := []float64{0.7, 0.8, 0.9}[tr.Rand("server").IntN(3)]
+		steps := tr.Schedule(wire)
+		ref, err := replayPartitioned(tr, steps, 1, threshold)
+		if err != nil {
+			return err
+		}
+		for _, shards := range []int{16, 64} {
+			got, err := replayPartitioned(tr, steps, shards, threshold)
+			if err != nil {
+				return err
+			}
+			for i := range ref.polls {
+				if !sameOutliersBits(got.polls[i], ref.polls[i]) {
+					return fmt.Errorf("shards=%d poll %d: outliers differ from shards=1\n got: %+v\nwant: %+v", shards, i, got.polls[i], ref.polls[i])
 				}
 			}
-			ref := replayPartitioned(t, 1, kept, held, 37, threshold)
-			if ref.reopens == 0 {
-				t.Fatal("the sequence reopened no epoch: the late-frame path went unexercised")
+			if err := errors.Join(feed.Same(fmt.Sprintf("shards=%d poll's EpochStats", shards), got.stats, ref.stats),
+				feed.Equal(fmt.Sprintf("shards=%d reopen count", shards), got.reopens, ref.reopens)); err != nil {
+				return err
 			}
-			for _, shards := range []int{16, 64} {
-				got := replayPartitioned(t, shards, kept, held, 37, threshold)
-				for i := range ref.polls {
-					if !sameOutliersBits(got.polls[i], ref.polls[i]) {
-						t.Fatalf("shards=%d poll %d: outliers differ from shards=1\n got: %+v\nwant: %+v", shards, i, got.polls[i], ref.polls[i])
-					}
-					if got.stats[i] != ref.stats[i] {
-						t.Fatalf("shards=%d poll %d: EpochStats %+v, shards=1 %+v", shards, i, got.stats[i], ref.stats[i])
-					}
-				}
-				if got.reopens != ref.reopens {
-					t.Fatalf("shards=%d: %d reopens, shards=1 %d", shards, got.reopens, ref.reopens)
-				}
-			}
-		})
+		}
+		if ref.reopens > 0 {
+			*reopened++
+		}
+		return nil
 	}
 }
 
@@ -247,47 +248,20 @@ func TestQueryRacingLateRecord(t *testing.T) {
 	}
 }
 
-// TestQueriesRacingLateRecords is the concurrent form: one sender keeps
-// delivering late records for slices the watermark has passed while another
-// goroutine queries in a loop. Once both stop, a query must equal the batch
-// recompute — no query cached a verdict that missed a record.
+// TestQueriesRacingLateRecords is the concurrent form: one sender delivers a
+// shuffled schedule, whose held-back half lands in epochs the watermark has
+// long passed, while another goroutine queries in a loop. Once both stop, a
+// query must equal the batch recompute — no query cached a verdict that
+// missed a record.
 func TestQueriesRacingLateRecords(t *testing.T) {
-	const ranks, slices, late = 8, 4, 300
+	tr := feed.Spec{
+		Seed: 35, Trials: 1, Ranks: [2]int{8, 8}, Sensors: [2]int{4, 4}, Slices: [2]int{16, 16},
+		Events: map[feed.Kind][]float64{feed.Shuffle: {1}, feed.HoldBack: {0.5}},
+	}.Trial(0)
 	s := NewSharded(4)
-	seqs := make([]uint64, ranks)
-	for sl := int64(0); sl < slices; sl++ {
-		for r := 0; r < ranks; r++ {
-			seqs[r]++
-			if err := s.Receive(oneRecordFrame(r, seqs[r], sl*1_000_000, 100+float64(r%3)*60)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	rng := rand.New(rand.NewSource(35))
-	frames := make([][]byte, late)
-	for i := range frames {
-		r := rng.Intn(ranks)
-		seqs[r]++
-		frames[i] = oneRecordFrame(r, seqs[r], int64(rng.Intn(slices-1))*1_000_000, 50+400*rng.Float64())
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for _, f := range frames {
-			if err := s.Receive(f); err != nil {
-				t.Error(err)
-				return
-			}
-		}
-	}()
-	for querying := true; querying; {
-		select {
-		case <-done:
-			querying = false
-		default:
-			s.InterProcessOutliers(0.8)
-		}
-	}
+	stop := feed.Race(func() { s.InterProcessOutliers(0.8) })
+	deliverAll(s, tr)
+	stop()
 	if got, want := s.InterProcessOutliers(0.8), batchOutliers(s.Records(), 0.8); !sameOutliersBits(got, want) {
 		t.Fatalf("after the race: %d outliers, batch recompute %d", len(got), len(want))
 	}

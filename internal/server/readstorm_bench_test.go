@@ -8,8 +8,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"vsensor/internal/detect"
 )
 
 // readStormPollInterval is each simulated dashboard client's refresh
@@ -90,40 +88,6 @@ func readStormWorker(hptr *atomic.Pointer[http.Handler], stop <-chan struct{}, u
 	}
 }
 
-// buildStormRound encodes one round of the storm session: the same shape
-// as buildBenchFrames, but round r continues each rank's stream where
-// round r-1 left off (sequences, slice timestamps, and cumulative counts
-// all advance), so successive rounds are fresh records, not duplicates.
-func buildStormRound(ranks, round int) [][][]byte {
-	frames := make([][][]byte, ranks)
-	recs := make([]detect.SliceRecord, benchSensors)
-	base := round * benchFramesPerRank
-	for rank := 0; rank < ranks; rank++ {
-		perRank := make([][]byte, benchFramesPerRank)
-		cum := uint64(base * benchSensors)
-		for sl := 0; sl < benchFramesPerRank; sl++ {
-			for sn := 0; sn < benchSensors; sn++ {
-				avg := 100.0 + float64(sn)
-				if rank == 0 {
-					avg *= 2 // rank 0 stays the straggler every round
-				}
-				recs[sn] = detect.SliceRecord{
-					Sensor:  sn,
-					Rank:    rank,
-					SliceNs: int64(base+sl) * 1_000_000,
-					Count:   4,
-					AvgNs:   avg,
-				}
-			}
-			cum += uint64(len(recs))
-			h := FrameHeader{Rank: rank, Seq: uint64(base+sl) + 1, CumRecords: cum}
-			perRank[sl] = AppendFrame(nil, h, recs)
-		}
-		frames[rank] = perRank
-	}
-	return frames
-}
-
 // BenchmarkReadStorm measures what a poller storm costs ingest: the
 // streaming session of BenchmarkIngestParallel runs while N dashboard
 // clients poll the outlier verdict, with and without conditional
@@ -146,7 +110,7 @@ func BenchmarkReadStorm(b *testing.B) {
 	for _, ranks := range benchSizes() {
 		rounds := make([][][][]byte, readStormRounds)
 		for r := range rounds {
-			rounds[r] = buildStormRound(ranks, r)
+			rounds[r] = buildBenchFrames(ranks, r)
 		}
 		records := ranks * benchFramesPerRank * benchSensors * readStormRounds
 		for _, c := range combos {

@@ -5,230 +5,117 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"math/rand"
-	"sync"
 	"testing"
 
 	"vsensor/internal/detect"
+	"vsensor/internal/feed"
 	"vsensor/internal/storage"
 )
 
-// The kill-and-recover conformance property: for ANY randomized scenario —
-// delivery faults, group-commit window, snapshot cadence, disk faults
-// (torn writes, lying fsyncs, bit rot), and 1–3 crashes at arbitrary
-// points — Crash + Recover + resumed redelivery from the recovered LSN
-// must leave the server EXACTLY equal to one that never crashed: same
-// record log, same coverage counters, same outlier verdicts.
-//
-// The dense-LSN design makes "resume from the recovered LSN" well defined:
-// every Receive outcome (ingest, dup, checksum reject, framing reject,
-// heartbeat) advances the LSN by exactly one — a coalesced entry covers a
-// run of outcomes and carries the last one's LSN — so the recovered LSN IS
-// the count of delivery-schedule items whose effects survived.
-// Redelivering schedule[LSN:] replays the lost suffix through the
-// identical state machine, whatever the commit-group size.
-
-// durableTrial is one randomized kill-and-recover scenario's tuning.
-type durableTrial struct {
-	flushEvery int // outcomes per commit group; <= 1 is ack-implies-durable
-	snapEvery  int
-	faults     storage.Faults
-	crashes    []int // schedule indices at which the server crashes
-}
-
-// chattySchedule expands a delivery schedule with the steady-state chatter
-// real links produce in runs — back-to-back retransmits of one frame, bursts
-// of corrupt copies, same-rank heartbeat bursts — so commit groups larger
-// than one journal coalesced (*N) entries and recovery has to replay them.
-func chattySchedule(rng *rand.Rand, schedule [][]byte, ranks int) [][]byte {
-	out := make([][]byte, 0, 2*len(schedule))
-	for i, f := range schedule {
-		out = append(out, f)
-		switch rng.Intn(6) {
-		case 0: // retransmit storm: 1-3 immediate copies, each a dup outcome
-			for n := 1 + rng.Intn(3); n > 0; n-- {
-				out = append(out, f)
-			}
-		case 1: // a run of 2-4 corrupt copies
-			for n := 2 + rng.Intn(3); n > 0; n-- {
-				out = append(out, corruptCopy(rng, f))
-			}
-		case 2: // a burst of 2-5 heartbeats from one rank
-			rank := rng.Intn(ranks)
-			for n, now := 2+rng.Intn(4), int64(i)*1_000_000; n > 0; n-- {
-				out = append(out, AppendHeartbeat(nil, rank, now, 5_000_000))
-				now += int64(rng.Intn(3)) * 100_000
-			}
-		}
-	}
-	return out
+var killRecoverSpec = feed.Spec{
+	Seed: 0xD15C, Step: 104729, Trials: 120,
+	Ranks: [2]int{3, 12}, Sensors: [2]int{1, 3}, Slices: [2]int{2, 4},
+	// Back-to-back bursts of retransmits, corrupt copies and one rank's
+	// heartbeats are the chatter a commit group larger than one journals as
+	// coalesced (*N) entries, which recovery then has to replay.
+	Events: map[feed.Kind][]float64{
+		feed.Drop: {0, 0.15}, feed.Dup: {0.15, 0.3}, feed.Corrupt: {0.15, 0.25}, feed.Shuffle: {0.5},
+		feed.Heartbeat: {0.17}, feed.Crash: {1, 2, 3},
+		feed.TornWrite: {0, 0.5, 1}, feed.SyncLoss: {0, 0.3}, feed.BitRot: {0, 0.4},
+	},
+	Burst: 4,
 }
 
 func TestKillRecoverConformance(t *testing.T) {
-	const trials = 120
-	// How many trials ran to completion, recovered past a torn tail, and
-	// replayed a coalesced entry: the floors below keep the grid from
-	// silently ceasing to exercise either path.
-	var ran, sawTruncation, sawCoalescedReplay int
-	for trial := 0; trial < trials; trial++ {
-		trial := trial
-		t.Run(fmt.Sprintf("seed=%d", trial), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(0xD15C + int64(trial)*104729))
-			ranks := 3 + rng.Intn(10)
-			shards := 1 << rng.Intn(4)
-			sensors := 1 + rng.Intn(3)
-			slices := 2 + rng.Intn(3)
-			threshold := []float64{0.7, 0.8, 0.9}[rng.Intn(3)]
-			plan := conformancePlan{
-				drop:    []float64{0, 0.15}[rng.Intn(2)],
-				dup:     []float64{0, 0.15}[rng.Intn(2)],
-				corrupt: []float64{0, 0.1}[rng.Intn(2)],
-				shuffle: rng.Intn(2) == 0,
-			}
-			trialCfg := durableTrial{
-				flushEvery: []int{0, 0, 2, 8, 32}[rng.Intn(5)],
-				snapEvery:  []int{0, -1, 3, 8, 32}[rng.Intn(5)],
-				faults: storage.Faults{
-					Seed:      0xBAD + int64(trial),
-					TornWrite: []float64{0, 0.5, 1}[rng.Intn(3)],
-					SyncLoss:  []float64{0, 0.3}[rng.Intn(2)],
-					BitRot:    []float64{0, 0.4}[rng.Intn(2)],
-				},
-			}
-
-			frames := buildConformanceFrames(rng, ranks, sensors, slices)
-			// Both engines see the same chatter, heartbeats included, so
-			// liveness state must match too.
-			schedule := chattySchedule(rng, applyPlan(rng, frames, plan), ranks)
-
-			nCrashes := 1 + rng.Intn(3)
-			for i := 0; i < nCrashes; i++ {
-				trialCfg.crashes = append(trialCfg.crashes, rng.Intn(len(schedule)+1))
-			}
-
-			// Reference: a plain in-memory server fed the schedule once,
-			// in order, with no crashes.
-			ref := NewSharded(shards)
-			for _, f := range schedule {
-				_ = ref.Receive(f)
-			}
-
-			// Durable engine on a faulty disk, same schedule, crashing and
-			// recovering at the chosen points.
-			dur := NewSharded(shards)
-			dur.AttachDurability(DurabilityConfig{
-				FlushEvery:    trialCfg.flushEvery,
-				SnapshotEvery: trialCfg.snapEvery,
-				Disk:          storage.NewDisk(trialCfg.faults),
-			})
-
-			// A concurrent poller keeps querying throughout ingest, crash,
-			// and recovery: the race detector checks the locking story, and
-			// mid-stream polls force epoch close/reopen transitions.
-			done := make(chan struct{})
-			var wg sync.WaitGroup
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					select {
-					case <-done:
-						return
-					default:
-					}
-					_ = dur.InterProcessOutliers(threshold)
-					_ = dur.Coverage()
-					_ = dur.Liveness()
-					_ = dur.Records()
-					_ = dur.DurabilityStats()
-				}
-			}()
-
-			truncated, coalescedReplay := false, false
-			i := 0
-			for _, cp := range trialCfg.crashes {
-				for i < cp && i < len(schedule) {
-					_ = dur.Receive(schedule[i]) // corrupt frames error; that's their job
-					i++
-				}
-				if err := dur.Crash(); err != nil {
-					t.Fatalf("crash at %d: %v", i, err)
-				}
-				if !dur.Down() {
-					t.Fatal("server not down after Crash")
-				}
-				if len(schedule) > 0 {
-					if err := dur.Receive(schedule[0]); !errors.Is(err, ErrServerDown) {
-						t.Fatalf("Receive while down = %v, want ErrServerDown", err)
-					}
-				}
-				rs, err := dur.Recover()
-				if err != nil {
-					t.Fatalf("recover at %d: %v", i, err)
-				}
-				if dur.Down() {
-					t.Fatal("server still down after Recover")
-				}
-				if rs.LSN > uint64(i) {
-					t.Fatalf("recovered LSN %d exceeds %d delivered items", rs.LSN, i)
-				}
-				truncated = truncated || rs.TruncatedBytes > 0
-				// Only an *N entry covers more outcomes than it has entries.
-				coalescedReplay = coalescedReplay || rs.OutcomesReplayed > int64(rs.WALEntriesReplayed)
-				// The recovered state reflects schedule[:LSN]; the lost
-				// suffix is re-sent — exactly what real clients do.
-				i = int(rs.LSN)
-			}
-			for ; i < len(schedule); i++ {
-				_ = dur.Receive(schedule[i])
-			}
-			close(done)
-			wg.Wait()
-
-			// Exact equality with the never-crashed reference.
-			gotRecs, refRecs := dur.Records(), ref.Records()
-			if len(gotRecs) != len(refRecs) {
-				t.Fatalf("recovered log holds %d records, reference %d", len(gotRecs), len(refRecs))
-			}
-			for j := range gotRecs {
-				if gotRecs[j] != refRecs[j] {
-					t.Fatalf("record %d differs:\n got: %+v\nwant: %+v", j, gotRecs[j], refRecs[j])
-				}
-			}
-			if got, want := dur.Coverage(), ref.Coverage(); got != want {
-				t.Fatalf("coverage differs:\n got: %+v\nwant: %+v", got, want)
-			}
-			if got, want := dur.Heartbeats(), ref.Heartbeats(); got != want {
-				t.Fatalf("heartbeats %d, want %d", got, want)
-			}
-			outliersEqual(t, trial, dur.InterProcessOutliers(threshold), ref.InterProcessOutliers(threshold))
-			// And against the from-scratch batch recompute, closing the loop
-			// with the differential conformance property.
-			outliersEqual(t, trial, dur.InterProcessOutliers(threshold), batchOutliers(dur.Records(), threshold))
-
-			if ds := dur.DurabilityStats(); !ds.Enabled || ds.Recoveries != int64(nCrashes) {
-				t.Fatalf("durability stats = %+v, want %d recoveries", ds, nCrashes)
-			}
-			ran++
-			if truncated {
-				sawTruncation++
-			}
-			if coalescedReplay {
-				sawCoalescedReplay++
-			}
-		})
-	}
-	if ran != trials {
+	// Trials that recovered past a torn tail, and that replayed a coalesced
+	// entry: the floors keep the draws exercising both paths.
+	var truncated, coalesced int
+	if feed.Run(t, killRecoverSpec, killRecover(&truncated, &coalesced)) != killRecoverSpec.Trials {
 		return // a -run filter or a failed trial: the floors describe the whole grid
 	}
-	t.Logf("%d trials: %d recovered past a torn tail, %d replayed a coalesced entry", trials, sawTruncation, sawCoalescedReplay)
-	if sawTruncation < 15 {
-		t.Errorf("only %d of %d trials recovered with TruncatedBytes > 0, want >= 15", sawTruncation, trials)
+	t.Logf("%d trials: %d recovered past a torn tail, %d replayed a coalesced entry", killRecoverSpec.Trials, truncated, coalesced)
+	if truncated < 15 {
+		t.Errorf("only %d of %d trials recovered with TruncatedBytes > 0, want >= 15", truncated, killRecoverSpec.Trials)
 	}
-	// Half of the 39 the chatty schedule measures; the pre-chatty schedule
-	// (isolated heartbeats, far-apart duplicates) measured 0.
-	if sawCoalescedReplay < 19 {
-		t.Errorf("only %d of %d trials replayed a coalesced (*N) entry, want >= 19", sawCoalescedReplay, trials)
+	if coalesced < 19 {
+		t.Errorf("only %d of %d trials replayed a coalesced (*N) entry, want >= 19", coalesced, killRecoverSpec.Trials)
+	}
+}
+
+// killRecover is the property: a durable server on the trial's faulty disk,
+// crashing at the trial's crash points while a poller races its read
+// surface, and recovering with redelivery from the recovered LSN, must end
+// exactly equal to a plain server fed the schedule once, and hold every
+// record delivered intact exactly once. Every Receive outcome (ingest, dup,
+// checksum reject, framing reject, heartbeat) advances the LSN by exactly
+// one — a coalesced entry covers a run of outcomes and carries the last
+// one's LSN — so the recovered LSN is the count of deliveries whose effects
+// survived, whatever the commit-group size.
+func killRecover(truncatedTrials, coalescedTrials *int) feed.Property {
+	return func(t *testing.T, tr feed.Trial) error {
+		r := tr.Rand("server")
+		shards := 1 << r.IntN(4)
+		threshold := []float64{0.7, 0.8, 0.9}[r.IntN(3)]
+		ref := NewSharded(shards)
+		deliverAll(ref, tr)
+		dur := NewSharded(shards)
+		dur.AttachDurability(DurabilityConfig{
+			FlushEvery:    []int{0, 0, 2, 8, 32}[r.IntN(5)],
+			SnapshotEvery: []int{0, -1, 3, 8, 32}[r.IntN(5)],
+			Disk:          storage.NewDisk(tr.Disk()),
+		})
+		// The poller keeps querying through ingest, crash and recovery: the
+		// race detector checks the locking story, and its polls force epoch
+		// close/reopen transitions.
+		stop := feed.Race(func() {
+			_, _, _ = dur.InterProcessOutliers(threshold), dur.Coverage(), dur.Liveness()
+			_, _ = dur.Records(), dur.DurabilityStats()
+		})
+		crashes, truncated, coalesced := 0, false, false
+		err := feed.Drive(tr.Schedule(wire), func(_ int, f []byte) error {
+			_ = dur.Receive(f) // corrupt copies error; that's their job
+			return nil
+		}, nil, func(delivered int) (int, error) {
+			if err := dur.Crash(); err != nil || !dur.Down() {
+				return 0, fmt.Errorf("crash at %d: %v, down=%v", delivered, err, dur.Down())
+			}
+			if err := dur.Receive(AppendHeartbeat(nil, 0, 0, 0)); !errors.Is(err, ErrServerDown) {
+				return 0, fmt.Errorf("Receive while down = %v, want ErrServerDown", err)
+			}
+			rs, err := dur.Recover()
+			if err != nil || dur.Down() || rs.LSN > uint64(delivered) {
+				return 0, fmt.Errorf("recover at %d: %v, down=%v, LSN %d", delivered, err, dur.Down(), rs.LSN)
+			}
+			crashes++
+			truncated = truncated || rs.TruncatedBytes > 0
+			// Only an *N entry covers more outcomes than it has entries.
+			coalesced = coalesced || rs.OutcomesReplayed > int64(rs.WALEntriesReplayed)
+			// The recovered state reflects the first LSN deliveries; the
+			// lost suffix is re-sent, exactly what real clients do.
+			return int(rs.LSN), nil
+		})
+		stop()
+		if err != nil {
+			return err
+		}
+		if err := errors.Join(
+			sameState(dur, ref, threshold),
+			tr.ExactlyOnce(dur.Records()),
+			// Closing the loop with the differential conformance property.
+			feed.Same("outlier against the batch recompute", dur.InterProcessOutliers(threshold), batchOutliers(dur.Records(), threshold)),
+		); err != nil {
+			return err
+		}
+		if ds := dur.DurabilityStats(); !ds.Enabled || ds.Recoveries != int64(crashes) {
+			return fmt.Errorf("durability stats = %+v, want %d recoveries", ds, crashes)
+		}
+		if truncated {
+			*truncatedTrials++
+		}
+		if coalesced {
+			*coalescedTrials++
+		}
+		return nil
 	}
 }
 
@@ -237,8 +124,7 @@ func TestKillRecoverConformance(t *testing.T) {
 func TestRecoverAckImpliesDurable(t *testing.T) {
 	s := NewSharded(4)
 	s.AttachDurability(DurabilityConfig{Disk: storage.NewDisk(storage.Faults{})})
-	rng := rand.New(rand.NewSource(42))
-	frames := buildConformanceFrames(rng, 5, 2, 3)
+	frames := feed.Trial{Seed: 42, Shape: feed.Shape{Ranks: 5, Sensors: 2, Slices: 3}}.Deliveries(wire)
 	for _, f := range frames {
 		if err := s.Receive(f); err != nil {
 			t.Fatal(err)
@@ -259,14 +145,8 @@ func TestRecoverAckImpliesDurable(t *testing.T) {
 	if rs.LSN != uint64(len(frames)) {
 		t.Fatalf("recovered LSN %d, want %d (every ack was synced)", rs.LSN, len(frames))
 	}
-	got := s.Records()
-	if len(got) != len(want) {
-		t.Fatalf("recovered %d records, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("record %d differs after recovery", i)
-		}
+	if err := feed.Same("recovered record", s.Records(), want); err != nil {
+		t.Fatal(err)
 	}
 	if cov := s.Coverage(); cov != wantCov {
 		t.Fatalf("coverage after recovery %+v, want %+v", cov, wantCov)
@@ -419,13 +299,7 @@ func TestCheckpointPrunesOldSegments(t *testing.T) {
 	if !rs.UsedSnapshot {
 		t.Fatalf("recovery ignored the snapshot: %+v", rs)
 	}
-	got := s.Records()
-	if len(got) != len(want) {
-		t.Fatalf("recovered %d records, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("record %d differs after snapshot recovery", i)
-		}
+	if err := feed.Same("record recovered from the snapshot", s.Records(), want); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -3,10 +3,10 @@ package server
 import (
 	"bytes"
 	"encoding/binary"
-	"math/rand"
 	"testing"
 
 	"vsensor/internal/detect"
+	"vsensor/internal/feed"
 	"vsensor/internal/storage"
 )
 
@@ -30,8 +30,7 @@ func FuzzWALReplay(f *testing.F) {
 	seedDisk := storage.NewDisk(storage.Faults{})
 	seedSrv := NewSharded(2)
 	seedSrv.AttachDurability(DurabilityConfig{SnapshotEvery: -1, Disk: seedDisk})
-	rng := rand.New(rand.NewSource(99))
-	for _, frame := range buildConformanceFrames(rng, 3, 2, 2) {
+	for _, frame := range (feed.Trial{Seed: 99, Shape: feed.Shape{Ranks: 3, Sensors: 2, Slices: 2}}).Deliveries(wire) {
 		_ = seedSrv.Receive(frame)
 	}
 	_ = seedSrv.Receive(AppendHeartbeat(nil, 1, 1_000, 500))
@@ -46,7 +45,7 @@ func FuzzWALReplay(f *testing.F) {
 	coalDisk := storage.NewDisk(storage.Faults{})
 	coalSrv := NewSharded(2)
 	coalSrv.AttachDurability(DurabilityConfig{SnapshotEvery: -1, Disk: coalDisk, FlushEvery: 4})
-	for _, frame := range buildConformanceFrames(rng, 2, 2, 2) {
+	for _, frame := range (feed.Trial{Seed: 100, Shape: feed.Shape{Ranks: 2, Sensors: 2, Slices: 2}}).Deliveries(wire) {
 		_ = coalSrv.Receive(frame)
 		_ = coalSrv.Receive(frame) // immediate redelivery: dup runs
 	}

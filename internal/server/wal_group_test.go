@@ -5,36 +5,14 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math/rand"
 	"strings"
 	"testing"
 
 	"vsensor/internal/detect"
+	"vsensor/internal/feed"
 	"vsensor/internal/obs"
 	"vsensor/internal/storage"
 )
-
-// buildGroupSchedule interleaves frames with duplicate redeliveries and
-// same-rank heartbeats — the chatter the encoder collapses inside a group —
-// then pads with heartbeats to a multiple of window so the final commit
-// group flushes. Every element is one Receive call == one delivery outcome.
-func buildGroupSchedule(t *testing.T, window int) [][]byte {
-	t.Helper()
-	rng := rand.New(rand.NewSource(7))
-	frames := buildConformanceFrames(rng, 2, 2, 2)
-	var schedule [][]byte
-	for i, f := range frames {
-		schedule = append(schedule, f)
-		if i%2 == 1 {
-			schedule = append(schedule, f) // immediate redelivery: a dup outcome
-		}
-		schedule = append(schedule, AppendHeartbeat(nil, i%2, int64(i+1)*1_000, 5_000))
-	}
-	for len(schedule)%window != 0 {
-		schedule = append(schedule, AppendHeartbeat(nil, 0, int64(len(schedule))*1_000, 5_000))
-	}
-	return schedule
-}
 
 // TestGroupCommitFlushBoundary pins the strict-prefix contract at every
 // byte offset inside a commit group: a crash that tears the segment mid
@@ -43,8 +21,24 @@ func buildGroupSchedule(t *testing.T, window int) [][]byte {
 // group — and redelivering the schedule suffix from the recovered LSN
 // reproduces the never-crashed state.
 func TestGroupCommitFlushBoundary(t *testing.T) {
+	// Frames interleaved with immediate redeliveries and pairs of same-rank
+	// heartbeats — the chatter the encoder collapses inside a group — padded
+	// with heartbeats to a multiple of window so the final group flushes.
+	// Every delivery is one Receive call, one outcome.
 	const window = 4
-	schedule := buildGroupSchedule(t, window)
+	tr := feed.Trial{Seed: 7, Shape: feed.Shape{Ranks: 2, Sensors: 2, Slices: 2}}
+	for i := range tr.Frames() {
+		if i%2 == 1 {
+			tr.Events = append(tr.Events, feed.Event{Kind: feed.Dup, At: i})
+		}
+		for j := range int64(2) {
+			tr.Events = append(tr.Events, feed.Event{Kind: feed.Heartbeat, At: i, Rank: i % 2, Arg: int64(i+1)*1_000 + j})
+		}
+	}
+	schedule := tr.Deliveries(wire)
+	for len(schedule)%window != 0 {
+		schedule = append(schedule, AppendHeartbeat(nil, 0, int64(len(schedule))*1_000, feed.Lease))
+	}
 
 	disk := storage.NewDisk(storage.Faults{})
 	s := NewSharded(2)
@@ -134,20 +128,8 @@ func TestGroupCommitFlushBoundary(t *testing.T) {
 			for _, f := range schedule {
 				_ = ref.Receive(f)
 			}
-			gotRecs, refRecs := r.Records(), ref.Records()
-			if len(gotRecs) != len(refRecs) {
-				t.Fatalf("recovered log holds %d records, reference %d", len(gotRecs), len(refRecs))
-			}
-			for j := range gotRecs {
-				if gotRecs[j] != refRecs[j] {
-					t.Fatalf("record %d differs: got %+v want %+v", j, gotRecs[j], refRecs[j])
-				}
-			}
-			if got, want := r.Coverage(), ref.Coverage(); got != want {
-				t.Fatalf("coverage differs:\n got: %+v\nwant: %+v", got, want)
-			}
-			if got, want := r.Heartbeats(), ref.Heartbeats(); got != want {
-				t.Fatalf("heartbeats %d, want %d", got, want)
+			if err := sameState(r, ref, 0.8); err != nil {
+				t.Fatal(err)
 			}
 		})
 	}
@@ -160,8 +142,8 @@ func TestGroupCommitStagedTailLostAtCrash(t *testing.T) {
 	disk := storage.NewDisk(storage.Faults{})
 	s := NewSharded(1)
 	s.AttachDurability(DurabilityConfig{Disk: disk, SnapshotEvery: -1, FlushEvery: 1 << 10})
-	rng := rand.New(rand.NewSource(11))
-	frames := buildConformanceFrames(rng, 3, 2, 2)
+	tr := feed.Trial{Seed: 11, Shape: feed.Shape{Ranks: 3, Sensors: 2, Slices: 2}}
+	frames := tr.Deliveries(wire)
 	for _, f := range frames {
 		if err := s.Receive(f); err != nil {
 			t.Fatal(err)
@@ -189,11 +171,9 @@ func TestGroupCommitStagedTailLostAtCrash(t *testing.T) {
 		}
 	}
 	ref := NewSharded(1)
-	for _, f := range frames {
-		_ = ref.Receive(f)
-	}
-	if got, want := s.Coverage(), ref.Coverage(); got != want {
-		t.Fatalf("coverage after redelivery differs:\n got: %+v\nwant: %+v", got, want)
+	deliverAll(ref, tr)
+	if err := sameState(s, ref, 0.8); err != nil {
+		t.Fatalf("after redelivery: %v", err)
 	}
 }
 
@@ -358,8 +338,7 @@ func TestGroupCommitObsMetrics(t *testing.T) {
 // journals at least 5x fewer WAL bytes at FlushEvery 64 than with a group of
 // one, because a run of same-rank heartbeats costs one count-delta entry.
 func TestCoalescedWALBytesReduction(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	frames := buildConformanceFrames(rng, 2, 1, 2)
+	frames := feed.Trial{Seed: 21, Shape: feed.Shape{Ranks: 2, Sensors: 1, Slices: 2}}.Deliveries(wire)
 	var schedule [][]byte
 	for i, f := range frames {
 		schedule = append(schedule, f)

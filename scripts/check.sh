@@ -33,6 +33,12 @@
 # Performance is not measured here: `make bench` (benchmark/run.sh) is the
 # one benchmark, with repeated trials and bounds in BENCHMARK.json.
 #
+# Every stage that picks tests with -run goes through `stage`, which first
+# checks that each |-separated alternative of the pattern names a test of the
+# package: for a pattern that matches nothing go test prints "[no tests to
+# run]" and exits 0, so a test renamed or folded into another would silently
+# drop out of its stress stage.
+#
 # FUZZTIME (default 10s) is the budget per fuzz target.
 #
 # Usage: scripts/check.sh
@@ -40,6 +46,24 @@ set -eu
 
 cd "$(dirname "$0")/.."
 fuzztime="${FUZZTIME:-10s}"
+
+# stage runs `go test` with its arguments (the package last) once every
+# alternative of the -run pattern names a test of the package.
+stage() {
+    pattern="" pkg="" prev=""
+    for arg in "$@"; do
+        if [ "$prev" = "-run" ]; then pattern="$arg"; fi
+        prev="$arg" pkg="$arg"
+    done
+    tests="$(go test -list "$pattern" "$pkg")"
+    for alt in $(printf '%s\n' "$pattern" | tr '|' ' '); do
+        if ! printf '%s\n' "$tests" | grep -Eq "^$alt"; then
+            echo "check.sh: -run alternative '$alt' matches no test in $pkg" >&2
+            exit 1
+        fi
+    done
+    go test "$@"
+}
 
 echo "== go build ./..."
 go build ./...
@@ -54,22 +78,22 @@ echo "== go test -race -count=1 ./... (uncached: the socket and chaos tables are
 go test -race -count=1 ./...
 
 echo "== race-enabled windowed link: attribution over a scripted medium (-count 10)"
-go test -race -run 'TestLinkWindowAttribution$' -count 10 ./internal/transport
+stage -race -run 'TestLinkWindowAttribution$' -count 10 ./internal/transport
 
 echo "== race-enabled admission and Close (-count 20): shed at the MaxWorkers cap, Close reaches every connection, Close racing 8 dialers keeps the ledger"
-go test -race -run 'TestLoadShedExplicitRefusal$|TestCloseReachesEveryConn$|TestCloseWhileDialing$' -count 20 ./internal/netsrv
+stage -race -run 'TestLoadShedExplicitRefusal$|TestCloseReachesEveryConn$|TestCloseWhileDialing$' -count 20 ./internal/netsrv
 
 echo "== race-enabled read path (-count 20): record windows stay append-only under ingest, a long-poll parks behind an in-flight rebuild, the incremental verdict equals the batch recompute, a query racing late records never caches a stale verdict, in-order ingest never reopens an epoch, every number of a snapshot generation or a scrape comes from one instant"
-go test -race -run 'TestRecordsSnapshotUnderIngest$|TestWaitSnapshotParksBehindRebuild$|TestDifferentialConformance$|TestQueryRacingLateRecord$|TestQueriesRacingLateRecords$|TestInOrderIngestNeverReopens$|TestSnapshotIsOneInstant$' -count 20 ./internal/server
+stage -race -run 'TestRecordsSnapshotUnderIngest$|TestWaitSnapshotParksBehindRebuild$|TestDifferentialConformance$|TestQueryRacingLateRecord$|TestQueriesRacingLateRecords$|TestInOrderIngestNeverReopens$|TestSnapshotIsOneInstant$' -count 20 ./internal/server
 
 echo "== in-order ingest racing queries (-count 200, no race detector): no query closes an epoch ahead of its records"
-go test -run 'TestInOrderIngestNeverReopens$' -count 200 ./internal/server
+stage -run 'TestInOrderIngestNeverReopens$' -count 200 ./internal/server
 
 echo "== race-enabled recovery beside readers (-count 10): kill-and-recover conformance, record windows across a recovery truncation"
-go test -race -run 'TestKillRecoverConformance$|TestRecordsWindowAfterRecoveryTruncation$' -count 10 ./internal/server
+stage -race -run 'TestKillRecoverConformance$|TestRecordsWindowAfterRecoveryTruncation$' -count 10 ./internal/server
 
 echo "== socket/proxy exactly-once stress (-count 50: these tables race real sockets, one pass proves little)"
-go test -run 'TestNetChaosExactlyOnce$|TestNetKillRecoverConformance$|TestWindowProgressUnderEarlyResets$|TestWindowBoundedAcrossOutage$' \
+stage -run 'TestNetChaosExactlyOnce$|TestNetKillRecoverConformance$|TestWindowProgressUnderEarlyResets$|TestWindowBoundedAcrossOutage$' \
     -count 50 ./internal/netsrv
 
 echo "== coverage gate (per-package deltas vs seed baseline)"
