@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"vsensor/internal/detect"
+	"vsensor/internal/feed"
 	"vsensor/internal/storage"
 )
 
@@ -54,9 +55,7 @@ func TestParseFrameErrors(t *testing.T) {
 
 	// Bit corruption anywhere must be caught by the CRC.
 	for _, bit := range []int{4 * 8, 9*8 + 3, 20 * 8, len(enc)*8 - 1} {
-		flip := append([]byte(nil), enc...)
-		flip[bit/8] ^= 1 << (bit % 8)
-		_, err := ParseFrame(flip)
+		_, err := ParseFrame(feed.Flip(enc, bit))
 		if err == nil {
 			t.Errorf("bit %d flip accepted", bit)
 		}
@@ -265,9 +264,7 @@ func TestReceiveChecksumReject(t *testing.T) {
 	s := New()
 	enc := AppendFrame(nil, FrameHeader{Rank: 0, Seq: 1, CumRecords: 1},
 		[]detect.SliceRecord{{Sensor: 1, AvgNs: 5}})
-	flip := append([]byte(nil), enc...)
-	flip[frameHeaderSize+2] ^= 0x10
-	if err := s.Receive(flip); !errors.Is(err, ErrChecksum) {
+	if err := s.Receive(feed.Flip(enc, (frameHeaderSize+2)*8+4)); !errors.Is(err, ErrChecksum) {
 		t.Fatalf("err = %v, want ErrChecksum", err)
 	}
 	if len(s.Records()) != 0 {
