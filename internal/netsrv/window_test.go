@@ -275,3 +275,74 @@ func TestWindowedSendSteadyStateAllocs(t *testing.T) {
 	rs.Close()
 	wait()
 }
+
+// TestMediumsDoNotRetainFrame pins the contract transport's shared frame
+// pool relies on: no Medium keeps the caller's buffer past the call. One
+// buffer carries every frame and is scribbled over as soon as each Receive
+// or SendAsync returns — on the in-process server, and on the resilient
+// session synchronously, through the window, and through a window whose
+// connections a proxy resets every 2 KiB, so that unanswered frames are
+// sent again from what the session kept — and every tenant must hold
+// exactly the records a reference server ingested from private copies.
+func TestMediumsDoNotRetainFrame(t *testing.T) {
+	const rank, frames = 1, 64
+	ref := server.New()
+	for seq := uint64(1); seq <= frames; seq++ {
+		if err := ref.Receive(testFrame(rank, seq, seq*5, 5)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	svc, err := Listen("127.0.0.1:0", Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	session := func(runID string) *ResilientSession {
+		rs, err := dialOnce(svc.Addr().String(), Hello{RunID: runID, Rank: rank})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { rs.Close() })
+		return rs
+	}
+	px, err := chaosproxy.New(svc.Addr().String(), chaosproxy.Plan{Seed: 40, ResetEvery: 2 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer px.Close()
+	resent := dialTuned(t, px.Addr(), "resent", 40)
+	defer resent.Close()
+	inproc := server.New()
+	rcv, async := session("receive"), session("send-async")
+	for _, m := range []struct {
+		name   string
+		send   func([]byte) error
+		drain  func() error
+		tenant func() *server.Server
+	}{
+		{"Server.Receive", inproc.Receive, func() error { return nil }, func() *server.Server { return inproc }},
+		{"ResilientSession.Receive", rcv.Receive, rcv.Drain, func() *server.Server { return svc.Tenant("receive") }},
+		{"ResilientSession.SendAsync", async.SendAsync, async.Drain, func() *server.Server { return svc.Tenant("send-async") }},
+		{"ResilientSession.SendAsync across resets", resent.SendAsync, resent.Drain, func() *server.Server { return svc.Tenant("resent") }},
+	} {
+		buf := make([]byte, 0, 1024)
+		for seq := uint64(1); seq <= frames; seq++ {
+			buf = append(buf[:0], testFrame(rank, seq, seq*5, 5)...)
+			if err := m.send(buf); err != nil {
+				t.Fatalf("%s: frame %d: %v", m.name, seq, err)
+			}
+			for i := range buf {
+				buf[i] = 0xA5
+			}
+		}
+		if err := m.drain(); err != nil {
+			t.Fatalf("%s: drain: %v", m.name, err)
+		}
+		if err := feed.Same(m.name+" record", m.tenant().Records(), ref.Records()); err != nil {
+			t.Error(err)
+		}
+	}
+	if st := resent.Stats(); st.Reconnects == 0 {
+		t.Errorf("no reset reached the session (%+v, proxy %+v): nothing was sent again", st, px.Stats())
+	}
+}

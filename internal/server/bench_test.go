@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -162,5 +163,39 @@ func TestStreamingSessionEnginesAgree(t *testing.T) {
 	a := srv.InterProcessOutliers(0.9)
 	if err := feed.Same("outlier", a, batchOutliers(srv.Records(), 0.9)); err != nil || len(a) == 0 {
 		t.Fatalf("engines disagree (%d incremental outliers): %v", len(a), err)
+	}
+}
+
+// BenchmarkEvaluate times one query over open epochs holding the given
+// number of entries in all (4096 ranks a key, the ingest benchmark's
+// shape; no watermark, so every epoch is a candidate of every query), on
+// one core and on every core: the measurement behind evalMinEntries. With
+// evalMinEntries set to 1, the split's cost shows below the cut-over too.
+func BenchmarkEvaluate(b *testing.B) {
+	const ranks = 4096
+	for _, entries := range []int{1 << 13, 1 << 15, 1 << 16, 1 << 19} {
+		s := NewSharded(DefaultShards)
+		recs := make([]detect.SliceRecord, entries/ranks)
+		for rank := range ranks {
+			avg := 100 + float64(rank%7)/100
+			if rank == 0 {
+				avg = 200 // the one outlier of every key
+			}
+			for k := range recs {
+				recs[k] = detect.SliceRecord{Sensor: k % 8, Rank: rank, SliceNs: int64(k / 8), Count: 1, AvgNs: avg}
+			}
+			if err := s.Receive(AppendFrame(nil, FrameHeader{Rank: rank, Seq: 1, CumRecords: uint64(len(recs))}, recs)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for _, procs := range []int{1, runtime.GOMAXPROCS(0)} {
+			b.Run(fmt.Sprintf("entries=%d/procs=%d", entries, procs), func(b *testing.B) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					s.an.outliers(0.99, 0, false)
+				}
+			})
+		}
 	}
 }

@@ -115,6 +115,72 @@ func partitioning(reopened *int) feed.Property {
 	}
 }
 
+// workersSpec draws the one trial TestQueryIndependentOfWorkers replays:
+// enough records that a query over all of them splits two ways, in a
+// shuffled order with a few frames held back past a poll.
+var workersSpec = feed.Spec{
+	Seed: 0x40, Step: 1, Trials: 1,
+	Ranks: [2]int{400, 400}, Sensors: [2]int{8, 8}, Slices: [2]int{24, 24},
+	Events: map[feed.Kind][]float64{feed.Shuffle: {1}, feed.HoldBack: {0.002}, feed.Poll: {1.0 / 6000}},
+}
+
+// pollThresholds are the thresholds of even and odd polls.
+var pollThresholds = [2]float64{0.8, 0.9}
+
+// replayOnWorkers drives steps into a fresh server from one goroutine under
+// GOMAXPROCS procs, polling at thresholds that alternate from poll to poll,
+// so each poll also recomputes the epochs the poll before it closed, then
+// polls once more at each threshold.
+func replayOnWorkers(steps []feed.Step, procs int) (partitionRun, *Server) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	s := NewSharded(DefaultShards)
+	o := obs.New()
+	s.SetObs(o)
+	var run partitionRun
+	poll := func() {
+		run.polls = append(run.polls, s.InterProcessOutliers(pollThresholds[len(run.polls)%2]))
+		run.stats = append(run.stats, s.EpochStats())
+	}
+	_ = feed.Drive(steps, func(_ int, f []byte) error { return s.Receive(f) }, poll, nil)
+	poll()
+	poll()
+	run.reopens = o.Counter("server_epoch_reopens_total").Value()
+	return run, s
+}
+
+// TestQueryIndependentOfWorkers replays one trial whose late frames reopen
+// closed epochs under GOMAXPROCS 1 and 4. A query splits its candidates
+// over up to GOMAXPROCS workers, so the two runs evaluate the same epochs
+// on one goroutine and, once enough of them are candidates, on two. Every
+// poll's outliers (bit for bit), every poll's epoch counts and the reopen
+// count must be identical, and the final queries must equal the batch
+// recompute.
+func TestQueryIndependentOfWorkers(t *testing.T) {
+	tr := workersSpec.Trial(0)
+	steps := tr.Schedule(wire)
+	one, s := replayOnWorkers(steps, 1)
+	if n := len(s.Records()); n < 2*evalMinEntries {
+		t.Fatalf("the trial holds %d records: a query over all of them does not split (%d a worker)", n, evalMinEntries)
+	}
+	for i := len(one.polls) - 2; i < len(one.polls); i++ {
+		if threshold := pollThresholds[i%2]; !sameOutliersBits(one.polls[i], batchOutliers(s.Records(), threshold)) {
+			t.Fatalf("final query at %v differs from the batch recompute", threshold)
+		}
+	}
+	if one.reopens == 0 || len(one.polls) < 4 {
+		t.Fatalf("%d polls reopened %d epochs: the late-frame path went unexercised", len(one.polls), one.reopens)
+	}
+	four, _ := replayOnWorkers(steps, 4)
+	for i := range one.polls {
+		if !sameOutliersBits(four.polls[i], one.polls[i]) {
+			t.Fatalf("poll %d: outliers under GOMAXPROCS 4 differ from GOMAXPROCS 1", i)
+		}
+	}
+	if err := errors.Join(feed.Same("poll's EpochStats", four.stats, one.stats), feed.Equal("reopen count", four.reopens, one.reopens)); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestEpochStatsNeverNegative polls the epoch counts — directly and through
 // the shared report snapshot — while concurrent senders keep creating
 // epochs and queries keep closing them. Every poll must satisfy

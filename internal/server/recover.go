@@ -83,7 +83,7 @@ func (s *Server) Crash() error {
 		sh.dupFrames = 0
 		sh.expectedRecords = 0
 		sh.ingestedRecords = 0
-		sh.parts = make(map[epochKey]*part)
+		sh.parts = partIndex{}
 		sh.entries, sh.blocks, sh.spare = arena[epochEntry]{}, arena[block]{}, arena[part]{}
 		sh.mu.Unlock()
 	}

@@ -44,14 +44,14 @@ type shard struct {
 
 	// parts is the shard's share of the epoch accumulators (epoch.go),
 	// carved from the arenas below by folds under mu.
-	parts   map[epochKey]*part
+	parts   partIndex
 	entries arena[epochEntry]
 	blocks  arena[block]
 	spare   arena[part]
 }
 
 func newShard(idx int) *shard {
-	return &shard{idx: idx, ranks: make(map[int]*rankState), parts: make(map[epochKey]*part)}
+	return &shard{idx: idx, ranks: make(map[int]*rankState)}
 }
 
 // rankState is everything a shard knows about one sender rank: the delivery

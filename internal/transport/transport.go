@@ -98,7 +98,9 @@ func (c Config) withDefaults() Config {
 // one (internal/netsrv's TCP client link) carries the same bytes over a
 // real socket and maps the session-layer ack back onto this contract.
 // Implementations must be safe for concurrent Receives from every rank
-// goroutine sharing the Link.
+// goroutine sharing the Link, and must not retain encoded past the return
+// of Receive: whatever they keep they copy, because the caller reuses the
+// buffer for its next frame (Conn encodes into a shared pool).
 type Medium interface {
 	Receive(encoded []byte) error
 }
@@ -113,6 +115,8 @@ type Windowed interface {
 	// SendAsync accepts the frame into the window, first waiting for the
 	// oldest ack if the window is full. An error means it was not accepted
 	// and will not be reported: the attempt failed, as Receive would have.
+	// As with Receive, the window holds its own copy: the caller may
+	// overwrite encoded as soon as SendAsync returns.
 	SendAsync(encoded []byte) error
 	// Drain returns once every accepted frame has been answered.
 	Drain() error
@@ -390,7 +394,6 @@ type Conn struct {
 	rng   *rand.Rand // fault dice; nil when the plan never rolls them
 
 	buf []detect.SliceRecord
-	enc []byte // reusable wire buffer
 	seq uint64
 	cum uint64
 
@@ -581,16 +584,27 @@ func (c *Conn) flush(force bool) error {
 				lin.Record(trace, obs.StageEnqueue, c.rank, 0, nowUnixNs(), 0, int64(n))
 			}
 		}
-		c.enc = server.AppendFrame(c.enc[:0], server.FrameHeader{Rank: c.rank, Seq: c.seq, CumRecords: c.cum}, c.buf[:n])
+		enc := framePool.Get().(*[]byte)
+		*enc = server.AppendFrame((*enc)[:0], server.FrameHeader{Rank: c.rank, Seq: c.seq, CumRecords: c.cum}, c.buf[:n])
 		c.recordsSent += int64(n)
 		c.buf = c.buf[:copy(c.buf, c.buf[n:])]
 		c.link.obsFrames.Inc()
-		if terr := c.transmit(c.enc, c.cfg.MaxRetries); terr != nil && err == nil {
+		terr := c.transmit(*enc, c.cfg.MaxRetries)
+		framePool.Put(enc)
+		if terr != nil && err == nil {
 			err = terr
 		}
 	}
 	return err
 }
+
+// framePool holds the buffers flush encodes frames into, shared by every
+// Conn: a rank's encoded frame lives only for its transmit, so a process
+// needs about one buffer per sending goroutine, not one per rank. Handing
+// it back after transmit is safe because nothing downstream keeps it: the
+// retransmit buffer, the held reordered frame and the corrupt copy are
+// copies, and every Medium copies what it keeps (see Medium).
+var framePool = sync.Pool{New: func() any { return new([]byte) }}
 
 // transmit pushes one fresh frame with bounded retry + exponential backoff.
 // On exhaustion the frame parks in the retransmit buffer; the returned error

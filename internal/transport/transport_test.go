@@ -430,3 +430,45 @@ func TestParsePlanErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestConnFlushAllocs pins what a flush allocates, with every frame
+// encoded into a buffer from the package's pool. Over the in-process
+// server, a warm Conn's steady-state flush allocates
+// nothing: AllocsPerRun rounds the server's amortized growth (a log chunk
+// every 1024 records, the segment index's doublings) down to 0, while a
+// single allocation per flush would read 1. A fresh Conn's first flush
+// allocates only its staging buffer; its frame repeats a sequence the
+// server already holds, so the server drops it as a duplicate and
+// allocates nothing either.
+func TestConnFlushAllocs(t *testing.T) {
+	const batch = 8
+	srv := server.New()
+	link := NewLink(srv, FaultPlan{})
+	fill := func(c *Conn) {
+		for i := range batch {
+			if err := c.OnSlice(rec(3, i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	warm := link.NewConn(3, Config{BatchSize: batch})
+	for range 64 {
+		fill(warm)
+	}
+	if avg := testing.AllocsPerRun(1000, func() { fill(warm) }); avg != 0 {
+		t.Errorf("a warm Conn's flush allocates %v objects, want 0", avg)
+	}
+
+	const runs = 100
+	fresh := make([]*Conn, runs+1) // AllocsPerRun calls once more to warm up
+	for i := range fresh {
+		fresh[i] = link.NewConn(3, Config{BatchSize: batch})
+	}
+	next := 0
+	if avg := testing.AllocsPerRun(runs, func() { fill(fresh[next]); next++ }); avg != 1 {
+		t.Errorf("a fresh Conn's first flush allocates %v objects, want 1 (its staging buffer)", avg)
+	}
+	if st := fresh[0].Stats(); st.FramesSent != 1 || st.RecordsSent != batch {
+		t.Errorf("fresh Conn stats = %+v, want one frame of %d records", st, batch)
+	}
+}

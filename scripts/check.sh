@@ -9,8 +9,10 @@
 # (-count 20), a race-enabled -count 20 stress of the read path (the
 # record-window snapshot under ingest, the long-poll parking behind a
 # rebuild, the sharded-server differential, queries racing late records
-# into the shards' epoch parts they are sealing, queries racing in-order
-# ingest, which must never reopen an epoch, and snapshot builds and /metrics
+# into the shards' epoch parts they are sealing, one trial queried on one
+# evaluation worker and on several, which must agree bit for bit, queries
+# racing in-order ingest, which must never reopen an epoch, and snapshot
+# builds and /metrics
 # scrapes racing ingest, whose numbers must all come from one instant), a
 # -count 200 stress of the in-order ingest test without the race detector
 # (its race needs many fast runs to show), a race-enabled -count 10 stress of
@@ -83,8 +85,8 @@ stage -race -run 'TestLinkWindowAttribution$' -count 10 ./internal/transport
 echo "== race-enabled admission and Close (-count 20): shed at the MaxWorkers cap, Close reaches every connection, Close racing 8 dialers keeps the ledger"
 stage -race -run 'TestLoadShedExplicitRefusal$|TestCloseReachesEveryConn$|TestCloseWhileDialing$' -count 20 ./internal/netsrv
 
-echo "== race-enabled read path (-count 20): record windows stay append-only under ingest, a long-poll parks behind an in-flight rebuild, the incremental verdict equals the batch recompute, a query racing late records never caches a stale verdict, in-order ingest never reopens an epoch, every number of a snapshot generation or a scrape comes from one instant"
-stage -race -run 'TestRecordsSnapshotUnderIngest$|TestWaitSnapshotParksBehindRebuild$|TestDifferentialConformance$|TestQueryRacingLateRecord$|TestQueriesRacingLateRecords$|TestInOrderIngestNeverReopens$|TestSnapshotIsOneInstant$' -count 20 ./internal/server
+echo "== race-enabled read path (-count 20): record windows stay append-only under ingest, a long-poll parks behind an in-flight rebuild, the incremental verdict equals the batch recompute, a query racing late records never caches a stale verdict, a query's verdict does not depend on how many workers evaluate it, in-order ingest never reopens an epoch, every number of a snapshot generation or a scrape comes from one instant"
+stage -race -run 'TestRecordsSnapshotUnderIngest$|TestWaitSnapshotParksBehindRebuild$|TestDifferentialConformance$|TestQueryRacingLateRecord$|TestQueriesRacingLateRecords$|TestQueryIndependentOfWorkers$|TestInOrderIngestNeverReopens$|TestSnapshotIsOneInstant$' -count 20 ./internal/server
 
 echo "== in-order ingest racing queries (-count 200, no race detector): no query closes an epoch ahead of its records"
 stage -run 'TestInOrderIngestNeverReopens$' -count 200 ./internal/server
