@@ -47,9 +47,10 @@ func fullSection(s *Server, gen, lsn uint64) []byte {
 
 // A checkpoint's cost follows what changed since the previous one, not how
 // long the run has been going: on the benchmark's own feed the sixteenth
-// automatic checkpoint appends what the first did, the slot the deltas built
-// is no bigger than one full snapshot of the same state (and decodes to the
-// same state), and a steady-state checkpoint allocates next to nothing.
+// automatic checkpoint appends what the first did, the slot is those
+// sections and nothing else, holds no record byte (the WAL entries it names
+// do), and decodes to the same state as one full snapshot; a steady-state
+// checkpoint allocates next to nothing.
 func TestCheckpointCostIsOChange(t *testing.T) {
 	const ranks, frames, perFrame = 256, 4096, 64
 	s := NewSharded(DefaultShards)
@@ -76,8 +77,8 @@ func TestCheckpointCostIsOChange(t *testing.T) {
 	if diff := last - first; diff > first/10 || -diff > first/10 {
 		t.Errorf("last automatic checkpoint wrote %d bytes, the first %d: not within 10%%", last, first)
 	}
-	if amp := float64(seen.CheckpointBytes) / float64(seen.WALBytes); amp > 2 {
-		t.Errorf("checkpoints wrote %d bytes for %d WAL bytes (%.2fx), want <= 2x for two mirrors", seen.CheckpointBytes, seen.WALBytes, amp)
+	if amp := float64(seen.CheckpointBytes) / float64(seen.WALBytes); amp > 0.1 {
+		t.Errorf("checkpoints wrote %d bytes for %d WAL bytes (%.3fx), want <= 0.1x: sections name records, never copy them", seen.CheckpointBytes, seen.WALBytes, amp)
 	}
 
 	slot, err := disk.ReadFile(snapSlots[0])
@@ -87,15 +88,21 @@ func TestCheckpointCostIsOChange(t *testing.T) {
 	if mirror, _ := disk.ReadFile(snapSlots[1]); !bytes.Equal(slot, mirror) {
 		t.Fatalf("slots differ: %d vs %d bytes", len(slot), len(mirror))
 	}
-	full := fullSection(s, seen.Generation, seen.LSN)
-	if len(slot)*10 > len(full)*11 {
-		t.Errorf("slot holds %d bytes, a from-nothing encode %d: more than 1.1x", len(slot), len(full))
+	// No compaction: the slot is exactly the sections the checkpoints
+	// appended, each bounded above, and a twentieth of the WAL.
+	if int64(len(slot)*len(snapSlots)) != seen.CheckpointBytes {
+		t.Errorf("slot holds %d bytes, the checkpoints appended %d per mirror", len(slot), seen.CheckpointBytes/int64(len(snapSlots)))
 	}
-	got, valid, err := decodeSlot(slot)
+	if int64(len(slot))*20 > seen.WALBytes {
+		t.Errorf("slot holds %d bytes for %d WAL bytes: more than 1/20", len(slot), seen.WALBytes)
+	}
+	wal := segmentCache(disk)
+	full := fullSection(s, seen.Generation, seen.LSN)
+	got, valid, err := decodeSlot(slot, wal)
 	if err != nil || valid != len(slot) {
 		t.Fatalf("slot decodes to %d of %d bytes, err %v", valid, len(slot), err)
 	}
-	want, _, err := decodeSlot(full)
+	want, _, err := decodeSlot(full, wal)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,6 +135,38 @@ func TestCheckpointCostIsOChange(t *testing.T) {
 	t.Logf("sections of %d..%d bytes, slot %d bytes vs %d from nothing, %.1f allocs per steady-state checkpoint", first, last, len(slot), len(full), avg)
 	if avg > 8 {
 		t.Errorf("a steady-state checkpoint allocates %.1f objects, want <= 8", avg)
+	}
+}
+
+// Each record is written once: on TestCheckpointCostIsOChange's feed the
+// device takes the WAL's frame entries and a little bookkeeping, not a copy
+// of every record per snapshot slot.
+func TestRecordBytesWrittenOnce(t *testing.T) {
+	const ranks, frames, perFrame = 256, 4096, 64
+	s := NewSharded(DefaultShards)
+	disk := storage.NewDisk(storage.Faults{})
+	s.AttachDurability(DurabilityConfig{FlushEvery: DefaultFlushEvery, Disk: disk})
+	recs := make([]detect.SliceRecord, perFrame)
+	var frame []byte
+	var received int64
+	for i := 0; i < frames; i++ {
+		frame = feedFrame(frame[:0], recs, i, ranks)
+		if err := s.Receive(frame); err != nil {
+			t.Fatal(err)
+		}
+		received += int64(len(frame))
+	}
+	ds, st := s.DurabilityStats(), disk.Stats()
+	if ds.Snapshots != frames/DefaultSnapshotEvery {
+		t.Fatalf("%d checkpoints, want %d", ds.Snapshots, frames/DefaultSnapshotEvery)
+	}
+	t.Logf("%d frame bytes received: %d appended (%.3fx), %d WAL, %d checkpoint", received, st.AppendBytes,
+		float64(st.AppendBytes)/float64(received), ds.WALBytes, ds.CheckpointBytes)
+	if st.AppendBytes*10 > received*11 {
+		t.Errorf("the disk took %d bytes for %d frame bytes received: more than 1.1x", st.AppendBytes, received)
+	}
+	if ds.CheckpointBytes*10 > ds.WALBytes {
+		t.Errorf("checkpoints wrote %d bytes for %d WAL bytes: more than 0.1x", ds.CheckpointBytes, ds.WALBytes)
 	}
 }
 
@@ -197,27 +236,29 @@ func sameAsReference(t *testing.T, s *Server, schedule [][]byte) {
 func TestSnapshotFallbackOneRottenSlot(t *testing.T) {
 	_, probe, _ := fallbackFixture(t) // the fixture is seeded: every build has this slot length
 	slot, _ := probe.ReadFile(snapSlots[0])
-	// The bits are drawn over the first span bits, which name the subtests
-	// (span was an earlier fixture's slot length), plus the slot's last bit.
+	// The subtests are named by bits drawn over span, an earlier and larger
+	// fixture's slot length, and each flips its bit scaled onto this slot:
+	// the first bit onto the first, span's last onto the slot's last. One
+	// more is named by, and flips, the slot's last bit.
 	const span = 13_330 * 8
-	if len(slot)*8 < span {
-		t.Fatalf("fixture slot is %d bytes, shorter than the %d the bits are drawn over", len(slot), span/8)
-	}
+	last := len(slot)*8 - 1
+	type draw struct{ name, flip int }
+	draws := []draw{{0, 0}, {span - 1, last}}
 	rng := rand.New(rand.NewSource(11))
-	bits := []int{0, span - 1}
-	for len(bits) < 24 {
-		bits = append(bits, rng.Intn(span))
+	for len(draws) < 24 {
+		bit := rng.Intn(span)
+		draws = append(draws, draw{bit, bit * last / (span - 1)})
 	}
-	bits = append(bits, len(slot)*8-1)
-	for i, bit := range bits {
+	draws = append(draws, draw{last, last})
+	for i, d := range draws {
 		name := snapSlots[i%2]
-		t.Run(fmt.Sprintf("%s/bit=%d", name, bit), func(t *testing.T) {
+		t.Run(fmt.Sprintf("%s/bit=%d", name, d.name), func(t *testing.T) {
 			s, disk, schedule := fallbackFixture(t)
 			slot, err := disk.ReadFile(name)
 			if err != nil {
 				t.Fatal(err)
 			}
-			rewriteFile(t, disk, name, feed.Flip(slot, bit))
+			rewriteFile(t, disk, name, feed.Flip(slot, d.flip))
 			if err := s.Crash(); err != nil {
 				t.Fatal(err)
 			}
@@ -236,11 +277,10 @@ func TestSnapshotFallbackOneRottenSlot(t *testing.T) {
 	}
 }
 
-// The same section rotten in both slots — or different ones — leaves the
-// strict prefix before the earliest loss both share: the WAL only reaches back
-// two checkpoints, so sections past the rot cannot be rebuilt, and are not
-// half-applied either. Rot confined to the last section is the one case the
-// retained segments do cover.
+// The same section rotten in both slots — or different ones — loses
+// nothing while the WAL is intact: recovery folds the longer surviving
+// section prefix, never half a section past it, and replays every segment
+// after that prefix's generation, which no checkpoint deletes.
 func TestSnapshotRotInBothSlots(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
@@ -254,7 +294,7 @@ func TestSnapshotRotInBothSlots(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			s, disk, schedule := fallbackFixture(t)
 			survive := -1 // sections in the longer surviving prefix
-			var wantLSN uint64
+			var baseLSN uint64
 			for i, rot := range []int{tc.rotA, tc.rotB} {
 				slot, err := disk.ReadFile(snapSlots[i])
 				if err != nil {
@@ -266,15 +306,12 @@ func TestSnapshotRotInBothSlots(t *testing.T) {
 				}
 				if rot > survive {
 					survive = rot
-					if st, _, _ := decodeSlot(slot[:offs[rot]]); st != nil {
-						wantLSN = st.lsn
+					if st, _, _ := decodeSlot(slot[:offs[rot]], segmentCache(disk)); st != nil {
+						baseLSN = st.lsn
 					}
 				}
 				slot[(offs[rot]+offs[rot+1])/2] ^= 0x10
 				rewriteFile(t, disk, snapSlots[i], slot)
-			}
-			if tc.rotA == -1 {
-				wantLSN = uint64(len(schedule)) // the two retained WAL segments cover one lost section
 			}
 			if err := s.Crash(); err != nil {
 				t.Fatal(err)
@@ -283,15 +320,11 @@ func TestSnapshotRotInBothSlots(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if rs.LSN != wantLSN || !rs.SnapshotFallback {
-				t.Fatalf("recovered LSN %d (fallback %v), want the %d-section prefix at LSN %d", rs.LSN, rs.SnapshotFallback, survive, wantLSN)
+			if rs.SnapshotLSN != baseLSN || !rs.SnapshotFallback {
+				t.Fatalf("recovery based on LSN %d (fallback %v), want the %d-section prefix at LSN %d", rs.SnapshotLSN, rs.SnapshotFallback, survive, baseLSN)
 			}
-			sameAsReference(t, s, schedule[:rs.LSN])
-			// The server is live: clients re-send past the recovered LSN.
-			for _, f := range schedule[rs.LSN:] {
-				if err := s.Receive(f); err != nil {
-					t.Fatal(err)
-				}
+			if rs.LSN != uint64(len(schedule)) {
+				t.Fatalf("recovered LSN %d, every one of %d outcomes was acked durable", rs.LSN, len(schedule))
 			}
 			sameAsReference(t, s, schedule)
 		})
@@ -363,7 +396,7 @@ func TestSnapshotRefusesRankInForeignShard(t *testing.T) {
 		{"foreign shard", testBody(hdr, u32(2), rank1, empty), false},
 	} {
 		slot := resealSlot(testBody(u32(snapMagic), u32(uint32(len(tc.body))), u32(0), tc.body))
-		st, _, err := decodeSlot(slot)
+		st, _, err := decodeSlot(slot, segmentCache(storage.NewDisk(storage.Faults{})))
 		if (err == nil) != tc.ok {
 			t.Fatalf("%s: err = %v, want ok=%v", tc.name, err, tc.ok)
 		}
@@ -395,28 +428,35 @@ func resealSlot(data []byte) []byte {
 }
 
 // FuzzSnapshotSlot hands the slot decoder — and then recovery — arbitrary
-// bytes, raw and with their seals repaired. Whatever they claim: no panic, no
-// allocation sized by an unchecked count, and what is accepted is a section
-// prefix (decoding exactly that prefix again gives the same state). A slot
-// the decoder accepts recovers into a live server.
+// slot bytes, raw and with their seals repaired, against an arbitrary WAL
+// segment the slot's references point into. Whatever they claim: no panic,
+// no allocation sized by an unchecked count, and what is accepted is a
+// section prefix (decoding exactly that prefix again gives the same state).
+// A slot the decoder accepts recovers into a live server.
 func FuzzSnapshotSlot(f *testing.F) {
-	// A small real slot (small, so the engine's minimizer stays cheap): three
-	// sections, heartbeats, and out-of-order frames that leave a flow with a
-	// populated ahead set.
+	// A small real slot and the segment it names (small, so the engine's
+	// minimizer stays cheap): three sections, heartbeats, and out-of-order
+	// frames that leave a flow with a populated ahead set.
 	s := NewSharded(2)
 	disk := storage.NewDisk(storage.Faults{})
-	s.AttachDurability(DurabilityConfig{SnapshotEvery: 2, Disk: disk})
+	s.AttachDurability(DurabilityConfig{SnapshotEvery: -1, Disk: disk})
 	for _, seq := range []uint64{5, 2, 9, 1} {
 		_ = s.Receive(AppendFrame(nil, FrameHeader{Rank: 1, Seq: seq, CumRecords: seq}, []detect.SliceRecord{{Rank: 1, Count: 1, AvgNs: 1}}))
-		_ = s.Receive(AppendHeartbeat(nil, int(seq), int64(seq)*1000, 500))
 	}
-	_ = s.Checkpoint()
+	for seq := range 3 {
+		_ = s.Receive(AppendHeartbeat(nil, seq, int64(seq)*1000, 500))
+		_ = s.Checkpoint()
+	}
 	slot, _ := disk.ReadFile(snapSlots[0])
-	f.Add(slot)
-	f.Add(slot[:len(slot)-9]) // torn tail
-	f.Add(slot[len(slot)/2:]) // starts mid-log
-	f.Add(fullSection(s, 3, 8))
-	// Hostile counts behind a valid seal: shards, flows, ahead, records.
+	seg, _ := disk.ReadFile("wal.0")
+	f.Add(slot, seg)
+	f.Add(slot[:len(slot)-9], seg) // torn tail
+	f.Add(slot[len(slot)/2:], seg) // starts mid-log
+	f.Add(slot, seg[:len(seg)-9])  // torn segment
+	f.Add(slot, feed.Flip(seg, 8*len(seg)/3))
+	f.Add(fullSection(s, 4, 7), seg)
+	// Hostile counts behind a valid seal: shards, flows, ahead, records, and
+	// a segment reference past any segment.
 	hdr := testBody(u32(0), u64b(1), u64b(0), u64b(0), u64b(0), u64b(0), u64b(0))
 	shard := bytes.Repeat([]byte{0}, 6*8)
 	for _, body := range [][]byte{
@@ -424,15 +464,22 @@ func FuzzSnapshotSlot(f *testing.F) {
 		testBody(hdr, u32(1), shard, u32(0xFFFFFFFF)),
 		testBody(hdr, u32(1), shard, u32(1), []byte{1, 1, 1, 1, 1, 1, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F}),
 		testBody(hdr, u32(1), shard, u32(0), u32(0), u32(0), u32(1), []byte{1, 0xFF, 0xFF, 0xFF, 0x7F}),
+		testBody(hdr, u32(1), shard, u32(0), u32(0), u32(0), u32(1), []byte{1, 1, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F}),
 	} {
-		f.Add(testBody(u32(snapMagic), u32(uint32(len(body))), u32(0), body))
+		f.Add(testBody(u32(snapMagic), u32(uint32(len(body))), u32(0), body), seg)
 	}
-	f.Add([]byte{})
-	f.Add(bytes.Repeat([]byte{0xFF}, 40))
+	f.Add([]byte{}, []byte{})
+	f.Add(bytes.Repeat([]byte{0xFF}, 40), bytes.Repeat([]byte{0xFF}, 40))
 
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Fuzz(func(t *testing.T, data, seg []byte) {
+		wal := func(gen uint64) []byte {
+			if gen == 0 {
+				return seg
+			}
+			return nil
+		}
 		for _, slot := range [][]byte{data, resealSlot(data)} {
-			st, valid, err := decodeSlot(slot)
+			st, valid, err := decodeSlot(slot, wal)
 			if valid < 0 || valid > len(slot) {
 				t.Fatalf("accepted %d of %d bytes", valid, len(slot))
 			}
@@ -442,7 +489,7 @@ func FuzzSnapshotSlot(f *testing.F) {
 				}
 				continue
 			}
-			again, validAgain, err := decodeSlot(slot[:valid])
+			again, validAgain, err := decodeSlot(slot[:valid], wal)
 			if err != nil || validAgain != valid || !reflect.DeepEqual(st, again) {
 				t.Fatalf("accepted prefix of %d bytes does not stand alone: %d bytes, err %v", valid, validAgain, err)
 			}
@@ -450,12 +497,8 @@ func FuzzSnapshotSlot(f *testing.F) {
 				continue
 			}
 			disk := storage.NewDisk(storage.Faults{})
-			if err := disk.Append(snapSlots[0], slot); err != nil {
-				t.Fatal(err)
-			}
-			if err := disk.Sync(snapSlots[0]); err != nil {
-				t.Fatal(err)
-			}
+			rewriteFile(t, disk, snapSlots[0], slot)
+			rewriteFile(t, disk, "wal.0", seg)
 			s := NewSharded(len(st.shards))
 			s.AttachDurability(DurabilityConfig{Disk: disk})
 			if err := s.Crash(); err != nil {
@@ -465,8 +508,11 @@ func FuzzSnapshotSlot(f *testing.F) {
 			if err != nil {
 				t.Fatalf("Recover on an accepted slot: %v", err)
 			}
-			if !rs.UsedSnapshot || rs.LSN != st.lsn {
-				t.Fatalf("recovered to LSN %d, the slot's prefix ends at %d: %+v", rs.LSN, st.lsn, rs)
+			// The segment is replayed past the slot's LSN only when the slot
+			// ends in generation 0; every replayed outcome is counted.
+			if !rs.UsedSnapshot || rs.SnapshotLSN != st.lsn || rs.LSN != st.lsn+uint64(rs.OutcomesReplayed) ||
+				(st.gen > 0 && rs.OutcomesReplayed != 0) {
+				t.Fatalf("recovered to LSN %d, the slot's prefix ends at %d in generation %d: %+v", rs.LSN, st.lsn, st.gen, rs)
 			}
 			probe := AppendFrame(nil, FrameHeader{Rank: 2, Seq: 1 << 60, CumRecords: 1 << 60},
 				[]detect.SliceRecord{{Sensor: 0, Rank: 2, Count: 1, AvgNs: 1}})

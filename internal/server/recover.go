@@ -7,13 +7,16 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"vsensor/internal/storage"
 )
 
 // Crash recovery. Crash() models losing the server process: the backing
 // disk crashes (dropping or tearing unsynced tails, possibly rotting a
 // durable bit) and every in-memory structure is wiped. Recover() rebuilds
 // the server purely from what survived on disk: the longest valid prefix of
-// snapshot sections plus a replay of every WAL entry past its LSN.
+// snapshot sections, each segment's records read from the WAL entry the
+// section names, plus a replay of every WAL entry past the prefix's LSN.
 //
 // The recovery invariant is *strict prefix*: the rebuilt state equals the
 // state the server held after some prefix of its acknowledged ingest
@@ -21,9 +24,19 @@ import (
 // tail, a rotten bit, an LSN gap left by a lying fsync — and discards
 // everything after it, even segments that are themselves intact, because
 // an entry beyond a gap reflects state transitions whose predecessors were
-// lost. Clients learn the surviving prefix from the recovered LSN and
-// re-send from there; the kill-and-recover conformance test pins that the
-// result is byte-equal to a server that never crashed.
+// lost. A section naming a frame entry that fails its checks ends the
+// section prefix before it, so rot in a segment only a section still reads
+// rewinds recovery to the section before, whose replay stops at the same
+// rotten entry. Clients learn the surviving prefix from the recovered LSN
+// and re-send from there; the kill-and-recover conformance test pins that
+// the result is byte-equal to a server that never crashed.
+//
+// Replay scans only the segments at or after the base section's generation.
+// A truncated recovery leaves a stale suffix behind its stop point whose
+// LSNs are reassigned to different outcomes when clients re-send; the seal
+// rotates to a fresh generation, so that suffix is never replayed again
+// (found by the conformance harness, seed 66). The pre-seal segments stay
+// only while the seal names an entry in them.
 
 // ErrServerDown is returned by Receive between Crash and Recover.
 var ErrServerDown = errors.New("server: down (crashed; awaiting recovery)")
@@ -75,8 +88,7 @@ func (s *Server) Crash() error {
 		sh.chunk = nil
 		sh.segments = nil
 		sh.ranks = make(map[int]*rankState)
-		clear(sh.touched)
-		sh.sealed = 0
+		*sh.marks = shardMarks{}
 		sh.bytesReceived = 0
 		sh.messages = 0
 		sh.latestSliceNs = 0
@@ -95,6 +107,7 @@ func (s *Server) Crash() error {
 	d.mu.Lock()
 	d.frames = 0
 	d.snapDue = false
+	d.refs = nil
 	// Staged-but-unflushed group-commit entries die with the process: they
 	// were acked under the relaxed contract and clients will re-send them.
 	d.enc.reset()
@@ -132,24 +145,29 @@ func (s *Server) Recover() (RecoveryStats, error) {
 	}
 
 	var rs RecoveryStats
-	st := loadSnapshot(d, &rs)
+	wal := segmentCache(d.disk)
+	st := loadSnapshot(d, wal, &rs)
+	// refs[i][j] is where shard i's segment j lies in the WAL.
+	refs := make([][]walRef, len(s.shards))
 	nextLSN := uint64(1)
-	maxGen := uint64(0)
+	maxGen, baseGen := uint64(0), uint64(0)
 	if st != nil {
 		if len(st.shards) != len(s.shards) {
 			return rs, fmt.Errorf("server: snapshot holds %d shards, server has %d", len(st.shards), len(s.shards))
 		}
 		s.installSnapshot(st)
+		copy(refs, st.refs)
 		rs.UsedSnapshot = true
 		rs.SnapshotGen = st.gen
 		rs.SnapshotLSN = st.lsn
 		nextLSN = st.lsn + 1
-		maxGen = st.gen
+		maxGen, baseGen = st.gen, st.gen
 	}
 
-	// Replay surviving segments in generation order. maxGen covers every
-	// surviving segment — even ones discarded by truncation — so the
-	// post-recovery generation never collides with stale files.
+	// Replay the segments from the base section's generation on, in
+	// generation order. maxGen covers every surviving segment — even ones
+	// replay skips or discards — so the post-recovery generation never
+	// collides with stale files.
 	var gens []uint64
 	for _, name := range d.disk.List() {
 		if g, ok := walGen(name); ok {
@@ -165,10 +183,10 @@ func (s *Server) Recover() (RecoveryStats, error) {
 		if stopped {
 			break // strict prefix: segments past a truncation are discarded
 		}
-		data, err := d.disk.ReadFile(walSegmentName(g))
-		if err != nil {
-			continue
+		if g < baseGen {
+			continue // read only at the entries a section names
 		}
+		data := wal(g)
 		rs.SegmentsScanned++
 		entries, consumed, truncated := scanWAL(data)
 		for _, e := range entries {
@@ -194,7 +212,7 @@ func (s *Server) Recover() (RecoveryStats, error) {
 				stopped = true
 				break
 			}
-			if !s.applyWALEntry(e, int64(span), &rs) {
+			if !s.applyWALEntry(e, int64(span), &rs, walRef{gen: g, off: uint64(e.off)}, refs) {
 				stopped = true
 				break
 			}
@@ -211,7 +229,7 @@ func (s *Server) Recover() (RecoveryStats, error) {
 	// Lost frames can leave permanent gaps in the global arrival-ticket
 	// sequence, which a read's log would be cut at forever; renumber
 	// the surviving segments contiguously (preserving their order).
-	s.compactTickets()
+	byTicket := s.compactTickets(refs)
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		for _, sg := range sh.segments {
@@ -224,6 +242,7 @@ func (s *Server) Recover() (RecoveryStats, error) {
 	d.mu.Lock()
 	d.gen = maxGen
 	d.lsn = rs.LSN
+	d.refs = byTicket
 	d.frames = 0
 	d.snapDue = false
 	d.recoveries.Add(1)
@@ -238,17 +257,18 @@ func (s *Server) Recover() (RecoveryStats, error) {
 	if err := s.checkpointLocked(true); err != nil {
 		return rs, err
 	}
-	// Delete every pre-seal segment, including the one an ordinary
-	// checkpoint would keep as fallback. A truncated recovery leaves a
-	// stale suffix in the old segment — entries beyond the truncation
-	// point whose LSNs will be reassigned to different frames when clients
-	// re-send — and replaying that suffix at the next crash would
-	// resurrect state the recovered prefix never contained. The seal fully
-	// covers the recovered state in both slots, so nothing is lost unless
-	// both copies rot.
+	// The seal names every surviving segment's frame entry; a pre-seal
+	// segment it names nothing in — chatter only, or only a stale suffix —
+	// is never read again.
+	named := make(map[uint64]bool)
+	for _, r := range byTicket {
+		named[r.gen] = true
+	}
 	for _, g := range gens {
-		if err := d.disk.Remove(walSegmentName(g)); err != nil {
-			return rs, err
+		if !named[g] {
+			if err := d.disk.Remove(walSegmentName(g)); err != nil {
+				return rs, err
+			}
 		}
 	}
 	s.down.Store(false)
@@ -256,20 +276,34 @@ func (s *Server) Recover() (RecoveryStats, error) {
 	return rs, nil
 }
 
-// loadSnapshot folds both snapshot slots and returns the state of the one
-// whose valid section prefix reaches furthest, or nil when neither holds a
-// valid section (cold start). The slots mirror one section log, so the
-// higher generation is the longer prefix.
-func loadSnapshot(d *durability, rs *RecoveryStats) *snapState {
+// segmentCache reads each WAL segment from disk at most once: sections name
+// many entries of one segment, and replay scans it whole.
+func segmentCache(disk *storage.Disk) segmentSource {
+	segs := make(map[uint64][]byte)
+	return func(gen uint64) []byte {
+		data, ok := segs[gen]
+		if !ok {
+			data, _ = disk.ReadFile(walSegmentName(gen)) // nil when absent
+			segs[gen] = data
+		}
+		return data
+	}
+}
+
+// loadSnapshot folds both snapshot slots against the WAL and returns the
+// state of the one whose valid section prefix reaches furthest, or nil when
+// neither holds a valid section (cold start). The slots mirror one section
+// log, so the higher generation is the longer prefix.
+func loadSnapshot(d *durability, wal segmentSource, rs *RecoveryStats) *snapState {
 	var best *snapState
 	for _, name := range snapSlots {
 		data, err := d.disk.ReadFile(name)
 		if err != nil {
 			continue // slot never written
 		}
-		st, valid, derr := decodeSlot(data)
+		st, valid, derr := decodeSlot(data, wal)
 		if derr != nil || st == nil || valid < len(data) {
-			rs.SnapshotFallback = true // rotten, torn or half-persisted
+			rs.SnapshotFallback = true // rotten, torn, half-persisted, or naming a lost entry
 		}
 		if st != nil && (best == nil || st.gen > best.gen) {
 			best = st
@@ -307,10 +341,11 @@ func (s *Server) installSnapshot(st *snapState) {
 
 // applyWALEntry replays one log entry covering n outcomes (its checked
 // outcomeSpan, which also vouches for a counted kind's body length) onto the
-// recovered state. A false return means the entry's body is invalid —
-// recovery treats it like a truncation and stops. Replay journals nothing
-// and records no lineage spans.
-func (s *Server) applyWALEntry(e walEntry, n int64, rs *RecoveryStats) bool {
+// recovered state; a frame's new segment is recorded in refs as lying at at.
+// A false return means the entry's body is invalid — recovery treats it like
+// a truncation and stops. Replay journals nothing and records no lineage
+// spans.
+func (s *Server) applyWALEntry(e walEntry, n int64, rs *RecoveryStats, at walRef, refs [][]walRef) bool {
 	switch e.kind {
 	case walKindFrame:
 		if len(e.body) < 8+frameHeaderSize {
@@ -330,6 +365,8 @@ func (s *Server) applyWALEntry(e walEntry, n int64, rs *RecoveryStats) bool {
 		if dup, _ := s.ingestFrame(h, frame, ticket); dup {
 			return false
 		}
+		i := s.shardFor(h.Rank).idx
+		refs[i] = append(refs[i], at)
 		rs.FramesReplayed++
 		return true
 	case walKindDup:
@@ -373,10 +410,11 @@ func (s *Server) applyWALEntry(e walEntry, n int64, rs *RecoveryStats) bool {
 
 // compactTickets renumbers every surviving segment's arrival ticket
 // contiguously from 1, preserving order, and resumes the global counter
-// past them. Caller holds the durability stateMu exclusively, so no ingest
-// races the renumbering; shard locks still guard each mutation against
-// concurrent readers.
-func (s *Server) compactTickets() {
+// past them. locs[i][j] locates shard i's segment j in the WAL; the result
+// holds those locations by new ticket. Caller holds the durability stateMu
+// exclusively, so no ingest races the renumbering; shard locks still guard
+// each mutation against concurrent readers.
+func (s *Server) compactTickets(locs [][]walRef) []walRef {
 	type ref struct {
 		sh     *shard
 		idx    int
@@ -391,7 +429,9 @@ func (s *Server) compactTickets() {
 		sh.mu.Unlock()
 	}
 	sort.Slice(refs, func(i, j int) bool { return refs[i].ticket < refs[j].ticket })
+	byTicket := make([]walRef, len(refs))
 	for i, r := range refs {
+		byTicket[i] = locs[r.sh.idx][r.idx]
 		if r.ticket != uint64(i)+1 {
 			r.sh.mu.Lock()
 			r.sh.segments[r.idx].ticket = uint64(i) + 1
@@ -399,4 +439,5 @@ func (s *Server) compactTickets() {
 		}
 	}
 	s.ticket.Store(uint64(len(refs)))
+	return byTicket
 }

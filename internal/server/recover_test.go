@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"testing"
 
 	"vsensor/internal/detect"
@@ -257,8 +258,107 @@ func TestRecoverStopsAtLSNGap(t *testing.T) {
 	}
 }
 
-// Checkpoint rotates the WAL and keeps exactly one older segment (the
-// fallback for a rotten newest snapshot); everything older is deleted.
+// A truncated recovery leaves the rest of its segment behind, and the seal
+// keeps that segment while it names the entries before the tear. Replay
+// starts at the base section's generation, so the old segment is never
+// scanned again: frames re-sent after the recovery and after the next
+// checkpoint all come back from the next crash.
+func TestSealRetainsNoStaleSuffix(t *testing.T) {
+	s, disk, schedule := fallbackFixture(t)
+	live := walSegmentName(s.DurabilityStats().Generation)
+	seg, err := disk.ReadFile(live)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries, _, _ := scanWAL(seg)
+	if len(entries) < 3 {
+		t.Fatalf("live segment holds %d entries, want a few to tear between", len(entries))
+	}
+	tear := entries[len(entries)/2].off + walEntryHeader + 3 // inside an entry, mid-segment
+	rewriteFile(t, disk, live, seg[:tear])
+	if err := s.Crash(); err != nil {
+		t.Fatal(err)
+	}
+	rs, err := s.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs.TruncatedBytes == 0 || rs.LSN >= uint64(len(schedule)) {
+		t.Fatalf("the torn segment did not truncate recovery: %+v", rs)
+	}
+	if names := disk.List(); !slices.Contains(names, live) {
+		t.Fatalf("the seal dropped %s, whose entries before the tear it names: %v", live, names)
+	}
+	// Clients re-send from the recovered LSN, half before a checkpoint and
+	// half after it.
+	half := rs.LSN + (uint64(len(schedule))-rs.LSN)/2
+	for i, f := range schedule[rs.LSN:] {
+		if uint64(i)+rs.LSN == half {
+			if err := s.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Receive(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Crash(); err != nil {
+		t.Fatal(err)
+	}
+	rs, err = s.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs.LSN != uint64(len(schedule)) || rs.TruncatedBytes != 0 {
+		t.Fatalf("second recovery reached LSN %d of %d, truncating %d bytes", rs.LSN, len(schedule), rs.TruncatedBytes)
+	}
+	sameAsReference(t, s, schedule)
+}
+
+// Rot in a frame entry that only an older section names rewinds recovery to
+// just before that entry: every section from the one naming it on is
+// dropped, replay from the section before stops at the rotten entry, and
+// the recovery reports the fallback. Re-sending from the recovered LSN
+// restores the rest.
+func TestRotInRetainedSegment(t *testing.T) {
+	s, disk, schedule := fallbackFixture(t)
+	const gen = 2 // named only by the section of generation 3
+	seg, err := disk.ReadFile(walSegmentName(gen))
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries, _, _ := scanWAL(seg)
+	i := slices.IndexFunc(entries, func(e walEntry) bool { return e.kind == walKindFrame })
+	if i < 0 {
+		t.Fatalf("wal.%d holds no frame entry", gen)
+	}
+	rot := entries[i]
+	rewriteFile(t, disk, walSegmentName(gen), feed.Flip(seg, 8*(rot.off+walEntryHeader+20)))
+	if err := s.Crash(); err != nil {
+		t.Fatal(err)
+	}
+	rs, err := s.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs.LSN != rot.lsn-1 || !rs.SnapshotFallback || !rs.UsedSnapshot || rs.SnapshotGen != gen {
+		t.Fatalf("recovered to LSN %d from generation %d (fallback %v), want LSN %d from generation %d: %+v",
+			rs.LSN, rs.SnapshotGen, rs.SnapshotFallback, rot.lsn-1, gen, rs)
+	}
+	sameAsReference(t, s, schedule[:rs.LSN])
+	for _, f := range schedule[rs.LSN:] {
+		if err := s.Receive(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sameAsReference(t, s, schedule)
+}
+
+// The WAL is the record store, so a checkpoint rotates the WAL and deletes
+// nothing: every segment a section names holds records, and replay from an
+// earlier section needs every segment after it. Recover's seal names every
+// surviving frame entry and prunes exactly the pre-seal segments it names
+// nothing in.
 func TestCheckpointPrunesOldSegments(t *testing.T) {
 	s := NewSharded(2)
 	disk := storage.NewDisk(storage.Faults{})
@@ -272,22 +372,32 @@ func TestCheckpointPrunesOldSegments(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	names := disk.List()
-	var wals, snaps []string
-	for _, n := range names {
-		if _, ok := walGen(n); ok {
-			wals = append(wals, n)
-		} else {
-			snaps = append(snaps, n)
+	// A segment of chatter only: no section names it.
+	if err := s.Receive(AppendHeartbeat(nil, 1, 1000, 500)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	files := func() (wals, snaps []string) {
+		for _, n := range disk.List() {
+			if _, ok := walGen(n); ok {
+				wals = append(wals, n)
+			} else {
+				snaps = append(snaps, n)
+			}
 		}
+		return wals, snaps
 	}
-	if len(wals) > 2 {
-		t.Fatalf("checkpoint left %d WAL segments (%v), want <= 2", len(wals), wals)
+	wals, snaps := files()
+	if want := []string{"wal.0", "wal.1", "wal.2", "wal.3"}; !slices.Equal(wals, want) {
+		t.Fatalf("checkpoints left WAL segments %v, want all of %v", wals, want)
 	}
-	if len(snaps) == 0 || len(snaps) > 2 {
-		t.Fatalf("snapshot slots = %v, want snap.a/snap.b", snaps)
+	if !slices.Equal(snaps, snapSlots[:]) {
+		t.Fatalf("snapshot slots = %v, want %v", snaps, snapSlots)
 	}
-	// Recovery from the checkpointed disk reproduces the state.
+	// Recovery from the checkpointed disk reproduces the state, and its seal
+	// drops the chatter segment but keeps the three that hold records.
 	want := s.Records()
 	if err := s.Crash(); err != nil {
 		t.Fatal(err)
@@ -296,10 +406,17 @@ func TestCheckpointPrunesOldSegments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rs.UsedSnapshot {
-		t.Fatalf("recovery ignored the snapshot: %+v", rs)
+	if !rs.UsedSnapshot || rs.SegmentsScanned != 0 {
+		t.Fatalf("recovery did not rest on the snapshot alone: %+v", rs)
 	}
 	if err := feed.Same("record recovered from the snapshot", s.Records(), want); err != nil {
 		t.Fatal(err)
+	}
+	wals, snaps = files()
+	if want := []string{"wal.0", "wal.1", "wal.2"}; !slices.Equal(wals, want) {
+		t.Fatalf("the seal left WAL segments %v, want %v", wals, want)
+	}
+	if !slices.Equal(snaps, snapSlots[:]) {
+		t.Fatalf("snapshot slots after the seal = %v, want %v", snaps, snapSlots)
 	}
 }

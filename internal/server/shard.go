@@ -28,12 +28,9 @@ type shard struct {
 	// ranks holds one entry per rank routed to this shard.
 	ranks map[int]*rankState
 
-	// touched and sealed are the change marks a checkpoint consumes
-	// (snapshot.go): the ranks whose entry moved since the last snapshot
-	// section, and how many segments the sections already hold. touched is
-	// nil — and never written — without durability.
-	touched map[int]struct{}
-	sealed  int
+	// marks are the change marks a checkpoint consumes (snapshot.go); nil —
+	// and never written — without durability.
+	marks *shardMarks
 
 	bytesReceived   int64
 	messages        int64
@@ -74,19 +71,22 @@ type rankState struct {
 	hbNs      int64 // newest heartbeat virtual time
 	leaseNs   int64 // lease carried by that heartbeat (0 = no lease)
 	heartbeat bool  // a heartbeat arrived
+
+	slot int32 // 1 + the rank's index in a durable shard's slots; 0 before
 }
 
 // touch returns rank's entry in sh, creating and counting it on first sight,
-// and marks it for the next snapshot section. Caller holds sh.mu.
+// and on a durable shard marks it for the next snapshot section. Caller
+// holds sh.mu.
 func (s *Server) touch(sh *shard, rank int) *rankState {
-	if sh.touched != nil {
-		sh.touched[rank] = struct{}{}
-	}
 	rs := sh.ranks[rank]
 	if rs == nil {
 		rs = &rankState{}
 		sh.ranks[rank] = rs
 		s.rankEntries.Add(1)
+	}
+	if sh.marks != nil {
+		sh.marks.moved(rank, rs)
 	}
 	return rs
 }

@@ -2,24 +2,23 @@ package server
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"math"
 	"slices"
-	"sort"
 )
 
 // Snapshots. A checkpoint appends one CRC-sealed *section* — what changed
-// since the previous checkpoint — to the snapshot slots, rotates the WAL to
-// a fresh segment, and deletes segments the slots supersede. Recovery
-// (recover.go) folds a slot's sections in order and replays only WAL entries
-// past the last one's LSN, so recovery time is bounded by the checkpoint
-// cadence and a checkpoint's cost by the frames ingested since the previous
-// one; neither grows with the run.
+// since the previous checkpoint — to the snapshot slots and rotates the WAL
+// to a fresh segment. Recovery (recover.go) folds a slot's sections in order
+// and replays only WAL entries past the last one's LSN, so recovery time is
+// bounded by the checkpoint cadence and a checkpoint's cost by the frames
+// ingested since the previous one; neither grows with the run.
 //
 // A slot ("snap.a", "snap.b") is a log of sections (little endian):
 //
-//	u32 magic "vSS2" | u32 n | u32 crc     IEEE CRC32 over the n payload bytes
+//	u32 magic "vSS3" | u32 n | u32 crc     IEEE CRC32 over the n payload bytes
 //	payload:
 //	  u32 link                             crc of the slot's previous section, 0 for the first
 //	  u64 gen | u64 lsn | u64 ticket
@@ -32,18 +31,30 @@ import (
 //	                    nAhead, ahead... }
 //	    u32 nPerRank  { rank, records, latestSliceNs }
 //	    u32 nLive     { rank, hbNs, leaseNs }
-//	    u32 nSegments { ticket, nRecs, 40-byte wire records... }
+//	    u32 nSegments { ticketStep, nRecs, walGen, walOffset }
 //
-// Brace fields are uvarints (signed ones cast through uint64): small counters
-// repeated per touched rank and per frame, which fixed-width would outweigh
-// the WAL's own per-frame framing.
+// Brace fields are uvarints: small numbers repeated per touched rank and per
+// frame, which fixed-width would outweigh. A rank's numbers are each its
+// change since the slot's previous section (uint64 differences, so any
+// change round-trips), and ticketStep is a zigzag varint, the ticket's step
+// from the shard's previous segment: a section's size follows what changed,
+// not how large the counters have grown.
+//
+// Write once. A segment's records are not in the section: (walGen,
+// walOffset) names the WAL frame entry that already holds them (wal.go), so
+// a checkpoint copies, checksums and writes no record byte. The decoder
+// takes a segment's records from that entry only when the entry is intact —
+// its CRC holds, it is a frame of nRecs records from a rank of the shard, and
+// its LSN is within the section's. A section naming an entry that fails is
+// treated like a section that fails its seal: the slot's valid prefix ends
+// before it.
 //
 // Framing and folding. A section carries the scalar counters whole, the flow
 // / progress / liveness entries of the ranks touched since the previous
-// section (folding replaces the rank's entry) and the segments ingested since
-// then (folding appends them). A full snapshot is the section taken from
-// nothing — every rank touched, every segment new, link 0 — so there is one
-// encoder and one decoder. A fresh server's first checkpoint is such a
+// section (folding adds each change to the rank's entry) and the segments
+// ingested since then (folding appends them). A full snapshot is the section
+// taken from nothing — every rank touched, every change counted from zero,
+// every segment new, link 0 — so there is one encoder and one decoder. A fresh server's first checkpoint is such a
 // section by construction; Recover's seal writes one explicitly and replaces
 // both slots with it (snap.tmp + durable rename), so a torn or rotten tail
 // never sits in front of new sections. Steady-state sections are plain
@@ -54,20 +65,23 @@ import (
 // bytes a section is a delta against: a slot that missed a section (a failed
 // append) never accepts a later one.
 //
-// Mirror. Every section goes to both slots, so one rotten file loses nothing
-// — recovery takes the slot whose valid prefix reaches furthest — and two
-// rotten files lose only what follows the longer surviving prefix.
+// Mirror. Every section goes to both slots, and recovery takes the slot
+// whose valid prefix reaches furthest. Rot in one or both slots loses nothing
+// while the WAL is intact: replay from an earlier section reaches everything
+// a lost section covered, because no segment a section could fall back to is
+// ever deleted. The record bytes themselves are not mirrored: rot in a frame
+// entry rewinds recovery to just before that entry (recover.go).
 //
-// No compaction. Record segments, the bulk of the state, are written once and
-// never again, and a section's bookkeeping (scalars plus touched ranks) is
-// bounded by the frames that made the checkpoint due, so a slot stays within
-// a constant factor of a from-nothing encode of the same state.
+// No compaction. A section's bookkeeping — scalars, touched ranks, one
+// reference per fresh segment — is bounded by the frames that made the
+// checkpoint due, and the records it names are never copied again, so the
+// slot grows by a constant number of bytes per frame and per touched rank.
 //
 // Entries serialize in sorted rank order so identical histories produce
 // identical bytes — snapshot determinism is what lets the kill-and-recover
 // conformance harness compare servers structurally.
 const (
-	snapMagic     = 0x76535332 // "vSS2"
+	snapMagic     = 0x76535333 // "vSS3"
 	sectionHeader = 12
 	// minShardBytes is the smallest per-shard encoding: six scalars and four
 	// empty lists.
@@ -104,7 +118,7 @@ func (s *Server) appendSection(b []byte, link uint32, gen, lsn uint64) ([]byte, 
 	b = appendI64(b, s.rejectedFrames.Load())
 	b = appendI64(b, s.heartbeats.Load())
 	b = appendU32(b, uint32(len(s.shards)))
-	ranks := s.dur.ranks
+	d := s.dur
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		b = appendI64(b, sh.bytesReceived)
@@ -114,11 +128,8 @@ func (s *Server) appendSection(b []byte, link uint32, gen, lsn uint64) ([]byte, 
 		b = appendI64(b, sh.expectedRecords)
 		b = appendI64(b, sh.ingestedRecords)
 
-		ranks = ranks[:0]
-		for rank := range sh.touched {
-			ranks = append(ranks, rank)
-		}
-		sort.Ints(ranks)
+		m := sh.marks
+		slices.Sort(m.touched) // rank order: touched keys lead with the rank
 
 		// The three lists are views of the one rank entry: a flow once a
 		// data frame arrived, progress once records did, a lease once a
@@ -126,18 +137,19 @@ func (s *Server) appendSection(b []byte, link uint32, gen, lsn uint64) ([]byte, 
 		// list's count is patched after the list is written.
 		at, n := len(b), uint32(0)
 		b = appendU32(b, 0)
-		for _, rank := range ranks {
-			rs := sh.ranks[rank]
+		for _, key := range m.touched {
+			sl := &m.slots[uint32(key)]
+			rs, w := sl.rs, &sl.w
 			if rs.maxSeq == 0 {
 				continue
 			}
 			n++
-			b = appendUv(b, rank)
-			b = appendUv(b, rs.contig)
-			b = appendUv(b, rs.maxSeq)
-			b = appendUv(b, rs.maxCum)
-			b = appendUv(b, rs.frames)
-			b = appendUv(b, rs.records)
+			b = appendUv(b, sl.rank)
+			b = appendUv(b, rs.contig-w.contig)
+			b = appendUv(b, rs.maxSeq-w.maxSeq)
+			b = appendUv(b, rs.maxCum-w.maxCum)
+			b = appendUv(b, uint64(rs.frames)-w.frames)
+			b = appendUv(b, uint64(rs.records)-w.records)
 			b = appendUv(b, len(rs.ahead))
 			if len(rs.ahead) > 0 {
 				ahead := make([]uint64, 0, len(rs.ahead))
@@ -154,38 +166,46 @@ func (s *Server) appendSection(b []byte, link uint32, gen, lsn uint64) ([]byte, 
 
 		at, n = len(b), 0
 		b = appendU32(b, 0)
-		for _, rank := range ranks {
-			if rs := sh.ranks[rank]; rs.records > 0 {
+		for _, key := range m.touched {
+			if sl := &m.slots[uint32(key)]; sl.rs.records > 0 {
 				n++
-				b = appendUv(b, rank)
-				b = appendUv(b, rs.records)
-				b = appendUv(b, rs.latestSliceNs)
+				b = appendUv(b, sl.rank)
+				b = appendUv(b, uint64(sl.rs.records)-sl.w.records)
+				b = appendUv(b, uint64(sl.rs.latestSliceNs)-sl.w.latestSliceNs)
 			}
 		}
 		binary.LittleEndian.PutUint32(b[at:], n)
 
 		at, n = len(b), 0
 		b = appendU32(b, 0)
-		for _, rank := range ranks {
-			if rs := sh.ranks[rank]; rs.heartbeat {
+		for _, key := range m.touched {
+			if sl := &m.slots[uint32(key)]; sl.rs.heartbeat {
 				n++
-				b = appendUv(b, rank)
-				b = appendUv(b, rs.hbNs)
-				b = appendUv(b, rs.leaseNs)
+				b = appendUv(b, sl.rank)
+				b = appendUv(b, uint64(sl.rs.hbNs)-sl.w.hbNs)
+				b = appendUv(b, uint64(sl.rs.leaseNs)-sl.w.leaseNs)
 			}
 		}
 		binary.LittleEndian.PutUint32(b[at:], n)
 
-		fresh := sh.segments[sh.sealed:]
+		// Tickets rise along a shard's log, so each is written as its step
+		// from the segment before it.
+		fresh := sh.segments[m.sealed:]
+		prev := uint64(0)
+		if m.sealed > 0 {
+			prev = sh.segments[m.sealed-1].ticket
+		}
 		b = appendU32(b, uint32(len(fresh)))
 		for _, sg := range fresh {
-			b = appendUv(b, sg.ticket)
+			ref := d.refs[sg.ticket-1]
+			b = binary.AppendVarint(b, int64(sg.ticket-prev))
 			b = appendUv(b, sg.records())
-			b = append(b, sg.recs...)
+			b = appendUv(b, ref.gen)
+			b = appendUv(b, ref.off)
+			prev = sg.ticket
 		}
 		sh.mu.Unlock()
 	}
-	s.dur.ranks = ranks
 	payload := b[start+sectionHeader:]
 	crc := crc32.ChecksumIEEE(payload)
 	binary.LittleEndian.PutUint32(b[start+4:], uint32(len(payload)))
@@ -193,14 +213,65 @@ func (s *Server) appendSection(b []byte, link uint32, gen, lsn uint64) ([]byte, 
 	return b, crc
 }
 
+// rankMarks are a rank entry's numbers, which a section encodes as changes
+// since the slot's previous section.
+type rankMarks struct {
+	contig, maxSeq, maxCum, frames, records uint64
+	latestSliceNs, hbNs, leaseNs            uint64
+}
+
+func (rs *rankState) marks() rankMarks {
+	return rankMarks{
+		contig: rs.contig, maxSeq: rs.maxSeq, maxCum: rs.maxCum,
+		frames: uint64(rs.frames), records: uint64(rs.records),
+		latestSliceNs: uint64(rs.latestSliceNs), hbNs: uint64(rs.hbNs), leaseNs: uint64(rs.leaseNs),
+	}
+}
+
+// shardMarks are a durable shard's checkpoint bookkeeping: a slot per rank
+// holding the numbers the sections hold for it, the slots whose rank moved
+// since the last section (as rank<<32 | slot index, so sorting the list
+// sorts it by rank), and how many of the shard's segments the sections
+// already hold. Guarded by the shard's mu.
+type shardMarks struct {
+	slots   []rankSlot
+	touched []uint64
+	sealed  int
+}
+
+// rankSlot is one rank's entry, the numbers the sections hold for it, and
+// whether it moved since the last section.
+type rankSlot struct {
+	rank  int
+	rs    *rankState
+	w     rankMarks
+	moved bool
+}
+
+// moved marks rs, rank's entry, for the next section.
+func (m *shardMarks) moved(rank int, rs *rankState) {
+	if rs.slot == 0 {
+		m.slots = append(m.slots, rankSlot{rank: rank, rs: rs})
+		rs.slot = int32(len(m.slots))
+	}
+	if sl := &m.slots[rs.slot-1]; !sl.moved {
+		sl.moved = true
+		m.touched = append(m.touched, uint64(rank)<<32|uint64(rs.slot-1))
+	}
+}
+
 // touchAll makes the next section a full snapshot: every rank touched, every
-// segment unsealed.
+// segment unsealed, every change taken from zero.
 func (s *Server) touchAll() {
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		sh.sealed = 0
-		for rank := range sh.ranks {
-			sh.touched[rank] = struct{}{}
+		m := sh.marks
+		m.sealed = 0
+		for i := range m.slots {
+			m.slots[i].w = rankMarks{}
+		}
+		for rank, rs := range sh.ranks {
+			m.moved(rank, rs)
 		}
 		sh.mu.Unlock()
 	}
@@ -212,8 +283,13 @@ func (s *Server) touchAll() {
 func (s *Server) sectionWritten() {
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		sh.sealed = len(sh.segments)
-		clear(sh.touched)
+		m := sh.marks
+		m.sealed = len(sh.segments)
+		for _, key := range m.touched {
+			sl := &m.slots[uint32(key)]
+			sl.w, sl.moved = sl.rs.marks(), false
+		}
+		m.touched = m.touched[:0]
 		sh.mu.Unlock()
 	}
 }
@@ -268,6 +344,19 @@ func (r *snapReader) uv(what string) uint64 {
 	return v
 }
 
+func (r *snapReader) v(what string) int64 {
+	if r.err != nil {
+		return 0
+	}
+	v, n := binary.Varint(r.data[r.off:])
+	if n <= 0 {
+		r.fail(what)
+		return 0
+	}
+	r.off += n
+	return v
+}
+
 // rank reads a rank field, refusing values no u32 wire rank could produce.
 func (r *snapReader) rank(what string) int {
 	v := r.uv(what)
@@ -278,35 +367,55 @@ func (r *snapReader) rank(what string) int {
 	return int(v)
 }
 
-func (r *snapReader) bytes(n int, what string) []byte {
-	if r.err != nil || n < 0 || len(r.data)-r.off < n {
-		r.fail(what)
-		return nil
-	}
-	v := r.data[r.off : r.off+n]
-	r.off += n
-	return v
-}
-
 // snapState is the fold of a slot's valid sections, held off-server until
-// recovery commits it.
+// recovery commits it. refs[i][j] is where shard i's segment j was read from.
 type snapState struct {
 	gen, lsn, ticket uint64
 	checksumErrors   int64
 	rejectedFrames   int64
 	heartbeats       int64
 	shards           []*shard
+	refs             [][]walRef
 }
 
-// decodeSlot folds a slot's sections in order and stops at the first one
-// whose magic, length, CRC or link fails; valid is the length of the prefix
-// it accepted (st is nil when that is empty). Arbitrary bytes must never
-// panic or allocate unboundedly: a payload is a sub-slice of data, and every
-// count inside it is checked against the remaining bytes before it sizes
-// anything. A section that passes its seal but does not parse is no disk
-// fault — the writer was wrong — so the whole slot is refused with an error
-// rather than trusted up to that point.
-func decodeSlot(data []byte) (st *snapState, valid int, err error) {
+// segmentSource returns the bytes of WAL segment gen, nil when there is
+// none.
+type segmentSource func(gen uint64) []byte
+
+// errLostEntry is a section naming a WAL entry that is gone or fails its
+// checks: a disk fault, which ends the slot's valid prefix.
+var errLostEntry = errors.New("server: snapshot names a lost WAL entry")
+
+// walFrame returns the records of the frame entry ref names in wal when it
+// is intact and is what the section claims: a frame of nRecs records from a
+// rank filed in shard idx of mask+1, journaled at or before lsn.
+func walFrame(wal segmentSource, ref walRef, nRecs uint64, idx, mask uint32, lsn uint64) ([]byte, error) {
+	seg := wal(ref.gen)
+	if ref.off > uint64(len(seg)) {
+		return nil, errLostEntry
+	}
+	e, ok := decodeEntry(seg, int(ref.off))
+	if !ok || e.kind != walKindFrame || e.lsn > lsn || len(e.body) < 8 {
+		return nil, errLostEntry
+	}
+	frame := e.body[8:]
+	h, err := ParseFrame(frame)
+	if err != nil || uint64(h.Count) != nRecs || uint32(h.Rank)&mask != idx {
+		return nil, errLostEntry
+	}
+	return frame[frameHeaderSize:], nil
+}
+
+// decodeSlot folds a slot's sections in order, taking each segment's records
+// from the WAL entry it names in wal, and stops at the first section whose
+// magic, length, CRC or link fails or that names a lost entry; valid is the
+// length of the prefix it accepted (st is nil when that is empty). Arbitrary
+// bytes must never panic or allocate unboundedly: a payload is a sub-slice of
+// data, and every count inside it is checked against the remaining bytes
+// before it sizes anything. A section that passes its seal but does not parse
+// is no disk fault — the writer was wrong — so the whole slot is refused with
+// an error rather than trusted up to that point.
+func decodeSlot(data []byte, wal segmentSource) (st *snapState, valid int, err error) {
 	var link uint32
 	for len(data)-valid >= sectionHeader {
 		hdr := data[valid:]
@@ -322,7 +431,13 @@ func decodeSlot(data []byte) (st *snapState, valid int, err error) {
 		if st == nil {
 			st = &snapState{}
 		}
-		if err := st.fold(payload[4:]); err != nil {
+		if err := st.fold(payload[4:], wal); err != nil {
+			if errors.Is(err, errLostEntry) {
+				// The fold is half applied; the prefix before this section
+				// names only entries that checked out, so it folds cleanly.
+				st, _, err = decodeSlot(data[:valid], wal)
+				return st, valid, err
+			}
 			return nil, valid, err
 		}
 		link = crc
@@ -332,7 +447,7 @@ func decodeSlot(data []byte) (st *snapState, valid int, err error) {
 }
 
 // fold applies one section body (the payload past its link) onto st.
-func (st *snapState) fold(body []byte) error {
+func (st *snapState) fold(body []byte, wal segmentSource) error {
 	r := &snapReader{data: body}
 	st.gen = r.u64("gen")
 	st.lsn = r.u64("lsn")
@@ -349,6 +464,7 @@ func (st *snapState) fold(body []byte) error {
 			return fmt.Errorf("server: snapshot claims %d shards", nShards)
 		}
 		st.shards = make([]*shard, nShards)
+		st.refs = make([][]walRef, nShards)
 		for i := range st.shards {
 			st.shards[i] = newShard(i)
 		}
@@ -356,7 +472,11 @@ func (st *snapState) fold(body []byte) error {
 		return fmt.Errorf("server: snapshot section claims %d shards, slot began with %d", nShards, len(st.shards))
 	}
 	mask := uint32(len(st.shards) - 1)
-	fresh := make(map[int]*rankState)
+	type freshEntry struct {
+		rs   *rankState
+		base rankMarks
+	}
+	fresh := make(map[int]freshEntry)
 	for i, sh := range st.shards {
 		sh.bytesReceived = r.i64("bytesReceived")
 		sh.messages = r.i64("messages")
@@ -365,31 +485,36 @@ func (st *snapState) fold(body []byte) error {
 		sh.expectedRecords = r.i64("expectedRecords")
 		sh.ingestedRecords = r.i64("ingestedRecords")
 
-		// A touched rank's whole state is in the section, so the first sight
-		// of a rank in a section replaces its entry and the section's later
-		// lists fill that fresh entry.
+		// A touched rank's numbers are changes since the slot's previous
+		// section, so the first sight of a rank in a section takes the
+		// entry the sections so far hold as its base and replaces it with a
+		// fresh one, which the section's lists fill.
 		clear(fresh)
-		entry := func(rank int) *rankState {
+		entry := func(rank int) (*rankState, rankMarks) {
 			if r.err == nil && (rank > MaxFrameRank || uint32(rank)&mask != uint32(i)) {
 				r.err = fmt.Errorf("server: snapshot files rank %d in shard %d of %d", rank, i, len(st.shards))
 			}
 			if r.err != nil {
-				return &rankState{} // discarded: the section is refused
+				return &rankState{}, rankMarks{} // discarded: the section is refused
 			}
-			rs := fresh[rank]
-			if rs == nil {
-				rs = &rankState{}
-				fresh[rank] = rs
-				sh.ranks[rank] = rs
+			f, ok := fresh[rank]
+			if !ok {
+				f.rs = &rankState{}
+				if old := sh.ranks[rank]; old != nil {
+					*f.rs = *old
+					f.base = old.marks()
+				}
+				fresh[rank] = f
+				sh.ranks[rank] = f.rs
 			}
-			return rs
+			return f.rs, f.base
 		}
 
 		nFlows := int(r.u32("nFlows"))
 		for f := 0; f < nFlows && r.err == nil; f++ {
-			rs := entry(r.rank("flow rank"))
-			rs.contig, rs.maxSeq, rs.maxCum = r.uv("contig"), r.uv("maxSeq"), r.uv("maxCum")
-			rs.frames, rs.records = int64(r.uv("flow frames")), int64(r.uv("flow records"))
+			rs, w := entry(r.rank("flow rank"))
+			rs.contig, rs.maxSeq, rs.maxCum = w.contig+r.uv("contig"), w.maxSeq+r.uv("maxSeq"), w.maxCum+r.uv("maxCum")
+			rs.frames, rs.records = int64(w.frames+r.uv("flow frames")), int64(w.records+r.uv("flow records"))
 			// Each ahead entry consumes at least a byte, so a hostile count
 			// runs the reader dry before it grows the map past the input.
 			rs.ahead = nil
@@ -403,28 +528,40 @@ func (st *snapState) fold(body []byte) error {
 
 		nPerRank := int(r.u32("nPerRank"))
 		for p := 0; p < nPerRank && r.err == nil; p++ {
-			rs := entry(r.rank("progress rank"))
-			rs.records, rs.latestSliceNs = int64(r.uv("progress records")), int64(r.uv("progress latest"))
+			rs, w := entry(r.rank("progress rank"))
+			rs.records = int64(w.records + r.uv("progress records"))
+			rs.latestSliceNs = int64(w.latestSliceNs + r.uv("progress latest"))
 		}
 
 		nLive := int(r.u32("nLive"))
 		for l := 0; l < nLive && r.err == nil; l++ {
-			rs := entry(r.rank("live rank"))
-			rs.hbNs, rs.leaseNs, rs.heartbeat = int64(r.uv("live hb")), int64(r.uv("live lease")), true
+			rs, w := entry(r.rank("live rank"))
+			rs.hbNs, rs.leaseNs = int64(w.hbNs+r.uv("live hb")), int64(w.leaseNs+r.uv("live lease"))
+			rs.heartbeat = true
 		}
 
 		nSegs := int(r.u32("nSegments"))
+		prev := uint64(0)
+		if n := len(sh.segments); n > 0 {
+			prev = sh.segments[n-1].ticket
+		}
 		for g := 0; g < nSegs && r.err == nil; g++ {
-			ticket := r.uv("segment ticket")
+			ticket := prev + uint64(r.v("segment ticket"))
+			prev = ticket
 			nRecs := r.uv("segment records")
 			if nRecs > MaxFrameRecords {
 				return fmt.Errorf("server: snapshot segment claims %d records", nRecs)
 			}
-			raw := r.bytes(int(nRecs)*recordWireSize, "segment payload")
+			ref := walRef{gen: r.uv("segment gen"), off: r.uv("segment offset")}
 			if r.err != nil {
 				break
 			}
+			raw, err := walFrame(wal, ref, nRecs, uint32(i), mask, st.lsn)
+			if err != nil {
+				return err
+			}
 			sh.segments = append(sh.segments, segment{ticket: ticket, recs: sh.store(raw)})
+			st.refs[i] = append(st.refs[i], ref)
 		}
 		if r.err != nil {
 			return r.err
@@ -437,8 +574,8 @@ func (st *snapState) fold(body []byte) error {
 }
 
 // Checkpoint appends a section covering everything since the previous
-// checkpoint to both snapshot slots, rotates the WAL to a new segment, and
-// deletes WAL segments the slots supersede. Safe to call at any time;
+// checkpoint to both snapshot slots and rotates the WAL to a new segment.
+// Safe to call at any time;
 // automatic checkpoints run every DurabilityConfig.SnapshotEvery frames.
 // No-op without durability.
 func (s *Server) Checkpoint() error {
@@ -503,22 +640,14 @@ func (s *Server) checkpointLocked(seal bool) error {
 	if seal {
 		d.section = nil // a whole-state buffer is not worth keeping for deltas
 	}
-	// The section is committed: rotate to segment newGen and drop segments
-	// older than the previous generation — the previous section plus its
-	// segment remain the fallback if this section is lost from both slots.
-	// Sweep by name rather than deleting a single predecessor: a disk that
-	// was never recovered may hold older stragglers.
-	oldGen := d.gen
+	// The section is committed: rotate to segment newGen. Nothing is
+	// deleted: the segments behind this section hold the records it and its
+	// predecessors name, and replay from an earlier section needs every
+	// segment after that section's generation.
 	d.gen = newGen
+	d.segLen = 0
 	d.frames = 0
 	d.snapDue = false
-	for _, name := range d.disk.List() {
-		if g, ok := walGen(name); ok && g < oldGen {
-			if err := d.disk.Remove(name); err != nil {
-				return err
-			}
-		}
-	}
 	written := int64(len(sec) * len(snapSlots))
 	d.snapshots.Add(1)
 	d.snapBytes.Add(written)

@@ -38,10 +38,12 @@ import (
 // re-send past their last durable ack).
 //
 // Segments: entries append to "wal.<gen>"; a checkpoint (snapshot.go)
-// starts generation gen+1 and deletes segments older than gen, so at most
-// two segments — the one the newest snapshot section supersedes and the live
-// one — exist at a time, which is exactly what falling back to the previous
-// section needs.
+// starts generation gen+1. The log is also the record store: a snapshot
+// section names each frame entry it covers by (generation, offset) instead
+// of copying its records, so a segment stays on disk while a section names
+// it. Replay scans only the segments at or after the base section's
+// generation; older segments are read only at the entries a section names.
+// Only Recover's seal deletes segments, and only those nothing names.
 const (
 	walEntryHeader = 8
 
@@ -126,10 +128,15 @@ type durability struct {
 
 	// Snapshot section log (snapshot.go): link is the crc of the last
 	// section written, which the next one names as its predecessor; section
-	// and ranks are the encoder's reusable scratch.
+	// is the encoder's reusable buffer.
 	link    uint32
 	section []byte
-	ranks   []int
+
+	// segLen is how many bytes the current segment holds once the staged
+	// group is written; refs[t-1] is where the frame entry of ticket t lies,
+	// the reference a section writes in place of the records.
+	segLen uint64
+	refs   []walRef
 
 	// Lifetime counters (survive Crash; they describe the device, not the
 	// server state). Written under mu but atomic, so /metrics reads them
@@ -155,6 +162,21 @@ type durability struct {
 }
 
 func walSegmentName(gen uint64) string { return fmt.Sprintf("wal.%d", gen) }
+
+// walRef locates a frame entry: its segment's generation and its byte offset
+// in that segment.
+type walRef struct{ gen, off uint64 }
+
+// setRef records where ticket's frame entry lies. Tickets are handed out
+// under shard locks and journaled under mu, so they arrive nearly but not
+// exactly in order; every ticket below the highest is set by its own frame
+// before a checkpoint reads it. Caller holds mu.
+func (d *durability) setRef(ticket uint64, r walRef) {
+	for uint64(len(d.refs)) < ticket {
+		d.refs = append(d.refs, walRef{})
+	}
+	d.refs[ticket-1] = r
+}
 
 // entryAt serializes the common payload prefix (kind + an explicit LSN)
 // into d.buf. Caller holds d.mu.
@@ -271,6 +293,7 @@ func (e *groupEncoder) frame(ticket uint64, encoded []byte, trace uint64, rank i
 	b = binary.LittleEndian.AppendUint64(b, ticket)
 	b = append(b, encoded...)
 	d.buf = b
+	d.setRef(ticket, walRef{gen: d.gen, off: d.segLen + uint64(len(e.buf))})
 	e.stage(b)
 	e.outcomes++
 	if traced {
@@ -347,6 +370,7 @@ func (e *groupEncoder) flush() error {
 	if timed {
 		wait = nowUnixNs() - t0
 	}
+	d.segLen += uint64(len(e.buf))
 	d.entries.Add(int64(e.entries))
 	d.bytes.Add(int64(len(e.buf)))
 	d.syncs.Add(1)
@@ -430,6 +454,7 @@ type walEntry struct {
 	kind byte
 	lsn  uint64
 	body []byte // kind-specific bytes, aliasing the segment buffer
+	off  int    // where the entry starts in its segment
 }
 
 // outcomeSpan reports how many delivery outcomes e covers: 1 for a frame,
@@ -450,34 +475,39 @@ func (e walEntry) outcomeSpan() (span uint64, ok bool) {
 	return uint64(c), true
 }
 
+// decodeEntry decodes the entry at off in a segment; ok is false when its
+// header is short, its length hostile, its payload truncated or its CRC
+// wrong.
+func decodeEntry(data []byte, off int) (e walEntry, ok bool) {
+	if off < 0 || len(data)-off < walEntryHeader {
+		return e, false
+	}
+	n := int(binary.LittleEndian.Uint32(data[off:]))
+	if n < 9 || n > maxWALEntry || len(data)-off-walEntryHeader < n {
+		return e, false
+	}
+	payload := data[off+walEntryHeader : off+walEntryHeader+n]
+	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(data[off+4:]) {
+		return e, false
+	}
+	return walEntry{kind: payload[0], lsn: binary.LittleEndian.Uint64(payload[1:]), body: payload[9:], off: off}, true
+}
+
 // scanWAL decodes entries from raw segment bytes, stopping at the first
 // entry that fails validation (short header, hostile length, CRC mismatch,
 // or a truncated payload). It returns the valid prefix, how many bytes of
 // the segment it consumed, and whether it stopped early (truncation).
 func scanWAL(data []byte) (entries []walEntry, consumed int, truncated bool) {
 	off := 0
-	for {
-		if off == len(data) {
-			return entries, off, false
-		}
-		if len(data)-off < walEntryHeader {
+	for off < len(data) {
+		e, ok := decodeEntry(data, off)
+		if !ok {
 			return entries, off, true
 		}
-		n := int(binary.LittleEndian.Uint32(data[off:]))
-		if n < 9 || n > maxWALEntry || len(data)-off-walEntryHeader < n {
-			return entries, off, true
-		}
-		payload := data[off+walEntryHeader : off+walEntryHeader+n]
-		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(data[off+4:]) {
-			return entries, off, true
-		}
-		entries = append(entries, walEntry{
-			kind: payload[0],
-			lsn:  binary.LittleEndian.Uint64(payload[1:]),
-			body: payload[9:],
-		})
-		off += walEntryHeader + n
+		entries = append(entries, e)
+		off += walEntryHeader + 9 + len(e.body)
 	}
+	return entries, off, false
 }
 
 // DurabilityStats describes the WAL/snapshot layer for dashboards and
@@ -578,9 +608,9 @@ func (s *Server) AttachDurability(cfg DurabilityConfig) {
 	d.enc.d = d
 	s.dur = d
 	// The change marks checkpoints consume exist only on a durable server;
-	// nil maps keep the plain ingest path free of them.
+	// nil marks keep the plain ingest path free of them.
 	for _, sh := range s.shards {
-		sh.touched = make(map[int]struct{})
+		sh.marks = &shardMarks{}
 	}
 }
 

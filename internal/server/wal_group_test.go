@@ -458,7 +458,7 @@ func TestDefaultCommitIsOneSyncPerOutcome(t *testing.T) {
 // checkpoint on a two-shard server writes the same section to both slots,
 // whatever the in-memory layout of the per-rank state behind it.
 func TestCheckpointSlotsArePinned(t *testing.T) {
-	const goldenSHA256 = "c3fefe65c62d3328241f20a2d2232c61c23f9ee184956153230913cc52fb08a6"
+	const goldenSHA256 = "79fd311a4fa8d1a881c59688a609145124479c9e400b37de10c71a7f3da82980"
 	disk := storage.NewDisk(storage.Faults{})
 	s := NewSharded(2)
 	s.AttachDurability(DurabilityConfig{Disk: disk})

@@ -16,9 +16,10 @@
 # scrapes racing ingest, whose numbers must all come from one instant), a
 # -count 200 stress of the in-order ingest test without the race detector
 # (its race needs many fast runs to show), a race-enabled -count 10 stress of
-# recovery beside readers (the kill-and-recover conformance property and
-# record windows across a recovery truncation: recovery installs stored
-# record segments while pollers decode windows), a -count 50 stress of the socket
+# recovery beside readers (the kill-and-recover conformance property,
+# record windows across a recovery truncation, the seal's stale suffix and
+# rot in a retained WAL segment: recovery installs record segments read from
+# the WAL while pollers decode windows), a -count 50 stress of the socket
 # and socket+proxy conformance tables and the window's progress/bound
 # tests, the coverage
 # gate against the seed baseline (not race-enabled, -count=1: the run that
@@ -91,8 +92,8 @@ stage -race -run 'TestRecordsSnapshotUnderIngest$|TestWaitSnapshotParksBehindReb
 echo "== in-order ingest racing queries (-count 200, no race detector): no query closes an epoch ahead of its records"
 stage -run 'TestInOrderIngestNeverReopens$' -count 200 ./internal/server
 
-echo "== race-enabled recovery beside readers (-count 10): kill-and-recover conformance, record windows across a recovery truncation"
-stage -race -run 'TestKillRecoverConformance$|TestRecordsWindowAfterRecoveryTruncation$' -count 10 ./internal/server
+echo "== race-enabled recovery beside readers (-count 10): kill-and-recover conformance, record windows across a recovery truncation, no stale suffix replayed after a seal, rot in a retained WAL segment"
+stage -race -run 'TestKillRecoverConformance$|TestRecordsWindowAfterRecoveryTruncation$|TestSealRetainsNoStaleSuffix$|TestRotInRetainedSegment$' -count 10 ./internal/server
 
 echo "== socket/proxy exactly-once stress (-count 50: these tables race real sockets, one pass proves little)"
 stage -run 'TestNetChaosExactlyOnce$|TestNetKillRecoverConformance$|TestWindowProgressUnderEarlyResets$|TestWindowBoundedAcrossOutage$' \
