@@ -276,8 +276,9 @@ func TestWindowedSendSteadyStateAllocs(t *testing.T) {
 	wait()
 }
 
-// TestMediumsDoNotRetainFrame pins the contract transport's shared frame
-// pool relies on: no Medium keeps the caller's buffer past the call. One
+// TestMediumsDoNotRetainFrame pins the contract transport's Conn relies on
+// when it stages its next record into the frame it just sent: no Medium
+// keeps the caller's buffer past the call. One
 // buffer carries every frame and is scribbled over as soon as each Receive
 // or SendAsync returns — on the in-process server, and on the resilient
 // session synchronously, through the window, and through a window whose

@@ -25,14 +25,14 @@ func TestFlushSteadyStateAllocs(t *testing.T) {
 		}
 	}
 	// Pre-size the segment index and warm the client's buffers (and the
-	// epoch parts) with one round, then pre-size the shard's entry and
+	// epoch parts) with one round, then pre-size the shard's column and
 	// block arenas.
 	sh := s.shardFor(3)
 	sh.segments = make([]segment, 0, 1<<10)
 	for _, r := range batch {
 		c.OnSlice(r)
 	}
-	sh.entries.free = make([]epochEntry, 1<<13)
+	sh.cols.groups.free = make([]colGroup, 1<<13/blockLen)
 	sh.blocks.free = make([]block, 1<<7)
 
 	// Four chunks' worth of batches: the warm round left the first chunk

@@ -37,17 +37,20 @@ func nowUnixNs() int64 { return time.Now().UnixNano() }
 // records (wire.go), so it folds into its sender's shard in the critical
 // section that dedups and logs it, and no query's watermark runs ahead of
 // the fold. An epoch's records in one shard form a part: a chain of
-// fixed-size blocks carved from the shard's arena, written once and never
-// moved. A fold finds a record's part through the shard's part index
-// (partindex.go), a seeded open-addressing table where a lookup is one
-// hash and, nearly always, one probe. The key-level state — closed,
-// threshold, cache and the list of parts — sits in one key table behind
-// its own mutex, which a fold takes only when its shard first sees a key
-// or lands on a sealed part. Lock order: stateMu, then a shard, then the
-// key table; never the reverse, and never two shards at once. A query
-// evaluates its candidates on up to GOMAXPROCS workers, each with its own
-// scratch; they take no lock, and the query holds qmu until all have
-// joined, so the order is the same with one worker or many.
+// fixed-size blocks, written once and never moved. A block holds two columns
+// carved from the shard's column arena — the senders' average times and
+// their ranks, 12 bytes an entry — so a query gathers a run of values with
+// one copy and reads a rank only for an outlier. A fold finds a record's
+// part through the shard's part index (partindex.go), a seeded
+// open-addressing table where a lookup is one hash and, nearly always, one
+// probe. The key-level state — closed, threshold, cache and the list of
+// parts — sits in one key table behind its own mutex, which a fold takes
+// only when its shard first sees a key or lands on a sealed part. Lock
+// order: stateMu, then a shard, then the key table; never the reverse, and
+// never two shards at once. A query evaluates its candidates on up to
+// GOMAXPROCS workers, each with its own scratch; they take no lock, and the
+// query holds qmu until all have joined, so the order is the same with one
+// worker or many.
 
 // A part's first block holds firstBlockLen entries and every later block
 // blockLen. The short first block keeps a shard that holds few of an
@@ -59,7 +62,8 @@ func nowUnixNs() int64 { return time.Now().UnixNano() }
 // of 4096 ranks × 256 epochs about 30 % slower than contiguous slices, and
 // 256-entry ones cost ingest-tcp-durable about 10 % of its throughput; 64
 // is within a few percent of the parent on the second and 13 % on the
-// first.
+// first. Those figures were measured on one 16-byte entry array a block,
+// before the two columns, and have not been re-measured since.
 const (
 	firstBlockLen = 16
 	blockLen      = 64
@@ -67,8 +71,9 @@ const (
 
 // A shard's arenas start with a chunk of the minimum size and double
 // each time one runs out, up to the maximum, so a shard that saw a few
-// records pins little memory and a busy one allocates rarely. The largest
-// entry chunk is 64 KiB, a whole number of pages.
+// records pins little memory and a busy one allocates rarely. Entry
+// chunks are counted in entries and carved in column groups of blockLen;
+// the largest is 48 KiB, a whole number of pages.
 const (
 	entryChunkMin = 64
 	entryChunkMax = 4096
@@ -84,18 +89,46 @@ type epochKey struct {
 	slice  int64
 }
 
-// epochEntry is one folded record's contribution: the sending rank and its
-// average time, the inputs the cross-rank median comparison needs.
-type epochEntry struct {
-	rank int32
-	avg  float64
+// block is one link of a part's entry chain: a fixed run of entries, always
+// full except at the part's tail. An entry is one folded record's
+// contribution, the inputs the cross-rank median comparison needs: the
+// sender's average time in avg and its rank at the same index of rank, two
+// columns of equal length carved from the shard's column arena.
+type block struct {
+	avg  []float64
+	rank []int32
+	next *block
 }
 
-// block is one link of a part's entry chain: a fixed run of entries carved
-// from the shard's entry arena, always full except at the part's tail.
-type block struct {
-	entries []epochEntry
-	next    *block
+// colGroup is blockLen entries of both columns side by side, the unit the
+// column arena is carved in, so a block's two columns come from one chunk.
+type colGroup struct {
+	avg  [blockLen]float64
+	rank [blockLen]int32
+}
+
+// colArena hands out blocks' columns: each later block gets a group of its
+// own, and first blocks share groups, firstBlockLen entries at a time.
+type colArena struct {
+	groups arena[colGroup]
+	shared *colGroup // the group first blocks are being carved from
+	used   int       // entries of shared handed out
+}
+
+// carve returns room for n entries, firstBlockLen or blockLen, in both
+// columns.
+func (c *colArena) carve(n int) ([]float64, []int32) {
+	const lo, hi = entryChunkMin / blockLen, entryChunkMax / blockLen
+	if n == blockLen {
+		g := &c.groups.carve(1, lo, hi)[0]
+		return g.avg[:], g.rank[:]
+	}
+	if c.shared == nil || c.used+n > blockLen {
+		c.shared, c.used = &c.groups.carve(1, lo, hi)[0], 0
+	}
+	i, j := c.used, c.used+n
+	c.used = j
+	return c.shared.avg[i:j:j], c.shared.rank[i:j:j]
 }
 
 // part is one shard's share of an epoch. Every field but snap is guarded
@@ -125,36 +158,38 @@ type part struct {
 
 // add appends one entry, linking a fresh block when the tail is full.
 // Caller holds sh.mu.
-func (pt *part) add(sh *shard, e epochEntry) {
+func (pt *part) add(sh *shard, rank int32, avg float64) {
 	i := pt.n
 	switch {
 	case i == 0:
-		pt.first.entries = sh.entries.carve(firstBlockLen, entryChunkMin, entryChunkMax)
+		pt.first.avg, pt.first.rank = sh.cols.carve(firstBlockLen)
 		pt.tail = &pt.first
 	case i >= firstBlockLen:
 		if i = (i - firstBlockLen) % blockLen; i == 0 {
 			b := &sh.blocks.carve(1, blockChunkMin, blockChunkMax)[0]
-			b.entries = sh.entries.carve(blockLen, entryChunkMin, entryChunkMax)
+			b.avg, b.rank = sh.cols.carve(blockLen)
 			pt.tail.next = b
 			pt.tail = b
 		}
 	}
-	pt.tail.entries[i] = e
+	pt.tail.avg[i] = avg
+	pt.tail.rank[i] = rank
 	pt.n++
 }
 
 // eachRun calls f with each run of entries that holds the part's first
-// snap entries, in fold order. It never follows a link past them: the
-// tail's link may be written concurrently by a fold.
-func (pt *part) eachRun(f func([]epochEntry)) {
+// snap entries, in fold order, as its avg and rank columns. It never
+// follows a link past them: the tail's link may be written concurrently by
+// a fold.
+func (pt *part) eachRun(f func(avg []float64, rank []int32)) {
 	b := &pt.first
 	for left := pt.snap; left > 0; b = b.next {
-		if left <= len(b.entries) {
-			f(b.entries[:left])
+		if left <= len(b.avg) {
+			f(b.avg[:left], b.rank[:left])
 			return
 		}
-		f(b.entries)
-		left -= len(b.entries)
+		f(b.avg, b.rank)
+		left -= len(b.avg)
 	}
 }
 
@@ -294,7 +329,7 @@ func (a *analyzer) fold(sh *shard, recs []byte, trace uint64, live bool) {
 			pt.trace = trace
 			pt.traceRank = rank
 		}
-		pt.add(sh, epochEntry{rank: rank, avg: r.avgNs()})
+		pt.add(sh, rank, r.avgNs())
 	}
 }
 
@@ -408,9 +443,10 @@ func (a *analyzer) snapshot(threshold float64, watermark int64, haveWatermark bo
 // evalMinEntries is the fewest snapshotted entries a query hands each
 // evaluation worker, so a query with fewer than twice as many runs on its
 // own goroutine. Measured with BenchmarkEvaluate on 2 vCPU (go1.24,
-// medians of 5), two workers lose to one up to 32768 entries (106 µs
-// against 98 at 16384, 200 against 192 at 32768) and win from 65536
-// (395 µs against 411) to 524288 (2.8 ms against 4.6).
+// medians of 5, evalMinEntries set to 1, the branch-free select), two
+// workers are no faster than one up to 32768 entries (84 µs against 82 at
+// 8192, 315 against 309 at 32768) and win from 65536 (513 µs against 601)
+// to 524288 (3.8 ms against 5.7).
 const evalMinEntries = 1 << 15
 
 // evaluate computes every candidate's outlier set over its snapshot:
@@ -469,11 +505,7 @@ func evaluateRange(cands []cand, threshold float64, vals []float64) []float64 {
 		}
 		vals = vals[:0]
 		for _, pt := range c.parts {
-			pt.eachRun(func(run []epochEntry) {
-				for _, e := range run {
-					vals = append(vals, e.avg)
-				}
-			})
+			pt.eachRun(func(avg []float64, _ []int32) { vals = append(vals, avg...) })
 		}
 		med := selectMedian(vals)
 		if med <= 0 {
@@ -481,10 +513,10 @@ func evaluateRange(cands []cand, threshold float64, vals []float64) []float64 {
 		}
 		k := c.ep.key
 		for _, pt := range c.parts {
-			pt.eachRun(func(run []epochEntry) {
-				for _, e := range run {
-					if perf := med / e.avg; perf < threshold {
-						c.res = append(c.res, Outlier{Sensor: int(k.sensor), SliceNs: k.slice, Rank: int(e.rank), Perf: perf})
+			pt.eachRun(func(avg []float64, rank []int32) {
+				for i, v := range avg {
+					if perf := med / v; perf < threshold {
+						c.res = append(c.res, Outlier{Sensor: int(k.sensor), SliceNs: k.slice, Rank: int(rank[i]), Perf: perf})
 					}
 				}
 			})
@@ -588,10 +620,14 @@ func selectMedian(vals []float64) float64 {
 
 // selectNth permutes vals, which hold no NaN, so that vals[k] is the value
 // sort.Float64s would put there, with nothing greater before it and nothing
-// smaller after it: quickselect with a median-of-three pivot and Hoare
-// partitioning, which splits runs of equal values evenly. A range that is
-// not converging after 2·log2(n) rounds is sorted instead, so adversarial
-// input costs n log n at worst.
+// smaller after it: quickselect with a median-of-three pivot and two Lomuto
+// passes a round. The first moves the values below the pivot to the front,
+// the second the values equal to it right behind them, so a run of ties is
+// split off whole instead of stalling the descent. Both passes add the
+// comparison's result to the write index instead of branching on it, so no
+// branch depends on the data and random input costs no mispredictions. A
+// range that is not converging after 2·log2(n) rounds is sorted instead, so
+// adversarial input costs n log n at worst.
 func selectNth(vals []float64, k int) {
 	lo, hi := 0, len(vals)-1
 	for rounds := 2 * bits.Len(uint(len(vals))); lo < hi; rounds-- {
@@ -610,28 +646,37 @@ func selectNth(vals []float64, k int) {
 			vals[hi], vals[mid] = vals[mid], vals[hi]
 		}
 		p := vals[mid]
-		i, j := lo, hi
-		for i <= j {
-			for vals[i] < p {
-				i++
-			}
-			for p < vals[j] {
-				j--
-			}
-			if i <= j {
-				vals[i], vals[j] = vals[j], vals[i]
-				i++
-				j--
-			}
+		lt := lo + partition(vals[lo:hi+1], func(v float64) bool { return v < p })
+		if k < lt {
+			hi = lt - 1 // vals[lo:lt] < p <= vals[lt:hi+1]
+			continue
 		}
-		// vals[lo..j] <= p <= vals[i..hi], and everything between equals p.
-		switch {
-		case k <= j:
-			hi = j
-		case k >= i:
-			lo = i
-		default:
-			return
+		// Past lt nothing is below p, so v <= p means v == p.
+		eq := lt + partition(vals[lt:hi+1], func(v float64) bool { return v <= p })
+		if k < eq {
+			return // vals[lt:eq] == p < vals[eq:hi+1]
 		}
+		lo = eq
 	}
+}
+
+// partition moves the values of run that satisfy below to its front, in a
+// branch-free Lomuto pass, and returns how many there are.
+func partition(run []float64, below func(float64) bool) int {
+	i := 0
+	for j, v := range run {
+		run[j] = run[i]
+		run[i] = v
+		i += b2i(below(v))
+	}
+	return i
+}
+
+// b2i is 1 for true and 0 for false; the compiler makes it a flag move, not
+// a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }

@@ -403,8 +403,9 @@ func TestFoldAllocsAmortized(t *testing.T) {
 			k := (f*perFrame + i) % keys
 			frame[i] = detect.SliceRecord{Sensor: k % 8, Group: k / 8, Rank: f, SliceNs: 0, AvgNs: 100}
 		}
-		recs[f] = make([]byte, perFrame*recordWireSize)
-		putRecords(recs[f], frame)
+		for _, r := range frame {
+			recs[f] = AppendRecord(recs[f], r)
+		}
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var ms runtime.MemStats

@@ -96,7 +96,7 @@ func (s *Server) Crash() error {
 		sh.expectedRecords = 0
 		sh.ingestedRecords = 0
 		sh.parts = partIndex{}
-		sh.entries, sh.blocks, sh.spare = arena[epochEntry]{}, arena[block]{}, arena[part]{}
+		sh.cols, sh.blocks, sh.spare = colArena{}, arena[block]{}, arena[part]{}
 		sh.mu.Unlock()
 	}
 	s.ticket.Store(0)
@@ -348,7 +348,7 @@ func (s *Server) installSnapshot(st *snapState) {
 func (s *Server) applyWALEntry(e walEntry, n int64, rs *RecoveryStats, at walRef, refs [][]walRef) bool {
 	switch e.kind {
 	case walKindFrame:
-		if len(e.body) < 8+frameHeaderSize {
+		if len(e.body) < 8+FrameHeaderSize {
 			return false
 		}
 		ticket := binary.LittleEndian.Uint64(e.body)

@@ -324,7 +324,7 @@ func (s *Server) ingestFrame(h FrameHeader, encoded []byte, forceTicket uint64) 
 	} else {
 		ticket = s.ticket.Add(1)
 	}
-	recs := sh.store(encoded[frameHeaderSize:])
+	recs := sh.store(encoded[FrameHeaderSize:])
 	sh.segments = append(sh.segments, segment{ticket: ticket, recs: recs})
 	sh.bytesReceived += int64(len(encoded))
 	sh.messages++

@@ -264,7 +264,7 @@ func TestReceiveChecksumReject(t *testing.T) {
 	s := New()
 	enc := AppendFrame(nil, FrameHeader{Rank: 0, Seq: 1, CumRecords: 1},
 		[]detect.SliceRecord{{Sensor: 1, AvgNs: 5}})
-	if err := s.Receive(feed.Flip(enc, (frameHeaderSize+2)*8+4)); !errors.Is(err, ErrChecksum) {
+	if err := s.Receive(feed.Flip(enc, (FrameHeaderSize+2)*8+4)); !errors.Is(err, ErrChecksum) {
 		t.Fatalf("err = %v, want ErrChecksum", err)
 	}
 	if len(s.Records()) != 0 {

@@ -41,10 +41,10 @@ type shard struct {
 
 	// parts is the shard's share of the epoch accumulators (epoch.go),
 	// carved from the arenas below by folds under mu.
-	parts   partIndex
-	entries arena[epochEntry]
-	blocks  arena[block]
-	spare   arena[part]
+	parts  partIndex
+	cols   colArena
+	blocks arena[block]
+	spare  arena[part]
 }
 
 func newShard(idx int) *shard {

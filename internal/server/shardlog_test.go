@@ -48,7 +48,7 @@ func TestShardLogChunkBoundary(t *testing.T) {
 		}
 		sent = append(sent, recs...)
 		frame := AppendFrame(nil, FrameHeader{Rank: rank, Seq: seqs[rank], CumRecords: uint64(len(sent))}, recs)
-		sentWire = append(sentWire, frame[frameHeaderSize:]...)
+		sentWire = append(sentWire, frame[FrameHeaderSize:]...)
 		for _, s := range []*Server{live, ref} {
 			if err := s.Receive(frame); err != nil {
 				t.Fatalf("frame %d (%d records): %v", i, n, err)

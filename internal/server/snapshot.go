@@ -403,7 +403,7 @@ func walFrame(wal segmentSource, ref walRef, nRecs uint64, idx, mask uint32, lsn
 	if err != nil || uint64(h.Count) != nRecs || uint32(h.Rank)&mask != idx {
 		return nil, errLostEntry
 	}
-	return frame[frameHeaderSize:], nil
+	return frame[FrameHeaderSize:], nil
 }
 
 // decodeSlot folds a slot's sections in order, taking each segment's records

@@ -62,7 +62,7 @@ var countedBody = [...]int{walKindDup: 8, walKindChecksum: 4, walKindReject: 4, 
 
 // maxWALEntry bounds a decoded entry's claimed payload length: the largest
 // legitimate entry is a frame entry around a maximum-size frame.
-const maxWALEntry = walEntryHeader + 16 + frameHeaderSize + MaxFrameRecords*recordWireSize
+const maxWALEntry = walEntryHeader + 16 + FrameHeaderSize + MaxFrameRecords*recordWireSize
 
 // maxCoalesced bounds the count field of a coalesced entry; a hostile
 // segment claiming more outcomes per entry than any real run could produce

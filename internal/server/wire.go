@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 
 	"vsensor/internal/detect"
 	"vsensor/internal/obs"
@@ -35,10 +36,16 @@ import (
 // sampled frame's lineage trace is not on the wire: it is a pure function of
 // (rank, seq), which every hop holding the shared sampler derives (TraceOf).
 const (
-	frameMagic      = 0x76534631 // "vSF1"
-	frameHeaderSize = 32
-	recordWireSize  = 4 + 4 + 4 + 8 + 4 + 8 + 8
+	frameMagic     = 0x76534631 // "vSF1"
+	recordWireSize = 4 + 4 + 4 + 8 + 4 + 8 + 8
 )
+
+// FrameHeaderSize is the bytes before a frame's first record: the room a
+// sender that stages records in place leaves for SealFrame.
+const FrameHeaderSize = 32
+
+// FrameSize is the length of a frame that carries records records.
+func FrameSize(records int) int { return FrameHeaderSize + records*recordWireSize }
 
 // MaxFrameRecords bounds the record count a frame header may claim. It is a
 // huge-allocation guard: a hostile 32-bit count could otherwise demand a
@@ -63,27 +70,52 @@ type FrameHeader struct {
 
 // AppendFrame serializes a frame onto dst (usually a reused buffer with len
 // 0) and returns the extended slice. h.Count is taken from len(recs); the
-// CRC is computed here.
+// CRC is computed here. It is AppendRecord over header room, then SealFrame:
+// a sender that stages records as they are produced (transport.Conn) builds
+// the same bytes.
 func AppendFrame(dst []byte, h FrameHeader, recs []detect.SliceRecord) []byte {
 	start := len(dst)
-	need := frameHeaderSize + len(recs)*recordWireSize
-	if cap(dst)-start < need {
-		grown := make([]byte, start, start+need)
-		copy(grown, dst)
-		dst = grown
+	dst = slices.Grow(dst, FrameSize(len(recs)))[:start+FrameHeaderSize]
+	for _, r := range recs {
+		dst = AppendRecord(dst, r)
 	}
-	dst = dst[:start+need]
-	hdr := dst[start:]
+	SealFrame(dst[start:], h)
+	return dst
+}
+
+// AppendRecord appends r in the 40-byte wire record layout: the one record
+// encoder, behind every frame a sender builds.
+func AppendRecord(dst []byte, r detect.SliceRecord) []byte {
+	n := len(dst)
+	if cap(dst)-n < recordWireSize {
+		dst = slices.Grow(dst, recordWireSize)
+	}
+	dst = dst[:n+recordWireSize]
+	w := (*wireRec)(dst[n:])
+	binary.LittleEndian.PutUint32(w[0:], uint32(r.Sensor))
+	binary.LittleEndian.PutUint32(w[4:], uint32(r.Group))
+	binary.LittleEndian.PutUint32(w[8:], uint32(r.Rank))
+	binary.LittleEndian.PutUint64(w[12:], uint64(r.SliceNs))
+	binary.LittleEndian.PutUint32(w[20:], uint32(r.Count))
+	binary.LittleEndian.PutUint64(w[24:], math.Float64bits(r.AvgNs))
+	binary.LittleEndian.PutUint64(w[32:], math.Float64bits(r.AvgInstr))
+	return dst
+}
+
+// SealFrame makes frame — FrameHeaderSize bytes of header room followed by
+// whole wire records — a complete frame in place: it writes h's rank,
+// sequence and cumulative count, the record count the payload holds
+// (h.Count is ignored), and the CRC.
+func SealFrame(frame []byte, h FrameHeader) {
+	hdr := (*[FrameHeaderSize]byte)(frame)
 	binary.LittleEndian.PutUint32(hdr[0:], frameMagic)
 	binary.LittleEndian.PutUint32(hdr[4:], uint32(h.Rank))
 	binary.LittleEndian.PutUint64(hdr[8:], h.Seq)
 	binary.LittleEndian.PutUint64(hdr[16:], h.CumRecords)
-	binary.LittleEndian.PutUint32(hdr[24:], uint32(len(recs)))
-	putRecords(dst[start+frameHeaderSize:], recs)
-	crc := crc32.ChecksumIEEE(dst[start : start+28])
-	crc = crc32.Update(crc, crc32.IEEETable, dst[start+frameHeaderSize:])
-	binary.LittleEndian.PutUint32(dst[start+28:], crc)
-	return dst
+	binary.LittleEndian.PutUint32(hdr[24:], uint32((len(frame)-FrameHeaderSize)/recordWireSize))
+	crc := crc32.ChecksumIEEE(hdr[:28])
+	crc = crc32.Update(crc, crc32.IEEETable, frame[FrameHeaderSize:])
+	binary.LittleEndian.PutUint32(hdr[28:], crc)
 }
 
 // ParseFrame validates a frame without trusting any header field: length,
@@ -95,8 +127,8 @@ func AppendFrame(dst []byte, h FrameHeader, recs []detect.SliceRecord) []byte {
 // arbitrary bytes must never panic or force a huge allocation.
 func ParseFrame(data []byte) (FrameHeader, error) {
 	var h FrameHeader
-	if len(data) < frameHeaderSize {
-		return h, fmt.Errorf("server: short frame (%d bytes, header is %d)", len(data), frameHeaderSize)
+	if len(data) < FrameHeaderSize {
+		return h, fmt.Errorf("server: short frame (%d bytes, header is %d)", len(data), FrameHeaderSize)
 	}
 	if m := binary.LittleEndian.Uint32(data[0:]); m != frameMagic {
 		return h, fmt.Errorf("server: bad frame magic %#x", m)
@@ -107,7 +139,7 @@ func ParseFrame(data []byte) (FrameHeader, error) {
 		// buffer from it.
 		return h, fmt.Errorf("server: frame claims %d records (max %d)", n, MaxFrameRecords)
 	}
-	want := frameHeaderSize + int(n)*recordWireSize
+	want := FrameSize(int(n))
 	if len(data) != want {
 		return h, fmt.Errorf("server: frame length %d, want %d for %d records", len(data), want, n)
 	}
@@ -126,11 +158,11 @@ func ParseFrame(data []byte) (FrameHeader, error) {
 		return h, fmt.Errorf("server: frame cumRecords %d < count %d", h.CumRecords, h.Count)
 	}
 	crc := crc32.ChecksumIEEE(data[:28])
-	crc = crc32.Update(crc, crc32.IEEETable, data[frameHeaderSize:])
+	crc = crc32.Update(crc, crc32.IEEETable, data[FrameHeaderSize:])
 	if got := binary.LittleEndian.Uint32(data[28:]); got != crc {
 		return h, fmt.Errorf("%w: header says %#x, computed %#x", ErrChecksum, got, crc)
 	}
-	for off := frameHeaderSize + 8; off < len(data); off += recordWireSize {
+	for off := FrameHeaderSize + 8; off < len(data); off += recordWireSize {
 		if r := binary.LittleEndian.Uint32(data[off:]); r != rank {
 			return h, fmt.Errorf("server: frame from rank %d carries a record of rank %d", rank, r)
 		}
@@ -143,27 +175,10 @@ func ParseFrame(data []byte) (FrameHeader, error) {
 // is unsampled, or data is shorter than a header. Used on paths that hold
 // raw bytes, e.g. parked-frame drains.
 func TraceOf(lin *obs.Lineage, data []byte) uint64 {
-	if lin == nil || len(data) < frameHeaderSize {
+	if lin == nil || len(data) < FrameHeaderSize {
 		return 0
 	}
 	return lin.TraceID(int(binary.LittleEndian.Uint32(data[4:])), binary.LittleEndian.Uint64(data[8:]))
-}
-
-// putRecords serializes recs in the 40-byte wire record layout into dst,
-// which must hold len(recs)*recordWireSize bytes: the one record encoder,
-// behind every frame a client sends.
-func putRecords(dst []byte, recs []detect.SliceRecord) {
-	off := 0
-	for _, r := range recs {
-		binary.LittleEndian.PutUint32(dst[off:], uint32(r.Sensor))
-		binary.LittleEndian.PutUint32(dst[off+4:], uint32(r.Group))
-		binary.LittleEndian.PutUint32(dst[off+8:], uint32(r.Rank))
-		binary.LittleEndian.PutUint64(dst[off+12:], uint64(r.SliceNs))
-		binary.LittleEndian.PutUint32(dst[off+20:], uint32(r.Count))
-		binary.LittleEndian.PutUint64(dst[off+24:], math.Float64bits(r.AvgNs))
-		binary.LittleEndian.PutUint64(dst[off+32:], math.Float64bits(r.AvgInstr))
-		off += recordWireSize
-	}
 }
 
 // wireRec is one record in the wire layout, as the shard log stores it. The
@@ -234,5 +249,5 @@ func decodeFrame(data []byte) (FrameHeader, []detect.SliceRecord, error) {
 	if err != nil {
 		return h, nil, err
 	}
-	return h, decodeSegments([]segment{{recs: data[frameHeaderSize:]}}, 0), nil
+	return h, decodeSegments([]segment{{recs: data[FrameHeaderSize:]}}, 0), nil
 }

@@ -103,9 +103,9 @@ func FuzzCheckBatch(f *testing.F) {
 	// frame: magic 0x76534632, a u64 trace after the header, the CRC over
 	// both. It must be refused as bad magic, whole or cut inside the trace;
 	// so must a frame with 8 stray bytes after its payload.
-	legacy := append(append(append([]byte(nil), valid[:frameHeaderSize]...), u64b(0x1122334455667788)...), valid[frameHeaderSize:]...)
+	legacy := append(append(append([]byte(nil), valid[:FrameHeaderSize]...), u64b(0x1122334455667788)...), valid[FrameHeaderSize:]...)
 	binary.LittleEndian.PutUint32(legacy, 0x76534632)
-	binary.LittleEndian.PutUint32(legacy[28:], crc32.Update(crc32.ChecksumIEEE(legacy[:28]), crc32.IEEETable, legacy[frameHeaderSize:]))
+	binary.LittleEndian.PutUint32(legacy[28:], crc32.Update(crc32.ChecksumIEEE(legacy[:28]), crc32.IEEETable, legacy[FrameHeaderSize:]))
 	if _, err := ParseFrame(legacy); err == nil || !strings.Contains(err.Error(), "bad frame magic") {
 		f.Fatalf("legacy traced frame: err = %v, want bad frame magic", err)
 	}
@@ -140,12 +140,14 @@ func FuzzCheckBatch(f *testing.F) {
 		if len(recs) != h.Count {
 			t.Fatalf("ingested %d records from a frame claiming %d", len(recs), h.Count)
 		}
-		payload := data[frameHeaderSize:]
+		payload := data[FrameHeaderSize:]
 		if segs := s.shardFor(h.Rank).segments; len(segs) != 1 || !bytes.Equal(segs[0].recs, payload) {
 			t.Fatalf("the shard log holds %d segments, not the frame's payload as received", len(segs))
 		}
-		re := make([]byte, len(recs)*recordWireSize)
-		putRecords(re, recs)
+		var re []byte
+		for _, r := range recs {
+			re = AppendRecord(re, r)
+		}
 		if !bytes.Equal(re, payload) {
 			t.Fatal("Records, re-encoded, differ from the payload the frame carried")
 		}

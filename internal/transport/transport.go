@@ -20,7 +20,8 @@ func nowUnixNs() int64 { return time.Now().UnixNano() }
 // Config tunes the reliable client side of the link.
 type Config struct {
 	// BatchSize is how many records a Conn buffers per frame (default
-	// server.DefaultBatchSize; 1 disables batching).
+	// server.DefaultBatchSize; 1 disables batching; at most
+	// server.MaxFrameRecords, what one frame can carry).
 	BatchSize int
 
 	// MaxRetries bounds delivery attempts per frame beyond the first;
@@ -70,6 +71,7 @@ func (c Config) withDefaults() Config {
 	if c.BatchSize <= 0 {
 		c.BatchSize = server.DefaultBatchSize
 	}
+	c.BatchSize = min(c.BatchSize, server.MaxFrameRecords)
 	if c.MaxRetries <= 0 {
 		c.MaxRetries = DefaultMaxRetries
 	}
@@ -100,7 +102,8 @@ func (c Config) withDefaults() Config {
 // Implementations must be safe for concurrent Receives from every rank
 // goroutine sharing the Link, and must not retain encoded past the return
 // of Receive: whatever they keep they copy, because the caller reuses the
-// buffer for its next frame (Conn encodes into a shared pool).
+// buffer for its next frame (a Conn stages its next record into the frame
+// it just transmitted).
 type Medium interface {
 	Receive(encoded []byte) error
 }
@@ -393,9 +396,13 @@ type Conn struct {
 	clock vm.Clock
 	rng   *rand.Rand // fault dice; nil when the plan never rolls them
 
-	buf []detect.SliceRecord
-	seq uint64
-	cum uint64
+	// frame is the frame being staged: header room, then the records
+	// buffered since the last flush in the wire layout, n of them. Flush
+	// seals it in place, transmits it and truncates it back to the header.
+	frame []byte
+	n     int
+	seq   uint64
+	cum   uint64
 
 	// parked is the capped retransmit buffer: frames that exhausted their
 	// retries, oldest first.
@@ -514,13 +521,13 @@ func (c *Conn) OnSlice(r detect.SliceRecord) error {
 		c.link.obsLost.Inc()
 		return nil
 	}
-	if c.buf == nil {
+	if c.frame == nil {
 		// One batch of room up front: grown by append instead, the buffer
 		// would be reallocated at every power of two on every connection.
-		c.buf = make([]detect.SliceRecord, 0, c.cfg.BatchSize)
+		c.frame = make([]byte, server.FrameHeaderSize, server.FrameSize(c.cfg.BatchSize))
 	}
-	c.buf = append(c.buf, r)
-	if len(c.buf) >= c.cfg.BatchSize {
+	c.frame = server.AppendRecord(c.frame, r)
+	if c.n++; c.n >= c.cfg.BatchSize {
 		return c.Flush()
 	}
 	return nil
@@ -555,7 +562,7 @@ func (c *Conn) flush(force bool) error {
 	c.maybeHeartbeat()
 	err := c.reclaim()
 	c.drainParked(c.cfg.MaxRetries)
-	if len(c.buf) == 0 {
+	if c.n == 0 {
 		return err
 	}
 	// Backpressure packing: while earlier frames still sit parked, cutting
@@ -566,45 +573,34 @@ func (c *Conn) flush(force bool) error {
 	// buffer (BufferCap intervals' worth of records) forces a cut so
 	// memory stays bounded and drop-oldest eviction keeps its meaning;
 	// Close forces one too — there is no later flush to pack into.
-	if !force && len(c.parked) > 0 && len(c.buf) < c.packLimit() {
+	// The staged records never outgrow one frame: a flush cuts them at
+	// BatchSize or packLimit records, neither above MaxFrameRecords.
+	if !force && len(c.parked) > 0 && c.n < c.packLimit() {
 		c.packedFlushes++
 		c.link.obsPacked.Inc()
 		return err
 	}
-	for len(c.buf) > 0 {
-		n := len(c.buf)
-		if n > server.MaxFrameRecords {
-			n = server.MaxFrameRecords
-		}
-		c.seq++
-		c.cum += uint64(n)
-		if lin := c.link.lin; lin != nil {
-			if trace := lin.TraceID(c.rank, c.seq); trace != 0 {
-				lin.FrameSampled()
-				lin.Record(trace, obs.StageEnqueue, c.rank, 0, nowUnixNs(), 0, int64(n))
-			}
-		}
-		enc := framePool.Get().(*[]byte)
-		*enc = server.AppendFrame((*enc)[:0], server.FrameHeader{Rank: c.rank, Seq: c.seq, CumRecords: c.cum}, c.buf[:n])
-		c.recordsSent += int64(n)
-		c.buf = c.buf[:copy(c.buf, c.buf[n:])]
-		c.link.obsFrames.Inc()
-		terr := c.transmit(*enc, c.cfg.MaxRetries)
-		framePool.Put(enc)
-		if terr != nil && err == nil {
-			err = terr
+	c.seq++
+	c.cum += uint64(c.n)
+	if lin := c.link.lin; lin != nil {
+		if trace := lin.TraceID(c.rank, c.seq); trace != 0 {
+			lin.FrameSampled()
+			lin.Record(trace, obs.StageEnqueue, c.rank, 0, nowUnixNs(), 0, int64(c.n))
 		}
 	}
+	server.SealFrame(c.frame, server.FrameHeader{Rank: c.rank, Seq: c.seq, CumRecords: c.cum})
+	c.recordsSent += int64(c.n)
+	c.link.obsFrames.Inc()
+	// Transmitting the frame in place is safe because nothing downstream
+	// keeps it: the retransmit buffer, the held reordered frame and the
+	// corrupt copy are copies, and every Medium copies what it keeps (see
+	// Medium).
+	if terr := c.transmit(c.frame, c.cfg.MaxRetries); terr != nil && err == nil {
+		err = terr
+	}
+	c.frame, c.n = c.frame[:server.FrameHeaderSize], 0
 	return err
 }
-
-// framePool holds the buffers flush encodes frames into, shared by every
-// Conn: a rank's encoded frame lives only for its transmit, so a process
-// needs about one buffer per sending goroutine, not one per rank. Handing
-// it back after transmit is safe because nothing downstream keeps it: the
-// retransmit buffer, the held reordered frame and the corrupt copy are
-// copies, and every Medium copies what it keeps (see Medium).
-var framePool = sync.Pool{New: func() any { return new([]byte) }}
 
 // transmit pushes one fresh frame with bounded retry + exponential backoff.
 // On exhaustion the frame parks in the retransmit buffer; the returned error
@@ -778,9 +774,11 @@ func (c *Conn) dropAllSilently() {
 	// (an eviction is counted by park; the rest is counted below).
 	c.link.settle(c)
 	_ = c.reclaim()
-	c.lostRecords += int64(len(c.buf))
-	c.link.obsLost.Add(int64(len(c.buf)))
-	c.buf = c.buf[:0]
+	c.lostRecords += int64(c.n)
+	c.link.obsLost.Add(int64(c.n))
+	if c.n > 0 {
+		c.frame, c.n = c.frame[:server.FrameHeaderSize], 0
+	}
 	for _, f := range c.parked {
 		c.lose(f)
 	}

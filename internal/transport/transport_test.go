@@ -431,13 +431,13 @@ func TestParsePlanErrors(t *testing.T) {
 	}
 }
 
-// TestConnFlushAllocs pins what a flush allocates, with every frame
-// encoded into a buffer from the package's pool. Over the in-process
-// server, a warm Conn's steady-state flush allocates
-// nothing: AllocsPerRun rounds the server's amortized growth (a log chunk
-// every 1024 records, the segment index's doublings) down to 0, while a
-// single allocation per flush would read 1. A fresh Conn's first flush
-// allocates only its staging buffer; its frame repeats a sequence the
+// TestConnFlushAllocs pins what a flush allocates, with every record staged
+// in the Conn's own frame buffer and the frame sealed and sent from it in
+// place. Over the in-process server, a warm Conn's steady-state flush
+// allocates nothing: AllocsPerRun rounds the server's amortized growth (a
+// log chunk every 1024 records, the segment index's doublings) down to 0,
+// while a single allocation per flush would read 1. A fresh Conn's first
+// batch allocates only its frame buffer; its frame repeats a sequence the
 // server already holds, so the server drops it as a duplicate and
 // allocates nothing either.
 func TestConnFlushAllocs(t *testing.T) {
@@ -466,7 +466,7 @@ func TestConnFlushAllocs(t *testing.T) {
 	}
 	next := 0
 	if avg := testing.AllocsPerRun(runs, func() { fill(fresh[next]); next++ }); avg != 1 {
-		t.Errorf("a fresh Conn's first flush allocates %v objects, want 1 (its staging buffer)", avg)
+		t.Errorf("a fresh Conn's first batch allocates %v objects, want 1 (its frame buffer)", avg)
 	}
 	if st := fresh[0].Stats(); st.FramesSent != 1 || st.RecordsSent != batch {
 		t.Errorf("fresh Conn stats = %+v, want one frame of %d records", st, batch)

@@ -5,7 +5,8 @@
 # conformance properties, the socket and socket+proxy conformance tables and
 # the paper's shape predicates at tier-1 size run there, once each),
 # race-enabled stress of the windowed link's
-# attribution (-count 10) and of the service's admission and Close
+# attribution and of the Conn's frames, which must equal server.AppendFrame's
+# byte for byte (-count 10 each), and of the service's admission and Close
 # (-count 20), a race-enabled -count 20 stress of the read path (the
 # record-window snapshot under ingest, the long-poll parking behind a
 # rebuild, the sharded-server differential, queries racing late records
@@ -20,8 +21,9 @@
 # record windows across a recovery truncation, the seal's stale suffix and
 # rot in a retained WAL segment: recovery installs record segments read from
 # the WAL while pollers decode windows), a -count 50 stress of the socket
-# and socket+proxy conformance tables and the window's progress/bound
-# tests, the coverage
+# and socket+proxy conformance tables, the window's progress/bound tests
+# and the mediums' no-retain contract (a Conn writes its next record over
+# the frame it just sent), the coverage
 # gate against the seed baseline (not race-enabled, -count=1: the run that
 # regenerates EXPERIMENTS.md at full size and compares it byte for byte), a
 # race-enabled interpreter smoke, one full-size run each of the benchmark's
@@ -83,6 +85,9 @@ go test -race -count=1 ./...
 echo "== race-enabled windowed link: attribution over a scripted medium (-count 10)"
 stage -race -run 'TestLinkWindowAttribution$' -count 10 ./internal/transport
 
+echo "== race-enabled Conn frames (-count 10): every frame a Conn stages and seals in place equals server.AppendFrame over the same header and records"
+stage -race -run 'TestConnFramesMatchAppendFrame$' -count 10 ./internal/transport
+
 echo "== race-enabled admission and Close (-count 20): shed at the MaxWorkers cap, Close reaches every connection, Close racing 8 dialers keeps the ledger"
 stage -race -run 'TestLoadShedExplicitRefusal$|TestCloseReachesEveryConn$|TestCloseWhileDialing$' -count 20 ./internal/netsrv
 
@@ -95,8 +100,8 @@ stage -run 'TestInOrderIngestNeverReopens$' -count 200 ./internal/server
 echo "== race-enabled recovery beside readers (-count 10): kill-and-recover conformance, record windows across a recovery truncation, no stale suffix replayed after a seal, rot in a retained WAL segment"
 stage -race -run 'TestKillRecoverConformance$|TestRecordsWindowAfterRecoveryTruncation$|TestSealRetainsNoStaleSuffix$|TestRotInRetainedSegment$' -count 10 ./internal/server
 
-echo "== socket/proxy exactly-once stress (-count 50: these tables race real sockets, one pass proves little)"
-stage -run 'TestNetChaosExactlyOnce$|TestNetKillRecoverConformance$|TestWindowProgressUnderEarlyResets$|TestWindowBoundedAcrossOutage$' \
+echo "== socket/proxy exactly-once stress (-count 50: these tables race real sockets, one pass proves little), and no medium retains a frame"
+stage -run 'TestNetChaosExactlyOnce$|TestNetKillRecoverConformance$|TestWindowProgressUnderEarlyResets$|TestWindowBoundedAcrossOutage$|TestMediumsDoNotRetainFrame$' \
     -count 50 ./internal/netsrv
 
 echo "== coverage gate (per-package deltas vs seed baseline)"
