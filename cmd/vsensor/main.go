@@ -516,8 +516,13 @@ func doReport(path string) {
 	}
 	fmt.Printf("saved run: %d ranks, %.3f ms, %d sensors, %d slice records\n",
 		d.Ranks, float64(d.TotalNs)/1e6, len(d.Sensors), len(d.Records))
+	if len(d.Sensors) > 0 && len(d.Records) == 0 {
+		// Sensors that left no record are no evidence of a clean run.
+		fmt.Println("no verdict: the file holds sensors but no slice records")
+		return
+	}
 	mats := vis.Build(d.Records, d.SensorTypes(), d.Ranks, col.Nanoseconds())
-	fmt.Print(vis.RenderReport(vis.Diagnose(mats, vis.ReportConfig{}), 0))
+	fmt.Print(vis.RenderReport(vis.Diagnose(mats), 0))
 	if *matrix {
 		for _, typ := range []ir.SnippetType{ir.Computation, ir.Network, ir.IO} {
 			if m := mats[typ]; m != nil {

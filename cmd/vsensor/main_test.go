@@ -12,6 +12,10 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"vsensor/internal/detect"
+	"vsensor/internal/ir"
+	"vsensor/internal/rundata"
 )
 
 // The CLI is tested by re-executing the test binary as the vsensor command:
@@ -546,6 +550,48 @@ func TestAnalyzeEndToEnd(t *testing.T) {
 		if !strings.Contains(stdout, want) {
 			t.Errorf("analyze output missing %q:\n%s", want, stdout)
 		}
+	}
+}
+
+// TestReportNeedsRecords: `report` renders the verdict of a file `run -save`
+// wrote, and gives none for a file that holds sensors but no records, where
+// "no performance variance" would be a verdict drawn from no data.
+func TestReportNeedsRecords(t *testing.T) {
+	dir := t.TempDir()
+	saved := filepath.Join(dir, "run.dat")
+	if stdout, stderr, code := runCLI(t, "run", "-q", "-ranks", "4", "-save", saved, filepath.Join("testdata", "tiny.mc")); code != 0 {
+		t.Fatalf("run -save: exit %d\nstdout: %s\nstderr: %s", code, stdout, stderr)
+	}
+	empty := filepath.Join(dir, "empty.dat")
+	f, err := os.Create(empty)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rundata.Save(f, &rundata.RunData{Ranks: 4, Sensors: []detect.Sensor{{ID: 0, Type: ir.Computation, Name: "main:L0"}}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, path string
+		verdict    bool
+	}{
+		{"saved-run", saved, true},
+		{"sensors-without-records", empty, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			stdout, stderr, code := runCLI(t, "report", tc.path)
+			if code != 0 {
+				t.Fatalf("exit code = %d\nstderr: %s", code, stderr)
+			}
+			if got := strings.Contains(stdout, "no verdict"); got == tc.verdict {
+				t.Errorf("report prints \"no verdict\" = %v, want %v:\n%s", got, !tc.verdict, stdout)
+			}
+			if !tc.verdict && strings.Contains(stdout, "no performance variance") {
+				t.Errorf("a file without records rendered a clean verdict:\n%s", stdout)
+			}
+		})
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"vsensor/internal/detect"
 	"vsensor/internal/ir"
 	"vsensor/internal/rundata"
+	"vsensor/internal/server"
 	"vsensor/internal/vis"
 )
 
@@ -25,33 +26,66 @@ func main() {
     }
 }`
 
+// SaveData writes what a later `vsensor report` needs to rebuild the
+// verdict: an in-process run's sensors and records round-trip to the same
+// findings, an uninstrumented run saves its shape alone, and a Connect run,
+// whose records live on the service, is refused with nothing written.
 func TestSaveDataRoundTrip(t *testing.T) {
 	cl := cluster.New(cluster.Config{Nodes: 2, RanksPerNode: 4})
 	cl.SetNodeMemSpeed(1, 0.5)
-	rep, err := vsensor.Run(facadeSrc, vsensor.Options{Ranks: 8, Cluster: cl})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := rep.SaveData(&buf); err != nil {
-		t.Fatal(err)
-	}
-	d, err := rundata.Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Ranks != 8 || d.TotalNs != rep.Result.TotalNs {
-		t.Errorf("metadata mismatch: %+v", d)
-	}
-	if len(d.Records) != len(rep.Server.Records()) {
-		t.Errorf("records: %d vs %d", len(d.Records), len(rep.Server.Records()))
-	}
-	// The saved data regenerates the same findings as the live report.
-	mats := vis.Build(d.Records, d.SensorTypes(), d.Ranks, (2 * time.Millisecond).Nanoseconds())
-	saved := vis.Diagnose(mats, vis.ReportConfig{})
-	live := rep.Findings(2 * time.Millisecond)
-	if len(saved) != len(live) {
-		t.Errorf("findings differ: saved %d vs live %d", len(saved), len(live))
+	svc := serveTenant(t, server.NewSharded(0), nil)
+	for _, tc := range []struct {
+		name    string
+		opt     vsensor.Options
+		refused bool
+	}{
+		{name: "inproc", opt: vsensor.Options{Cluster: cl}},
+		{name: "uninstrumented", opt: vsensor.Options{Uninstrumented: true}},
+		{name: "connect", opt: vsensor.Options{Connect: svc.Addr().String(), RunID: "save"}, refused: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opt := tc.opt
+			opt.Ranks = 8
+			rep, err := vsensor.Run(facadeSrc, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			err = rep.SaveData(&buf)
+			if tc.refused {
+				if err == nil || buf.Len() != 0 {
+					t.Fatalf("SaveData = %v after writing %d bytes, want refused with nothing written", err, buf.Len())
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			d, err := rundata.Load(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d.Ranks != 8 || d.TotalNs != rep.Result.TotalNs {
+				t.Errorf("metadata mismatch: %+v", d)
+			}
+			var want []detect.SliceRecord
+			if rep.Server != nil {
+				if want = rep.Server.Records(); len(want) == 0 {
+					t.Fatal("the in-process run left no records to save")
+				}
+			}
+			if len(d.Records) != len(want) || len(d.Sensors) != len(rep.SensorTypes()) {
+				t.Errorf("saved %d records and %d sensors, want %d and %d",
+					len(d.Records), len(d.Sensors), len(want), len(rep.SensorTypes()))
+			}
+			// The saved data regenerates the same findings as the live report.
+			mats := vis.Build(d.Records, d.SensorTypes(), d.Ranks, (2 * time.Millisecond).Nanoseconds())
+			saved := vis.Diagnose(mats)
+			live := rep.Findings(2 * time.Millisecond)
+			if len(saved) != len(live) {
+				t.Errorf("findings differ: saved %d vs live %d", len(saved), len(live))
+			}
+		})
 	}
 }
 

@@ -138,6 +138,7 @@ type Result struct {
 // Config controls identification.
 type Config struct {
 	// Entry is the program entry function. Default "main".
+	//vs:option every program starts at main; tests analyze a library function as the entry, a detection-quality question (ROADMAP item 4)
 	Entry string
 
 	// UseStaticRules additionally requires extern static-rule arguments

@@ -18,22 +18,18 @@ import (
 
 // Config describes a cluster.
 type Config struct {
-	Nodes        int // number of nodes
-	RanksPerNode int // MPI ranks placed per node
-
-	// Interconnect parameters. Zero values select the defaults below.
-	LatencyNs  int64   // per-message latency
-	BytesPerNs float64 // link bandwidth
-	CPUSpeed   float64 // baseline speed multiplier for all nodes
-	MemSpeed   float64 // baseline memory speed multiplier
-	Seed       int64   // seed for the per-rank jitter streams
-	JitterPct  float64 // uniform multiplicative jitter on compute costs
+	Nodes        int     // number of nodes
+	RanksPerNode int     // MPI ranks placed per node
+	Seed         int64   // seed for the per-rank jitter streams
+	JitterPct    float64 // uniform multiplicative jitter on compute costs
 }
 
-// Defaults.
+// The interconnect and shared filesystem every cluster has. Node speeds
+// start at 1.0 (nominal) and are degraded per node (SetNodeCPUSpeed,
+// SetNodeMemSpeed).
 const (
-	DefaultLatencyNs  = 1500
-	DefaultBytesPerNs = 6.0 // ~6 GB/s
+	LatencyNs  = 1500 // per-message latency
+	BytesPerNs = 6.0  // link bandwidth, ~6 GB/s
 
 	// Shared filesystem defaults: 20µs latency, ~1 GB/s streaming.
 	DefaultIOLatencyNs  = 20_000
@@ -105,21 +101,9 @@ func New(cfg Config) *Cluster {
 	if cfg.RanksPerNode <= 0 {
 		cfg.RanksPerNode = 1
 	}
-	if cfg.LatencyNs == 0 {
-		cfg.LatencyNs = DefaultLatencyNs
-	}
-	if cfg.BytesPerNs == 0 {
-		cfg.BytesPerNs = DefaultBytesPerNs
-	}
-	if cfg.CPUSpeed == 0 {
-		cfg.CPUSpeed = 1.0
-	}
-	if cfg.MemSpeed == 0 {
-		cfg.MemSpeed = 1.0
-	}
 	c := &Cluster{cfg: cfg}
 	for i := 0; i < cfg.Nodes; i++ {
-		c.nodes = append(c.nodes, &Node{ID: i, CPUSpeed: cfg.CPUSpeed, MemSpeed: cfg.MemSpeed})
+		c.nodes = append(c.nodes, &Node{ID: i, CPUSpeed: 1, MemSpeed: 1})
 	}
 	return c
 }
@@ -263,7 +247,7 @@ func (c *Cluster) ComputeCost(rank int, t int64, cpuNs, memNs float64) int64 {
 func (c *Cluster) P2PCost(t int64, bytes int64) int64 {
 	c.obsP2P.Inc()
 	nf := c.NetFactor(t)
-	cost := (float64(c.cfg.LatencyNs) + float64(bytes)/c.cfg.BytesPerNs) / nf
+	cost := (float64(LatencyNs) + float64(bytes)/BytesPerNs) / nf
 	return int64(math.Ceil(cost))
 }
 
@@ -277,8 +261,7 @@ func (c *Cluster) CollectiveCost(kind string, p int, bytes int64, t int64) int64
 	}
 	nf := c.NetFactor(t)
 	lg := math.Ceil(math.Log2(float64(p)))
-	lat := float64(c.cfg.LatencyNs)
-	bw := c.cfg.BytesPerNs
+	lat, bw := float64(LatencyNs), BytesPerNs
 	var cost float64
 	switch kind {
 	case "barrier":

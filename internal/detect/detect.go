@@ -49,10 +49,12 @@ type Config struct {
 	// duration is below this after a warm-up (paper §5.3: "vSensor will
 	// turn off the analysis for v-sensors that are too short at runtime").
 	// Zero disables the rule.
+	//vs:option a §5.3 detection rule only tests enable; whether it is on by default is a detection-quality question (ROADMAP item 4)
 	DisableShortNs int64
 
 	// WarmupRecords is the number of records used to estimate a sensor's
 	// duration before the short-sensor rule fires (default 32).
+	//vs:option the warm-up of the §5.3 short-sensor rule, which only tests enable (ROADMAP item 4)
 	WarmupRecords int
 
 	// Obs attaches detector metrics (detect_records_total,

@@ -21,13 +21,9 @@ type Config struct {
 	// (paper §4 "granularity"). Zero means the default of 3.
 	MaxDepth int
 
-	// RequireGlobal restricts instrumentation to whole-program (global)
-	// sensors, as the paper's implementation does. Enabled by default;
-	// set AllowLocal to lift it.
-	AllowLocal bool
-
 	// RequireProcessFixed drops sensors whose workload depends on the
 	// process rank; such sensors cannot be compared across processes.
+	//vs:option a §5.3 detection rule only tests enable; whether it is on by default is a detection-quality question (ROADMAP item 4)
 	RequireProcessFixed bool
 
 	// KeepNested disables the nested-sensor exclusion rule (ablation A3).
@@ -72,12 +68,10 @@ func Apply(res *analysis.Result, cfg Config) *Instrumented {
 		CallSensor: make(map[int]*Sensor),
 	}
 
-	candidates := res.GlobalSensors
-	if cfg.AllowLocal {
-		candidates = res.Sensors
-	}
+	// Scope: only whole-program (global) sensors are candidates, as in the
+	// paper's implementation.
 	var eligible []*analysis.Snippet
-	for _, s := range candidates {
+	for _, s := range res.GlobalSensors {
 		if s.Depth >= cfg.MaxDepth {
 			continue
 		}

@@ -45,7 +45,7 @@ func runRanksOver(t *testing.T, m transport.Medium, plan transport.FaultPlan, ra
 		go func(rank int) {
 			defer wg.Done()
 			conn := link.NewConn(rank, transport.Config{
-				BatchSize: 8, TimeoutNs: 10, BackoffBaseNs: 10, MaxRetries: 12,
+				BatchSize: 8,
 			})
 			for i := 0; i < perRank; i++ {
 				if err := conn.OnSlice(chaosRec(rank, i)); err != nil {

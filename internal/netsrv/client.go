@@ -17,11 +17,13 @@ var ErrFrameRejected = errors.New("netsrv: server rejected frame")
 type DialConfig struct {
 	// Timeout bounds the TCP connect plus the hello/ack exchange.
 	// Default 5s.
+	//vs:option a wall-clock deadline tests shrink to stay fast; it waits for an injected Clock (ROADMAP item 1)
 	Timeout time.Duration
 
 	// Window is the pipelining depth for SendAsync: how many frames may
 	// be in flight before the sender must consume an ack. Every connection
 	// opens at one and doubles up to it (see ResilientSession). Default 256.
+	//vs:option tests narrow the window to fill it with a few frames; it moves with DialConfig's deadlines (ROADMAP item 1)
 	Window int
 
 	// OpTimeout is the per-operation I/O deadline after the handshake:
@@ -30,6 +32,7 @@ type DialConfig struct {
 	// error instead of pinning the sender forever. It must be generous
 	// enough to cover one full frame write plus a server round trip.
 	// Default 10s; negative disables deadlines entirely.
+	//vs:option a wall-clock deadline tests shrink to stay fast; it waits for an injected Clock (ROADMAP item 1)
 	OpTimeout time.Duration
 }
 

@@ -23,8 +23,8 @@ type RetryPolicy struct {
 	// BackoffBase is the first sleep after a retryable failure with no
 	// server hint; it doubles per attempt up to BackoffMax. Defaults
 	// 5ms / 500ms.
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
+	//vs:option a wall-clock deadline tests shrink to stay fast; it waits for an injected Clock (ROADMAP item 1)
+	BackoffBase, BackoffMax time.Duration
 
 	// Seed drives the backoff jitter deterministically.
 	Seed int64
@@ -134,6 +134,7 @@ type ReconnectConfig struct {
 	Hello Hello
 
 	// Dial tunes each underlying connection (timeouts, window).
+	//vs:option carries DialConfig's test-shrunk deadlines (ROADMAP item 1)
 	Dial DialConfig
 
 	// Retry is the budget of the first dial (transient vSE1 refusals only)

@@ -41,12 +41,14 @@ type Config struct {
 
 	// HelloTimeout bounds how long an accepted connection may dawdle
 	// before completing its vSS1 hello. Default 5s.
+	//vs:option a wall-clock deadline tests shrink to stay fast; it waits for an injected Clock (ROADMAP item 1)
 	HelloTimeout time.Duration
 
 	// WriteTimeout is the deadline armed before every ack-bearing flush
 	// (session ack, frame acks, refusals): a peer that stops reading
 	// cannot pin its goroutine once the socket buffers fill. Default 5s;
 	// negative disables.
+	//vs:option a wall-clock deadline tests shrink to stay fast; it waits for an injected Clock (ROADMAP item 1)
 	WriteTimeout time.Duration
 
 	// IdleSession, when positive, is the dead-peer reaper: an admitted

@@ -81,7 +81,7 @@ func BenchmarkSpanStartEnd(b *testing.B) {
 // index claim plus a per-slot seqlock publish. This is the per-span cost a
 // sampled record pays at every hop, so it must stay allocation-free.
 func BenchmarkFlightRecord(b *testing.B) {
-	f := NewFlightRecorder(DefaultFlightCap)
+	f := NewFlightRecorder(flightCap)
 	sp := FlightSpan{Trace: 99, Rank: 3, Stage: StageIngest, StartNs: 1, DurNs: 2}
 	b.ReportAllocs()
 	b.ResetTimer()

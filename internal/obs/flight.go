@@ -57,10 +57,9 @@ func unpackMeta(m uint64) (rank int32, try uint16, stage Stage) {
 	return int32(uint32(m)), uint16(m >> 32), Stage(m >> 48)
 }
 
-// DefaultFlightCap is the ring capacity used when a LineageConfig does not
-// set one: 4096 spans ≈ 340 sampled records' full journeys, in ~256 KiB of
-// fixed memory.
-const DefaultFlightCap = 4096
+// flightCap is a lineage tracer's ring capacity: 4096 spans ≈ 340 sampled
+// records' full journeys, in ~256 KiB of fixed memory.
+const flightCap = 4096
 
 // NewFlightRecorder creates a ring with at least capacity slots (rounded up
 // to a power of two, minimum 16).

@@ -279,7 +279,7 @@ func TestLineageSamplerDeterminism(t *testing.T) {
 // plumbing end to end within the obs package.
 func TestLineageRecordAndStats(t *testing.T) {
 	o := New()
-	l := o.EnableLineage(LineageConfig{SampleEvery: 1, Seed: 5, FlightCap: 64})
+	l := o.EnableLineage(LineageConfig{SampleEvery: 1, Seed: 5})
 	if got := o.Lineage(); got != l {
 		t.Fatal("Obs.Lineage() must return the enabled tracer")
 	}
@@ -295,7 +295,7 @@ func TestLineageRecordAndStats(t *testing.T) {
 		t.Fatalf("ring holds %d spans, want 2 (trace 0 must not record)", len(spans))
 	}
 	st := l.Stats()
-	if st.Spans != 2 || st.SampleEvery != 1 || st.FlightCap != 64 || st.Seed != 5 {
+	if st.Spans != 2 || st.SampleEvery != 1 || st.FlightCap != flightCap || st.Seed != 5 {
 		t.Fatalf("Stats = %+v", st)
 	}
 	h := l.StageHistogram(StageIngest)
@@ -388,11 +388,11 @@ func TestLineageNilSafety(t *testing.T) {
 // TestLineageAccessors covers the live-side accessors end to end on a
 // standalone tracer.
 func TestLineageAccessors(t *testing.T) {
-	l := NewLineage(LineageConfig{SampleEvery: 2, Seed: 5, FlightCap: 32})
+	l := NewLineage(LineageConfig{SampleEvery: 2, Seed: 5})
 	if l.SampleEvery() != 2 {
 		t.Errorf("SampleEvery = %d", l.SampleEvery())
 	}
-	if l.Ring() == nil || l.Ring().Cap() != 32 {
+	if l.Ring() == nil || l.Ring().Cap() != flightCap {
 		t.Fatal("ring missing or mis-sized")
 	}
 	l.FrameSampled()
@@ -408,7 +408,7 @@ func TestLineageAccessors(t *testing.T) {
 		t.Error("out-of-range stage histogram not nil")
 	}
 	st := l.Stats()
-	if st.SampleEvery != 2 || st.Seed != 5 || st.FlightCap != 32 || st.Spans != 1 || st.SampledFrames != 2 {
+	if st.SampleEvery != 2 || st.Seed != 5 || st.FlightCap != flightCap || st.Spans != 1 || st.SampledFrames != 2 {
 		t.Errorf("stats = %+v", st)
 	}
 }

@@ -228,7 +228,7 @@ func TestFlightEndpoint(t *testing.T) {
 		t.Fatalf("lineage-off body %q (err %v)", body, err)
 	}
 
-	lin := o.EnableLineage(LineageConfig{SampleEvery: 1, FlightCap: 64})
+	lin := o.EnableLineage(LineageConfig{SampleEvery: 1})
 	lin.Record(0xabc, StageIngest, 3, 0, 100, 50, 8)
 	lin.Record(0xabc, StageWALAppend, 3, 0, 160, 10, 40)
 	lin.Record(0xdef, StageIngest, 5, 2, 200, 75, 1)
@@ -253,7 +253,7 @@ func TestFlightEndpoint(t *testing.T) {
 	if on.Spans[0].Trace != 0xabc || on.Spans[0].Stage != StageIngest || on.Spans[0].DurNs != 50 {
 		t.Fatalf("span 0 = %+v", on.Spans[0])
 	}
-	if on.Stats.FlightCap != 64 || on.Stats.Spans != 3 {
+	if on.Stats.FlightCap != flightCap || on.Stats.Spans != 3 {
 		t.Fatalf("stats = %+v", on.Stats)
 	}
 	// The ingest histogram's exemplar resolves to a recorded trace.

@@ -72,9 +72,6 @@ type LineageConfig struct {
 	// Seed perturbs the sampling hash so repeated runs can select different
 	// record populations while staying individually deterministic.
 	Seed uint64
-	// FlightCap is the flight-recorder ring capacity in spans (rounded up
-	// to a power of two; 0 selects DefaultFlightCap).
-	FlightCap int
 }
 
 // DefaultSampleEvery is the sampling period used when LineageConfig leaves
@@ -101,11 +98,7 @@ func newLineage(cfg LineageConfig, reg *Registry) *Lineage {
 	if every == 0 {
 		every = DefaultSampleEvery
 	}
-	capacity := cfg.FlightCap
-	if capacity <= 0 {
-		capacity = DefaultFlightCap
-	}
-	l := &Lineage{every: every, seed: cfg.Seed, ring: NewFlightRecorder(capacity)}
+	l := &Lineage{every: every, seed: cfg.Seed, ring: NewFlightRecorder(flightCap)}
 	for s := Stage(0); s < numStages; s++ {
 		l.stage[s] = reg.Histogram("lineage_stage_ns", "stage", s.String())
 	}

@@ -131,10 +131,10 @@ func TestSnapshotRecordsWindow(t *testing.T) {
 // must answer with truncated=true plus the base cursor to restart from.
 func TestRecordsWindowAfterRecoveryTruncation(t *testing.T) {
 	s := NewSharded(4)
-	// A commit group that never fills means nothing reaches the device: the
-	// crash loses the whole staged tail and recovery comes back with an empty
-	// (shorter) log.
-	s.AttachDurability(DurabilityConfig{Disk: storage.NewDisk(storage.Faults{}), FlushEvery: 1 << 20, FlushBytes: 1 << 30})
+	// A commit group that never fills (the trial stages far fewer than
+	// flushBytes) means nothing reaches the device: the crash loses the whole
+	// staged tail and recovery comes back with an empty (shorter) log.
+	s.AttachDurability(DurabilityConfig{Disk: storage.NewDisk(storage.Faults{}), FlushEvery: 1 << 20})
 	h := wireReadReport(s)
 	deliverAll(s, feed.Trial{Seed: 1, Shape: feed.Shape{Ranks: 3, Sensors: 2, Slices: 6}})
 	pre := s.Snapshot()

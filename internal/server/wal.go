@@ -73,17 +73,12 @@ const maxCoalesced = 1 << 30
 type DurabilityConfig struct {
 	// FlushEvery is how many delivery outcomes make one commit group: the
 	// group's entries accumulate in a staging buffer and hit the device as
-	// one write + one sync. <= 1 (the default) is a group of one: every
+	// one write + one sync (sooner when flushBytes are staged). <= 1 (the default) is a group of one: every
 	// outcome is written and synced before its ack, so ack implies durable
 	// — the mode under which transport-level exactly-once survives real
 	// crashes. Larger values relax that: staged-but-unflushed outcomes are
 	// acked, lost at a crash, and re-sent by clients from the recovered LSN.
 	FlushEvery int
-
-	// FlushBytes caps the staging buffer in bytes: a commit group flushes
-	// when it covers FlushEvery outcomes *or* FlushBytes staged bytes,
-	// whichever comes first. 0 selects DefaultFlushBytes.
-	FlushBytes int
 
 	// SnapshotEvery is how many frames are ingested between automatic
 	// checkpoints (snapshot + WAL segment rotation). 0 selects
@@ -102,8 +97,10 @@ const DefaultSnapshotEvery = 256
 // without picking a number use; the zero DurabilityConfig is a group of one.
 const DefaultFlushEvery = 64
 
-// DefaultFlushBytes is the group-commit staging cap in bytes.
-const DefaultFlushBytes = 1 << 16
+// flushBytes caps the group-commit staging buffer: a commit group flushes
+// when it covers FlushEvery outcomes or this many staged bytes, whichever
+// comes first.
+const flushBytes = 1 << 16
 
 // durability is the server's WAL/snapshot state. All fields except stateMu
 // are guarded by mu (the atomic counters are also read without it);
@@ -196,7 +193,7 @@ func (d *durability) entryHead(kind byte) []byte {
 
 // groupEncoder is the commit path: encoded entries accumulate in a staging
 // buffer and hit the device as ONE write + ONE sync when the group covers
-// cfg.FlushEvery outcomes or cfg.FlushBytes bytes. With the default group of
+// cfg.FlushEvery outcomes or flushBytes bytes. With the default group of
 // one that is one write + one sync per outcome, before the ack. Inside a
 // group, runs of heartbeat/dup/checksum/reject outcomes collapse into one
 // counted entry materialized when the run closes, so steady-state chatter
@@ -338,7 +335,7 @@ func (e *groupEncoder) stagedBytes() int64 {
 }
 
 func (e *groupEncoder) maybeFlush() error {
-	if e.outcomes >= e.d.cfg.FlushEvery || e.stagedBytes() >= int64(e.d.cfg.FlushBytes) {
+	if e.outcomes >= e.d.cfg.FlushEvery || e.stagedBytes() >= flushBytes {
 		return e.flush()
 	}
 	return nil
@@ -571,7 +568,7 @@ func (d *durability) stats() DurabilityStats {
 	if st.SnapshotEvery == 0 {
 		st.SnapshotEvery = DefaultSnapshotEvery
 	}
-	st.FlushEvery, st.FlushBytes = d.cfg.FlushEvery, d.cfg.FlushBytes
+	st.FlushEvery, st.FlushBytes = d.cfg.FlushEvery, flushBytes
 	return st
 }
 
@@ -600,9 +597,6 @@ func (s *Server) AttachDurability(cfg DurabilityConfig) {
 	}
 	if cfg.FlushEvery < 1 {
 		cfg.FlushEvery = 1
-	}
-	if cfg.FlushBytes <= 0 {
-		cfg.FlushBytes = DefaultFlushBytes
 	}
 	d := &durability{disk: cfg.Disk, cfg: cfg}
 	d.enc.d = d

@@ -53,7 +53,7 @@ func BenchmarkConnFlush(b *testing.B) {
 func BenchmarkConnFlushFaulty(b *testing.B) {
 	srv := server.New()
 	link := NewLink(srv, FaultPlan{Seed: 1, Drop: 0.2, Corrupt: 0.05})
-	conn := link.NewConn(0, Config{BatchSize: 64, TimeoutNs: 10, BackoffBaseNs: 10})
+	conn := link.NewConn(0, Config{BatchSize: 64})
 	batch := make([]detect.SliceRecord, 64)
 	for i := range batch {
 		batch[i] = rec(0, i)

@@ -32,9 +32,10 @@ func TestConnFramesMatchAppendFrame(t *testing.T) {
 		{"batch=1", 1, 21, nil},
 		{"batch=8", 8, 8*6 + 3, nil},
 		{"batch=64", 64, 64*3 + 17, nil},
-		// Attempts 2-9 fail: the second frame parks, the three flushes
-		// behind it pack, and the one after delivers both.
-		{"packed", 8, 8*12 + 5, func(a int) bool { return a >= 2 && a <= 9 }},
+		// Attempts 2 to 1+4·(maxRetries+1) fail: the second frame's
+		// attempts park it, the three flushes behind it each spend a drain
+		// on it and pack, and the one after delivers both.
+		{"packed", 8, 8*12 + 5, func(a int) bool { return a >= 2 && a <= 1+4*(maxRetries+1) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			// The medium keeps a copy of every frame handed to it and fails
@@ -47,9 +48,7 @@ func TestConnFramesMatchAppendFrame(t *testing.T) {
 				}
 				return nil
 			})
-			conn := NewLinkOver(m, FaultPlan{}).NewConn(rank, Config{
-				BatchSize: tc.batch, MaxRetries: 1, TimeoutNs: 1, BackoffBaseNs: 1,
-			})
+			conn := NewLinkOver(m, FaultPlan{}).NewConn(rank, Config{BatchSize: tc.batch})
 			sent := make([]detect.SliceRecord, tc.records)
 			for i := range sent {
 				sent[i] = rec(rank, i)
@@ -108,7 +107,7 @@ func TestConnBatchSizeClampedToFrame(t *testing.T) {
 		records += h.Count
 		return nil
 	})
-	conn := NewLinkOver(m, FaultPlan{}).NewConn(0, Config{BatchSize: server.MaxFrameRecords + 8, MaxRetries: 1})
+	conn := NewLinkOver(m, FaultPlan{}).NewConn(0, Config{BatchSize: server.MaxFrameRecords + 8})
 	const n = server.MaxFrameRecords + 3
 	r := rec(0, 1)
 	for i := 0; i < n; i++ {

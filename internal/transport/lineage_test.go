@@ -85,7 +85,7 @@ func TestLineageSpansAcrossLossyLink(t *testing.T) {
 // from the parked bytes and continue the same journey.
 func TestLineageParkedFrameKeepsTrace(t *testing.T) {
 	srv, link, lin := lineageLink(t, FaultPlan{Seed: 1, Drop: 1.0}, obs.LineageConfig{SampleEvery: 1})
-	conn := link.NewConn(0, Config{BatchSize: 2, MaxRetries: 2})
+	conn := link.NewConn(0, Config{BatchSize: 2})
 	conn.BindClock(&fakeClock{})
 	for i := 0; i < 2; i++ {
 		if err := conn.OnSlice(rec(0, i)); err != nil {
@@ -107,8 +107,8 @@ func TestLineageParkedFrameKeepsTrace(t *testing.T) {
 			parkAttempts++
 		}
 	}
-	if parkAttempts != 3 {
-		t.Fatalf("attempt spans before parking = %d, want 3 (first + MaxRetries)", parkAttempts)
+	if parkAttempts != 1+maxRetries {
+		t.Fatalf("attempt spans before parking = %d, want %d (first + maxRetries)", parkAttempts, 1+maxRetries)
 	}
 
 	// Heal the link and flush: drainParked retries the parked frame under

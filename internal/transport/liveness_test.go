@@ -8,36 +8,38 @@ import (
 	"vsensor/internal/storage"
 )
 
-// The retry backoff schedule is exact: each failed attempt charges the ack
-// timeout plus an exponentially doubling backoff, capped at BackoffMaxNs.
-// With every attempt dropped, MaxRetries=5, timeout=1000, base=100,
-// cap=400 the virtual clock must advance by precisely
+// The retry backoff schedule is exact: each failed attempt but the last
+// charges the ack timeout plus an exponentially doubling backoff, capped at
+// backoffMaxNs. With every attempt dropped the virtual clock must advance by
+// precisely
 //
-//	5*1000 + (100 + 200 + 400 + 400 + 400) = 6500 ns
+//	maxRetries*ackTimeoutNs + Σ_{k<maxRetries} min(backoffBaseNs·2^k, backoffMaxNs)
 //
-// before the frame parks.
+// before the frame parks — a sum the schedule's last steps reach the cap in.
 func TestRetryBackoffSchedule(t *testing.T) {
+	if backoffBaseNs<<(maxRetries-1) <= backoffMaxNs {
+		t.Fatalf("the %d-retry schedule never reaches the backoff cap", maxRetries)
+	}
 	srv := server.New()
 	link := NewLink(srv, FaultPlan{Seed: 3, Drop: 1})
 	clk := &fakeClock{}
-	conn := link.NewConn(0, Config{
-		BatchSize: 4, MaxRetries: 5,
-		TimeoutNs: 1000, BackoffBaseNs: 100, BackoffMaxNs: 400,
-		BufferCap: 8,
-	})
+	conn := link.NewConn(0, Config{BatchSize: 4})
 	conn.BindClock(clk)
 	for i := 0; i < 4; i++ {
 		if err := conn.OnSlice(rec(0, i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	const want = 5*1000 + (100 + 200 + 400 + 400 + 400)
+	want := int64(maxRetries * ackTimeoutNs)
+	for k := 0; k < maxRetries; k++ {
+		want += min(int64(backoffBaseNs)<<k, backoffMaxNs)
+	}
 	st := conn.Stats()
-	if st.Retries != 5 {
-		t.Fatalf("retries = %d, want 5 (MaxRetries exhausted)", st.Retries)
+	if st.Retries != maxRetries {
+		t.Fatalf("retries = %d, want %d (maxRetries exhausted)", st.Retries, maxRetries)
 	}
 	if st.WaitNs != want || clk.now != want {
-		t.Fatalf("wait=%d clock=%d, want exactly %d", st.WaitNs, clk.now, int64(want))
+		t.Fatalf("wait=%d clock=%d, want exactly %d", st.WaitNs, clk.now, want)
 	}
 	if st.Parked != 1 {
 		t.Fatalf("parked = %d, want 1", st.Parked)
@@ -107,7 +109,7 @@ func TestCrashHooksFireExactlyOnce(t *testing.T) {
 			recovers.Add(1)
 		},
 	)
-	conn := link.NewConn(0, Config{BatchSize: 1, MaxRetries: 10, TimeoutNs: 1, BackoffBaseNs: 1})
+	conn := link.NewConn(0, Config{BatchSize: 1})
 	for i := 0; i < 6; i++ {
 		if err := conn.OnSlice(rec(0, i)); err != nil {
 			t.Fatal(err)
@@ -142,7 +144,7 @@ func TestCrashHooksDriveDurableServer(t *testing.T) {
 			}
 		},
 	)
-	conn := link.NewConn(0, Config{BatchSize: 1, MaxRetries: 16, TimeoutNs: 1, BackoffBaseNs: 1})
+	conn := link.NewConn(0, Config{BatchSize: 1})
 	const n = 10
 	for i := 0; i < n; i++ {
 		if err := conn.OnSlice(rec(0, i)); err != nil {

@@ -24,30 +24,6 @@ type Config struct {
 	// server.MaxFrameRecords, what one frame can carry).
 	BatchSize int
 
-	// MaxRetries bounds delivery attempts per frame beyond the first;
-	// after that the frame is parked in the retransmit buffer (default 8).
-	MaxRetries int
-
-	// TimeoutNs is the virtual time charged for each failed attempt — the
-	// ack timeout the sender waits out before concluding loss (default
-	// 50µs).
-	TimeoutNs int64
-
-	// BackoffBaseNs is the first retry backoff; it doubles per retry up to
-	// BackoffMaxNs (defaults 20µs and 1ms).
-	BackoffBaseNs int64
-	BackoffMaxNs  int64
-
-	// BufferCap caps the retransmit buffer (parked frames) per Conn. When
-	// a frame parks beyond the cap, the *oldest* parked frame is dropped
-	// and its records are counted as lost — explicit drop-oldest
-	// backpressure instead of unbounded memory (default 64).
-	BufferCap int
-
-	// CloseAttempts bounds per-frame delivery attempts during Close's
-	// final drain, when there is no later flush to retry from (default 64).
-	CloseAttempts int
-
 	// LeaseNs enables liveness heartbeats: the Conn promises the server a
 	// fresh heartbeat within this much virtual time and emits one at least
 	// every LeaseNs/2 as it flushes. The server's lease state machine
@@ -57,14 +33,30 @@ type Config struct {
 	LeaseNs int64
 }
 
-// Defaults for Config fields left zero.
+// The retry schedule and retransmit buffer every Conn has.
 const (
-	DefaultMaxRetries    = 8
-	DefaultTimeoutNs     = 50_000
-	DefaultBackoffBaseNs = 20_000
-	DefaultBackoffMaxNs  = 1_000_000
-	DefaultBufferCap     = 64
-	DefaultCloseAttempts = 64
+	// maxRetries bounds delivery attempts per frame beyond the first;
+	// after that the frame is parked in the retransmit buffer.
+	maxRetries = 8
+
+	// ackTimeoutNs is the virtual time charged for each failed attempt —
+	// the ack timeout the sender waits out before concluding loss.
+	ackTimeoutNs = 50_000
+
+	// backoffBaseNs is the first retry backoff; it doubles per retry up to
+	// backoffMaxNs.
+	backoffBaseNs = 20_000
+	backoffMaxNs  = 1_000_000
+
+	// bufferCap caps the retransmit buffer (parked frames) per Conn. When
+	// a frame parks beyond the cap, the *oldest* parked frame is dropped
+	// and its records are counted as lost — explicit drop-oldest
+	// backpressure instead of unbounded memory.
+	bufferCap = 64
+
+	// closeAttempts bounds per-frame delivery attempts during Close's
+	// final drain, when there is no later flush to retry from.
+	closeAttempts = 64
 )
 
 func (c Config) withDefaults() Config {
@@ -72,24 +64,6 @@ func (c Config) withDefaults() Config {
 		c.BatchSize = server.DefaultBatchSize
 	}
 	c.BatchSize = min(c.BatchSize, server.MaxFrameRecords)
-	if c.MaxRetries <= 0 {
-		c.MaxRetries = DefaultMaxRetries
-	}
-	if c.TimeoutNs <= 0 {
-		c.TimeoutNs = DefaultTimeoutNs
-	}
-	if c.BackoffBaseNs <= 0 {
-		c.BackoffBaseNs = DefaultBackoffBaseNs
-	}
-	if c.BackoffMaxNs <= 0 {
-		c.BackoffMaxNs = DefaultBackoffMaxNs
-	}
-	if c.BufferCap <= 0 {
-		c.BufferCap = DefaultBufferCap
-	}
-	if c.CloseAttempts <= 0 {
-		c.CloseAttempts = DefaultCloseAttempts
-	}
 	return c
 }
 
@@ -547,11 +521,7 @@ func (c *Conn) Flush() error { return c.flush(false) }
 // intervals before a frame is cut regardless of backpressure: the record
 // equivalent of the parked-frame cap, bounded by what one frame can carry.
 func (c *Conn) packLimit() int {
-	lim := c.cfg.BufferCap * c.cfg.BatchSize
-	if lim > server.MaxFrameRecords {
-		lim = server.MaxFrameRecords
-	}
-	return lim
+	return min(bufferCap*c.cfg.BatchSize, server.MaxFrameRecords)
 }
 
 func (c *Conn) flush(force bool) error {
@@ -561,7 +531,7 @@ func (c *Conn) flush(force bool) error {
 	}
 	c.maybeHeartbeat()
 	err := c.reclaim()
-	c.drainParked(c.cfg.MaxRetries)
+	c.drainParked(maxRetries)
 	if c.n == 0 {
 		return err
 	}
@@ -570,7 +540,7 @@ func (c *Conn) flush(force bool) error {
 	// interval's records stay buffered, and the flush that finds the park
 	// queue drained packs every accumulated interval into one frame, so
 	// the wire amortizes the way the WAL's group commit does. A full
-	// buffer (BufferCap intervals' worth of records) forces a cut so
+	// buffer (bufferCap intervals' worth of records) forces a cut so
 	// memory stays bounded and drop-oldest eviction keeps its meaning;
 	// Close forces one too — there is no later flush to pack into.
 	// The staged records never outgrow one frame: a flush cuts them at
@@ -595,7 +565,7 @@ func (c *Conn) flush(force bool) error {
 	// keeps it: the retransmit buffer, the held reordered frame and the
 	// corrupt copy are copies, and every Medium copies what it keeps (see
 	// Medium).
-	if terr := c.transmit(c.frame, c.cfg.MaxRetries); terr != nil && err == nil {
+	if terr := c.transmit(c.frame); terr != nil && err == nil {
 		err = terr
 	}
 	c.frame, c.n = c.frame[:server.FrameHeaderSize], 0
@@ -605,24 +575,24 @@ func (c *Conn) flush(force bool) error {
 // transmit pushes one fresh frame with bounded retry + exponential backoff.
 // On exhaustion the frame parks in the retransmit buffer; the returned error
 // is non-nil only when parking evicted an older frame (data loss).
-func (c *Conn) transmit(frame []byte, maxRetries int) error {
+func (c *Conn) transmit(frame []byte) error {
 	if c.try(frame, maxRetries, false) {
 		return nil
 	}
 	return c.park(append([]byte(nil), frame...))
 }
 
-// try makes up to maxRetries+1 delivery attempts at frame, charging the ack
+// try makes up to retries+1 delivery attempts at frame, charging the ack
 // timeout plus a doubling backoff after each failure, and reports whether one
 // was acked. A fresh frame that fails its last attempt parks at once; a
 // parked one waits that timeout out too before its turn ends (chargeLast) —
 // the two schedules every seeded run's virtual time is built on.
-func (c *Conn) try(frame []byte, maxRetries int, chargeLast bool) bool {
+func (c *Conn) try(frame []byte, retries int, chargeLast bool) bool {
 	// Parked frames hold raw bytes; the lineage trace is re-derived from
 	// the frame header so retransmits stay on the record's journey.
 	lin := c.link.lin
 	trace := server.TraceOf(lin, frame)
-	backoff := c.cfg.BackoffBaseNs
+	backoff := int64(backoffBaseNs)
 	for try := 0; ; try++ {
 		var t0 int64
 		if trace != 0 {
@@ -640,23 +610,20 @@ func (c *Conn) try(frame []byte, maxRetries int, chargeLast bool) bool {
 		if trace != 0 {
 			lin.Record(trace, obs.StageAttempt, c.rank, try+1, t0, nowUnixNs()-t0, 0)
 		}
-		if try >= maxRetries && !chargeLast {
+		if try >= retries && !chargeLast {
 			return false
 		}
 		c.retries++
 		c.link.obsRetries.Inc()
-		charged := c.cfg.TimeoutNs + backoff
+		charged := ackTimeoutNs + backoff
 		c.charge(charged)
 		if trace != 0 {
 			lin.Record(trace, obs.StageRetry, c.rank, try+1, nowUnixNs(), 0, charged)
 		}
-		if try >= maxRetries {
+		if try >= retries {
 			return false
 		}
-		backoff *= 2
-		if backoff > c.cfg.BackoffMaxNs {
-			backoff = c.cfg.BackoffMaxNs
-		}
+		backoff = min(2*backoff, backoffMaxNs)
 	}
 }
 
@@ -714,7 +681,7 @@ func (c *Conn) reclaim() error {
 		if !c.silenced() {
 			c.retries++
 			c.link.obsRetries.Inc()
-			charged := c.cfg.TimeoutNs + c.cfg.BackoffBaseNs
+			const charged = ackTimeoutNs + backoffBaseNs
 			c.charge(charged)
 			if lin := c.link.lin; lin != nil {
 				if trace := server.TraceOf(lin, frame); trace != 0 {
@@ -735,14 +702,14 @@ func (c *Conn) reclaim() error {
 func (c *Conn) park(frame []byte) error {
 	c.parked = append(c.parked, frame)
 	c.link.obsParked.Inc()
-	if len(c.parked) <= c.cfg.BufferCap {
+	if len(c.parked) <= bufferCap {
 		return nil
 	}
 	oldest := c.parked[0]
 	copy(c.parked, c.parked[1:])
 	c.parked = c.parked[:len(c.parked)-1]
 	return fmt.Errorf("transport: rank %d retransmit buffer full (cap %d), dropped oldest frame (%d records)",
-		c.rank, c.cfg.BufferCap, c.lose(oldest))
+		c.rank, bufferCap, c.lose(oldest))
 }
 
 // lose books one undeliverable frame's records as lost and returns how many.
@@ -759,8 +726,8 @@ func (c *Conn) lose(frame []byte) int64 {
 
 // drainParked retries parked frames oldest-first, stopping at the first
 // frame that still cannot be delivered (preserving order).
-func (c *Conn) drainParked(maxRetries int) {
-	for len(c.parked) > 0 && c.try(c.parked[0], maxRetries, true) {
+func (c *Conn) drainParked(retries int) {
+	for len(c.parked) > 0 && c.try(c.parked[0], retries, true) {
 		copy(c.parked, c.parked[1:])
 		c.parked = c.parked[:len(c.parked)-1]
 	}
@@ -790,7 +757,7 @@ func (c *Conn) dropAllSilently() {
 }
 
 // Close flushes buffered records, makes a final persistent attempt at every
-// parked frame (CloseAttempts each), releases any held reordered frame,
+// parked frame (closeAttempts each), releases any held reordered frame,
 // and reports frames that were abandoned as lost. A dead rank's Close
 // discards silently instead — the process is gone.
 func (c *Conn) Close() error {
@@ -802,8 +769,8 @@ func (c *Conn) Close() error {
 	// The final drain. Over a window an accepted attempt can still come
 	// back: settle, and give what did another persistent round, at most as
 	// many as a frame gets attempts. A synchronous medium leaves after one.
-	for round := 0; round <= c.cfg.CloseAttempts; round++ {
-		c.drainParked(c.cfg.CloseAttempts)
+	for round := 0; round <= closeAttempts; round++ {
+		c.drainParked(closeAttempts)
 		c.link.settle(c)
 		if c.nreturned.Load() == 0 {
 			break

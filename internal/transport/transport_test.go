@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"errors"
 	"sort"
 	"strings"
 	"sync"
@@ -73,7 +74,7 @@ func TestRetryChargesClock(t *testing.T) {
 	srv := server.New()
 	link := NewLink(srv, FaultPlan{Seed: 1, Drop: 0.5})
 	clk := &fakeClock{}
-	conn := link.NewConn(0, Config{BatchSize: 4, TimeoutNs: 1000, BackoffBaseNs: 100, BackoffMaxNs: 400})
+	conn := link.NewConn(0, Config{BatchSize: 4})
 	conn.BindClock(clk)
 	for i := 0; i < 64; i++ {
 		conn.OnSlice(rec(0, i))
@@ -89,7 +90,7 @@ func TestRetryChargesClock(t *testing.T) {
 		t.Errorf("wait=%d clock=%d; retry time not charged to the clock", st.WaitNs, clk.now)
 	}
 	// Minimum charge: every retry waits out at least the ack timeout.
-	if st.WaitNs < st.Retries*1000 {
+	if st.WaitNs < st.Retries*ackTimeoutNs {
 		t.Errorf("wait %d < retries %d * timeout", st.WaitNs, st.Retries)
 	}
 	if got := len(srv.Records()); got != 64 {
@@ -99,17 +100,18 @@ func TestRetryChargesClock(t *testing.T) {
 
 // With the link permanently down, frames park; flush intervals pack while
 // the park queue is blocked, and once the packed buffer reaches
-// BufferCap*BatchSize records a frame is cut anyway — beyond the parked cap
+// bufferCap*BatchSize records a frame is cut anyway — beyond the parked cap
 // the oldest frame is evicted and reported as an explicit error, so memory
 // stays bounded under unbounded backpressure.
 func TestBufferCapDropOldest(t *testing.T) {
 	srv := server.New()
 	link := NewLink(srv, FaultPlan{Seed: 2, Drop: 1})
-	conn := link.NewConn(3, Config{
-		BatchSize: 2, MaxRetries: 1, BufferCap: 3,
-		TimeoutNs: 1, BackoffBaseNs: 1, CloseAttempts: 1,
-	})
-	const n = 30
+	const batch = 2
+	conn := link.NewConn(3, Config{BatchSize: batch})
+	// The first frame parks at one batch, every later one at the pack
+	// limit: the (bufferCap+1)-th parked frame evicts, and one more batch
+	// runs past it.
+	const n = batch + bufferCap*bufferCap*batch + batch
 	var evictErr error
 	for i := 0; i < n; i++ {
 		if err := conn.OnSlice(rec(3, i)); err != nil && evictErr == nil {
@@ -123,8 +125,8 @@ func TestBufferCapDropOldest(t *testing.T) {
 		t.Errorf("err = %v", evictErr)
 	}
 	st := conn.Stats()
-	if st.Parked != 3 {
-		t.Errorf("parked = %d, want cap 3", st.Parked)
+	if st.Parked != bufferCap {
+		t.Errorf("parked = %d, want cap %d", st.Parked, bufferCap)
 	}
 	if st.PackedFlushes == 0 {
 		t.Error("no flush intervals packed while the park queue was blocked")
@@ -149,15 +151,59 @@ func TestBufferCapDropOldest(t *testing.T) {
 	}
 }
 
-// The packed-record cap is BufferCap*BatchSize, but never more than one
+// Close's final drain gives a parked frame closeAttempts+1 attempts after
+// the last flush's maxRetries+1: a frame the medium answers on the very
+// last of them lands, one attempt later it is abandoned as lost.
+func TestCloseDrainAttempts(t *testing.T) {
+	// One record parks after a transmit's tries, Close's flush spends one
+	// more drain on it, then the final drain.
+	const budget = 2*(maxRetries+1) + closeAttempts + 1
+	for _, tc := range []struct {
+		name   string
+		failed int // leading attempts the medium fails
+		lost   int64
+	}{
+		{"lands-on-last", budget - 1, 0},
+		{"abandoned", budget, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			attempts := 0
+			m := mediumFunc(func([]byte) error {
+				if attempts++; attempts <= tc.failed {
+					return errors.New("medium down")
+				}
+				return nil
+			})
+			conn := NewLinkOver(m, FaultPlan{}).NewConn(0, Config{BatchSize: 1})
+			if err := conn.OnSlice(rec(0, 0)); err != nil {
+				t.Fatal(err)
+			}
+			if st := conn.Stats(); st.Parked != 1 || attempts != maxRetries+1 {
+				t.Fatalf("after the first transmit: parked %d after %d attempts, want 1 after %d", st.Parked, attempts, maxRetries+1)
+			}
+			err := conn.Close()
+			if (err != nil) != (tc.lost > 0) {
+				t.Fatalf("close error = %v, want one only when a frame is abandoned", err)
+			}
+			if attempts != min(tc.failed+1, budget) {
+				t.Errorf("attempts = %d, want %d", attempts, min(tc.failed+1, budget))
+			}
+			if st := conn.Stats(); st.LostRecords != tc.lost || st.Parked != 0 {
+				t.Errorf("stats = %+v, want %d lost and nothing parked", st, tc.lost)
+			}
+		})
+	}
+}
+
+// The packed-record cap is bufferCap*BatchSize, but never more than one
 // frame can carry.
 func TestPackLimitCappedByFrame(t *testing.T) {
 	link := NewLink(server.New(), FaultPlan{})
-	small := link.NewConn(0, Config{BatchSize: 2, BufferCap: 3})
-	if got := small.packLimit(); got != 6 {
-		t.Errorf("packLimit = %d, want 6", got)
+	small := link.NewConn(0, Config{BatchSize: 2})
+	if got := small.packLimit(); got != bufferCap*2 {
+		t.Errorf("packLimit = %d, want %d", got, bufferCap*2)
 	}
-	huge := link.NewConn(1, Config{BatchSize: 4096, BufferCap: 4096})
+	huge := link.NewConn(1, Config{BatchSize: server.MaxFrameRecords/bufferCap + 1})
 	if got := huge.packLimit(); got != server.MaxFrameRecords {
 		t.Errorf("packLimit = %d, want frame cap %d", got, server.MaxFrameRecords)
 	}
@@ -170,14 +216,12 @@ func TestPackLimitCappedByFrame(t *testing.T) {
 // interval.
 func TestBackpressurePackedFlushes(t *testing.T) {
 	srv := server.New()
-	// Attempt 1 lands; attempts 2-8 hit the down window; attempt 9+ land.
-	// With MaxRetries 1 each transmit makes exactly two attempts, so the
-	// schedule below is fully deterministic.
-	link := NewLink(srv, FaultPlan{CrashAfterFrames: 1, CrashDownFrames: 7})
-	conn := link.NewConn(1, Config{
-		BatchSize: 64, MaxRetries: 1, BufferCap: 8,
-		TimeoutNs: 1, BackoffBaseNs: 1, CloseAttempts: 4,
-	})
+	// Each transmit or drain makes exactly maxRetries+1 attempts, so the
+	// schedule below is fully deterministic: attempt 1 lands, the next three
+	// tries' attempts hit the down window, and every later attempt lands.
+	const tries = maxRetries + 1
+	link := NewLink(srv, FaultPlan{CrashAfterFrames: 1, CrashDownFrames: 3 * tries})
+	conn := link.NewConn(1, Config{BatchSize: 64})
 	flushN := func(k int) {
 		for i := 0; i < 2; i++ {
 			if err := conn.OnSlice(rec(1, k*2+i)); err != nil {
@@ -187,10 +231,10 @@ func TestBackpressurePackedFlushes(t *testing.T) {
 		_ = conn.Flush()
 	}
 	flushN(0) // attempt 1: delivered
-	flushN(1) // attempts 2,3: down, frame parks
-	flushN(2) // attempts 4,5 on the parked frame fail; interval defers
-	flushN(3) // attempts 6,7 likewise
-	flushN(4) // attempts 8,9: parked frame lands; packed frame (6 records) lands
+	flushN(1) // the next tries attempts: down, frame parks
+	flushN(2) // the next tries attempts on the parked frame fail; interval defers
+	flushN(3) // likewise
+	flushN(4) // parked frame lands; packed frame (6 records) lands
 	st := conn.Stats()
 	if st.PackedFlushes != 2 {
 		t.Errorf("packed flushes = %d, want 2", st.PackedFlushes)
@@ -215,7 +259,7 @@ func TestBackpressurePackedFlushes(t *testing.T) {
 func TestCrashRestartRecovery(t *testing.T) {
 	srv := server.New()
 	link := NewLink(srv, FaultPlan{CrashAfterFrames: 5, CrashDownFrames: 10})
-	conn := link.NewConn(0, Config{BatchSize: 2, TimeoutNs: 1, BackoffBaseNs: 1, MaxRetries: 20})
+	conn := link.NewConn(0, Config{BatchSize: 2})
 	const n = 40
 	for i := 0; i < n; i++ {
 		if err := conn.OnSlice(rec(0, i)); err != nil {
@@ -289,7 +333,7 @@ func TestReorderEventuallyDelivers(t *testing.T) {
 func TestCorruptionRetried(t *testing.T) {
 	srv := server.New()
 	link := NewLink(srv, FaultPlan{Seed: 3, Corrupt: 0.5})
-	conn := link.NewConn(0, Config{BatchSize: 4, TimeoutNs: 1, BackoffBaseNs: 1})
+	conn := link.NewConn(0, Config{BatchSize: 4})
 	const n = 40
 	for i := 0; i < n; i++ {
 		conn.OnSlice(rec(0, i))
@@ -325,7 +369,7 @@ func runRanks(t *testing.T, plan FaultPlan, ranks, perRank int) *server.Server {
 		go func(rank int) {
 			defer wg.Done()
 			conn := link.NewConn(rank, Config{
-				BatchSize: 8, TimeoutNs: 10, BackoffBaseNs: 10, MaxRetries: 12,
+				BatchSize: 8,
 			})
 			for i := 0; i < perRank; i++ {
 				if err := conn.OnSlice(rec(rank, i)); err != nil {
@@ -382,7 +426,7 @@ func TestFaultStreamDeterminism(t *testing.T) {
 	run := func() ConnStats {
 		srv := server.New()
 		link := NewLink(srv, FaultPlan{Seed: 5, Drop: 0.3, Corrupt: 0.1, DelayNs: 100})
-		conn := link.NewConn(2, Config{BatchSize: 4, TimeoutNs: 10, BackoffBaseNs: 10})
+		conn := link.NewConn(2, Config{BatchSize: 4})
 		for i := 0; i < 80; i++ {
 			conn.OnSlice(rec(2, i))
 		}

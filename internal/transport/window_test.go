@@ -171,7 +171,7 @@ func TestLinkWindowAttribution(t *testing.T) {
 				wg.Add(1)
 				go func(rank int) {
 					defer wg.Done()
-					conn := link.NewConn(rank, Config{BatchSize: batch, TimeoutNs: 10, BackoffBaseNs: 10, MaxRetries: 12, LeaseNs: tc.leaseNs})
+					conn := link.NewConn(rank, Config{BatchSize: batch, LeaseNs: tc.leaseNs})
 					conn.BindClock(&fakeClock{})
 					for i := 0; i < perRank; i++ {
 						if err := conn.OnSlice(rec(rank, i)); err != nil {

@@ -50,37 +50,22 @@ func (k FindingKind) String() string {
 	return "?"
 }
 
-// ReportConfig tunes the diagnosis thresholds.
-type ReportConfig struct {
-	// Threshold is the normalized performance below which a cell is
-	// "low" (default 0.8).
-	Threshold float64
-	// PersistFrac is the fraction of a rank's populated columns that must
-	// be low for a persistent band (default 0.7).
-	PersistFrac float64
-	// SpanFrac is the fraction of populated ranks that must be low for a
-	// degraded period (default 0.8).
-	SpanFrac float64
-}
-
-func (c ReportConfig) withDefaults() ReportConfig {
-	if c.Threshold == 0 {
-		c.Threshold = 0.8
-	}
-	if c.PersistFrac == 0 {
-		c.PersistFrac = 0.7
-	}
-	if c.SpanFrac == 0 {
-		c.SpanFrac = 0.8
-	}
-	return c
-}
+// Diagnosis thresholds.
+const (
+	// lowPerf is the normalized performance below which a cell is "low".
+	lowPerf = 0.8
+	// persistFrac is the fraction of a rank's populated columns that must
+	// be low for a persistent band.
+	persistFrac = 0.7
+	// spanFrac is the fraction of populated ranks that must be low for a
+	// degraded period.
+	spanFrac = 0.8
+)
 
 // Diagnose extracts findings from per-type matrices, most structured
 // first: persistent rank bands, then whole-width degraded periods, then
 // localized blocks not already covered by the former two.
-func Diagnose(mats map[ir.SnippetType]*Matrix, cfg ReportConfig) []Finding {
-	cfg = cfg.withDefaults()
+func Diagnose(mats map[ir.SnippetType]*Matrix) []Finding {
 	var out []Finding
 	types := make([]ir.SnippetType, 0, len(mats))
 	for t := range mats {
@@ -91,7 +76,7 @@ func Diagnose(mats map[ir.SnippetType]*Matrix, cfg ReportConfig) []Finding {
 	for _, typ := range types {
 		m := mats[typ]
 		bandRanks := make(map[int]bool)
-		for _, b := range m.LowRankBands(cfg.Threshold, cfg.PersistFrac) {
+		for _, b := range m.LowRankBands(lowPerf, persistFrac) {
 			out = append(out, Finding{
 				Component: typ, Kind: BadRanks,
 				FirstRank: b.First, LastRank: b.Last, MeanPerf: b.MeanPerf,
@@ -101,14 +86,14 @@ func Diagnose(mats map[ir.SnippetType]*Matrix, cfg ReportConfig) []Finding {
 			}
 		}
 		winSpans := make([][2]int64, 0)
-		for _, w := range m.LowTimeWindows(cfg.Threshold, cfg.SpanFrac) {
+		for _, w := range m.LowTimeWindows(lowPerf, spanFrac) {
 			out = append(out, Finding{
 				Component: typ, Kind: DegradedPeriod,
 				StartNs: w.StartNs, EndNs: w.EndNs, MeanPerf: w.MeanPerf,
 			})
 			winSpans = append(winSpans, [2]int64{w.StartNs, w.EndNs})
 		}
-		for _, blk := range m.LowBlocks(cfg.Threshold, 0.02) {
+		for _, blk := range m.LowBlocks(lowPerf, 0.02) {
 			covered := false
 			if bandRanks[blk.FirstRank] && bandRanks[blk.LastRank] {
 				covered = true

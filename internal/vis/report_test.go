@@ -16,7 +16,7 @@ func TestDiagnoseBadRanks(t *testing.T) {
 		return 100
 	})
 	mats := Build(recs, compOnly, 16, 1_000_000)
-	fs := Diagnose(mats, ReportConfig{})
+	fs := Diagnose(mats)
 	if len(fs) != 1 || fs[0].Kind != BadRanks {
 		t.Fatalf("findings = %+v", fs)
 	}
@@ -41,7 +41,7 @@ func TestDiagnoseDegradedPeriod(t *testing.T) {
 		return 100
 	})
 	mats := Build(recs, netOnly, 8, 1_000_000)
-	fs := Diagnose(mats, ReportConfig{})
+	fs := Diagnose(mats)
 	if len(fs) != 1 || fs[0].Kind != DegradedPeriod || fs[0].Component != ir.Network {
 		t.Fatalf("findings = %+v", fs)
 	}
@@ -59,7 +59,7 @@ func TestDiagnoseLocalizedBlock(t *testing.T) {
 		return 100
 	})
 	mats := Build(recs, compOnly, 16, 1_000_000)
-	fs := Diagnose(mats, ReportConfig{})
+	fs := Diagnose(mats)
 	if len(fs) != 1 || fs[0].Kind != LocalizedBlock {
 		t.Fatalf("findings = %+v", fs)
 	}
@@ -78,7 +78,7 @@ func TestDiagnoseDeduplicates(t *testing.T) {
 		return 100
 	})
 	mats := Build(recs, compOnly, 8, 1_000_000)
-	fs := Diagnose(mats, ReportConfig{})
+	fs := Diagnose(mats)
 	kinds := map[FindingKind]int{}
 	for _, f := range fs {
 		kinds[f.Kind]++
@@ -108,7 +108,7 @@ func TestDiagnoseIOComponent(t *testing.T) {
 		}
 	}
 	mats := Build(recs, ioOnly, 4, 1_000_000)
-	fs := Diagnose(mats, ReportConfig{})
+	fs := Diagnose(mats)
 	out := RenderReport(fs, 0)
 	if !strings.Contains(out, "shared-filesystem") {
 		t.Errorf("report:\n%s", out)

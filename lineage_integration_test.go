@@ -180,34 +180,47 @@ func TestLineageAutoObs(t *testing.T) {
 // observes: no trace travels on the wire, so the fault dice roll the same
 // and the run, the server's log, bytes and coverage, the journal and the
 // link's delivery accounting are equal with lineage off and on. The listen
-// row crosses a real socket, where the journey still joins up: each side
-// derives the trace from the frame header with the sampler it shares.
+// row connects to a durable tenant behind a service listening on a real
+// socket, where the journey still joins up: each side derives the trace from
+// the frame header with the sampler it shares.
 func TestLineageIsAnObserver(t *testing.T) {
-	for _, row := range []struct{ name, listen string }{{"inproc", ""}, {"listen", "127.0.0.1:0"}} {
+	for _, row := range []struct {
+		name   string
+		listen bool
+	}{{"inproc", false}, {"listen", true}} {
 		t.Run(row.name, func(t *testing.T) {
-			run := func(lin *obs.LineageConfig) (*vsensor.Report, *obs.Obs) {
+			run := func(lin *obs.LineageConfig) (*server.Server, *vsensor.Report, *obs.Obs) {
 				opt := lossyDurable(lin)
-				opt.Listen = row.listen
 				opt.Obs = obs.New()
+				var ten *server.Server
+				if row.listen {
+					ten = server.NewSharded(0)
+					ten.AttachDurability(*opt.Durability)
+					opt.Durability = nil
+					opt.Connect = serveTenant(t, ten, opt.Obs).Addr().String()
+				}
 				rep, err := vsensor.Run(lossySrc, opt)
 				if err != nil {
 					t.Fatal(err)
 				}
-				return rep, opt.Obs
+				if ten == nil {
+					ten = rep.Server
+				}
+				return ten, rep, opt.Obs
 			}
-			off, offObs := run(nil)
-			on, onObs := run(&obs.LineageConfig{SampleEvery: 1})
+			offSrv, off, offObs := run(nil)
+			onSrv, on, onObs := run(&obs.LineageConfig{SampleEvery: 1})
 			if a, b := off.Result.TotalNs, on.Result.TotalNs; a != b {
 				t.Errorf("TotalNs %d vs %d", a, b)
 			}
-			sameRecords(t, sortedRecords(on.Server.Records()), sortedRecords(off.Server.Records()))
-			if a, b := off.DataVolume(), on.DataVolume(); a != b {
+			sameRecords(t, sortedRecords(onSrv.Records()), sortedRecords(offSrv.Records()))
+			if a, b := offSrv.Progress().Bytes, onSrv.Progress().Bytes; a != b {
 				t.Errorf("DataVolume %d vs %d", a, b)
 			}
-			if a, b := off.Coverage(), on.Coverage(); a != b || a.ChecksumErrors == 0 {
+			if a, b := offSrv.Coverage(), onSrv.Coverage(); a != b || a.ChecksumErrors == 0 {
 				t.Errorf("coverage (want equal, with checksum rejects):\n off: %+v\n  on: %+v", a, b)
 			}
-			if a, b := off.Durability().WALBytes, on.Durability().WALBytes; a != b {
+			if a, b := offSrv.DurabilityStats().WALBytes, onSrv.DurabilityStats().WALBytes; a != b {
 				t.Errorf("WAL bytes %d vs %d", a, b)
 			}
 			// Per-rank Conn stats sum into the link's counters.

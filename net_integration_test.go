@@ -56,35 +56,60 @@ func sameRecords(t *testing.T, got, want []detect.SliceRecord) {
 	}
 }
 
-// Listen mode is the same pipeline with the record path squeezed through
-// the real wire protocol on loopback TCP: the run must see the identical
-// record set, coverage, and data volume as the plain in-process run.
+// serveTenant starts a loopback analysis service whose every tenant is
+// srv, a server the test holds, and closes it when the test ends. With o
+// set, the service registers its counters there, and srv is attached to o
+// when the service first admits it: after the run has enabled lineage on o,
+// so the server's hops join the run's traces.
+func serveTenant(t *testing.T, srv *server.Server, o *obs.Obs) *netsrv.Service {
+	t.Helper()
+	svc, err := netsrv.Listen("127.0.0.1:0", netsrv.Config{NewServer: func(string) *server.Server {
+		srv.SetObs(o)
+		return srv
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { svc.Close() })
+	if o != nil {
+		svc.SetObs(o)
+	}
+	return svc
+}
+
+// A networked run is the same pipeline with the record path squeezed
+// through the real wire protocol on loopback TCP to a listening service
+// that holds the tenant server: that server must see the identical record
+// set, coverage and data volume the plain in-process run produces, and the
+// frames must really have crossed the socket.
 func TestListenModeMatchesInProcess(t *testing.T) {
 	direct, err := vsensor.Run(netTestSrc, vsensor.Options{Ranks: 4, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
+	ten := server.NewSharded(0)
+	svc := serveTenant(t, ten, nil)
 	networked, err := vsensor.Run(netTestSrc, vsensor.Options{
-		Ranks: 4, Seed: 7, Listen: "127.0.0.1:0", RunID: "listen-mode",
+		Ranks: 4, Seed: 7, Connect: svc.Addr().String(), RunID: "listen-mode",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if networked.Service == nil || networked.Resilient == nil || networked.Link == nil {
-		t.Fatalf("Listen run missing net plumbing: service=%v resilient=%v link=%v",
-			networked.Service, networked.Resilient, networked.Link)
+	if networked.Resilient == nil || networked.Link == nil {
+		t.Fatalf("networked run missing net plumbing: resilient=%v link=%v",
+			networked.Resilient, networked.Link)
 	}
-	if networked.Service.Tenant("listen-mode") != networked.Server {
-		t.Fatal("service tenant is not the run's server")
+	if svc.Tenant("listen-mode") != ten {
+		t.Fatalf("service tenant is not the held server (runs: %v)", svc.RunIDs())
 	}
-	sameRecords(t, sortedRecords(networked.Server.Records()), sortedRecords(direct.Server.Records()))
-	if g, w := networked.Coverage(), direct.Coverage(); g.IngestedRecords != w.IngestedRecords || !g.Complete() {
+	sameRecords(t, sortedRecords(ten.Records()), sortedRecords(direct.Server.Records()))
+	if g, w := ten.Coverage(), direct.Coverage(); g.IngestedRecords != w.IngestedRecords || !g.Complete() {
 		t.Fatalf("coverage differs: got %+v want %+v", g, w)
 	}
-	if g, w := networked.DataVolume(), direct.DataVolume(); g != w {
+	if g, w := ten.Progress().Bytes, direct.DataVolume(); g != w {
 		t.Fatalf("data volume %d, want %d", g, w)
 	}
-	if st := networked.Service.Stats(); st.FramesIn == 0 || st.Sessions != 1 {
+	if st := svc.Stats(); st.FramesIn == 0 || st.Sessions != 1 {
 		t.Fatalf("no frames actually crossed the socket: %+v", st)
 	}
 }
@@ -134,16 +159,18 @@ func TestConnectModeDeliversToRemoteService(t *testing.T) {
 // Options.Reconnect tunes the self-healing session every networked run
 // uses. On a healthy loopback wire the session must be invisible —
 // identical records and coverage, zero reconnects or outages — while the
-// resume bookkeeping shows up in Report.Resilient and the /status net
-// block.
+// resume bookkeeping shows up in Report.Resilient and the /status
+// reconnect block.
 func TestReconnectModeMatchesInProcess(t *testing.T) {
 	direct, err := vsensor.Run(netTestSrc, vsensor.Options{Ranks: 4, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
 	o := obs.New()
+	ten := server.NewSharded(0)
+	svc := serveTenant(t, ten, nil)
 	networked, err := vsensor.Run(netTestSrc, vsensor.Options{
-		Ranks: 4, Seed: 7, Listen: "127.0.0.1:0", RunID: "resilient-mode", Obs: o,
+		Ranks: 4, Seed: 7, Connect: svc.Addr().String(), RunID: "resilient-mode", Obs: o,
 		Reconnect: &netsrv.ReconnectConfig{},
 	})
 	if err != nil {
@@ -152,9 +179,9 @@ func TestReconnectModeMatchesInProcess(t *testing.T) {
 	if networked.Resilient == nil || networked.Link == nil {
 		t.Fatalf("Reconnect run plumbing wrong: resilient=%v link=%v", networked.Resilient, networked.Link)
 	}
-	sameRecords(t, sortedRecords(networked.Server.Records()), sortedRecords(direct.Server.Records()))
-	if !networked.Coverage().Complete() {
-		t.Fatalf("resilient coverage incomplete: %+v", networked.Coverage())
+	sameRecords(t, sortedRecords(ten.Records()), sortedRecords(direct.Server.Records()))
+	if !ten.Coverage().Complete() {
+		t.Fatalf("resilient coverage incomplete: %+v", ten.Coverage())
 	}
 	st := networked.Resilient.Stats()
 	if st.DialAttempts < 1 || st.Reconnects != 0 || st.Outages != 0 {
@@ -218,15 +245,16 @@ func TestReconnectConnectModeDelivers(t *testing.T) {
 	}
 }
 
-// With Obs attached, a Listen run's /status must surface the network
-// layer next to the server snapshot: the bound address and the
-// accept/shed/session counters, plus the service counters in /metrics.
-func TestListenModeStatusExposesNet(t *testing.T) {
-	o := obs.New()
-	rep, err := vsensor.Run(netTestSrc, vsensor.Options{
-		Ranks: 4, Seed: 7, Listen: "127.0.0.1:0", RunID: "status-run", Obs: o,
-	})
-	if err != nil {
+// With Obs attached, a Connect run's /status must surface the network
+// layer in place of a server snapshot: the service's address and the
+// session's reconnect ledger. The service's accept/session counters land
+// in the /metrics of the Obs it was given.
+func TestConnectModeStatusExposesNet(t *testing.T) {
+	o, so := obs.New(), obs.New()
+	svc := serveTenant(t, server.NewSharded(0), so)
+	if _, err := vsensor.Run(netTestSrc, vsensor.Options{
+		Ranks: 4, Seed: 7, Connect: svc.Addr().String(), RunID: "status-run", Obs: o,
+	}); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(o.Handler())
@@ -240,39 +268,30 @@ func TestListenModeStatusExposesNet(t *testing.T) {
 	res.Body.Close()
 	var st struct {
 		Run struct {
-			Listen string         `json:"listen"`
-			Net    map[string]any `json:"net"`
+			Remote    string                 `json:"remote"`
+			Reconnect *netsrv.ResilientStats `json:"reconnect"`
 		} `json:"run"`
 	}
 	if err := json.Unmarshal(body, &st); err != nil {
 		t.Fatalf("/status not JSON: %v\n%s", err, body)
 	}
-	if st.Run.Listen != rep.Service.Addr().String() {
-		t.Errorf("/status listen = %q, want %q", st.Run.Listen, rep.Service.Addr())
+	if st.Run.Remote != svc.Addr().String() {
+		t.Errorf("/status remote = %q, want %q", st.Run.Remote, svc.Addr())
 	}
-	if acc, ok := st.Run.Net["accepted"].(float64); !ok || acc < 1 {
-		t.Errorf("/status net.accepted = %v, want >= 1 (net: %v)", st.Run.Net["accepted"], st.Run.Net)
+	if st.Run.Reconnect == nil || st.Run.Reconnect.DialAttempts != 1 || st.Run.Reconnect.LSN == 0 {
+		t.Errorf("/status reconnect = %+v, want one dial and a durable position", st.Run.Reconnect)
 	}
 
-	res, err = ts.Client().Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	metrics, _ := io.ReadAll(res.Body)
-	res.Body.Close()
-	if !strings.Contains(string(metrics), "net_accepted_total 1") {
-		t.Errorf("/metrics missing net_accepted_total:\n%s", metrics)
+	rec := httptest.NewRecorder()
+	so.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	if !strings.Contains(rec.Body.String(), "net_accepted_total 1") {
+		t.Errorf("service /metrics missing net_accepted_total:\n%s", rec.Body)
 	}
 }
 
-// The Listen/Connect option-combination errors must surface before any
+// The Connect option-combination errors must surface before any
 // execution happens.
 func TestNetworkedOptionValidation(t *testing.T) {
-	if _, err := vsensor.Run(netTestSrc, vsensor.Options{
-		Ranks: 2, Listen: "127.0.0.1:0", Connect: "127.0.0.1:1",
-	}); err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
-		t.Errorf("Listen+Connect error = %v", err)
-	}
 	if _, err := vsensor.Run(netTestSrc, vsensor.Options{
 		Ranks: 2, Connect: "127.0.0.1:1", Durability: &server.DurabilityConfig{},
 	}); err == nil || !strings.Contains(err.Error(), "Durability") {

@@ -136,27 +136,32 @@ func checkSamples(t *testing.T, samples map[string]float64, want map[string]int6
 
 // TestMetricsReadOwnersStats: every /metrics family whose number the server
 // or the service already keeps is read from the accessor /status reads, at
-// scrape time. Scraped straight after a durable, leased Listen run, each
-// equals its accessor — server_ranks_alive included, though nothing has run
-// a liveness query yet. The family set and TYPEs are pinned too, for that
-// run and for a bare netsrv service.
+// scrape time. Scraped straight after a leased run connected to a durable
+// tenant, with the run, the service and the tenant on one Obs, each equals
+// its accessor — server_ranks_alive included, though nothing has run a
+// liveness query yet. The family set and TYPEs are pinned too, for that run
+// and for a bare netsrv service.
 func TestMetricsReadOwnersStats(t *testing.T) {
 	o := obs.New()
-	rep, err := vsensor.Run(obsTestSrc, vsensor.Options{
-		Ranks: 4, Transport: &transport.Config{LeaseNs: 50_000}, Durability: &server.DurabilityConfig{},
-		Listen: "127.0.0.1:0", Obs: o,
-	})
-	if err != nil {
+	srv := server.NewSharded(0)
+	srv.AttachDurability(server.DurabilityConfig{})
+	svc := serveTenant(t, srv, o)
+	if _, err := vsensor.Run(obsTestSrc, vsensor.Options{
+		Ranks: 4, Transport: &transport.Config{LeaseNs: 50_000},
+		Connect: svc.Addr().String(), Obs: o,
+	}); err != nil {
 		t.Fatal(err)
 	}
+	// The service notices the run's hang-up asynchronously; Close waits for
+	// every handler, so its numbers hold still.
+	svc.Close()
 	samples, types := scrape(t, o) // before anything queries the server
 
-	if !reflect.DeepEqual(types, durableListenFamilies) {
-		t.Errorf("/metrics families = %v\nwant %v", types, durableListenFamilies)
+	if !reflect.DeepEqual(types, durableTenantFamilies) {
+		t.Errorf("/metrics families = %v\nwant %v", types, durableTenantFamilies)
 	}
-	srv := rep.Server
 	prog, cov, live, snap := srv.Progress(), srv.Coverage(), srv.LivenessSummary(), srv.SnapshotStats()
-	dur, net := srv.DurabilityStats(), rep.Service.Stats()
+	dur, net := srv.DurabilityStats(), svc.Stats()
 	if live.Alive != 4 || dur.Syncs == 0 || net.Accepted == 0 {
 		t.Fatalf("run left nothing to compare: liveness %+v, syncs %d, accepted %d", live, dur.Syncs, net.Accepted)
 	}
@@ -226,7 +231,7 @@ func TestMetricsReadOwnersStats(t *testing.T) {
 	samples, types = scrape(t, so)
 	wantTypes := map[string]string{}
 	for name := range netSamples(netsrv.Stats{}) {
-		wantTypes[name] = durableListenFamilies[name]
+		wantTypes[name] = durableTenantFamilies[name]
 	}
 	if !reflect.DeepEqual(types, wantTypes) {
 		t.Errorf("service /metrics families = %v\nwant %v", types, wantTypes)
@@ -252,10 +257,10 @@ func netSamples(st netsrv.Stats) map[string]int64 {
 	}
 }
 
-// durableListenFamilies is every family, with its TYPE, that
+// durableTenantFamilies is every family, with its TYPE, that
 // TestMetricsReadOwnersStats's run exports: the same set as when the
 // derived families were push handles.
-var durableListenFamilies = map[string]string{
+var durableTenantFamilies = map[string]string{
 	"cluster_cost_calls_total":            "counter",
 	"detect_dropped_total":                "counter",
 	"detect_emit_errors_total":            "counter",
@@ -342,9 +347,10 @@ var durableListenFamilies = map[string]string{
 // wal_sync_wait_ns or net_shed_total measures.
 func TestObsWALFamiliesHaveHelp(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		opt  vsensor.Options
-		want []string
+		name   string
+		opt    vsensor.Options
+		listen bool // connect to a loopback service sharing the run's Obs
+		want   []string
 	}{
 		{
 			name: "durable",
@@ -356,14 +362,18 @@ func TestObsWALFamiliesHaveHelp(t *testing.T) {
 			},
 		},
 		{
-			name: "windowed",
-			opt:  vsensor.Options{Ranks: 4, Listen: "127.0.0.1:0"},
-			want: []string{"transport_window_stalls_total", "transport_returned_frames_total", "net_inflight_frames", "net_shed_total"},
+			name:   "windowed",
+			opt:    vsensor.Options{Ranks: 4},
+			listen: true,
+			want:   []string{"transport_window_stalls_total", "transport_returned_frames_total", "net_inflight_frames", "net_shed_total"},
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			o := obs.New()
 			tc.opt.Obs = o
+			if tc.listen {
+				tc.opt.Connect = serveTenant(t, server.NewSharded(0), o).Addr().String()
+			}
 			if _, err := vsensor.Run(obsTestSrc, tc.opt); err != nil {
 				t.Fatal(err)
 			}
@@ -608,14 +618,6 @@ func TestStatusShape(t *testing.T) {
 			outliers: shapeOutliers,
 		},
 		{
-			name: "listen",
-			opt:  vsensor.Options{Listen: "127.0.0.1:0"},
-			run: `{` + shapeServerRun + `"liveness":{"Alive":4,"Dead":0,"FrontierNs":2000000,"Suspect":0},"listen":"$ADDR",` +
-				`"net":{"accepted":1,"corrupt_envelopes":0,"frames_down":0,"frames_in":4,"frames_rejected":0,"peak_workers":1,"refused_badhello":0,"refused_runs":0,"refused_sessions":0,"refused_shutdown":0,"runs":1,"sessions":1,"sessions_open":0,"sessions_reaped":0,"shed":0,"workers":0},` +
-				shapeReconnect + shapeStaticRun + `}`,
-			outliers: shapeOutliers,
-		},
-		{
 			name:     "connect",
 			opt:      vsensor.Options{Connect: svc.Addr().String(), RunID: "shape"},
 			run:      `{` + shapeReconnect + `"remote":"$ADDR",` + shapeStaticRun + `}`,
@@ -631,9 +633,6 @@ func TestStatusShape(t *testing.T) {
 				t.Fatal(err)
 			}
 			addr := opt.Connect
-			if rep.Service != nil {
-				addr = rep.Service.Addr().String()
-			}
 			decode := func(lit string) map[string]any {
 				var m map[string]any
 				if err := json.Unmarshal([]byte(strings.ReplaceAll(lit, "$ADDR", addr)), &m); err != nil {

@@ -115,7 +115,7 @@ func TestDefaultPathIsTheZeroPlanLink(t *testing.T) {
 // perfect network.
 func TestTransportConfigWithoutFaults(t *testing.T) {
 	rep, err := vsensor.Run(lossySrc, vsensor.Options{
-		Ranks: 4, Transport: &transport.Config{BatchSize: 4, MaxRetries: 2},
+		Ranks: 4, Transport: &transport.Config{BatchSize: 4},
 	})
 	if err != nil {
 		t.Fatal(err)

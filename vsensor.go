@@ -73,8 +73,8 @@ type Options struct {
 	ServerShards int
 
 	// Transport tunes the reliable record link every instrumented run
-	// delivers over (batch size, retry, backoff, retransmit buffer, lease).
-	// Nil uses the defaults.
+	// delivers over (batch size, lease); its retry schedule and retransmit
+	// buffer are fixed. Nil uses the defaults.
 	Transport *transport.Config
 
 	// Faults injects transport faults (drop/dup/reorder/delay/corrupt and
@@ -83,37 +83,26 @@ type Options struct {
 	// network: the same link with nothing injected.
 	Faults *transport.FaultPlan
 
-	// RunID names this run on a networked session (Listen or Connect
-	// mode). Default "local". 1..128 printable ASCII bytes — it travels in
-	// the vSS1 hello and keys the run's tenant on the service.
+	// RunID names this run on a Connect session. Default "local". 1..128
+	// printable ASCII bytes — it travels in the vSS1 hello and keys the
+	// run's tenant on the service.
 	RunID string
-
-	// Listen starts an in-process multi-tenant analysis service
-	// (internal/netsrv) on this TCP address and routes the record path
-	// over a real loopback session to it: the run's own server becomes the
-	// service's tenant, so every frame crosses the wire protocol — length
-	// envelopes, vSS1 handshake, frame acks — instead of a function call.
-	// Report.Service exposes the listener (bound address, shed/pool
-	// stats); it is closed when the run finishes.
-	Listen string
 
 	// Connect dials an external analysis service (started with `vsensor
 	// serve`) at this address instead of creating a local server.
 	// Report.Server is nil — the records, coverage, and outlier verdicts
 	// live on the remote service under RunID — and Durability must be nil
 	// (the journal belongs to the service's side of the socket).
-	// Mutually exclusive with Listen.
 	Connect string
 
-	// Reconnect tunes the self-healing session a Listen or Connect run
-	// delivers over (netsrv.ResilientSession, exposed as
-	// Report.Resilient): its first dial fails fast on network errors and
-	// honors vSE1 retry-after hints within the retry budget; after that it
-	// auto-redials on connection loss with jittered exponential backoff
-	// and resumes delivery at the durable LSN from the session ack. Only
-	// the Dial and Retry fields are consulted — Addr and Hello are filled
-	// from Listen/Connect and RunID. Nil uses the defaults; setting it
-	// without Listen or Connect is an error.
+	// Reconnect tunes the self-healing session a Connect run delivers over
+	// (netsrv.ResilientSession, exposed as Report.Resilient): its first
+	// dial fails fast on network errors and honors vSE1 retry-after hints
+	// within the retry budget; after that it auto-redials on connection
+	// loss with jittered exponential backoff and resumes delivery at the
+	// durable LSN from the session ack. Only the Dial and Retry fields are
+	// consulted — Addr and Hello are filled from Connect and RunID. Nil
+	// uses the defaults; setting it without Connect is an error.
 	Reconnect *netsrv.ReconnectConfig
 
 	// Durability attaches the analysis server's WAL + snapshot layer
@@ -131,6 +120,7 @@ type Options struct {
 	PMUJitterPct float64
 
 	// MissRate supplies the synthetic cache-miss-rate signal (paper §5.3).
+	//vs:option the §5.3 cache-miss signal has no source in the simulated PMU, so only tests supply one (ROADMAP item 4)
 	MissRate func(rank, sensor int, execIdx int64) float64
 
 	// CollectRecords retains every raw sensor record for distribution
@@ -183,8 +173,7 @@ type Report struct {
 	Result       *vm.Result
 	Server       *server.Server           // nil in Connect mode: the run's server lives on the remote service
 	Link         *transport.Link          // the record link; nil only for uninstrumented runs
-	Resilient    *netsrv.ResilientSession // non-nil in Listen/Connect mode: the self-healing session the link delivers over
-	Service      *netsrv.Service          // non-nil in Listen mode: the in-process listener the run fed
+	Resilient    *netsrv.ResilientSession // non-nil in Connect mode: the self-healing session the link delivers over
 	Detectors    []*detect.Detector
 	Records      []vm.Record // raw sensor records if collected
 	Profiler     *profiler.Profile
@@ -309,52 +298,32 @@ func RunProgram(prog *ir.Program, opt Options) (*Report, error) {
 		isp := o.Span(0, "instrument")
 		rep.Instrumented = instrument.Apply(rep.Analysis, opt.Instrument)
 		isp.End()
-		if opt.Listen != "" && opt.Connect != "" {
-			return nil, fmt.Errorf("vsensor: Options.Listen and Options.Connect are mutually exclusive")
-		}
 		if opt.Connect != "" && opt.Durability != nil {
 			return nil, fmt.Errorf("vsensor: Options.Durability tunes the local analysis server; a Connect run has none (configure the remote service instead)")
 		}
-		if opt.Reconnect != nil && opt.Listen == "" && opt.Connect == "" {
-			return nil, fmt.Errorf("vsensor: Options.Reconnect needs a networked session (set Listen or Connect)")
+		if opt.Reconnect != nil && opt.Connect == "" {
+			return nil, fmt.Errorf("vsensor: Options.Reconnect needs a networked session (set Connect)")
 		}
 		opt.Detect.Obs = o
 		vcfg.ProbeCostNs = opt.ProbeCostNs
 
 		// The one record path: detect → Conn → Link → Medium. The medium is
-		// the run's own server, or — once a socket is involved — the
-		// self-healing session to the service that hosts the tenant: an
-		// in-process one in Listen mode (the run's server is its tenant), an
-		// external `vsensor serve` in Connect mode.
+		// the run's own server, or in Connect mode the self-healing session
+		// to the `vsensor serve` that hosts the run's tenant.
 		var medium transport.Medium
-		addr := opt.Connect
-		if addr == "" {
+		if opt.Connect == "" {
 			rep.Server = server.NewSharded(opt.ServerShards)
 			if opt.Durability != nil {
 				rep.Server.AttachDurability(*opt.Durability)
 			}
 			rep.Server.SetObs(o)
 			medium = rep.Server
-		}
-		if opt.Listen != "" {
-			svc, err := netsrv.Listen(opt.Listen, netsrv.Config{
-				Shards:    opt.ServerShards,
-				NewServer: func(string) *server.Server { return rep.Server },
-			})
-			if err != nil {
-				return nil, err
-			}
-			defer svc.Close()
-			svc.SetObs(o)
-			rep.Service = svc
-			addr = svc.Addr().String()
-		}
-		if addr != "" {
+		} else {
 			rc := netsrv.ReconnectConfig{}
 			if opt.Reconnect != nil {
 				rc = *opt.Reconnect
 			}
-			rc.Addr = addr
+			rc.Addr = opt.Connect
 			rc.Hello = netsrv.Hello{RunID: opt.RunID}
 			if rc.Hello.RunID == "" {
 				rc.Hello.RunID = "local"
@@ -413,8 +382,8 @@ func RunProgram(prog *ir.Program, opt Options) (*Report, error) {
 			mu.Unlock()
 			return rc
 		}
-		// Registered after the session and service closers above, so it
-		// runs first: the ranks flush into a medium that is still open.
+		// Registered after the session closer above, so it runs first: the
+		// ranks flush into a medium that is still open.
 		defer func() {
 			for _, d := range rep.Detectors {
 				if d != nil {
@@ -423,7 +392,9 @@ func RunProgram(prog *ir.Program, opt Options) (*Report, error) {
 			}
 			for _, c := range conns {
 				if c != nil {
-					_ = c.Close() // loss is visible in Server.Coverage
+					// Loss is visible in Report.Coverage, or in Connect mode
+					// in the service's coverage of the run.
+					_ = c.Close()
 				}
 			}
 		}()
@@ -439,7 +410,7 @@ func RunProgram(prog *ir.Program, opt Options) (*Report, error) {
 		// The providers outlive the run (an -http-hold endpoint keeps
 		// polling them), so they capture the handles they read, not opt
 		// and rep wholesale.
-		srv, svc, rs := rep.Server, rep.Service, rep.Resilient
+		srv, rs := rep.Server, rep.Resilient
 		static := runStatus{Ranks: opt.Ranks, Uninstrumented: opt.Uninstrumented,
 			BatchSize: tcfg.BatchSize, ProbeCostNs: opt.ProbeCostNs, Remote: opt.Connect}
 		if static.BatchSize <= 0 {
@@ -451,15 +422,9 @@ func RunProgram(prog *ir.Program, opt Options) (*Report, error) {
 		if srv != nil {
 			static.ServerShards = srv.Shards()
 		}
-		if svc != nil {
-			static.Listen = svc.Addr().String()
-		}
 		status := func(v *server.StatusView) any {
 			st := static
 			st.StatusView = v
-			if svc != nil {
-				st.Net = ptr(svc.Stats())
-			}
 			if rs != nil {
 				st.Reconnect = ptr(rs.Stats())
 			}
@@ -508,8 +473,6 @@ type runStatus struct {
 	ProbeCostNs    float64                `json:"probe_cost_ns"`
 	Sensors        int                    `json:"sensors"`
 	ServerShards   int                    `json:"server_shards,omitempty"`
-	Listen         string                 `json:"listen,omitempty"`
-	Net            *netsrv.Stats          `json:"net,omitempty"`
 	Remote         string                 `json:"remote,omitempty"`
 	Reconnect      *netsrv.ResilientStats `json:"reconnect,omitempty"`
 	Lineage        *obs.LineageStats      `json:"lineage,omitempty"`
@@ -654,7 +617,7 @@ func (r *Report) TotalSeconds() float64 {
 // mode, where there are no local matrices: that is no verdict, not a clean
 // one.
 func (r *Report) Findings(col time.Duration) []vis.Finding {
-	return vis.Diagnose(r.Matrices(col), vis.ReportConfig{})
+	return vis.Diagnose(r.Matrices(col))
 }
 
 // ReportText renders the user-facing variance report. ranksPerNode > 0
@@ -675,8 +638,14 @@ func (r *Report) TraceEvents() []vm.Event {
 
 // SaveData persists the run's performance data (sensor metadata and slice
 // records) so matrices and reports can be regenerated later without
-// re-running the job (the paper's "Performance Data" artifact).
+// re-running the job (the paper's "Performance Data" artifact). It refuses
+// a Connect run with sensors, writing nothing: its records live on the
+// service, and its sensors saved without them would read back as a clean
+// verdict.
 func (r *Report) SaveData(w io.Writer) error {
+	if r.Server == nil && r.Instrumented != nil && len(r.Instrumented.Sensors) > 0 {
+		return fmt.Errorf("vsensor: SaveData: the run's records live on the analysis service, not in this process")
+	}
 	d := &rundata.RunData{
 		Ranks:   len(r.Result.Ranks),
 		TotalNs: r.Result.TotalNs,
