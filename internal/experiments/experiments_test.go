@@ -8,12 +8,13 @@ import (
 	"time"
 )
 
-// TestShapes runs every experiment at tier-1 size and checks each named
-// shape of the paper's result as its own subtest
+// TestShapes runs every experiment at tier-1 size, concurrently as Write
+// does, and checks each named shape of the paper's result as its own subtest
 // (TestShapes/fig21/one-band-at-the-bad-node).
 func TestShapes(t *testing.T) {
 	for _, e := range All {
 		t.Run(e.Name, func(t *testing.T) {
+			t.Parallel()
 			start := time.Now()
 			r, err := e.Measure(Small)
 			if err != nil {

@@ -64,15 +64,16 @@ func runRanksOver(t *testing.T, m transport.Medium, plan transport.FaultPlan, ra
 	}
 }
 
-// tuned is a ResilientSession config tuned for tests: tight I/O deadlines
-// so wire faults surface in milliseconds, and a generous outage budget so
-// no fault window is ever misread as a down server.
+// tuned is a ResilientSession config for the net tables: the shipped
+// deadlines on netClock, so wire faults surface in milliseconds, and an
+// outage budget of 20 minutes of clock time (30s of wall) so no fault window
+// is ever misread as a down server.
 func tuned(addr, runID string, seed int64) ReconnectConfig {
 	return ReconnectConfig{
 		Addr:  addr,
 		Hello: Hello{RunID: runID, Rank: 0},
-		Dial:  DialConfig{Timeout: 500 * time.Millisecond, OpTimeout: 300 * time.Millisecond},
-		Retry: RetryPolicy{MaxElapsed: 30 * time.Second, BackoffBase: time.Millisecond, BackoffMax: 20 * time.Millisecond, Seed: seed},
+		Retry: RetryPolicy{MaxElapsed: 20 * time.Minute, Seed: seed},
+		clock: netClock,
 	}
 }
 
@@ -94,10 +95,11 @@ type netMedium struct {
 	addr string
 }
 
-// listenVia starts the service and, when wire is non-nil, a chaos proxy in
-// front of it; both close when the test ends.
+// listenVia starts the service on netClock and, when wire is non-nil, a
+// chaos proxy in front of it; both close when the test ends.
 func listenVia(t *testing.T, cfg Config, wire *chaosproxy.Plan) netMedium {
 	t.Helper()
+	cfg.clock = netClock
 	svc, err := Listen("127.0.0.1:0", cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -156,7 +158,7 @@ func TestNetChaosExactlyOnce(t *testing.T) {
 		// Every wire fault at once, below a perfect link: exactly-once while
 		// the wire itself lies.
 		name: "socket+proxy", seeds: []int64{3, 17, 59},
-		svc: Config{Shards: 1, MaxWorkers: 4, IdleSession: 2 * time.Second, WriteTimeout: 2 * time.Second},
+		svc: Config{Shards: 1, MaxWorkers: 4, IdleSession: 80 * time.Second},
 		wire: func(seed int64) *chaosproxy.Plan {
 			return &chaosproxy.Plan{
 				Seed: seed, SplitWrites: true, CoalesceWrites: true, CorruptBit: 0.005,
@@ -293,7 +295,7 @@ func TestNetKillRecoverConformance(t *testing.T) {
 		name: "socket", spec: netKillRecoverSpec, svc: Config{MaxWorkers: 4},
 	}, {
 		name: "socket+proxy", spec: proxySpec,
-		svc: Config{MaxWorkers: 4, IdleSession: 500 * time.Millisecond, WriteTimeout: time.Second},
+		svc: Config{MaxWorkers: 4, IdleSession: 20 * time.Second},
 		wire: func(r *rand.Rand) *chaosproxy.Plan {
 			return &chaosproxy.Plan{
 				Seed:           r.Int64(),
@@ -377,8 +379,8 @@ func netKillRecover(svc Config, wire func(r *rand.Rand) *chaosproxy.Plan, reconn
 		}, func() {
 			if p, err := DialResilient(ReconnectConfig{
 				Addr: m.addr, Hello: Hello{RunID: "kill", Rank: 1},
-				Dial:  DialConfig{Timeout: 200 * time.Millisecond, OpTimeout: 200 * time.Millisecond},
 				Retry: RetryPolicy{MaxElapsed: time.Nanosecond},
+				clock: netClock,
 			}); err == nil {
 				p.Close()
 			}

@@ -13,63 +13,30 @@ import (
 // bad header, oversized envelope).
 var ErrFrameRejected = errors.New("netsrv: server rejected frame")
 
-// DialConfig tunes each connection a ResilientSession dials.
-type DialConfig struct {
-	// Timeout bounds the TCP connect plus the hello/ack exchange.
-	// Default 5s.
-	//vs:option a wall-clock deadline tests shrink to stay fast; it waits for an injected Clock (ROADMAP item 1)
-	Timeout time.Duration
-
-	// Window is the pipelining depth for SendAsync: how many frames may
-	// be in flight before the sender must consume an ack. Every connection
-	// opens at one and doubles up to it (see ResilientSession). Default 256.
-	//vs:option tests narrow the window to fill it with a few frames; it moves with DialConfig's deadlines (ROADMAP item 1)
-	Window int
-
-	// OpTimeout is the per-operation I/O deadline after the handshake:
-	// every socket write and every blocking ack read must make progress
-	// within this window, so a dead or stalled peer surfaces as a timeout
-	// error instead of pinning the sender forever. It must be generous
-	// enough to cover one full frame write plus a server round trip.
-	// Default 10s; negative disables deadlines entirely.
-	//vs:option a wall-clock deadline tests shrink to stay fast; it waits for an injected Clock (ROADMAP item 1)
-	OpTimeout time.Duration
-}
-
-func (c *DialConfig) fillDefaults() {
-	if c.Timeout <= 0 {
-		c.Timeout = 5 * time.Second
-	}
-	if c.Window <= 0 {
-		c.Window = 256
-	}
-	if c.OpTimeout == 0 {
-		c.OpTimeout = 10 * time.Second
-	}
-}
-
 // clientConn is one handshaken connection of a ResilientSession: the socket,
 // its buffers and its deadlines. It has no lock, no window and no memory of
 // failures — the session owns all three and drops a clientConn on its first
 // transport error.
 type clientConn struct {
-	nc        net.Conn
-	r         *bufio.Reader
-	w         *bufio.Writer
-	ack       SessionAck
-	flushed   time.Time // last flush write forced on age (flushLag)
-	opTimeout time.Duration
-	readDl    time.Time // last armed read deadline (freshness gate)
-	writeDl   time.Time // last armed write deadline (freshness gate)
-	ackBuf    []byte
+	nc      net.Conn
+	r       *bufio.Reader
+	w       *bufio.Writer
+	ack     SessionAck
+	clk     clock
+	flushed time.Time // last flush write forced on age (flushLag), clock time
+	readDl  time.Time // last armed read deadline (freshness gate), clock time
+	writeDl time.Time // last armed write deadline (freshness gate), clock time
+	ackBuf  []byte
 }
 
 // connect dials addr and runs the vSS1 hello/ack exchange for h. A vSE1
 // refusal comes back as a *Refuse error — errors.As(err, &Refuse{}) exposes
-// the code and the retry-after hint. Every handshake-failure path closes the
-// TCP connection exactly once, here.
-func connect(addr string, h Hello, cfg DialConfig) (_ *clientConn, err error) {
-	nc, err := net.DialTimeout("tcp", addr, cfg.Timeout)
+// the code and the retry-after hint. The dial and the exchange share one
+// dialTimeout deadline. Every handshake-failure path closes the TCP
+// connection exactly once, here.
+func connect(addr string, h Hello, clk clock) (_ *clientConn, err error) {
+	dl := clk.deadline(dialTimeout)
+	nc, err := (&net.Dialer{Deadline: dl}).Dial("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
@@ -79,12 +46,12 @@ func connect(addr string, h Hello, cfg DialConfig) (_ *clientConn, err error) {
 		}
 	}()
 	c := &clientConn{
-		nc:        nc,
-		r:         bufio.NewReaderSize(nc, 64<<10),
-		w:         bufio.NewWriterSize(nc, 64<<10),
-		opTimeout: cfg.OpTimeout,
+		nc:  nc,
+		r:   bufio.NewReaderSize(nc, 64<<10),
+		w:   bufio.NewWriterSize(nc, 64<<10),
+		clk: clk,
 	}
-	_ = nc.SetDeadline(time.Now().Add(cfg.Timeout))
+	arm(nc.SetDeadline, dl)
 	if err := writeEnvelope(c.w, AppendHello(nil, h)); err != nil {
 		return nil, err
 	}
@@ -105,7 +72,7 @@ func connect(addr string, h Hello, cfg DialConfig) (_ *clientConn, err error) {
 	}
 	// Steady state runs on per-operation deadlines (armRead/armWrite),
 	// not the handshake deadline; clear it so a stale one cannot fire.
-	_ = nc.SetDeadline(time.Time{})
+	arm(nc.SetDeadline, time.Time{})
 	return c, nil
 }
 
@@ -117,27 +84,17 @@ func connect(addr string, h Hello, cfg DialConfig) (_ *clientConn, err error) {
 // [opTimeout/2, opTimeout] while the hot path skips almost all of the
 // runtime-timer churn a per-call SetDeadline would cost.
 func (c *clientConn) armRead() {
-	if c.opTimeout <= 0 {
-		return
+	if now := c.clk.now(); c.readDl.Sub(now) <= opTimeout/2 {
+		c.readDl = now.Add(opTimeout)
+		arm(c.nc.SetReadDeadline, c.clk.deadline(opTimeout))
 	}
-	now := time.Now()
-	if c.readDl.Sub(now) > c.opTimeout/2 {
-		return
-	}
-	c.readDl = now.Add(c.opTimeout)
-	_ = c.nc.SetReadDeadline(c.readDl)
 }
 
 func (c *clientConn) armWrite() {
-	if c.opTimeout <= 0 {
-		return
+	if now := c.clk.now(); c.writeDl.Sub(now) <= opTimeout/2 {
+		c.writeDl = now.Add(opTimeout)
+		arm(c.nc.SetWriteDeadline, c.clk.deadline(opTimeout))
 	}
-	now := time.Now()
-	if c.writeDl.Sub(now) > c.opTimeout/2 {
-		return
-	}
-	c.writeDl = now.Add(c.opTimeout)
-	_ = c.nc.SetWriteDeadline(c.writeDl)
 }
 
 // write queues one envelope. No frame waits in the write buffer longer than
@@ -149,7 +106,7 @@ func (c *clientConn) write(encoded []byte) error {
 	if err := writeEnvelope(c.w, encoded); err != nil {
 		return err
 	}
-	if now := time.Now(); now.Sub(c.flushed) > flushLag {
+	if now := c.clk.now(); now.Sub(c.flushed) > flushLag {
 		c.flushed = now
 		return c.w.Flush()
 	}

@@ -17,14 +17,10 @@ import (
 // retry-after hint.
 type RetryPolicy struct {
 	// MaxElapsed is the total retry budget for the first dial and for each
-	// later outage. Default 10s.
+	// later outage. Default 10s. Without a server hint the sleep between
+	// attempts is backoffBase (5ms), doubling per attempt up to backoffMax
+	// (500ms).
 	MaxElapsed time.Duration
-
-	// BackoffBase is the first sleep after a retryable failure with no
-	// server hint; it doubles per attempt up to BackoffMax. Defaults
-	// 5ms / 500ms.
-	//vs:option a wall-clock deadline tests shrink to stay fast; it waits for an injected Clock (ROADMAP item 1)
-	BackoffBase, BackoffMax time.Duration
 
 	// Seed drives the backoff jitter deterministically.
 	Seed int64
@@ -33,15 +29,6 @@ type RetryPolicy struct {
 func (p *RetryPolicy) fillDefaults() {
 	if p.MaxElapsed <= 0 {
 		p.MaxElapsed = 10 * time.Second
-	}
-	if p.BackoffBase <= 0 {
-		p.BackoffBase = 5 * time.Millisecond
-	}
-	if p.BackoffMax < p.BackoffBase {
-		p.BackoffMax = 500 * time.Millisecond
-		if p.BackoffMax < p.BackoffBase {
-			p.BackoffMax = p.BackoffBase
-		}
 	}
 }
 
@@ -72,25 +59,25 @@ func retryableRefusal(code uint16, accepted bool) bool {
 // (net errors), repeat until the deadline.
 type dialer struct {
 	addr string
-	cfg  DialConfig
+	clk  clock
 	p    RetryPolicy
 	rng  *rand.Rand
 }
 
-func newDialer(addr string, cfg DialConfig, p RetryPolicy) *dialer {
-	return &dialer{addr: addr, cfg: cfg, p: p, rng: rand.New(rand.NewSource(p.Seed ^ 0x72656469616c))}
+func newDialer(addr string, clk clock, p RetryPolicy) *dialer {
+	return &dialer{addr: addr, clk: clk, p: p, rng: rand.New(rand.NewSource(p.Seed ^ 0x72656469616c))}
 }
 
 // dial has two regimes. Before the service has ever accepted this hello
 // only transient refusals are retried: an unreachable address or a
 // malformed hello is a configuration error and fails fast. Once it has,
 // the address and the hello are known good, so a network error is an
-// outage and is retried under the budget too.
+// outage and is retried under the budget too. deadline is clock time.
 func (d *dialer) dial(h Hello, deadline time.Time, accepted bool, st *retryStats) (*clientConn, error) {
-	backoff := d.p.BackoffBase
+	backoff := backoffBase
 	for {
 		st.Attempts++
-		c, err := connect(d.addr, h, d.cfg)
+		c, err := connect(d.addr, h, d.clk)
 		if err == nil {
 			return c, nil
 		}
@@ -114,14 +101,12 @@ func (d *dialer) dial(h Hello, deadline time.Time, accepted bool, st *retryStats
 		// ±25% deterministic jitter so a fleet of resuming clients does
 		// not stampede the listener in lock-step.
 		wait += time.Duration(d.rng.Int63n(int64(wait)/2+1)) - wait/4
-		if backoff *= 2; backoff > d.p.BackoffMax {
-			backoff = d.p.BackoffMax
-		}
-		if time.Now().Add(wait).After(deadline) {
+		backoff = min(2*backoff, backoffMax)
+		if d.clk.now().Add(wait).After(deadline) {
 			return nil, err
 		}
 		st.BackoffNs += int64(wait)
-		time.Sleep(wait)
+		d.clk.sleep(wait)
 	}
 }
 
@@ -133,17 +118,20 @@ type ReconnectConfig struct {
 	Addr  string
 	Hello Hello
 
-	// Dial tunes each underlying connection (timeouts, window).
-	//vs:option carries DialConfig's test-shrunk deadlines (ROADMAP item 1)
-	Dial DialConfig
-
 	// Retry is the budget of the first dial (transient vSE1 refusals only)
 	// and of each later outage: once a live connection breaks, the
 	// session redials under this policy, and only when the budget is
 	// exhausted does the failure surface (as server.ErrServerDown, so
 	// transport.Link parks frames instead of dropping them).
 	Retry RetryPolicy
+
+	// clock times every dial, deadline and backoff; nil is the wall clock.
+	clock clock
 }
+
+// maxWindow is how many envelopes a session may have unanswered: the depth
+// every connection's window opens to.
+const maxWindow = 256
 
 // ResilientStats snapshots a ResilientSession's ledger.
 type ResilientStats struct {
@@ -153,7 +141,7 @@ type ResilientStats struct {
 	BackoffNs    int64  // total time slept in dial backoff
 	Resumed      int64  // queued envelopes skipped because the resume LSN proved them processed
 	Outages      int64  // operations that exhausted the retry budget
-	InFlight     int    // envelopes accepted and not yet answered (at most Dial.Window)
+	InFlight     int    // envelopes accepted and not yet answered (at most maxWindow, 256)
 	LSN          uint64 // client's belief of the tenant's durable LSN
 }
 
@@ -188,7 +176,7 @@ type ResilientStats struct {
 // exactly-once when durability is on.
 //
 // It is also a windowed medium (transport.Windowed): SendAsync accepts a
-// frame into a window of at most Dial.Window unanswered envelopes, and every
+// frame into a window of at most maxWindow unanswered envelopes, and every
 // accepted envelope is answered exactly once, in order — by its ack, by the
 // resume LSN, or with server.ErrServerDown when the session gives up —
 // through the observer (ObserveAcks). Giving up empties the window, so the
@@ -197,7 +185,7 @@ type ResilientStats struct {
 //
 // Each connection's share of the window opens the way a congestion window
 // does: a fresh connection may have one frame unanswered, and the allowance
-// doubles each time that many have been acknowledged, up to Dial.Window. So a
+// doubles each time that many have been acknowledged, up to maxWindow. So a
 // connection delivers an ack before a second frame is risked on it — a wire
 // that dies sooner than a window's bytes still makes progress, one reconnect
 // at a time — and reaches full depth nine round trips later.
@@ -214,7 +202,7 @@ type ResilientSession struct {
 	closed bool
 
 	lsn uint64 // belief: tenant's durable LSN after all answered envelopes
-	// pend is a ring of Dial.Window slots: n unanswered envelope copies from
+	// pend is a ring of maxWindow slots: n unanswered envelope copies from
 	// head on, the first sent of them written to the live conn. Slot buffers
 	// are reused in place, so the steady state allocates nothing. The live
 	// conn may have window of them unanswered: 1 after each dial, doubling
@@ -251,12 +239,12 @@ func DialResilient(cfg ReconnectConfig) (*ResilientSession, error) {
 	if n := len(cfg.Hello.RunID); n == 0 || n > MaxRunIDLen {
 		return nil, fmt.Errorf("netsrv: run ID length %d out of [1,%d]", n, MaxRunIDLen)
 	}
-	cfg.Dial.fillDefaults()
 	cfg.Retry.fillDefaults()
-	r := &ResilientSession{cfg: cfg, d: newDialer(cfg.Addr, cfg.Dial, cfg.Retry), pend: make([][]byte, cfg.Dial.Window)}
+	cfg.clock = orWall(cfg.clock)
+	r := &ResilientSession{cfg: cfg, d: newDialer(cfg.Addr, cfg.clock, cfg.Retry), pend: make([][]byte, maxWindow)}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if err := r.redialLocked(time.Now().Add(cfg.Retry.MaxElapsed)); err != nil {
+	if err := r.redialLocked(cfg.clock.now().Add(cfg.Retry.MaxElapsed)); err != nil {
 		return nil, err
 	}
 	return r, nil
@@ -358,8 +346,9 @@ func (r *ResilientSession) answer(err error) {
 // at returns the i-th oldest unanswered envelope's slot.
 func (r *ResilientSession) at(i int) *[]byte { return &r.pend[(r.head+i)%len(r.pend)] }
 
-// redialLocked establishes a fresh connection within the deadline and
-// reconciles the unanswered queue against the server's durable position.
+// redialLocked establishes a fresh connection within the deadline (clock
+// time) and reconciles the unanswered queue against the server's durable
+// position.
 func (r *ResilientSession) redialLocked(deadline time.Time) error {
 	h := r.cfg.Hello
 	h.ResumeLSN = r.lsn
@@ -493,7 +482,7 @@ func (r *ResilientSession) opLocked(keep int) error {
 	for {
 		if r.conn == nil {
 			if deadline.IsZero() {
-				deadline = time.Now().Add(r.d.p.MaxElapsed)
+				deadline = r.d.clk.now().Add(r.d.p.MaxElapsed)
 			}
 			if err := r.redialLocked(deadline); err != nil {
 				for r.n > 0 {

@@ -39,18 +39,6 @@ type Config struct {
 	// Default 50.
 	RetryAfterMs uint32
 
-	// HelloTimeout bounds how long an accepted connection may dawdle
-	// before completing its vSS1 hello. Default 5s.
-	//vs:option a wall-clock deadline tests shrink to stay fast; it waits for an injected Clock (ROADMAP item 1)
-	HelloTimeout time.Duration
-
-	// WriteTimeout is the deadline armed before every ack-bearing flush
-	// (session ack, frame acks, refusals): a peer that stops reading
-	// cannot pin its goroutine once the socket buffers fill. Default 5s;
-	// negative disables.
-	//vs:option a wall-clock deadline tests shrink to stay fast; it waits for an injected Clock (ROADMAP item 1)
-	WriteTimeout time.Duration
-
 	// IdleSession, when positive, is the dead-peer reaper: an admitted
 	// session that does not complete an envelope (data frame or
 	// heartbeat) within this window is closed and counted in
@@ -67,6 +55,10 @@ type Config struct {
 	// so deadline behavior is reachable without megabytes of traffic.
 	tuneConn func(net.Conn)
 
+	// clock times every deadline the service arms (helloTimeout,
+	// writeTimeout, IdleSession); nil is the wall clock.
+	clock clock
+
 	// NewServer, when set, builds the analysis server for a new run ID —
 	// the hook through which tests attach durability or obs to specific
 	// tenants, and through which the facade hands the service its own
@@ -81,12 +73,7 @@ func (c *Config) fillDefaults() {
 	if c.RetryAfterMs == 0 {
 		c.RetryAfterMs = 50
 	}
-	if c.HelloTimeout <= 0 {
-		c.HelloTimeout = 5 * time.Second
-	}
-	if c.WriteTimeout == 0 {
-		c.WriteTimeout = 5 * time.Second
-	}
+	c.clock = orWall(c.clock)
 }
 
 // Stats is a point-in-time snapshot of service counters. Every accepted
@@ -257,7 +244,7 @@ func (s *Service) Close() error {
 		} else {
 			// The handler's hello read fails and it refuses with vSE1
 			// shutdown; this fails only once the handler has closed c itself.
-			_ = c.SetReadDeadline(time.Now())
+			arm(c.SetReadDeadline, s.cfg.clock.deadline(0))
 		}
 	}
 	s.mu.Unlock()
@@ -289,8 +276,8 @@ func (s *Service) acceptLoop() {
 			code = RefuseBusy
 		default:
 			// Armed before Close can see c, so it never overwrites Close's
-			// expiry; it fails only on a closed conn, whose hello read fails too.
-			_ = c.SetReadDeadline(time.Now().Add(s.cfg.HelloTimeout))
+			// expiry.
+			arm(c.SetReadDeadline, s.cfg.clock.deadline(helloTimeout))
 			s.conns[c] = false
 			s.workers++
 			s.peak = max(s.peak, int64(s.workers))
@@ -324,9 +311,9 @@ func (s *Service) refuse(c net.Conn, code uint16) {
 		counter = &s.refusedBadHello
 	}
 	counter.Add(1)
-	// Best effort: a failed deadline or flush costs the peer only this
-	// courtesy reply; the count above and the close are the guarantee.
-	_ = c.SetWriteDeadline(time.Now().Add(time.Second))
+	// Best effort: a failed flush costs the peer only this courtesy reply;
+	// the count above and the close are the guarantee.
+	arm(c.SetWriteDeadline, s.cfg.clock.deadline(refuseTimeout))
 	w := bufio.NewWriter(c)
 	if writeEnvelope(w, AppendRefuse(nil, Refuse{Version: ProtocolVersion, Code: code, RetryAfterMs: s.cfg.RetryAfterMs})) == nil {
 		_ = w.Flush()
@@ -397,8 +384,7 @@ func (s *Service) handleConn(c net.Conn) {
 		s.refuse(c, RefuseBadHello)
 		return
 	}
-	// Clearing fails only on a closed conn, whose session ack write fails too.
-	_ = c.SetReadDeadline(time.Time{})
+	arm(c.SetReadDeadline, time.Time{})
 
 	t, code, existed := s.admit(c, h)
 	if t == nil {
@@ -442,8 +428,7 @@ func (s *Service) handleConn(c net.Conn) {
 	ackScratch := []byte{0}
 	for {
 		if s.cfg.IdleSession > 0 {
-			// Fails only on a closed conn, and the read below then fails too.
-			_ = c.SetReadDeadline(time.Now().Add(s.cfg.IdleSession))
+			arm(c.SetReadDeadline, s.cfg.clock.deadline(s.cfg.IdleSession))
 		}
 		payload, hdr, err := readEnvelope(r, buf, MaxEnvelopeBytes)
 		if errors.Is(err, ErrEnvelopeTooLarge) {
@@ -494,12 +479,9 @@ func (s *Service) handleConn(c net.Conn) {
 // is purely a syscall batching knob for the firehose case.
 const ackFlushBytes = 1024
 
-// armWrite arms the configured write deadline on c.
+// armWrite arms writeTimeout on c.
 func (s *Service) armWrite(c net.Conn) {
-	if s.cfg.WriteTimeout > 0 {
-		// Fails only on a closed conn, and the flush that follows then fails too.
-		_ = c.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-	}
+	arm(c.SetWriteDeadline, s.cfg.clock.deadline(writeTimeout))
 }
 
 // countWriteTimeout books a flush failure as a reaped session when it was

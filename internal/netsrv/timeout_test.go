@@ -17,15 +17,18 @@ import (
 // the worker freed, never with a goroutine pinned forever.
 
 // TestHelloTimeoutExpires connects and says nothing. The hello deadline
-// must fire, the connection must be refused as a bad hello, and the
-// refusal must actually reach the silent peer before the close.
+// must fire, no earlier than helloTimeout, the connection must be refused as
+// a bad hello, and the refusal must actually reach the silent peer before
+// the close.
 func TestHelloTimeoutExpires(t *testing.T) {
-	svc, err := Listen("127.0.0.1:0", Config{HelloTimeout: 80 * time.Millisecond})
+	clk := fast(50)
+	svc, err := Listen("127.0.0.1:0", Config{clock: clk})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer svc.Close()
 
+	start := clk.now()
 	c, err := net.Dial("tcp", svc.Addr().String())
 	if err != nil {
 		t.Fatal(err)
@@ -43,6 +46,9 @@ func TestHelloTimeoutExpires(t *testing.T) {
 	if ref.Code != RefuseBadHello {
 		t.Fatalf("refusal code %d, want RefuseBadHello", ref.Code)
 	}
+	if waited := clk.now().Sub(start); waited < helloTimeout {
+		t.Fatalf("refused after %v of clock time, before the %v hello deadline", waited, helloTimeout)
+	}
 	if st := svc.Stats(); st.RefusedBadHello != 1 {
 		t.Fatalf("RefusedBadHello = %d, want 1: %+v", st.RefusedBadHello, st)
 	}
@@ -51,7 +57,7 @@ func TestHelloTimeoutExpires(t *testing.T) {
 // TestIdleReaperFires admits a session and then goes silent. The idle
 // reaper must close it within the window and book it in SessionsReaped.
 func TestIdleReaperFires(t *testing.T) {
-	svc, err := Listen("127.0.0.1:0", Config{IdleSession: 80 * time.Millisecond})
+	svc, err := Listen("127.0.0.1:0", Config{IdleSession: 4 * time.Second, clock: fast(50)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +90,9 @@ func TestIdleReaperFires(t *testing.T) {
 // the deadline, so liveness traffic is all a healthy-but-quiet rank
 // needs; the reaper must never fire.
 func TestIdleReaperSparedByHeartbeats(t *testing.T) {
-	svc, err := Listen("127.0.0.1:0", Config{IdleSession: 150 * time.Millisecond})
+	const idle = 7500 * time.Millisecond
+	clk := fast(50)
+	svc, err := Listen("127.0.0.1:0", Config{IdleSession: idle, clock: clk})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,13 +104,12 @@ func TestIdleReaperSparedByHeartbeats(t *testing.T) {
 	}
 	defer s.Close()
 
-	deadline := time.Now().Add(600 * time.Millisecond) // 4× the idle window
-	for i := int64(0); time.Now().Before(deadline); i++ {
+	for i, end := int64(0), clk.now().Add(4*idle); clk.now().Before(end); i++ {
 		hb := server.AppendHeartbeat(nil, 0, i*50_000_000, 5_000_000)
 		if err := s.Receive(hb); err != nil {
 			t.Fatalf("heartbeat %d failed: %v", i, err)
 		}
-		time.Sleep(40 * time.Millisecond)
+		clk.sleep(idle / 4)
 	}
 	if st := svc.Stats(); st.SessionsReaped != 0 || s.Stats().Reconnects != 0 {
 		t.Fatalf("reaper fired %d times while heartbeats flowed: %+v, session %+v", st.SessionsReaped, st, s.Stats())
@@ -115,17 +122,19 @@ func TestIdleReaperSparedByHeartbeats(t *testing.T) {
 // TestAckWriteDeadlineFires pins the write-deadline half of the dead-peer
 // defense in isolation: an ack flush toward a peer that never reads (a
 // net.Pipe with no reader has zero buffer, the pathological stalled
-// reader) must return a timeout within WriteTimeout and be booked as a
-// reaped session — not park the worker in Write forever.
+// reader) must return a timeout once writeTimeout has passed, not before and
+// not long after, and be booked as a reaped session — not park the worker in
+// Write forever.
 func TestAckWriteDeadlineFires(t *testing.T) {
-	svc := &Service{cfg: Config{WriteTimeout: 50 * time.Millisecond}}
+	clk := fast(50)
+	svc := &Service{cfg: Config{clock: clk}}
 	c, peer := net.Pipe()
 	defer c.Close()
 	defer peer.Close()
 
 	w := bufio.NewWriter(c)
 	r := bufio.NewReader(c)
-	start := time.Now()
+	start := clk.now()
 	err := svc.writeAck(c, w, r, []byte{frameAckOK})
 	if err == nil {
 		t.Fatal("ack flush to a stalled reader returned nil")
@@ -133,8 +142,8 @@ func TestAckWriteDeadlineFires(t *testing.T) {
 	if !isTimeout(err) {
 		t.Fatalf("ack flush returned %v, want a deadline timeout", err)
 	}
-	if d := time.Since(start); d > 2*time.Second {
-		t.Fatalf("flush took %v, want ~WriteTimeout", d)
+	if d := clk.now().Sub(start); d < writeTimeout || d > 20*writeTimeout {
+		t.Fatalf("flush took %v of clock time, want about writeTimeout (%v)", d, writeTimeout)
 	}
 	if got := svc.Stats().SessionsReaped; got != 1 {
 		t.Fatalf("SessionsReaped = %d, want 1", got)
@@ -146,12 +155,12 @@ func TestAckWriteDeadlineFires(t *testing.T) {
 // are pinched so backpressure reaches the service quickly. Which defense
 // trips first is kernel-dependent — the ack backlog can wedge the
 // connection's read side before the next armed flush would block — so
-// both deadlines are configured and the assertion is the contract that
+// the idle reaper is on too and the assertion is the contract that
 // matters: the session is reaped, booked, and the worker freed.
 func TestStalledReaderReaped(t *testing.T) {
 	svc, err := Listen("127.0.0.1:0", Config{
-		WriteTimeout: 150 * time.Millisecond,
-		IdleSession:  400 * time.Millisecond,
+		IdleSession: 4 * writeTimeout,
+		clock:       fast(50),
 		tuneConn: func(c net.Conn) {
 			if tc, ok := c.(*net.TCPConn); ok {
 				_ = tc.SetWriteBuffer(1)
@@ -212,11 +221,12 @@ func TestStalledReaderReaped(t *testing.T) {
 }
 
 // TestDialRetryHonorsRetryAfter occupies the single per-run session slot,
-// frees it mid-budget, and expects the resilient session's first dial to
-// absorb the vSE1 refusals (sleeping per their RetryAfterMs hint) and land
-// the session.
+// frees it a tenth into the default budget, and expects the resilient
+// session's first dial to absorb the vSE1 refusals (sleeping per their
+// RetryAfterMs hint) and land the session.
 func TestDialRetryHonorsRetryAfter(t *testing.T) {
-	svc, err := Listen("127.0.0.1:0", Config{MaxRunSessions: 1, RetryAfterMs: 20})
+	clk := fast(10)
+	svc, err := Listen("127.0.0.1:0", Config{MaxRunSessions: 1, RetryAfterMs: 20, clock: clk})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,14 +236,16 @@ func TestDialRetryHonorsRetryAfter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	const held = time.Second
 	go func() {
-		time.Sleep(150 * time.Millisecond)
+		clk.sleep(held)
 		s1.Close()
 	}()
 
 	s2, err := DialResilient(ReconnectConfig{
 		Addr: svc.Addr().String(), Hello: Hello{RunID: "slot", Rank: 1},
-		Retry: RetryPolicy{MaxElapsed: 5 * time.Second, Seed: 7},
+		Retry: RetryPolicy{Seed: 7},
+		clock: clk,
 	})
 	if err != nil {
 		t.Fatalf("first dial never landed: %v", err)
@@ -241,7 +253,7 @@ func TestDialRetryHonorsRetryAfter(t *testing.T) {
 	defer s2.Close()
 	st := s2.Stats()
 	if st.Refusals == 0 {
-		t.Fatalf("slot was held 150ms but the first dial saw no refusals: %+v", st)
+		t.Fatalf("slot was held %v but the first dial saw no refusals: %+v", held, st)
 	}
 	if st.DialAttempts < 2 || st.Reconnects != 0 {
 		t.Fatalf("expected retries of the first dial and no reconnect, got %+v", st)
@@ -251,7 +263,8 @@ func TestDialRetryHonorsRetryAfter(t *testing.T) {
 	// the slot, so every attempt inside the budget is refused.
 	_, err = DialResilient(ReconnectConfig{
 		Addr: svc.Addr().String(), Hello: Hello{RunID: "slot", Rank: 3},
-		Retry: RetryPolicy{MaxElapsed: 120 * time.Millisecond, Seed: 7},
+		Retry: RetryPolicy{MaxElapsed: held, Seed: 7},
+		clock: clk,
 	})
 	var ref *Refuse
 	if !errors.As(err, &ref) || ref.Code != RefuseRunSessions {
@@ -261,9 +274,11 @@ func TestDialRetryHonorsRetryAfter(t *testing.T) {
 
 // stubService answers one connection per script step, in order: read the
 // hello, then 'a' = accept and drop the connection, 'b' = refuse as a bad
-// hello, 's' = accept and ack every envelope until the peer hangs up. It
-// stands in for a service behind a wire that kills connections and flips
-// hello bits, with none of the real proxy's timing.
+// hello, 's' = accept and ack every envelope until the peer hangs up, 'q' =
+// the same for 2*maxWindow envelopes, then swallow one full window of them
+// unanswered and hang up. It stands in for a service behind a wire that
+// kills connections and flips hello bits, with none of the real proxy's
+// timing.
 func stubService(t *testing.T, script string) (addr string, wait func()) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -292,12 +307,18 @@ func stubService(t *testing.T, script string) (addr string, wait func()) {
 			_ = w.Flush()
 			var buf []byte // reused, so the 's' loop allocates nothing per envelope
 			ok := []byte{frameAckOK}
-			for step == 's' {
+			for n := 0; step == 's' || step == 'q'; n++ {
 				payload, _, err := readEnvelope(r, buf, MaxEnvelopeBytes)
 				if err != nil {
 					break
 				}
 				buf = payload[:0]
+				if step == 'q' && n >= 2*maxWindow {
+					if n == 3*maxWindow-1 {
+						break
+					}
+					continue
+				}
 				_ = writeEnvelope(w, ok)
 				_ = w.Flush()
 			}
@@ -315,11 +336,10 @@ func stubService(t *testing.T, script string) (addr string, wait func()) {
 // not surface ErrServerDown after one attempt. The very first dial has no
 // such proof and keeps failing fast.
 func TestResilientRetriesBadHelloAfterAccept(t *testing.T) {
-	retry := RetryPolicy{MaxElapsed: 5 * time.Second, BackoffBase: time.Millisecond, Seed: 1}
-	dial := DialConfig{Timeout: time.Second, OpTimeout: time.Second}
+	retry := RetryPolicy{Seed: 1}
 
 	addr, wait := stubService(t, "abs")
-	rs, err := DialResilient(ReconnectConfig{Addr: addr, Hello: Hello{RunID: "flip"}, Dial: dial, Retry: retry})
+	rs, err := DialResilient(ReconnectConfig{Addr: addr, Hello: Hello{RunID: "flip"}, Retry: retry})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,13 +354,13 @@ func TestResilientRetriesBadHelloAfterAccept(t *testing.T) {
 
 	addr, wait = stubService(t, "b")
 	start := time.Now()
-	_, err = DialResilient(ReconnectConfig{Addr: addr, Hello: Hello{RunID: "flip"}, Dial: dial, Retry: retry})
+	_, err = DialResilient(ReconnectConfig{Addr: addr, Hello: Hello{RunID: "flip"}, Retry: retry})
 	var ref *Refuse
 	if !errors.As(err, &ref) || ref.Code != RefuseBadHello {
 		t.Fatalf("first dial refused as bad hello returned %v, want *Refuse{RefuseBadHello}", err)
 	}
-	if d := time.Since(start); d > time.Second {
-		t.Fatalf("first-dial bad hello took %v of a 5s budget, want fail-fast", d)
+	if d := time.Since(start); d > backoffMax {
+		t.Fatalf("first-dial bad hello took %v, longer than one backoff step may sleep (%v): want fail-fast", d, backoffMax)
 	}
 	wait()
 }
@@ -400,8 +420,8 @@ func TestResilientOutageSurfacesServerDown(t *testing.T) {
 	rs, err := DialResilient(ReconnectConfig{
 		Addr:  svc.Addr().String(),
 		Hello: Hello{RunID: "outage"},
-		Dial:  DialConfig{Timeout: 100 * time.Millisecond, OpTimeout: 100 * time.Millisecond},
-		Retry: RetryPolicy{MaxElapsed: 250 * time.Millisecond, BackoffBase: time.Millisecond, Seed: 3},
+		Retry: RetryPolicy{MaxElapsed: 4 * time.Second, Seed: 3},
+		clock: netClock,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -435,8 +455,7 @@ func TestResilientReconnectResumes(t *testing.T) {
 	rs, err := DialResilient(ReconnectConfig{
 		Addr:  addr,
 		Hello: Hello{RunID: "resume"},
-		Dial:  DialConfig{Timeout: 200 * time.Millisecond, OpTimeout: 200 * time.Millisecond},
-		Retry: RetryPolicy{MaxElapsed: 10 * time.Second, BackoffBase: time.Millisecond, Seed: 5},
+		Retry: RetryPolicy{Seed: 5},
 	})
 	if err != nil {
 		t.Fatal(err)

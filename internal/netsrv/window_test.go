@@ -150,23 +150,18 @@ func TestReceiveAmongAsyncReportsItsOwnFate(t *testing.T) {
 }
 
 // TestWindowBoundedAcrossOutage is invariant (2): with the service gone for
-// good the window does not grow past Dial.Window — it used to append without
+// good the window does not grow past maxWindow — it used to append without
 // limit — a sender that finds it full fails like a synchronous one, and
 // giving up hands every unanswered frame back instead of keeping it queued.
 // Close then has nothing to hide; a Close over frames it could not drain says
 // so.
 func TestWindowBoundedAcrossOutage(t *testing.T) {
-	const window = 4
-	svc, err := Listen("127.0.0.1:0", Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := ReconnectConfig{
-		Addr:  svc.Addr().String(),
-		Hello: Hello{RunID: "bound"},
-		Dial:  DialConfig{Window: window, Timeout: 100 * time.Millisecond, OpTimeout: 100 * time.Millisecond},
-		Retry: RetryPolicy{MaxElapsed: 150 * time.Millisecond, BackoffBase: time.Millisecond, Seed: 3},
-	}
+	// Once the window is open the stub answers nothing more: it swallows one
+	// full window, hangs up and stops listening, so the sender that finds the
+	// window full meets an outage no redial can cure.
+	cfg := ReconnectConfig{Hello: Hello{RunID: "bound"}, Retry: RetryPolicy{MaxElapsed: 4 * time.Second, Seed: 3}, clock: netClock}
+	addr, wait := stubService(t, "q")
+	cfg.Addr = addr
 	rs, err := DialResilient(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -175,7 +170,7 @@ func TestWindowBoundedAcrossOutage(t *testing.T) {
 	rs.ObserveAcks(seen.observe)
 	// Open the window fully first, so frames queue instead of waiting out
 	// the one-frame start.
-	for seq := uint64(1); seq <= 2*window; seq++ {
+	for seq := uint64(1); seq <= 2*maxWindow; seq++ {
 		if err := rs.SendAsync(testFrame(0, seq, seq, 1)); err != nil {
 			t.Fatal(err)
 		}
@@ -184,20 +179,22 @@ func TestWindowBoundedAcrossOutage(t *testing.T) {
 		t.Fatal(err)
 	}
 	seen.take()
-	svc.Close()
 
 	accepted := 0
 	var refused error
-	for seq := uint64(100); refused == nil && seq < 100+4*window; seq++ {
+	for seq := uint64(1000); refused == nil && seq < 1000+4*maxWindow; seq++ {
 		if refused = rs.SendAsync(testFrame(0, seq, seq, 1)); refused == nil {
 			accepted++
 		}
-		if st := rs.Stats(); st.InFlight > window {
-			t.Fatalf("%d envelopes in flight, window is %d", st.InFlight, window)
+		if st := rs.Stats(); st.InFlight > maxWindow {
+			t.Fatalf("%d envelopes in flight, window is %d", st.InFlight, maxWindow)
 		}
 	}
 	if !errors.Is(refused, server.ErrServerDown) {
 		t.Fatalf("SendAsync into a dead service kept accepting (%d frames): last error %v", accepted, refused)
+	}
+	if accepted != maxWindow {
+		t.Fatalf("%d frames accepted before the first refusal, want the full window of %d", accepted, maxWindow)
 	}
 	fates := seen.take()
 	if len(fates) != accepted {
@@ -214,10 +211,11 @@ func TestWindowBoundedAcrossOutage(t *testing.T) {
 	if err := rs.Close(); err != nil {
 		t.Fatalf("Close with nothing in flight: %v", err)
 	}
+	wait()
 
 	// The other half of Close: frames accepted, service dies, no later
 	// operation redials — Close must not report success.
-	svc2, err := Listen("127.0.0.1:0", Config{})
+	svc2, err := Listen("127.0.0.1:0", Config{clock: netClock})
 	if err != nil {
 		t.Fatal(err)
 	}

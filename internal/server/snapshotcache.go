@@ -9,9 +9,11 @@ import (
 	"vsensor/internal/detect"
 )
 
-// DefaultSnapshotThreshold is the outlier threshold the cached report is
-// rendered at. It matches the facade's default dashboard threshold so the
-// CLI, /status, and the outlier endpoint all read the same render.
+// DefaultSnapshotThreshold is the outlier threshold every snapshot
+// generation renders its report at, so /status and /outliers serve one
+// render. A direct InterProcessOutliers/InterProcessReport call passes its
+// own threshold instead (the CLI and the benchmark 0.8, the examples
+// 0.85), so its verdict can list outliers the snapshot's does not.
 const DefaultSnapshotThreshold = 0.9
 
 // Rebuild throttle: with thousands of pollers racing continuous ingest,

@@ -100,9 +100,11 @@ type Options struct {
 	// dial fails fast on network errors and honors vSE1 retry-after hints
 	// within the retry budget; after that it auto-redials on connection
 	// loss with jittered exponential backoff and resumes delivery at the
-	// durable LSN from the session ack. Only the Dial and Retry fields are
-	// consulted — Addr and Hello are filled from Connect and RunID. Nil
-	// uses the defaults; setting it without Connect is an error.
+	// durable LSN from the session ack. Only the Retry field is consulted —
+	// Addr and Hello are filled from Connect and RunID; the deadlines (5s
+	// per connect, 10s per operation), the 5ms→500ms backoff and the
+	// 256-frame window are netsrv constants. Nil uses the defaults; setting
+	// it without Connect is an error.
 	Reconnect *netsrv.ReconnectConfig
 
 	// Durability attaches the analysis server's WAL + snapshot layer
