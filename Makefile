@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build test race vet fmt-check cover fuzz chaos chaos-recover chaos-net chaos-proxy bench experiments check clean
+.PHONY: build test race vet fmt-check cover fuzz chaos chaos-recover chaos-net chaos-wire bench experiments check clean
 
 build:
 	$(GO) build ./...
@@ -68,13 +68,15 @@ chaos-net:
 	    -count 1 ./internal/netsrv
 	$(GO) test -race -run 'TestLoadShedExplicitRefusal$$|TestCloseReachesEveryConn$$|TestCloseWhileDialing$$' -count 20 ./internal/netsrv
 
-# The wire-level rows under the race detector: a seeded TCP chaos proxy
-# (resets, partitions, stalls, bit flips, split/coalesced writes, half-open
-# closes) between the self-healing client and the service, with tenant
-# crash-recovery and disk faults layered on top — final state proven
-# exactly equal to an undisturbed reference.
-chaos-proxy:
-	$(GO) test -race -run 'TestNet(ChaosExactlyOnce|KillRecoverConformance)$$/^socket\+proxy$$' -count 1 ./internal/netsrv
+# The wire-level rows under the race detector: internal/feed trials whose
+# wire events (resets, partitions, stalls, bit flips, runt reads and writes,
+# half-open connections), each placed by connection, direction and byte,
+# act on the service's side of the socket below the self-healing client,
+# with tenant crash-recovery and disk faults layered on top — final state
+# proven exactly equal to an undisturbed reference. A failure prints its
+# shrunk feed.Trial literal.
+chaos-wire:
+	$(GO) test -race -run 'TestNet(ChaosExactlyOnce|KillRecoverConformance)$$/^socket\+wire$$' -count 1 ./internal/netsrv
 
 # The one benchmark: four workloads, repeated trials, end-to-end and
 # per-layer metrics under the bounds in BENCHMARK.json (see

@@ -29,53 +29,6 @@ type clientConn struct {
 	ackBuf  []byte
 }
 
-// connect dials addr and runs the vSS1 hello/ack exchange for h. A vSE1
-// refusal comes back as a *Refuse error — errors.As(err, &Refuse{}) exposes
-// the code and the retry-after hint. The dial and the exchange share one
-// dialTimeout deadline. Every handshake-failure path closes the TCP
-// connection exactly once, here.
-func connect(addr string, h Hello, clk clock) (_ *clientConn, err error) {
-	dl := clk.deadline(dialTimeout)
-	nc, err := (&net.Dialer{Deadline: dl}).Dial("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	defer func() {
-		if err != nil {
-			_ = nc.Close() // the single close site for failed handshakes
-		}
-	}()
-	c := &clientConn{
-		nc:  nc,
-		r:   bufio.NewReaderSize(nc, 64<<10),
-		w:   bufio.NewWriterSize(nc, 64<<10),
-		clk: clk,
-	}
-	arm(nc.SetDeadline, dl)
-	if err := writeEnvelope(c.w, AppendHello(nil, h)); err != nil {
-		return nil, err
-	}
-	if err := c.w.Flush(); err != nil {
-		return nil, err
-	}
-	payload, _, err := readEnvelope(c.r, nil, refuseSize+sessionAckSize)
-	if err != nil {
-		return nil, fmt.Errorf("netsrv: handshake read: %w", err)
-	}
-	if len(payload) == refuseSize {
-		if ref, perr := ParseRefuse(payload); perr == nil {
-			return nil, &ref
-		}
-	}
-	if c.ack, err = ParseSessionAck(payload); err != nil {
-		return nil, err
-	}
-	// Steady state runs on per-operation deadlines (armRead/armWrite),
-	// not the handshake deadline; clear it so a stale one cannot fire.
-	arm(nc.SetDeadline, time.Time{})
-	return c, nil
-}
-
 // armRead and armWrite set the per-operation socket deadlines — the
 // dead-peer defense. Each blocking read and each operation's writes must
 // make progress within opTimeout. Re-arming is freshness-gated: the

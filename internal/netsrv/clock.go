@@ -64,5 +64,5 @@ func orWall(c clock) clock {
 // SetReadDeadline or SetWriteDeadline). Its error is dropped: it only means
 // the conn is closed, and the next Read or Write reports that.
 func arm(set func(time.Time) error, t time.Time) {
-	_ = set(t)
+	_ = set(t) //vs:discard only a closed conn fails it, and its next Read or Write says so
 }

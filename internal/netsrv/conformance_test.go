@@ -59,11 +59,7 @@ func multiTenant(t *testing.T, tr feed.Trial) error {
 	// /metrics pollers hammering the introspection endpoint while the
 	// tenants stream; /metrics reads Stats at scrape time.
 	o := obs.New()
-	svc, err := Listen("127.0.0.1:0", Config{Shards: shards, MaxWorkers: runs + 2})
-	if err != nil {
-		return err
-	}
-	defer svc.Close()
+	svc := listen(t, Config{Shards: shards, MaxWorkers: runs + 2})
 	svc.SetObs(o)
 	o.SetStatus(func() any { return svc.Stats() })
 	ts := httptest.NewServer(o.Handler())

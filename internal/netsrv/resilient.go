@@ -392,7 +392,7 @@ func (r *ResilientSession) redialLocked(deadline time.Time) error {
 // dropConnLocked abandons a broken connection; its close error adds nothing
 // to the failure that broke it.
 func (r *ResilientSession) dropConnLocked() {
-	_ = r.conn.nc.Close()
+	_ = r.conn.nc.Close() //vs:discard the failure that broke the conn is the one to report
 	r.conn = nil
 	r.sent = 0
 }

@@ -50,11 +50,6 @@ type Config struct {
 	// server.NewSharded. 0 or less selects server.DefaultShards.
 	Shards int
 
-	// tuneConn, when set, runs on every accepted connection before the
-	// handshake — the in-package test seam for shrinking socket buffers
-	// so deadline behavior is reachable without megabytes of traffic.
-	tuneConn func(net.Conn)
-
 	// clock times every deadline the service arms (helloTimeout,
 	// writeTimeout, IdleSession); nil is the wall clock.
 	clock clock
@@ -139,14 +134,20 @@ type Service struct {
 	corruptEnv      atomic.Int64
 }
 
-// Listen binds addr (e.g. "127.0.0.1:0"), starts the accept loop, and
-// returns the running service.
+// Listen binds addr (e.g. "127.0.0.1:0") and serves it.
 func Listen(addr string, cfg Config) (*Service, error) {
-	cfg.fillDefaults()
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("netsrv: listen %s: %w", addr, err)
 	}
+	return serve(ln, cfg), nil
+}
+
+// serve starts the accept loop on ln and returns the running service. It and
+// connect below are the package's one contact with the socket API, and
+// serve is the seam tests hand a listener that injects wire faults.
+func serve(ln net.Listener, cfg Config) *Service {
+	cfg.fillDefaults()
 	s := &Service{
 		cfg:        cfg,
 		ln:         ln,
@@ -155,7 +156,54 @@ func Listen(addr string, cfg Config) (*Service, error) {
 		conns:      make(map[net.Conn]bool),
 	}
 	go s.acceptLoop()
-	return s, nil
+	return s
+}
+
+// connect dials addr and runs the vSS1 hello/ack exchange for h. A vSE1
+// refusal comes back as a *Refuse error — errors.As(err, &Refuse{}) exposes
+// the code and the retry-after hint. The dial and the exchange share one
+// dialTimeout deadline. Every handshake-failure path closes the TCP
+// connection exactly once, here.
+func connect(addr string, h Hello, clk clock) (_ *clientConn, err error) {
+	dl := clk.deadline(dialTimeout)
+	nc, err := (&net.Dialer{Deadline: dl}).Dial("tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	defer func() {
+		if err != nil {
+			_ = nc.Close() //vs:discard the handshake's error is the one to report
+		}
+	}()
+	c := &clientConn{
+		nc:  nc,
+		r:   bufio.NewReaderSize(nc, 64<<10),
+		w:   bufio.NewWriterSize(nc, 64<<10),
+		clk: clk,
+	}
+	arm(nc.SetDeadline, dl)
+	if err := writeEnvelope(c.w, AppendHello(nil, h)); err != nil {
+		return nil, err
+	}
+	if err := c.w.Flush(); err != nil {
+		return nil, err
+	}
+	payload, _, err := readEnvelope(c.r, nil, refuseSize+sessionAckSize)
+	if err != nil {
+		return nil, fmt.Errorf("netsrv: handshake read: %w", err)
+	}
+	if len(payload) == refuseSize {
+		if ref, perr := ParseRefuse(payload); perr == nil {
+			return nil, &ref
+		}
+	}
+	if c.ack, err = ParseSessionAck(payload); err != nil {
+		return nil, err
+	}
+	// Steady state runs on per-operation deadlines (armRead/armWrite),
+	// not the handshake deadline; clear it so a stale one cannot fire.
+	arm(nc.SetDeadline, time.Time{})
+	return c, nil
 }
 
 // Addr is the listener's bound address (useful with ":0").
@@ -316,7 +364,7 @@ func (s *Service) refuse(c net.Conn, code uint16) {
 	arm(c.SetWriteDeadline, s.cfg.clock.deadline(refuseTimeout))
 	w := bufio.NewWriter(c)
 	if writeEnvelope(w, AppendRefuse(nil, Refuse{Version: ProtocolVersion, Code: code, RetryAfterMs: s.cfg.RetryAfterMs})) == nil {
-		_ = w.Flush()
+		_ = w.Flush() //vs:discard a courtesy reply; the count and the close are the guarantee
 	}
 }
 
@@ -367,10 +415,6 @@ func (s *Service) handleConn(c net.Conn) {
 		s.mu.Unlock()
 		s.wg.Done()
 	}()
-	if s.cfg.tuneConn != nil {
-		s.cfg.tuneConn(c)
-	}
-
 	r := bufio.NewReaderSize(c, 64<<10)
 	w := bufio.NewWriterSize(c, 64<<10)
 

@@ -45,6 +45,17 @@ func dialOnce(addr string, h Hello) (*ResilientSession, error) {
 	return DialResilient(ReconnectConfig{Addr: addr, Hello: h, Retry: RetryPolicy{MaxElapsed: time.Nanosecond}})
 }
 
+// listen serves cfg on a loopback listener until the test ends.
+func listen(t *testing.T, cfg Config) *Service {
+	t.Helper()
+	svc, err := Listen("127.0.0.1:0", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { svc.Close() })
+	return svc
+}
+
 // waitFor polls cond until it holds or the deadline trips.
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
@@ -61,11 +72,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // on a zero Config gets a server with server.DefaultShards ingest shards,
 // the count `serve -server-shards 0` promises.
 func TestZeroConfigTenantShards(t *testing.T) {
-	svc, err := Listen("127.0.0.1:0", Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Close()
+	svc := listen(t, Config{})
 	sess, err := dialOnce(svc.Addr().String(), Hello{RunID: "run-d", Rank: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -80,11 +87,7 @@ func TestZeroConfigTenantShards(t *testing.T) {
 }
 
 func TestSessionRoundTrip(t *testing.T) {
-	svc, err := Listen("127.0.0.1:0", Config{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Close()
+	svc := listen(t, Config{Shards: 2})
 
 	sess, err := dialOnce(svc.Addr().String(), Hello{RunID: "run-a", Rank: 3})
 	if err != nil {
@@ -134,11 +137,7 @@ func TestSessionRoundTrip(t *testing.T) {
 }
 
 func TestSessionResumeLSNAndFlags(t *testing.T) {
-	svc, err := Listen("127.0.0.1:0", Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Close()
+	svc := listen(t, Config{})
 
 	s1, err := dialOnce(svc.Addr().String(), Hello{RunID: "run-r", Rank: 0})
 	if err != nil {
@@ -170,11 +169,7 @@ func TestSessionResumeLSNAndFlags(t *testing.T) {
 // busy + retry-after — never a silent drop, hang or queue — and that once
 // the sessions close the served count returns to zero and admits again.
 func TestLoadShedExplicitRefusal(t *testing.T) {
-	svc, err := Listen("127.0.0.1:0", Config{MaxWorkers: 2, RetryAfterMs: 123})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Close()
+	svc := listen(t, Config{MaxWorkers: 2, RetryAfterMs: 123})
 	addr := svc.Addr().String()
 
 	var sessions []*ResilientSession
@@ -211,15 +206,11 @@ func TestLoadShedExplicitRefusal(t *testing.T) {
 }
 
 func TestTenantCaps(t *testing.T) {
-	svc, err := Listen("127.0.0.1:0", Config{
+	svc := listen(t, Config{
 		MaxWorkers:     8,
 		MaxRuns:        1,
 		MaxRunSessions: 1,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Close()
 	addr := svc.Addr().String()
 
 	s1, err := dialOnce(addr, Hello{RunID: "only", Rank: 0})
@@ -253,11 +244,7 @@ func TestTenantCaps(t *testing.T) {
 }
 
 func TestBadHelloRefused(t *testing.T) {
-	svc, err := Listen("127.0.0.1:0", Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Close()
+	svc := listen(t, Config{})
 
 	// A data frame where the hello belongs is a protocol violation.
 	c, err := net.Dial("tcp", svc.Addr().String())
@@ -318,11 +305,7 @@ func TestBadHelloRefused(t *testing.T) {
 // exactly the keys the hand-written map it replaced served.
 func TestShedCountsInStatus(t *testing.T) {
 	o := obs.New()
-	svc, err := Listen("127.0.0.1:0", Config{MaxWorkers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Close()
+	svc := listen(t, Config{MaxWorkers: 1})
 	svc.SetObs(o)
 	o.SetStatus(func() any { return map[string]any{"net": svc.Stats()} })
 
@@ -419,10 +402,7 @@ func rawSession(t *testing.T, addr, runID string) (net.Conn, *bufio.Writer, *buf
 // EOF, the hello-less one reads vSE1 shutdown, and Close returns without
 // waiting out the hello deadline (the wall clock's, 5s).
 func TestCloseReachesEveryConn(t *testing.T) {
-	svc, err := Listen("127.0.0.1:0", Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	svc := listen(t, Config{})
 	addr := svc.Addr().String()
 	sc, _, _ := rawSession(t, addr, "close")
 	cq, err := net.Dial("tcp", addr)
@@ -460,11 +440,7 @@ func TestCloseReachesEveryConn(t *testing.T) {
 // flight; afterwards nothing is served and every accepted connection is
 // booked exactly once: as a session, or in one refusal bucket.
 func TestCloseWhileDialing(t *testing.T) {
-	svc, err := Listen("127.0.0.1:0", Config{MaxWorkers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Close() // a no-op once the test's own Close has run
+	svc := listen(t, Config{MaxWorkers: 4})
 	addr := svc.Addr().String()
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -501,7 +477,7 @@ func TestCloseWhileDialing(t *testing.T) {
 		return st.Sessions >= 8 && st.RefusedBadHello >= 4
 	})
 	start := time.Now()
-	err = svc.Close()
+	err := svc.Close()
 	took := time.Since(start)
 	if err != nil || took > 2*time.Second {
 		t.Fatalf("Close = %v after %v while connections arrived, want nil within 2s", err, took)
@@ -518,11 +494,7 @@ func TestCloseWhileDialing(t *testing.T) {
 // frame mid-stream whose rejection must surface on Drain (not get lost in
 // the ack batch), and a clean pipeline afterwards.
 func TestSessionPipelinedSend(t *testing.T) {
-	svc, err := Listen("127.0.0.1:0", Config{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Close()
+	svc := listen(t, Config{Shards: 2})
 	sess, err := DialResilient(ReconnectConfig{Addr: svc.Addr().String(), Hello: Hello{RunID: "pipe", Rank: 0}})
 	if err != nil {
 		t.Fatal(err)
@@ -583,11 +555,7 @@ func TestRefuseErrorStrings(t *testing.T) {
 // buffer: it discards the payload bytes, reject-acks, and keeps the
 // session usable for the next well-formed frame.
 func TestOversizedEnvelopeRejected(t *testing.T) {
-	svc, err := Listen("127.0.0.1:0", Config{Shards: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Close()
+	svc := listen(t, Config{Shards: 1})
 
 	_, w, r := rawSession(t, svc.Addr().String(), "big")
 

@@ -22,11 +22,7 @@ import (
 // the close.
 func TestHelloTimeoutExpires(t *testing.T) {
 	clk := fast(50)
-	svc, err := Listen("127.0.0.1:0", Config{clock: clk})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Close()
+	svc := listen(t, Config{clock: clk})
 
 	start := clk.now()
 	c, err := net.Dial("tcp", svc.Addr().String())
@@ -57,11 +53,7 @@ func TestHelloTimeoutExpires(t *testing.T) {
 // TestIdleReaperFires admits a session and then goes silent. The idle
 // reaper must close it within the window and book it in SessionsReaped.
 func TestIdleReaperFires(t *testing.T) {
-	svc, err := Listen("127.0.0.1:0", Config{IdleSession: 4 * time.Second, clock: fast(50)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Close()
+	svc := listen(t, Config{IdleSession: 4 * time.Second, clock: fast(50)})
 
 	s, err := dialOnce(svc.Addr().String(), Hello{RunID: "idle"})
 	if err != nil {
@@ -92,11 +84,7 @@ func TestIdleReaperFires(t *testing.T) {
 func TestIdleReaperSparedByHeartbeats(t *testing.T) {
 	const idle = 7500 * time.Millisecond
 	clk := fast(50)
-	svc, err := Listen("127.0.0.1:0", Config{IdleSession: idle, clock: clk})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Close()
+	svc := listen(t, Config{IdleSession: idle, clock: clk})
 
 	s, err := dialOnce(svc.Addr().String(), Hello{RunID: "hb"})
 	if err != nil {
@@ -158,18 +146,11 @@ func TestAckWriteDeadlineFires(t *testing.T) {
 // the idle reaper is on too and the assertion is the contract that
 // matters: the session is reaped, booked, and the worker freed.
 func TestStalledReaderReaped(t *testing.T) {
-	svc, err := Listen("127.0.0.1:0", Config{
-		IdleSession: 4 * writeTimeout,
-		clock:       fast(50),
-		tuneConn: func(c net.Conn) {
-			if tc, ok := c.(*net.TCPConn); ok {
-				_ = tc.SetWriteBuffer(1)
-			}
-		},
-	})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	svc := serve(pinched{ln}, Config{IdleSession: 4 * writeTimeout, clock: fast(50)})
 	defer svc.Close()
 
 	c, err := net.Dial("tcp", svc.Addr().String())
@@ -220,17 +201,25 @@ func TestStalledReaderReaped(t *testing.T) {
 	}
 }
 
+// pinched shrinks the send buffer of every connection it accepts, so that
+// deadline behavior is reachable without megabytes of traffic.
+type pinched struct{ net.Listener }
+
+func (l pinched) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if tc, ok := c.(*net.TCPConn); ok {
+		_ = tc.SetWriteBuffer(1)
+	}
+	return c, err
+}
+
 // TestDialRetryHonorsRetryAfter occupies the single per-run session slot,
 // frees it a tenth into the default budget, and expects the resilient
 // session's first dial to absorb the vSE1 refusals (sleeping per their
 // RetryAfterMs hint) and land the session.
 func TestDialRetryHonorsRetryAfter(t *testing.T) {
 	clk := fast(10)
-	svc, err := Listen("127.0.0.1:0", Config{MaxRunSessions: 1, RetryAfterMs: 20, clock: clk})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Close()
+	svc := listen(t, Config{MaxRunSessions: 1, RetryAfterMs: 20, clock: clk})
 
 	s1, err := dialOnce(svc.Addr().String(), Hello{RunID: "slot"})
 	if err != nil {
@@ -277,7 +266,7 @@ func TestDialRetryHonorsRetryAfter(t *testing.T) {
 // hello, 's' = accept and ack every envelope until the peer hangs up, 'q' =
 // the same for 2*maxWindow envelopes, then swallow one full window of them
 // unanswered and hang up. It stands in for a service behind a wire that
-// kills connections and flips hello bits, with none of the real proxy's
+// kills connections and flips hello bits, with none of a real socket's
 // timing.
 func stubService(t *testing.T, script string) (addr string, wait func()) {
 	t.Helper()
@@ -329,7 +318,7 @@ func stubService(t *testing.T, script string) (addr string, wait func()) {
 }
 
 // TestResilientRetriesBadHelloAfterAccept is the deterministic form of a
-// TestNetKillRecoverConformance/socket+proxy flake: the live connection dies,
+// flake of TestNetKillRecoverConformance's old chaos-proxy row: the live connection dies,
 // and the wire flips a bit in the redial's hello so the service refuses it as
 // malformed. The service has already accepted this very hello, so the
 // refusal is an outage to retry under the budget — Receive must deliver,
@@ -371,11 +360,7 @@ func TestResilientRetriesBadHelloAfterAccept(t *testing.T) {
 // session nobody would close. After Close every operation fails with
 // net.ErrClosed and dials nothing, and Close is idempotent.
 func TestResilientCloseIsFinal(t *testing.T) {
-	svc, err := Listen("127.0.0.1:0", Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Close()
+	svc := listen(t, Config{})
 	rs, err := DialResilient(ReconnectConfig{Addr: svc.Addr().String(), Hello: Hello{RunID: "closed"}})
 	if err != nil {
 		t.Fatal(err)
@@ -413,10 +398,7 @@ func TestResilientCloseIsFinal(t *testing.T) {
 // server.ErrServerDown — the sentinel the Link layer parks frames on —
 // rather than an anonymous socket error.
 func TestResilientOutageSurfacesServerDown(t *testing.T) {
-	svc, err := Listen("127.0.0.1:0", Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	svc := listen(t, Config{})
 	rs, err := DialResilient(ReconnectConfig{
 		Addr:  svc.Addr().String(),
 		Hello: Hello{RunID: "outage"},
@@ -447,10 +429,7 @@ func TestResilientOutageSurfacesServerDown(t *testing.T) {
 // and expects the session to redial, resume from the ack LSN, and keep
 // delivering — the client-visible half of the self-healing contract.
 func TestResilientReconnectResumes(t *testing.T) {
-	svc, err := Listen("127.0.0.1:0", Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	svc := listen(t, Config{})
 	addr := svc.Addr().String()
 	rs, err := DialResilient(ReconnectConfig{
 		Addr:  addr,

@@ -27,8 +27,8 @@
 // CRC) surfaces as ErrEnvelopeCorrupt, which both ends treat as
 // connection-fatal. Corrupted bytes therefore never reach tenant
 // accounting; the client reconnects and resumes at the durable LSN, which
-// is what lets the chaos-proxy conformance suites demand *exact* equality
-// with an undisturbed run even while the proxy flips bits.
+// is what lets the socket+wire conformance rows demand *exact* equality
+// with an undisturbed run even while the wire flips bits.
 //
 // The service serves each accepted connection on its own goroutine, at
 // most MaxWorkers at once, and sheds load at that cap: the connection gets
@@ -366,7 +366,7 @@ func readEnvelope(r *bufio.Reader, buf []byte, maxBytes int) ([]byte, envHeader,
 		n:   int(binary.LittleEndian.Uint32(hdrBuf[0:])),
 		crc: binary.LittleEndian.Uint32(hdrBuf[4:]),
 	}
-	_, _ = r.Discard(envHeaderSize) // cannot fail: Peek just buffered these bytes
+	_, _ = r.Discard(envHeaderSize) //vs:discard cannot fail: Peek just buffered these bytes
 	if hdr.n > maxBytes {
 		return nil, hdr, fmt.Errorf("%w: %d bytes declared, cap %d", ErrEnvelopeTooLarge, hdr.n, maxBytes)
 	}

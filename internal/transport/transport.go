@@ -243,8 +243,8 @@ func (l *Link) settle(c *Conn) {
 	}
 	l.wmu.Lock()
 	defer l.wmu.Unlock()
-	// A Drain that gives up answers everything "down" on its way out: the
-	// error says nothing the returned frames do not.
+	//vs:discard a Drain that gives up answers everything "down" on its way
+	// out: the error says nothing the returned frames do not.
 	_ = l.win.Drain()
 }
 
@@ -740,7 +740,7 @@ func (c *Conn) dropAllSilently() {
 	// What is in the window lands or comes back, as backlog like the rest
 	// (an eviction is counted by park; the rest is counted below).
 	c.link.settle(c)
-	_ = c.reclaim()
+	_ = c.reclaim() //vs:discard its only error is an eviction, which park counts
 	c.lostRecords += int64(c.n)
 	c.link.obsLost.Add(int64(c.n))
 	if c.n > 0 {

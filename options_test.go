@@ -5,12 +5,12 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
-	"os"
 	"path/filepath"
 	"regexp"
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -28,13 +28,63 @@ var optionStruct = regexp.MustCompile(`^\w*(Config|Options|Policy|Plan)$`)
 
 // optionExempt are the directories that neither declare options nor count
 // as their setters: test support that only test code drives.
-var optionExempt = []string{"internal/feed", "internal/netsrv/chaosproxy"}
+var optionExempt = []string{"internal/feed"}
 
-// optionFile is one parsed Go file with its package's import path.
-type optionFile struct {
-	pkg  string
+// goFile is one parsed Go file of the module.
+type goFile struct {
+	pkg  string // its package's import path
+	rel  string // its path from the module root, slash-separated
 	test bool
 	f    *ast.File
+}
+
+// moduleFiles parses every Go file of the module once, with comments,
+// skipping hidden directories and testdata: the one walk that the tree's
+// source rules (options, netsrv's clock and sockets, discards) share.
+var moduleFiles = sync.OnceValues(func() (parsedModule, error) {
+	fset := token.NewFileSet()
+	var files []goFile
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel := filepath.ToSlash(path)
+		if d.IsDir() {
+			if rel != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		pkg := optionModule
+		if d := filepath.ToSlash(filepath.Dir(rel)); d != "." {
+			pkg += "/" + d
+		}
+		files = append(files, goFile{pkg: pkg, rel: rel, test: strings.HasSuffix(path, "_test.go"), f: f})
+		return nil
+	})
+	return parsedModule{fset, files}, err
+})
+
+type parsedModule struct {
+	fset  *token.FileSet
+	files []goFile
+}
+
+// loadGoFiles is the module's files that keep admits.
+func loadGoFiles(t *testing.T, keep func(goFile) bool) (*token.FileSet, []goFile) {
+	t.Helper()
+	m, err := moduleFiles()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m.fset, slices.DeleteFunc(slices.Clone(m.files), func(g goFile) bool { return !keep(g) })
 }
 
 // typeName is a named type by its package's import path.
@@ -49,7 +99,7 @@ type typeName struct{ pkg, name string }
 // or as the element type of a slice or map literal around an elided one),
 // or the selector on the left of an assignment or ++/--, which counts for
 // every covered field of that name declared in another package.
-func unsetOptions(files []optionFile) []string {
+func unsetOptions(files []goFile) []string {
 	type field struct {
 		t    typeName
 		name string
@@ -180,44 +230,6 @@ func optionReason(cg *ast.CommentGroup) bool {
 	return false
 }
 
-// loadOptionFiles parses every Go file of the module rooted at dir, skipping
-// hidden directories, testdata and the exempt test-support packages.
-func loadOptionFiles(t *testing.T, dir string) []optionFile {
-	t.Helper()
-	var files []optionFile
-	fset := token.NewFileSet()
-	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		rel, _ := filepath.Rel(dir, path)
-		rel = filepath.ToSlash(rel)
-		if d.IsDir() {
-			if rel != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata" || slices.Contains(optionExempt, rel)) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		pkg := optionModule
-		if d := filepath.ToSlash(filepath.Dir(rel)); d != "." {
-			pkg += "/" + d
-		}
-		files = append(files, optionFile{pkg: pkg, test: strings.HasSuffix(path, "_test.go"), f: f})
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return files
-}
-
 func TestEveryOptionHasAProductSetter(t *testing.T) {
 	t.Run("fixtures", func(t *testing.T) {
 		const decl = `package link
@@ -250,21 +262,21 @@ func main() {
 	fmt.Println(c, all, m)
 }
 `
-		parse := func(pkg, src string, test bool) optionFile {
+		parse := func(pkg, src string, test bool) goFile {
 			f, err := parser.ParseFile(token.NewFileSet(), "x.go", src, parser.ParseComments)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return optionFile{pkg: pkg, test: test, f: f}
+			return goFile{pkg: pkg, test: test, f: f}
 		}
 		for _, tc := range []struct {
 			name  string
-			files []optionFile
+			files []goFile
 			want  []string
 		}{
 			{
 				name: "flags fields only a test sets",
-				files: []optionFile{
+				files: []goFile{
 					parse("example/link", decl, false),
 					parse("example/link", test, true),
 				},
@@ -276,7 +288,7 @@ func main() {
 			},
 			{
 				name: "passes fields another package's product code sets",
-				files: []optionFile{
+				files: []goFile{
 					parse("example/link", decl, false),
 					parse("example/link", test, true),
 					parse("example/cmd", caller, false),
@@ -293,11 +305,10 @@ func main() {
 	})
 
 	t.Run("repo", func(t *testing.T) {
-		wd, err := os.Getwd()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if unset := unsetOptions(loadOptionFiles(t, wd)); len(unset) > 0 {
+		_, files := loadGoFiles(t, func(g goFile) bool {
+			return !slices.ContainsFunc(optionExempt, func(dir string) bool { return strings.HasPrefix(g.rel, dir+"/") })
+		})
+		if unset := unsetOptions(files); len(unset) > 0 {
 			t.Errorf("%d option fields have no product setter outside their package; make each a constant, "+
 				"give it a caller, or annotate it //vs:option <reason>:\n  %s", len(unset), strings.Join(unset, "\n  "))
 		}

@@ -2,7 +2,7 @@
 # Full repository check: build, vet, gofmt, race-enabled tests of every
 # package, never served from the test cache (the transport chaos test, the
 # sharded-server differential, read-snapshot and kill-and-recover
-# conformance properties, the socket and socket+proxy conformance tables and
+# conformance properties, the socket and socket+wire conformance tables and
 # the paper's shape predicates at tier-1 size run there, once each),
 # race-enabled stress of the windowed link's
 # attribution and of the Conn's frames, which must equal server.AppendFrame's
@@ -21,7 +21,7 @@
 # record windows across a recovery truncation, the seal's stale suffix and
 # rot in a retained WAL segment: recovery installs record segments read from
 # the WAL while pollers decode windows), a -count 50 stress of the socket
-# and socket+proxy conformance tables, the window's progress/bound tests
+# and socket+wire conformance tables, the window's progress/bound tests
 # and the mediums' no-retain contract (a Conn writes its next record over
 # the frame it just sent), the coverage
 # gate against the seed baseline (not race-enabled, -count=1: the run that
@@ -100,7 +100,7 @@ stage -run 'TestInOrderIngestNeverReopens$' -count 200 ./internal/server
 echo "== race-enabled recovery beside readers (-count 10): kill-and-recover conformance, record windows across a recovery truncation, no stale suffix replayed after a seal, rot in a retained WAL segment"
 stage -race -run 'TestKillRecoverConformance$|TestRecordsWindowAfterRecoveryTruncation$|TestSealRetainsNoStaleSuffix$|TestRotInRetainedSegment$' -count 10 ./internal/server
 
-echo "== socket/proxy exactly-once stress (-count 50: these tables race real sockets, one pass proves little), and no medium retains a frame"
+echo "== socket and socket+wire exactly-once stress (-count 50: these tables race real sockets, one pass proves little), and no medium retains a frame"
 stage -run 'TestNetChaosExactlyOnce$|TestNetKillRecoverConformance$|TestWindowProgressUnderEarlyResets$|TestWindowBoundedAcrossOutage$|TestMediumsDoNotRetainFrame$' \
     -count 50 ./internal/netsrv
 

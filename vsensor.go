@@ -355,10 +355,10 @@ func RunProgram(prog *ir.Program, opt Options) (*Report, error) {
 			// it wipes the server, leaving it runs WAL recovery.
 			srv := rep.Server
 			rep.Link.SetCrashHooks(
-				// Crash errs only without durability, which this branch has.
+				//vs:discard Crash errs only without durability, which this branch has.
 				func() { _ = srv.Crash() },
-				// Recover errs only on a missing disk file; the link crashes
-				// the server before it ever recovers it.
+				//vs:discard Recover errs only on a missing disk file; the link
+				// crashes the server before it ever recovers it.
 				func() { _, _ = srv.Recover() },
 			)
 		}
@@ -394,8 +394,8 @@ func RunProgram(prog *ir.Program, opt Options) (*Report, error) {
 			}
 			for _, c := range conns {
 				if c != nil {
-					// Loss is visible in Report.Coverage, or in Connect mode
-					// in the service's coverage of the run.
+					//vs:discard loss is visible in Report.Coverage, or in
+					// Connect mode in the service's coverage of the run.
 					_ = c.Close()
 				}
 			}
