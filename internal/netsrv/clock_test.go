@@ -22,3 +22,10 @@ func (c fastClock) deadline(d time.Duration) time.Time { return time.Now().Add(d
 // deadline fires after 250ms of wall time, the 5s dial, hello and ack-write
 // deadlines after 125ms, and redial backoff grows from 125µs to 12.5ms.
 var netClock = fast(40)
+
+// deadlineClock runs the tests that wait one of the client's deadlines or
+// its whole retry budget out — the literal wire rows whose silences only
+// those deadlines end in time, and an outage no redial cures: its 10s read
+// deadline passes after 50ms of wall time and its 5s dial deadline after
+// 25ms, a fifth of netClock's cost.
+var deadlineClock = fast(200)
