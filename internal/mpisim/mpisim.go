@@ -26,9 +26,12 @@ type World struct {
 	colls [numCollKinds]struct {
 		mu    sync.Mutex
 		slots []*collSlot
+		// contrib holds each rank's share of the kind's instance in
+		// progress; its last arrival sums it in rank order.
+		contrib []float64
 	}
 	pairMu sync.Mutex
-	pairs  map[int]chan message // by src*P+dst; ranks cache what they look up
+	pairs  map[int]*queue // by src*P+dst; ranks cache what they look up
 
 	// Communication counters, resolved once by SetObs before the ranks
 	// start (then read-only, so rank goroutines may share them).
@@ -81,10 +84,10 @@ type Proc struct {
 
 	collSeq [numCollKinds]int // local per-kind collective counters
 
-	// pairs caches the world's channels to and from the peers this rank has
+	// pairs caches the world's queues to and from the peers this rank has
 	// talked to (same keys), so a message costs one lookup in a small
 	// private map.
-	pairs map[int]chan message
+	pairs map[int]*queue
 }
 
 // NewWorld creates a job with p ranks on c.
@@ -92,7 +95,11 @@ func NewWorld(p int, c *cluster.Cluster) *World {
 	if p <= 0 {
 		panic("mpisim: world needs at least one rank")
 	}
-	return &World{P: p, Cluster: c}
+	w := &World{P: p, Cluster: c}
+	for kind := range w.colls {
+		w.colls[kind].contrib = make([]float64, p)
+	}
+	return w
 }
 
 // Proc returns the handle for one rank.
@@ -147,30 +154,76 @@ func (p *Proc) Compute(cpuNs, memNs float64) {
 
 // ---------- point-to-point ----------
 
-// pair returns the channel carrying messages from src to dst.
-func (p *Proc) pair(src, dst int) chan message {
+// eagerBound is how many messages a sender may run ahead of its receiver
+// before a send blocks.
+const eagerBound = 4096
+
+// queue carries the messages from one rank to another, in order. Its ring
+// starts in two inline slots and doubles with what is outstanding, up to
+// eagerBound, so a pair costs one allocation until more than two of its
+// messages wait at once.
+type queue struct {
+	mu                sync.Mutex
+	nonEmpty, nonFull sync.Cond // on mu
+	ring              []message
+	head, n           int
+	inline            [2]message
+}
+
+func (q *queue) push(m message) {
+	q.mu.Lock()
+	for q.n == eagerBound {
+		q.nonFull.Wait()
+	}
+	if q.n == len(q.ring) {
+		grown := make([]message, 2*len(q.ring))
+		k := copy(grown, q.ring[q.head:])
+		copy(grown[k:], q.ring[:q.head])
+		q.ring, q.head = grown, 0
+	}
+	q.ring[(q.head+q.n)%len(q.ring)] = m
+	q.n++
+	q.mu.Unlock()
+	q.nonEmpty.Signal()
+}
+
+func (q *queue) pop() message {
+	q.mu.Lock()
+	for q.n == 0 {
+		q.nonEmpty.Wait()
+	}
+	m := q.ring[q.head]
+	q.head = (q.head + 1) % len(q.ring)
+	q.n--
+	q.mu.Unlock()
+	q.nonFull.Signal()
+	return m
+}
+
+// pair returns the queue carrying messages from src to dst.
+func (p *Proc) pair(src, dst int) *queue {
 	w := p.World
 	key := src*w.P + dst
-	if ch, ok := p.pairs[key]; ok {
-		return ch
+	if q, ok := p.pairs[key]; ok {
+		return q
 	}
 	w.pairMu.Lock()
-	ch, ok := w.pairs[key]
+	q, ok := w.pairs[key]
 	if !ok {
 		if w.pairs == nil {
-			w.pairs = make(map[int]chan message)
+			w.pairs = make(map[int]*queue)
 		}
-		// Sends are eager: the buffer is how far a sender may run ahead of
-		// its receiver before it blocks.
-		ch = make(chan message, 4096)
-		w.pairs[key] = ch
+		q = &queue{}
+		q.ring = q.inline[:]
+		q.nonEmpty.L, q.nonFull.L = &q.mu, &q.mu
+		w.pairs[key] = q
 	}
 	w.pairMu.Unlock()
 	if p.pairs == nil {
-		p.pairs = make(map[int]chan message)
+		p.pairs = make(map[int]*queue)
 	}
-	p.pairs[key] = ch
-	return ch
+	p.pairs[key] = q
+	return q
 }
 
 // Send posts bytes to dst. Eager semantics: the sender continues after a
@@ -179,7 +232,7 @@ func (p *Proc) Send(dst int, bytes int64, value float64) {
 	p.checkPeer(dst)
 	p.World.obsP2PMsgs.Inc()
 	p.World.obsP2PBytes.Add(bytes)
-	p.pair(p.Rank, dst) <- message{sentAt: p.now, bytes: bytes, value: value}
+	p.pair(p.Rank, dst).push(message{sentAt: p.now, bytes: bytes, value: value})
 	// Injection overhead: a fraction of the latency.
 	p.now += p.World.Cluster.P2PCost(p.now, 0) / 4
 }
@@ -188,7 +241,7 @@ func (p *Proc) Send(dst int, bytes int64, value float64) {
 // is the later of the local post time and the send time, plus the transfer.
 func (p *Proc) Recv(src int, bytes int64) float64 {
 	p.checkPeer(src)
-	m := <-p.pair(src, p.Rank)
+	m := p.pair(src, p.Rank).pop()
 	start := p.now
 	if m.sentAt > start {
 		start = m.sentAt
@@ -245,9 +298,10 @@ func (w *World) slot(kind collKind, seq int) *collSlot {
 }
 
 // collective runs one instance of a collective: all ranks arrive, the exit
-// time is the latest arrival plus the modeled cost, and the value-sum is
-// available for reductions. Ranks must call collectives in the same order
-// (standard MPI requirement).
+// time is the latest arrival plus the modeled cost, and the contributions'
+// sum, in rank order whatever the arrival order, is available for
+// reductions. Ranks must call collectives in the same order (standard MPI
+// requirement).
 func (p *Proc) collective(kind collKind, bytes int64, contrib float64) float64 {
 	p.World.obsColl[kind].Inc() // a nil counter's Inc is a no-op
 	seq := p.collSeq[kind]
@@ -259,8 +313,12 @@ func (p *Proc) collective(kind collKind, bytes int64, contrib float64) float64 {
 	if p.now > s.maxT {
 		s.maxT = p.now
 	}
-	s.sum += contrib
+	c := &p.World.colls[kind]
+	c.contrib[p.Rank] = contrib
 	if s.arrived == p.World.P {
+		for _, v := range c.contrib {
+			s.sum += v
+		}
 		s.exit = s.maxT + p.World.Cluster.CollectiveCost(collNames[kind], p.World.P, bytes, s.maxT)
 		s.done = true
 		s.cond.Broadcast()

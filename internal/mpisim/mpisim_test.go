@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"vsensor/internal/cluster"
 )
@@ -73,6 +74,64 @@ func TestSendRecvExchange(t *testing.T) {
 	for i := range vals {
 		if vals[i] != want[i] {
 			t.Errorf("rank %d exchanged value %v, want %v", i, vals[i], want[i])
+		}
+	}
+}
+
+// A sender runs ahead of its receiver by eagerBound messages and no more:
+// the next unreceived send blocks until one receive, and every message
+// arrives in the order it was sent, across the queue's growth and wrap.
+func TestEagerBoundBlocksSender(t *testing.T) {
+	w := newWorld(2)
+	src, dst := w.Proc(0), w.Proc(1)
+	src.Send(1, 8, -1) // the ring's head now sits mid-ring when it grows
+	if v := dst.Recv(0, 8); v != -1 {
+		t.Fatalf("first message = %v, want -1", v)
+	}
+	for i := 0; i < eagerBound; i++ {
+		src.Send(1, 8, float64(i))
+	}
+	sent := make(chan struct{})
+	go func() {
+		src.Send(1, 8, eagerBound)
+		close(sent)
+	}()
+	// A blocked send has no event to wait on: a send that does not block
+	// completes well inside the window.
+	select {
+	case <-sent:
+		t.Fatalf("send %d completed with %d messages unreceived", eagerBound+1, eagerBound)
+	case <-time.After(50 * time.Millisecond):
+	}
+	if v := dst.Recv(0, 8); v != 0 {
+		t.Fatalf("message 0 = %v", v)
+	}
+	<-sent
+	for i := 1; i <= eagerBound; i++ {
+		if v := dst.Recv(0, 8); v != float64(i) {
+			t.Fatalf("message %d = %v", i, v)
+		}
+	}
+}
+
+// A reduction's value is its contributions summed in rank order, whichever
+// rank arrives last: 0.1*rank + 0.3 over 256 ranks has sums that differ in
+// the last bit by order.
+func TestAllreduceSumsInRankOrder(t *testing.T) {
+	const p = 256
+	var want float64
+	for r := 0; r < p; r++ {
+		want += 0.1*float64(r) + 0.3
+	}
+	for run := 0; run < 30; run++ {
+		got := make([]float64, p)
+		newWorld(p).Run(func(pr *Proc) {
+			got[pr.Rank] = pr.Allreduce(8, 0.1*float64(pr.Rank)+0.3)
+		})
+		for r, v := range got {
+			if v != want {
+				t.Fatalf("run %d: rank %d's allreduce = %v, want the rank-order sum %v", run, r, v, want)
+			}
 		}
 	}
 }

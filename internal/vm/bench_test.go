@@ -93,6 +93,32 @@ func main() {
 	}
 }
 
+// BenchmarkCountedLoop is the charge tape's workload (compile.go): CG's
+// matvec kernel, a counted loop whose body only charges flops and memory,
+// entered once per outer iteration.
+func BenchmarkCountedLoop(b *testing.B) {
+	src := fmt.Sprintf(`
+func matvec(int rows) {
+    for (int r = 0; r < rows; r++) {
+        flops(180);
+        mem(96);
+    }
+}
+func main() {
+    for (int n = 0; n < %d; n++) {
+        matvec(64);
+    }
+}`, b.N)
+	prog := benchProg(b, src)
+	m := New(prog, Config{Ranks: 1})
+	b.ReportAllocs()
+	b.ResetTimer()
+	res := m.Run()
+	if err := res.Err(); err != nil {
+		b.Fatal(err)
+	}
+}
+
 // discardSink drops records; the e2e bench measures engine + probe cost,
 // not the detector.
 type discardSink struct{}

@@ -32,6 +32,7 @@ type (
 type code struct {
 	globals []evalFn // one initializer per global, in declaration order
 	main    *funcCode
+	taped   []*minic.ForStmt // the loops compiled to a charge tape; a test holds every app kernel to one
 }
 
 // funcCode is one compiled user function.
@@ -58,18 +59,18 @@ type compiler struct {
 	// funcs holds every function reached so far. An entry is registered
 	// before its body compiles, so recursive calls find their own code.
 	funcs map[*minic.FuncDecl]*funcCode
+	out   *code
 }
 
 func compile(m *Machine) *code {
-	c := &compiler{m: m, funcs: make(map[*minic.FuncDecl]*funcCode)}
-	out := &code{}
+	c := &compiler{m: m, funcs: make(map[*minic.FuncDecl]*funcCode), out: &code{}}
 	for _, g := range m.prog.AST.Globals {
-		out.globals = append(out.globals, c.global(g))
+		c.out.globals = append(c.out.globals, c.global(g))
 	}
 	if m.mainFn != nil {
-		out.main = c.fn(m.mainFn)
+		c.out.main = c.fn(m.mainFn)
 	}
-	return out
+	return c.out
 }
 
 func (c *compiler) fn(decl *minic.FuncDecl) *funcCode {
@@ -188,6 +189,9 @@ func (c *compiler) stmt(s minic.Stmt) execFn {
 		if st.Post != nil {
 			l.post = c.stmt(st.Post)
 		}
+		if l.tape = c.tape(st); l.tape != nil {
+			c.out.taped = append(c.out.taped, st)
+		}
 		return c.loop(l, st.LoopID, pos)
 	case *minic.WhileStmt:
 		return c.loop(&loop{cond: c.expr(st.Cond), body: c.block(st.Body)}, st.LoopID, pos)
@@ -233,11 +237,15 @@ type loop struct {
 	init, post execFn
 	cond       evalFn
 	body       block
+	tape       *tape // a counted kernel loop's charges, or nil
 }
 
 func (l *loop) run(in *interp, base int) ctrl {
 	if l.init != nil {
 		l.init(in, base)
+	}
+	if l.tape != nil && l.tape.run(in, base) {
+		return ctrlNone
 	}
 	for {
 		if l.cond != nil {
@@ -256,6 +264,138 @@ func (l *loop) run(in *interp, base int) ctrl {
 			l.post(in, base)
 		}
 	}
+}
+
+// tape is a counted kernel loop, `for (…; i < n; i++) { flops(K); mem(M); }`,
+// held as the charges one iteration makes rather than as closures: the
+// condition's op, `<`'s op, each statement's step, op and builtin charge,
+// then the post's step and op, as (cpu, mem) operands in that order. Replay
+// adds them one by one, exactly as charge would, so the pending sums and the
+// flush points are the generic path's to the bit.
+type tape struct {
+	i, n    int   // local slots of the counter and the bound; n < 0: the bound is lit
+	lit     int64 // the literal bound
+	charges []cost
+	instr   int64 // instructions one iteration retires
+	steps   int64 // statements one iteration executes
+}
+
+type cost struct{ cpu, mem float64 }
+
+func (t *tape) add(instr int64, cpu, mem float64) {
+	t.instr += instr
+	t.charges = append(t.charges, cost{cpu, mem})
+}
+
+// tape compiles a for loop to a charge tape, or returns nil when it is not
+// one: its condition must be local < local-or-int-literal, its post that
+// local's `= i + 1` (what i++ parses to), and its body only flops(<int
+// literal>) and mem(<int literal>) statements that are not sensor sites.
+func (c *compiler) tape(st *minic.ForStmt) *tape {
+	cond, ok := st.Cond.(*minic.BinaryExpr)
+	if !ok || cond.Op != minic.Lt || !isLocal(cond.X, -1) {
+		return nil
+	}
+	i := cond.X.(*minic.Ident).Slot
+	post, ok := st.Post.(*minic.AssignStmt)
+	if !ok || !isLocal(post.Target, i) {
+		return nil
+	}
+	if sum, ok := post.Value.(*minic.BinaryExpr); !ok || sum.Op != minic.Plus || !isLocal(sum.X, i) || !isIntLit(sum.Y, 1) {
+		return nil
+	}
+	t := &tape{i: int(i), n: -1}
+	if lit, ok := cond.Y.(*minic.IntLit); ok {
+		t.lit = lit.Value
+	} else if n, ok := cond.Y.(*minic.Ident); ok && isLocal(n, -1) && n.Slot != i {
+		t.n = int(n.Slot)
+	} else {
+		return nil
+	}
+	t.add(1, exprCostNs, 0) // the condition
+	t.add(1, exprCostNs, 0) // <
+	for _, s := range st.Body.Stmts {
+		x, ok := s.(*minic.ExprStmt)
+		if !ok {
+			return nil
+		}
+		call, ok := x.X.(*minic.CallExpr)
+		if !ok || call.Target != nil || len(call.Args) != 1 || !isIntLit(call.Args[0], -1) || c.m.sensorOfCall(call.CallID) >= 0 {
+			return nil
+		}
+		k := max(call.Args[0].(*minic.IntLit).Value, 0)
+		t.steps++
+		t.add(1, stmtCostNs, 0)
+		t.add(1, exprCostNs, 0)
+		switch resolve.Builtin(call.Builtin) {
+		case resolve.BuiltinFlops:
+			t.add(k, float64(k)*flopCostNs, 0)
+		case resolve.BuiltinMem:
+			t.add(0, 0, float64(k)*memCostNs)
+		default:
+			return nil
+		}
+	}
+	t.steps++ // the post
+	t.add(1, stmtCostNs, 0)
+	t.add(1, exprCostNs, 0)
+	return t
+}
+
+// isLocal reports whether e is a local identifier, in slot if slot >= 0.
+func isLocal(e minic.Expr, slot int32) bool {
+	id, ok := e.(*minic.Ident)
+	return ok && id.Scope == minic.ScopeLocal && (slot < 0 || id.Slot == slot)
+}
+
+// isIntLit reports whether e is an int literal, of value v if v >= 0.
+func isIntLit(e minic.Expr, v int64) bool {
+	lit, ok := e.(*minic.IntLit)
+	return ok && (v < 0 || lit.Value == v)
+}
+
+// run replays the loop from its first test to its failing one and reports
+// whether it could. i and n must hold ints and every step must fit under
+// MaxSteps; otherwise the generic path runs the loop, and a step fault
+// names its exact statement.
+func (t *tape) run(in *interp, base int) bool {
+	i, n := in.stack[base+t.i], IntVal(t.lit)
+	if t.n >= 0 {
+		n = in.stack[base+t.n]
+	}
+	if i.Kind != KInt || n.Kind != KInt {
+		return false
+	}
+	var trips uint64
+	if i.I < n.I {
+		trips = uint64(n.I) - uint64(i.I)
+	}
+	if trips > uint64(in.cfg.MaxSteps-in.steps)/uint64(t.steps) {
+		return false
+	}
+	cpu, mem := in.pendingCPU, in.pendingMem
+	for k := uint64(0); k <= trips; k++ {
+		charges := t.charges
+		if k == trips {
+			charges = charges[:2] // the failing test
+		}
+		for _, c := range charges {
+			cpu += c.cpu
+			mem += c.mem
+			if cpu+mem >= flushThresholdNs {
+				in.pendingCPU, in.pendingMem = cpu, mem
+				in.flush()
+				cpu, mem = 0, 0
+			}
+		}
+	}
+	in.pendingCPU, in.pendingMem = cpu, mem
+	in.pmu.AddInstructions(int64(trips)*t.instr + 2)
+	in.steps += int64(trips) * t.steps
+	if trips > 0 {
+		in.stack[base+t.i] = IntVal(n.I)
+	}
+	return true
 }
 
 // loop wraps an instrumented loop in its sensor's tick/tock; the tock is

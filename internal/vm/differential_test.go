@@ -164,6 +164,9 @@ func TestEngineDifferential(t *testing.T) {
 		program{"fault-in-sensor-loop", faultInSensorLoop, 2},
 		program{"every-operator", everyOperator, 2},
 	)
+	for _, tl := range tapeLoops {
+		programs = append(programs, program{tl.name, tl.src, 2})
+	}
 	for _, p := range programs {
 		prog := mustProg(t, p.src)
 		for _, instrumented := range []bool{false, true} {
@@ -174,6 +177,58 @@ func TestEngineDifferential(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestKernelLoopsCompileToTapes holds the apps' kernel loops to the charge
+// tape: every for loop whose body is only flops(<int literal>) and
+// mem(<int literal>) statements, none of them a sensor site, must compile
+// to one, plain and instrumented. Goldens cannot see the difference: the
+// generic path charges the same.
+func TestKernelLoopsCompileToTapes(t *testing.T) {
+	for _, app := range apps.All(apps.TestScale) {
+		prog := mustProg(t, app.Source)
+		plain := New(prog, Config{})
+		instrumented := NewInstrumented(instrument.Apply(analysis.Analyze(prog), instrument.Config{}), Config{})
+		for _, m := range []*Machine{plain, instrumented} {
+			taped := make(map[*minic.ForStmt]bool)
+			for _, st := range m.code.taped {
+				taped[st] = true
+			}
+			kernels := 0
+			for _, f := range prog.AST.Funcs {
+				minic.WalkStmts(f.Body, func(s minic.Stmt) {
+					if st, ok := s.(*minic.ForStmt); ok && kernelBody(m, st.Body) {
+						kernels++
+						if !taped[st] {
+							t.Errorf("%s: the kernel loop at %v (instrumented=%v) did not compile to a charge tape", app.Name, st.Pos(), m.ins != nil)
+						}
+					}
+				})
+			}
+			if kernels == 0 {
+				t.Errorf("%s: no kernel loop found", app.Name)
+			}
+		}
+	}
+}
+
+// kernelBody reports whether a loop body is only flops(<int literal>) and
+// mem(<int literal>) statements that are not sensor sites.
+func kernelBody(m *Machine, b *minic.BlockStmt) bool {
+	for _, s := range b.Stmts {
+		x, ok := s.(*minic.ExprStmt)
+		if !ok {
+			return false
+		}
+		call, ok := x.X.(*minic.CallExpr)
+		if !ok || call.Target != nil || (call.Name != "flops" && call.Name != "mem") || len(call.Args) != 1 || m.sensorOfCall(call.CallID) >= 0 {
+			return false
+		}
+		if _, ok := call.Args[0].(*minic.IntLit); !ok {
+			return false
+		}
+	}
+	return len(b.Stmts) > 0
 }
 
 // everyOperator runs each operator on int and on float operands, every
@@ -219,6 +274,83 @@ func main() {
     print("end", i, f, n);
 }`
 
+// tapeLoops are the edges of the charge tape (compile.go): loops it runs,
+// loops it must leave to the generic path, and a step fault it must leave
+// to the generic path's exact statement.
+var tapeLoops = []struct{ name, src string }{
+	{"tape-zero-trips", `
+func main() {
+    int n = 3;
+    for (int i = 5; i < n; i++) { flops(10); }
+    for (int i = 0; i < 0; i++) { mem(4); }
+    int j = 9;
+    for (; j < n; j++) { flops(1); }
+    print(n, j);
+}`},
+	{"tape-negative-start", `
+func main() {
+    int n = mpi_comm_rank() * 3 + 5;
+    int i = 0 - 40;
+    for (; i < n; i++) { flops(25); mem(9); }
+    print(i);
+}`},
+	{"tape-literal-bound", `
+func main() {
+    for (int i = 0; i < 300; i++) { mem(17); flops(3); flops(0); mem(0); }
+    for (int k = 7; k < 8; k++) { }
+}`},
+	{"tape-float-bound", `
+func main() {
+    float n = 12.5;
+    int i = 0;
+    for (; i < n; i++) { flops(40); }
+    float f = 0.5;
+    for (; f < 6; f++) { mem(30); }
+    print(i, f);
+}`},
+	{"tape-counter-after", `
+func main() {
+    int n = 70;
+    int i = 3;
+    for (i = 0; i < n; i++) { flops(11); mem(5); }
+    int k = i;
+    for (; k < n + 20; k++) { mem(2); }
+    print(i, k, n);
+}`},
+	{"tape-many-flushes", `
+func main() {
+    int n = 9000 - mpi_comm_rank() * 7;
+    for (int r = 0; r < 2; r++) {
+        for (int i = 0; i < n; i++) { flops(1900); mem(700); }
+        flops(3);
+        for (int i = r; i < 4001; i++) { mem(1333); flops(1); }
+    }
+}`},
+	{"tape-fine-grained", `
+func main() {
+    int n = 30000 - mpi_comm_rank();
+    for (int i = 0; i < n; i++) { mem(1); }
+    for (int k = 0; k < 20000; k++) { }
+}`},
+	{"tape-instrumented", `
+func main() {
+    float acc = 0.0;
+    for (int it = 0; it < 20; it++) {
+        for (int k = 0; k < 16; k++) { flops(300); mem(40); }
+        acc = mpi_allreduce(8, acc + 1.0);
+    }
+    print(acc);
+}`},
+	{"tape-step-fault", `
+func main() {
+    flops(5);
+    for (int i = 0; i < 40000; i++) {
+        flops(3);
+        mem(2);
+    }
+}`},
+}
+
 // faultInSensorLoop faults at k == 4, inside an instrumented loop: the fault
 // unwinds through the loop's deferred tock, which still emits the record.
 const faultInSensorLoop = `
@@ -255,6 +387,9 @@ func FuzzEngineDifferential(f *testing.F) {
 	}
 	for _, c := range runtimeErrorCases {
 		f.Add(c.src)
+	}
+	for _, tl := range tapeLoops {
+		f.Add(tl.src)
 	}
 	// The front end's fuzz corpus: one `string("...")` line per file.
 	corpus, _ := filepath.Glob("../minic/testdata/fuzz/FuzzParse/*")

@@ -23,10 +23,14 @@
 # the WAL while pollers decode windows), a -count 50 stress of the socket
 # and socket+wire conformance tables, the window's progress/bound tests
 # and the mediums' no-retain contract (a Conn writes its next record over
-# the frame it just sent), the coverage
+# the frame it just sent), a race-enabled -count 20 stress of the rank
+# runtime's point-to-point queues (order, the eager bound a sender blocks
+# at) and reductions (summed in rank order whatever the arrival order), the
+# coverage
 # gate against the seed baseline (not race-enabled, -count=1: the run that
 # regenerates EXPERIMENTS.md at full size and compares it byte for byte), a
-# race-enabled interpreter smoke, one full-size run each of the benchmark's
+# race-enabled interpreter smoke (the hot loop and the charge tape's counted
+# loop), one full-size run each of the benchmark's
 # run-cg256, ingest-inproc, ingest-tcp-durable and ingest-read-mix oracles
 # (the ingest reports read the watermark and liveness view), one run of
 # each program under examples/ (each must exit 0), and `make fuzz`: a
@@ -104,11 +108,14 @@ echo "== socket and socket+wire exactly-once stress (-count 50: these tables rac
 stage -run 'TestNetChaosExactlyOnce$|TestNetKillRecoverConformance$|TestWindowProgressUnderEarlyResets$|TestWindowBoundedAcrossOutage$|TestMediumsDoNotRetainFrame$' \
     -count 50 ./internal/netsrv
 
+echo "== race-enabled rank runtime (-count 20): point-to-point order and timing, the eager bound blocks a sender, reductions sum in rank order"
+stage -race -run 'TestSendRecvTiming$|TestSendRecvExchange$|TestSelfSendRecv$|TestEagerBoundBlocksSender$|TestAllreduceSum$|TestAllreduceSumsInRankOrder$|TestConsecutiveCollectivesIndependent$' -count 20 ./internal/mpisim
+
 echo "== coverage gate (per-package deltas vs seed baseline)"
 sh scripts/cover.sh
 
-echo "== race-enabled interpreter benchmark smoke (internal/vm BenchmarkInterpHotLoop, one iteration)"
-go test -race -run '^$' -bench 'BenchmarkInterpHotLoop$' -benchtime 1x ./internal/vm
+echo "== race-enabled interpreter benchmark smoke (internal/vm BenchmarkInterpHotLoop and BenchmarkCountedLoop, one iteration each)"
+go test -race -run '^$' -bench 'BenchmarkInterpHotLoop$|BenchmarkCountedLoop$' -benchtime 1x ./internal/vm
 
 echo "== full-size run-cg256 oracle (golden virtual time, record counts and finding; one trial, untimed)"
 go run ./benchmark -workload run-cg256 -seed 1 -seconds 1 -trace 0
