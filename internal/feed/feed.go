@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand/v2"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -562,7 +563,9 @@ func Drive(steps []Step, deliver func(i int, data []byte) error, poll func(), cr
 }
 
 // Race runs each poll in a loop on a goroutine of its own until the returned
-// stop is called; stop waits for them, and a second call does nothing.
+// stop is called; stop waits for them, and a second call does nothing. A
+// poller yields its processor after every poll, so on a small host the code
+// it races gets scheduled instead of waiting out the poller's time slice.
 func Race(polls ...func()) (stop func()) {
 	done := make(chan struct{})
 	var wg sync.WaitGroup
@@ -576,6 +579,7 @@ func Race(polls ...func()) (stop func()) {
 					return
 				default:
 					poll()
+					runtime.Gosched()
 				}
 			}
 		}()

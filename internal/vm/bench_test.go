@@ -119,6 +119,34 @@ func main() {
 	}
 }
 
+// BenchmarkCountedLoopShort is CG's dot_product: a charge tape too short to
+// flush, entered once per outer iteration from the pending sums the
+// reduction's flush leaves, so each entry ends inside one cached segment.
+func BenchmarkCountedLoopShort(b *testing.B) {
+	src := fmt.Sprintf(`
+func dot_product(int n, float seed) float {
+    float local = seed;
+    for (int i = 0; i < n; i++) {
+        flops(48);
+    }
+    return mpi_allreduce(8, local + 1.0);
+}
+func main() {
+    float rho = 0.0;
+    for (int n = 0; n < %d; n++) {
+        rho = dot_product(64, rho);
+    }
+}`, b.N)
+	prog := benchProg(b, src)
+	m := New(prog, Config{Ranks: 1})
+	b.ReportAllocs()
+	b.ResetTimer()
+	res := m.Run()
+	if err := res.Err(); err != nil {
+		b.Fatal(err)
+	}
+}
+
 // discardSink drops records; the e2e bench measures engine + probe cost,
 // not the detector.
 type discardSink struct{}

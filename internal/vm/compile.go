@@ -2,6 +2,7 @@ package vm
 
 import (
 	"math"
+	"sync/atomic"
 
 	"vsensor/internal/minic"
 	"vsensor/internal/resolve"
@@ -12,7 +13,10 @@ import (
 // runs that same tree. A closure captures only what is fixed per program —
 // slots, constants, callee code, sensor IDs, source positions — and reaches
 // everything a rank owns through its *interp argument, so the tree is
-// immutable after compile and shared without synchronization.
+// immutable after compile and shared without synchronization. The one
+// exception is each charge tape's segment cache, filled by whichever rank
+// first needs an entry through atomic pointers; an entry is a pure function
+// of its key, so the rank that fills it cannot change a result.
 //
 // What the closures must reproduce exactly is the cost-model call sequence:
 // which pmu.AddInstructions and charge(cpu, mem) calls happen, with which
@@ -269,18 +273,46 @@ func (l *loop) run(in *interp, base int) ctrl {
 // tape is a counted kernel loop, `for (…; i < n; i++) { flops(K); mem(M); }`,
 // held as the charges one iteration makes rather than as closures: the
 // condition's op, `<`'s op, each statement's step, op and builtin charge,
-// then the post's step and op, as (cpu, mem) operands in that order. Replay
-// adds them one by one, exactly as charge would, so the pending sums and the
-// flush points are the generic path's to the bit.
+// then the post's step and op, as (cpu, mem) operands in that order.
+//
+// Replay jumps from flush to flush. The adds from one flush to the next
+// depend only on the charge index j they start at and the pending sums they
+// start from, and flush leaves those sums at exactly (0, 0). So the walk
+// from a start state to the add that trips the flush is a segment, built
+// once by adding the charges one by one exactly as charge would, and then
+// looked up: the pending sums and the flush points stay the generic path's
+// to the bit. There are at most len(charges) post-flush starts (j, 0, 0);
+// a loop's first segment starts at j = 0 from whatever sums its call site
+// brings, and a tape keeps at most maxEntryStates of those. Past that bound
+// the first segment is walked uncached.
 type tape struct {
 	i, n    int   // local slots of the counter and the bound; n < 0: the bound is lit
 	lit     int64 // the literal bound
 	charges []cost
 	instr   int64 // instructions one iteration retires
 	steps   int64 // statements one iteration executes
+
+	flushed []atomic.Pointer[segment]               // by start index j, from (0, 0)
+	entries [maxEntryStates]atomic.Pointer[segment] // from j = 0, keyed by segment.from
 }
 
+// maxEntryStates bounds the distinct nonzero pending sums a tape caches a
+// first segment for.
+const maxEntryStates = 16
+
 type cost struct{ cpu, mem float64 }
+
+// segment is the walk from a start state up to and including the add that
+// trips the flush.
+type segment struct {
+	from cost   // the pending sums it starts from
+	n    uint64 // its adds
+	out  cost   // the sums the flush converts
+	// ends[m] is the pending sums after r + m·len(charges) adds, r = (2 − j)
+	// mod len(charges), for every such count below n: where a loop can
+	// stop, after its failing test's two charges.
+	ends []cost
+}
 
 func (t *tape) add(instr int64, cpu, mem float64) {
 	t.instr += instr
@@ -339,6 +371,7 @@ func (c *compiler) tape(st *minic.ForStmt) *tape {
 	t.steps++ // the post
 	t.add(1, stmtCostNs, 0)
 	t.add(1, exprCostNs, 0)
+	t.flushed = make([]atomic.Pointer[segment], len(t.charges))
 	return t
 }
 
@@ -370,32 +403,97 @@ func (t *tape) run(in *interp, base int) bool {
 	if i.I < n.I {
 		trips = uint64(n.I) - uint64(i.I)
 	}
-	if trips > uint64(in.cfg.MaxSteps-in.steps)/uint64(t.steps) {
+	size := uint64(len(t.charges))
+	if trips > uint64(in.cfg.MaxSteps-in.steps)/uint64(t.steps) || trips > (math.MaxUint64-2)/size {
 		return false
 	}
-	cpu, mem := in.pendingCPU, in.pendingMem
-	for k := uint64(0); k <= trips; k++ {
-		charges := t.charges
-		if k == trips {
-			charges = charges[:2] // the failing test
-		}
-		for _, c := range charges {
-			cpu += c.cpu
-			mem += c.mem
-			if cpu+mem >= flushThresholdNs {
-				in.pendingCPU, in.pendingMem = cpu, mem
-				in.flush()
-				cpu, mem = 0, 0
+	sum, j, left := cost{in.pendingCPU, in.pendingMem}, 0, trips*size+2 // adds to the failing test's last
+	for {
+		s := t.segment(j, sum)
+		if s == nil { // past the entry bound: walk this one uncached, no further than the loop
+			w := segment{}
+			if w.n, w.out = t.walk(j, sum, left, nil); w.out.cpu+w.out.mem < flushThresholdNs {
+				sum = w.out
+				break
 			}
+			s = &w
 		}
+		if s.n > left {
+			sum = s.ends[left/size]
+			break
+		}
+		in.pendingCPU, in.pendingMem = s.out.cpu, s.out.mem
+		in.flush()
+		sum, j, left = cost{}, int((uint64(j)+s.n)%size), left-s.n
 	}
-	in.pendingCPU, in.pendingMem = cpu, mem
+	in.pendingCPU, in.pendingMem = sum.cpu, sum.mem
 	in.pmu.AddInstructions(int64(trips)*t.instr + 2)
 	in.steps += int64(trips) * t.steps
 	if trips > 0 {
 		in.stack[base+t.i] = IntVal(n.I)
 	}
 	return true
+}
+
+// segment returns the segment that starts at charge j from the pending sums
+// sum, building and caching it on a miss; nil for a first segment past the
+// entry bound.
+func (t *tape) segment(j int, sum cost) *segment {
+	var slot *atomic.Pointer[segment]
+	if sum == (cost{}) {
+		slot = &t.flushed[j]
+		if s := slot.Load(); s != nil {
+			return s
+		}
+	} else { // a loop's first segment: j is 0
+		for k := range t.entries {
+			s := t.entries[k].Load()
+			if s == nil {
+				slot = &t.entries[k]
+				break
+			}
+			if s.from == sum {
+				return s
+			}
+		}
+		if slot == nil {
+			return nil
+		}
+	}
+	s := &segment{from: sum}
+	s.n, s.out = t.walk(j, sum, math.MaxUint64, &s.ends)
+	// A rank that loses the race keeps its own copy: both are the same pure
+	// function of the key.
+	slot.CompareAndSwap(nil, s)
+	return s
+}
+
+// walk adds the charges from index j onto sum, one by one exactly as charge
+// would, up to and including the add that trips the flush or until limit
+// adds are done. It returns the adds it did and the sums they reached, and
+// appends to ends, when non-nil, the sums at each count where a loop can
+// stop.
+func (t *tape) walk(j int, sum cost, limit uint64, ends *[]cost) (uint64, cost) {
+	size := len(t.charges)
+	stop := uint64((2 + size - j) % size)
+	for n := uint64(0); ; {
+		if ends != nil && n == stop {
+			*ends = append(*ends, sum)
+			stop += uint64(size)
+		}
+		if n == limit {
+			return n, sum
+		}
+		c := t.charges[j]
+		if j++; j == size {
+			j = 0
+		}
+		sum.cpu += c.cpu
+		sum.mem += c.mem
+		if n++; sum.cpu+sum.mem >= flushThresholdNs {
+			return n, sum
+		}
+	}
 }
 
 // loop wraps an instrumented loop in its sensor's tick/tock; the tock is

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"cmp"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -66,6 +67,7 @@ type diffEnv struct {
 	name    string
 	cluster func(ranks int) *cluster.Cluster
 	jitter  float64
+	probeNs float64 // an instrumented run's probe cost; 0: 25 ns
 }
 
 // noisyCluster is TestEngineInvariance's: jittered speeds, OS noise and a
@@ -80,9 +82,9 @@ func noisyCluster(ranks int) *cluster.Cluster {
 var diffEnvs = []diffEnv{
 	{"quiet", func(ranks int) *cluster.Cluster {
 		return cluster.New(cluster.Config{Nodes: 1, RanksPerNode: ranks})
-	}, 0},
-	{"noisy", noisyCluster, 0},
-	{"noisy-pmujitter", noisyCluster, 0.004},
+	}, 0, 0},
+	{"noisy", noisyCluster, 0, 0},
+	{"noisy-pmujitter", noisyCluster, 0.004, 0},
 }
 
 // observe runs prog on one engine and records everything observable.
@@ -104,7 +106,7 @@ func observe(prog *ir.Program, instrumented bool, ranks int, env diffEnv, maxSte
 	}
 	var m *Machine
 	if instrumented {
-		cfg.ProbeCostNs = 25
+		cfg.ProbeCostNs = cmp.Or(env.probeNs, 25)
 		m = NewInstrumented(instrument.Apply(analysis.Analyze(prog), instrument.Config{}), cfg)
 	} else {
 		m = New(prog, cfg)
@@ -171,6 +173,7 @@ func TestEngineDifferential(t *testing.T) {
 		prog := mustProg(t, p.src)
 		for _, instrumented := range []bool{false, true} {
 			for _, env := range diffEnvs {
+				env.probeNs = rowProbeCostNs[p.name]
 				t.Run(fmt.Sprintf("%s/instrumented=%v/%s", p.name, instrumented, env.name), func(t *testing.T) {
 					diffEngines(t, prog, instrumented, p.ranks, env, 100_000)
 				})
@@ -349,7 +352,71 @@ func main() {
         mem(2);
     }
 }`},
+	// The replay's segments (compile.go): loops whose failing test's last
+	// charge trips a flush, the first after three flushes inside, the
+	// second after one; each next loop starts from the (0, 0) it leaves.
+	{"tape-ends-on-flush", `
+func main() {
+    for (int i = 0; i < 378; i++) { flops(64); mem(11); }
+    for (int i = 0; i < 189; i++) { flops(64); mem(11); }
+    for (int i = 0; i < 5; i++) { mem(3); }
+}`},
+	// Entered 0.2 ns below the threshold with the sum mostly memory, then
+	// (after the barrier's flush) 0.7 ns below it with the sum all cpu: the
+	// first add flushes.
+	{"tape-entry-near-threshold", `
+func main() {
+    mem(4993);
+    for (int i = 0; i < 25; i++) { mem(200); }
+    mpi_barrier();
+    flops(9985);
+    for (int i = 0; i < 40; i++) { flops(30); mem(7); }
+}`},
+	// CG's dot_product: too short to flush, so every call ends inside the
+	// segment its call site's sums start, at a trip count that varies.
+	{"tape-short", `
+func dot_product(int n, float seed) float {
+    float local = seed;
+    for (int i = 0; i < n; i++) {
+        flops(48);
+    }
+    return mpi_allreduce(8, local + 1.0);
 }
+func main() {
+    float rho = 0.0;
+    for (int it = 0; it < 30; it++) { rho = dot_product(16 + it % 3, rho); }
+    print(rho);
+}`},
+	// One tape entered from about 60 distinct pending sums per rank, more
+	// than a tape caches: past the bound the first segment is walked, and a
+	// quarter of those walks flush before the loop ends.
+	{"tape-many-entry-states", `
+func kernel(int n) {
+    for (int i = 0; i < n; i++) { flops(9); mem(4); }
+}
+func main() {
+    for (int r = 0; r < 60; r++) {
+        flops(r * 7 + mpi_comm_rank());
+        kernel(3 + r % 5 * 40);
+    }
+}`},
+	// Instrumented with a probe cost that is not a whole nanosecond
+	// (rowProbeCostNs).
+	{"tape-probe-cost", `
+func main() {
+    float acc = 0.0;
+    for (int it = 0; it < 12; it++) {
+        for (int k = 0; k < 24; k++) { flops(250); mem(30); }
+        for (int k = 0; k < it + 3; k++) { mem(50); }
+        acc = mpi_allreduce(8, acc + 1.0);
+    }
+    print(acc);
+}`},
+}
+
+// rowProbeCostNs overrides an instrumented row's probe cost (25 ns
+// otherwise).
+var rowProbeCostNs = map[string]float64{"tape-probe-cost": 13.7}
 
 // faultInSensorLoop faults at k == 4, inside an instrumented loop: the fault
 // unwinds through the loop's deferred tock, which still emits the record.

@@ -25,12 +25,16 @@
 # and the mediums' no-retain contract (a Conn writes its next record over
 # the frame it just sent), a race-enabled -count 20 stress of the rank
 # runtime's point-to-point queues (order, the eager bound a sender blocks
-# at) and reductions (summed in rank order whatever the arrival order), the
+# at) and reductions (summed in rank order whatever the arrival order), a
+# race-enabled -count 5 stress of the rank VM's engine differential, its
+# kernel-loop tapes and the schedule gate (every app, tape row and
+# order-sensitive reduction bit-identical under GOMAXPROCS 1 and 2, while the
+# ranks share each tape's segment cache), the
 # coverage
 # gate against the seed baseline (not race-enabled, -count=1: the run that
 # regenerates EXPERIMENTS.md at full size and compares it byte for byte), a
 # race-enabled interpreter smoke (the hot loop and the charge tape's counted
-# loop), one full-size run each of the benchmark's
+# loops, long and short), one full-size run each of the benchmark's
 # run-cg256, ingest-inproc, ingest-tcp-durable and ingest-read-mix oracles
 # (the ingest reports read the watermark and liveness view), one run of
 # each program under examples/ (each must exit 0), and `make fuzz`: a
@@ -111,11 +115,14 @@ stage -run 'TestNetChaosExactlyOnce$|TestNetKillRecoverConformance$|TestWindowPr
 echo "== race-enabled rank runtime (-count 20): point-to-point order and timing, the eager bound blocks a sender, reductions sum in rank order"
 stage -race -run 'TestSendRecvTiming$|TestSendRecvExchange$|TestSelfSendRecv$|TestEagerBoundBlocksSender$|TestAllreduceSum$|TestAllreduceSumsInRankOrder$|TestConsecutiveCollectivesIndependent$' -count 20 ./internal/mpisim
 
+echo "== race-enabled rank VM (-count 5): compiled engine equals the reference walker, kernel loops compile to tapes, a run is bit-identical under GOMAXPROCS 1 and 2"
+stage -race -run 'TestEngineDifferential$|TestKernelLoopsCompileToTapes$|TestScheduleDeterminism$' -count 5 ./internal/vm
+
 echo "== coverage gate (per-package deltas vs seed baseline)"
 sh scripts/cover.sh
 
-echo "== race-enabled interpreter benchmark smoke (internal/vm BenchmarkInterpHotLoop and BenchmarkCountedLoop, one iteration each)"
-go test -race -run '^$' -bench 'BenchmarkInterpHotLoop$|BenchmarkCountedLoop$' -benchtime 1x ./internal/vm
+echo "== race-enabled interpreter benchmark smoke (internal/vm BenchmarkInterpHotLoop, BenchmarkCountedLoop and BenchmarkCountedLoopShort, one iteration each)"
+go test -race -run '^$' -bench 'BenchmarkInterpHotLoop$|BenchmarkCountedLoop$|BenchmarkCountedLoopShort$' -benchtime 1x ./internal/vm
 
 echo "== full-size run-cg256 oracle (golden virtual time, record counts and finding; one trial, untimed)"
 go run ./benchmark -workload run-cg256 -seed 1 -seconds 1 -trace 0

@@ -9,7 +9,11 @@ package vsensor_test
 // bug in the identification algorithm.
 
 import (
+	"cmp"
 	"fmt"
+	"reflect"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -138,20 +142,30 @@ func TestPropertyInstrumentedSensorsAreFixedWorkload(t *testing.T) {
 	}
 }
 
-// Determinism of the full pipeline across repeated runs.
+// Determinism of the full pipeline across schedules: a generated program on
+// 8 ranks, run under GOMAXPROCS 1 and 2, gives bit-identical per-rank stats
+// (virtual end time, NetNs, PMU instruction total, record count) and the
+// same raw record stream rank by rank. (Report.Records concatenates the
+// ranks in the order their goroutines started, so it is compared grouped by
+// rank.)
 func TestPropertyPipelineDeterministic(t *testing.T) {
 	g := &progGen{rng: 424242}
 	src := g.generate()
-	run := func() (int64, int) {
-		rep, err := vsensor.Run(src, vsensor.Options{Ranks: 4, CollectRecords: true, Seed: 7})
+	run := func(procs int) (vm.Result, []vm.Record) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		rep, err := vsensor.Run(src, vsensor.Options{Ranks: 8, CollectRecords: true, Seed: 7})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return rep.Result.TotalNs, len(rep.Records)
+		slices.SortStableFunc(rep.Records, func(a, b vm.Record) int { return cmp.Compare(a.Rank, b.Rank) })
+		return *rep.Result, rep.Records
 	}
-	t1, n1 := run()
-	t2, n2 := run()
-	if t1 != t2 || n1 != n2 {
-		t.Errorf("pipeline not deterministic: (%d,%d) vs (%d,%d)", t1, n1, t2, n2)
+	res1, recs1 := run(1)
+	res2, recs2 := run(2)
+	if !reflect.DeepEqual(res1, res2) {
+		t.Errorf("pipeline not deterministic across schedules:\nGOMAXPROCS=1: %+v\nGOMAXPROCS=2: %+v", res1, res2)
+	}
+	if len(recs1) == 0 || !reflect.DeepEqual(recs1, recs2) {
+		t.Errorf("record streams differ across schedules (%d vs %d records)", len(recs1), len(recs2))
 	}
 }
