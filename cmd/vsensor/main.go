@@ -616,8 +616,10 @@ func doTrace(path string) {
 	}
 }
 
+// fatal prints err once prefixed with the program's name (library errors
+// already carry it) and exits 1.
 func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "vsensor:", err)
+	fmt.Fprintln(os.Stderr, "vsensor:", strings.TrimPrefix(err.Error(), "vsensor: "))
 	os.Exit(1)
 }
 

@@ -356,6 +356,24 @@ func TestRunEndToEnd(t *testing.T) {
 	}
 }
 
+// A run whose MPI ranks can never all finish exits 1 at once, naming the
+// rank, the builtin and its position once, and so does a rank's fault that
+// leaves its peers waiting at a barrier.
+func TestRunFailsOnStuckRanks(t *testing.T) {
+	for _, c := range []struct{ file, want string }{
+		{"deadlock-barrier.mc", "vsensor: run failed: rank 0: 3:9: mpi_barrier: deadlock: waits in barrier, which 1 of 4 ranks reached, and no other rank can run\n"},
+		{"deadlock-recv.mc", "vsensor: run failed: rank 0: 3:9: mpi_recv: deadlock: waits for a message from rank 1 and no other rank can run\n"},
+		{"fault-before-barrier.mc", "vsensor: run failed: rank 0: 3:33: index 5 out of range [0,3)\n"},
+	} {
+		t.Run(c.file, func(t *testing.T) {
+			stdout, stderr, code := runCLI(t, "run", "-q", "-ranks", "4", filepath.Join("testdata", c.file))
+			if code != 1 || stderr != c.want {
+				t.Errorf("exit %d, stderr %q; want exit 1, stderr %q\nstdout: %s", code, stderr, c.want, stdout)
+			}
+		})
+	}
+}
+
 // TestRunDurableEndToEnd drives a -wal -lease run with a mid-run server
 // crash and a permanently dead rank through the CLI, and checks the
 // operator-facing durability contract: exit 0, a durability summary with a

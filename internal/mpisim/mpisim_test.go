@@ -2,9 +2,9 @@ package mpisim
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
-	"time"
 
 	"vsensor/internal/cluster"
 )
@@ -79,38 +79,143 @@ func TestSendRecvExchange(t *testing.T) {
 }
 
 // A sender runs ahead of its receiver by eagerBound messages and no more:
-// the next unreceived send blocks until one receive, and every message
-// arrives in the order it was sent, across the queue's growth and wrap.
+// the next unreceived send completes only after the receiver's next
+// receive, and every message arrives in the order it was sent, across the
+// queue's growth and wrap. The ranks append to one log as they go; only
+// the rank holding the baton runs, so the log is the order of events.
 func TestEagerBoundBlocksSender(t *testing.T) {
-	w := newWorld(2)
-	src, dst := w.Proc(0), w.Proc(1)
-	src.Send(1, 8, -1) // the ring's head now sits mid-ring when it grows
-	if v := dst.Recv(0, 8); v != -1 {
-		t.Fatalf("first message = %v, want -1", v)
+	type event struct {
+		recv bool
+		i    int
 	}
-	for i := 0; i < eagerBound; i++ {
-		src.Send(1, 8, float64(i))
-	}
-	sent := make(chan struct{})
-	go func() {
-		src.Send(1, 8, eagerBound)
-		close(sent)
-	}()
-	// A blocked send has no event to wait on: a send that does not block
-	// completes well inside the window.
-	select {
-	case <-sent:
-		t.Fatalf("send %d completed with %d messages unreceived", eagerBound+1, eagerBound)
-	case <-time.After(50 * time.Millisecond):
-	}
-	if v := dst.Recv(0, 8); v != 0 {
-		t.Fatalf("message 0 = %v", v)
-	}
-	<-sent
-	for i := 1; i <= eagerBound; i++ {
-		if v := dst.Recv(0, 8); v != float64(i) {
-			t.Fatalf("message %d = %v", i, v)
+	var log []event
+	newWorld(2).Run(func(p *Proc) {
+		if p.Rank == 0 {
+			p.Send(1, 8, -1) // the ring's head now sits mid-ring when it grows
+			p.Recv(1, 8)     // wait until it is received
+			for i := 0; i <= eagerBound; i++ {
+				p.Send(1, 8, float64(i))
+				log = append(log, event{false, i})
+			}
+			return
 		}
+		if v := p.Recv(0, 8); v != -1 {
+			t.Errorf("first message = %v, want -1", v)
+		}
+		p.Send(0, 8, 0)
+		for i := 0; i <= eagerBound; i++ {
+			if v := p.Recv(0, 8); v != float64(i) {
+				t.Errorf("message %d = %v", i, v)
+			}
+			log = append(log, event{true, i})
+		}
+	})
+	firstRecv := slices.Index(log, event{true, 0})
+	if firstRecv != eagerBound {
+		t.Fatalf("rank 1's first receive is event %d, want %d: after every send the bound lets through", firstRecv, eagerBound)
+	}
+	if last := slices.Index(log, event{false, eagerBound}); last < firstRecv {
+		t.Errorf("send %d completed (event %d) with %d messages unreceived", eagerBound+1, last, eagerBound)
+	}
+}
+
+// A collective is priced with the largest byte count any rank passes, so
+// its exit time does not depend on which rank arrives last: rank 7 passes
+// the most, and arrives last, then (after a chain of messages from rank 7
+// down to rank 0) first.
+func TestCollectiveCostUsesMaxBytes(t *testing.T) {
+	const p = 8
+	for _, chain := range []bool{false, true} {
+		w := newWorld(p)
+		exits := make([]int64, p)
+		var maxT int64
+		w.Run(func(pr *Proc) {
+			if chain && pr.Rank < p-1 {
+				pr.Recv(pr.Rank+1, 8)
+			}
+			if chain && pr.Rank > 0 {
+				pr.Send(pr.Rank-1, 8, 0)
+			}
+			pr.Compute(float64(pr.Rank%3)*1e5, 0)
+			maxT = max(maxT, pr.Now())
+			pr.Allreduce(100000*int64(pr.Rank+1), 1)
+			exits[pr.Rank] = pr.Now()
+		})
+		want := maxT + w.Cluster.CollectiveCost("allreduce", p, 800000, maxT)
+		for r, e := range exits {
+			if e != want {
+				t.Errorf("chain=%v: rank %d exits at %d, want %d (latest arrival %d plus the cost of 800000 bytes)", chain, r, e, want, maxT)
+			}
+		}
+	}
+}
+
+// When every unfinished rank is parked, each unwinds with a *Deadlock
+// naming what it waits for, and Run returns.
+func TestDeadlockUnwindsParkedRanks(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		body func(p *Proc)
+		want []string // by rank; "" for a rank that returns
+	}{
+		{"recv-nobody-sends", func(p *Proc) {
+			if p.Rank == 0 {
+				p.Recv(1, 8)
+			}
+		}, []string{"deadlock: waits for a message from rank 1 and no other rank can run", "", ""}},
+		{"barrier-not-all-reach", func(p *Proc) {
+			if p.Rank != 1 {
+				p.Barrier()
+			}
+		}, []string{
+			"deadlock: waits in barrier, which 2 of 3 ranks reached, and no other rank can run",
+			"",
+			"deadlock: waits in barrier, which 2 of 3 ranks reached, and no other rank can run",
+		}},
+		{"recv-cycle", func(p *Proc) {
+			p.Recv((p.Rank+1)%3, 8)
+		}, []string{
+			"deadlock: waits for a message from rank 1 and no other rank can run",
+			"deadlock: waits for a message from rank 2 and no other rank can run",
+			"deadlock: waits for a message from rank 0 and no other rank can run",
+		}},
+		{"eager-bound-to-self", func(p *Proc) {
+			if p.Rank == 2 {
+				for i := 0; i <= eagerBound; i++ {
+					p.Send(2, 8, 0)
+				}
+			}
+		}, []string{"", "", "deadlock: waits for rank 2 to receive one of 4096 queued messages and no other rank can run"}},
+		{"mismatched-kinds", func(p *Proc) {
+			if p.Rank == 0 {
+				p.Barrier()
+			} else {
+				p.Allreduce(8, 1)
+			}
+		}, []string{
+			"deadlock: waits in barrier, which 1 of 3 ranks reached, and no other rank can run",
+			"deadlock: waits in allreduce, which 2 of 3 ranks reached, and no other rank can run",
+			"deadlock: waits in allreduce, which 2 of 3 ranks reached, and no other rank can run",
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			got := make([]string, 3)
+			newWorld(3).Run(func(p *Proc) {
+				defer func() {
+					if r := recover(); r != nil {
+						d := r.(*Deadlock)
+						if d.Rank != p.Rank {
+							t.Errorf("rank %d unwound with rank %d's deadlock", p.Rank, d.Rank)
+						}
+						got[p.Rank] = d.Error()
+					}
+				}()
+				c.body(p)
+			})
+			if !slices.Equal(got, c.want) {
+				t.Errorf("deadlocks:\n got %q\nwant %q", got, c.want)
+			}
+		})
 	}
 }
 
@@ -262,19 +367,21 @@ func TestManyRanksBarrierScale(t *testing.T) {
 }
 
 func TestPanicsOnBadPeer(t *testing.T) {
-	w := newWorld(2)
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for out-of-range peer")
+	var got any
+	newWorld(2).Run(func(p *Proc) {
+		if p.Rank == 0 {
+			defer func() { got = recover() }()
+			p.Send(5, 1, 0)
 		}
-	}()
-	p := w.Proc(0)
-	p.Send(5, 1, 0)
+	})
+	if got != "mpisim: rank 0: peer 5 out of range [0,2)" {
+		t.Errorf("send to peer 5 panicked with %v, want the out-of-range message", got)
+	}
 }
 
-// Steady-state communication allocates one collSlot per collective instance
-// (plus the slot table's amortized growth): nothing per rank, nothing per
-// message, no formatted keys.
+// Steady-state communication allocates nothing: no slot per collective,
+// nothing per rank or message, no formatted keys. A collective's state is
+// reset in place and a pair's queue reuses its ring.
 func TestSteadyStateAllocs(t *testing.T) {
 	const k = 1000
 	w := newWorld(2)
@@ -292,8 +399,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 			runtime.ReadMemStats(&after)
 		}
 	})
-	const collectives = 2 * k // an allreduce and a barrier per round
-	if got := after.Mallocs - before.Mallocs; got > collectives+32 {
-		t.Errorf("%d mallocs over %d rounds of sendrecv+allreduce+barrier, want at most one per collective (%d)", got, k, collectives)
+	if got := after.Mallocs - before.Mallocs; got > 8 {
+		t.Errorf("%d mallocs over %d rounds of sendrecv+allreduce+barrier, want none that grow with the rounds", got, k)
 	}
 }

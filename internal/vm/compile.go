@@ -946,7 +946,7 @@ func (c *compiler) builtinBody(bi resolve.Builtin, call *minic.CallExpr, arg fun
 	case resolve.BuiltinMPIBarrier:
 		return func(in *interp, _ int) Value {
 			in.op()
-			start := in.netBegin()
+			start := in.netBegin(call)
 			in.proc.Barrier()
 			in.netEnd(name, 0, start)
 			return IntVal(0)
@@ -958,7 +958,7 @@ func (c *compiler) builtinBody(bi resolve.Builtin, call *minic.CallExpr, arg fun
 			in.op()
 			dst, n, val := a0(in, base).AsInt(), a1(in, base).AsInt(), a2(in, base).AsFloat()
 			in.checkRank(call, dst)
-			start := in.netBegin()
+			start := in.netBegin(call)
 			in.proc.Send(int(dst), n, val)
 			in.netEnd(name, n, start)
 			if !isend {
@@ -975,7 +975,7 @@ func (c *compiler) builtinBody(bi resolve.Builtin, call *minic.CallExpr, arg fun
 			in.op()
 			src, n := a0(in, base).AsInt(), a1(in, base).AsInt()
 			in.checkRank(call, src)
-			start := in.netBegin()
+			start := in.netBegin(call)
 			v := in.proc.Recv(int(src), n)
 			in.netEnd(name, n, start)
 			return FloatVal(v)
@@ -1004,7 +1004,7 @@ func (c *compiler) builtinBody(bi resolve.Builtin, call *minic.CallExpr, arg fun
 			if !req.isRecv {
 				return FloatVal(0) // isend already completed at post time
 			}
-			start := in.netBegin()
+			start := in.netBegin(call)
 			v := in.proc.Recv(req.peer, req.bytes)
 			in.netEnd(name, req.bytes, start)
 			return FloatVal(v)
@@ -1015,7 +1015,7 @@ func (c *compiler) builtinBody(bi resolve.Builtin, call *minic.CallExpr, arg fun
 			in.op()
 			peer, n, val := a0(in, base).AsInt(), a1(in, base).AsInt(), a2(in, base).AsFloat()
 			in.checkRank(call, peer)
-			start := in.netBegin()
+			start := in.netBegin(call)
 			v := in.proc.SendRecv(int(peer), n, val)
 			in.netEnd(name, n, start)
 			return FloatVal(v)
@@ -1025,7 +1025,7 @@ func (c *compiler) builtinBody(bi resolve.Builtin, call *minic.CallExpr, arg fun
 		return func(in *interp, base int) Value {
 			in.op()
 			n, contrib := a0(in, base).AsInt(), a1(in, base).AsFloat()
-			start := in.netBegin()
+			start := in.netBegin(call)
 			v := in.proc.Allreduce(n, contrib)
 			in.netEnd(name, n, start)
 			return FloatVal(v)
@@ -1035,7 +1035,7 @@ func (c *compiler) builtinBody(bi resolve.Builtin, call *minic.CallExpr, arg fun
 		return func(in *interp, base int) Value {
 			in.op()
 			n := a0(in, base).AsInt()
-			start := in.netBegin()
+			start := in.netBegin(call)
 			in.proc.Alltoall(n)
 			in.netEnd(name, n, start)
 			return IntVal(0)
@@ -1047,7 +1047,7 @@ func (c *compiler) builtinBody(bi resolve.Builtin, call *minic.CallExpr, arg fun
 			in.op()
 			root, n, val := a0(in, base).AsInt(), a1(in, base).AsInt(), a2(in, base).AsFloat()
 			in.checkRank(call, root)
-			start := in.netBegin()
+			start := in.netBegin(call)
 			var v float64
 			if bcast {
 				v = in.proc.Bcast(int(root), n, val)

@@ -6,7 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -159,7 +159,7 @@ func TestEngineDifferential(t *testing.T) {
 	}
 	// The fault programs are rank-symmetric and fault before communicating,
 	// so no rank is left waiting in a collective.
-	for _, c := range runtimeErrorCases {
+	for _, c := range slices.Concat(runtimeErrorCases, deadlockErrorCases) {
 		programs = append(programs, program{"fault-" + c.name, c.src, 2})
 	}
 	programs = append(programs,
@@ -438,11 +438,6 @@ func TestFaultInsideSensorClosesRecord(t *testing.T) {
 	}
 }
 
-// p2pCall matches the point-to-point builtins on which a one-rank run could
-// wait forever: a receive nobody sends, or sends beyond the channel buffer.
-// (mpi_sendrecv with oneself never touches a channel.)
-var p2pCall = regexp.MustCompile(`\bmpi_i?(send|recv)\b`)
-
 // FuzzEngineDifferential diffs the engines on arbitrary accepted programs:
 // one rank, a short step budget, plain and instrumented.
 func FuzzEngineDifferential(f *testing.F) {
@@ -473,13 +468,16 @@ func FuzzEngineDifferential(f *testing.F) {
 			}
 		}
 	}
+	for _, c := range deadlockErrorCases {
+		f.Add(c.src)
+	}
 	f.Fuzz(func(t *testing.T, src string) {
 		ast, err := minic.Parse(src)
 		if err != nil {
 			t.Skip()
 		}
 		prog, err := ir.Build(ast)
-		if err != nil || p2pCall.MatchString(src) || unbounded(ast) {
+		if err != nil || unbounded(ast) {
 			t.Skip()
 		}
 		for _, instrumented := range []bool{false, true} {

@@ -69,6 +69,9 @@ type interp struct {
 	steps int64
 	rng   uint64
 
+	// mpiCall is the MPI call last begun: the one a deadlock faults at.
+	mpiCall *minic.CallExpr
+
 	// Nonblocking point-to-point request table: outstanding requests are
 	// few, so a small slice with linear search beats a map — posting and
 	// completing a request allocates nothing once capacity is warm.
@@ -130,7 +133,7 @@ func newInterp(m *Machine, proc *mpisim.Proc, cfg Config) *interp {
 func (in *interp) runMain() (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			if re, ok := r.(*RuntimeError); ok {
+			if re := in.fault(r); re != nil {
 				err = re
 				return
 			}
@@ -147,6 +150,19 @@ func (in *interp) runMain() (err error) {
 	}
 	in.liveGlobals = len(inits)
 	in.callFn(in.m.code.main, nil, minic.Pos{Line: 1, Col: 1})
+	return nil
+}
+
+// fault returns the runtime fault a recovered panic value stands for, or
+// nil: a *RuntimeError, or an MPI deadlock, which faults at the call the
+// rank was parked in.
+func (in *interp) fault(r any) *RuntimeError {
+	switch e := r.(type) {
+	case *RuntimeError:
+		return e
+	case *mpisim.Deadlock:
+		return rtErr(in.proc.Rank, in.mpiCall.Pos(), "%s: %v", in.mpiCall.Name, e)
+	}
 	return nil
 }
 
@@ -306,7 +322,8 @@ func (in *interp) callFn(fn *funcCode, args []Value, pos minic.Pos) Value {
 
 // netBegin opens an MPI operation: pending work is flushed so the operation
 // starts at the rank's true clock, which it returns.
-func (in *interp) netBegin() int64 {
+func (in *interp) netBegin(call *minic.CallExpr) int64 {
+	in.mpiCall = call
 	in.flush()
 	return in.proc.Now()
 }

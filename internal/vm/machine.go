@@ -4,7 +4,6 @@ import (
 	"errors"
 	"io"
 	"strconv"
-	"sync"
 
 	"vsensor/internal/cluster"
 	"vsensor/internal/instrument"
@@ -103,7 +102,8 @@ type Config struct {
 	// Zero selects a large default.
 	MaxSteps int64
 
-	// Stdout receives print() output; nil discards it.
+	// Stdout receives print() output; nil discards it. Ranks take turns
+	// (mpisim runs one at a time), so writes never interleave.
 	Stdout io.Writer
 
 	// Obs attaches the self-observability layer: per-rank execution spans,
@@ -227,10 +227,6 @@ func (m *Machine) Run() *Result {
 		return &Result{Ranks: []RankStats{{Err: errors.New("vm: program has no main function")}}}
 	}
 
-	if cfg.Stdout != nil {
-		cfg.Stdout = &lockedWriter{w: cfg.Stdout}
-	}
-
 	o := cfg.Obs
 	vmMetrics := newRankMetrics(o) // nil-safe: nil obs yields no-op handles
 	if o != nil {
@@ -254,7 +250,6 @@ func (m *Machine) Run() *Result {
 	world := mpisim.NewWorld(cfg.Ranks, cfg.Cluster)
 	world.SetObs(o)
 	stats := make([]RankStats, cfg.Ranks)
-	var mu sync.Mutex
 
 	total := world.Run(func(p *mpisim.Proc) {
 		var sp *obs.Span
@@ -265,7 +260,7 @@ func (m *Machine) Run() *Result {
 		in := newInterp(m, p, cfg)
 		err := in.runMain()
 		in.flush()
-		st := RankStats{
+		stats[p.Rank] = RankStats{
 			Rank:    p.Rank,
 			Total:   p.Now(),
 			CompNs:  in.compNs,
@@ -275,10 +270,7 @@ func (m *Machine) Run() *Result {
 			Records: in.records,
 			Err:     err,
 		}
-		mu.Lock()
-		stats[p.Rank] = st
-		mu.Unlock()
-		vmMetrics.flushRank(&st, in)
+		vmMetrics.flushRank(&stats[p.Rank], in)
 		vmMetrics.active.Add(-1)
 		sp.End()
 	})
@@ -338,16 +330,4 @@ func (c *countingEventSink) OnEvent(e Event) {
 // newPMU builds the per-rank counter.
 func (m *Machine) newPMU(rank int) *pmu.Counter {
 	return pmu.New(rank, m.cfg.Seed, m.cfg.PMUJitterPct)
-}
-
-// lockedWriter serializes print() output across rank goroutines.
-type lockedWriter struct {
-	mu sync.Mutex
-	w  io.Writer
-}
-
-func (l *lockedWriter) Write(p []byte) (int, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.w.Write(p)
 }

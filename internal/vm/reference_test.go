@@ -32,9 +32,6 @@ func refRun(m *Machine) *Result {
 	if m.mainFn == nil {
 		return &Result{Ranks: []RankStats{{Err: errors.New("vm: program has no main function")}}}
 	}
-	if cfg.Stdout != nil {
-		cfg.Stdout = &lockedWriter{w: cfg.Stdout}
-	}
 	stats := make([]RankStats, cfg.Ranks)
 	total := mpisim.NewWorld(cfg.Ranks, cfg.Cluster).Run(func(p *mpisim.Proc) {
 		in := newInterp(m, p, cfg)
@@ -58,7 +55,7 @@ func refRun(m *Machine) *Result {
 func (in *interp) refRunMain() (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			if re, ok := r.(*RuntimeError); ok {
+			if re := in.fault(r); re != nil {
 				err = re
 				return
 			}
@@ -436,14 +433,15 @@ func (in *interp) evalCall(base int, call *minic.CallExpr) Value {
 
 // netOp wraps an MPI operation: flushes pending work, runs op, accounts the
 // elapsed time as network time, and emits a trace event.
-func (in *interp) netOp(name string, bytes int64, op func()) {
+func (in *interp) netOp(call *minic.CallExpr, bytes int64, op func()) {
+	in.mpiCall = call
 	in.flush()
 	start := in.proc.Now()
 	op()
 	end := in.proc.Now()
 	in.netNs += end - start
 	if in.events != nil {
-		in.events.OnEvent(Event{Rank: in.proc.Rank, Kind: EvNet, Op: name, Start: start, End: end, Bytes: bytes})
+		in.events.OnEvent(Event{Rank: in.proc.Rank, Kind: EvNet, Op: call.Name, Start: start, End: end, Bytes: bytes})
 	}
 }
 
@@ -494,21 +492,21 @@ func (in *interp) evalBuiltin(base int, call *minic.CallExpr) Value {
 	case resolve.BuiltinMPICommSize:
 		return IntVal(int64(in.proc.World.P))
 	case resolve.BuiltinMPIBarrier:
-		in.netOp(call.Name, 0, func() { in.proc.Barrier() })
+		in.netOp(call, 0, func() { in.proc.Barrier() })
 		return IntVal(0)
 	case resolve.BuiltinMPISend:
 		dst := argOf(0).AsInt()
 		n := argOf(1).AsInt()
 		val := argOf(2).AsFloat()
 		in.checkRank(call, dst)
-		in.netOp(call.Name, n, func() { in.proc.Send(int(dst), n, val) })
+		in.netOp(call, n, func() { in.proc.Send(int(dst), n, val) })
 		return IntVal(0)
 	case resolve.BuiltinMPIRecv:
 		src := argOf(0).AsInt()
 		n := argOf(1).AsInt()
 		in.checkRank(call, src)
 		var v float64
-		in.netOp(call.Name, n, func() { v = in.proc.Recv(int(src), n) })
+		in.netOp(call, n, func() { v = in.proc.Recv(int(src), n) })
 		return FloatVal(v)
 	case resolve.BuiltinMPIISend:
 		dst := argOf(0).AsInt()
@@ -516,7 +514,7 @@ func (in *interp) evalBuiltin(base int, call *minic.CallExpr) Value {
 		val := argOf(2).AsFloat()
 		in.checkRank(call, dst)
 		// Post eagerly; completion is instantaneous for the sender.
-		in.netOp(call.Name, n, func() { in.proc.Send(int(dst), n, val) })
+		in.netOp(call, n, func() { in.proc.Send(int(dst), n, val) })
 		in.nextReq++
 		in.postReq(in.nextReq, pendingReq{peer: int(dst), bytes: n})
 		return IntVal(in.nextReq)
@@ -539,7 +537,7 @@ func (in *interp) evalBuiltin(base int, call *minic.CallExpr) Value {
 			return FloatVal(0) // isend already completed at post time
 		}
 		var v float64
-		in.netOp(call.Name, req.bytes, func() { v = in.proc.Recv(req.peer, req.bytes) })
+		in.netOp(call, req.bytes, func() { v = in.proc.Recv(req.peer, req.bytes) })
 		return FloatVal(v)
 	case resolve.BuiltinMPISendRecv:
 		peer := argOf(0).AsInt()
@@ -547,17 +545,17 @@ func (in *interp) evalBuiltin(base int, call *minic.CallExpr) Value {
 		val := argOf(2).AsFloat()
 		in.checkRank(call, peer)
 		var v float64
-		in.netOp(call.Name, n, func() { v = in.proc.SendRecv(int(peer), n, val) })
+		in.netOp(call, n, func() { v = in.proc.SendRecv(int(peer), n, val) })
 		return FloatVal(v)
 	case resolve.BuiltinMPIAllreduce:
 		n := argOf(0).AsInt()
 		contrib := argOf(1).AsFloat()
 		var v float64
-		in.netOp(call.Name, n, func() { v = in.proc.Allreduce(n, contrib) })
+		in.netOp(call, n, func() { v = in.proc.Allreduce(n, contrib) })
 		return FloatVal(v)
 	case resolve.BuiltinMPIAlltoall:
 		n := argOf(0).AsInt()
-		in.netOp(call.Name, n, func() { in.proc.Alltoall(n) })
+		in.netOp(call, n, func() { in.proc.Alltoall(n) })
 		return IntVal(0)
 	case resolve.BuiltinMPIBcast:
 		root := argOf(0).AsInt()
@@ -565,7 +563,7 @@ func (in *interp) evalBuiltin(base int, call *minic.CallExpr) Value {
 		val := argOf(2).AsFloat()
 		in.checkRank(call, root)
 		var v float64
-		in.netOp(call.Name, n, func() { v = in.proc.Bcast(int(root), n, val) })
+		in.netOp(call, n, func() { v = in.proc.Bcast(int(root), n, val) })
 		return FloatVal(v)
 	case resolve.BuiltinMPIReduce:
 		root := argOf(0).AsInt()
@@ -573,7 +571,7 @@ func (in *interp) evalBuiltin(base int, call *minic.CallExpr) Value {
 		contrib := argOf(2).AsFloat()
 		in.checkRank(call, root)
 		var v float64
-		in.netOp(call.Name, n, func() { v = in.proc.Reduce(int(root), n, contrib) })
+		in.netOp(call, n, func() { v = in.proc.Reduce(int(root), n, contrib) })
 		return FloatVal(v)
 	case resolve.BuiltinIORead, resolve.BuiltinIOWrite:
 		n := argOf(0).AsInt()

@@ -2,6 +2,7 @@ package vm
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -314,8 +315,23 @@ func main() { print("A", A); }`, `rank 0: 3:27: undefined variable "B"`},
 	{"main-arity", `func main(int x) { }`, "rank 0: 1:1: main expects 1 args, got 0"},
 }
 
+// deadlockErrorCases are the runtime errors of a run whose every rank waits
+// on a message or a receiver that can never come. They sit apart from
+// runtimeErrorCases so that the fuzz corpus, which numbers its seeds in the
+// order they are added, appends them after the older seeds.
+var deadlockErrorCases = []struct {
+	name string
+	src  string
+	want string
+}{
+	{"deadlock-self-recv", `func main() { mpi_recv(0, 8); }`, "rank 0: 1:15: mpi_recv: deadlock: waits for a message from rank 0 and no other rank can run"},
+	{"deadlock-wait-unsent-irecv", `func main() { int r = mpi_irecv(0, 8);
+    mpi_wait(r); }`, "rank 0: 2:5: mpi_wait: deadlock: waits for a message from rank 0 and no other rank can run"},
+	{"deadlock-eager-bound", `func main() { for (int i = 0; i < 4097; i++) { mpi_send(0, 8, 1.0); } }`, "rank 0: 1:48: mpi_send: deadlock: waits for rank 0 to receive one of 4096 queued messages and no other rank can run"},
+}
+
 func TestRuntimeErrors(t *testing.T) {
-	for _, c := range runtimeErrorCases {
+	for _, c := range slices.Concat(runtimeErrorCases, deadlockErrorCases) {
 		t.Run(c.name, func(t *testing.T) {
 			prog := mustProg(t, c.src)
 			m := New(prog, Config{Ranks: 1, MaxSteps: 100000})

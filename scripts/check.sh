@@ -25,7 +25,9 @@
 # and the mediums' no-retain contract (a Conn writes its next record over
 # the frame it just sent), a race-enabled -count 20 stress of the rank
 # runtime's point-to-point queues (order, the eager bound a sender blocks
-# at) and reductions (summed in rank order whatever the arrival order), a
+# at), reductions (summed in rank order whatever the arrival order),
+# collective pricing (the largest byte count any rank passes) and deadlock
+# unwinding (every parked rank fails, Run returns), a
 # race-enabled -count 5 stress of the rank VM's engine differential, its
 # kernel-loop tapes and the schedule gate (every app, tape row and
 # order-sensitive reduction bit-identical under GOMAXPROCS 1 and 2, while the
@@ -112,8 +114,8 @@ echo "== socket and socket+wire exactly-once stress (-count 50: these tables rac
 stage -run 'TestNetChaosExactlyOnce$|TestNetKillRecoverConformance$|TestWindowProgressUnderEarlyResets$|TestWindowBoundedAcrossOutage$|TestMediumsDoNotRetainFrame$' \
     -count 50 ./internal/netsrv
 
-echo "== race-enabled rank runtime (-count 20): point-to-point order and timing, the eager bound blocks a sender, reductions sum in rank order"
-stage -race -run 'TestSendRecvTiming$|TestSendRecvExchange$|TestSelfSendRecv$|TestEagerBoundBlocksSender$|TestAllreduceSum$|TestAllreduceSumsInRankOrder$|TestConsecutiveCollectivesIndependent$' -count 20 ./internal/mpisim
+echo "== race-enabled rank runtime (-count 20): point-to-point order and timing, the eager bound blocks a sender, reductions sum in rank order, a collective is priced with its largest byte count, a deadlock unwinds every parked rank, a bad peer panics inside Run"
+stage -race -run 'TestSendRecvTiming$|TestSendRecvExchange$|TestSelfSendRecv$|TestEagerBoundBlocksSender$|TestAllreduceSum$|TestAllreduceSumsInRankOrder$|TestConsecutiveCollectivesIndependent$|TestCollectiveCostUsesMaxBytes$|TestDeadlockUnwindsParkedRanks$|TestPanicsOnBadPeer$' -count 20 ./internal/mpisim
 
 echo "== race-enabled rank VM (-count 5): compiled engine equals the reference walker, kernel loops compile to tapes, a run is bit-identical under GOMAXPROCS 1 and 2"
 stage -race -run 'TestEngineDifferential$|TestKernelLoopsCompileToTapes$|TestScheduleDeterminism$' -count 5 ./internal/vm
